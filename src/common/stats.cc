@@ -7,20 +7,6 @@
 
 namespace aims {
 
-void RunningStats::Add(double x) {
-  if (count_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++count_;
-  sum_ += x;
-  double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-}
-
 double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 void RunningStats::Merge(const RunningStats& other) {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -12,8 +13,21 @@ namespace aims {
 /// \brief Welford single-pass accumulator for mean/variance/min/max.
 class RunningStats {
  public:
-  /// Adds one observation.
-  void Add(double x);
+  /// Adds one observation. Inline: the recognizer's activity detector
+  /// calls it for every channel of every frame in its window.
+  void Add(double x) {
+    if (count_ == 0) {
+      min_ = max_ = x;
+    } else {
+      min_ = std::min(min_, x);
+      max_ = std::max(max_, x);
+    }
+    ++count_;
+    sum_ += x;
+    double delta = x - mean_;
+    mean_ += delta / static_cast<double>(count_);
+    m2_ += delta * (x - mean_);
+  }
 
   size_t count() const { return count_; }
   double mean() const { return count_ ? mean_ : 0.0; }

@@ -1318,6 +1318,7 @@ Status AimsSystem::AddVocabularyEntry(std::string label,
         "AddVocabularyEntry: vocabulary is immutable while the recognizer "
         "is running; StopRecognizer first");
   }
+  AIMS_RETURN_NOT_OK(vocabulary_.ValidateEntry(segment));
   vocabulary_.Add(std::move(label), std::move(segment));
   return Status::OK();
 }

@@ -480,7 +480,9 @@ class AimsSystem {
   /// \brief Registers a motion template for online recognition. Fails with
   /// FailedPrecondition while a recognizer is running (the recognizer holds
   /// a pointer into the vocabulary, which must stay immutable); call
-  /// StopRecognizer first.
+  /// StopRecognizer first. InvalidArgument for an empty template, one with
+  /// fewer than 2 frames, or one whose channel count differs from the
+  /// registered templates'.
   Status AddVocabularyEntry(std::string label, linalg::Matrix segment);
 
   /// \brief Starts (or restarts) the online recognizer with the registered
@@ -493,7 +495,8 @@ class AimsSystem {
   void StopRecognizer();
 
   /// \brief Feeds one live frame; returns an event when a motion was just
-  /// isolated and recognized.
+  /// isolated and recognized. InvalidArgument when the frame's channel
+  /// count differs from the vocabulary's.
   Result<std::optional<recognition::RecognitionEvent>> PushLiveFrame(
       const streams::Frame& frame);
 

@@ -1,27 +1,28 @@
 #include "recognition/incremental.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/macros.h"
-#include "common/stats.h"
-#include "recognition/similarity.h"
 
 namespace aims::recognition {
 
 IncrementalCovariance::IncrementalCovariance(size_t channels)
-    : channels_(channels),
-      sum_(channels, 0.0),
-      second_moment_(channels, channels) {}
+    : channels_(channels) {
+  Reset();
+}
 
 void IncrementalCovariance::Add(const std::vector<double>& values) {
   AIMS_CHECK(values.size() == channels_);
+  if (count_ == 0) shift_ = values;
   ++count_;
+  const double n = static_cast<double>(count_);
   for (size_t i = 0; i < channels_; ++i) {
-    sum_[i] += values[i];
-    for (size_t j = i; j < channels_; ++j) {
-      second_moment_.At(i, j) += values[i] * values[j];
-    }
+    const double y = values[i] - shift_[i];
+    delta_[i] = y - mean_[i];
+    mean_[i] += delta_[i] / n;
+    residual_[i] = y - mean_[i];
+  }
+  for (size_t i = 0; i < channels_; ++i) {
+    double* row = &comoment_.At(i, 0);
+    for (size_t j = i; j < channels_; ++j) row[j] += delta_[i] * residual_[j];
   }
 }
 
@@ -30,13 +31,11 @@ Result<linalg::Matrix> IncrementalCovariance::Covariance() const {
     return Status::FailedPrecondition(
         "IncrementalCovariance: need at least 2 frames");
   }
-  // cov = (sum xx^T - n mean mean^T) / (n - 1)
-  const double n = static_cast<double>(count_);
+  const double denom = static_cast<double>(count_ - 1);
   linalg::Matrix cov(channels_, channels_);
   for (size_t i = 0; i < channels_; ++i) {
     for (size_t j = i; j < channels_; ++j) {
-      double value =
-          (second_moment_.At(i, j) - sum_[i] * sum_[j] / n) / (n - 1.0);
+      const double value = comoment_.At(i, j) / denom;
       cov.At(i, j) = value;
       cov.At(j, i) = value;
     }
@@ -52,158 +51,11 @@ Result<linalg::EigenDecomposition> IncrementalCovariance::Spectrum() const {
 void IncrementalCovariance::Reset(size_t channels) {
   if (channels != 0) channels_ = channels;
   count_ = 0;
-  sum_.assign(channels_, 0.0);
-  second_moment_ = linalg::Matrix(channels_, channels_);
-}
-
-Result<SpectralVocabulary> SpectralVocabulary::Make(
-    const Vocabulary* vocabulary, size_t rank) {
-  AIMS_CHECK(vocabulary != nullptr);
-  if (vocabulary->size() == 0) {
-    return Status::FailedPrecondition("SpectralVocabulary: empty vocabulary");
-  }
-  SpectralVocabulary out(vocabulary, rank);
-  for (const VocabularyEntry& entry : vocabulary->entries()) {
-    AIMS_ASSIGN_OR_RETURN(
-        linalg::EigenDecomposition spectrum,
-        WeightedSvdSimilarity::SegmentSpectrum(entry.segment));
-    out.spectra_.push_back(std::move(spectrum));
-  }
-  return out;
-}
-
-std::vector<double> SpectralVocabulary::Scores(
-    const linalg::EigenDecomposition& segment) const {
-  std::vector<double> scores(spectra_.size());
-  for (size_t i = 0; i < spectra_.size(); ++i) {
-    scores[i] =
-        WeightedSvdSimilarity::SpectraSimilarity(segment, spectra_[i], rank_);
-  }
-  return scores;
-}
-
-IncrementalStreamRecognizer::IncrementalStreamRecognizer(
-    const SpectralVocabulary* vocabulary, StreamRecognizerConfig config)
-    : vocabulary_(vocabulary), config_(config), covariance_(1) {
-  AIMS_CHECK(vocabulary_ != nullptr);
-  AIMS_CHECK(config_.activity_window >= 2);
-  AIMS_CHECK(config_.evaluation_stride >= 1);
-}
-
-double IncrementalStreamRecognizer::CurrentActivity() const {
-  if (recent_.size() < 2) return 0.0;
-  const size_t channels = recent_.front().values.size();
-  std::vector<double> stddevs(channels);
-  for (size_t c = 0; c < channels; ++c) {
-    RunningStats stats;
-    for (const streams::Frame& f : recent_) stats.Add(f.values[c]);
-    stddevs[c] = stats.stddev();
-  }
-  size_t k = std::min(std::max<size_t>(config_.activity_top_k, 1), channels);
-  std::partial_sort(stddevs.begin(),
-                    stddevs.begin() + static_cast<ptrdiff_t>(k),
-                    stddevs.end(), std::greater<double>());
-  double total = 0.0;
-  for (size_t i = 0; i < k; ++i) total += stddevs[i];
-  return total / static_cast<double>(k);
-}
-
-Status IncrementalStreamRecognizer::AccumulateEvidence() {
-  AIMS_ASSIGN_OR_RETURN(linalg::EigenDecomposition spectrum,
-                        covariance_.Spectrum());
-  std::vector<double> scores = vocabulary_->Scores(spectrum);
-  double mean = 0.0;
-  for (double s : scores) mean += s;
-  mean /= static_cast<double>(scores.size());
-  for (size_t i = 0; i < scores.size(); ++i) {
-    evidence_[i] += scores[i] - mean;
-  }
-  evidence_accumulated_ = true;
-  return Status::OK();
-}
-
-Result<std::optional<RecognitionEvent>> IncrementalStreamRecognizer::Push(
-    const streams::Frame& frame) {
-  ++frames_seen_;
-  recent_.push_back(frame);
-  if (recent_.size() > config_.activity_window) recent_.pop_front();
-
-  double activity = CurrentActivity();
-  std::optional<RecognitionEvent> event;
-
-  if (!in_segment_) {
-    if (activity >= config_.activity_on) {
-      in_segment_ = true;
-      segment_start_ = frames_seen_ >= recent_.size()
-                           ? frames_seen_ - recent_.size()
-                           : 0;
-      covariance_.Reset(frame.values.size());
-      for (const streams::Frame& f : recent_) covariance_.Add(f.values);
-      segment_frames_ = recent_.size();
-      evidence_.assign(vocabulary_->size(), 0.0);
-      evidence_accumulated_ = false;
-      frames_since_eval_ = 0;
-      low_activity_run_ = 0;
-    }
-    return event;
-  }
-
-  covariance_.Add(frame.values);
-  ++segment_frames_;
-  ++frames_since_eval_;
-
-  if (frames_since_eval_ >= config_.evaluation_stride &&
-      segment_frames_ >= config_.min_segment_frames) {
-    frames_since_eval_ = 0;
-    AIMS_RETURN_NOT_OK(AccumulateEvidence());
-  }
-
-  if (activity <= config_.activity_off) {
-    ++low_activity_run_;
-    if (low_activity_run_ >= config_.off_debounce_frames) {
-      return CloseSegment();
-    }
-  } else {
-    low_activity_run_ = 0;
-  }
-  return event;
-}
-
-Result<std::optional<RecognitionEvent>>
-IncrementalStreamRecognizer::CloseSegment() {
-  in_segment_ = false;
-  size_t frames = segment_frames_;
-  segment_frames_ = 0;
-  if (frames < config_.min_segment_frames) {
-    return std::optional<RecognitionEvent>{};
-  }
-  if (!evidence_accumulated_) {
-    AIMS_RETURN_NOT_OK(AccumulateEvidence());
-  }
-  size_t best = 0;
-  for (size_t i = 1; i < evidence_.size(); ++i) {
-    if (evidence_[i] > evidence_[best]) best = i;
-  }
-  double positive = 0.0;
-  for (double e : evidence_) {
-    if (e > 0.0) positive += e;
-  }
-  double confidence = positive > 0.0 ? evidence_[best] / positive : 0.0;
-  if (confidence < config_.min_confidence || evidence_[best] <= 0.0) {
-    return std::optional<RecognitionEvent>{};
-  }
-  RecognitionEvent event;
-  event.label = vocabulary_->vocabulary().entries()[best].label;
-  event.start_frame = segment_start_;
-  event.end_frame = frames_seen_;
-  event.confidence = confidence;
-  return std::optional<RecognitionEvent>{event};
-}
-
-Result<std::optional<RecognitionEvent>>
-IncrementalStreamRecognizer::Finish() {
-  if (!in_segment_) return std::optional<RecognitionEvent>{};
-  return CloseSegment();
+  shift_.assign(channels_, 0.0);
+  mean_.assign(channels_, 0.0);
+  delta_.assign(channels_, 0.0);
+  residual_.assign(channels_, 0.0);
+  comoment_ = linalg::Matrix(channels_, channels_);
 }
 
 }  // namespace aims::recognition

@@ -1,15 +1,10 @@
 #pragma once
 
-#include <deque>
-#include <optional>
 #include <vector>
 
 #include "common/status.h"
 #include "linalg/eigen.h"
 #include "linalg/matrix.h"
-#include "recognition/isolator.h"
-#include "recognition/vocabulary.h"
-#include "streams/sample.h"
 
 /// \file incremental.h
 /// \brief Incremental SVD for the online recognizer (Sec. 3.4.1): "we would
@@ -18,23 +13,27 @@
 /// the earlier steps thus reducing the overall computation cost
 /// considerably."
 ///
-/// Two pieces:
-///  - IncrementalCovariance maintains the running first and second moments
-///    of the open segment, so the covariance after every new frame costs
-///    O(k^2) instead of O(frames * k^2).
-///  - SpectralVocabulary pre-diagonalizes every template once, so a
-///    periodic evaluation costs one eigen-decomposition of the *segment*
-///    (O(k^3)) plus O(|vocab| * k^2) dot products — independent of the
-///    segment length and of the number of frames since the last evaluation.
+/// IncrementalCovariance maintains the running mean and co-moments of the
+/// open segment, so the covariance after every new frame costs O(k^2)
+/// instead of O(frames * k^2) and the recognizer keeps no frames. With the
+/// template spectra cached per vocabulary (Vocabulary::SpectraScores), a
+/// periodic evaluation costs one eigen-decomposition of the segment
+/// covariance plus O(|vocab| * k^2) dot products, independent of the
+/// segment length.
 
 namespace aims::recognition {
 
-/// \brief Streaming mean/second-moment accumulator over k channels.
+/// \brief Streaming covariance over k channels (Welford co-moment update).
+///
+/// The update runs on the values minus the first frame: covariance is
+/// shift-invariant, and the small differences keep the update accurate to
+/// a few ulps whatever offset the signals carry, where the one-pass
+/// (sum x x^T - n mean mean^T) form cancels catastrophically.
 class IncrementalCovariance {
  public:
   explicit IncrementalCovariance(size_t channels);
 
-  /// Adds one frame (O(k^2)).
+  /// Adds one frame (O(k^2)). \p values must have channels() entries.
   void Add(const std::vector<double>& values);
 
   size_t count() const { return count_; }
@@ -52,68 +51,12 @@ class IncrementalCovariance {
  private:
   size_t channels_;
   size_t count_ = 0;
-  std::vector<double> sum_;
-  linalg::Matrix second_moment_;  ///< Sum of x x^T.
-};
-
-/// \brief A vocabulary whose template spectra are computed once.
-class SpectralVocabulary {
- public:
-  /// Diagonalizes every entry of \p vocabulary (which must outlive this).
-  static Result<SpectralVocabulary> Make(const Vocabulary* vocabulary,
-                                         size_t rank = 0);
-
-  size_t size() const { return spectra_.size(); }
-  const Vocabulary& vocabulary() const { return *vocabulary_; }
-
-  /// Weighted-SVD similarity of a segment spectrum to every template.
-  std::vector<double> Scores(const linalg::EigenDecomposition& segment) const;
-
- private:
-  SpectralVocabulary(const Vocabulary* vocabulary, size_t rank)
-      : vocabulary_(vocabulary), rank_(rank) {}
-
-  const Vocabulary* vocabulary_;
-  size_t rank_;
-  std::vector<linalg::EigenDecomposition> spectra_;
-};
-
-/// \brief Drop-in variant of StreamRecognizer that uses the incremental
-/// covariance and the pre-diagonalized vocabulary. Behaviour matches
-/// StreamRecognizer with WeightedSvdSimilarity up to the covariance of the
-/// open segment being computed over all frames since the segment opened
-/// (identical), at a per-evaluation cost independent of segment length.
-class IncrementalStreamRecognizer {
- public:
-  IncrementalStreamRecognizer(const SpectralVocabulary* vocabulary,
-                              StreamRecognizerConfig config);
-
-  Result<std::optional<RecognitionEvent>> Push(const streams::Frame& frame);
-  Result<std::optional<RecognitionEvent>> Finish();
-
-  bool segment_open() const { return in_segment_; }
-  size_t frames_seen() const { return frames_seen_; }
-  const std::vector<double>& accumulated_evidence() const {
-    return evidence_;
-  }
-
- private:
-  double CurrentActivity() const;
-  Result<std::optional<RecognitionEvent>> CloseSegment();
-  Status AccumulateEvidence();
-
-  const SpectralVocabulary* vocabulary_;
-  StreamRecognizerConfig config_;
-  std::deque<streams::Frame> recent_;
-  IncrementalCovariance covariance_;
-  size_t segment_frames_ = 0;
-  std::vector<double> evidence_;
-  bool in_segment_ = false;
-  bool evidence_accumulated_ = false;
-  size_t segment_start_ = 0;
-  size_t frames_seen_ = 0;
-  size_t frames_since_eval_ = 0;
-  size_t low_activity_run_ = 0;
+  std::vector<double> shift_;     ///< The first frame added.
+  std::vector<double> mean_;      ///< Running mean of (x - shift).
+  std::vector<double> delta_;     ///< Scratch: (x - shift) - previous mean.
+  std::vector<double> residual_;  ///< Scratch: (x - shift) - updated mean.
+  linalg::Matrix comoment_;       ///< Upper triangle of sum of products of
+                                  ///< deviations from the mean.
 };
 
 }  // namespace aims::recognition

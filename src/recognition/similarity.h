@@ -45,6 +45,7 @@ class WeightedSvdSimilarity : public SimilarityMeasure {
   const char* name() const override { return "weighted-svd"; }
   Result<double> Similarity(const linalg::Matrix& a,
                             const linalg::Matrix& b) const override;
+  size_t rank() const { return rank_; }
 
   /// The eigen-decomposition a segment contributes (exposed so callers can
   /// cache it per vocabulary entry).

@@ -3,12 +3,13 @@
 #include <chrono>
 #include <utility>
 
+#include "common/macros.h"
+
 namespace aims::server {
 
 RecognitionService::RecognitionService(
-    const recognition::Vocabulary* vocabulary,
     recognition::StreamRecognizerConfig config, MetricsRegistry* metrics)
-    : vocabulary_(vocabulary), measure_(/*rank=*/0), config_(config) {
+    : measure_(/*rank=*/0), config_(config) {
   if (metrics != nullptr) {
     streams_opened_ = metrics->GetCounter("recognition.streams_opened");
     frames_ = metrics->GetCounter("recognition.frames");
@@ -20,25 +21,39 @@ RecognitionService::RecognitionService(
   }
 }
 
+Status RecognitionService::AddVocabularyEntry(std::string label,
+                                              linalg::Matrix segment) {
+  std::unique_lock<std::shared_mutex> lock(streams_mutex_);
+  if (!streams_.empty()) {
+    return Status::FailedPrecondition(
+        "AddVocabularyEntry: vocabulary is immutable while recognition "
+        "streams are open");
+  }
+  AIMS_RETURN_NOT_OK(vocabulary_.ValidateEntry(segment));
+  vocabulary_.Add(std::move(label), std::move(segment));
+  return Status::OK();
+}
+
 Status RecognitionService::OpenStream(ClientId client) {
-  if (vocabulary_ == nullptr || vocabulary_->size() == 0) {
+  std::unique_lock<std::shared_mutex> lock(streams_mutex_);
+  if (vocabulary_.size() == 0) {
     return Status::FailedPrecondition(
         "RecognitionService: register a vocabulary first");
   }
-  std::unique_lock<std::shared_mutex> lock(streams_mutex_);
   auto& slot = streams_[client];
   if (slot) {
     return Status::AlreadyExists("RecognitionService: stream already open");
   }
-  slot = std::make_shared<ClientStream>(vocabulary_, &measure_, config_);
+  slot = std::make_shared<ClientStream>(&vocabulary_, &measure_, config_);
   if (streams_opened_ != nullptr) streams_opened_->Increment();
   if (open_streams_ != nullptr) open_streams_->AddTracked(1);
   return Status::OK();
 }
 
-Result<std::optional<recognition::RecognitionEvent>>
-RecognitionService::PushFrame(ClientId client, const streams::Frame& frame,
-                              Trace* trace) {
+Result<std::vector<recognition::RecognitionEvent>>
+RecognitionService::PushFrames(ClientId client,
+                               const std::vector<streams::Frame>& frames,
+                               Trace* trace) {
   std::shared_ptr<ClientStream> stream;
   {
     std::shared_lock<std::shared_mutex> lock(streams_mutex_);
@@ -48,48 +63,77 @@ RecognitionService::PushFrame(ClientId client, const streams::Frame& frame,
     }
     stream = it->second;
   }
-  auto start = std::chrono::steady_clock::now();
   std::lock_guard<std::mutex> lock(stream->mutex);
-  size_t update_span = 0;
-  if (trace != nullptr) update_span = trace->BeginSpan("recognizer_update");
-  auto result = stream->recognizer.Push(frame);
-  if (trace != nullptr) {
-    trace->EndSpan(update_span);
-    if (result.ok() && result->has_value()) {
-      trace->AddMarker("classification_event");
+  // Open and not closed: the vocabulary cannot change under this lock.
+  if (stream->closed) {
+    return Status::NotFound("RecognitionService: no open stream");
+  }
+  const size_t channels = vocabulary_.channels();
+  for (const streams::Frame& frame : frames) {
+    if (frame.values.size() != channels) {
+      return Status::InvalidArgument(
+          "StreamSamples: a frame has " + std::to_string(frame.values.size()) +
+          " channels, the vocabulary " + std::to_string(channels));
     }
   }
-  if (frames_ != nullptr) frames_->Increment();
-  if (frame_latency_ms_ != nullptr) {
-    frame_latency_ms_->Record(std::chrono::duration<double, std::milli>(
-                                  std::chrono::steady_clock::now() - start)
-                                  .count());
+  std::vector<recognition::RecognitionEvent> events;
+  for (const streams::Frame& frame : frames) {
+    auto start = std::chrono::steady_clock::now();
+    size_t update_span = 0;
+    if (trace != nullptr) update_span = trace->BeginSpan("recognizer_update");
+    auto result = stream->recognizer.Push(frame);
+    if (trace != nullptr) {
+      trace->EndSpan(update_span);
+      if (result.ok() && result->has_value()) {
+        trace->AddMarker("classification_event");
+      }
+    }
+    if (frames_ != nullptr) frames_->Increment();
+    if (frame_latency_ms_ != nullptr) {
+      frame_latency_ms_->Record(std::chrono::duration<double, std::milli>(
+                                    std::chrono::steady_clock::now() - start)
+                                    .count());
+    }
+    AIMS_RETURN_NOT_OK(result.status());
+    if (result->has_value()) {
+      if (events_ != nullptr) events_->Increment();
+      stream->history.Push(**result);
+      events.push_back(std::move(**result));
+    }
   }
-  if (result.ok() && result->has_value()) {
-    if (events_ != nullptr) events_->Increment();
-    stream->history.Push(**result);
-  }
-  return result;
+  return events;
 }
 
 Result<std::optional<recognition::RecognitionEvent>>
 RecognitionService::CloseStream(ClientId client) {
   std::shared_ptr<ClientStream> stream;
   {
-    std::unique_lock<std::shared_mutex> lock(streams_mutex_);
+    std::shared_lock<std::shared_mutex> lock(streams_mutex_);
     auto it = streams_.find(client);
     if (it == streams_.end()) {
       return Status::NotFound("RecognitionService: no open stream");
     }
-    stream = std::move(it->second);
-    streams_.erase(it);
+    stream = it->second;
+  }
+  // The flush serializes with any PushFrames on the per-stream mutex; a
+  // PushFrames (or CloseStream) that resolved the stream before the erase
+  // below finds it closed. The stream stays registered until its flush is
+  // done, so AddVocabularyEntry cannot change the vocabulary under it.
+  Result<std::optional<recognition::RecognitionEvent>> result =
+      std::optional<recognition::RecognitionEvent>{};
+  {
+    std::lock_guard<std::mutex> lock(stream->mutex);
+    if (stream->closed) {
+      return Status::NotFound("RecognitionService: no open stream");
+    }
+    stream->closed = true;
+    result = stream->recognizer.Finish();
+  }
+  {
+    std::unique_lock<std::shared_mutex> lock(streams_mutex_);
+    streams_.erase(client);
   }
   if (open_streams_ != nullptr) open_streams_->AddTracked(-1);
-  // A PushFrame that resolved the stream before the erase may still be
-  // running; it holds its own shared_ptr, so the flush below serializes
-  // with it on the per-stream mutex and the object outlives both.
-  std::lock_guard<std::mutex> lock(stream->mutex);
-  auto result = stream->recognizer.Finish();
   if (result.ok() && result->has_value() && events_ != nullptr) {
     events_->Increment();
   }

@@ -103,7 +103,7 @@ AimsServer::AimsServer(ServerConfig config)
           slow_log_.get(), config.obs.slow_query_threshold_ms,
           recorder_.get())),
       recognition_(std::make_unique<RecognitionService>(
-          &vocabulary_, config.recognizer,
+          config.recognizer,
           config.obs.enable_metrics ? metrics_.get() : nullptr)) {
   // Continuous aggregates: registry over the catalog, fed by the catalog's
   // ingest-commit hook, consulted by the scheduler before planning.
@@ -283,13 +283,8 @@ AimsServer::~AimsServer() { Shutdown(); }
 
 Status AimsServer::AddVocabularyEntry(std::string label,
                                       linalg::Matrix segment) {
-  if (recognition_->open_streams() > 0) {
-    return Status::FailedPrecondition(
-        "AddVocabularyEntry: vocabulary is immutable while recognition "
-        "streams are open");
-  }
-  vocabulary_.Add(std::move(label), std::move(segment));
-  return Status::OK();
+  return recognition_->AddVocabularyEntry(std::move(label),
+                                          std::move(segment));
 }
 
 Result<OpenSessionResponse> AimsServer::OpenSession(
@@ -402,17 +397,13 @@ Result<StreamSamplesResponse> AimsServer::StreamSamples(
           : nullptr;
   if (tenant != nullptr) tenant->CountStreamBatch();
   obs::ScopedCpuCharge cpu_charge(tenant);
-  for (const streams::Frame& frame : request.frames) {
-    auto event = recognition_->PushFrame(request.client, frame, trace_ptr);
-    if (!event.ok()) {
-      // Record what the batch did up to the failing frame, then fail.
-      if (trace.has_value()) tracer_->Record(std::move(*trace));
-      return event.status();
-    }
-    ++response.frames_pushed;
-    if (event->has_value()) response.events.push_back(std::move(**event));
-  }
+  auto events =
+      recognition_->PushFrames(request.client, request.frames, trace_ptr);
+  // A failed batch still records what it did up to the failing frame.
   if (trace.has_value()) tracer_->Record(std::move(*trace));
+  AIMS_RETURN_NOT_OK(events.status());
+  response.frames_pushed = request.frames.size();
+  response.events = events.MoveValueUnsafe();
   return response;
 }
 

@@ -186,6 +186,8 @@ class AimsServer {
   AimsServer& operator=(const AimsServer&) = delete;
 
   /// \brief Registers a motion template shared by all clients' recognizers.
+  /// InvalidArgument for an empty template, one with fewer than 2 frames,
+  /// or one whose channel count differs from the registered templates'.
   /// The vocabulary is immutable while recognition streams are open:
   /// returns FailedPrecondition in that case.
   Status AddVocabularyEntry(std::string label, linalg::Matrix segment);
@@ -209,7 +211,9 @@ class AimsServer {
   Result<SubmitQueryResponse> SubmitQuery(const SubmitQueryRequest& request);
 
   /// \brief Feeds live frames to the client's recognition stream.
-  /// FailedPrecondition when the session was opened without recognition.
+  /// FailedPrecondition when the session was opened without recognition;
+  /// InvalidArgument, before any frame is pushed, when a frame's channel
+  /// count differs from the vocabulary's.
   Result<StreamSamplesResponse> StreamSamples(StreamSamplesRequest request);
 
   /// \brief Closes the session (flushing the recognition stream, if any).
@@ -380,7 +384,6 @@ class AimsServer {
   std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<IngestService> ingest_;
   std::unique_ptr<QueryScheduler> scheduler_;
-  recognition::Vocabulary vocabulary_;
   std::unique_ptr<RecognitionService> recognition_;
   std::unique_ptr<obs::StatsReporter> reporter_;
   // After the reporter (destroyed before it): the scraper's post-scrape

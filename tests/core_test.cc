@@ -169,6 +169,34 @@ TEST(AimsSystemTest, RecognizerRequiresVocabulary) {
   EXPECT_FALSE(system.FinishLiveStream().ok());
 }
 
+TEST(AimsSystemTest, MalformedTemplatesAndFramesRejected) {
+  AimsSystem system;
+  EXPECT_EQ(system.AddVocabularyEntry("empty", linalg::Matrix(0, 0)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(system.AddVocabularyEntry("one-frame", linalg::Matrix(1, 4)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(system.AddVocabularyEntry("no-channels", linalg::Matrix(8, 0))
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(system.vocabulary().size(), 0u);
+  ASSERT_TRUE(
+      system.AddVocabularyEntry("glove", ToMatrix(GloveRecording(7))).ok());
+  EXPECT_EQ(system.AddVocabularyEntry("narrow", linalg::Matrix(8, 20)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(system.vocabulary().size(), 1u);
+
+  ASSERT_TRUE(system.StartRecognizer().ok());
+  for (size_t width : {size_t{0}, size_t{20}}) {
+    streams::Frame frame;
+    frame.values.assign(width, 1.0);
+    EXPECT_EQ(system.PushLiveFrame(frame).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  streams::Frame frame;
+  frame.values.assign(synth::kHandChannels, 1.0);
+  EXPECT_TRUE(system.PushLiveFrame(frame).ok());
+}
+
 TEST(AimsSystemTest, ExportImportRoundTrip) {
   AimsSystem system;
   streams::Recording rec = GloveRecording(9);

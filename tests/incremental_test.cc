@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/rng.h"
+#include "recognition/isolator.h"
 #include "recognition/similarity.h"
 #include "synth/cyberglove.h"
 
@@ -18,20 +21,27 @@ linalg::Matrix ToMatrix(const streams::Recording& rec) {
 }
 
 TEST(IncrementalCovarianceTest, MatchesBatchCovariance) {
-  Rng rng(1);
-  linalg::Matrix segment(50, 4);
-  for (double& x : segment.data()) x = rng.Uniform(-3.0, 3.0);
-  IncrementalCovariance inc(4);
-  for (size_t r = 0; r < 50; ++r) inc.Add(segment.Row(r));
-  auto cov = inc.Covariance();
-  ASSERT_TRUE(cov.ok());
-  linalg::Matrix expected = segment.ColumnCovariance();
-  for (size_t i = 0; i < 4; ++i) {
-    for (size_t j = 0; j < 4; ++j) {
-      EXPECT_NEAR(cov.ValueOrDie()(i, j), expected(i, j), 1e-9);
+  // Offsets up to 1e8 (e.g. raw sensor counts or timestamps riding on a
+  // channel): the one-pass sum-of-products form cancels catastrophically
+  // there, the shifted Welford update must not.
+  for (double offset : {0.0, 1e4, 1e6, 1e8}) {
+    Rng rng(1);
+    linalg::Matrix segment(50, 4);
+    for (double& x : segment.data()) x = offset + rng.Uniform(-3.0, 3.0);
+    IncrementalCovariance inc(4);
+    for (size_t r = 0; r < 50; ++r) inc.Add(segment.Row(r));
+    auto cov = inc.Covariance();
+    ASSERT_TRUE(cov.ok());
+    linalg::Matrix expected = segment.ColumnCovariance();
+    for (size_t i = 0; i < 4; ++i) {
+      for (size_t j = 0; j < 4; ++j) {
+        EXPECT_NEAR(cov.ValueOrDie()(i, j), expected(i, j),
+                    1e-9 * std::fabs(expected(i, j)))
+            << "offset " << offset << " at (" << i << ", " << j << ")";
+      }
     }
+    EXPECT_EQ(inc.count(), 50u);
   }
-  EXPECT_EQ(inc.count(), 50u);
 }
 
 TEST(IncrementalCovarianceTest, NeedsTwoFrames) {
@@ -87,33 +97,61 @@ class IncrementalRecognizerFixture : public ::testing::Test {
   Vocabulary vocab_;
 };
 
-TEST_F(IncrementalRecognizerFixture, SpectralVocabularyScoresMatchDirect) {
-  auto spectral = SpectralVocabulary::Make(&vocab_);
-  ASSERT_TRUE(spectral.ok());
-  EXPECT_EQ(spectral.ValueOrDie().size(), 4u);
+TEST_F(IncrementalRecognizerFixture, CachedSpectraScoresMatchPerPairScores) {
+  // The recognizer's cached template spectra must score exactly as the
+  // per-pair measure does, bit for bit, for every sign of several subjects.
+  WeightedSvdSimilarity measure;
+  WeightedSvdSimilarity measure_rank3(3);
+  for (int subject_id = 0; subject_id < 3; ++subject_id) {
+    synth::SubjectProfile subject = sim_.MakeSubject();
+    for (size_t sign : {12u, 13u, 16u, 17u}) {
+      linalg::Matrix segment =
+          ToMatrix(sim_.GenerateSign(sign, subject).ValueOrDie());
+      auto spectrum = WeightedSvdSimilarity::SegmentSpectrum(segment);
+      ASSERT_TRUE(spectrum.ok());
+      for (const WeightedSvdSimilarity* m : {&measure, &measure_rank3}) {
+        std::vector<double> direct = vocab_.Scores(segment, *m).ValueOrDie();
+        auto cached = vocab_.SpectraScores(spectrum.ValueOrDie(), *m);
+        ASSERT_TRUE(cached.ok());
+        EXPECT_EQ(cached.ValueOrDie(), direct);
+      }
+    }
+  }
+}
+
+TEST_F(IncrementalRecognizerFixture, AddDiscardsCachedSpectra) {
   synth::SubjectProfile subject = sim_.MakeSubject();
   linalg::Matrix segment =
-      ToMatrix(sim_.GenerateSign(13, subject).ValueOrDie());
+      ToMatrix(sim_.GenerateSign(14, subject).ValueOrDie());
+  auto spectrum = WeightedSvdSimilarity::SegmentSpectrum(segment);
+  ASSERT_TRUE(spectrum.ok());
   WeightedSvdSimilarity measure;
-  std::vector<double> direct = vocab_.Scores(segment, measure).ValueOrDie();
-  auto segment_spectrum = WeightedSvdSimilarity::SegmentSpectrum(segment);
-  ASSERT_TRUE(segment_spectrum.ok());
-  std::vector<double> cached =
-      spectral.ValueOrDie().Scores(segment_spectrum.ValueOrDie());
-  ASSERT_EQ(cached.size(), direct.size());
-  for (size_t i = 0; i < direct.size(); ++i) {
-    EXPECT_NEAR(cached[i], direct[i], 1e-9);
-  }
+  Vocabulary copy = vocab_;
+  ASSERT_EQ(vocab_.SpectraScores(spectrum.ValueOrDie(), measure)
+                .ValueOrDie()
+                .size(),
+            4u);
+  // The copy shared the computed spectra; growing it must not.
+  copy.Add("BLUE", segment);
+  auto grown = copy.SpectraScores(spectrum.ValueOrDie(), measure);
+  ASSERT_TRUE(grown.ok());
+  EXPECT_EQ(grown.ValueOrDie(), copy.Scores(segment, measure).ValueOrDie());
+  EXPECT_EQ(vocab_.SpectraScores(spectrum.ValueOrDie(), measure)
+                .ValueOrDie()
+                .size(),
+            4u);
 }
 
 TEST_F(IncrementalRecognizerFixture, EmptyVocabularyRejected) {
   Vocabulary empty;
-  EXPECT_FALSE(SpectralVocabulary::Make(&empty).ok());
+  linalg::EigenDecomposition spectrum;
+  EXPECT_EQ(empty.SpectraScores(spectrum, WeightedSvdSimilarity())
+                .status()
+                .code(),
+            StatusCode::kFailedPrecondition);
 }
 
 TEST_F(IncrementalRecognizerFixture, RecognizesStreamLikeBaseline) {
-  auto spectral = SpectralVocabulary::Make(&vocab_);
-  ASSERT_TRUE(spectral.ok());
   synth::SubjectProfile subject = sim_.MakeSubject();
   std::vector<size_t> script = {12, 16, 13};
   std::vector<synth::SignSegment> truth;
@@ -121,7 +159,8 @@ TEST_F(IncrementalRecognizerFixture, RecognizesStreamLikeBaseline) {
       sim_.GenerateSequence(script, subject, 1.0, &truth).ValueOrDie();
 
   StreamRecognizerConfig config;
-  IncrementalStreamRecognizer recognizer(&spectral.ValueOrDie(), config);
+  WeightedSvdSimilarity measure;
+  StreamRecognizer recognizer(&vocab_, &measure, config);
   std::vector<RecognitionEvent> events;
   for (const streams::Frame& frame : recording.frames) {
     auto event = recognizer.Push(frame);
@@ -150,10 +189,9 @@ TEST_F(IncrementalRecognizerFixture, RecognizesStreamLikeBaseline) {
 }
 
 TEST_F(IncrementalRecognizerFixture, QuietStreamStaysSilent) {
-  auto spectral = SpectralVocabulary::Make(&vocab_);
-  ASSERT_TRUE(spectral.ok());
   StreamRecognizerConfig config;
-  IncrementalStreamRecognizer recognizer(&spectral.ValueOrDie(), config);
+  WeightedSvdSimilarity measure;
+  StreamRecognizer recognizer(&vocab_, &measure, config);
   streams::Frame frame;
   frame.values.assign(synth::kHandChannels, 0.0);
   for (int i = 0; i < 300; ++i) {

@@ -326,25 +326,45 @@ TEST(IngestServiceTest, PersistentFaultExhaustsAttemptsAndFails) {
   ASSERT_TRUE(catalog.ApplyFault(disarm).ok());
 }
 
+/// A 40-frame, \p channels-wide motion template; distinct per \p variant.
+linalg::Matrix MotionTemplate(size_t channels, int variant) {
+  linalg::Matrix segment(40, channels);
+  for (size_t r = 0; r < 40; ++r) {
+    for (size_t c = 0; c < channels; ++c) {
+      segment(r, c) = 10.0 * std::sin(0.3 * static_cast<double>(r) *
+                                      static_cast<double>(c + variant + 1));
+    }
+  }
+  return segment;
+}
+
+/// Live frames: active motion for the first \p active frames, then rest.
+std::vector<streams::Frame> MotionFrames(size_t frames, size_t active,
+                                         size_t channels, double phase) {
+  std::vector<streams::Frame> out(frames);
+  for (size_t f = 0; f < frames; ++f) {
+    out[f].timestamp = static_cast<double>(f) / 100.0;
+    out[f].values.resize(channels);
+    const double amplitude = f < active ? 12.0 : 0.0;
+    for (size_t c = 0; c < channels; ++c) {
+      out[f].values[c] =
+          amplitude * std::sin(0.3 * static_cast<double>(f * (c + 1)) + phase);
+    }
+  }
+  return out;
+}
+
 TEST(RecognitionServiceTest, ConcurrentClientStreams) {
   constexpr size_t kClients = 4;
   constexpr size_t kChannels = 6;
   constexpr size_t kFramesPerClient = 150;
 
-  recognition::Vocabulary vocabulary;
-  for (int v = 0; v < 2; ++v) {
-    linalg::Matrix segment(40, kChannels);
-    for (size_t r = 0; r < 40; ++r) {
-      for (size_t c = 0; c < kChannels; ++c) {
-        segment(r, c) = 10.0 * std::sin(0.3 * static_cast<double>(r) *
-                                        static_cast<double>(c + v + 1));
-      }
-    }
-    vocabulary.Add(v == 0 ? "wave" : "twist", std::move(segment));
-  }
-
   MetricsRegistry metrics;
-  RecognitionService service(&vocabulary, {}, &metrics);
+  RecognitionService service({}, &metrics);
+  ASSERT_TRUE(service.AddVocabularyEntry("wave", MotionTemplate(kChannels, 0))
+                  .ok());
+  ASSERT_TRUE(service.AddVocabularyEntry("twist", MotionTemplate(kChannels, 1))
+                  .ok());
   for (size_t client = 0; client < kClients; ++client) {
     ASSERT_TRUE(service.OpenStream(client).ok());
   }
@@ -356,18 +376,12 @@ TEST(RecognitionServiceTest, ConcurrentClientStreams) {
   std::vector<std::thread> pushers;
   for (size_t client = 0; client < kClients; ++client) {
     pushers.emplace_back([&, client] {
-      for (size_t f = 0; f < kFramesPerClient; ++f) {
-        streams::Frame frame;
-        frame.timestamp = static_cast<double>(f) / 100.0;
-        frame.values.resize(kChannels);
-        // Active motion for the first 100 frames, then rest.
-        double amplitude = f < 100 ? 12.0 : 0.0;
-        for (size_t c = 0; c < kChannels; ++c) {
-          frame.values[c] =
-              amplitude * std::sin(0.3 * static_cast<double>(f * (c + 1)) +
-                                   static_cast<double>(client));
+      for (const streams::Frame& frame :
+           MotionFrames(kFramesPerClient, 100, kChannels,
+                        static_cast<double>(client))) {
+        if (!service.PushFrames(client, {frame}).ok()) {
+          push_failures.fetch_add(1);
         }
-        if (!service.PushFrame(client, frame).ok()) push_failures.fetch_add(1);
       }
     });
   }
@@ -380,8 +394,144 @@ TEST(RecognitionServiceTest, ConcurrentClientStreams) {
     EXPECT_TRUE(service.CloseStream(client).ok());
   }
   EXPECT_EQ(service.open_streams(), 0u);
-  EXPECT_EQ(service.PushFrame(0, streams::Frame{}).status().code(),
+  EXPECT_EQ(service.PushFrames(0, {streams::Frame{}}).status().code(),
             StatusCode::kNotFound);
+}
+
+TEST(AimsServerTest, MalformedTemplatesRejected) {
+  ServerConfig config;
+  config.num_shards = 1;
+  config.num_threads = 1;
+  AimsServer server(config);
+  EXPECT_EQ(server.AddVocabularyEntry("empty", linalg::Matrix(0, 0)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(server.AddVocabularyEntry("one-frame", linalg::Matrix(1, 6)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(server.AddVocabularyEntry("no-channels", linalg::Matrix(8, 0))
+                .code(),
+            StatusCode::kInvalidArgument);
+  // Nothing was registered: recognition still needs a vocabulary.
+  EXPECT_EQ(server.OpenSession({1, /*enable_recognition=*/true}).status().code(),
+            StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(server.AddVocabularyEntry("wave", MotionTemplate(6, 0)).ok());
+  EXPECT_EQ(server.AddVocabularyEntry("narrow", MotionTemplate(5, 1)).code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_TRUE(server.OpenSession({1, true}).ok());
+  auto streamed = server.StreamSamples({1, MotionFrames(120, 80, 6, 0.0)});
+  ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+  EXPECT_EQ(streamed->frames_pushed, 120u);
+  ASSERT_TRUE(server.CloseSession({1}).ok());
+}
+
+TEST(AimsServerTest, MalformedFramesRejectedAndStreamKeepsRecognizing) {
+  ServerConfig config;
+  config.num_shards = 1;
+  config.num_threads = 1;
+  AimsServer server(config);
+  recognition::Vocabulary vocabulary;
+  for (int v = 0; v < 2; ++v) {
+    linalg::Matrix segment = MotionTemplate(28, v);
+    vocabulary.Add(v == 0 ? "wave" : "twist", segment);
+    ASSERT_TRUE(server.AddVocabularyEntry(v == 0 ? "wave" : "twist", segment)
+                    .ok());
+  }
+  ASSERT_TRUE(server.OpenSession({1, /*enable_recognition=*/true}).ok());
+  std::vector<streams::Frame> frames;
+  for (int motion = 0; motion < 3; ++motion) {
+    for (streams::Frame& f : MotionFrames(160, 90, 28, 0.7 * motion)) {
+      frames.push_back(std::move(f));
+    }
+  }
+  // 40 good frames, one of another width, 19 more: rejected whole.
+  for (size_t width : {size_t{0}, size_t{20}}) {
+    std::vector<streams::Frame> batch(frames.begin(), frames.begin() + 60);
+    batch[40].values.assign(width, 1.0);
+    EXPECT_EQ(server.StreamSamples({1, batch}).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  // No frame of those batches reached the recognizer: the stream yields
+  // exactly the events of a recognizer fed only the good frames.
+  std::vector<recognition::RecognitionEvent> served;
+  for (size_t first = 0; first < frames.size(); first += 64) {
+    const size_t last = std::min(first + 64, frames.size());
+    auto streamed = server.StreamSamples(
+        {1, std::vector<streams::Frame>(frames.begin() + first,
+                                        frames.begin() + last)});
+    ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+    served.insert(served.end(), streamed->events.begin(),
+                  streamed->events.end());
+  }
+  auto closed = server.CloseSession({1});
+  ASSERT_TRUE(closed.ok());
+  if (closed->final_event.has_value()) served.push_back(*closed->final_event);
+
+  recognition::WeightedSvdSimilarity measure;
+  recognition::StreamRecognizer reference(&vocabulary, &measure,
+                                          config.recognizer);
+  std::vector<recognition::RecognitionEvent> expected;
+  for (const streams::Frame& frame : frames) {
+    auto event = reference.Push(frame);
+    ASSERT_TRUE(event.ok());
+    if (event->has_value()) expected.push_back(**event);
+  }
+  auto last = reference.Finish();
+  ASSERT_TRUE(last.ok());
+  if (last->has_value()) expected.push_back(**last);
+  ASSERT_GE(expected.size(), 2u);
+  ASSERT_EQ(served.size(), expected.size());
+  for (size_t e = 0; e < served.size(); ++e) {
+    EXPECT_EQ(served[e].label, expected[e].label);
+    EXPECT_EQ(served[e].start_frame, expected[e].start_frame);
+    EXPECT_EQ(served[e].end_frame, expected[e].end_frame);
+  }
+}
+
+TEST(AimsServerTest, VocabularyUpdatesRaceStreamLifecycles) {
+  // AddVocabularyEntry against streams opening, evaluating (which fills the
+  // lazy template-spectra cache), flushing and closing. Under TSan this is
+  // the race check; everywhere, every call returns one of its documented
+  // outcomes and the streams keep working.
+  ServerConfig config;
+  config.num_shards = 1;
+  config.num_threads = 1;
+  AimsServer server(config);
+  ASSERT_TRUE(server.AddVocabularyEntry("wave", MotionTemplate(6, 0)).ok());
+  constexpr size_t kClients = 2;
+  constexpr size_t kRounds = 20;
+  std::atomic<size_t> client_failures{0};
+  std::atomic<size_t> rounds_left{kClients * kRounds};
+  std::vector<std::thread> threads;
+  for (size_t client = 0; client < kClients; ++client) {
+    threads.emplace_back([&, client] {
+      const std::vector<streams::Frame> frames =
+          MotionFrames(60, 45, 6, static_cast<double>(client));
+      for (size_t round = 0; round < kRounds; ++round) {
+        bool ok = server.OpenSession({client, true}).ok();
+        ok = ok && server.StreamSamples({client, frames}).ok();
+        ok = ok && server.CloseSession({client}).ok();
+        if (!ok) client_failures.fetch_add(1);
+        rounds_left.fetch_sub(1);
+      }
+    });
+  }
+  // Cap the growth: every stream diagonalizes every template once.
+  size_t added = 0, unexpected = 0;
+  while (rounds_left.load() > 0) {
+    if (added < 64) {
+      Status status = server.AddVocabularyEntry(
+          "t" + std::to_string(added), MotionTemplate(6, static_cast<int>(added)));
+      if (status.ok()) {
+        ++added;
+      } else if (status.code() != StatusCode::kFailedPrecondition) {
+        ++unexpected;
+      }
+    }
+    std::this_thread::yield();
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(client_failures.load(), 0u);
+  EXPECT_EQ(unexpected, 0u);
+  EXPECT_TRUE(server.AddVocabularyEntry("after", MotionTemplate(6, 9)).ok());
 }
 
 TEST(AimsServerTest, EndToEndMultiTenant) {
