@@ -7,16 +7,19 @@
 // scripted ground truth), recognition accuracy on isolated segments, and
 // detection latency.
 
+#include <algorithm>
 #include <cstdio>
+#include <iterator>
+#include <vector>
 
-#include "bench_util.h"
 #include "common/macros.h"
-#include "common/rng.h"
 #include "common/stats.h"
 #include "common/table_printer.h"
 #include "recognition/isolator.h"
 #include "recognition/similarity.h"
 #include "recognition/sliding_matcher.h"
+#include "recognition_parity.h"
+#include "synth/cyberglove.h"
 
 namespace aims {
 namespace {
@@ -29,38 +32,19 @@ struct StreamResult {
   RunningStats latency_frames;
 };
 
-StreamResult RunStream(uint64_t seed, size_t num_signs, double rest_gap_s,
-                       bool use_sliding_baseline = false) {
-  // Motion signs only: static alphabet poses have no sustained dynamics for
-  // a stream segmenter to latch onto (indexes 12..17 in the vocabulary).
-  synth::CyberGloveSimulator sim(synth::DefaultAslVocabulary(), seed, 0.5);
-  synth::SubjectProfile reference = sim.MakeSubject();
-  recognition::Vocabulary vocab;
-  std::vector<size_t> motion_signs = {12, 13, 14, 15, 16, 17};
-  for (size_t sign : motion_signs) {
-    vocab.Add(sim.vocabulary()[sign].name,
-              benchutil::ToMatrix(sim.GenerateSign(sign, reference).ValueOrDie()));
-  }
-  Rng rng(seed + 1);
-  std::vector<size_t> script;
-  for (size_t i = 0; i < num_signs; ++i) {
-    script.push_back(
-        motion_signs[static_cast<size_t>(rng.UniformInt(0, 5))]);
-  }
-  synth::SubjectProfile subject = sim.MakeSubject();
-  std::vector<synth::SignSegment> truth;
-  auto recording = sim.GenerateSequence(script, subject, rest_gap_s, &truth);
-  AIMS_CHECK(recording.ok());
-
+/// Runs parity stream \p index; the E8 streams are its 100 Hz half.
+StreamResult RunStream(size_t index, bool use_sliding_baseline) {
+  const parity::ParityStream stream = parity::MakeParityStream(index);
   recognition::WeightedSvdSimilarity measure;
-  recognition::StreamRecognizerConfig config;
-  recognition::StreamRecognizer recognizer(&vocab, &measure, config);
+  recognition::StreamRecognizer recognizer(&stream.vocabulary, &measure,
+                                           stream.config);
   recognition::SlidingMatcherConfig baseline_config;
-  recognition::SlidingTemplateMatcher baseline(&vocab, baseline_config);
+  recognition::SlidingTemplateMatcher baseline(&stream.vocabulary,
+                                               baseline_config);
   std::vector<recognition::RecognitionEvent> events;
   size_t frame_index = 0;
   std::vector<size_t> emit_frame;
-  for (const streams::Frame& frame : recording.ValueOrDie().frames) {
+  for (const streams::Frame& frame : stream.recording.frames) {
     auto event = use_sliding_baseline ? baseline.Push(frame)
                                       : recognizer.Push(frame);
     AIMS_CHECK(event.ok());
@@ -79,6 +63,8 @@ StreamResult RunStream(uint64_t seed, size_t num_signs, double rest_gap_s,
     }
   }
 
+  const std::vector<synth::SignSpec> signs = synth::DefaultAslVocabulary();
+  const std::vector<synth::SignSegment>& truth = stream.truth;
   StreamResult result;
   result.true_patterns = truth.size();
   result.emitted = events.size();
@@ -91,7 +77,7 @@ StreamResult RunStream(uint64_t seed, size_t num_signs, double rest_gap_s,
       if (overlaps) {
         matched[t] = true;
         ++result.isolated;
-        if (events[e].label == sim.vocabulary()[script[t]].name) {
+        if (events[e].label == signs[truth[t].sign_index].name) {
           ++result.recognized;
         }
         result.latency_frames.Add(static_cast<double>(emit_frame[e]) -
@@ -103,13 +89,15 @@ StreamResult RunStream(uint64_t seed, size_t num_signs, double rest_gap_s,
   return result;
 }
 
-void Run(double rest_gap_s) {
+/// One table over every seed at rest gap parity::kRestGaps[\p gap].
+void Run(size_t gap) {
   TablePrinter table({"method", "rest gap s", "patterns", "events", "recall",
                       "precision", "recognition", "latency ms"});
   for (bool baseline : {false, true}) {
     StreamResult total;
-    for (uint64_t seed : {301u, 302u, 303u, 304u}) {
-      StreamResult r = RunStream(seed, 12, rest_gap_s, baseline);
+    for (size_t seed = 0; seed < std::size(parity::kSeeds); ++seed) {
+      StreamResult r =
+          RunStream(seed * std::size(parity::kRestGaps) + gap, baseline);
       total.true_patterns += r.true_patterns;
       total.emitted += r.emitted;
       total.isolated += r.isolated;
@@ -118,7 +106,7 @@ void Run(double rest_gap_s) {
     }
     table.AddRow();
     table.Cell(baseline ? "sliding-euclid [6]" : "accumulated-SVD (AIMS)");
-    table.Cell(rest_gap_s, 2);
+    table.Cell(parity::kRestGaps[gap], 2);
     table.Cell(total.true_patterns);
     table.Cell(total.emitted);
     table.Cell(static_cast<double>(total.isolated) /
@@ -148,8 +136,8 @@ int main() {
       "gaps, degrading gracefully as gaps shrink; recognition accuracy\n"
       "close to the isolated-sign accuracy of E7; latency ~ the debounce\n"
       "window (a quarter second).\n");
-  aims::Run(1.2);
-  aims::Run(0.8);
-  aims::Run(0.5);
+  for (size_t gap = 0; gap < std::size(aims::parity::kRestGaps); ++gap) {
+    aims::Run(gap);
+  }
   return 0;
 }
