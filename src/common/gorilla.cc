@@ -78,16 +78,17 @@ void GorillaEncoder::Append(int64_t t_ms, double value) {
   if (count_ == 0) {
     writer_.Write(static_cast<uint64_t>(t_ms), 64);
     writer_.Write(bits, 64);
-    prev_t_ = t_ms;
+    prev_t_ = static_cast<uint64_t>(t_ms);
     prev_delta_ = 0;
     prev_bits_ = bits;
     ++count_;
     return;
   }
 
-  // Timestamp: delta-of-delta against the previous delta.
-  const int64_t delta = t_ms - prev_t_;
-  const int64_t dod = delta - prev_delta_;
+  // Timestamp: delta-of-delta against the previous delta, in wrapping
+  // uint64_t arithmetic (same bits as the signed difference, no overflow).
+  const uint64_t delta = static_cast<uint64_t>(t_ms) - prev_t_;
+  const int64_t dod = static_cast<int64_t>(delta - prev_delta_);
   if (dod == 0) {
     writer_.WriteBit(false);
   } else {
@@ -106,7 +107,7 @@ void GorillaEncoder::Append(int64_t t_ms, double value) {
     }
   }
   prev_delta_ = delta;
-  prev_t_ = t_ms;
+  prev_t_ = static_cast<uint64_t>(t_ms);
 
   // Value: XOR against the previous value's bit pattern.
   const uint64_t x = bits ^ prev_bits_;
@@ -153,12 +154,14 @@ Result<std::vector<Sample>> GorillaDecode(const uint8_t* data, size_t size,
 
   uint64_t raw;
   if (!reader.Read(&raw, 64)) return truncated();
-  int64_t t = static_cast<int64_t>(raw);
+  // Timestamp and delta wrap in uint64_t like the encoder's, so corrupt or
+  // extreme deltas decode without signed overflow.
+  uint64_t t = raw;
   if (!reader.Read(&raw, 64)) return truncated();
   uint64_t bits = raw;
-  out.push_back(Sample{t, BitsToDouble(bits)});
+  out.push_back(Sample{static_cast<int64_t>(t), BitsToDouble(bits)});
 
-  int64_t delta = 0;
+  uint64_t delta = 0;
   int leading = 0;
   int trailing = 0;
   bool have_window = false;
@@ -172,14 +175,14 @@ Result<std::vector<Sample>> GorillaDecode(const uint8_t* data, size_t size,
       ++ones;
     }
     if (ones > 0) {
-      int64_t dod;
+      uint64_t dod;
       if (ones == 4) {
         if (!reader.Read(&raw, 64)) return truncated();
-        dod = static_cast<int64_t>(raw);
+        dod = raw;
       } else {
         const DodClass& c = kDodClasses[ones - 1];
         if (!reader.Read(&raw, c.value_bits)) return truncated();
-        dod = static_cast<int64_t>(raw) + c.min;
+        dod = raw + static_cast<uint64_t>(c.min);
       }
       delta += dod;
     }
@@ -212,7 +215,7 @@ Result<std::vector<Sample>> GorillaDecode(const uint8_t* data, size_t size,
         bits ^= raw << trailing;
       }
     }
-    out.push_back(Sample{t, BitsToDouble(bits)});
+    out.push_back(Sample{static_cast<int64_t>(t), BitsToDouble(bits)});
   }
   return out;
 }

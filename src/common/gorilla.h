@@ -91,8 +91,10 @@ class GorillaEncoder {
  private:
   BitWriter writer_;
   size_t count_ = 0;
-  int64_t prev_t_ = 0;
-  int64_t prev_delta_ = 0;
+  /// Timestamp and delta as two's-complement bit patterns: the delta
+  /// arithmetic wraps instead of overflowing, so any int64 jump encodes.
+  uint64_t prev_t_ = 0;
+  uint64_t prev_delta_ = 0;
   uint64_t prev_bits_ = 0;
   /// Previous XOR's meaningful-bit window; leading < 0 marks "no window
   /// yet" (the first non-zero XOR always emits an explicit window).

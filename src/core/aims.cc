@@ -228,19 +228,11 @@ Status AimsSystem::OpenDurable() {
 Result<SessionId> AimsSystem::IngestRecording(
     const std::string& name, const streams::Recording& recording,
     obs::Trace* trace, std::vector<StandingRangeUpdate>* updates) {
-  AIMS_RETURN_NOT_OK(init_status_);
-  if (durable()) {
-    AIMS_ASSIGN_OR_RETURN(
-        StagedIngest staged,
-        IngestRecordingStaged(name, recording, trace, updates));
-    AIMS_RETURN_NOT_OK(WaitDurable(staged));
-    AIMS_RETURN_NOT_OK(ApplyDurable(staged));
-    return staged.id;
-  }
-  AIMS_ASSIGN_OR_RETURN(StoredSession session,
-                        BuildSession(name, recording, trace, updates));
-  sessions_.push_back(std::move(session));
-  return sessions_.back().info.id;
+  AIMS_ASSIGN_OR_RETURN(StagedIngest staged,
+                        StageIngest(name, recording, trace, updates));
+  AIMS_RETURN_NOT_OK(WaitDurable(staged));
+  AIMS_RETURN_NOT_OK(ApplyStaged(staged));
+  return staged.id;
 }
 
 Result<AimsSystem::StoredSession> AimsSystem::BuildSession(
@@ -359,45 +351,46 @@ Result<AimsSystem::StoredSession> AimsSystem::BuildSession(
   return session;
 }
 
-Result<AimsSystem::StagedIngest> AimsSystem::IngestRecordingStaged(
+Result<AimsSystem::StagedIngest> AimsSystem::StageIngest(
     const std::string& name, const streams::Recording& recording,
     obs::Trace* trace, std::vector<StandingRangeUpdate>* updates) {
   AIMS_RETURN_NOT_OK(init_status_);
-  if (!durable()) {
-    return Status::FailedPrecondition(
-        "IngestRecordingStaged: requires the durable backend");
-  }
-  // Phase 1 (exclusive): transform + stage. The buffer pool is in
-  // write-back mode, so every Put below parks its blocks dirty in the
-  // cache — no page-file I/O happens before the commit record is durable.
+  // Without a WAL the Puts below write the blocks through to the device.
+  // The durable buffer pool is in write-back mode instead: every Put parks
+  // its blocks dirty, so no page-file I/O happens before the commit record
+  // is durable.
   AIMS_ASSIGN_OR_RETURN(StoredSession session,
                         BuildSession(name, recording, trace, updates));
   StagedIngest staged;
   staged.id = session.info.id;
+  if (wal_ != nullptr) AIMS_RETURN_NOT_OK(LogSession(session, &staged));
+  sessions_.push_back(std::move(session));
+  return staged;
+}
+
+Status AimsSystem::LogSession(const StoredSession& session,
+                              StagedIngest* staged) {
   for (const StoredChannel& channel : session.channels) {
     const std::vector<storage::BlockId>& ids = channel.store->device_blocks();
-    staged.blocks.insert(staged.blocks.end(), ids.begin(), ids.end());
+    staged->blocks.insert(staged->blocks.end(), ids.begin(), ids.end());
   }
-  pending_commits_.fetch_add(1, std::memory_order_relaxed);
-  // Failed staging rolls the pool back: the dirty entries are dropped and
+  // Failed logging rolls the pool back: the dirty entries are dropped and
   // nothing was logged as committed, so the ingest simply never happened.
   auto fail = [&](Status status) {
-    cache_->DropDirty(staged.blocks);
-    pending_commits_.fetch_sub(1, std::memory_order_relaxed);
+    cache_->DropDirty(staged->blocks);
     return status;
   };
   Result<uint64_t> txn = wal_->BeginTxn();
   if (!txn.ok()) return fail(txn.status());
-  staged.txn_id = *txn;
-  for (storage::BlockId id : staged.blocks) {
+  for (storage::BlockId id : staged->blocks) {
     // The staged payload is pinned dirty in the pool, so this is a cache
     // hit, never device I/O.
     Result<std::vector<uint8_t>> payload = cache_->Read(id);
     if (!payload.ok()) return fail(payload.status());
-    Status status = wal_->AppendBlockPut(staged.txn_id, id, *payload);
+    Status status = wal_->AppendBlockPut(*txn, id, *payload);
     if (!status.ok()) return fail(status);
   }
-  Status status = wal_->AppendCatalog(staged.txn_id, SerializeSession(session));
+  Status status = wal_->AppendCatalog(*txn, SerializeSession(session));
   if (!status.ok()) return fail(status);
   // The session's sealed raw segments ride the same record group: a crash
   // after the commit record recovers them together with the catalog entry
@@ -406,40 +399,54 @@ Result<AimsSystem::StagedIngest> AimsSystem::IngestRecordingStaged(
   for (const auto& [key, seg] : session.segments.segments()) {
     (void)key;
     Status seg_status = wal_->AppendSegment(
-        staged.txn_id,
+        *txn,
         storage::tslife::EncodeSegmentOp(storage::tslife::SegmentOp::Kind::kPut,
                                          session.info.id, seg));
     if (!seg_status.ok()) return fail(seg_status);
   }
-  Result<uint64_t> ticket = wal_->AppendCommit(staged.txn_id);
+  Result<uint64_t> ticket = wal_->AppendCommit(*txn);
   if (!ticket.ok()) return fail(ticket.status());
-  staged.ticket = *ticket;
-  if (staged.txn_id > applied_txn_) applied_txn_ = staged.txn_id;
-  sessions_.push_back(std::move(session));
-  return staged;
+  staged->ticket = *ticket;
+  pending_commits_.fetch_add(1, std::memory_order_relaxed);
+  if (*txn > applied_txn_) applied_txn_ = *txn;
+  return Status::OK();
 }
 
 Status AimsSystem::WaitDurable(const StagedIngest& staged) {
-  if (!durable()) {
-    return Status::FailedPrecondition("WaitDurable: not a durable system");
-  }
+  if (!staged.logged()) return Status::OK();
   return wal_->WaitDurable(staged.ticket);
 }
 
-Status AimsSystem::ApplyDurable(const StagedIngest& staged) {
-  if (!durable()) {
-    return Status::FailedPrecondition("ApplyDurable: not a durable system");
-  }
+Status AimsSystem::ApplyStaged(const StagedIngest& staged) {
+  if (!staged.logged()) return Status::OK();
   // Commit-time write-back: the transaction flushes exactly its own
   // blocks. An error is reported but loses nothing — the group is in the
   // WAL, and recovery replays it on the next open.
   Status flush = cache_->FlushBlocks(staged.blocks);
   pending_commits_.fetch_sub(1, std::memory_order_relaxed);
   AIMS_RETURN_NOT_OK(flush);
+  // A blocked auto-checkpoint is skipped, not failed: the log keeps
+  // growing, and the WAL-lag health input reports the stall.
   if (config_.durability.checkpoint_wal_bytes > 0 &&
       wal_->lag_bytes() > config_.durability.checkpoint_wal_bytes &&
-      pending_commits_.load(std::memory_order_relaxed) == 0) {
+      CheckpointBlocker().ok()) {
     return Checkpoint();
+  }
+  return Status::OK();
+}
+
+Status AimsSystem::CheckpointBlocker() const {
+  if (pending_commits_.load(std::memory_order_relaxed) != 0) {
+    return Status::FailedPrecondition(
+        "Checkpoint: an ingest is between its staged phases");
+  }
+  // Pages a failed write-back left dirty exist only in the pool and the
+  // WAL; truncating the log would leave the snapshot naming pages the
+  // page file never received.
+  if (cache_->DirtyBlocks() != 0) {
+    return Status::FailedPrecondition(
+        "Checkpoint: the buffer pool holds pages a failed write-back left "
+        "dirty; reopening replays them from the WAL");
   }
   return Status::OK();
 }
@@ -449,10 +456,7 @@ Status AimsSystem::Checkpoint() {
   if (!durable()) {
     return Status::FailedPrecondition("Checkpoint: not a durable system");
   }
-  if (pending_commits_.load(std::memory_order_relaxed) != 0) {
-    return Status::FailedPrecondition(
-        "Checkpoint: an ingest is between its staged phases");
-  }
+  AIMS_RETURN_NOT_OK(CheckpointBlocker());
   // Order is the recovery contract: pages on stable storage, then the
   // catalog snapshot naming them, and only then may the log forget the
   // records that produced both.

@@ -268,9 +268,9 @@ class AimsSystem {
   /// \p trace (optional) gains one "transform" and one "block_write" span
   /// per channel, nesting under whatever span the caller has open — the
   /// storage half of an end-to-end ingest trace.
-  /// On the durable backend this is the sequential convenience form of the
-  /// staged protocol below: the call returns only after the ingest's WAL
-  /// commit is durable and its pages are written back.
+  /// This is the sequential form of the staged protocol below, on either
+  /// backend: it returns once the ingest's WAL commit (if any) is durable
+  /// and its pages are on the device.
   /// \p updates (optional) receives one StandingRangeUpdate per registered
   /// standing query that applies to this session — evaluated from the
   /// in-memory coefficients, no block I/O.
@@ -279,43 +279,50 @@ class AimsSystem {
       obs::Trace* trace = nullptr,
       std::vector<StandingRangeUpdate>* updates = nullptr);
 
-  /// \brief One durable ingest in flight between the staged phases.
+  /// \brief One ingest in flight between the staged phases.
   struct StagedIngest {
     SessionId id = 0;
-    uint64_t txn_id = 0;
-    /// WAL durability ticket for WaitDurable.
+    /// WAL durability ticket for WaitDurable; 0 when nothing was logged.
     uint64_t ticket = 0;
-    /// Device blocks the ingest staged dirty in the buffer pool.
+    /// Device blocks the ingest parked dirty in the write-back pool.
     std::vector<storage::BlockId> blocks;
+
+    /// Whether the ingest logged a WAL commit, so WaitDurable has a sync
+    /// to wait for and ApplyStaged has pages to write back. False without
+    /// a WAL: staging wrote the blocks through to the device.
+    bool logged() const { return ticket != 0; }
   };
 
-  /// \brief Durable backend only — phase 1 of the two-phase ingest:
-  /// transform, stage every block dirty in the buffer pool (no device
-  /// I/O), log the whole ingest as one WAL record group, and append its
-  /// commit record. The session is visible to queries from here on.
-  /// Requires exclusive synchronization, like IngestRecording — but it
-  /// never blocks on a sync, which is the point: the caller releases its
-  /// exclusive lock, then calls WaitDurable, so concurrent ingests can
-  /// share one group-commit fsync.
-  Result<StagedIngest> IngestRecordingStaged(
+  /// \brief Phase 1 of the ingest protocol: transform, then Put every
+  /// block — through to the device on the in-memory backend, dirty into
+  /// the write-back pool on the durable one (no device I/O) — log the
+  /// ingest as one WAL record group with its commit record when a WAL
+  /// exists, and publish the catalog entry. The session is visible to
+  /// queries from here on. Requires exclusive synchronization, but never
+  /// blocks on a sync: the caller releases its exclusive lock, then calls
+  /// WaitDurable, so concurrent ingests can share one group-commit fsync.
+  Result<StagedIngest> StageIngest(
       const std::string& name, const streams::Recording& recording,
       obs::Trace* trace = nullptr,
       std::vector<StandingRangeUpdate>* updates = nullptr);
 
   /// \brief Phase 2: blocks until the staged ingest's commit is on stable
-  /// storage. Safe to call concurrently from many threads (no lock
-  /// needed); one caller leads the shared fsync, the rest ride it.
+  /// storage; returns at once when nothing was logged. Safe to call
+  /// concurrently from many threads (no lock needed); one caller leads the
+  /// shared fsync, the rest ride it.
   Status WaitDurable(const StagedIngest& staged);
 
-  /// \brief Phase 3: writes the staged dirty pages back to the page file
-  /// and may auto-checkpoint. Requires exclusive synchronization. A
-  /// failure here loses nothing — the WAL holds the committed group, and
-  /// reopening replays it.
-  Status ApplyDurable(const StagedIngest& staged);
+  /// \brief Phase 3: writes exactly the staged pages back to the page file,
+  /// then may auto-checkpoint; a no-op when nothing was logged. Requires
+  /// exclusive synchronization. A failure here loses nothing — the WAL
+  /// holds the committed group, and reopening replays it.
+  Status ApplyStaged(const StagedIngest& staged);
 
   /// \brief Forces a checkpoint: pages fsync'd, catalog snapshot written
-  /// atomically, WAL truncated. Requires exclusive synchronization and no
-  /// ingest between its staged phases (FailedPrecondition otherwise).
+  /// atomically, WAL truncated. Requires exclusive synchronization.
+  /// FailedPrecondition while an ingest is between its staged phases or
+  /// the pool holds pages a failed write-back left dirty — truncating the
+  /// log then would lose the only copy of those pages.
   Status Checkpoint();
 
   /// \brief WAL counters (zero-valued struct on the in-memory backend).
@@ -522,14 +529,19 @@ class AimsSystem {
   };
 
   /// Builds one session's stores (transform + Put through the cache) but
-  /// does not publish it — shared by the in-memory ingest and the durable
-  /// staged ingest. Also seals the raw segments and, when \p updates is
-  /// non-null, evaluates the standing queries against the in-memory
-  /// coefficients.
+  /// does not publish it — StageIngest's first step. Also seals the raw
+  /// segments and, when \p updates is non-null, evaluates the standing
+  /// queries against the in-memory coefficients.
   Result<StoredSession> BuildSession(const std::string& name,
                                      const streams::Recording& recording,
                                      obs::Trace* trace,
                                      std::vector<StandingRangeUpdate>* updates);
+  /// Logs \p session's staged blocks, catalog entry, and segments as one
+  /// WAL record group and appends its commit record (durable backend).
+  /// On failure the dirty pages are dropped and nothing was committed.
+  Status LogSession(const StoredSession& session, StagedIngest* staged);
+  /// Why a checkpoint may not truncate the WAL right now (OK when it may).
+  Status CheckpointBlocker() const;
   /// Applies one decoded segment op (put/drop) to the session it names.
   Status ApplySegmentOp(const storage::tslife::SegmentOp& op);
   /// Commits \p ops as one WAL record group (durable backend; no-op list
@@ -557,7 +569,7 @@ class AimsSystem {
   storage::durable::FileBlockDevice* file_device_ = nullptr;
   std::unique_ptr<storage::durable::WriteAheadLog> wal_;
   Status init_status_;
-  /// Ingests between IngestRecordingStaged and the end of ApplyDurable;
+  /// Logged ingests between StageIngest and the end of ApplyStaged;
   /// checkpoints are refused while nonzero (their pages may be dirty or
   /// their commits not yet durable).
   std::atomic<size_t> pending_commits_{0};

@@ -11,8 +11,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/gorilla.h"
 #include "common/status.h"
-#include "obs/gorilla.h"
 #include "obs/metrics.h"
 #include "obs/watchdog.h"
 

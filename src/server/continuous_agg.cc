@@ -7,7 +7,7 @@
 namespace aims::server {
 
 ContinuousAggregateRegistry::ContinuousAggregateRegistry(
-    ShardedCatalog* catalog, MetricsRegistry* metrics)
+    ShardedCatalog* catalog, obs::MetricsRegistry* metrics)
     : catalog_(catalog) {
   AIMS_CHECK(catalog != nullptr);
   if (metrics != nullptr) {

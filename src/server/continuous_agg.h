@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "core/aims.h"
-#include "server/metrics.h"
+#include "obs/metrics.h"
 #include "server/sharded_catalog.h"
 
 /// \file continuous_agg.h
@@ -65,7 +65,7 @@ class ContinuousAggregateRegistry {
   /// \param metrics optional registry for the aims_tslife_aggregate_*
   /// family (may be null).
   explicit ContinuousAggregateRegistry(ShardedCatalog* catalog,
-                                       MetricsRegistry* metrics = nullptr);
+                                       obs::MetricsRegistry* metrics = nullptr);
 
   /// \brief Registers \p spec: assigns a handle, pushes the updated
   /// standing-query set to every shard (so ingests from this point on
@@ -118,11 +118,11 @@ class ContinuousAggregateRegistry {
   std::map<uint64_t, Registration> registrations_;
   uint64_t next_handle_ = 1;
 
-  Counter* registered_ = nullptr;
-  Counter* updates_ = nullptr;
-  Counter* backfills_ = nullptr;
-  Counter* hits_ = nullptr;
-  Gauge* active_ = nullptr;
+  obs::Counter* registered_ = nullptr;
+  obs::Counter* updates_ = nullptr;
+  obs::Counter* backfills_ = nullptr;
+  obs::Counter* hits_ = nullptr;
+  obs::Gauge* active_ = nullptr;
 };
 
 }  // namespace aims::server

@@ -9,7 +9,7 @@ namespace aims::server {
 
 IngestService::IngestService(ShardedCatalog* catalog, ThreadPool* pool,
                              IngestAdmissionPolicy policy,
-                             MetricsRegistry* metrics, Tracer* tracer,
+                             obs::MetricsRegistry* metrics, obs::Tracer* tracer,
                              obs::CostLedger* ledger)
     : catalog_(catalog),
       pool_(pool),
@@ -30,7 +30,8 @@ IngestService::IngestService(ShardedCatalog* catalog, ThreadPool* pool,
     retries_ = metrics->GetCounter("ingest.retries");
     queue_depth_ = metrics->GetGauge("ingest.queue_depth");
     e2e_latency_ms_ = metrics->GetHistogram(
-        "ingest.e2e_latency_ms", MetricsRegistry::DefaultLatencyBoundsMs());
+        "ingest.e2e_latency_ms",
+        obs::MetricsRegistry::DefaultLatencyBoundsMs());
   }
 }
 
@@ -66,7 +67,7 @@ Status IngestService::Submit(ClientId client, std::string name,
   if (tracer_ != nullptr) {
     // The trace is born at admission; a rejected submission below simply
     // drops it, so only admitted work is ever recorded.
-    Trace trace(tracer_->NextRequestId());
+    obs::Trace trace(tracer_->NextRequestId());
     trace.set_label("ingest client=" + std::to_string(client) +
                     " name=" + item.name);
     trace.BeginSpan("ingest");  // Root span: closed when Record() stamps it.
@@ -116,7 +117,7 @@ void IngestService::DrainClient(ClientState* state) {
 }
 
 void IngestService::ProcessItem(ClientState* state, PendingItem item) {
-  Trace* trace = item.trace.has_value() ? &*item.trace : nullptr;
+  obs::Trace* trace = item.trace.has_value() ? &*item.trace : nullptr;
   if (trace != nullptr) trace->EndSpan(item.queue_span);
   obs::TenantLedger* tenant =
       ledger_ != nullptr ? ledger_->ForTenant(state->client) : nullptr;

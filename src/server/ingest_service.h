@@ -15,8 +15,8 @@
 
 #include "common/status.h"
 #include "obs/cost_ledger.h"
-#include "server/metrics.h"
-#include "server/tracer.h"
+#include "obs/metrics.h"
+#include "obs/tracer.h"
 #include "server/sharded_catalog.h"
 #include "server/thread_pool.h"
 #include "streams/double_buffer.h"
@@ -72,8 +72,8 @@ class IngestService {
   /// exact blocks/bytes written, plus ingest/rejection counts.
   IngestService(ShardedCatalog* catalog, ThreadPool* pool,
                 IngestAdmissionPolicy policy = {},
-                MetricsRegistry* metrics = nullptr,
-                Tracer* tracer = nullptr,
+                obs::MetricsRegistry* metrics = nullptr,
+                obs::Tracer* tracer = nullptr,
                 obs::CostLedger* ledger = nullptr);
 
   /// Waits for every scheduled drain task to finish (the pool must still
@@ -102,7 +102,7 @@ class IngestService {
     Callback on_done;
     std::chrono::steady_clock::time_point enqueued;
     /// End-to-end trace (engaged only when the service has a tracer).
-    std::optional<Trace> trace;
+    std::optional<obs::Trace> trace;
     /// Index of the open "queue_wait" span inside *trace.
     size_t queue_span = 0;
   };
@@ -124,7 +124,7 @@ class IngestService {
   ShardedCatalog* catalog_;
   ThreadPool* pool_;
   IngestAdmissionPolicy policy_;
-  Tracer* tracer_;
+  obs::Tracer* tracer_;
   obs::CostLedger* ledger_;
 
   mutable std::shared_mutex clients_mutex_;
@@ -137,15 +137,15 @@ class IngestService {
   std::mutex drain_wait_mutex_;
   std::condition_variable drained_cv_;
 
-  Counter* submitted_ = nullptr;
-  Counter* admitted_ = nullptr;
-  Counter* rejected_queue_ = nullptr;
-  Counter* rejected_capacity_ = nullptr;
-  Counter* completed_ = nullptr;
-  Counter* failed_ = nullptr;
-  Counter* retries_ = nullptr;
-  Gauge* queue_depth_ = nullptr;
-  Histogram* e2e_latency_ms_ = nullptr;
+  obs::Counter* submitted_ = nullptr;
+  obs::Counter* admitted_ = nullptr;
+  obs::Counter* rejected_queue_ = nullptr;
+  obs::Counter* rejected_capacity_ = nullptr;
+  obs::Counter* completed_ = nullptr;
+  obs::Counter* failed_ = nullptr;
+  obs::Counter* retries_ = nullptr;
+  obs::Gauge* queue_depth_ = nullptr;
+  obs::Histogram* e2e_latency_ms_ = nullptr;
 };
 
 }  // namespace aims::server

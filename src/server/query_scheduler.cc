@@ -96,8 +96,8 @@ std::optional<QueryOutcome> QueryTicket::TryGet() const {
 }
 
 QueryScheduler::QueryScheduler(const ShardedCatalog* catalog, ThreadPool* pool,
-                               SchedulerConfig config, Tracer* tracer,
-                               MetricsRegistry* metrics,
+                               SchedulerConfig config, obs::Tracer* tracer,
+                               obs::MetricsRegistry* metrics,
                                obs::CostLedger* ledger,
                                obs::AsyncLogger* slow_log,
                                double slow_query_threshold_ms,
@@ -122,9 +122,9 @@ QueryScheduler::QueryScheduler(const ShardedCatalog* catalog, ThreadPool* pool,
     pending_gauge_ = metrics->GetGauge("scheduler.pending");
     admission_wait_ms_ = metrics->GetHistogram(
         "scheduler.admission_wait_ms",
-        MetricsRegistry::DefaultLatencyBoundsMs());
-    exec_ms_ = metrics->GetHistogram("scheduler.exec_ms",
-                                     MetricsRegistry::DefaultLatencyBoundsMs());
+        obs::MetricsRegistry::DefaultLatencyBoundsMs());
+    exec_ms_ = metrics->GetHistogram(
+        "scheduler.exec_ms", obs::MetricsRegistry::DefaultLatencyBoundsMs());
   }
 }
 
@@ -218,7 +218,7 @@ void QueryScheduler::RunOne() {
 
 void QueryScheduler::Execute(const QueryTicketPtr& ticket) {
   const QueryRequest& req = ticket->request_;
-  Trace& trace = ticket->trace_;
+  obs::Trace& trace = ticket->trace_;
 
   QueryOutcome outcome;
   outcome.dispatch_index =

@@ -14,10 +14,10 @@
 #include "obs/cost_ledger.h"
 #include "obs/flight_recorder.h"
 #include "obs/log.h"
-#include "server/metrics.h"
+#include "obs/metrics.h"
+#include "obs/tracer.h"
 #include "server/sharded_catalog.h"
 #include "server/thread_pool.h"
-#include "server/tracer.h"
 
 /// \file query_scheduler.h
 /// \brief Deadline-aware scheduling of progressive offline queries — the
@@ -162,7 +162,7 @@ struct QueryOutcome {
   /// starvation-freedom tests' witness.
   uint64_t dispatch_index = 0;
   /// Span decomposition of this request's latency.
-  Trace trace;
+  obs::Trace trace;
   /// The predicted plan (engaged for kExplain and kAnalyze requests).
   std::optional<core::QueryPlan> plan;
   /// Actual per-stage breakdown (engaged for every executed evaluation;
@@ -215,7 +215,7 @@ class QueryTicket {
   std::atomic<QueryState> state_{QueryState::kPending};
   std::atomic<bool> cancel_requested_{false};
   /// Built by the dispatching worker; epoch = submission time.
-  Trace trace_;
+  obs::Trace trace_;
 
   mutable std::mutex mutex_;
   mutable std::condition_variable cv_;
@@ -261,8 +261,8 @@ class QueryScheduler {
   /// carries the most recent offenders even when the async log's sink is
   /// long gone.
   QueryScheduler(const ShardedCatalog* catalog, ThreadPool* pool,
-                 SchedulerConfig config = {}, Tracer* tracer = nullptr,
-                 MetricsRegistry* metrics = nullptr,
+                 SchedulerConfig config = {}, obs::Tracer* tracer = nullptr,
+                 obs::MetricsRegistry* metrics = nullptr,
                  obs::CostLedger* ledger = nullptr,
                  obs::AsyncLogger* slow_log = nullptr,
                  double slow_query_threshold_ms = 0.0,
@@ -311,7 +311,7 @@ class QueryScheduler {
   ThreadPool* pool_;
   ContinuousAggregateRegistry* aggregates_ = nullptr;
   SchedulerConfig config_;
-  Tracer* tracer_;
+  obs::Tracer* tracer_;
   obs::CostLedger* ledger_;
   obs::AsyncLogger* slow_log_;
   double slow_query_threshold_ms_;
@@ -329,16 +329,16 @@ class QueryScheduler {
   std::mutex drain_mutex_;
   std::condition_variable drained_cv_;
 
-  Counter* submitted_ = nullptr;
-  Counter* rejected_ = nullptr;
-  Counter* completed_ = nullptr;
-  Counter* partial_deadline_ = nullptr;
-  Counter* cancelled_ = nullptr;
-  Counter* failed_ = nullptr;
-  Counter* slow_queries_ = nullptr;
-  Gauge* pending_gauge_ = nullptr;
-  Histogram* admission_wait_ms_ = nullptr;
-  Histogram* exec_ms_ = nullptr;
+  obs::Counter* submitted_ = nullptr;
+  obs::Counter* rejected_ = nullptr;
+  obs::Counter* completed_ = nullptr;
+  obs::Counter* partial_deadline_ = nullptr;
+  obs::Counter* cancelled_ = nullptr;
+  obs::Counter* failed_ = nullptr;
+  obs::Counter* slow_queries_ = nullptr;
+  obs::Gauge* pending_gauge_ = nullptr;
+  obs::Histogram* admission_wait_ms_ = nullptr;
+  obs::Histogram* exec_ms_ = nullptr;
 };
 
 }  // namespace aims::server

@@ -8,7 +8,7 @@
 namespace aims::server {
 
 RecognitionService::RecognitionService(
-    recognition::StreamRecognizerConfig config, MetricsRegistry* metrics)
+    recognition::StreamRecognizerConfig config, obs::MetricsRegistry* metrics)
     : measure_(/*rank=*/0), config_(config) {
   if (metrics != nullptr) {
     streams_opened_ = metrics->GetCounter("recognition.streams_opened");
@@ -17,7 +17,7 @@ RecognitionService::RecognitionService(
     open_streams_ = metrics->GetGauge("recognition.open_streams");
     frame_latency_ms_ =
         metrics->GetHistogram("recognition.frame_latency_ms",
-                              MetricsRegistry::DefaultLatencyBoundsMs());
+                              obs::MetricsRegistry::DefaultLatencyBoundsMs());
   }
 }
 
@@ -53,7 +53,7 @@ Status RecognitionService::OpenStream(ClientId client) {
 Result<std::vector<recognition::RecognitionEvent>>
 RecognitionService::PushFrames(ClientId client,
                                const std::vector<streams::Frame>& frames,
-                               Trace* trace) {
+                               obs::Trace* trace) {
   std::shared_ptr<ClientStream> stream;
   {
     std::shared_lock<std::shared_mutex> lock(streams_mutex_);

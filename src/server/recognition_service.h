@@ -10,12 +10,12 @@
 
 #include "common/status.h"
 #include "linalg/matrix.h"
+#include "obs/metrics.h"
+#include "obs/tracer.h"
 #include "recognition/isolator.h"
 #include "recognition/similarity.h"
 #include "recognition/vocabulary.h"
-#include "server/metrics.h"
 #include "server/sharded_catalog.h"
-#include "server/tracer.h"
 #include "streams/ring_buffer.h"
 #include "streams/sample.h"
 
@@ -38,7 +38,7 @@ class RecognitionService {
   ///   recognition.open_streams (gauge),
   ///   recognition.frame_latency_ms (histogram).
   explicit RecognitionService(recognition::StreamRecognizerConfig config = {},
-                              MetricsRegistry* metrics = nullptr);
+                              obs::MetricsRegistry* metrics = nullptr);
 
   /// \brief Registers a template for the streams opened afterwards.
   /// InvalidArgument when Vocabulary::ValidateEntry rejects it;
@@ -62,7 +62,7 @@ class RecognitionService {
   /// "classification_event" marker whenever a motion is recognized.
   Result<std::vector<recognition::RecognitionEvent>> PushFrames(
       ClientId client, const std::vector<streams::Frame>& frames,
-      Trace* trace = nullptr);
+      obs::Trace* trace = nullptr);
 
   /// \brief Flushes and closes \p client's stream, returning the final
   /// event if the tail of the stream completed a motion.
@@ -102,11 +102,11 @@ class RecognitionService {
   /// a concurrent CloseStream (it then finds the stream closed).
   std::unordered_map<ClientId, std::shared_ptr<ClientStream>> streams_;
 
-  Counter* streams_opened_ = nullptr;
-  Counter* frames_ = nullptr;
-  Counter* events_ = nullptr;
-  Gauge* open_streams_ = nullptr;
-  Histogram* frame_latency_ms_ = nullptr;
+  obs::Counter* streams_opened_ = nullptr;
+  obs::Counter* frames_ = nullptr;
+  obs::Counter* events_ = nullptr;
+  obs::Gauge* open_streams_ = nullptr;
+  obs::Histogram* frame_latency_ms_ = nullptr;
 };
 
 }  // namespace aims::server

@@ -10,7 +10,7 @@ namespace aims::server {
 
 RetentionSweeper::RetentionSweeper(ShardedCatalog* catalog,
                                    RetentionSweeperConfig config,
-                                   MetricsRegistry* metrics,
+                                   obs::MetricsRegistry* metrics,
                                    obs::FlightRecorder* recorder,
                                    obs::Watchdog* watchdog)
     : catalog_(catalog), config_(std::move(config)), recorder_(recorder) {

@@ -8,8 +8,8 @@
 #include <unordered_map>
 
 #include "obs/flight_recorder.h"
+#include "obs/metrics.h"
 #include "obs/watchdog.h"
-#include "server/metrics.h"
 #include "server/sharded_catalog.h"
 
 /// \file retention_sweeper.h
@@ -52,7 +52,7 @@ class RetentionSweeper {
   /// registers "tslife_sweeper" and its loop heartbeats it.
   explicit RetentionSweeper(ShardedCatalog* catalog,
                             RetentionSweeperConfig config = {},
-                            MetricsRegistry* metrics = nullptr,
+                            obs::MetricsRegistry* metrics = nullptr,
                             obs::FlightRecorder* recorder = nullptr,
                             obs::Watchdog* watchdog = nullptr);
   ~RetentionSweeper();
@@ -98,13 +98,13 @@ class RetentionSweeper {
 
   std::atomic<uint64_t> sweeps_{0};
 
-  Counter* sweeps_total_ = nullptr;
-  Counter* sweep_failures_ = nullptr;
-  Counter* downsampled_total_ = nullptr;
-  Counter* dropped_total_ = nullptr;
-  Counter* skipped_total_ = nullptr;
-  Gauge* segment_bytes_ = nullptr;
-  Gauge* last_max_nmse_ = nullptr;
+  obs::Counter* sweeps_total_ = nullptr;
+  obs::Counter* sweep_failures_ = nullptr;
+  obs::Counter* downsampled_total_ = nullptr;
+  obs::Counter* dropped_total_ = nullptr;
+  obs::Counter* skipped_total_ = nullptr;
+  obs::Gauge* segment_bytes_ = nullptr;
+  obs::Gauge* last_max_nmse_ = nullptr;
 
   mutable std::mutex thread_mutex_;
   std::condition_variable wake_cv_;

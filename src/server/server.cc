@@ -54,8 +54,8 @@ AimsServer::AimsServer(ServerConfig config)
       // valid reference); the enable flags only decide whether the services
       // get a pointer, so disabling observability leaves the services'
       // null-checks as the entire instrumentation cost.
-      metrics_(std::make_unique<MetricsRegistry>()),
-      tracer_(std::make_unique<Tracer>(config.obs.trace_capacity)),
+      metrics_(std::make_unique<obs::MetricsRegistry>()),
+      tracer_(std::make_unique<obs::Tracer>(config.obs.trace_capacity)),
       cost_ledger_(std::make_unique<obs::CostLedger>()),
       // Slow-query logging needs both a threshold and a destination; with
       // either missing, the scheduler still counts slow queries but the
@@ -224,7 +224,7 @@ AimsServer::AimsServer(ServerConfig config)
     // watchdog's stall episodes (the latter also trigger a dump).
     if (config.obs.enable_tracing) {
       tracer_->SetEvictionSink([recorder = recorder_.get()](
-                                   const Trace& trace) {
+                                   const obs::Trace& trace) {
         recorder->RecordEvictedTrace(trace);
       });
     }
@@ -383,14 +383,14 @@ Result<StreamSamplesResponse> AimsServer::StreamSamples(
   // One trace per batch: a root span with one recognizer_update child per
   // frame and a classification_event marker per recognized motion — the
   // online-query counterpart of the scheduler's query traces.
-  std::optional<Trace> trace;
+  std::optional<obs::Trace> trace;
   if (config_.obs.enable_tracing) {
     trace.emplace(tracer_->NextRequestId());
     trace->set_label("stream_samples client=" + std::to_string(request.client) +
                      " frames=" + std::to_string(request.frames.size()));
     trace->BeginSpan("stream_samples");
   }
-  Trace* trace_ptr = trace.has_value() ? &*trace : nullptr;
+  obs::Trace* trace_ptr = trace.has_value() ? &*trace : nullptr;
   obs::TenantLedger* tenant =
       config_.obs.enable_cost_ledger
           ? cost_ledger_->ForTenant(request.client)

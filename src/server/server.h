@@ -10,22 +10,22 @@
 #include "obs/cost_ledger.h"
 #include "obs/flight_recorder.h"
 #include "obs/log.h"
+#include "obs/metrics.h"
 #include "obs/slo.h"
 #include "obs/stats_reporter.h"
 #include "obs/timeseries.h"
+#include "obs/tracer.h"
 #include "obs/watchdog.h"
 #include "recognition/vocabulary.h"
 #include "server/api.h"
 #include "server/continuous_agg.h"
 #include "server/data_migrator.h"
 #include "server/ingest_service.h"
-#include "server/retention_sweeper.h"
-#include "server/metrics.h"
 #include "server/query_scheduler.h"
 #include "server/recognition_service.h"
+#include "server/retention_sweeper.h"
 #include "server/sharded_catalog.h"
 #include "server/thread_pool.h"
-#include "server/tracer.h"
 
 /// \file server.h
 /// \brief AimsServer: the concurrent multi-tenant service runtime. Wires
@@ -268,11 +268,10 @@ class AimsServer {
       const DumpFlightRecordRequest& request);
 
   /// \brief Typed fault injection / counter reset against one shard's
-  /// device (replaces reaching into catalog().mutable_shard_device()).
+  /// device.
   Result<AdminFaultResponse> AdminFault(const AdminFaultRequest& request);
 
-  /// \brief Clears one shard's (or every shard's) block cache (replaces
-  /// reaching into catalog().mutable_shard_cache()).
+  /// \brief Clears one shard's (or every shard's) block cache.
   Result<ClearCacheResponse> ClearCache(const ClearCacheRequest& request);
 
   // ---- Raw-sample lifecycle API (continuous aggregates, retention). ----
@@ -308,8 +307,8 @@ class AimsServer {
   IngestService& ingest() { return *ingest_; }
   QueryScheduler& scheduler() { return *scheduler_; }
   RecognitionService& recognition() { return *recognition_; }
-  MetricsRegistry& metrics() { return *metrics_; }
-  Tracer& tracer() { return *tracer_; }
+  obs::MetricsRegistry& metrics() { return *metrics_; }
+  obs::Tracer& tracer() { return *tracer_; }
   obs::StatsReporter& reporter() { return *reporter_; }
   ThreadPool& pool() { return *pool_; }
   /// Always constructed (like the registry and tracer); services only see
@@ -357,8 +356,8 @@ class AimsServer {
   void WireAdminRoutes();
 
   ServerConfig config_;
-  std::unique_ptr<MetricsRegistry> metrics_;
-  std::unique_ptr<Tracer> tracer_;
+  std::unique_ptr<obs::MetricsRegistry> metrics_;
+  std::unique_ptr<obs::Tracer> tracer_;
   std::unique_ptr<obs::CostLedger> cost_ledger_;
   // Stream before logger before scheduler: the scheduler's destructor may
   // still publish records, and the logger flushes into the stream.

@@ -140,12 +140,13 @@ class ShardedCatalog::IngestGate {
 };
 
 ShardedCatalog::ShardedCatalog(size_t num_shards, core::AimsConfig config,
-                               MetricsRegistry* metrics,
+                               obs::MetricsRegistry* metrics,
                                ShardRouterConfig router_config)
     : config_(config),
       router_(std::make_unique<ShardRouter>(num_shards, router_config)) {
   AIMS_CHECK(num_shards >= 1);
-  std::vector<double> lock_bounds = MetricsRegistry::DefaultLatencyBoundsMs();
+  std::vector<double> lock_bounds =
+      obs::MetricsRegistry::DefaultLatencyBoundsMs();
   shards_.reserve(num_shards);
   for (size_t i = 0; i < num_shards; ++i) {
     // Every shard gets its own durable store (its own page file + WAL)
@@ -170,9 +171,11 @@ ShardedCatalog::ShardedCatalog(size_t num_shards, core::AimsConfig config,
     query_count_ = metrics->GetCounter("catalog.query.count");
     blocks_read_ = metrics->GetCounter("catalog.query.blocks_read");
     ingest_latency_ms_ = metrics->GetHistogram(
-        "catalog.ingest.latency_ms", MetricsRegistry::DefaultLatencyBoundsMs());
+        "catalog.ingest.latency_ms",
+        obs::MetricsRegistry::DefaultLatencyBoundsMs());
     query_latency_ms_ = metrics->GetHistogram(
-        "catalog.query.latency_ms", MetricsRegistry::DefaultLatencyBoundsMs());
+        "catalog.query.latency_ms",
+        obs::MetricsRegistry::DefaultLatencyBoundsMs());
     // Max-over-shards lock-wait p99 in MICROseconds (integer gauges would
     // flatten sub-ms waits to zero in ms) — the StatsReporter's shard-
     // health input.
@@ -254,13 +257,58 @@ auto ShardedCatalog::ReadOnShard(const Shard& shard, Fn&& fn) const {
   return fn(shard.system);
 }
 
+template <typename Fn>
+auto ShardedCatalog::ReadRouted(const Route& route, Fn&& fn) const {
+  auto result = ReadOnShard(*shards_[route.shard],
+                            [&](const core::AimsSystem& sys) {
+                              return fn(sys, route.local);
+                            });
+  if (!result.ok() && route.dual) {
+    result = ReadOnShard(*shards_[route.fallback_shard],
+                         [&](const core::AimsSystem& sys) {
+                           return fn(sys, route.fallback_local);
+                         });
+  }
+  return result;
+}
+
+template <typename Fn>
+auto ShardedCatalog::WriteOnShard(Shard& shard, Fn&& fn, obs::Trace* trace,
+                                  const char* span_name,
+                                  size_t* device_writes) {
+  ShardOpScope scope(shard.active_ops);
+  size_t span = 0;
+  if (trace != nullptr) span = trace->BeginSpan(span_name);
+  auto wait_start = std::chrono::steady_clock::now();
+  std::unique_lock<std::shared_mutex> lock(shard.mutex);
+  shard.lock_wait_ms.Record(MsSince(wait_start));
+  if (trace != nullptr) trace->EndSpan(span);
+  const size_t writes_before = shard.system.device().writes();
+  auto result = fn(shard.system);
+  if (device_writes != nullptr) {
+    *device_writes += shard.system.device().writes() - writes_before;
+  }
+  return result;
+}
+
+void ShardedCatalog::CountQuery(const Route& route,
+                                std::chrono::steady_clock::time_point start,
+                                size_t blocks_read) const {
+  shards_[route.shard]->queries.fetch_add(1, std::memory_order_relaxed);
+  if (query_count_ != nullptr) query_count_->Increment();
+  if (query_latency_ms_ != nullptr) query_latency_ms_->Record(MsSince(start));
+  if (blocks_read_ != nullptr && blocks_read > 0) {
+    blocks_read_->Increment(blocks_read);
+  }
+}
+
 // ---- Ingest ---------------------------------------------------------------
 
 Result<GlobalSessionId> ShardedCatalog::Ingest(
     ClientId client, const std::string& name,
     const streams::Recording& recording, obs::Trace* trace,
     IngestIoStats* io_stats) {
-  if (durable() && !journal_status_.ok()) return journal_status_;
+  AIMS_RETURN_NOT_OK(journal_status_);
   IngestGate gate(this, client);
   size_t shard_index = router_->ShardForClient(client);
   Shard& shard = *shards_[shard_index];
@@ -300,126 +348,68 @@ Result<core::SessionId> ShardedCatalog::IngestOnShard(
     Shard& shard, const std::string& name,
     const streams::Recording& recording, obs::Trace* trace,
     IngestIoStats* io_stats, std::vector<core::StandingRangeUpdate>* updates) {
-  // durable() reads a pointer set once at construction — safe lock-free.
-  return shard.system.durable()
-             ? IngestDurable(shard, name, recording, trace, io_stats, updates)
-             : IngestInMemory(shard, name, recording, trace, io_stats, updates);
-}
-
-Result<core::SessionId> ShardedCatalog::IngestInMemory(
-    Shard& shard, const std::string& name,
-    const streams::Recording& recording, obs::Trace* trace,
-    IngestIoStats* io_stats, std::vector<core::StandingRangeUpdate>* updates) {
-  ShardOpScope scope(shard.active_ops);
-  size_t lock_span = 0;
-  if (trace != nullptr) lock_span = trace->BeginSpan("shard_lock");
-  auto wait_start = std::chrono::steady_clock::now();
-  std::unique_lock<std::shared_mutex> lock(shard.mutex);
-  shard.lock_wait_ms.Record(MsSince(wait_start));
-  if (trace != nullptr) trace->EndSpan(lock_span);
-  // Writes are serialized by the exclusive lock, so the device's write-
-  // counter delta across this ingest is attributable to it exactly.
-  // io_stats is filled whatever the outcome: a fault mid-ingest has
-  // already performed (and charged) its writes, and the tenant's ledger
-  // must reflect them.
-  const size_t writes_before = shard.system.device().writes();
-  Result<core::SessionId> result =
-      shard.system.IngestRecording(name, recording, trace, updates);
+  // Device writes happen only inside a shard's exclusive sections, so the
+  // write-counter delta inside this ingest's sections is exactly its own
+  // I/O — and it is charged whatever the outcome: a fault mid-ingest has
+  // already performed its writes, and the tenant's ledger must show them.
+  size_t blocks_written = 0;
+  Result<core::AimsSystem::StagedIngest> staged = WriteOnShard(
+      shard,
+      [&](core::AimsSystem& sys) {
+        return sys.StageIngest(name, recording, trace, updates);
+      },
+      trace, "shard_lock", &blocks_written);
+  Status status = staged.status();
+  if (staged.ok() && staged->logged()) {
+    // The sync wait runs with the shard lock RELEASED: concurrent ingests
+    // into this shard reach their own WaitDurable and share one group-
+    // commit fsync instead of serializing syncs behind the exclusive lock.
+    // Not durable -> not acknowledged; the WAL's sync error is sticky, so
+    // the shard refuses further commits rather than silently degrading.
+    size_t sync_span = 0;
+    if (trace != nullptr) sync_span = trace->BeginSpan("wal_sync");
+    status = shard.system.WaitDurable(*staged);
+    if (trace != nullptr) trace->EndSpan(sync_span);
+    if (status.ok()) {
+      status = WriteOnShard(
+          shard,
+          [&](core::AimsSystem& sys) {
+            Status applied = sys.ApplyStaged(*staged);
+            shard.wal_lag.store(sys.WalStats().lag_bytes,
+                                std::memory_order_relaxed);
+            return applied;
+          },
+          trace, "shard_apply_lock", &blocks_written);
+      PublishWalLag();
+    }
+  }
   if (io_stats != nullptr) {
-    io_stats->blocks_written = shard.system.device().writes() - writes_before;
-    io_stats->bytes_written =
-        io_stats->blocks_written * config_.block_size_bytes;
+    io_stats->blocks_written = blocks_written;
+    io_stats->bytes_written = blocks_written * config_.block_size_bytes;
   }
-  return result;
-}
-
-Result<core::SessionId> ShardedCatalog::IngestDurable(
-    Shard& shard, const std::string& name,
-    const streams::Recording& recording, obs::Trace* trace,
-    IngestIoStats* io_stats, std::vector<core::StandingRangeUpdate>* updates) {
-  if (io_stats != nullptr) *io_stats = IngestIoStats{};
-  ShardOpScope scope(shard.active_ops);
-  core::AimsSystem::StagedIngest staged;
-  {
-    size_t lock_span = 0;
-    if (trace != nullptr) lock_span = trace->BeginSpan("shard_lock");
-    auto wait_start = std::chrono::steady_clock::now();
-    std::unique_lock<std::shared_mutex> lock(shard.mutex);
-    shard.lock_wait_ms.Record(MsSince(wait_start));
-    if (trace != nullptr) trace->EndSpan(lock_span);
-    // Failed staging performs no device writes (the dirty pages are
-    // dropped from the buffer pool), so io_stats stays zero on error.
-    AIMS_ASSIGN_OR_RETURN(staged, shard.system.IngestRecordingStaged(
-                                      name, recording, trace, updates));
-  }
-  // The sync wait runs with the shard lock RELEASED: concurrent ingests
-  // into this shard reach their own WaitDurable and share one group-commit
-  // fsync instead of serializing syncs behind the exclusive lock.
-  size_t sync_span = 0;
-  if (trace != nullptr) sync_span = trace->BeginSpan("wal_sync");
-  Status durable = shard.system.WaitDurable(staged);
-  if (trace != nullptr) trace->EndSpan(sync_span);
-  // Not durable -> not acknowledged. The WAL's sync error is sticky, so
-  // the shard refuses further commits rather than silently degrading.
-  AIMS_RETURN_NOT_OK(durable);
-  {
-    size_t lock_span = 0;
-    if (trace != nullptr) lock_span = trace->BeginSpan("shard_apply_lock");
-    auto wait_start = std::chrono::steady_clock::now();
-    std::unique_lock<std::shared_mutex> lock(shard.mutex);
-    shard.lock_wait_ms.Record(MsSince(wait_start));
-    if (trace != nullptr) trace->EndSpan(lock_span);
-    AIMS_RETURN_NOT_OK(shard.system.ApplyDurable(staged));
-    shard.wal_lag.store(shard.system.WalStats().lag_bytes,
-                        std::memory_order_relaxed);
-  }
-  // Staged ingests attribute I/O by their own block list, not a counter
-  // delta: another ingest's write-back may run between the two exclusive
-  // sections, and a delta would cross-charge tenants.
-  if (io_stats != nullptr) {
-    io_stats->blocks_written = staged.blocks.size();
-    io_stats->bytes_written = staged.blocks.size() * config_.block_size_bytes;
-  }
-  PublishWalLag();
-  return staged.id;
+  AIMS_RETURN_NOT_OK(status);
+  return staged->id;
 }
 
 // ---- Reads (dual-read aware) ----------------------------------------------
 
 Result<core::SessionInfo> ShardedCatalog::GetSession(GlobalSessionId id) const {
   AIMS_ASSIGN_OR_RETURN(Route route, FindRoute(id));
-  Result<core::SessionInfo> result = ReadOnShard(
-      *shards_[route.shard],
-      [&](const core::AimsSystem& sys) { return sys.GetSession(route.local); });
-  if (!result.ok() && route.dual) {
-    result = ReadOnShard(*shards_[route.fallback_shard],
-                         [&](const core::AimsSystem& sys) {
-                           return sys.GetSession(route.fallback_local);
-                         });
-  }
-  return result;
+  return ReadRouted(route, [](const core::AimsSystem& sys,
+                              core::SessionId local) {
+    return sys.GetSession(local);
+  });
 }
 
 Result<std::vector<double>> ShardedCatalog::ReadChannel(GlobalSessionId id,
                                                         size_t channel) const {
   AIMS_ASSIGN_OR_RETURN(Route route, FindRoute(id));
   auto start = std::chrono::steady_clock::now();
-  Result<std::vector<double>> result =
-      ReadOnShard(*shards_[route.shard], [&](const core::AimsSystem& sys) {
-        return sys.ReadChannel(route.local, channel);
+  Result<std::vector<double>> result = ReadRouted(
+      route, [&](const core::AimsSystem& sys, core::SessionId local) {
+        return sys.ReadChannel(local, channel);
       });
-  if (!result.ok() && route.dual) {
-    result = ReadOnShard(*shards_[route.fallback_shard],
-                         [&](const core::AimsSystem& sys) {
-                           return sys.ReadChannel(route.fallback_local,
-                                                  channel);
-                         });
-  }
-  if (result.ok()) {
-    shards_[route.shard]->queries.fetch_add(1, std::memory_order_relaxed);
-    if (query_count_ != nullptr) query_count_->Increment();
-    if (query_latency_ms_ != nullptr) query_latency_ms_->Record(MsSince(start));
-  }
+  if (result.ok()) CountQuery(route, start, 0);
   return result;
 }
 
@@ -428,27 +418,15 @@ Result<core::RangeStatistics> ShardedCatalog::QueryRange(
     size_t last_frame) const {
   AIMS_ASSIGN_OR_RETURN(Route route, FindRoute(id));
   auto start = std::chrono::steady_clock::now();
-  Result<core::RangeStatistics> result =
-      ReadOnShard(*shards_[route.shard], [&](const core::AimsSystem& sys) {
-        return sys.QueryRange(route.local, channel, first_frame, last_frame);
+  Result<core::RangeStatistics> result = ReadRouted(
+      route, [&](const core::AimsSystem& sys, core::SessionId local) {
+        return sys.QueryRange(local, channel, first_frame, last_frame);
       });
-  if (!result.ok() && route.dual) {
-    result = ReadOnShard(
-        *shards_[route.fallback_shard], [&](const core::AimsSystem& sys) {
-          return sys.QueryRange(route.fallback_local, channel, first_frame,
-                                last_frame);
-        });
-  }
-  if (result.ok()) {
-    shards_[route.shard]->queries.fetch_add(1, std::memory_order_relaxed);
-    if (query_count_ != nullptr) query_count_->Increment();
-    if (query_latency_ms_ != nullptr) query_latency_ms_->Record(MsSince(start));
-    // Note: under concurrency RangeStatistics::blocks_read is a device-
-    // level delta and may include reads issued by overlapping queries on
-    // the same shard — treat both it and this counter as approximate;
-    // total_blocks_read() reads the exact device counters.
-    if (blocks_read_ != nullptr) blocks_read_->Increment(result->blocks_read);
-  }
+  // Note: under concurrency RangeStatistics::blocks_read is a device-level
+  // delta and may include reads issued by overlapping queries on the same
+  // shard — treat both it and the blocks-read counter as approximate;
+  // total_blocks_read() reads the exact device counters.
+  if (result.ok()) CountQuery(route, start, result->blocks_read);
   return result;
 }
 
@@ -458,27 +436,15 @@ Result<core::ProgressiveRangeResult> ShardedCatalog::QueryRangeProgressive(
     const std::function<void()>& on_shard_locked) const {
   AIMS_ASSIGN_OR_RETURN(Route route, FindRoute(id));
   auto start = std::chrono::steady_clock::now();
-  Result<core::ProgressiveRangeResult> result =
-      ReadOnShard(*shards_[route.shard], [&](const core::AimsSystem& sys) {
+  Result<core::ProgressiveRangeResult> result = ReadRouted(
+      route, [&](const core::AimsSystem& sys, core::SessionId local) {
         if (on_shard_locked) on_shard_locked();
-        return sys.QueryRangeProgressive(route.local, channel, first_frame,
+        return sys.QueryRangeProgressive(local, channel, first_frame,
                                          last_frame, observer);
       });
-  if (!result.ok() && route.dual) {
-    result = ReadOnShard(
-        *shards_[route.fallback_shard], [&](const core::AimsSystem& sys) {
-          if (on_shard_locked) on_shard_locked();
-          return sys.QueryRangeProgressive(route.fallback_local, channel,
-                                           first_frame, last_frame, observer);
-        });
-  }
   if (result.ok()) {
-    shards_[route.shard]->queries.fetch_add(1, std::memory_order_relaxed);
-    if (query_count_ != nullptr) query_count_->Increment();
-    if (query_latency_ms_ != nullptr) query_latency_ms_->Record(MsSince(start));
-    if (blocks_read_ != nullptr && !result->steps.empty()) {
-      blocks_read_->Increment(result->steps.back().blocks_read);
-    }
+    CountQuery(route, start,
+               result->steps.empty() ? 0 : result->steps.back().blocks_read);
   }
   return result;
 }
@@ -488,20 +454,13 @@ Result<core::QueryPlan> ShardedCatalog::PlanRangeQuery(GlobalSessionId id,
                                                        size_t first_frame,
                                                        size_t last_frame) const {
   AIMS_ASSIGN_OR_RETURN(Route route, FindRoute(id));
-  Result<core::QueryPlan> plan =
-      ReadOnShard(*shards_[route.shard], [&](const core::AimsSystem& sys) {
-        return sys.PlanRangeQuery(route.local, channel, first_frame,
-                                  last_frame);
-      });
-  if (!plan.ok() && route.dual) {
-    plan = ReadOnShard(
-        *shards_[route.fallback_shard], [&](const core::AimsSystem& sys) {
-          return sys.PlanRangeQuery(route.fallback_local, channel, first_frame,
-                                    last_frame);
-        });
-  }
-  AIMS_RETURN_NOT_OK(plan.status());
-  plan->session = id;
+  AIMS_ASSIGN_OR_RETURN(
+      core::QueryPlan plan,
+      ReadRouted(route, [&](const core::AimsSystem& sys,
+                            core::SessionId local) {
+        return sys.PlanRangeQuery(local, channel, first_frame, last_frame);
+      }));
+  plan.session = id;
   return plan;
 }
 
@@ -522,16 +481,10 @@ std::vector<CatalogSessionEntry> ShardedCatalog::ListSessions() const {
   std::vector<CatalogSessionEntry> out;
   out.reserve(snapshot.size());
   for (const auto& [id, route] : snapshot) {
-    Result<core::SessionInfo> info = ReadOnShard(
-        *shards_[route.shard], [&](const core::AimsSystem& sys) {
-          return sys.GetSession(route.local);
+    Result<core::SessionInfo> info = ReadRouted(
+        route, [](const core::AimsSystem& sys, core::SessionId local) {
+          return sys.GetSession(local);
         });
-    if (!info.ok() && route.dual) {
-      info = ReadOnShard(*shards_[route.fallback_shard],
-                         [&](const core::AimsSystem& sys) {
-                           return sys.GetSession(route.fallback_local);
-                         });
-    }
     if (!info.ok()) continue;  // defensive: routes never dangle by design
     CatalogSessionEntry entry;
     entry.id = id;
@@ -552,34 +505,19 @@ size_t ShardedCatalog::total_sessions() const {
 Result<std::vector<storage::tslife::SegmentMeta>> ShardedCatalog::ListSegments(
     GlobalSessionId id) const {
   AIMS_ASSIGN_OR_RETURN(Route route, FindRoute(id));
-  Result<std::vector<storage::tslife::SegmentMeta>> result = ReadOnShard(
-      *shards_[route.shard], [&](const core::AimsSystem& sys) {
-        return sys.ListSegments(route.local);
-      });
-  if (!result.ok() && route.dual) {
-    result = ReadOnShard(*shards_[route.fallback_shard],
-                         [&](const core::AimsSystem& sys) {
-                           return sys.ListSegments(route.fallback_local);
-                         });
-  }
-  return result;
+  return ReadRouted(route, [](const core::AimsSystem& sys,
+                              core::SessionId local) {
+    return sys.ListSegments(local);
+  });
 }
 
 Result<std::vector<gorilla::Sample>> ShardedCatalog::ReadRawSamples(
     GlobalSessionId id, size_t channel) const {
   AIMS_ASSIGN_OR_RETURN(Route route, FindRoute(id));
-  Result<std::vector<gorilla::Sample>> result = ReadOnShard(
-      *shards_[route.shard], [&](const core::AimsSystem& sys) {
-        return sys.ReadRawSamples(route.local, channel);
-      });
-  if (!result.ok() && route.dual) {
-    result = ReadOnShard(*shards_[route.fallback_shard],
-                         [&](const core::AimsSystem& sys) {
-                           return sys.ReadRawSamples(route.fallback_local,
-                                                     channel);
-                         });
-  }
-  return result;
+  return ReadRouted(route, [&](const core::AimsSystem& sys,
+                               core::SessionId local) {
+    return sys.ReadRawSamples(local, channel);
+  });
 }
 
 size_t ShardedCatalog::TotalSegmentBytes() const {
@@ -614,34 +552,30 @@ Result<storage::tslife::SweepStats> ShardedCatalog::SweepRetention(
   storage::tslife::SweepStats stats;
   for (size_t i = 0; i < shards_.size(); ++i) {
     Shard& shard = *shards_[i];
-    ShardOpScope scope(shard.active_ops);
-    auto wait_start = std::chrono::steady_clock::now();
-    std::unique_lock<std::shared_mutex> lock(shard.mutex);
-    shard.lock_wait_ms.Record(MsSince(wait_start));
-    std::vector<bool> overridden(shard.system.ListSessions().size(), false);
-    for (const auto& [client, locals] : override_groups[i]) {
-      for (const core::SessionId sid : locals) {
-        if (sid < overridden.size()) overridden[sid] = true;
+    AIMS_RETURN_NOT_OK(WriteOnShard(shard, [&](core::AimsSystem& sys) {
+      std::vector<bool> overridden(sys.ListSessions().size(), false);
+      for (const auto& [client, locals] : override_groups[i]) {
+        for (const core::SessionId sid : locals) {
+          if (sid < overridden.size()) overridden[sid] = true;
+        }
+        AIMS_ASSIGN_OR_RETURN(
+            storage::tslife::SweepStats shard_stats,
+            sys.SweepRetention(policies.overrides.at(client), now_us,
+                               &locals));
+        stats.Merge(shard_stats);
+      }
+      std::vector<core::SessionId> rest;
+      rest.reserve(overridden.size());
+      for (core::SessionId sid = 0; sid < overridden.size(); ++sid) {
+        if (!overridden[sid]) rest.push_back(sid);
       }
       AIMS_ASSIGN_OR_RETURN(
           storage::tslife::SweepStats shard_stats,
-          shard.system.SweepRetention(policies.overrides.at(client), now_us,
-                                      &locals));
+          sys.SweepRetention(policies.default_policy, now_us, &rest));
       stats.Merge(shard_stats);
-    }
-    std::vector<core::SessionId> rest;
-    rest.reserve(overridden.size());
-    for (core::SessionId sid = 0; sid < overridden.size(); ++sid) {
-      if (!overridden[sid]) rest.push_back(sid);
-    }
-    AIMS_ASSIGN_OR_RETURN(
-        storage::tslife::SweepStats shard_stats,
-        shard.system.SweepRetention(policies.default_policy, now_us, &rest));
-    stats.Merge(shard_stats);
-    if (shard.system.durable()) {
-      shard.wal_lag.store(shard.system.WalStats().lag_bytes,
-                          std::memory_order_relaxed);
-    }
+      shard.wal_lag.store(sys.WalStats().lag_bytes, std::memory_order_relaxed);
+      return Status::OK();
+    }));
   }
   PublishWalLag();
   return stats;
@@ -767,16 +701,6 @@ Result<ClearCacheResponse> ShardedCatalog::ClearCache(
   return response;
 }
 
-storage::BlockDevice* ShardedCatalog::mutable_shard_device(size_t shard) {
-  AIMS_CHECK(shard < shards_.size());
-  return shards_[shard]->system.mutable_device();
-}
-
-storage::BlockCache* ShardedCatalog::mutable_shard_cache(size_t shard) {
-  AIMS_CHECK(shard < shards_.size());
-  return shards_[shard]->system.mutable_block_cache();
-}
-
 // ---- Live migration --------------------------------------------------------
 
 Result<std::vector<GlobalSessionId>> ShardedCatalog::BeginTenantMigration(
@@ -784,7 +708,7 @@ Result<std::vector<GlobalSessionId>> ShardedCatalog::BeginTenantMigration(
   if (target_shard >= shards_.size()) {
     return Status::InvalidArgument("BeginTenantMigration: no such shard");
   }
-  if (durable() && !journal_status_.ok()) return journal_status_;
+  AIMS_RETURN_NOT_OK(journal_status_);
   // Pin first: every ingest that resolves placement from here on lands on
   // the target. Then journal the begin record, so recovery knows the
   // target shard may hold partial copies.
@@ -835,8 +759,8 @@ Status ShardedCatalog::MigrateSession(GlobalSessionId id, size_t target_shard) {
         return sys.MaterializeSession(route.local);
       });
   AIMS_RETURN_NOT_OK(materialized.status());
-  // 2. Ingest the copy into the target. On the durable backend this is the
-  //    full staged WAL protocol: the copy is on stable storage before we
+  // 2. Ingest the copy into the target through the full staged protocol:
+  //    on the durable backend the copy is on stable storage before we
   //    proceed. No catalog metrics, no tenant attribution — migration is an
   //    infrastructure move, not tenant activity.
   AIMS_ASSIGN_OR_RETURN(
@@ -853,15 +777,10 @@ Status ShardedCatalog::MigrateSession(GlobalSessionId id, size_t target_shard) {
         return sys.ExportSegments(route.local);
       });
   AIMS_RETURN_NOT_OK(segments.status());
-  {
-    Shard& target = *shards_[target_shard];
-    ShardOpScope scope(target.active_ops);
-    auto wait_start = std::chrono::steady_clock::now();
-    std::unique_lock<std::shared_mutex> lock(target.mutex);
-    target.lock_wait_ms.Record(MsSince(wait_start));
-    AIMS_RETURN_NOT_OK(
-        target.system.ReplaceSegments(target_local, std::move(*segments)));
-  }
+  AIMS_RETURN_NOT_OK(WriteOnShard(
+      *shards_[target_shard], [&](core::AimsSystem& sys) {
+        return sys.ReplaceSegments(target_local, std::move(*segments));
+      }));
   // 3. Journal the owner flip. Once this record is durable, recovery
   //    resolves the session to the target — and only then does the live
   //    route flip, so crash-before and crash-after both leave exactly one
@@ -884,24 +803,25 @@ Status ShardedCatalog::MigrateSession(GlobalSessionId id, size_t target_shard) {
   return Status::OK();
 }
 
+void ShardedCatalog::CloseDualReadWindows(ClientId client) {
+  std::unique_lock<std::shared_mutex> lock(routes_mutex_);
+  auto it = client_sessions_.find(client);
+  if (it == client_sessions_.end()) return;
+  for (GlobalSessionId id : it->second) {
+    Route& route = routes_.at(id);
+    route.dual = false;
+    route.fallback_shard = 0;
+    route.fallback_local = 0;
+  }
+}
+
 Status ShardedCatalog::CommitTenantMigration(ClientId client,
                                              size_t target_shard) {
   // Atomic routing flip: close every dual-read window of the tenant in one
   // exclusive critical section — after this, reads resolve to the target
   // only and the source copies are unreachable (logical source cleanup;
   // physical block reclamation is a compaction concern, not a routing one).
-  {
-    std::unique_lock<std::shared_mutex> lock(routes_mutex_);
-    auto it = client_sessions_.find(client);
-    if (it != client_sessions_.end()) {
-      for (GlobalSessionId id : it->second) {
-        Route& route = routes_.at(id);
-        route.dual = false;
-        route.fallback_shard = 0;
-        route.fallback_local = 0;
-      }
-    }
-  }
+  CloseDualReadWindows(client);
   // The commit record makes the pin durable: recovery re-pins the tenant,
   // so post-restart ingests keep landing where the data lives.
   AIMS_RETURN_NOT_OK(JournalMigrationCommit(client, target_shard));
@@ -912,18 +832,7 @@ Status ShardedCatalog::CommitTenantMigration(ClientId client,
 void ShardedCatalog::AbortTenantMigration(ClientId client) {
   // Already-moved sessions stay on the target (their copies are durable
   // and journaled there); just close the dual windows and drop the pin.
-  {
-    std::unique_lock<std::shared_mutex> lock(routes_mutex_);
-    auto it = client_sessions_.find(client);
-    if (it != client_sessions_.end()) {
-      for (GlobalSessionId id : it->second) {
-        Route& route = routes_.at(id);
-        route.dual = false;
-        route.fallback_shard = 0;
-        route.fallback_local = 0;
-      }
-    }
-  }
+  CloseDualReadWindows(client);
   router_->ClearPin(client);
 }
 

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -14,10 +15,10 @@
 
 #include "core/aims.h"
 #include "obs/cache_stats.h"
+#include "obs/metrics.h"
 #include "obs/shard_stats.h"
 #include "obs/tracer.h"
 #include "obs/wal_stats.h"
-#include "server/metrics.h"
 #include "server/shard_router.h"
 #include "storage/wal.h"
 
@@ -41,9 +42,10 @@
 ///     migration recovers every session to exactly one owner.
 ///
 /// The original concurrency properties are unchanged: ingest takes one
-/// shard's exclusive lock, the whole off-line query path runs under shared
-/// locks on AimsSystem's const read path, so ingests to different shards
-/// proceed concurrently and queries never block other queries.
+/// shard's exclusive lock (twice on the durable backend, around the
+/// unlocked group-commit wait), the whole off-line query path runs under
+/// shared locks on AimsSystem's const read path, so ingests to different
+/// shards proceed concurrently and queries never block other queries.
 
 namespace aims::server {
 
@@ -103,7 +105,7 @@ class ShardedCatalog {
   /// operation counters (may be null).
   /// \param router_config consistent-hash ring tuning.
   explicit ShardedCatalog(size_t num_shards, core::AimsConfig config = {},
-                          MetricsRegistry* metrics = nullptr,
+                          obs::MetricsRegistry* metrics = nullptr,
                           ShardRouterConfig router_config = {});
   ~ShardedCatalog();
 
@@ -127,10 +129,11 @@ class ShardedCatalog {
 
   // ---- Write path (exclusive lock on one shard) -------------------------
 
-  /// \brief Device I/O one ingest performed, measured under the shard's
-  /// exclusive lock (writes are serialized per shard, so the counter delta
-  /// is exactly this ingest's) — the cost-attribution input for charging
-  /// the acting tenant's CostLedger.
+  /// \brief Device I/O one ingest performed: the device write-counter
+  /// delta inside each exclusive section the ingest held (device writes
+  /// happen only under a shard's exclusive lock, so the delta is exactly
+  /// this ingest's) — the cost-attribution input for charging the acting
+  /// tenant's CostLedger.
   struct IngestIoStats {
     size_t blocks_written = 0;
     size_t bytes_written = 0;
@@ -143,13 +146,16 @@ class ShardedCatalog {
   /// exact block-write I/O — filled even when the ingest fails partway, so
   /// a write fault's device I/O still reaches the tenant's cost ledger.
   ///
-  /// On the durable backend this runs the staged protocol: stage + WAL
-  /// append under the exclusive lock, wait for the commit sync with the
-  /// lock released (trace span "wal_sync") so concurrent ingests share one
-  /// group-commit fsync, then re-lock ("shard_apply_lock") for page
-  /// write-back. The ingest is acknowledged only after its commit record —
-  /// AND its route-journal entry — are on stable storage, which is what
-  /// makes "acknowledged" imply "survives a crash with its route intact".
+  /// Both backends run AimsSystem's staged protocol: stage (plus the WAL
+  /// append, when there is a WAL) under the exclusive lock; then, only
+  /// when a commit was logged, wait for its sync with the lock released
+  /// (trace span "wal_sync") so concurrent ingests share one group-commit
+  /// fsync, and re-lock ("shard_apply_lock") for page write-back. The
+  /// in-memory backend logs nothing, so its ingest is one exclusive
+  /// section. A durable ingest is acknowledged only after its commit
+  /// record — AND its route-journal entry — are on stable storage, which
+  /// is what makes "acknowledged" imply "survives a crash with its route
+  /// intact".
   Result<GlobalSessionId> Ingest(ClientId client, const std::string& name,
                                  const streams::Recording& recording,
                                  obs::Trace* trace = nullptr,
@@ -311,22 +317,12 @@ class ShardedCatalog {
   /// ring.
   void AbortTenantMigration(ClientId client);
 
-  // ---- Deprecated raw accessors (one-PR shim) ----------------------------
-
-  /// \deprecated Use ApplyFault — the typed admin surface. Kept one PR so
-  /// out-of-tree callers can migrate; will be removed.
-  storage::BlockDevice* mutable_shard_device(size_t shard);
-
-  /// \deprecated Use ClearCache — the typed admin surface. Kept one PR so
-  /// out-of-tree callers can migrate; will be removed.
-  storage::BlockCache* mutable_shard_cache(size_t shard);
-
  private:
   struct Shard {
     mutable std::shared_mutex mutex;
     core::AimsSystem system;
     /// Last published WAL lag of this shard (bytes), updated after every
-    /// ApplyDurable so the "storage.wal_lag_bytes" gauge can be recomputed
+    /// write-back so the "storage.wal_lag_bytes" gauge can be recomputed
     /// without taking every other shard's lock.
     std::atomic<uint64_t> wal_lag{0};
     /// Health probes: operation counters, lock-queue depth, and the
@@ -366,30 +362,40 @@ class ShardedCatalog {
   template <typename Fn>
   auto ReadOnShard(const Shard& shard, Fn&& fn) const;
 
-  /// In-memory ingest: one exclusive-lock section, I/O attributed by the
-  /// device write-counter delta. \p updates (optional, threaded through to
-  /// the system) receives the standing-query results of the new session.
-  Result<core::SessionId> IngestInMemory(
-      Shard& shard, const std::string& name,
-      const streams::Recording& recording, obs::Trace* trace,
-      IngestIoStats* io_stats, std::vector<core::StandingRangeUpdate>* updates);
-  /// Durable ingest via the staged protocol: stage + WAL-append under the
-  /// exclusive lock, wait for the (group-)commit sync with the lock
-  /// released, then re-lock to write the pages back — concurrent ingests
-  /// into the same shard share one fsync instead of serializing syncs.
-  Result<core::SessionId> IngestDurable(
-      Shard& shard, const std::string& name,
-      const streams::Recording& recording, obs::Trace* trace,
-      IngestIoStats* io_stats, std::vector<core::StandingRangeUpdate>* updates);
-  /// Shard-level ingest dispatch (no routing, no metrics) — the normal
-  /// ingest path and the migrator's copy step share it. The migrator
-  /// passes a null \p updates: a migration copy is not tenant activity and
-  /// must not fire the continuous-aggregate hook.
+  /// Runs `fn(system, local)` on \p route's primary copy and, when that
+  /// fails inside a migration's dual-read window, on the fallback copy.
+  template <typename Fn>
+  auto ReadRouted(const Route& route, Fn&& fn) const;
+
+  /// Runs \p fn under \p shard's exclusive lock with lock-wait timing and
+  /// queue-depth accounting. \p trace (optional) gains span \p span_name
+  /// covering the lock wait; \p device_writes (optional) accumulates the
+  /// device write-counter delta inside the section.
+  template <typename Fn>
+  auto WriteOnShard(Shard& shard, Fn&& fn, obs::Trace* trace = nullptr,
+                    const char* span_name = nullptr,
+                    size_t* device_writes = nullptr);
+
+  /// Records one successful read on \p route's primary shard and in the
+  /// catalog query metrics.
+  void CountQuery(const Route& route,
+                  std::chrono::steady_clock::time_point start,
+                  size_t blocks_read) const;
+
+  /// Shard-level ingest (no routing, no metrics) — the normal ingest path
+  /// and the migrator's copy step share it. Runs the staged protocol on
+  /// either backend (see Ingest). \p updates (optional, threaded through
+  /// to the system) receives the standing-query results of the new
+  /// session; the migrator passes null: a migration copy is not tenant
+  /// activity and must not fire the continuous-aggregate hook.
   Result<core::SessionId> IngestOnShard(
       Shard& shard, const std::string& name,
       const streams::Recording& recording, obs::Trace* trace,
       IngestIoStats* io_stats,
       std::vector<core::StandingRangeUpdate>* updates = nullptr);
+
+  /// Ends the dual-read window of every session of \p client.
+  void CloseDualReadWindows(ClientId client);
 
   /// Re-publishes the catalog-wide WAL-lag gauge from the per-shard
   /// atomics (no-op without a metrics registry or on the mem backend).
@@ -442,13 +448,13 @@ class ShardedCatalog {
   /// Continuous-aggregate commit hook (set before traffic; may be empty).
   IngestCommitHook ingest_hook_;
 
-  Counter* ingest_count_ = nullptr;
-  Counter* query_count_ = nullptr;
-  Counter* blocks_read_ = nullptr;
-  Gauge* wal_lag_gauge_ = nullptr;
-  Gauge* shard_lock_p99_gauge_ = nullptr;
-  Histogram* ingest_latency_ms_ = nullptr;
-  Histogram* query_latency_ms_ = nullptr;
+  obs::Counter* ingest_count_ = nullptr;
+  obs::Counter* query_count_ = nullptr;
+  obs::Counter* blocks_read_ = nullptr;
+  obs::Gauge* wal_lag_gauge_ = nullptr;
+  obs::Gauge* shard_lock_p99_gauge_ = nullptr;
+  obs::Histogram* ingest_latency_ms_ = nullptr;
+  obs::Histogram* query_latency_ms_ = nullptr;
 };
 
 }  // namespace aims::server

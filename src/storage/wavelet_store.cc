@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <set>
+#include <string>
 
 #include "common/macros.h"
 
@@ -76,8 +77,7 @@ Result<std::unordered_map<size_t, double>> WaveletStore::Fetch(
   std::set<size_t> wanted(indices.begin(), indices.end());
   std::unordered_map<size_t, double> out;
   for (size_t b : blocks) {
-    AIMS_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
-                          ReadBlock(device_blocks_[b]));
+    AIMS_ASSIGN_OR_RETURN(std::vector<uint8_t> payload, ReadBlock(b));
     for (size_t slot = 0; slot < block_contents_[b].size(); ++slot) {
       size_t idx = block_contents_[b][slot];
       if (wanted.count(idx)) {
@@ -114,7 +114,7 @@ Result<std::vector<std::pair<size_t, double>>> WaveletStore::FetchBlock(
     return Status::OutOfRange("WaveletStore::FetchBlock: no such block");
   }
   AIMS_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
-                        ReadBlock(device_blocks_[logical_block], cache_hit));
+                        ReadBlock(logical_block, cache_hit));
   std::vector<std::pair<size_t, double>> out;
   const std::vector<size_t>& contents = block_contents_[logical_block];
   out.reserve(contents.size());
@@ -134,11 +134,23 @@ bool WaveletStore::IsBlockCached(size_t logical_block) const {
   return cache_->Contains(device_blocks_[logical_block]);
 }
 
-Result<std::vector<uint8_t>> WaveletStore::ReadBlock(BlockId id,
+Result<std::vector<uint8_t>> WaveletStore::ReadBlock(size_t logical_block,
                                                      bool* cache_hit) const {
-  if (cache_ != nullptr) return cache_->Read(id, cache_hit);
+  const BlockId id = device_blocks_[logical_block];
   if (cache_hit != nullptr) *cache_hit = false;
-  return device_->Read(id);
+  AIMS_ASSIGN_OR_RETURN(
+      std::vector<uint8_t> payload,
+      cache_ != nullptr ? cache_->Read(id, cache_hit) : device_->Read(id));
+  // A never-written or cut-short page reads back short; decoding it would
+  // read past the payload's end.
+  const size_t expected =
+      block_contents_[logical_block].size() * sizeof(double);
+  if (payload.size() != expected) {
+    return Status::IoError("WaveletStore: device block " + std::to_string(id) +
+                           " holds " + std::to_string(payload.size()) +
+                           " bytes, expected " + std::to_string(expected));
+  }
+  return payload;
 }
 
 Status WaveletStore::WriteBlock(BlockId id,

@@ -81,8 +81,10 @@ class WaveletStore {
   const std::vector<BlockId>& device_blocks() const { return device_blocks_; }
 
  private:
-  /// Reads a device block through the cache when one is configured.
-  Result<std::vector<uint8_t>> ReadBlock(BlockId id,
+  /// Reads a logical block's device block through the cache when one is
+  /// configured. IoError when the payload is not exactly the block's
+  /// coefficients (a never-written or truncated page).
+  Result<std::vector<uint8_t>> ReadBlock(size_t logical_block,
                                          bool* cache_hit = nullptr) const;
   /// Writes a device block, invalidating any cached copy first.
   Status WriteBlock(BlockId id, const std::vector<uint8_t>& payload);

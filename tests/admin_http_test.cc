@@ -58,7 +58,8 @@ HttpReply Get(int port, const std::string& target,
       method + " " + target + " HTTP/1.1\r\nHost: localhost\r\n\r\n";
   size_t sent = 0;
   while (sent < request.size()) {
-    ssize_t n = ::send(fd, request.data() + sent, request.size() - sent, 0);
+    ssize_t n = ::send(fd, request.data() + sent, request.size() - sent,
+                       MSG_NOSIGNAL);
     if (n <= 0) break;
     sent += static_cast<size_t>(n);
   }
@@ -173,7 +174,7 @@ HttpReply SendRaw(int port, const std::string& raw) {
     ::close(fd);
     return reply;
   }
-  (void)::send(fd, raw.data(), raw.size(), 0);
+  (void)::send(fd, raw.data(), raw.size(), MSG_NOSIGNAL);
   std::string got;
   char buffer[4096];
   ssize_t n;
@@ -248,7 +249,7 @@ TEST(AdminHttpServerTest, SlowlorisClientIsClosedAtTheDeadlineWithNoReply) {
   const std::string request = "GET /ping HTTP/1.1\r\n";
   std::string got;
   for (size_t i = 0; i < request.size(); ++i) {
-    if (::send(fd, &request[i], 1, 0) <= 0) break;  // server closed on us
+    if (::send(fd, &request[i], 1, MSG_NOSIGNAL) <= 0) break;  // server closed
     std::this_thread::sleep_for(std::chrono::milliseconds(40));
     char buffer[256];
     const ssize_t n = ::recv(fd, buffer, sizeof(buffer), MSG_DONTWAIT);

@@ -4,7 +4,11 @@
 // and snapshots taken mid-flight must be TSan-clean. The unit tests below
 // pin the ledger's charge arithmetic and the GetTenantUsage envelopes.
 
+#include <unistd.h>
+
 #include <atomic>
+#include <filesystem>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -168,12 +172,15 @@ TEST(CostLedgerConcurrencyTest, AttributesBlockIoAcrossConcurrentTenants) {
 
 // Regression: a write fault used to void the whole ingest's attribution —
 // the blocks written before (and by) the failed write never reached the
-// tenant's ledger, so failed ingests consumed device time for free.
-TEST(CostLedgerFailureTest, FailedIngestStillChargesItsWrites) {
+// tenant's ledger, so failed ingests consumed device time for free. Both
+// backends share the rule; on the durable one the fault lands in the
+// write-back after the WAL commit.
+void ExpectFailedIngestChargesItsWrites(const std::string& durable_path) {
   ServerConfig config;
   config.num_shards = 1;
   config.num_threads = 2;
   config.system.block_size_bytes = 64;
+  config.system.durability.path = durable_path;
   AimsServer server(config);
   ASSERT_TRUE(server.OpenSession({1}).ok());
 
@@ -193,6 +200,18 @@ TEST(CostLedgerFailureTest, FailedIngestStillChargesItsWrites) {
             server.catalog().total_blocks_written());
   EXPECT_EQ(usage->total.bytes_written,
             usage->total.blocks_written * config.system.block_size_bytes);
+}
+
+TEST(CostLedgerFailureTest, FailedIngestStillChargesItsWrites) {
+  ExpectFailedIngestChargesItsWrites("");
+}
+
+TEST(CostLedgerFailureTest, FailedDurableIngestStillChargesItsWrites) {
+  const std::string dir = ::testing::TempDir() + "aims_cost_ledger_" +
+                          std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  ExpectFailedIngestChargesItsWrites(dir);
+  std::filesystem::remove_all(dir);
 }
 
 // Regression companion on the read side: a query killed by a read fault

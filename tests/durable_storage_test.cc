@@ -6,8 +6,10 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -18,6 +20,7 @@
 #include "core/aims.h"
 #include "obs/exporters.h"
 #include "obs/stats_reporter.h"
+#include "obs/tracer.h"
 #include "obs/wal_stats.h"
 #include "server/server.h"
 #include "server/sharded_catalog.h"
@@ -495,6 +498,52 @@ TEST(DurableSystem, AutoCheckpointByWalLag) {
   EXPECT_EQ(system.WalStats().lag_bytes, 0u);
 }
 
+TEST(DurableSystem, FailedWriteBackIsNotCheckpointedAway) {
+  // A write-back fault leaves the ingest's pages dirty in the pool, with
+  // their only durable copy in the WAL. A later ingest's auto-checkpoint
+  // must not truncate that copy away: reopen replays it.
+  std::string dir = TestDir("sys_failed_writeback");
+  core::AimsConfig config;
+  config.durability.path = dir;
+  config.durability.checkpoint_wal_bytes = 1;  // Checkpoint every ingest.
+  std::vector<std::vector<double>> alpha, beta;
+  {
+    core::AimsSystem system(config);
+    ASSERT_TRUE(system.init_status().ok());
+    system.mutable_device()->FailNextWrites(1);
+    auto a = system.IngestRecording("alpha", MakeRecording(300, 2, 11));
+    ASSERT_FALSE(a.ok());
+    EXPECT_EQ(a.status().code(), StatusCode::kIoError);
+    EXPECT_GT(system.block_cache()->DirtyBlocks(), 0u);
+    auto b = system.IngestRecording("beta", MakeRecording(200, 1, 12));
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
+    // The auto-checkpoint was skipped, and an explicit one is refused.
+    EXPECT_GT(system.WalStats().lag_bytes, 0u);
+    EXPECT_EQ(system.Checkpoint().code(), StatusCode::kFailedPrecondition);
+    // Alpha's commit published it; the pool serves its dirty pages.
+    auto sessions = system.ListSessions();
+    ASSERT_EQ(sessions.size(), 2u);
+    for (size_t c = 0; c < 2; ++c) {
+      alpha.push_back(system.ReadChannel(sessions[0].id, c).ValueOrDie());
+    }
+    beta.push_back(system.ReadChannel(sessions[1].id, 0).ValueOrDie());
+  }
+  core::AimsSystem reopened(config);
+  ASSERT_TRUE(reopened.init_status().ok())
+      << reopened.init_status().ToString();
+  EXPECT_EQ(reopened.WalStats().recovered_txns, 2u);
+  auto sessions = reopened.ListSessions();
+  ASSERT_EQ(sessions.size(), 2u);
+  EXPECT_EQ(sessions[0].name, "alpha");
+  EXPECT_EQ(sessions[1].name, "beta");
+  for (size_t c = 0; c < 2; ++c) {
+    auto channel = reopened.ReadChannel(sessions[0].id, c);
+    ASSERT_TRUE(channel.ok()) << channel.status().ToString();
+    EXPECT_EQ(*channel, alpha[c]);
+  }
+  EXPECT_EQ(reopened.ReadChannel(sessions[1].id, 0).ValueOrDie(), beta[0]);
+}
+
 TEST(DurableSystem, AnalyzeReconciliationHoldsOnFileBackend) {
   std::string dir = TestDir("sys_analyze");
   core::AimsConfig config;
@@ -598,6 +647,97 @@ TEST(DurableCatalog, IngestIoStatsCountStagedBlocks) {
   EXPECT_EQ(io.bytes_written, io.blocks_written * config.block_size_bytes);
   // The staged protocol writes back exactly the staged blocks.
   EXPECT_EQ(io.blocks_written, catalog.total_blocks_written());
+}
+
+bool BitIdentical(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+std::vector<std::string> SpanNames(const obs::Trace& trace) {
+  std::vector<std::string> names;
+  for (const obs::TraceSpan& span : trace.spans()) names.push_back(span.name);
+  return names;
+}
+
+bool HasSpan(const obs::Trace& trace, const std::string& name) {
+  std::vector<std::string> names = SpanNames(trace);
+  return std::find(names.begin(), names.end(), name) != names.end();
+}
+
+TEST(BackendParity, CatalogIngestMatchesAcrossBackends) {
+  // Both backends run one staged ingest protocol, so the same recordings
+  // cost the same device writes, build the same catalog entries, and read
+  // back bit-identically; only the durable trace carries the WAL phases.
+  core::AimsConfig durable_config;
+  durable_config.durability.path = TestDir("backend_parity");
+  server::ShardedCatalog mem(2, core::AimsConfig{});
+  server::ShardedCatalog durable(2, durable_config);
+  ASSERT_TRUE(durable.init_status().ok());
+  const std::vector<streams::Recording> recordings = {
+      MakeRecording(300, 2, 21), MakeRecording(129, 3, 22),
+      MakeRecording(64, 1, 23)};
+  for (size_t i = 0; i < recordings.size(); ++i) {
+    SCOPED_TRACE("recording " + std::to_string(i));
+    const streams::Recording& rec = recordings[i];
+    const server::ClientId client = i + 1;
+    const std::string name = "rec" + std::to_string(i);
+    obs::Trace mem_trace, durable_trace;
+    server::ShardedCatalog::IngestIoStats mem_io, durable_io;
+    auto m = mem.Ingest(client, name, rec, &mem_trace, &mem_io);
+    auto d = durable.Ingest(client, name, rec, &durable_trace, &durable_io);
+    ASSERT_TRUE(m.ok()) << m.status().ToString();
+    ASSERT_TRUE(d.ok()) << d.status().ToString();
+
+    EXPECT_GT(mem_io.blocks_written, 0u);
+    EXPECT_EQ(mem_io.blocks_written, durable_io.blocks_written);
+    EXPECT_EQ(mem_io.bytes_written, durable_io.bytes_written);
+
+    core::SessionInfo mi = mem.GetSession(*m).ValueOrDie();
+    core::SessionInfo di = durable.GetSession(*d).ValueOrDie();
+    EXPECT_EQ(mi.id, di.id);
+    EXPECT_EQ(mi.name, di.name);
+    EXPECT_EQ(mi.num_channels, di.num_channels);
+    EXPECT_EQ(mi.num_frames, di.num_frames);
+    EXPECT_EQ(mi.sample_rate_hz, di.sample_rate_hz);
+    EXPECT_EQ(mi.best_basis_nodes, di.best_basis_nodes);
+
+    for (size_t c = 0; c < rec.num_channels(); ++c) {
+      EXPECT_TRUE(BitIdentical(mem.ReadChannel(*m, c).ValueOrDie(),
+                               durable.ReadChannel(*d, c).ValueOrDie()))
+          << "channel " << c;
+      const size_t last = rec.num_frames() - 3;
+      auto mq = mem.QueryRangeProgressive(*m, c, 2, last).ValueOrDie();
+      auto dq = durable.QueryRangeProgressive(*d, c, 2, last).ValueOrDie();
+      EXPECT_EQ(mq.total_blocks_needed, dq.total_blocks_needed);
+      EXPECT_EQ(mq.complete, dq.complete);
+      ASSERT_EQ(mq.steps.size(), dq.steps.size());
+      // cache_hits differs by design: the durable pool keeps written-back
+      // pages resident, the in-memory backend here runs without a cache.
+      for (size_t s = 0; s < mq.steps.size(); ++s) {
+        EXPECT_EQ(mq.steps[s].blocks_read, dq.steps[s].blocks_read);
+        EXPECT_TRUE(BitIdentical(
+            {mq.steps[s].sum_estimate, mq.steps[s].mean_estimate,
+             mq.steps[s].sum_error_bound},
+            {dq.steps[s].sum_estimate, dq.steps[s].mean_estimate,
+             dq.steps[s].sum_error_bound}))
+            << "step " << s;
+      }
+    }
+
+    EXPECT_TRUE(HasSpan(mem_trace, "shard_lock"));
+    EXPECT_FALSE(HasSpan(mem_trace, "wal_sync"));
+    EXPECT_FALSE(HasSpan(mem_trace, "shard_apply_lock"));
+    for (const char* span : {"shard_lock", "wal_sync", "shard_apply_lock"}) {
+      EXPECT_TRUE(HasSpan(durable_trace, span)) << span;
+    }
+    // Identical apart from the durable-only phases.
+    std::vector<std::string> durable_names = SpanNames(durable_trace);
+    std::erase_if(durable_names, [](const std::string& n) {
+      return n == "wal_sync" || n == "shard_apply_lock";
+    });
+    EXPECT_EQ(SpanNames(mem_trace), durable_names);
+  }
 }
 
 TEST(DurableServer, GetHealthCarriesWalStats) {

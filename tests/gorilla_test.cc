@@ -146,7 +146,10 @@ TEST(GorillaTest, AdversarialValuesRoundTripBitExactly) {
 
 TEST(GorillaTest, AdversarialTimestampsRoundTrip) {
   // Every dod class: repeat, ±63, ±255, ±2047, and the 64-bit escape —
-  // including negative timestamps and multi-day jumps.
+  // including negative timestamps, multi-day jumps, and full-range jumps
+  // whose delta and delta-of-delta wrap past int64.
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
   std::vector<Sample> in = {
       {-86400000, 1.0}, {-86399000, 2.0}, {-86398000, 3.0},  // repeat
       {-86397937, 4.0},                                      // dod 63
@@ -155,6 +158,7 @@ TEST(GorillaTest, AdversarialTimestampsRoundTrip) {
       {0, 7.0},                                              // escape
       {1000, 8.0},      {172800000, 9.0},                    // 2-day jump
       {172800001, 10.0},
+      {kMin, 11.0},     {kMax, 12.0},     {kMin, 13.0},      // wrapping
   };
   ExpectBitExact(in, RoundTrip(in));
 }

@@ -1,4 +1,4 @@
-#include "server/metrics.h"
+#include "obs/metrics.h"
 
 #include <cstdint>
 #include <limits>
@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-namespace aims::server {
+namespace aims::obs {
 namespace {
 
 TEST(CounterTest, IncrementAndValue) {
@@ -180,4 +180,4 @@ TEST(MetricsRegistryTest, ConcurrentRegistrationIsSafe) {
 }
 
 }  // namespace
-}  // namespace aims::server
+}  // namespace aims::obs

@@ -8,11 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/tracer.h"
 #include "server/query_scheduler.h"
 #include "server/server.h"
 #include "server/sharded_catalog.h"
 #include "server/thread_pool.h"
-#include "server/tracer.h"
 
 /// \file scheduler_test.cc
 /// \brief The QueryScheduler contracts: deadline expiry yields a partial
@@ -92,8 +92,8 @@ struct Harness {
     return id.ValueOrDie();
   }
 
-  MetricsRegistry metrics;
-  Tracer tracer;
+  obs::MetricsRegistry metrics;
+  obs::Tracer tracer;
   ShardedCatalog catalog;
   ThreadPool pool;
   QueryScheduler scheduler;
@@ -137,7 +137,7 @@ TEST(QuerySchedulerTest, CompleteQueryMatchesExactAndTraces) {
   // one block_io span (plus the refinement parent), all closed.
   EXPECT_GE(outcome.trace.spans().size(), 3u);
   size_t admission = 0, lock = 0, refine = 0, io = 0;
-  for (const TraceSpan& span : outcome.trace.spans()) {
+  for (const obs::TraceSpan& span : outcome.trace.spans()) {
     EXPECT_GE(span.end_ms, span.start_ms);
     if (span.name == "admission_wait") ++admission;
     if (span.name == "shard_lock") ++lock;

@@ -8,8 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
 #include "server/ingest_service.h"
-#include "server/metrics.h"
 #include "server/recognition_service.h"
 #include "server/server.h"
 #include "server/sharded_catalog.h"
@@ -93,7 +93,7 @@ TEST(ShardedCatalogTest, ParallelIngestAndQueryConsistent) {
   constexpr size_t kFrames = 64;
   constexpr size_t kChannels = 3;
 
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   ShardedCatalog catalog(4, {}, &metrics);
 
   std::mutex ingested_mutex;
@@ -189,7 +189,7 @@ TEST(IngestServiceTest, BackpressureIsBoundedAndAccounted) {
   constexpr size_t kCapacity = 4;
   constexpr size_t kSubmissions = 50;
 
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   ShardedCatalog catalog(1, {}, &metrics);
   ThreadPool pool(1);
 
@@ -237,7 +237,7 @@ TEST(IngestServiceTest, BackpressureIsBoundedAndAccounted) {
 }
 
 TEST(IngestServiceTest, GlobalCapacityCapRejects) {
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   ShardedCatalog catalog(1);
   ThreadPool pool(1);
 
@@ -263,7 +263,7 @@ TEST(IngestServiceTest, GlobalCapacityCapRejects) {
 }
 
 TEST(IngestServiceTest, RetriesTransientWriteFaults) {
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   ShardedCatalog catalog(1, {}, &metrics);
   ThreadPool pool(1);
   IngestAdmissionPolicy policy;
@@ -293,7 +293,7 @@ TEST(IngestServiceTest, RetriesTransientWriteFaults) {
 }
 
 TEST(IngestServiceTest, PersistentFaultExhaustsAttemptsAndFails) {
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   ShardedCatalog catalog(1, {}, &metrics);
   ThreadPool pool(1);
   IngestAdmissionPolicy policy;
@@ -359,7 +359,7 @@ TEST(RecognitionServiceTest, ConcurrentClientStreams) {
   constexpr size_t kChannels = 6;
   constexpr size_t kFramesPerClient = 150;
 
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   RecognitionService service({}, &metrics);
   ASSERT_TRUE(service.AddVocabularyEntry("wave", MotionTemplate(kChannels, 0))
                   .ok());

@@ -260,6 +260,24 @@ TEST(WaveletStoreTest, FailedPutRetryDoesNotLeakBlocks) {
   EXPECT_DOUBLE_EQ(fetched.ValueOrDie().at(100), coeffs[100]);
 }
 
+TEST(WaveletStoreTest, ShortPayloadUnderAStoredChannelIsAnIoError) {
+  const size_t n = 256;
+  MemBlockDevice device(64 * sizeof(double));
+  WaveletStore store(&device,
+                     std::make_unique<SubtreeTilingAllocator>(n, 64), n);
+  Rng rng(15);
+  ASSERT_TRUE(store.Put(RandomSignal(n, &rng)).ok());
+  const size_t logical = store.BlocksFor({100})[0];
+  const BlockId id = store.device_blocks()[logical];
+  // A cut-short page and a never-written (empty) one must both fail the
+  // read instead of decoding past the payload's end.
+  for (size_t bytes : {size_t{3}, size_t{0}}) {
+    ASSERT_TRUE(device.Write(id, std::vector<uint8_t>(bytes, 0xab)).ok());
+    EXPECT_EQ(store.Fetch({100}).status().code(), StatusCode::kIoError);
+    EXPECT_EQ(store.FetchBlock(logical).status().code(), StatusCode::kIoError);
+  }
+}
+
 TEST(RangeSumIoTest, TilingReducesBlocksForRangeSums) {
   // End-to-end: Haar range-sum coefficient sets against both allocators.
   const size_t n = 4096;
