@@ -82,7 +82,7 @@ void AdminHttpServer::RoutePrefix(std::string prefix, Handler handler) {
 }
 
 Status AdminHttpServer::Start() {
-  std::lock_guard<std::mutex> lock(thread_mutex_);
+  std::lock_guard<std::mutex> lifecycle(lifecycle_mutex_);
   if (running_) {
     return Status::FailedPrecondition("admin http: already started");
   }
@@ -129,35 +129,29 @@ Status AdminHttpServer::Start() {
     std::lock_guard<std::mutex> queue_lock(queue_mutex_);
     stop_requested_ = false;
   }
-  running_ = true;
   accept_thread_ = std::thread([this] { AcceptLoop(); });
   handlers_.reserve(static_cast<size_t>(config_.handler_threads));
   for (int i = 0; i < config_.handler_threads; ++i) {
     handlers_.emplace_back([this] { HandlerLoop(); });
   }
+  running_ = true;
   return Status::OK();
 }
 
 void AdminHttpServer::Stop() {
-  std::thread accept_to_join;
-  std::vector<std::thread> handlers_to_join;
+  // The lifecycle mutex spans the joins and the close: a Start racing this
+  // Stop waits until the old threads have exited, instead of resetting
+  // stop_requested_ under them and handing this Stop its new listen_fd_.
+  std::lock_guard<std::mutex> lifecycle(lifecycle_mutex_);
+  if (!running_) return;
   {
-    std::lock_guard<std::mutex> lock(thread_mutex_);
-    if (!running_) return;
-    running_ = false;
-    {
-      std::lock_guard<std::mutex> queue_lock(queue_mutex_);
-      stop_requested_ = true;
-    }
-    queue_cv_.notify_all();
-    accept_to_join = std::move(accept_thread_);
-    handlers_to_join = std::move(handlers_);
-    handlers_.clear();
+    std::lock_guard<std::mutex> queue_lock(queue_mutex_);
+    stop_requested_ = true;
   }
-  if (accept_to_join.joinable()) accept_to_join.join();
-  for (std::thread& t : handlers_to_join) {
-    if (t.joinable()) t.join();
-  }
+  queue_cv_.notify_all();
+  accept_thread_.join();
+  for (std::thread& t : handlers_) t.join();
+  handlers_.clear();
   // Connections still queued never reached a handler: close them (the
   // client sees a reset, same contract as the canned 503 path but later).
   {
@@ -170,11 +164,7 @@ void AdminHttpServer::Stop() {
     listen_fd_ = -1;
   }
   port_.store(-1, std::memory_order_release);
-}
-
-bool AdminHttpServer::running() const {
-  std::lock_guard<std::mutex> lock(thread_mutex_);
-  return running_;
+  running_ = false;
 }
 
 void AdminHttpServer::AcceptLoop() {

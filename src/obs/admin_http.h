@@ -96,13 +96,13 @@ class AdminHttpServer {
   void RoutePrefix(std::string prefix, Handler handler);
 
   /// \brief Binds 127.0.0.1:<port>, listens, spawns the accept thread and
-  /// handler pool. Not idempotent; call once.
+  /// handler pool. FailedPrecondition while already running.
   Status Start();
   /// \brief Stops accepting, drains nothing (pending queued connections
   /// get a 503-equivalent close), joins all threads. Idempotent.
   void Stop();
 
-  bool running() const;
+  bool running() const { return running_.load(std::memory_order_acquire); }
   /// Bound port (resolves ephemeral 0), or -1 before Start().
   int port() const { return port_.load(std::memory_order_acquire); }
 
@@ -151,10 +151,12 @@ class AdminHttpServer {
   std::atomic<uint64_t> rejected_{0};
   std::atomic<uint64_t> slow_clients_{0};
 
-  mutable std::mutex thread_mutex_;
+  /// Held across all of Start and Stop, the joins included; guards the
+  /// threads and listen_fd_.
+  std::mutex lifecycle_mutex_;
+  std::atomic<bool> running_{false};
   std::thread accept_thread_;
   std::vector<std::thread> handlers_;
-  bool running_ = false;
 };
 
 /// \brief Percent-decodes a URL component ('+' -> space, %XX -> byte;

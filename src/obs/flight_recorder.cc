@@ -346,59 +346,22 @@ Result<std::string> FlightRecorder::Dump(const std::string& reason) {
 }
 
 void FlightRecorder::Start() {
-  if (config_.persist_interval_ms <= 0.0 || config_.bundle_path.empty()) {
-    return;
-  }
-  std::lock_guard<std::mutex> lock(thread_mutex_);
-  if (running_) return;
-  stop_requested_ = false;
-  running_ = true;
-  thread_ = std::thread([this] { PersistLoop(); });
+  if (config_.bundle_path.empty()) return;
+  persist_loop_.Start(config_.persist_interval_ms, [this] {
+    (void)WriteBundleFile(Render("periodic persist"));
+    persists_.fetch_add(1, std::memory_order_relaxed);
+  });
 }
 
 void FlightRecorder::Stop() {
-  std::thread to_join;
-  bool was_running = false;
-  {
-    std::lock_guard<std::mutex> lock(thread_mutex_);
-    if (running_) {
-      stop_requested_ = true;
-      to_join = std::move(thread_);
-      running_ = false;
-      was_running = true;
-    }
-  }
-  wake_cv_.notify_all();
-  if (to_join.joinable()) to_join.join();
-  if (was_running) {
-    // One final persist: the black box's last written state covers the
-    // shutdown itself.
-    (void)WriteBundleFile(Render("shutdown"));
-    persists_.fetch_add(1, std::memory_order_relaxed);
-  }
+  if (!persist_loop_.Stop()) return;
+  // One final persist: the black box's last written state covers the
+  // shutdown itself.
+  (void)WriteBundleFile(Render("shutdown"));
+  persists_.fetch_add(1, std::memory_order_relaxed);
 }
 
-bool FlightRecorder::running() const {
-  std::lock_guard<std::mutex> lock(thread_mutex_);
-  return running_;
-}
-
-void FlightRecorder::PersistLoop() {
-  const auto interval =
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double, std::milli>(
-              config_.persist_interval_ms));
-  std::unique_lock<std::mutex> lock(thread_mutex_);
-  while (!stop_requested_) {
-    if (wake_cv_.wait_for(lock, interval, [&] { return stop_requested_; })) {
-      return;
-    }
-    lock.unlock();
-    (void)WriteBundleFile(Render("periodic persist"));
-    persists_.fetch_add(1, std::memory_order_relaxed);
-    lock.lock();
-  }
-}
+bool FlightRecorder::running() const { return persist_loop_.running(); }
 
 Status FlightRecorder::InstallFatalSignalHandler() {
   if (config_.bundle_path.empty()) {

@@ -1,17 +1,16 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/status.h"
 #include "obs/cache_stats.h"
+#include "obs/periodic_thread.h"
 #include "obs/shard_stats.h"
 #include "obs/slo.h"
 #include "obs/stats_reporter.h"
@@ -160,7 +159,6 @@ class FlightRecorder {
   const FlightRecorderConfig& config() const { return config_; }
 
  private:
-  void PersistLoop();
   /// Renders under mutex_; refreshes the signal buffer when installed.
   std::string RenderLocked(const std::string& reason, double uptime_ms,
                            const FlightContext& context);
@@ -195,11 +193,7 @@ class FlightRecorder {
   std::string signal_buffers_[2];
   int signal_next_ = 0;
 
-  mutable std::mutex thread_mutex_;
-  std::condition_variable wake_cv_;
-  std::thread thread_;
-  bool stop_requested_ = false;
-  bool running_ = false;
+  PeriodicThread persist_loop_;
 };
 
 }  // namespace aims::obs

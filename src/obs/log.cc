@@ -1,5 +1,6 @@
 #include "obs/log.h"
 
+#include <thread>
 #include <utility>
 
 #include "common/macros.h"
@@ -29,11 +30,7 @@ AsyncLogger::AsyncLogger(std::ostream* sink, AsyncLogConfig config)
     cells_[i].sequence.store(i, std::memory_order_relaxed);
   }
   if (config_.drain_interval_ms <= 0.0) config_.drain_interval_ms = 20.0;
-  {
-    std::lock_guard<std::mutex> lock(thread_mutex_);
-    running_ = true;
-    thread_ = std::thread([this] { DrainLoop(); });
-  }
+  drain_loop_.Start(config_.drain_interval_ms, [this] { Flush(); });
 }
 
 AsyncLogger::~AsyncLogger() { Stop(); }
@@ -144,40 +141,12 @@ void AsyncLogger::Flush() {
   if (wrote) sink_->flush();
 }
 
-void AsyncLogger::DrainLoop() {
-  const auto interval =
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double, std::milli>(config_.drain_interval_ms));
-  std::unique_lock<std::mutex> lock(thread_mutex_);
-  for (;;) {
-    wake_cv_.wait_for(lock, interval, [&] { return stop_requested_; });
-    const bool stopping = stop_requested_;
-    lock.unlock();
-    Flush();
-    if (stopping) return;
-    lock.lock();
-  }
-}
-
 void AsyncLogger::Stop() {
-  std::thread to_join;
-  {
-    std::lock_guard<std::mutex> lock(thread_mutex_);
-    if (!running_) return;
-    stop_requested_ = true;
-    to_join = std::move(thread_);
-    running_ = false;
-  }
-  wake_cv_.notify_all();
-  if (to_join.joinable()) to_join.join();
-  // The drain thread's final Flush ran before it exited; one more pass
-  // catches records published while it was shutting down.
-  Flush();
+  // One final pass after the join: every record accepted before Stop()
+  // reaches the sink.
+  if (drain_loop_.Stop()) Flush();
 }
 
-bool AsyncLogger::running() const {
-  std::lock_guard<std::mutex> lock(thread_mutex_);
-  return running_;
-}
+bool AsyncLogger::running() const { return drain_loop_.running(); }
 
 }  // namespace aims::obs

@@ -2,13 +2,13 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <ostream>
 #include <string>
-#include <thread>
+
+#include "obs/periodic_thread.h"
 
 /// \file log.h
 /// \brief Structured asynchronous logging: a lock-free bounded MPSC ring
@@ -103,7 +103,6 @@ class AsyncLogger {
   bool TryPush(std::string* line);
   bool TryPop(std::string* line);
   bool RateAdmit();
-  void DrainLoop();
 
   std::ostream* sink_;
   AsyncLogConfig config_;
@@ -125,11 +124,7 @@ class AsyncLogger {
   /// Serializes sink access between the drain thread and Flush().
   std::mutex drain_mutex_;
 
-  mutable std::mutex thread_mutex_;
-  std::condition_variable wake_cv_;
-  std::thread thread_;
-  bool stop_requested_ = false;
-  bool running_ = false;
+  PeriodicThread drain_loop_;
 };
 
 }  // namespace aims::obs

@@ -92,36 +92,17 @@ StatsReporter::StatsReporter(const MetricsRegistry* registry,
       epoch_(std::chrono::steady_clock::now()),
       prev_time_(epoch_) {
   AIMS_CHECK(registry_ != nullptr);
-  if (config_.interval_ms <= 0.0) config_.interval_ms = 1000.0;
 }
 
 StatsReporter::~StatsReporter() { Stop(); }
 
-void StatsReporter::Start() {
-  std::lock_guard<std::mutex> lock(thread_mutex_);
-  if (running_) return;
-  stop_requested_ = false;
-  running_ = true;
-  thread_ = std::thread([this] { Loop(); });
+void StatsReporter::Start(double interval_ms) {
+  loop_.Start(interval_ms, [this] { SnapshotNow(); }, watchdog_);
 }
 
-void StatsReporter::Stop() {
-  std::thread to_join;
-  {
-    std::lock_guard<std::mutex> lock(thread_mutex_);
-    if (!running_) return;
-    stop_requested_ = true;
-    to_join = std::move(thread_);
-    running_ = false;
-  }
-  wake_cv_.notify_all();
-  if (to_join.joinable()) to_join.join();
-}
+void StatsReporter::Stop() { loop_.Stop(); }
 
-bool StatsReporter::running() const {
-  std::lock_guard<std::mutex> lock(thread_mutex_);
-  return running_;
-}
+bool StatsReporter::running() const { return loop_.running(); }
 
 void StatsReporter::SetSnapshotHook(
     std::function<void(const HealthSnapshot&)> hook) {
@@ -135,26 +116,6 @@ void StatsReporter::SetWatchdogHandle(Watchdog::Handle* handle) {
 void StatsReporter::SetHealthInput(
     std::function<void(HealthSnapshot*)> input) {
   health_input_ = std::move(input);
-}
-
-void StatsReporter::Loop() {
-  const auto interval = std::chrono::duration_cast<
-      std::chrono::steady_clock::duration>(
-      std::chrono::duration<double, std::milli>(config_.interval_ms));
-  // Armed only while the loop runs: a reporter that was never started (or
-  // was stopped) is idle, not stalled.
-  Watchdog::Scope heartbeat(watchdog_);
-  std::unique_lock<std::mutex> lock(thread_mutex_);
-  while (!stop_requested_) {
-    // Interruptible interval wait: Stop() returns within one wakeup.
-    if (wake_cv_.wait_for(lock, interval, [&] { return stop_requested_; })) {
-      return;
-    }
-    lock.unlock();
-    if (watchdog_ != nullptr) watchdog_->Beat();
-    SnapshotNow();
-    lock.lock();
-  }
 }
 
 HealthSnapshot StatsReporter::SnapshotNow() {

@@ -1,17 +1,16 @@
 #pragma once
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "obs/metrics.h"
+#include "obs/periodic_thread.h"
 #include "obs/watchdog.h"
 
 /// \file stats_reporter.h
@@ -27,9 +26,6 @@ namespace aims::obs {
 
 /// \brief What the reporter watches and the targets it judges against.
 struct StatsReporterConfig {
-  /// Snapshot cadence of the background thread (Start()); also the rate
-  /// window. Snapshots on demand (SnapshotNow) work regardless.
-  double interval_ms = 1000.0;
   /// Histogram whose p99 is compared against the target (ignored when the
   /// histogram is not registered or the target is 0).
   std::string latency_histogram = "scheduler.exec_ms";
@@ -155,8 +151,10 @@ class StatsReporter {
   StatsReporter(const StatsReporter&) = delete;
   StatsReporter& operator=(const StatsReporter&) = delete;
 
-  /// \brief Spawns the periodic thread (idempotent).
-  void Start();
+  /// \brief Spawns the periodic thread, snapshotting every \p interval_ms
+  /// (also the rate window). Idempotent; no-op when the interval is not
+  /// positive. Snapshots on demand (SnapshotNow) work regardless.
+  void Start(double interval_ms);
 
   /// \brief Stops and joins the periodic thread (idempotent).
   void Stop();
@@ -192,7 +190,6 @@ class StatsReporter {
   const StatsReporterConfig& config() const { return config_; }
 
  private:
-  void Loop();
   /// Computes a snapshot from current registry state; caller must hold
   /// snapshot_mutex_ (rate bookkeeping is not concurrent-safe).
   HealthSnapshot ComputeLocked();
@@ -217,11 +214,7 @@ class StatsReporter {
   std::function<void(HealthSnapshot*)> health_input_;
   Watchdog::Handle* watchdog_ = nullptr;
 
-  mutable std::mutex thread_mutex_;
-  std::condition_variable wake_cv_;
-  std::thread thread_;
-  bool stop_requested_ = false;
-  bool running_ = false;
+  PeriodicThread loop_;
 };
 
 }  // namespace aims::obs

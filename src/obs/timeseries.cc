@@ -379,7 +379,6 @@ MetricsScraper::MetricsScraper(const MetricsRegistry* registry,
     : registry_(registry), store_(store), config_(config) {
   AIMS_CHECK(registry_ != nullptr);
   AIMS_CHECK(store_ != nullptr);
-  if (config_.interval_ms <= 0.0) config_.interval_ms = 1000.0;
 }
 
 MetricsScraper::~MetricsScraper() { Stop(); }
@@ -429,55 +428,12 @@ int64_t MetricsScraper::ScrapeOnce(int64_t at_ms) {
   return now_ms;
 }
 
-void MetricsScraper::Start() {
-  std::lock_guard<std::mutex> lifecycle(lifecycle_mutex_);
-  {
-    std::lock_guard<std::mutex> lock(thread_mutex_);
-    if (running_) return;
-    stop_requested_ = false;
-    running_ = true;
-  }
-  thread_ = std::thread([this] { Loop(); });
+void MetricsScraper::Start(double interval_ms) {
+  loop_.Start(interval_ms, [this] { ScrapeOnce(); }, watchdog_);
 }
 
-void MetricsScraper::Stop() {
-  // The lifecycle mutex spans the join: a Start racing this Stop waits
-  // until the old loop thread has observed the stop and exited, instead
-  // of respawning while it still runs (which would leave this join
-  // waiting on a thread that never sees its stop flag).
-  std::lock_guard<std::mutex> lifecycle(lifecycle_mutex_);
-  {
-    std::lock_guard<std::mutex> lock(thread_mutex_);
-    if (!running_) return;
-    stop_requested_ = true;
-  }
-  wake_cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-  std::lock_guard<std::mutex> lock(thread_mutex_);
-  running_ = false;
-}
+void MetricsScraper::Stop() { loop_.Stop(); }
 
-bool MetricsScraper::running() const {
-  std::lock_guard<std::mutex> lock(thread_mutex_);
-  return running_;
-}
-
-void MetricsScraper::Loop() {
-  const auto interval =
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double, std::milli>(config_.interval_ms));
-  // Armed only while the loop runs, same contract as the stats reporter.
-  Watchdog::Scope heartbeat(watchdog_);
-  std::unique_lock<std::mutex> lock(thread_mutex_);
-  while (!stop_requested_) {
-    if (wake_cv_.wait_for(lock, interval, [&] { return stop_requested_; })) {
-      return;
-    }
-    lock.unlock();
-    if (watchdog_ != nullptr) watchdog_->Beat();
-    ScrapeOnce();
-    lock.lock();
-  }
-}
+bool MetricsScraper::running() const { return loop_.running(); }
 
 }  // namespace aims::obs

@@ -1,19 +1,18 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/gorilla.h"
 #include "common/status.h"
 #include "obs/metrics.h"
+#include "obs/periodic_thread.h"
 #include "obs/watchdog.h"
 
 /// \file timeseries.h
@@ -206,9 +205,8 @@ struct ProcessStats {
 };
 ProcessStats ReadProcessStats();
 
-/// \brief Scrape cadence knobs.
+/// \brief What a scrape samples besides the registry.
 struct MetricsScraperConfig {
-  double interval_ms = 1000.0;
   bool include_process = true;
 };
 
@@ -243,7 +241,9 @@ class MetricsScraper {
   /// \p at_ms overrides the wall clock (deterministic tests).
   int64_t ScrapeOnce(int64_t at_ms = 0);
 
-  void Start();
+  /// \brief Spawns the scrape thread, scraping every \p interval_ms
+  /// (idempotent; no-op when the interval is not positive).
+  void Start(double interval_ms);
   void Stop();
   bool running() const;
 
@@ -251,8 +251,6 @@ class MetricsScraper {
   const Config& config() const { return config_; }
 
  private:
-  void Loop();
-
   const MetricsRegistry* registry_;
   MetricsTimeSeries* store_;
   Config config_;
@@ -261,15 +259,7 @@ class MetricsScraper {
   Watchdog::Handle* watchdog_ = nullptr;
   std::atomic<uint64_t> scrapes_{0};
 
-  /// Serializes Start/Stop end to end (including the join), so a Start
-  /// racing a Stop cannot respawn the loop before the old thread has
-  /// observed the stop and been joined. thread_ is guarded by this mutex.
-  std::mutex lifecycle_mutex_;
-  mutable std::mutex thread_mutex_;
-  std::condition_variable wake_cv_;
-  std::thread thread_;
-  bool stop_requested_ = false;
-  bool running_ = false;
+  PeriodicThread loop_;
 };
 
 }  // namespace aims::obs

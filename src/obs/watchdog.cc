@@ -2,11 +2,14 @@
 
 #include <utility>
 
+#include "obs/periodic_thread.h"
+
 namespace aims::obs {
 
 Watchdog::Watchdog(WatchdogConfig config, Counter* stall_counter)
-    : config_(config), stall_counter_(stall_counter) {
-  if (config_.check_interval_ms <= 0.0) config_.check_interval_ms = 250.0;
+    : config_(config),
+      stall_counter_(stall_counter),
+      checker_(std::make_unique<PeriodicThread>()) {
   if (config_.deadline_ms <= 0.0) config_.deadline_ms = 5000.0;
 }
 
@@ -25,46 +28,13 @@ void Watchdog::SetStallCallback(
   stall_callback_ = std::move(callback);
 }
 
-void Watchdog::Start() {
-  std::lock_guard<std::mutex> lock(thread_mutex_);
-  if (running_) return;
-  stop_requested_ = false;
-  running_ = true;
-  thread_ = std::thread([this] { Loop(); });
+void Watchdog::Start(double interval_ms) {
+  checker_->Start(interval_ms, [this] { CheckNow(); });
 }
 
-void Watchdog::Stop() {
-  std::thread to_join;
-  {
-    std::lock_guard<std::mutex> lock(thread_mutex_);
-    if (!running_) return;
-    stop_requested_ = true;
-    to_join = std::move(thread_);
-    running_ = false;
-  }
-  wake_cv_.notify_all();
-  if (to_join.joinable()) to_join.join();
-}
+void Watchdog::Stop() { checker_->Stop(); }
 
-bool Watchdog::running() const {
-  std::lock_guard<std::mutex> lock(thread_mutex_);
-  return running_;
-}
-
-void Watchdog::Loop() {
-  const auto interval =
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double, std::milli>(config_.check_interval_ms));
-  std::unique_lock<std::mutex> lock(thread_mutex_);
-  while (!stop_requested_) {
-    if (wake_cv_.wait_for(lock, interval, [&] { return stop_requested_; })) {
-      return;
-    }
-    lock.unlock();
-    CheckNow();
-    lock.lock();
-  }
-}
+bool Watchdog::running() const { return checker_->running(); }
 
 size_t Watchdog::CheckNow() {
   // Judge under the lock, fire callbacks outside it: a callback that dumps

@@ -2,14 +2,12 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -35,10 +33,10 @@
 
 namespace aims::obs {
 
-/// \brief Checker cadence and the default per-handle deadline.
+class PeriodicThread;
+
+/// \brief The default per-handle deadline.
 struct WatchdogConfig {
-  /// How often the checker thread walks the handles.
-  double check_interval_ms = 250.0;
   /// Deadline applied to handles registered without their own: an armed
   /// handle whose last beat is older than this has stalled.
   double deadline_ms = 5000.0;
@@ -150,8 +148,9 @@ class Watchdog {
   /// checker thread with no Watchdog lock held; set before Start().
   void SetStallCallback(std::function<void(const ThreadStatus&)> callback);
 
-  /// \brief Spawns the periodic checker (idempotent).
-  void Start();
+  /// \brief Spawns the checker, walking the handles every \p interval_ms
+  /// (idempotent; no-op when the interval is not positive).
+  void Start(double interval_ms);
   /// \brief Stops and joins the checker (idempotent).
   void Stop();
   bool running() const;
@@ -169,8 +168,6 @@ class Watchdog {
   const WatchdogConfig& config() const { return config_; }
 
  private:
-  void Loop();
-
   WatchdogConfig config_;
   Counter* stall_counter_;
 
@@ -182,11 +179,8 @@ class Watchdog {
 
   std::atomic<uint64_t> stalls_{0};
 
-  mutable std::mutex thread_mutex_;
-  std::condition_variable wake_cv_;
-  std::thread thread_;
-  bool stop_requested_ = false;
-  bool running_ = false;
+  /// Behind a pointer: periodic_thread.h includes this header for Handle.
+  std::unique_ptr<PeriodicThread> checker_;
 };
 
 }  // namespace aims::obs

@@ -100,11 +100,10 @@ struct GetHealthResponse {
   /// snapshot was computed on demand).
   bool reporter_running = false;
   /// Catalog-wide block-cache counters (summed over shards). All zero when
-  /// caching is disabled or ObsConfig::enable_cache_stats is off.
+  /// caching is disabled.
   obs::CacheStats cache;
   /// Catalog-wide WAL counters (summed over shards; the group-commit
-  /// batch high-water mark is a max). All zero on the in-memory backend
-  /// or when ObsConfig::enable_wal_stats is off.
+  /// batch high-water mark is a max). All zero on the in-memory backend.
   obs::WalStats wal;
 };
 

@@ -108,48 +108,13 @@ Result<storage::tslife::SweepStats> RetentionSweeper::SweepNow(
 }
 
 void RetentionSweeper::Start() {
-  if (config_.interval_ms <= 0.0) return;
-  std::lock_guard<std::mutex> lock(thread_mutex_);
-  if (running_) return;
-  stop_requested_ = false;
-  running_ = true;
-  if (heartbeat_ != nullptr) heartbeat_->Arm();
-  thread_ = std::thread([this] { Loop(); });
+  // Failures are counted and recorded inside SweepNow; the loop keeps
+  // going — a transient WAL error must not end retention forever.
+  loop_.Start(config_.interval_ms, [this] { (void)SweepNow(); }, heartbeat_);
 }
 
-void RetentionSweeper::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(thread_mutex_);
-    if (!running_) return;
-    stop_requested_ = true;
-  }
-  wake_cv_.notify_all();
-  thread_.join();
-  std::lock_guard<std::mutex> lock(thread_mutex_);
-  running_ = false;
-  if (heartbeat_ != nullptr) heartbeat_->Disarm();
-}
+void RetentionSweeper::Stop() { loop_.Stop(); }
 
-bool RetentionSweeper::running() const {
-  std::lock_guard<std::mutex> lock(thread_mutex_);
-  return running_;
-}
-
-void RetentionSweeper::Loop() {
-  const auto interval = std::chrono::duration<double, std::milli>(
-      config_.interval_ms);
-  std::unique_lock<std::mutex> lock(thread_mutex_);
-  while (!stop_requested_) {
-    if (wake_cv_.wait_for(lock, interval, [this] { return stop_requested_; })) {
-      return;
-    }
-    lock.unlock();
-    if (heartbeat_ != nullptr) heartbeat_->Beat();
-    // Failures are counted and recorded inside SweepNow; the loop keeps
-    // going — a transient WAL error must not end retention forever.
-    (void)SweepNow();
-    lock.lock();
-  }
-}
+bool RetentionSweeper::running() const { return loop_.running(); }
 
 }  // namespace aims::server

@@ -1,14 +1,13 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <mutex>
-#include <thread>
 #include <unordered_map>
 
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
+#include "obs/periodic_thread.h"
 #include "obs/watchdog.h"
 #include "server/sharded_catalog.h"
 
@@ -85,8 +84,6 @@ class RetentionSweeper {
   uint64_t sweeps() const { return sweeps_.load(std::memory_order_relaxed); }
 
  private:
-  void Loop();
-
   ShardedCatalog* catalog_;
   RetentionSweeperConfig config_;
   obs::FlightRecorder* recorder_;
@@ -106,11 +103,7 @@ class RetentionSweeper {
   obs::Gauge* segment_bytes_ = nullptr;
   obs::Gauge* last_max_nmse_ = nullptr;
 
-  mutable std::mutex thread_mutex_;
-  std::condition_variable wake_cv_;
-  std::thread thread_;
-  bool stop_requested_ = false;
-  bool running_ = false;
+  obs::PeriodicThread loop_;
 };
 
 }  // namespace aims::server

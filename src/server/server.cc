@@ -116,23 +116,15 @@ AimsServer::AimsServer(ServerConfig config)
       });
   scheduler_->SetAggregateRegistry(aggregates_.get());
 
-  obs::StatsReporterConfig reporter_config = config.obs.reporter;
-  if (config.obs.reporter_interval_ms > 0.0) {
-    reporter_config.interval_ms = config.obs.reporter_interval_ms;
-  }
   reporter_ =
-      std::make_unique<obs::StatsReporter>(metrics_.get(), reporter_config);
+      std::make_unique<obs::StatsReporter>(metrics_.get(), config.obs.reporter);
 
   // Metrics history: the store, the scraper feeding it, and (with
   // objectives configured) the SLO engine evaluated after every scrape.
   if (config.obs.enable_metrics_history) {
     history_ = std::make_unique<obs::MetricsTimeSeries>(config.obs.history);
-    obs::MetricsScraperConfig scraper_config;
-    if (config.obs.history_scrape_interval_ms > 0.0) {
-      scraper_config.interval_ms = config.obs.history_scrape_interval_ms;
-    }
-    scraper_ = std::make_unique<obs::MetricsScraper>(
-        metrics_.get(), history_.get(), scraper_config);
+    scraper_ =
+        std::make_unique<obs::MetricsScraper>(metrics_.get(), history_.get());
     if (!config.obs.slos.empty()) {
       slo_ = std::make_unique<obs::SloEngine>(
           history_.get(),
@@ -156,15 +148,10 @@ AimsServer::AimsServer(ServerConfig config)
   // Watchdog: always constructed (supervised sections register
   // unconditionally and tests drive CheckNow); the checker thread only
   // runs when a cadence was configured.
-  obs::WatchdogConfig watchdog_config;
-  if (config.obs.watchdog_interval_ms > 0.0) {
-    watchdog_config.check_interval_ms = config.obs.watchdog_interval_ms;
-  }
-  watchdog_config.deadline_ms = config.obs.watchdog_deadline_ms;
   watchdog_ = std::make_unique<obs::Watchdog>(
-      watchdog_config, config.obs.enable_metrics
-                           ? metrics_->GetCounter("watchdog.stalls_total")
-                           : nullptr);
+      obs::WatchdogConfig{config.obs.watchdog_deadline_ms},
+      config.obs.enable_metrics ? metrics_->GetCounter("watchdog.stalls_total")
+                                : nullptr);
   pool_->SetWatchdog(watchdog_->Register("thread_pool"));
   reporter_->SetWatchdogHandle(watchdog_->Register("stats_reporter"));
   catalog_->SetWalWatchdog(watchdog_->Register("wal_sync"));
@@ -260,11 +247,12 @@ AimsServer::AimsServer(ServerConfig config)
     recorder_->Start();
   }
 
-  if (config.obs.watchdog_interval_ms > 0.0) watchdog_->Start();
-  if (config.retention.interval_ms > 0.0) sweeper_->Start();
-  if (config.obs.reporter_interval_ms > 0.0) reporter_->Start();
-  if (scraper_ != nullptr && config.obs.history_scrape_interval_ms > 0.0) {
-    scraper_->Start();
+  // Each loop starts only when its cadence is positive.
+  watchdog_->Start(config.obs.watchdog_interval_ms);
+  sweeper_->Start();
+  reporter_->Start(config.obs.reporter_interval_ms);
+  if (scraper_ != nullptr) {
+    scraper_->Start(config.obs.history_scrape_interval_ms);
   }
 
   if (config.obs.admin_port >= 0) {
@@ -413,12 +401,8 @@ Result<GetHealthResponse> AimsServer::GetHealth(
   response.health =
       request.force_refresh ? reporter_->SnapshotNow() : reporter_->Latest();
   response.reporter_running = reporter_->running();
-  if (config_.obs.enable_cache_stats) {
-    response.cache = catalog_->TotalCacheStats();
-  }
-  if (config_.obs.enable_wal_stats && catalog_->durable()) {
-    response.wal = catalog_->TotalWalStats();
-  }
+  response.cache = catalog_->TotalCacheStats();
+  if (catalog_->durable()) response.wal = catalog_->TotalWalStats();
   return response;
 }
 
@@ -676,19 +660,15 @@ void AimsServer::WireAdminRoutes() {
   admin_->Route("/metrics", [this](const obs::AdminRequest&) {
     obs::AdminResponse response;
     response.content_type = "text/plain; version=0.0.4";
-    std::optional<obs::CacheStats> cache;
+    const obs::CacheStats cache = catalog_->TotalCacheStats();
     std::optional<obs::WalStats> wal;
-    if (config_.obs.enable_cache_stats) cache = catalog_->TotalCacheStats();
-    if (config_.obs.enable_wal_stats && catalog_->durable()) {
-      wal = catalog_->TotalWalStats();
-    }
+    if (catalog_->durable()) wal = catalog_->TotalWalStats();
     std::vector<obs::ShardStatsEntry> shards = catalog_->ShardStats();
     std::vector<obs::SloStatus> slo;
     if (slo_ != nullptr) slo = slo_->Latest();
     response.body = obs::PrometheusExport(
         *metrics_, config_.obs.enable_tracing ? tracer_.get() : nullptr,
-        config_.obs.enable_cost_ledger ? cost_ledger_.get() : nullptr,
-        cache.has_value() ? &*cache : nullptr,
+        config_.obs.enable_cost_ledger ? cost_ledger_.get() : nullptr, &cache,
         wal.has_value() ? &*wal : nullptr, &shards,
         slo_ != nullptr ? &slo : nullptr);
     return response;

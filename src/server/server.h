@@ -67,8 +67,8 @@ struct ObsConfig {
   /// What the StatsReporter watches (latency histogram, saturation gauge,
   /// targets) — see obs/stats_reporter.h.
   obs::StatsReporterConfig reporter;
-  /// > 0 starts the periodic reporter thread on this cadence (overriding
-  /// reporter.interval_ms); 0 leaves health evaluation on-demand only.
+  /// > 0 starts the periodic reporter thread on this cadence; 0 leaves
+  /// health evaluation on-demand only.
   double reporter_interval_ms = 0.0;
   /// Charge per-tenant resource usage (CPU-ns, block I/O, queue
   /// occupancy) on every ingest/query/stream path; exposed through
@@ -87,14 +87,6 @@ struct ObsConfig {
   /// logger (see obs/log.h). Producers never block; overload drops
   /// records and ticks the logger's drop counters instead.
   obs::AsyncLogConfig slow_query_log;
-  /// Include the catalog-wide block-cache counters in GetHealth responses
-  /// (all-zero when ServerConfig::system.block_cache is disabled). Off,
-  /// the health response's cache section stays default-initialized.
-  bool enable_cache_stats = true;
-  /// Include the catalog-wide WAL counters in GetHealth responses
-  /// (zero-valued on the in-memory backend). Off, the health response's
-  /// wal section stays default-initialized.
-  bool enable_wal_stats = true;
   /// Admin HTTP plane on 127.0.0.1: >= 0 enables (0 picks an ephemeral
   /// port — read it back from admin_http()->port()), < 0 (default)
   /// disables. Serves /metrics, /healthz, /shards, /tenants[/<id>],

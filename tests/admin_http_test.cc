@@ -13,6 +13,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <future>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -112,6 +113,48 @@ TEST(AdminHttpServerTest, RoutesParseErrorsAndEphemeralPort) {
   server.Stop();
   EXPECT_FALSE(server.running());
   server.Stop();  // idempotent
+}
+
+TEST(AdminHttpServerTest, StartRacingStopWaitsForTheOldThreads) {
+  // A Start issued the moment running() reads false during a Stop must
+  // wait until that Stop has joined the old accept and handler threads and
+  // closed their socket. Otherwise it clears the stop flag under them and
+  // replaces the socket that Stop closes, and the Stop blocks until some
+  // later Stop.
+  AdminHttpServer server{AdminHttpConfig{}};
+  server.Route("/ping", [](const AdminRequest&) {
+    AdminResponse response;
+    response.body = "pong";
+    return response;
+  });
+  for (int trial = 0; trial < 10; ++trial) {
+    ASSERT_TRUE(server.Start().ok());
+    std::promise<void> stopped;
+    std::future<void> stop_done = stopped.get_future();
+    std::thread stopper([&] {
+      server.Stop();
+      stopped.set_value();
+    });
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (server.running() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    const Status restarted = server.Start();
+    const bool stop_returned = stop_done.wait_for(std::chrono::seconds(5)) ==
+                               std::future_status::ready;
+    // A second Stop releases a blocked one, so a failure ends the trial
+    // instead of hanging the test.
+    if (!stop_returned) server.Stop();
+    stopper.join();
+    ASSERT_TRUE(stop_returned)
+        << "Stop() blocked behind a racing Start() in trial " << trial;
+    ASSERT_TRUE(restarted.ok()) << restarted.ToString();
+    EXPECT_TRUE(server.running());
+    EXPECT_EQ(Get(server.port(), "/ping").body, "pong");
+    server.Stop();
+    EXPECT_FALSE(server.running());
+  }
 }
 
 TEST(AdminHttpServerTest, OverloadAnswersCanned503InsteadOfQueueing) {

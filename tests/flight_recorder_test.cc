@@ -23,6 +23,7 @@
 #include "obs/stats_reporter.h"
 #include "obs/tracer.h"
 #include "obs/watchdog.h"
+#include "server/server.h"
 
 namespace aims::obs {
 namespace {
@@ -238,6 +239,41 @@ TEST(FlightRecorderTest, WatchdogStallDumpsBundleWithRecentHistory) {
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_EQ(watchdog.CheckNow(), 1u) << "a fresh episode counts again";
   EXPECT_EQ(recorder.dumps(), 2u);
+}
+
+// The server's checker thread on its own: with
+// ObsConfig::watchdog_interval_ms set, an armed handle that never beats is
+// counted and flight-recorded without anyone calling CheckNow().
+TEST(FlightRecorderTest, ServerWatchdogThreadDumpsAStallWithoutCheckNow) {
+  const std::string dir = TestDir("server_stall");
+  server::ServerConfig config;
+  config.num_shards = 1;
+  config.num_threads = 1;
+  config.obs.watchdog_interval_ms = 5.0;
+  config.obs.flight_recorder.bundle_path = dir + "/flightrecord.json";
+  server::AimsServer server(config);
+  EXPECT_TRUE(server.watchdog().running());
+
+  Watchdog::Handle* wedged = server.watchdog().Register("wedged_loop", 5.0);
+  wedged->Arm();
+  Counter* stalls = server.metrics().GetCounter("watchdog.stalls_total");
+  const std::string& path = config.obs.flight_recorder.bundle_path;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while ((stalls->value() == 0 ||
+          ReadFile(path).find("watchdog stall: wedged_loop") ==
+              std::string::npos) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_EQ(stalls->value(), 1u) << "one episode, counted once";
+  EXPECT_NE(ReadFile(path).find("watchdog stall: wedged_loop"),
+            std::string::npos);
+  EXPECT_GE(server.flight_recorder()->dumps(), 1u);
+
+  wedged->Disarm();
+  server.Shutdown();
+  EXPECT_FALSE(server.watchdog().running());
 }
 
 }  // namespace

