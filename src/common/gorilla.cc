@@ -44,24 +44,64 @@ constexpr DodClass kDodClasses[] = {
 }  // namespace
 
 void BitWriter::Write(uint64_t value, int bits) {
-  for (int i = bits - 1; i >= 0; --i) {
-    if (bit_count_ % 8 == 0) bytes_.push_back(0);
-    if ((value >> i) & 1) {
-      bytes_.back() |= static_cast<uint8_t>(1u << (7 - bit_count_ % 8));
+  if (bits <= 0) return;
+  if (bits < 64) value &= (uint64_t{1} << bits) - 1;
+  const int used = static_cast<int>(bit_count_ % 8);
+  bit_count_ += static_cast<size_t>(bits);
+  // Grow once, then fill whole bytes: the first one topped up from the
+  // partial last byte, the middle ones 8 bits at a time, the last one
+  // left-aligned (MSB-first).
+  const size_t first = bytes_.size() - (used > 0 ? 1 : 0);
+  bytes_.resize((bit_count_ + 7) / 8);
+  uint8_t* p = bytes_.data() + first;
+  int left = bits;
+  if (used > 0) {
+    const int room = 8 - used;
+    if (left <= room) {
+      *p |= static_cast<uint8_t>(value << (room - left));
+      return;
     }
-    ++bit_count_;
+    left -= room;
+    *p++ |= static_cast<uint8_t>(value >> left);
   }
+  while (left >= 8) {
+    left -= 8;
+    *p++ = static_cast<uint8_t>(value >> left);
+  }
+  if (left > 0) *p = static_cast<uint8_t>(value << (8 - left));
+}
+
+std::vector<uint8_t> BitWriter::TakeBytes() {
+  // Exact-size hand-over: the growth slack of a doubling vector would
+  // otherwise stay allocated for the sealed segment's whole life.
+  bytes_.shrink_to_fit();
+  bit_count_ = 0;
+  return std::move(bytes_);
 }
 
 bool BitReader::Read(uint64_t* out, int bits) {
-  if (bit_pos_ + static_cast<size_t>(bits) > size_ * 8) return false;
-  uint64_t v = 0;
-  for (int i = 0; i < bits; ++i) {
-    const size_t byte = bit_pos_ / 8;
-    const size_t off = bit_pos_ % 8;
-    v = (v << 1) | ((data_[byte] >> (7 - off)) & 1);
-    ++bit_pos_;
+  if (bits < 0 || bit_pos_ + static_cast<size_t>(bits) > size_ * 8) {
+    return false;
   }
+  const uint8_t* p = data_ + bit_pos_ / 8;
+  const int skip = static_cast<int>(bit_pos_ % 8);
+  bit_pos_ += static_cast<size_t>(bits);
+  int left = bits;
+  uint64_t v = 0;
+  if (skip > 0) {
+    const int room = 8 - skip;
+    v = *p++ & (0xFFu >> skip);
+    if (left <= room) {
+      *out = v >> (room - left);
+      return true;
+    }
+    left -= room;
+  }
+  while (left >= 8) {
+    v = (v << 8) | *p++;
+    left -= 8;
+  }
+  if (left > 0) v = (v << left) | (*p >> (8 - left));
   *out = v;
   return true;
 }
@@ -146,6 +186,13 @@ Result<std::vector<Sample>> GorillaDecode(const uint8_t* data, size_t size,
                                           size_t count) {
   std::vector<Sample> out;
   if (count == 0) return out;
+  // The first sample is 128 raw bits and every later one at least 2 (one
+  // timestamp bit, one value bit), so a count the bytes cannot hold is
+  // corrupt — refuse it before reserving for it.
+  if (size < 16 || (count - 1) > (size - 16) * 4) {
+    return Status::InvalidArgument(
+        "gorilla: sample count exceeds what the chunk can hold");
+  }
   out.reserve(count);
   BitReader reader(data, size);
   const auto truncated = [] {

@@ -31,15 +31,19 @@ struct Sample {
 };
 
 /// \brief Append-only bit stream over a byte vector (MSB-first within each
-/// byte, the classic Gorilla layout).
+/// byte, the classic Gorilla layout). Writes and reads move whole bytes,
+/// not single bits.
 class BitWriter {
  public:
-  /// Appends the low \p bits bits of \p value, most significant first.
+  /// Appends the low \p bits bits of \p value (0-64), most significant
+  /// first.
   void Write(uint64_t value, int bits);
   void WriteBit(bool bit) { Write(bit ? 1 : 0, 1); }
 
   const std::vector<uint8_t>& bytes() const { return bytes_; }
-  std::vector<uint8_t> TakeBytes() { return std::move(bytes_); }
+  /// Hands over the written bytes with no spare capacity and leaves the
+  /// writer empty.
+  std::vector<uint8_t> TakeBytes();
   /// Total bits written so far (not rounded up to a byte).
   size_t bit_count() const { return bit_count_; }
 
@@ -53,8 +57,8 @@ class BitReader {
  public:
   BitReader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
 
-  /// Reads \p bits bits into the low bits of the result. False when the
-  /// stream is exhausted (truncated input), in which case *out is
+  /// Reads \p bits bits (0-64) into the low bits of the result. False when
+  /// the stream is exhausted (truncated input), in which case *out is
   /// unspecified.
   bool Read(uint64_t* out, int bits);
   bool ReadBit(bool* out);
@@ -86,6 +90,8 @@ class GorillaEncoder {
   /// Snapshot of the compressed bytes (the active-chunk read path decodes
   /// a copy of this together with count()).
   const std::vector<uint8_t>& bytes() const { return writer_.bytes(); }
+  /// The sealed bytes, trimmed to size_bytes(); the encoder is spent
+  /// afterwards.
   std::vector<uint8_t> TakeBytes() { return writer_.TakeBytes(); }
 
  private:
@@ -103,7 +109,9 @@ class GorillaEncoder {
 };
 
 /// \brief Decodes \p count samples from an encoded chunk.
-/// InvalidArgument on a truncated or corrupt stream.
+/// InvalidArgument on a truncated or corrupt stream, and before any
+/// allocation when \p size bytes cannot hold \p count samples (the first
+/// takes 128 bits, every later one at least 2).
 Result<std::vector<Sample>> GorillaDecode(const uint8_t* data, size_t size,
                                           size_t count);
 inline Result<std::vector<Sample>> GorillaDecode(

@@ -274,6 +274,8 @@ Result<AimsSystem::StoredSession> AimsSystem::BuildSession(
     // Gorilla segments beside the wavelet blocks — tier 0 of the storage
     // lifecycle, bit-exact against the ingested values.
     if (config_.tslife.enabled) {
+      size_t seal_span = 0;
+      if (trace != nullptr) seal_span = trace->BeginSpan("seal");
       std::vector<storage::tslife::Segment> segments =
           storage::tslife::BuildSegments(c, t_us, channel,
                                          recording.sample_rate_hz,
@@ -281,6 +283,7 @@ Result<AimsSystem::StoredSession> AimsSystem::BuildSession(
       for (storage::tslife::Segment& seg : segments) {
         session.segments.Put(std::move(seg));
       }
+      if (trace != nullptr) trace->EndSpan(seal_span);
     }
 
     StoredChannel stored;
@@ -340,9 +343,7 @@ Result<AimsSystem::StoredSession> AimsSystem::BuildSession(
     size_t write_span = 0;
     if (trace != nullptr) write_span = trace->BeginSpan("block_write");
     stored.store = std::make_unique<storage::WaveletStore>(
-        device_.get(),
-        std::make_unique<storage::SubtreeTilingAllocator>(padded, block_items),
-        padded, cache_.get());
+        device_.get(), LayoutFor(padded), cache_.get());
     for (double v : coeffs) stored.energy += v * v;
     AIMS_RETURN_NOT_OK(stored.store->Put(coeffs));
     if (trace != nullptr) trace->EndSpan(write_span);
@@ -520,9 +521,14 @@ Status AimsSystem::ApplyCatalogBlob(const std::vector<uint8_t>& blob) {
     channel.padded_len = reader.U64();
     channel.energy = reader.F64();
     const uint64_t num_blocks = reader.U64();
+    // No block holds more than block_items coefficients, so a padded
+    // length the block list cannot cover is corrupt — refused before a
+    // layout of that length is built.
     if (!reader.ok || num_blocks > kMaxCatalogField ||
+        reader.size - reader.pos < num_blocks * sizeof(uint32_t) ||
         channel.padded_len > kMaxCatalogField ||
-        !signal::IsPowerOfTwo(channel.padded_len)) {
+        !signal::IsPowerOfTwo(channel.padded_len) ||
+        num_blocks * block_items < channel.padded_len) {
       return Status::IoError("ApplyCatalogBlob: malformed channel entry");
     }
     std::vector<storage::BlockId> ids(num_blocks);
@@ -537,15 +543,14 @@ Status AimsSystem::ApplyCatalogBlob(const std::vector<uint8_t>& blob) {
             std::to_string(id));
       }
     }
-    auto allocator = std::make_unique<storage::SubtreeTilingAllocator>(
-        channel.padded_len, block_items);
-    if (allocator->num_blocks() != ids.size()) {
+    std::shared_ptr<const storage::BlockLayout> layout =
+        LayoutFor(channel.padded_len);
+    if (layout->num_blocks() != ids.size()) {
       return Status::IoError(
           "ApplyCatalogBlob: block list does not match the allocation");
     }
     channel.store = std::make_unique<storage::WaveletStore>(
-        device_.get(), std::move(allocator), channel.padded_len, cache_.get(),
-        std::move(ids));
+        device_.get(), std::move(layout), cache_.get(), std::move(ids));
     session.channels.push_back(std::move(channel));
   }
   sessions_.push_back(std::move(session));
@@ -642,6 +647,29 @@ Status AimsSystem::LoadSnapshot() {
     }
   }
   return Status::OK();
+}
+
+std::shared_ptr<const storage::BlockLayout> AimsSystem::LayoutFor(
+    size_t padded_len) {
+  std::shared_ptr<const storage::BlockLayout>& layout = layouts_[padded_len];
+  if (layout == nullptr) {
+    layout = std::make_shared<const storage::BlockLayout>(
+        std::make_unique<storage::SubtreeTilingAllocator>(
+            padded_len, config_.block_size_bytes / sizeof(double)),
+        padded_len);
+  }
+  return layout;
+}
+
+Result<const storage::WaveletStore*> AimsSystem::ChannelStore(
+    SessionId id, size_t channel) const {
+  if (id >= sessions_.size()) {
+    return Status::NotFound("ChannelStore: unknown session id");
+  }
+  if (channel >= sessions_[id].channels.size()) {
+    return Status::OutOfRange("ChannelStore: channel out of range");
+  }
+  return sessions_[id].channels[channel].store.get();
 }
 
 Result<SessionInfo> AimsSystem::GetSession(SessionId id) const {

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -265,9 +266,10 @@ class AimsSystem {
 
   /// \brief Ingests a multi-channel recording: per-channel mean-centering,
   /// DWT, best-basis report, and block placement on the shared device.
-  /// \p trace (optional) gains one "transform" and one "block_write" span
-  /// per channel, nesting under whatever span the caller has open — the
-  /// storage half of an end-to-end ingest trace.
+  /// \p trace (optional) gains one "seal" (when the raw-sample lifecycle
+  /// is on), one "transform" and one "block_write" span per channel,
+  /// nesting under whatever span the caller has open — the storage half
+  /// of an end-to-end ingest trace.
   /// This is the sequential form of the staged protocol below, on either
   /// backend: it returns once the ingest's WAL commit (if any) is durable
   /// and its pages are on the device.
@@ -341,6 +343,11 @@ class AimsSystem {
   /// Catalog lookup.
   Result<SessionInfo> GetSession(SessionId id) const;
   std::vector<SessionInfo> ListSessions() const;
+
+  /// \brief The wavelet store of one stored channel. Every store of one
+  /// padded length shares one BlockLayout (see LayoutFor).
+  Result<const storage::WaveletStore*> ChannelStore(SessionId id,
+                                                    size_t channel) const;
 
   // ---- Raw-sample lifecycle (storage/tslife.h) --------------------------
 
@@ -528,6 +535,10 @@ class AimsSystem {
     storage::tslife::SegmentStore segments;
   };
 
+  /// The layout every stored channel of \p padded_len shares: subtree
+  /// tiling at the configured block size, built on first use. Exclusive-
+  /// lock domain, like sessions_.
+  std::shared_ptr<const storage::BlockLayout> LayoutFor(size_t padded_len);
   /// Builds one session's stores (transform + Put through the cache) but
   /// does not publish it — StageIngest's first step. Also seals the raw
   /// segments and, when \p updates is non-null, evaluates the standing
@@ -578,6 +589,8 @@ class AimsSystem {
   /// between snapshot write and log truncation must not double-apply).
   uint64_t applied_txn_ = 0;
   std::vector<StoredSession> sessions_;
+  /// Padded channel length -> the layout its stores share.
+  std::map<size_t, std::shared_ptr<const storage::BlockLayout>> layouts_;
   /// Standing queries evaluated at every ingest (exclusive-lock domain,
   /// like sessions_).
   std::vector<StandingRangeQuery> standing_queries_;

@@ -19,25 +19,53 @@ int MaxLevels(size_t n) {
   return levels;
 }
 
+namespace {
+
+/// Outputs j whose filter window [2j, 2j + len) lies inside a length-n
+/// input: they need no periodic wrap. Only the last len/2 - 1 outputs (all
+/// of them when n < len) wrap around the end.
+size_t UnwrappedOutputs(size_t n, size_t len) {
+  return n >= len ? std::min(n / 2, (n - len) / 2 + 1) : 0;
+}
+
+}  // namespace
+
 void DwtStep(const WaveletFilter& filter, const std::vector<double>& input,
              std::vector<double>* scaling, std::vector<double>* detail) {
   const size_t n = input.size();
   AIMS_CHECK(n % 2 == 0 && n > 0);
   const size_t half = n / 2;
-  const auto& h = filter.lowpass();
-  const auto& g = filter.highpass();
+  const double* h = filter.lowpass().data();
+  const double* g = filter.highpass().data();
   const size_t len = filter.length();
-  scaling->assign(half, 0.0);
-  detail->assign(half, 0.0);
-  for (size_t j = 0; j < half; ++j) {
+  scaling->resize(half);
+  detail->resize(half);
+  const double* x = input.data();
+  double* out_s = scaling->data();
+  double* out_d = detail->data();
+  // Each output sums the same products in the same tap order whether or
+  // not its window wraps, so both loops give the periodic convolution's
+  // exact bits.
+  const size_t unwrapped = UnwrappedOutputs(n, len);
+  for (size_t j = 0; j < unwrapped; ++j) {
+    const double* w = x + 2 * j;
     double s = 0.0, d = 0.0;
     for (size_t t = 0; t < len; ++t) {
-      double x = input[(2 * j + t) % n];
-      s += h[t] * x;
-      d += g[t] * x;
+      s += h[t] * w[t];
+      d += g[t] * w[t];
     }
-    (*scaling)[j] = s;
-    (*detail)[j] = d;
+    out_s[j] = s;
+    out_d[j] = d;
+  }
+  for (size_t j = unwrapped; j < half; ++j) {
+    double s = 0.0, d = 0.0;
+    for (size_t t = 0; t < len; ++t) {
+      const double v = x[(2 * j + t) % n];
+      s += h[t] * v;
+      d += g[t] * v;
+    }
+    out_s[j] = s;
+    out_d[j] = d;
   }
 }
 
@@ -46,15 +74,24 @@ void IdwtStep(const WaveletFilter& filter, const std::vector<double>& scaling,
   const size_t half = scaling.size();
   AIMS_CHECK(detail.size() == half && half > 0);
   const size_t n = 2 * half;
-  const auto& h = filter.lowpass();
-  const auto& g = filter.highpass();
+  const double* h = filter.lowpass().data();
+  const double* g = filter.highpass().data();
   const size_t len = filter.length();
   output->assign(n, 0.0);
-  // Transpose of the analysis operator (orthonormal => inverse).
-  for (size_t j = 0; j < half; ++j) {
+  double* out = output->data();
+  // Transpose of the analysis operator (orthonormal => inverse). Every
+  // output accumulates its contributions in ascending j either way, and
+  // the wrapping j come last, so splitting the loop keeps the exact bits.
+  const size_t unwrapped = UnwrappedOutputs(n, len);
+  for (size_t j = 0; j < unwrapped; ++j) {
+    double* w = out + 2 * j;
+    const double s = scaling[j];
+    const double d = detail[j];
+    for (size_t t = 0; t < len; ++t) w[t] += h[t] * s + g[t] * d;
+  }
+  for (size_t j = unwrapped; j < half; ++j) {
     for (size_t t = 0; t < len; ++t) {
-      size_t i = (2 * j + t) % n;
-      (*output)[i] += h[t] * scaling[j] + g[t] * detail[j];
+      out[(2 * j + t) % n] += h[t] * scaling[j] + g[t] * detail[j];
     }
   }
 }
@@ -83,7 +120,7 @@ Result<std::vector<double>> ForwardDwt(const WaveletFilter& filter,
       out[k] = s[k];
       out[span + k] = d[k];
     }
-    current = s;
+    current.swap(s);
   }
   return out;
 }

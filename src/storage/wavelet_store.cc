@@ -1,5 +1,6 @@
 #include "storage/wavelet_store.h"
 
+#include <algorithm>
 #include <cstring>
 #include <set>
 #include <string>
@@ -8,44 +9,69 @@
 
 namespace aims::storage {
 
-WaveletStore::WaveletStore(BlockDevice* device,
-                           std::unique_ptr<CoefficientAllocator> allocator,
-                           size_t n, BlockCache* cache)
-    : device_(device), allocator_(std::move(allocator)), n_(n), cache_(cache) {
-  AIMS_CHECK(device_ != nullptr);
-  AIMS_CHECK(cache_ == nullptr || cache_->device() == device_);
-  block_contents_.resize(allocator_->num_blocks());
+BlockLayout::BlockLayout(std::unique_ptr<CoefficientAllocator> allocator,
+                         size_t n)
+    : allocator_(std::move(allocator)), n_(n) {
+  AIMS_CHECK(allocator_ != nullptr);
+  // Counting sort by block: one pass sizes the blocks, one places the
+  // indices (ascending within each block, as i ascends).
+  const size_t num_blocks = allocator_->num_blocks();
+  std::vector<size_t> block_of(n_);
+  offsets_.assign(num_blocks + 1, 0);
   for (size_t i = 0; i < n_; ++i) {
-    size_t b = allocator_->BlockOf(i);
-    AIMS_CHECK(b < block_contents_.size());
-    block_contents_[b].push_back(i);
+    block_of[i] = allocator_->BlockOf(i);
+    AIMS_CHECK(block_of[i] < num_blocks);
+    ++offsets_[block_of[i] + 1];
   }
-  // Each block must fit the device: 8 bytes per coefficient.
-  for (const auto& contents : block_contents_) {
-    AIMS_CHECK(contents.size() * sizeof(double) <= device_->block_size_bytes());
+  for (size_t b = 0; b < num_blocks; ++b) {
+    max_block_items_ = std::max(max_block_items_, offsets_[b + 1]);
+    offsets_[b + 1] += offsets_[b];
   }
+  indices_.resize(n_);
+  std::vector<size_t> cursor(offsets_.begin(), offsets_.end() - 1);
+  for (size_t i = 0; i < n_; ++i) indices_[cursor[block_of[i]]++] = i;
 }
 
 WaveletStore::WaveletStore(BlockDevice* device,
-                           std::unique_ptr<CoefficientAllocator> allocator,
-                           size_t n, BlockCache* cache,
+                           std::shared_ptr<const BlockLayout> layout,
+                           BlockCache* cache)
+    : device_(device), layout_(std::move(layout)), cache_(cache) {
+  AIMS_CHECK(device_ != nullptr && layout_ != nullptr);
+  AIMS_CHECK(cache_ == nullptr || cache_->device() == device_);
+  // Each block must fit the device: 8 bytes per coefficient.
+  AIMS_CHECK(layout_->max_block_items() * sizeof(double) <=
+             device_->block_size_bytes());
+}
+
+WaveletStore::WaveletStore(BlockDevice* device,
+                           std::shared_ptr<const BlockLayout> layout,
+                           BlockCache* cache,
                            std::vector<BlockId> device_blocks)
-    : WaveletStore(device, std::move(allocator), n, cache) {
-  AIMS_CHECK(device_blocks.size() == block_contents_.size());
+    : WaveletStore(device, std::move(layout), cache) {
+  AIMS_CHECK(device_blocks.size() == layout_->num_blocks());
   device_blocks_ = std::move(device_blocks);
   num_allocated_ = device_blocks_.size();
   populated_ = true;
 }
 
+WaveletStore::WaveletStore(BlockDevice* device,
+                           std::unique_ptr<CoefficientAllocator> allocator,
+                           size_t n, BlockCache* cache)
+    : WaveletStore(device,
+                   std::make_shared<const BlockLayout>(std::move(allocator), n),
+                   cache) {}
+
 Status WaveletStore::Put(const std::vector<double>& coefficients) {
-  if (coefficients.size() != n_) {
+  if (coefficients.size() != layout_->n()) {
     return Status::InvalidArgument("WaveletStore::Put: size mismatch");
   }
-  device_blocks_.resize(block_contents_.size());
-  for (size_t b = 0; b < block_contents_.size(); ++b) {
-    std::vector<uint8_t> payload(block_contents_[b].size() * sizeof(double));
-    for (size_t slot = 0; slot < block_contents_[b].size(); ++slot) {
-      double v = coefficients[block_contents_[b][slot]];
+  const size_t num_blocks = layout_->num_blocks();
+  device_blocks_.resize(num_blocks);
+  for (size_t b = 0; b < num_blocks; ++b) {
+    const std::span<const size_t> contents = layout_->contents(b);
+    std::vector<uint8_t> payload(contents.size() * sizeof(double));
+    for (size_t slot = 0; slot < contents.size(); ++slot) {
+      double v = coefficients[contents[slot]];
       std::memcpy(payload.data() + slot * sizeof(double), &v, sizeof(double));
     }
     // Allocate lazily and record the allocation before attempting the
@@ -69,17 +95,18 @@ Result<std::unordered_map<size_t, double>> WaveletStore::Fetch(
   }
   std::set<size_t> blocks;
   for (size_t idx : indices) {
-    if (idx >= n_) {
+    if (idx >= layout_->n()) {
       return Status::OutOfRange("WaveletStore::Fetch: index out of range");
     }
-    blocks.insert(allocator_->BlockOf(idx));
+    blocks.insert(allocator().BlockOf(idx));
   }
   std::set<size_t> wanted(indices.begin(), indices.end());
   std::unordered_map<size_t, double> out;
   for (size_t b : blocks) {
     AIMS_ASSIGN_OR_RETURN(std::vector<uint8_t> payload, ReadBlock(b));
-    for (size_t slot = 0; slot < block_contents_[b].size(); ++slot) {
-      size_t idx = block_contents_[b][slot];
+    const std::span<const size_t> contents = layout_->contents(b);
+    for (size_t slot = 0; slot < contents.size(); ++slot) {
+      size_t idx = contents[slot];
       if (wanted.count(idx)) {
         double v = 0.0;
         std::memcpy(&v, payload.data() + slot * sizeof(double),
@@ -93,14 +120,14 @@ Result<std::unordered_map<size_t, double>> WaveletStore::Fetch(
 
 size_t WaveletStore::BlocksNeeded(const std::vector<size_t>& indices) const {
   std::set<size_t> blocks;
-  for (size_t idx : indices) blocks.insert(allocator_->BlockOf(idx));
+  for (size_t idx : indices) blocks.insert(allocator().BlockOf(idx));
   return blocks.size();
 }
 
 std::vector<size_t> WaveletStore::BlocksFor(
     const std::vector<size_t>& indices) const {
   std::set<size_t> blocks;
-  for (size_t idx : indices) blocks.insert(allocator_->BlockOf(idx));
+  for (size_t idx : indices) blocks.insert(allocator().BlockOf(idx));
   return {blocks.begin(), blocks.end()};
 }
 
@@ -110,13 +137,13 @@ Result<std::vector<std::pair<size_t, double>>> WaveletStore::FetchBlock(
   if (!populated_) {
     return Status::FailedPrecondition("WaveletStore::FetchBlock before Put");
   }
-  if (logical_block >= block_contents_.size()) {
+  if (logical_block >= layout_->num_blocks()) {
     return Status::OutOfRange("WaveletStore::FetchBlock: no such block");
   }
   AIMS_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
                         ReadBlock(logical_block, cache_hit));
   std::vector<std::pair<size_t, double>> out;
-  const std::vector<size_t>& contents = block_contents_[logical_block];
+  const std::span<const size_t> contents = layout_->contents(logical_block);
   out.reserve(contents.size());
   for (size_t slot = 0; slot < contents.size(); ++slot) {
     double v = 0.0;
@@ -128,7 +155,7 @@ Result<std::vector<std::pair<size_t, double>>> WaveletStore::FetchBlock(
 
 bool WaveletStore::IsBlockCached(size_t logical_block) const {
   if (cache_ == nullptr || !populated_ ||
-      logical_block >= block_contents_.size()) {
+      logical_block >= layout_->num_blocks()) {
     return false;
   }
   return cache_->Contains(device_blocks_[logical_block]);
@@ -144,7 +171,7 @@ Result<std::vector<uint8_t>> WaveletStore::ReadBlock(size_t logical_block,
   // A never-written or cut-short page reads back short; decoding it would
   // read past the payload's end.
   const size_t expected =
-      block_contents_[logical_block].size() * sizeof(double);
+      layout_->contents(logical_block).size() * sizeof(double);
   if (payload.size() != expected) {
     return Status::IoError("WaveletStore: device block " + std::to_string(id) +
                            " holds " + std::to_string(payload.size()) +

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -18,29 +19,64 @@
 
 namespace aims::storage {
 
+/// \brief Which coefficient lives on which logical block: an allocator
+/// plus its block -> indices table. Immutable once built, and a function
+/// of the allocator alone, so every store of one shape shares one
+/// instance — AimsSystem keeps one per padded channel length instead of
+/// re-tiling the error tree for each stored channel.
+class BlockLayout {
+ public:
+  /// \param allocator placement policy (owned).
+  /// \param n coefficient count (power of two).
+  BlockLayout(std::unique_ptr<CoefficientAllocator> allocator, size_t n);
+
+  const CoefficientAllocator& allocator() const { return *allocator_; }
+  size_t n() const { return n_; }
+  size_t num_blocks() const { return offsets_.size() - 1; }
+  /// Coefficient indices stored on \p block, ascending.
+  std::span<const size_t> contents(size_t block) const {
+    return {indices_.data() + offsets_[block],
+            offsets_[block + 1] - offsets_[block]};
+  }
+  /// Coefficient count of the fullest block.
+  size_t max_block_items() const { return max_block_items_; }
+
+ private:
+  std::unique_ptr<CoefficientAllocator> allocator_;
+  size_t n_;
+  /// Block b holds indices_[offsets_[b], offsets_[b + 1]).
+  std::vector<size_t> offsets_;
+  std::vector<size_t> indices_;
+  size_t max_block_items_ = 0;
+};
+
 /// \brief One stored coefficient vector, block-allocated on a device.
 class WaveletStore {
  public:
   /// \param device shared block device (not owned).
-  /// \param allocator placement policy (owned).
-  /// \param n coefficient count (power of two).
+  /// \param layout coefficient placement, possibly shared with other
+  /// stores; every block must fit one device block.
   /// \param cache optional read-through block cache over \p device (not
   /// owned); when set, all block reads and writes route through it so
   /// repeated fetches of a hot block cost CPU instead of a simulated seek,
   /// and re-Put invalidates stale cached copies.
-  WaveletStore(BlockDevice* device,
-               std::unique_ptr<CoefficientAllocator> allocator, size_t n,
+  WaveletStore(BlockDevice* device, std::shared_ptr<const BlockLayout> layout,
                BlockCache* cache = nullptr);
 
   /// \brief Attach ctor: adopts an already-written allocation instead of
   /// Put-ting fresh data — the recovery/reopen path of the durable
   /// backend. \p device_blocks maps logical block -> device block id,
   /// exactly as a previous instance's device_blocks() reported (one entry
-  /// per allocator block, all already populated on \p device). Fetches
+  /// per layout block, all already populated on \p device). Fetches
   /// work immediately; a later Put overwrites the same blocks in place.
+  WaveletStore(BlockDevice* device, std::shared_ptr<const BlockLayout> layout,
+               BlockCache* cache, std::vector<BlockId> device_blocks);
+
+  /// \brief A store with a layout of its own, built from \p allocator
+  /// (owned) over \p n coefficients.
   WaveletStore(BlockDevice* device,
                std::unique_ptr<CoefficientAllocator> allocator, size_t n,
-               BlockCache* cache, std::vector<BlockId> device_blocks);
+               BlockCache* cache = nullptr);
 
   /// Writes all coefficients to their blocks. Device blocks are allocated
   /// on first use and reused on later calls, so a re-Put (re-ingest of a
@@ -72,8 +108,11 @@ class WaveletStore {
   /// cold-vs-cached prediction; does not perturb the cache's LRU order.
   bool IsBlockCached(size_t logical_block) const;
 
-  const CoefficientAllocator& allocator() const { return *allocator_; }
-  size_t n() const { return n_; }
+  const CoefficientAllocator& allocator() const {
+    return layout_->allocator();
+  }
+  size_t n() const { return layout_->n(); }
+  const std::shared_ptr<const BlockLayout>& layout() const { return layout_; }
 
   /// \brief Logical block -> device block id (empty before the first Put).
   /// The durable layer logs and checkpoints against device ids, and feeds
@@ -90,11 +129,8 @@ class WaveletStore {
   Status WriteBlock(BlockId id, const std::vector<uint8_t>& payload);
 
   BlockDevice* device_;
-  std::unique_ptr<CoefficientAllocator> allocator_;
-  size_t n_;
+  std::shared_ptr<const BlockLayout> layout_;
   BlockCache* cache_;
-  /// Logical block -> sorted coefficient indices living there.
-  std::vector<std::vector<size_t>> block_contents_;
   /// Logical block -> device block id (assigned lazily by Put).
   std::vector<BlockId> device_blocks_;
   /// Prefix of device_blocks_ already backed by a device allocation; Put

@@ -427,6 +427,64 @@ TEST(DurableSystem, IngestSurvivesReopen) {
   EXPECT_TRUE(stats.ok()) << stats.status().ToString();
 }
 
+TEST(DurableSystem, StoresOfOnePaddedLengthShareOneLayout) {
+  // Every stored channel of one padded length shares one BlockLayout,
+  // whether it was ingested, replayed from the WAL, or loaded from the
+  // snapshot.
+  std::string dir = TestDir("sys_layout");
+  core::AimsConfig config;
+  config.durability.path = dir;
+  config.durability.checkpoint_wal_bytes = 0;  // No auto-checkpoints.
+  auto layout_of = [](const core::AimsSystem& system, core::SessionId id,
+                      size_t channel) {
+    auto store = system.ChannelStore(id, channel);
+    EXPECT_TRUE(store.ok()) << store.status().ToString();
+    return store.ok() ? (*store)->layout().get() : nullptr;
+  };
+  auto expect_shared = [&](const core::AimsSystem& system) {
+    // Sessions 0 and 1 pad to 512 frames, session 2 to 128.
+    const storage::BlockLayout* layout512 = layout_of(system, 0, 0);
+    ASSERT_NE(layout512, nullptr);
+    EXPECT_EQ(layout512->n(), 512u);
+    EXPECT_EQ(layout_of(system, 0, 1), layout512);
+    for (size_t c = 0; c < 3; ++c) EXPECT_EQ(layout_of(system, 1, c), layout512);
+    const storage::BlockLayout* layout128 = layout_of(system, 2, 0);
+    ASSERT_NE(layout128, nullptr);
+    EXPECT_EQ(layout128->n(), 128u);
+    EXPECT_NE(layout128, layout512);
+  };
+  std::vector<double> channel_b2;
+  {
+    core::AimsSystem system(config);
+    ASSERT_TRUE(system.init_status().ok()) << system.init_status().ToString();
+    ASSERT_TRUE(system.IngestRecording("a", MakeRecording(300, 2, 1)).ok());
+    ASSERT_TRUE(system.IngestRecording("b", MakeRecording(400, 3, 2)).ok());
+    ASSERT_TRUE(system.IngestRecording("c", MakeRecording(100, 1, 3)).ok());
+    expect_shared(system);
+    channel_b2 = system.ReadChannel(1, 2).ValueOrDie();
+    EXPECT_FALSE(system.ChannelStore(1, 3).ok());
+    EXPECT_FALSE(system.ChannelStore(3, 0).ok());
+  }
+  {
+    core::AimsSystem replayed(config);  // WAL replay
+    ASSERT_TRUE(replayed.init_status().ok());
+    ASSERT_EQ(replayed.WalStats().recovered_txns, 3u);
+    expect_shared(replayed);
+    EXPECT_EQ(replayed.ReadChannel(1, 2).ValueOrDie(), channel_b2);
+    // A fresh ingest after recovery joins the recovered stores' layout.
+    auto d = replayed.IngestRecording("d", MakeRecording(500, 1, 4));
+    ASSERT_TRUE(d.ok());
+    EXPECT_EQ(layout_of(replayed, *d, 0), layout_of(replayed, 0, 0));
+    ASSERT_TRUE(replayed.Checkpoint().ok());
+  }
+  core::AimsSystem from_snapshot(config);
+  ASSERT_TRUE(from_snapshot.init_status().ok());
+  EXPECT_EQ(from_snapshot.WalStats().recovered_txns, 0u);
+  expect_shared(from_snapshot);
+  EXPECT_EQ(layout_of(from_snapshot, 3, 0), layout_of(from_snapshot, 0, 0));
+  EXPECT_EQ(from_snapshot.ReadChannel(1, 2).ValueOrDie(), channel_b2);
+}
+
 TEST(DurableSystem, IngestAfterCheckpointedReopenSurvivesNextReopen) {
   // Regression for txn-id reuse (the three-open sequence the crash-smoke
   // loop runs): open 1 ingests; open 2 only recovers — its checkpoint

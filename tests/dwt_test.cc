@@ -1,10 +1,12 @@
 #include "signal/dwt.h"
 
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "signal/dwpt.h"
 #include "test_util.h"
 
 namespace aims::signal {
@@ -313,6 +315,189 @@ TEST(StreamingHaarTest, AmortizedConstantWork) {
   EXPECT_EQ(emitted.size(), n - 1);
   streaming.Finish(&emitted);
   EXPECT_EQ(emitted.size(), n);
+}
+
+// ---- Bit-identity against the modulo reference -------------------------
+//
+// The transform kernels skip the periodic wrap for outputs whose filter
+// window stays inside the input. These references take `% n` on every
+// tap, as the kernels originally did; the fast kernels must reproduce
+// their results bit for bit (same products, same summation order).
+
+void ModuloDwtStep(const WaveletFilter& filter, const std::vector<double>& in,
+                   std::vector<double>* scaling, std::vector<double>* detail) {
+  const size_t n = in.size();
+  const size_t half = n / 2;
+  scaling->assign(half, 0.0);
+  detail->assign(half, 0.0);
+  for (size_t j = 0; j < half; ++j) {
+    double s = 0.0, d = 0.0;
+    for (size_t t = 0; t < filter.length(); ++t) {
+      const double x = in[(2 * j + t) % n];
+      s += filter.lowpass()[t] * x;
+      d += filter.highpass()[t] * x;
+    }
+    (*scaling)[j] = s;
+    (*detail)[j] = d;
+  }
+}
+
+void ModuloIdwtStep(const WaveletFilter& filter,
+                    const std::vector<double>& scaling,
+                    const std::vector<double>& detail,
+                    std::vector<double>* out) {
+  const size_t n = 2 * scaling.size();
+  out->assign(n, 0.0);
+  for (size_t j = 0; j < scaling.size(); ++j) {
+    for (size_t t = 0; t < filter.length(); ++t) {
+      (*out)[(2 * j + t) % n] +=
+          filter.lowpass()[t] * scaling[j] + filter.highpass()[t] * detail[j];
+    }
+  }
+}
+
+std::vector<double> ModuloForwardDwt(const WaveletFilter& filter,
+                                     const std::vector<double>& signal) {
+  std::vector<double> out = signal;
+  std::vector<double> current = signal;
+  std::vector<double> s, d;
+  for (size_t span = signal.size() / 2; span >= 1; span /= 2) {
+    ModuloDwtStep(filter, current, &s, &d);
+    for (size_t k = 0; k < span; ++k) {
+      out[k] = s[k];
+      out[span + k] = d[k];
+    }
+    current = s;
+  }
+  return out;
+}
+
+std::vector<double> ModuloInverseDwt(const WaveletFilter& filter,
+                                     const std::vector<double>& coeffs) {
+  std::vector<double> out = coeffs;
+  std::vector<double> merged;
+  for (size_t span = 1; 2 * span <= coeffs.size(); span *= 2) {
+    const std::vector<double> s(out.begin(), out.begin() + span);
+    const std::vector<double> d(out.begin() + span, out.begin() + 2 * span);
+    ModuloIdwtStep(filter, s, d, &merged);
+    std::copy(merged.begin(), merged.end(), out.begin());
+  }
+  return out;
+}
+
+bool BitIdentical(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// Values spanning 16 decades, so any change in summation order shows up
+/// in the low bits.
+std::vector<double> WideRangeSignal(size_t n, Rng* rng) {
+  std::vector<double> v(n);
+  for (double& x : v) {
+    x = rng->Uniform(-1.0, 1.0) * std::pow(10.0, rng->UniformInt(-8, 8));
+  }
+  return v;
+}
+
+constexpr WaveletKind kAllKinds[] = {WaveletKind::kHaar, WaveletKind::kDb2,
+                                     WaveletKind::kDb3, WaveletKind::kDb4};
+
+TEST(DwtModuloReferenceTest, StepsMatchBitForBit) {
+  // n = 2 and 4 lie below the db3/db4 filter lengths: every output wraps,
+  // some windows more than once.
+  for (WaveletKind kind : kAllKinds) {
+    const WaveletFilter filter = WaveletFilter::Make(kind);
+    Rng rng(11 + static_cast<uint64_t>(kind));
+    for (size_t n = 2; n <= 4096; n *= 2) {
+      const std::vector<double> x = WideRangeSignal(n, &rng);
+      std::vector<double> s, d, ref_s, ref_d;
+      DwtStep(filter, x, &s, &d);
+      ModuloDwtStep(filter, x, &ref_s, &ref_d);
+      EXPECT_TRUE(BitIdentical(s, ref_s)) << filter.name() << " n=" << n;
+      EXPECT_TRUE(BitIdentical(d, ref_d)) << filter.name() << " n=" << n;
+
+      const std::vector<double> hi = WideRangeSignal(n / 2, &rng);
+      const std::vector<double> lo = WideRangeSignal(n / 2, &rng);
+      std::vector<double> out, ref_out;
+      IdwtStep(filter, lo, hi, &out);
+      ModuloIdwtStep(filter, lo, hi, &ref_out);
+      EXPECT_TRUE(BitIdentical(out, ref_out)) << filter.name() << " n=" << n;
+    }
+  }
+}
+
+TEST(DwtModuloReferenceTest, ForwardAndInverseMatchBitForBit) {
+  for (WaveletKind kind : kAllKinds) {
+    const WaveletFilter filter = WaveletFilter::Make(kind);
+    Rng rng(23 + static_cast<uint64_t>(kind));
+    for (size_t n = 2; n <= 4096; n *= 2) {
+      const std::vector<double> x = WideRangeSignal(n, &rng);
+      Result<std::vector<double>> coeffs = ForwardDwt(filter, x);
+      ASSERT_TRUE(coeffs.ok());
+      EXPECT_TRUE(BitIdentical(*coeffs, ModuloForwardDwt(filter, x)))
+          << filter.name() << " n=" << n;
+      Result<std::vector<double>> back = InverseDwt(filter, *coeffs);
+      ASSERT_TRUE(back.ok());
+      EXPECT_TRUE(BitIdentical(*back, ModuloInverseDwt(filter, *coeffs)))
+          << filter.name() << " n=" << n;
+    }
+  }
+}
+
+TEST(DwtModuloReferenceTest, WaveletPacketTreeMatchesBitForBit) {
+  for (WaveletKind kind : kAllKinds) {
+    const WaveletFilter filter = WaveletFilter::Make(kind);
+    Rng rng(37 + static_cast<uint64_t>(kind));
+    for (size_t n = 2; n <= 4096; n *= 2) {
+      const std::vector<double> x = WideRangeSignal(n, &rng);
+      Result<WaveletPacketTree> tree = WaveletPacketTree::Build(filter, x);
+      ASSERT_TRUE(tree.ok());
+      // Every node against the reference split of its reference parent.
+      std::vector<std::vector<std::vector<double>>> ref(
+          static_cast<size_t>(tree->depth()) + 1);
+      ref[0] = {x};
+      for (int level = 0; level < tree->depth(); ++level) {
+        for (const std::vector<double>& parent : ref[level]) {
+          std::vector<double> low, high;
+          ModuloDwtStep(filter, parent, &low, &high);
+          ref[level + 1].push_back(std::move(low));
+          ref[level + 1].push_back(std::move(high));
+        }
+      }
+      for (int level = 0; level <= tree->depth(); ++level) {
+        for (size_t b = 0; b < ref[level].size(); ++b) {
+          EXPECT_TRUE(BitIdentical(tree->NodeCoefficients({level, b}),
+                                   ref[level][b]))
+              << filter.name() << " n=" << n << " node (" << level << ","
+              << b << ")";
+        }
+      }
+      // Reconstruction from the best basis merges siblings bottom-up; the
+      // reference merges the same nodes with the modulo synthesis step.
+      const std::vector<PacketNode> basis =
+          tree->BestBasis(BasisCost::kShannonEntropy);
+      Result<std::vector<double>> rebuilt =
+          tree->Reconstruct(basis, tree->BasisCoefficients(basis));
+      ASSERT_TRUE(rebuilt.ok());
+      std::vector<std::vector<std::vector<double>>> scratch(ref.size());
+      for (size_t level = 0; level < ref.size(); ++level) {
+        scratch[level].resize(ref[level].size());
+      }
+      for (const PacketNode& node : basis) {
+        scratch[node.level][node.block] = ref[node.level][node.block];
+      }
+      for (int level = tree->depth(); level >= 1; --level) {
+        for (size_t b = 0; b < scratch[level].size(); b += 2) {
+          if (scratch[level][b].empty()) continue;
+          ModuloIdwtStep(filter, scratch[level][b], scratch[level][b + 1],
+                         &scratch[level - 1][b / 2]);
+        }
+      }
+      EXPECT_TRUE(BitIdentical(*rebuilt, scratch[0][0]))
+          << filter.name() << " n=" << n;
+    }
+  }
 }
 
 }  // namespace

@@ -1,7 +1,12 @@
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <limits>
 #include <random>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,8 +17,12 @@
 /// \brief The Gorilla codec contract: every stream of (timestamp, value)
 /// pairs round-trips bit-exactly — including NaN payloads, signed zeros,
 /// and ±inf — whatever the cadence; steady telemetry-shaped series
-/// compress at least 8x against the 16-byte raw encoding; and truncated
-/// or short streams decode to InvalidArgument, never to garbage samples.
+/// compress at least 8x against the 16-byte raw encoding; truncated,
+/// short, or over-counted streams decode to InvalidArgument, never to
+/// garbage samples or an unbounded allocation; and the encoded bytes match
+/// a recorded golden file. To re-record it after an intentional format
+/// change:
+///   AIMS_REGEN_GOLDEN=1 ./gorilla_test --gtest_filter='GorillaGolden*'
 
 namespace aims::gorilla {
 namespace {
@@ -224,6 +233,278 @@ TEST(GorillaTest, TruncatedStreamIsAnErrorNotGarbage) {
 TEST(GorillaTest, EmptyInputWithNonZeroCountIsAnError) {
   Result<std::vector<Sample>> out = GorillaDecode(nullptr, 0, 3);
   EXPECT_FALSE(out.ok());
+}
+
+TEST(GorillaTest, InflatedCountIsRefusedBeforeAllocating) {
+  // A valid 17-byte stream (one 128-bit first sample plus four 2-bit
+  // repeats) claiming 2^30 samples: reserving for the count would ask for
+  // 16 GiB. The bytes can hold at most 1 + (17 - 16) * 4 samples.
+  GorillaEncoder enc;
+  for (int i = 0; i < 5; ++i) enc.Append(1000, 1.5);
+  const std::vector<uint8_t> bytes = enc.bytes();
+  ASSERT_EQ(bytes.size(), 17u);
+  for (size_t count : {size_t{6}, size_t{1} << 30,
+                       std::numeric_limits<size_t>::max()}) {
+    Result<std::vector<Sample>> out = GorillaDecode(bytes, count);
+    ASSERT_FALSE(out.ok()) << count;
+    EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument) << count;
+  }
+  // The largest count the bytes can hold still decodes.
+  Result<std::vector<Sample>> all = GorillaDecode(bytes, 5);
+  ASSERT_TRUE(all.ok());
+  EXPECT_EQ(all->size(), 5u);
+  // A stream too short for even the first sample refuses any count.
+  EXPECT_FALSE(GorillaDecode(bytes.data(), 15, 1).ok());
+}
+
+TEST(GorillaTest, TakeBytesHandsOverExactSize) {
+  GorillaEncoder enc;
+  for (int i = 0; i < 4096; ++i) {
+    enc.Append(i * 1250, static_cast<double>((i * 7919) % 1000) / 7.0);
+  }
+  const std::vector<uint8_t> snapshot = enc.bytes();
+  const size_t size = enc.size_bytes();
+  std::vector<uint8_t> taken = enc.TakeBytes();
+  EXPECT_EQ(taken, snapshot);
+  EXPECT_EQ(taken.size(), size);
+  EXPECT_EQ(taken.capacity(), taken.size());
+}
+
+// ---- Bit I/O ------------------------------------------------------------
+
+/// One-bit-at-a-time MSB-first writer: the layout BitWriter must keep.
+void ReferenceWrite(std::vector<uint8_t>* bytes, size_t* bit_count,
+                    uint64_t value, int bits) {
+  for (int i = bits - 1; i >= 0; --i) {
+    if (*bit_count % 8 == 0) bytes->push_back(0);
+    if ((value >> i) & 1) {
+      bytes->back() |= static_cast<uint8_t>(1u << (7 - *bit_count % 8));
+    }
+    ++*bit_count;
+  }
+}
+
+TEST(BitIoTest, EveryWidthAtEveryOffsetRoundTrips) {
+  std::mt19937_64 rng(2024);
+  for (int offset = 0; offset < 8; ++offset) {
+    for (int width = 1; width <= 64; ++width) {
+      // Offset bits of filler, the field under test (random, all ones,
+      // and a lone top bit), then a 3-bit trailer that must survive.
+      const uint64_t mask =
+          width == 64 ? ~uint64_t{0} : (uint64_t{1} << width) - 1;
+      for (uint64_t value : {rng() & mask, mask, uint64_t{1} << (width - 1)}) {
+        BitWriter writer;
+        std::vector<uint8_t> expected;
+        size_t expected_bits = 0;
+        const uint64_t filler = rng() & ((uint64_t{1} << offset) - 1);
+        writer.Write(filler, offset);
+        ReferenceWrite(&expected, &expected_bits, filler, offset);
+        // High garbage above the width must be ignored.
+        writer.Write(value | (width == 64 ? 0 : ~mask), width);
+        ReferenceWrite(&expected, &expected_bits, value, width);
+        writer.Write(0b101, 3);
+        ReferenceWrite(&expected, &expected_bits, 0b101, 3);
+        ASSERT_EQ(writer.bit_count(), expected_bits);
+        ASSERT_EQ(writer.bytes(), expected)
+            << "width " << width << " offset " << offset;
+
+        BitReader reader(writer.bytes().data(), writer.bytes().size());
+        uint64_t got = 0;
+        ASSERT_TRUE(reader.Read(&got, offset));
+        EXPECT_EQ(got, filler);
+        ASSERT_TRUE(reader.Read(&got, width));
+        EXPECT_EQ(got, value) << "width " << width << " offset " << offset;
+        ASSERT_TRUE(reader.Read(&got, 3));
+        EXPECT_EQ(got, 0b101u);
+        // Whatever is left is the zero padding of the last byte; reading
+        // one bit past it fails.
+        const size_t padding = writer.bytes().size() * 8 - expected_bits;
+        ASSERT_TRUE(reader.Read(&got, static_cast<int>(padding)));
+        EXPECT_EQ(got, 0u);
+        EXPECT_FALSE(reader.Read(&got, 1));
+      }
+    }
+  }
+}
+
+TEST(BitIoTest, LongMixedStreamMatchesReference) {
+  std::mt19937_64 rng(77);
+  BitWriter writer;
+  std::vector<uint8_t> expected;
+  size_t expected_bits = 0;
+  std::vector<std::pair<uint64_t, int>> fields;
+  for (int i = 0; i < 5000; ++i) {
+    const int width = 1 + static_cast<int>(rng() % 64);
+    const uint64_t value =
+        width == 64 ? rng() : rng() & ((uint64_t{1} << width) - 1);
+    writer.Write(value, width);
+    ReferenceWrite(&expected, &expected_bits, value, width);
+    fields.emplace_back(value, width);
+  }
+  ASSERT_EQ(writer.bytes(), expected);
+  BitReader reader(writer.bytes().data(), writer.bytes().size());
+  for (const auto& [value, width] : fields) {
+    uint64_t got = 0;
+    ASSERT_TRUE(reader.Read(&got, width));
+    ASSERT_EQ(got, value);
+  }
+}
+
+// ---- Golden encoding ----------------------------------------------------
+
+/// splitmix64: a fixed, library-independent bit source for the golden
+/// series (std:: distributions differ across standard libraries).
+uint64_t SplitMix(uint64_t* state) {
+  uint64_t z = (*state += 0x9E3779B97F4A7C15ull);
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return z ^ (z >> 31);
+}
+
+double FromBits(uint64_t bits) {
+  double v = 0.0;
+  std::memcpy(&v, &bits, sizeof(v));
+  return v;
+}
+
+/// The golden series: an 800 Hz microsecond grid that first walks every
+/// delta-of-delta class across both of its edges and the 64-bit escape,
+/// then values that repeat, open a window, reuse it, open one the
+/// leading-zero clamp widens, open a full 64-bit one, and pass through
+/// NaN, ±0 and ±inf, then a stretch of jittered sensor-like noise.
+/// GoldenSeriesCoversEveryEncoderBranch checks the coverage claims.
+std::vector<Sample> GoldenSeries() {
+  std::vector<Sample> in;
+  int64_t t = 1'700'000'000'000'000;
+  int64_t delta = 1250;
+  in.push_back({t, 1.0});
+  auto push = [&](int64_t dod, double v) {
+    delta += dod;
+    t += delta;
+    in.push_back({t, v});
+  };
+  for (int64_t dod : {int64_t{0}, int64_t{1}, int64_t{-63}, int64_t{64},
+                      int64_t{-64}, int64_t{65}, int64_t{-255}, int64_t{256},
+                      int64_t{257}, int64_t{-2047}, int64_t{2048},
+                      int64_t{-2048}, int64_t{2049}, int64_t{-1'000'000'000},
+                      int64_t{1'000'000'000}}) {
+    push(dod, 1.0);
+  }
+  for (double v : {1.5, 1.0, FromBits(0x3FF0000000000003ull),
+                   FromBits(0x3FF0000000000001ull),
+                   FromBits(0xBFF0000000000000ull),
+                   std::numeric_limits<double>::quiet_NaN(),
+                   FromBits(0x7FF80000DEADBEEFull), 0.0, -0.0,
+                   std::numeric_limits<double>::infinity(),
+                   -std::numeric_limits<double>::infinity(),
+                   -std::numeric_limits<double>::infinity(),
+                   std::numeric_limits<double>::denorm_min(), 42.0}) {
+    push(0, v);
+  }
+  uint64_t state = 15;
+  double v = 0.0;
+  for (int i = 0; i < 200; ++i) {
+    const uint64_t r = SplitMix(&state);
+    // Cadence jitter of ±3 us around 1250 and a bounded random walk in
+    // exact binary fractions, so no libm is involved.
+    const int64_t next_delta = 1250 + static_cast<int64_t>(r % 7) - 3;
+    v += static_cast<double>(static_cast<int64_t>((r >> 8) % 257) - 128) /
+         256.0;
+    push(next_delta - delta, v);
+  }
+  return in;
+}
+
+TEST(GorillaGoldenTest, GoldenSeriesCoversEveryEncoderBranch) {
+  // Mirrors the encoder's choices (gorilla.cc) without calling it.
+  const std::vector<Sample> series = GoldenSeries();
+  bool dod_class[5] = {};
+  bool xor_zero = false, new_window = false, reuse = false;
+  bool full_window = false, clamped = false;
+  bool nan = false, pos_zero = false, neg_zero = false;
+  bool pos_inf = false, neg_inf = false;
+  uint64_t prev_delta = 0;
+  int prev_leading = -1, prev_trailing = 0;
+  for (size_t i = 0; i < series.size(); ++i) {
+    const double v = series[i].value;
+    nan |= std::isnan(v);
+    pos_zero |= BitsOf(v) == BitsOf(0.0);
+    neg_zero |= BitsOf(v) == BitsOf(-0.0);
+    pos_inf |= v == std::numeric_limits<double>::infinity();
+    neg_inf |= v == -std::numeric_limits<double>::infinity();
+    if (i == 0) continue;
+    const uint64_t delta = static_cast<uint64_t>(series[i].t_ms) -
+                           static_cast<uint64_t>(series[i - 1].t_ms);
+    const int64_t dod = static_cast<int64_t>(delta - prev_delta);
+    prev_delta = delta;
+    dod_class[dod == 0                    ? 0
+              : dod >= -63 && dod <= 64     ? 1
+              : dod >= -255 && dod <= 256   ? 2
+              : dod >= -2047 && dod <= 2048 ? 3
+                                            : 4] = true;
+    const uint64_t x = BitsOf(v) ^ BitsOf(series[i - 1].value);
+    if (x == 0) {
+      xor_zero = true;
+      continue;
+    }
+    const int raw_leading = __builtin_clzll(x);
+    const int leading = raw_leading > 31 ? 31 : raw_leading;
+    const int trailing = __builtin_ctzll(x);
+    if (prev_leading >= 0 && leading >= prev_leading &&
+        trailing >= prev_trailing) {
+      reuse = true;
+    } else {
+      new_window = true;
+      full_window |= leading == 0 && trailing == 0;
+      clamped |= raw_leading > 31;
+      prev_leading = leading;
+      prev_trailing = trailing;
+    }
+  }
+  for (int c = 0; c < 5; ++c) EXPECT_TRUE(dod_class[c]) << "dod class " << c;
+  EXPECT_TRUE(xor_zero);
+  EXPECT_TRUE(new_window);
+  EXPECT_TRUE(reuse);
+  EXPECT_TRUE(full_window);
+  EXPECT_TRUE(clamped);
+  EXPECT_TRUE(nan && pos_zero && neg_zero && pos_inf && neg_inf);
+}
+
+std::string GoldenPath() {
+  return std::string(AIMS_TEST_DATA_DIR) + "/gorilla_golden.txt";
+}
+
+TEST(GorillaGoldenTest, EncodingMatchesRecordedBytes) {
+  const std::vector<Sample> series = GoldenSeries();
+  GorillaEncoder enc;
+  for (const Sample& s : series) enc.Append(s);
+  const std::vector<uint8_t>& bytes = enc.bytes();
+
+  std::ostringstream actual;
+  actual << "# Gorilla encoding of GoldenSeries() in tests/gorilla_test.cc\n";
+  actual << "count " << enc.count() << "\n";
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    char hex[3];
+    std::snprintf(hex, sizeof(hex), "%02x", bytes[i]);
+    actual << hex << ((i % 32 == 31 || i + 1 == bytes.size()) ? "\n" : "");
+  }
+  if (std::getenv("AIMS_REGEN_GOLDEN") != nullptr) {
+    std::ofstream out(GoldenPath(), std::ios::trunc);
+    out << actual.str();
+    GTEST_SKIP() << "regenerated " << GoldenPath();
+  }
+  std::ifstream in(GoldenPath());
+  ASSERT_TRUE(in.good()) << "missing golden file " << GoldenPath();
+  std::stringstream expected;
+  expected << in.rdbuf();
+  EXPECT_EQ(actual.str(), expected.str())
+      << "the Gorilla encoding changed; re-record with AIMS_REGEN_GOLDEN=1 "
+         "only if the format change is intentional";
+
+  // The decoder reads the recorded bytes back to the series bit-exactly.
+  Result<std::vector<Sample>> decoded = GorillaDecode(bytes, series.size());
+  ASSERT_TRUE(decoded.ok()) << decoded.status().message();
+  ExpectBitExact(series, *decoded);
 }
 
 }  // namespace

@@ -1,4 +1,6 @@
+#include <algorithm>
 #include <cmath>
+#include <memory>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -180,6 +182,64 @@ TEST(WaveletStoreTest, PutFetchRoundTrip) {
   for (size_t idx : {size_t{0}, size_t{1}, size_t{17}, size_t{255}}) {
     ASSERT_TRUE(fetched.ValueOrDie().count(idx));
     EXPECT_DOUBLE_EQ(fetched.ValueOrDie().at(idx), coeffs[idx]);
+  }
+}
+
+TEST(WaveletStoreTest, LayoutTablesEveryCoefficientOnce) {
+  const size_t n = 1024;
+  const BlockLayout layout(std::make_unique<SubtreeTilingAllocator>(n, 64), n);
+  ASSERT_EQ(layout.num_blocks(), layout.allocator().num_blocks());
+  std::vector<int> seen(n, 0);
+  size_t fullest = 0;
+  for (size_t b = 0; b < layout.num_blocks(); ++b) {
+    const auto contents = layout.contents(b);
+    fullest = std::max(fullest, contents.size());
+    for (size_t slot = 0; slot < contents.size(); ++slot) {
+      EXPECT_EQ(layout.allocator().BlockOf(contents[slot]), b);
+      if (slot > 0) {
+        EXPECT_LT(contents[slot - 1], contents[slot]);
+      }
+      ++seen[contents[slot]];
+    }
+  }
+  EXPECT_EQ(std::count(seen.begin(), seen.end(), 1), static_cast<long>(n));
+  EXPECT_EQ(layout.max_block_items(), fullest);
+  EXPECT_LE(fullest, 64u);
+}
+
+TEST(WaveletStoreTest, StoresSharingALayoutMatchOwnedAllocatorStores) {
+  const size_t n = 512;
+  MemBlockDevice device(64 * sizeof(double));
+  auto layout = std::make_shared<const BlockLayout>(
+      std::make_unique<SubtreeTilingAllocator>(n, 64), n);
+  Rng rng(14);
+  const std::vector<double> a = RandomSignal(n, &rng);
+  const std::vector<double> b = RandomSignal(n, &rng);
+  WaveletStore shared_a(&device, layout);
+  WaveletStore shared_b(&device, layout);
+  // The unique_ptr constructor builds a private layout of the same shape.
+  WaveletStore owned_a(&device,
+                       std::make_unique<SubtreeTilingAllocator>(n, 64), n);
+  ASSERT_TRUE(shared_a.Put(a).ok());
+  ASSERT_TRUE(shared_b.Put(b).ok());
+  ASSERT_TRUE(owned_a.Put(a).ok());
+  EXPECT_EQ(shared_a.layout(), shared_b.layout());
+  EXPECT_NE(owned_a.layout(), shared_a.layout());
+  ASSERT_EQ(owned_a.device_blocks().size(), shared_a.device_blocks().size());
+  // Attaching to already-written blocks through the shared layout reads
+  // back the same data.
+  WaveletStore attached(&device, layout, nullptr, shared_a.device_blocks());
+  for (size_t blk = 0; blk < layout->num_blocks(); ++blk) {
+    auto from_owned = owned_a.FetchBlock(blk);
+    auto from_shared = shared_a.FetchBlock(blk);
+    auto from_attached = attached.FetchBlock(blk);
+    ASSERT_TRUE(from_owned.ok() && from_shared.ok() && from_attached.ok());
+    EXPECT_EQ(*from_owned, *from_shared);
+    EXPECT_EQ(*from_attached, *from_shared);
+    for (const auto& [idx, v] : *from_shared) EXPECT_EQ(v, a[idx]);
+    auto from_b = shared_b.FetchBlock(blk);
+    ASSERT_TRUE(from_b.ok());
+    for (const auto& [idx, v] : *from_b) EXPECT_EQ(v, b[idx]);
   }
 }
 

@@ -250,6 +250,33 @@ TEST(TsLifeSegmentOp, DecodeRejectsTruncationAndTrailingGarbage) {
   EXPECT_FALSE(DecodeSegmentOp(padded).ok());
 }
 
+TEST(TsLifeSegmentOp, InflatedCountIsAnErrorNotAnAllocation) {
+  // DecodeSegmentOp accepts any count up to its 2^30 field bound, so the
+  // Gorilla decoder behind Segment::Decode() must refuse a count the
+  // payload cannot hold before it reserves for it. The payload is 17
+  // bytes: one 128-bit first sample plus four 2-bit repeats.
+  Segment seg = BuildSegments(0, std::vector<int64_t>(5, 1000),
+                              std::vector<double>(5, 1.5), 800.0, 8)[0];
+  ASSERT_EQ(seg.bytes.size(), 17u);
+  std::vector<uint8_t> blob =
+      EncodeSegmentOp(SegmentOp::Kind::kPut, /*session=*/3, seg);
+  // Op layout: kind u8, session u64, channel u64, seq u64, tier u32,
+  // decimation u32, then the u64 count.
+  constexpr size_t kCountOffset = 1 + 8 + 8 + 8 + 4 + 4;
+  uint64_t count = 0;
+  std::memcpy(&count, blob.data() + kCountOffset, sizeof(count));
+  ASSERT_EQ(count, 5u);
+  for (uint64_t inflated : {uint64_t{6}, uint64_t{1} << 30}) {
+    std::memcpy(blob.data() + kCountOffset, &inflated, sizeof(inflated));
+    auto op = DecodeSegmentOp(blob);
+    ASSERT_TRUE(op.ok()) << inflated;
+    EXPECT_EQ(op->segment.meta.count, inflated);
+    auto samples = op->segment.Decode();
+    ASSERT_FALSE(samples.ok()) << inflated;
+    EXPECT_EQ(samples.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
 // ---- Core wiring: ingest, read-back, sweeps, standing queries ----------
 
 streams::Recording MakeRecording(size_t frames, size_t channels,
