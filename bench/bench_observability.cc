@@ -36,7 +36,6 @@
 #include "common/macros.h"
 #include "obs/exporters.h"
 #include "obs/json_util.h"
-#include "obs/profile.h"
 #include "obs/timeseries.h"
 #include "server/server.h"
 #include "synth/cyberglove.h"
@@ -74,9 +73,10 @@ constexpr double kAdminOverheadLimitPct = 2.0;
 
 /// The metrics-history acceptance: the self-scrape pipeline — scraper
 /// thread at a tight cadence, Gorilla TSDB appends for every registry
-/// series, SLO burn-rate evaluation after every scrape — must cost the
-/// instrumented data plane < 2% of wall-clock. 25ms is 40x a production
-/// scrape cadence, so the bound holds with a wide margin in deployment.
+/// series, the reporter's SLO burn-rate judgement of every scrape — must
+/// cost the instrumented data plane < 2% of wall-clock. 25ms is 40x a
+/// production scrape cadence, so the bound holds with a wide margin in
+/// deployment.
 constexpr double kHistoryScrapeIntervalMs = 25.0;
 constexpr size_t kHistoryIters = 16;  ///< workload passes per timed leg
 constexpr double kHistoryOverheadLimitPct = 2.0;
@@ -151,7 +151,6 @@ server::ServerConfig MakeConfig(bool observability, bool admin = false) {
     // Run the reporter thread at a service-like cadence so its snapshot
     // cost lands inside the timed region.
     config.obs.reporter_interval_ms = 10.0;
-    config.obs.reporter.saturation_gauge = "ingest.queue_depth";
     config.obs.reporter.saturation_capacity =
         static_cast<double>(config.admission.queue_capacity);
   }
@@ -425,9 +424,9 @@ void WriteHistoryDump(server::AimsServer& srv, const std::string& path) {
 
 /// One timed leg on a FRESH server, fully instrumented either way; when
 /// \p with_history is set the Gorilla TSDB, the self-scrape thread at
-/// kHistoryScrapeIntervalMs, and one SLO objective (evaluated after every
-/// scrape) are all live, so the delta between the legs is the entire
-/// metrics-history pipeline.
+/// kHistoryScrapeIntervalMs, and one SLO objective (judged by the reporter
+/// once per scrape) are all live, so the delta between the legs is the
+/// entire metrics-history pipeline.
 double RunHistoryLeg(const Workload& work, bool with_history,
                      HistoryResult* result, const std::string& export_dir) {
   server::ServerConfig config = MakeConfig(/*observability=*/true);
@@ -453,7 +452,7 @@ double RunHistoryLeg(const Workload& work, bool with_history,
   if (with_history) {
     result->scrapes = srv.metrics_scraper()->scrapes();
     result->stats = srv.metrics_history()->Stats();
-    const std::vector<obs::SloStatus> slos = srv.slo_engine()->Latest();
+    const std::vector<obs::SloStatus> slos = srv.reporter().Latest().slo;
     result->slo_objectives = slos.size();
     result->slo_burning = 0;
     for (const obs::SloStatus& status : slos) {
@@ -541,8 +540,6 @@ int main(int argc, char** argv) {
       "\"slice_frames\": %zu, \"reps\": %d},\n",
       aims::kClients, aims::kIngestsPerClient, aims::kQueriesPerIngest,
       aims::kStreamFrames, aims::kSliceFrames, aims::kReps);
-  std::printf("  \"profile_compiled_in\": %s,\n",
-              aims::obs::Profiler::CompiledIn() ? "true" : "false");
   std::printf(
       "  \"off\": {\"best_seconds\": %.4f, \"ops\": %zu, "
       "\"ops_per_sec\": %.2f},\n",

@@ -75,10 +75,21 @@ if [[ "${AIMS_BENCH_SMOKE:-0}" == "1" ]]; then
     }
     END { exit bad }
   ' "${ARTIFACT_DIR}/admin_metrics.prom"
-  grep -q '"level":' "${ARTIFACT_DIR}/admin_healthz.json" || {
-    echo "bench smoke: /healthz body has no health level" >&2
-    exit 1
-  }
+  # /healthz shape: consumers parse this body, so its top-level keys are
+  # pinned in order (new keys are only ever appended).
+  python3 - "${ARTIFACT_DIR}/admin_healthz.json" <<'PY'
+import json
+import sys
+
+with open(sys.argv[1]) as f:
+    keys = list(json.load(f).keys())
+want = ["sequence", "uptime_ms", "window_ms", "level", "reasons",
+        "queue_saturation", "wal_lag_saturation", "p99_ms",
+        "shard_lock_p99_ms", "slow_query_per_sec", "last_transition",
+        "rates", "slo"]
+if keys != want:
+    sys.exit("bench smoke: /healthz keys are %s, want %s" % (keys, want))
+PY
   # Metrics history: range-query the self-scraped TSDB over the loaded
   # server and validate the Prometheus matrix shape carries real points.
   # Retry for a few seconds: the port is published moments after the

@@ -17,7 +17,6 @@
 #include "common/crc32.h"
 #include "common/macros.h"
 #include "obs/json_util.h"
-#include "obs/profile.h"
 #include "propolyne/incremental.h"
 #include "signal/dwt.h"
 #include "signal/lazy_wavelet.h"
@@ -514,6 +513,10 @@ Status AimsSystem::ApplyCatalogBlob(const std::vector<uint8_t>& blob) {
   }
   session.info.num_channels = num_channels;
   const size_t block_items = config_.block_size_bytes / sizeof(double);
+  // WaveletStore::Put allocates every block once, so a valid entry never
+  // names a block twice. Refusing repeats bounds the lengths an entry can
+  // claim by the page file's real block count before any layout is built.
+  std::set<storage::BlockId> entry_blocks;
   for (uint64_t c = 0; c < num_channels; ++c) {
     session.info.best_basis_nodes.push_back(reader.U64());
     StoredChannel channel;
@@ -540,6 +543,11 @@ Status AimsSystem::ApplyCatalogBlob(const std::vector<uint8_t>& blob) {
       if (id >= device_->num_blocks()) {
         return Status::IoError(
             "ApplyCatalogBlob: catalog references unknown device block " +
+            std::to_string(id));
+      }
+      if (!entry_blocks.insert(id).second) {
+        return Status::IoError(
+            "ApplyCatalogBlob: catalog entry repeats device block " +
             std::to_string(id));
       }
     }
@@ -1131,7 +1139,6 @@ Result<RangeStatistics> AimsSystem::QueryRange(SessionId id, size_t channel,
 Result<ProgressiveRangeResult> AimsSystem::QueryRangeProgressive(
     SessionId id, size_t channel, size_t first_frame, size_t last_frame,
     const ProgressiveObserver& observer) const {
-  AIMS_PROFILE_SCOPE("core.query_progressive");
   if (id >= sessions_.size()) {
     return Status::NotFound("QueryRangeProgressive: unknown session id");
   }

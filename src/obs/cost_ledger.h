@@ -137,9 +137,8 @@ class CostLedger {
   mutable FastSlot fast_[kFastSlots];
 };
 
-/// \brief RAII CPU-time charge: the always-on promotion of the
-/// AIMS_PROFILE_SCOPE idea — one steady_clock pair per section, one
-/// relaxed add on destruction. A null ledger makes it a no-op, so call
+/// \brief RAII CPU-time charge: an always-on scoped timer — one
+/// steady_clock pair per section, one relaxed add on destruction. A null ledger makes it a no-op, so call
 /// sites need no branches of their own.
 class ScopedCpuCharge {
  public:

@@ -67,7 +67,7 @@ std::string PrometheusExport(const MetricsRegistry& registry);
 /// (e.g. ShardedCatalog::ShardStats()) as the `aims_shard_*` family, one
 /// `{shard="<i>"}` labelled series per shard per probe: session/tenant
 /// placement, ingest/query totals, lock-wait p50/p99, WAL lag, and queue
-/// depth — and the latest SLO judgements (e.g. SloEngine::Latest()) as the
+/// depth — and the latest SLO judgements (e.g. HealthSnapshot::slo) as the
 /// `aims_slo_*` family: objective, fast/slow burn rates, and the 0/1
 /// burning flag, one `{objective="<name>"}` labelled series each.
 std::string PrometheusExport(const MetricsRegistry& registry,

@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <utility>
@@ -15,36 +14,6 @@
 namespace aims::obs {
 
 namespace {
-
-// Fatal-signal plumbing. The handler may run on any thread at any point,
-// so everything it touches is a process-global published with atomics: the
-// pre-serialized bundle (pointer + size into one of the recorder's two
-// stable buffers) and a fixed-size path. The handler performs only
-// async-signal-safe calls (open/write/close), then re-raises.
-std::atomic<const char*> g_signal_data{nullptr};
-std::atomic<size_t> g_signal_size{0};
-char g_signal_path[512] = {0};
-std::atomic<bool> g_signal_installed{false};
-
-void FatalSignalHandler(int signo) {
-  const char* data = g_signal_data.load(std::memory_order_acquire);
-  const size_t size = g_signal_size.load(std::memory_order_acquire);
-  if (data != nullptr && size > 0 && g_signal_path[0] != '\0') {
-    int fd = ::open(g_signal_path, O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (fd >= 0) {
-      size_t off = 0;
-      while (off < size) {
-        ssize_t n = ::write(fd, data + off, size - off);
-        if (n <= 0) break;
-        off += static_cast<size_t>(n);
-      }
-      ::close(fd);
-    }
-  }
-  // SA_RESETHAND restored the default action; re-raise so the process
-  // still dies with the original signal (exit code / core unchanged).
-  ::raise(signo);
-}
 
 double MsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
@@ -89,19 +58,6 @@ void AppendShardJson(std::string* out, const ShardStatsEntry& shard) {
   *out += ",\"lock_wait_p99_ms\":";
   AppendJsonDouble(out, shard.lock_wait_p99_ms);
   *out += ",\"queue_depth\":" + std::to_string(shard.queue_depth) + "}";
-}
-
-void AppendSloJson(std::string* out, const SloStatus& slo) {
-  *out += "{\"name\":\"" + JsonEscape(slo.name) + "\",\"kind\":\"" +
-          SloKindName(slo.kind) + "\",\"objective\":";
-  AppendJsonDouble(out, slo.objective);
-  *out += ",\"series\":\"" + JsonEscape(slo.series) + "\",\"fast_burn\":";
-  AppendJsonDouble(out, slo.fast_burn);
-  *out += ",\"slow_burn\":";
-  AppendJsonDouble(out, slo.slow_burn);
-  *out += ",\"burning\":";
-  *out += slo.burning ? "true" : "false";
-  *out += ",\"reason\":\"" + JsonEscape(slo.reason) + "\"}";
 }
 
 void AppendSloHistoryJson(std::string* out, const SloHistoryEntry& entry) {
@@ -151,17 +107,7 @@ FlightRecorder::FlightRecorder(FlightRecorderConfig config)
   }
 }
 
-FlightRecorder::~FlightRecorder() {
-  Stop();
-  if (signal_installed_) {
-    // Leave the handler registered (it is process-global) but detach the
-    // buffers so it can never read freed memory; a later recorder may
-    // re-install and re-point them.
-    g_signal_data.store(nullptr, std::memory_order_release);
-    g_signal_size.store(0, std::memory_order_release);
-    g_signal_installed.store(false, std::memory_order_release);
-  }
-}
+FlightRecorder::~FlightRecorder() { Stop(); }
 
 void FlightRecorder::SetContextProvider(
     std::function<FlightContext()> provider) {
@@ -169,6 +115,9 @@ void FlightRecorder::SetContextProvider(
 }
 
 void FlightRecorder::RecordHealth(const HealthSnapshot& snapshot) {
+  for (const SloStatus& status : snapshot.slo) {
+    if (status.breached) RecordEvent(status.reason);
+  }
   bool trigger = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -289,18 +238,6 @@ std::string FlightRecorder::RenderLocked(const std::string& reason,
     AppendSloHistoryJson(&out, context.slo_history[i]);
   }
   out += "]}";
-
-  if (signal_installed_) {
-    // Refresh the pre-serialized fatal-signal copy: write the spare
-    // buffer, then publish it. The previously published buffer stays
-    // intact until the publish after next, so a handler racing one
-    // refresh still reads a complete bundle.
-    std::string& buffer = signal_buffers_[signal_next_];
-    buffer = out;
-    g_signal_data.store(buffer.data(), std::memory_order_release);
-    g_signal_size.store(buffer.size(), std::memory_order_release);
-    signal_next_ ^= 1;
-  }
   return out;
 }
 
@@ -362,38 +299,6 @@ void FlightRecorder::Stop() {
 }
 
 bool FlightRecorder::running() const { return persist_loop_.running(); }
-
-Status FlightRecorder::InstallFatalSignalHandler() {
-  if (config_.bundle_path.empty()) {
-    return Status::FailedPrecondition(
-        "flight recorder: fatal-signal handler needs a bundle path");
-  }
-  bool expected = false;
-  if (!g_signal_installed.compare_exchange_strong(expected, true)) {
-    return Status::AlreadyExists(
-        "flight recorder: a fatal-signal handler is already installed in "
-        "this process");
-  }
-  std::snprintf(g_signal_path, sizeof(g_signal_path), "%s",
-                config_.bundle_path.c_str());
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    signal_installed_ = true;
-  }
-  struct sigaction action;
-  std::memset(&action, 0, sizeof(action));
-  action.sa_handler = FatalSignalHandler;
-  sigemptyset(&action.sa_mask);
-  // One shot: the handler runs once, the default action is already
-  // restored when it re-raises.
-  action.sa_flags = SA_RESETHAND;
-  ::sigaction(SIGSEGV, &action, nullptr);
-  ::sigaction(SIGABRT, &action, nullptr);
-  // Seed the buffer: even a crash before the first health snapshot leaves
-  // a (sparse) bundle behind.
-  (void)Render("fatal-signal seed");
-  return Status::OK();
-}
 
 size_t FlightRecorder::health_retained() const {
   std::lock_guard<std::mutex> lock(mutex_);

@@ -26,11 +26,10 @@
 /// the burning series' history windows — and on trigger writes the
 /// whole thing as ONE post-mortem bundle JSON next to the durable dir.
 /// Triggers: the health level transitioning to Saturated, a watchdog
-/// stall, an explicit HTTP / typed-API request, or (opt-in) a fatal
-/// signal. For crashes nothing can catch — SIGKILL, power cut — the
-/// recorder can also persist the bundle on a short cadence, so the file on
-/// disk is at most one interval stale: the aircraft-flight-recorder model,
-/// not the core-dump model.
+/// stall, or an explicit HTTP / typed-API request. For crashes — SIGKILL,
+/// SIGSEGV, power cut — the recorder can persist the bundle on a short
+/// cadence, so the file on disk is at most one interval stale: the
+/// aircraft-flight-recorder model, not the core-dump model.
 ///
 /// Recording paths are cheap (one mutex, bounded deques of pre-serialized
 /// strings) and never block on I/O: bundle writes happen on the trigger's
@@ -75,7 +74,8 @@ struct FlightContext {
   CacheStats cache;
   std::vector<ShardStatsEntry> shards;
   std::vector<Watchdog::ThreadStatus> watchdog;
-  /// Latest SLO judgements (SloEngine::Latest()); empty = no objectives.
+  /// Latest objective statuses (the reporter's latest HealthSnapshot::slo);
+  /// empty = no objectives.
   std::vector<SloStatus> slo;
   /// History windows for the burning objectives only (bounded by the
   /// provider — the server caps samples per entry).
@@ -101,8 +101,10 @@ class FlightRecorder {
 
   // ---- Feeds ------------------------------------------------------------
 
-  /// \brief Retains \p snapshot; a level transition into Saturated
-  /// triggers a bundle dump (the operator's "it just fell over" marker).
+  /// \brief Retains \p snapshot and logs an event for each objective
+  /// breach it marks (SloStatus::breached); a level transition into
+  /// Saturated triggers a bundle dump (the operator's "it just fell over"
+  /// marker).
   void RecordHealth(const HealthSnapshot& snapshot);
   /// \brief Retains a trace the tracer ring evicted. Called under the
   /// tracer's mutex — must not (and does not) call back into the tracer.
@@ -130,13 +132,6 @@ class FlightRecorder {
   void Stop();
   bool running() const;
 
-  /// \brief Installs SIGSEGV/SIGABRT handlers that write the most recent
-  /// pre-serialized bundle with async-signal-safe calls only
-  /// (open/write/close) and re-raise. One recorder per process may install
-  /// (AlreadyExists otherwise); requires a bundle path. Opt-in: sanitizer
-  /// builds want these signals for themselves.
-  Status InstallFatalSignalHandler();
-
   // ---- Introspection ----------------------------------------------------
 
   /// Bundle file a previous incarnation left behind (detected at
@@ -159,7 +154,7 @@ class FlightRecorder {
   const FlightRecorderConfig& config() const { return config_; }
 
  private:
-  /// Renders under mutex_; refreshes the signal buffer when installed.
+  /// Renders under mutex_.
   std::string RenderLocked(const std::string& reason, double uptime_ms,
                            const FlightContext& context);
   std::string Render(const std::string& reason);
@@ -185,13 +180,6 @@ class FlightRecorder {
 
   /// Serializes bundle-file writes (dump vs. persist thread).
   std::mutex write_mutex_;
-
-  // Fatal-signal support: double-buffered pre-serialized bundle; the
-  // handler only reads the atomically published pointer/size and writes
-  // them to sig_path_ with raw syscalls.
-  bool signal_installed_ = false;
-  std::string signal_buffers_[2];
-  int signal_next_ = 0;
 
   PeriodicThread persist_loop_;
 };

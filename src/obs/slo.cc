@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <utility>
 
-#include "common/macros.h"
 #include "obs/json_util.h"
 
 namespace aims::obs {
@@ -19,20 +17,6 @@ const char* SloKindName(SloKind kind) {
       return "availability";
   }
   return "error_ratio";
-}
-
-SloEngine::SloEngine(const MetricsTimeSeries* store, MetricsRegistry* registry,
-                     std::vector<SloObjective> objectives)
-    : store_(store), objectives_(std::move(objectives)) {
-  AIMS_CHECK(store_ != nullptr);
-  if (registry != nullptr && !objectives_.empty()) {
-    burning_gauge_ = registry->GetGauge("slo.burning");
-    breach_transitions_ = registry->GetCounter("slo.breach_transitions_total");
-  }
-}
-
-void SloEngine::SetBreachHook(std::function<void(const SloStatus&)> hook) {
-  breach_hook_ = std::move(hook);
 }
 
 namespace {
@@ -74,69 +58,45 @@ double BurnOver(const MetricsTimeSeries& store, const SloObjective& slo,
 
 }  // namespace
 
-std::vector<SloStatus> SloEngine::Evaluate(int64_t now_ms) {
-  std::vector<SloStatus> statuses;
-  statuses.reserve(objectives_.size());
-  for (const SloObjective& slo : objectives_) {
-    SloStatus status;
-    status.name = slo.name;
-    status.kind = slo.kind;
-    status.objective = slo.objective;
-    status.series = slo.series;
-    status.fast_window_ms = slo.fast_window_ms;
-    status.slow_window_ms = slo.slow_window_ms;
-    status.fast_burn = BurnOver(*store_, slo, now_ms, slo.fast_window_ms);
-    status.slow_burn = BurnOver(*store_, slo, now_ms, slo.slow_window_ms);
-    // Both windows must burn: the fast window reacts, the slow window
-    // confirms it is not a blip.
-    status.burning = status.fast_burn >= slo.burn_threshold &&
-                     status.slow_burn >= slo.burn_threshold;
-    if (status.burning) {
-      char reason[192];
-      std::snprintf(reason, sizeof(reason),
-                    "SLO %s burning: %.1fx budget over %.0fs, %.1fx over "
-                    "%.0fs (threshold %.1fx)",
-                    slo.name.c_str(), status.fast_burn,
-                    slo.fast_window_ms / 1000.0, status.slow_burn,
-                    slo.slow_window_ms / 1000.0, slo.burn_threshold);
-      status.reason = reason;
-    }
-    statuses.push_back(std::move(status));
+SloStatus EvaluateObjective(const MetricsTimeSeries& store,
+                            const SloObjective& slo, int64_t now_ms) {
+  SloStatus status;
+  status.name = slo.name;
+  status.kind = slo.kind;
+  status.objective = slo.objective;
+  status.series = slo.series;
+  status.fast_window_ms = slo.fast_window_ms;
+  status.slow_window_ms = slo.slow_window_ms;
+  status.fast_burn = BurnOver(store, slo, now_ms, slo.fast_window_ms);
+  status.slow_burn = BurnOver(store, slo, now_ms, slo.slow_window_ms);
+  // Both windows must burn: the fast window reacts, the slow window
+  // confirms it is not a blip.
+  status.burning = status.fast_burn >= slo.burn_threshold &&
+                   status.slow_burn >= slo.burn_threshold;
+  if (status.burning) {
+    char reason[192];
+    std::snprintf(reason, sizeof(reason),
+                  "SLO %s burning: %.1fx budget over %.0fs, %.1fx over "
+                  "%.0fs (threshold %.1fx)",
+                  slo.name.c_str(), status.fast_burn,
+                  slo.fast_window_ms / 1000.0, status.slow_burn,
+                  slo.slow_window_ms / 1000.0, slo.burn_threshold);
+    status.reason = reason;
   }
-
-  std::vector<SloStatus> newly_burning;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (was_burning_.size() != statuses.size()) {
-      was_burning_.assign(statuses.size(), false);
-    }
-    for (size_t i = 0; i < statuses.size(); ++i) {
-      if (statuses[i].burning && !was_burning_[i]) {
-        newly_burning.push_back(statuses[i]);
-      }
-      was_burning_[i] = statuses[i].burning;
-    }
-    latest_ = statuses;
-  }
-
-  int64_t burning = 0;
-  for (const SloStatus& s : statuses) {
-    if (s.burning) ++burning;
-  }
-  if (burning_gauge_ != nullptr) burning_gauge_->Set(burning);
-  if (breach_transitions_ != nullptr && !newly_burning.empty()) {
-    breach_transitions_->Increment(newly_burning.size());
-  }
-  // Hook outside the lock: it renders/dumps (flight recorder).
-  if (breach_hook_) {
-    for (const SloStatus& s : newly_burning) breach_hook_(s);
-  }
-  return statuses;
+  return status;
 }
 
-std::vector<SloStatus> SloEngine::Latest() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return latest_;
+void AppendSloJson(std::string* out, const SloStatus& status) {
+  *out += "{\"name\":\"" + JsonEscape(status.name) + "\",\"kind\":\"" +
+          SloKindName(status.kind) + "\",\"objective\":";
+  AppendJsonDouble(out, status.objective);
+  *out += ",\"series\":\"" + JsonEscape(status.series) + "\",\"fast_burn\":";
+  AppendJsonDouble(out, status.fast_burn);
+  *out += ",\"slow_burn\":";
+  AppendJsonDouble(out, status.slow_burn);
+  *out += ",\"burning\":";
+  *out += status.burning ? "true" : "false";
+  *out += ",\"reason\":\"" + JsonEscape(status.reason) + "\"}";
 }
 
 namespace {

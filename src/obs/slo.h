@@ -1,12 +1,9 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <mutex>
 #include <string>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "obs/timeseries.h"
 
 /// \file slo.h
@@ -19,11 +16,12 @@
 /// threshold. Because the windows read the history store, the judgement
 /// is about trajectories, not the single most recent snapshot.
 ///
-/// The engine publishes three surfaces: burning objectives raise the
-/// StatsReporter's health to Degraded with an SLO reason (via the health
-/// input the server wires), the aims_slo_* Prometheus family exposes the
-/// burn rates, and breach transitions emit FlightRecorder events — with
-/// the bundle embedding each burning series' recent history window.
+/// The StatsReporter judges every objective as of the newest scrape and
+/// carries the statuses in HealthSnapshot::slo. Three surfaces read them:
+/// a burning objective degrades the health level with an SLO reason, the
+/// aims_slo_* Prometheus family exposes the burn rates, and breach edges
+/// become FlightRecorder events — with the bundle embedding each burning
+/// series' recent history window.
 
 namespace aims::obs {
 
@@ -82,49 +80,21 @@ struct SloStatus {
   bool burning = false;
   /// Human-readable breach summary, empty while not burning.
   std::string reason;
+  /// True only in the one HealthSnapshot whose judgement found this
+  /// objective's not-burning -> burning edge (the flight recorder logs the
+  /// breach from it). Not rendered.
+  bool breached = false;
 };
 
-/// \brief Evaluates objectives over the history store.
-///
-/// Thread-safe: Evaluate from the scrape cadence (or tests), Latest from
-/// reporter/exporter/recorder threads. Publishes two registry metrics so
-/// the burn state is visible without the aims_slo_* family: the
-/// "slo.burning" gauge (count of burning objectives) and the
-/// "slo.breach_transitions_total" counter (not-burning -> burning edges).
-class SloEngine {
- public:
-  /// \param registry may be null (no gauge/counter publication).
-  SloEngine(const MetricsTimeSeries* store, MetricsRegistry* registry,
-            std::vector<SloObjective> objectives);
+/// \brief Judges \p slo as of \p now_ms: the bad-event fraction over
+/// the error budget in each window, and burning when both windows reach
+/// the threshold. Stateless; the StatsReporter keeps the breach edges.
+SloStatus EvaluateObjective(const MetricsTimeSeries& store,
+                            const SloObjective& slo, int64_t now_ms);
 
-  /// \brief Recomputes every objective's burn rates as of \p now_ms and
-  /// returns the fresh statuses. Breach transitions invoke the breach
-  /// hook (outside the engine lock).
-  std::vector<SloStatus> Evaluate(int64_t now_ms);
-
-  /// \brief Most recent statuses (empty before the first Evaluate).
-  std::vector<SloStatus> Latest() const;
-
-  /// \brief Observer of each objective's not-burning -> burning edge (the
-  /// server wires it to the flight recorder). Set before evaluation
-  /// starts; runs on the evaluating thread with no engine lock held.
-  void SetBreachHook(std::function<void(const SloStatus&)> hook);
-
-  const std::vector<SloObjective>& objectives() const { return objectives_; }
-
- private:
-  const MetricsTimeSeries* store_;
-  std::vector<SloObjective> objectives_;
-
-  Gauge* burning_gauge_ = nullptr;
-  Counter* breach_transitions_ = nullptr;
-
-  std::function<void(const SloStatus&)> breach_hook_;
-
-  mutable std::mutex mutex_;
-  std::vector<SloStatus> latest_;
-  std::vector<bool> was_burning_;
-};
+/// \brief One status as a JSON object — the /healthz "slo" entries and the
+/// flight-record bundle's "slo" entries.
+void AppendSloJson(std::string* out, const SloStatus& status);
 
 /// \brief The aims_slo_* Prometheus family for a set of statuses:
 /// aims_slo_objective, aims_slo_burn_rate_fast/slow, aims_slo_burning —

@@ -11,6 +11,14 @@ namespace aims::obs {
 
 namespace {
 
+// The signals the checks read, under the names their publishers register:
+// the scheduler, the ingest service and the catalog.
+constexpr char kLatencyHistogram[] = "scheduler.exec_ms";
+constexpr char kQueueDepthGauge[] = "ingest.queue_depth";
+constexpr char kWalLagGauge[] = "storage.wal_lag_bytes";
+constexpr char kShardLockGauge[] = "catalog.shard_lock_p99_us";
+constexpr char kSlowQueryCounter[] = "scheduler.slow_queries";
+
 double MsSince(std::chrono::steady_clock::time_point start,
                std::chrono::steady_clock::time_point now) {
   return std::chrono::duration<double, std::milli>(now - start).count();
@@ -69,7 +77,12 @@ std::string HealthSnapshotJson(const HealthSnapshot& snapshot) {
     AppendJsonDouble(&out, rate.per_sec);
     out += '}';
   }
-  out += "}}";
+  out += "},\"slo\":[";
+  for (size_t i = 0; i < snapshot.slo.size(); ++i) {
+    if (i > 0) out += ',';
+    AppendSloJson(&out, snapshot.slo[i]);
+  }
+  out += "]}";
   return out;
 }
 
@@ -85,13 +98,22 @@ const char* HealthLevelName(HealthLevel level) {
   return "Unknown";
 }
 
-StatsReporter::StatsReporter(const MetricsRegistry* registry,
-                             StatsReporterConfig config)
+StatsReporter::StatsReporter(MetricsRegistry* registry,
+                             StatsReporterConfig config,
+                             std::vector<SloObjective> slos,
+                             const MetricsTimeSeries* history)
     : registry_(registry),
       config_(config),
+      objectives_(history != nullptr ? std::move(slos)
+                                     : std::vector<SloObjective>{}),
+      history_(history),
       epoch_(std::chrono::steady_clock::now()),
       prev_time_(epoch_) {
   AIMS_CHECK(registry_ != nullptr);
+  if (!objectives_.empty()) {
+    burning_gauge_ = registry->GetGauge("slo.burning");
+    breach_transitions_ = registry->GetCounter("slo.breach_transitions_total");
+  }
 }
 
 StatsReporter::~StatsReporter() { Stop(); }
@@ -111,11 +133,6 @@ void StatsReporter::SetSnapshotHook(
 
 void StatsReporter::SetWatchdogHandle(Watchdog::Handle* handle) {
   watchdog_ = handle;
-}
-
-void StatsReporter::SetHealthInput(
-    std::function<void(HealthSnapshot*)> input) {
-  health_input_ = std::move(input);
 }
 
 HealthSnapshot StatsReporter::SnapshotNow() {
@@ -171,7 +188,7 @@ HealthSnapshot StatsReporter::ComputeLocked() {
   char reason[160];
   if (config_.saturation_capacity > 0.0) {
     for (const auto& [name, gauge] : registry_->Gauges()) {
-      if (name != config_.saturation_gauge) continue;
+      if (name != kQueueDepthGauge) continue;
       snap.queue_saturation = static_cast<double>(gauge->value()) /
                               config_.saturation_capacity;
       if (snap.queue_saturation >= 0.75) {
@@ -186,7 +203,7 @@ HealthSnapshot StatsReporter::ComputeLocked() {
   }
   if (config_.wal_lag_budget_bytes > 0.0) {
     for (const auto& [name, gauge] : registry_->Gauges()) {
-      if (name != config_.wal_lag_gauge) continue;
+      if (name != kWalLagGauge) continue;
       snap.wal_lag_saturation = static_cast<double>(gauge->value()) /
                                 config_.wal_lag_budget_bytes;
       if (snap.wal_lag_saturation >= 0.75) {
@@ -203,7 +220,7 @@ HealthSnapshot StatsReporter::ComputeLocked() {
     }
   }
   for (const auto& [name, gauge] : registry_->Gauges()) {
-    if (name != config_.shard_lock_gauge) continue;
+    if (name != kShardLockGauge) continue;
     // The gauge carries microseconds (integer gauges would flatten sub-ms
     // lock waits to zero); the snapshot and target speak milliseconds.
     snap.shard_lock_p99_ms = static_cast<double>(gauge->value()) / 1000.0;
@@ -222,21 +239,21 @@ HealthSnapshot StatsReporter::ComputeLocked() {
     break;
   }
   {
-    auto it = snap.rates.find(config_.slow_query_counter);
+    auto it = snap.rates.find(kSlowQueryCounter);
     if (it != snap.rates.end()) snap.slow_query_per_sec = it->second.per_sec;
   }
   if (config_.slow_query_rate_per_sec > 0.0 &&
       snap.slow_query_per_sec > config_.slow_query_rate_per_sec) {
     std::snprintf(reason, sizeof(reason),
                   "%s at %.1f/s over target %.1f/s",
-                  config_.slow_query_counter.c_str(), snap.slow_query_per_sec,
+                  kSlowQueryCounter, snap.slow_query_per_sec,
                   config_.slow_query_rate_per_sec);
     snap.reasons.push_back(reason);
     snap.level = std::max(snap.level, HealthLevel::kDegraded);
   }
   if (config_.p99_target_ms > 0.0) {
     for (const auto& [name, hist] : registry_->Histograms()) {
-      if (name != config_.latency_histogram) continue;
+      if (name != kLatencyHistogram) continue;
       snap.p99_ms = hist->ApproxQuantile(0.99);
       if (snap.p99_ms > config_.p99_target_ms) {
         std::snprintf(reason, sizeof(reason),
@@ -251,13 +268,14 @@ HealthSnapshot StatsReporter::ComputeLocked() {
       break;
     }
   }
-  // External contributors (the SLO engine) weigh in before transition
-  // bookkeeping, so an SLO-only breach is a real level change with its
-  // reason captured in last_transition like any built-in check.
-  if (health_input_) {
-    const HealthLevel before = snap.level;
-    health_input_(&snap);
-    snap.level = std::max(snap.level, before);
+  // Objectives weigh in before transition bookkeeping, so an SLO-only
+  // breach is a real level change with its reason captured in
+  // last_transition like any threshold check.
+  JudgeObjectivesLocked(&snap);
+  for (const SloStatus& status : snap.slo) {
+    if (!status.burning) continue;
+    snap.reasons.push_back(status.reason);
+    snap.level = std::max(snap.level, HealthLevel::kDegraded);
   }
   if (snap.level != prev_level_) {
     HealthTransition transition;
@@ -271,6 +289,32 @@ HealthSnapshot StatsReporter::ComputeLocked() {
   }
   snap.last_transition = last_transition_;
   return snap;
+}
+
+void StatsReporter::JudgeObjectivesLocked(HealthSnapshot* snap) {
+  if (objectives_.empty()) return;
+  const int64_t scrape_ms = history_->last_scrape_ms();
+  if (scrape_ms > judged_scrape_ms_) {
+    std::vector<SloStatus> statuses;
+    statuses.reserve(objectives_.size());
+    int64_t burning = 0;
+    uint64_t breaches = 0;
+    for (size_t i = 0; i < objectives_.size(); ++i) {
+      SloStatus status = EvaluateObjective(*history_, objectives_[i], scrape_ms);
+      const bool was_burning = i < slo_.size() && slo_[i].burning;
+      status.breached = status.burning && !was_burning;
+      if (status.burning) ++burning;
+      if (status.breached) ++breaches;
+      statuses.push_back(std::move(status));
+    }
+    slo_ = std::move(statuses);
+    judged_scrape_ms_ = scrape_ms;
+    burning_gauge_->Set(burning);
+    if (breaches > 0) breach_transitions_->Increment(breaches);
+  }
+  snap->slo = slo_;
+  // Each edge is carried by exactly one snapshot.
+  for (SloStatus& status : slo_) status.breached = false;
 }
 
 }  // namespace aims::obs

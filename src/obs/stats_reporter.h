@@ -11,61 +11,51 @@
 
 #include "obs/metrics.h"
 #include "obs/periodic_thread.h"
+#include "obs/slo.h"
+#include "obs/timeseries.h"
 #include "obs/watchdog.h"
 
 /// \file stats_reporter.h
 /// \brief Periodic introspection over a MetricsRegistry: a background
 /// thread snapshots the registry on an interval, turns monotonic counters
 /// into rates (delta / elapsed, wrap-safe), and derives a single health
-/// signal — is the ingest queue saturating, is query p99 over target — the
-/// way Aurora's QoS monitor reduces per-operator statistics to "are we
-/// meeting the service contract". The latest snapshot is served lock-cheap
-/// to the typed API's GetHealth and to dashboards.
+/// signal — is the ingest queue saturating, is query p99 over target, is
+/// an objective burning its error budget — the way Aurora's QoS monitor
+/// reduces per-operator statistics to "are we meeting the service
+/// contract". The latest snapshot is served lock-cheap to the typed API's
+/// GetHealth and to dashboards.
 
 namespace aims::obs {
 
-/// \brief What the reporter watches and the targets it judges against.
+/// \brief The targets the reporter judges against. Each check reads the
+/// signal under the name its publisher registers; an unregistered signal
+/// or a 0 target disables the check.
 struct StatsReporterConfig {
-  /// Histogram whose p99 is compared against the target (ignored when the
-  /// histogram is not registered or the target is 0).
-  std::string latency_histogram = "scheduler.exec_ms";
+  /// Target for the p99 of the scheduler's "scheduler.exec_ms" histogram.
   /// Degraded when p99 exceeds this; saturated when it exceeds twice this.
-  /// 0 disables the latency check.
   double p99_target_ms = 0.0;
-  /// Gauge read as a queue depth for the saturation ratio (ignored when
-  /// not registered or capacity is 0).
-  std::string saturation_gauge = "ingest.queue_depth";
-  /// Capacity the gauge is divided by. Degraded at >= 75% of capacity,
-  /// saturated at >= 100%. 0 disables the saturation check.
+  /// Capacity the ingest service's "ingest.queue_depth" gauge is divided
+  /// by. Degraded at >= 75% of capacity, saturated at >= 100%.
   double saturation_capacity = 0.0;
-  /// Gauge read as the WAL lag in bytes — committed log the page files
-  /// have not yet absorbed via checkpoint (ShardedCatalog publishes it
-  /// after every durable ingest). Ignored when not registered or the
-  /// budget is 0.
-  std::string wal_lag_gauge = "storage.wal_lag_bytes";
-  /// Checkpoint byte budget the WAL-lag gauge is divided by. A lag well
-  /// past the auto-checkpoint threshold means checkpoints are failing or
+  /// Checkpoint byte budget the catalog's "storage.wal_lag_bytes" gauge is
+  /// divided by — committed log the page files have not yet absorbed via
+  /// checkpoint (published after every durable ingest). A lag well past
+  /// the auto-checkpoint threshold means checkpoints are failing or
   /// falling behind ingest — recovery time grows with every committed
-  /// byte. Degraded at >= 75% of budget, saturated at >= 100%. 0 disables
-  /// the check.
+  /// byte. Degraded at >= 75% of budget, saturated at >= 100%.
   double wal_lag_budget_bytes = 0.0;
-  /// Gauge read as the max-over-shards shard-lock-wait p99 in
-  /// MICROseconds (the catalog publishes it after every ingest and shard-
-  /// stats snapshot). Ignored when not registered or the target is 0.
-  std::string shard_lock_gauge = "catalog.shard_lock_p99_us";
-  /// Target for the shard-lock p99 in milliseconds. One shard whose
-  /// writers queue behind a hot lock degrades every tenant placed there —
-  /// the per-shard probe catches it while server-wide p99 still looks
-  /// fine. Degraded when p99 exceeds the target, saturated at 2x. 0
-  /// disables the check.
+  /// Target for the catalog's "catalog.shard_lock_p99_us" gauge (the
+  /// max-over-shards shard-lock-wait p99, published in microseconds after
+  /// every ingest and shard-stats snapshot), in milliseconds. One shard
+  /// whose writers queue behind a hot lock degrades every tenant placed
+  /// there — the per-shard probe catches it while server-wide p99 still
+  /// looks fine. Degraded when p99 exceeds the target, saturated at 2x.
   double shard_lock_p99_target_ms = 0.0;
-  /// Counter of queries over the server's slow-query threshold, judged as
-  /// a rate over the snapshot window.
-  std::string slow_query_counter = "scheduler.slow_queries";
-  /// Degraded when the slow-query rate exceeds this many per second. 0
-  /// disables the check. A slow-query burst is a quality-of-service
-  /// breach even while queues and p99 still look healthy (p99 lags a
-  /// window; the rate reacts within one).
+  /// Degraded when the rate of the scheduler's "scheduler.slow_queries"
+  /// counter over the snapshot window exceeds this many per second. A
+  /// slow-query burst is a quality-of-service breach even while queues and
+  /// p99 still look healthy (p99 lags a window; the rate reacts within
+  /// one).
   double slow_query_rate_per_sec = 0.0;
 };
 
@@ -111,41 +101,65 @@ struct HealthSnapshot {
   /// Actual window this snapshot's rates are computed over.
   double window_ms = 0.0;
   HealthLevel level = HealthLevel::kOk;
-  /// One entry per threshold breach, e.g. "queue at 112% of capacity".
+  /// One entry per threshold breach or burning objective, e.g.
+  /// "ingest.queue_depth at 112% of capacity".
   std::vector<std::string> reasons;
-  /// saturation_gauge value / saturation_capacity (0 when disabled).
+  /// Queue depth / saturation_capacity (0 when disabled).
   double queue_saturation = 0.0;
-  /// wal_lag_gauge value / wal_lag_budget_bytes (0 when disabled).
+  /// WAL lag / wal_lag_budget_bytes (0 when disabled).
   double wal_lag_saturation = 0.0;
-  /// p99 of latency_histogram in ms (0 when disabled/unregistered).
+  /// p99 of "scheduler.exec_ms" in ms (0 when disabled/unregistered).
   double p99_ms = 0.0;
   /// Max-over-shards shard-lock-wait p99 in ms (0 when the shard-lock
   /// gauge is unregistered).
   double shard_lock_p99_ms = 0.0;
-  /// Rate of slow_query_counter over the window (0 when unregistered).
+  /// Rate of "scheduler.slow_queries" over the window (0 when
+  /// unregistered).
   double slow_query_per_sec = 0.0;
   /// The most recent level change, carried on every snapshot since (empty
   /// until the level first leaves its initial Ok).
   std::optional<HealthTransition> last_transition;
   /// Every registered counter with its per-second rate over the window.
   std::map<std::string, CounterRate> rates;
+  /// Every objective's status as of the newest scrape the reporter has
+  /// judged (empty without objectives, without metrics history, or before
+  /// the first scrape).
+  std::vector<SloStatus> slo;
 };
 
 /// \brief One JSON object for a snapshot — the /healthz body and the
 /// flight-record bundle's health entries. Includes the last transition
-/// (or null) and the full per-counter rate map.
+/// (or null), the full per-counter rate map, and the objective statuses.
 std::string HealthSnapshotJson(const HealthSnapshot& snapshot);
 
-/// \brief Background snapshot thread + on-demand evaluation.
+/// \brief Background snapshot thread + on-demand evaluation: the one
+/// health evaluator.
+///
+/// Every snapshot runs the threshold checks and, with objectives and a
+/// history store, judges every objective as of the store's latest scrape.
+/// An objective is judged again only once a newer scrape exists, so the
+/// burn-rate queries run once per scrape however often health is read. A
+/// burning objective raises the level to at least Degraded with its
+/// reason. The reporter publishes the "slo.burning" gauge (objectives
+/// burning) and the "slo.breach_transitions_total" counter (not-burning ->
+/// burning edges), and marks each edge in exactly one snapshot
+/// (SloStatus::breached).
 ///
 /// Thread-safe. Start() is optional: without it the reporter is a pure
 /// on-demand evaluator (SnapshotNow). Stop()/destructor join the thread
 /// promptly (the interval wait is interruptible).
 class StatsReporter {
  public:
-  /// \param registry watched registry (not owned, must outlive this).
-  explicit StatsReporter(const MetricsRegistry* registry,
-                         StatsReporterConfig config = {});
+  /// \param registry watched registry (not owned, must outlive this); the
+  ///   SLO gauge and counter are published there.
+  /// \param slos objectives to judge over \p history; ignored when
+  ///   \p history is null.
+  /// \param history the metrics-history store (not owned, must outlive
+  ///   this), or null when metrics history is off.
+  explicit StatsReporter(MetricsRegistry* registry,
+                         StatsReporterConfig config = {},
+                         std::vector<SloObjective> slos = {},
+                         const MetricsTimeSeries* history = nullptr);
   ~StatsReporter();
 
   StatsReporter(const StatsReporter&) = delete;
@@ -169,33 +183,34 @@ class StatsReporter {
   HealthSnapshot Latest();
 
   /// \brief Observer of every freshly computed snapshot (the flight
-  /// recorder's health feed). Runs on the snapshotting thread with no
-  /// reporter lock held. Set before Start(); not synchronized against
-  /// concurrent snapshots.
+  /// recorder's health and breach feed). Runs on the snapshotting thread
+  /// with no reporter lock held. Set before Start(); not synchronized
+  /// against concurrent snapshots.
   void SetSnapshotHook(std::function<void(const HealthSnapshot&)> hook);
 
   /// \brief Heartbeat slot the periodic loop beats each iteration (armed
   /// while the loop runs). Set before Start(); may be null.
   void SetWatchdogHandle(Watchdog::Handle* handle);
 
-  /// \brief External health contributor, consulted at the end of every
-  /// snapshot computation before transition bookkeeping: the callback may
-  /// append reasons and raise (never lower) the level — the server wires
-  /// the SLO engine here so a burning objective degrades /healthz with an
-  /// SLO reason. Set before Start(); runs with the reporter's snapshot
-  /// lock held, so it must not call back into this reporter.
-  void SetHealthInput(std::function<void(HealthSnapshot*)> input);
-
   bool running() const;
   const StatsReporterConfig& config() const { return config_; }
 
  private:
-  /// Computes a snapshot from current registry state; caller must hold
-  /// snapshot_mutex_ (rate bookkeeping is not concurrent-safe).
+  /// Computes a snapshot from current registry and history state; caller
+  /// must hold snapshot_mutex_ (rate and edge bookkeeping is not
+  /// concurrent-safe).
   HealthSnapshot ComputeLocked();
+  /// Fills snap->slo, re-judging the objectives when the store holds a
+  /// newer scrape than the last judgement. Caller holds snapshot_mutex_.
+  void JudgeObjectivesLocked(HealthSnapshot* snap);
 
   const MetricsRegistry* registry_;
   StatsReporterConfig config_;
+  const std::vector<SloObjective> objectives_;
+  const MetricsTimeSeries* history_;
+  /// Published only when there are objectives to judge.
+  Gauge* burning_gauge_ = nullptr;
+  Counter* breach_transitions_ = nullptr;
   const std::chrono::steady_clock::time_point epoch_;
 
   /// Serializes snapshot computation and guards latest_ + rate history.
@@ -208,10 +223,14 @@ class StatsReporter {
   /// HealthSnapshot::last_transition (guarded by snapshot_mutex_).
   HealthLevel prev_level_ = HealthLevel::kOk;
   std::optional<HealthTransition> last_transition_;
+  /// The edge ledger's objective half: the statuses of the last judgement
+  /// (breached cleared once a snapshot carried it) and the scrape they
+  /// were judged as of (guarded by snapshot_mutex_).
+  std::vector<SloStatus> slo_;
+  int64_t judged_scrape_ms_ = 0;
 
   /// Set-before-Start wiring (unsynchronized by contract).
   std::function<void(const HealthSnapshot&)> snapshot_hook_;
-  std::function<void(HealthSnapshot*)> health_input_;
   Watchdog::Handle* watchdog_ = nullptr;
 
   PeriodicThread loop_;

@@ -23,6 +23,11 @@ MetricsTimeSeries::MetricsTimeSeries(MetricsTimeSeriesConfig config)
   if (config_.chunk_max_samples < 2) config_.chunk_max_samples = 2;
 }
 
+MetricsTimeSeries::MetricsTimeSeries(MetricsTimeSeries&& other) noexcept
+    : config_(other.config_),
+      stripes_(std::move(other.stripes_)),
+      last_scrape_ms_(other.last_scrape_ms()) {}
+
 MetricsTimeSeries::Stripe& MetricsTimeSeries::StripeFor(
     const std::string& series) const {
   return stripes_[std::hash<std::string>{}(series) % stripes_.size()];
@@ -383,11 +388,6 @@ MetricsScraper::MetricsScraper(const MetricsRegistry* registry,
 
 MetricsScraper::~MetricsScraper() { Stop(); }
 
-void MetricsScraper::SetPostScrapeHook(
-    std::function<void(int64_t now_ms)> hook) {
-  post_scrape_hook_ = std::move(hook);
-}
-
 void MetricsScraper::SetWatchdogHandle(Watchdog::Handle* handle) {
   watchdog_ = handle;
 }
@@ -423,8 +423,8 @@ int64_t MetricsScraper::ScrapeOnce(int64_t at_ms) {
                      process.cpu_seconds);
     }
   }
+  store_->MarkScraped(now_ms);
   scrapes_.fetch_add(1, std::memory_order_relaxed);
-  if (post_scrape_hook_) post_scrape_hook_(now_ms);
   return now_ms;
 }
 

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -75,6 +74,8 @@ struct TimeSeriesStats {
 class MetricsTimeSeries {
  public:
   explicit MetricsTimeSeries(MetricsTimeSeriesConfig config = {});
+  /// Moves a store no other thread is using.
+  MetricsTimeSeries(MetricsTimeSeries&& other) noexcept;
 
   void Append(const std::string& series, int64_t t_ms, double value);
 
@@ -87,6 +88,18 @@ class MetricsTimeSeries {
   std::vector<std::string> SeriesNames() const;
 
   TimeSeriesStats Stats() const;
+
+  /// \brief Publishes \p t_ms as the latest complete scrape: every series
+  /// the scrape sampled already holds its sample at t_ms. The scraper
+  /// calls it after a scrape's last append.
+  void MarkScraped(int64_t t_ms) {
+    last_scrape_ms_.store(t_ms, std::memory_order_release);
+  }
+  /// \brief The latest MarkScraped timestamp, 0 before the first scrape —
+  /// what the StatsReporter judges objectives as of.
+  int64_t last_scrape_ms() const {
+    return last_scrape_ms_.load(std::memory_order_acquire);
+  }
 
   const MetricsTimeSeriesConfig& config() const { return config_; }
 
@@ -131,6 +144,7 @@ class MetricsTimeSeries {
 
   MetricsTimeSeriesConfig config_;
   mutable std::vector<Stripe> stripes_;
+  std::atomic<int64_t> last_scrape_ms_{0};
 };
 
 /// \brief Aggregation applied per step window.
@@ -191,7 +205,7 @@ Result<std::vector<RangePoint>> EvaluateRangeQuery(
 /// reset handling: a sample below its predecessor is treated as a restart
 /// from zero (which also absorbs a 2^64 wrap surfacing as a huge negative
 /// delta), so the increase is never negative. 0 with fewer than two
-/// samples. The SLO engine's burn rates are built on this.
+/// samples. The SLO burn rates are built on this.
 double IncreaseOver(const MetricsTimeSeries& store, const std::string& series,
                     int64_t start_ms, int64_t end_ms);
 
@@ -215,9 +229,10 @@ struct MetricsScraperConfig {
 /// Every counter and gauge lands under its registry name; histograms land
 /// as four derived series (<name>.p50/.p95/.p99 and <name>.count); process
 /// stats land as process.rss_bytes / process.open_fds /
-/// process.cpu_seconds_total. Start() spawns the scrape thread (with a
-/// watchdog heartbeat when a handle is set); ScrapeOnce() works without
-/// it, which is how tests drive deterministic timelines.
+/// process.cpu_seconds_total. Each scrape ends by marking the store
+/// (MarkScraped). Start() spawns the scrape thread (with a watchdog
+/// heartbeat when a handle is set); ScrapeOnce() works without it, which
+/// is how tests drive deterministic timelines.
 class MetricsScraper {
  public:
   using Config = MetricsScraperConfig;
@@ -229,10 +244,6 @@ class MetricsScraper {
   MetricsScraper(const MetricsScraper&) = delete;
   MetricsScraper& operator=(const MetricsScraper&) = delete;
 
-  /// \brief Runs after every scrape with the scrape timestamp — the SLO
-  /// engine's evaluation trigger. Set before Start(); runs on the scrape
-  /// thread (or the ScrapeOnce caller).
-  void SetPostScrapeHook(std::function<void(int64_t now_ms)> hook);
   /// \brief Heartbeat slot the scrape loop beats each iteration. Set
   /// before Start(); may be null.
   void SetWatchdogHandle(Watchdog::Handle* handle);
@@ -255,7 +266,6 @@ class MetricsScraper {
   MetricsTimeSeries* store_;
   Config config_;
 
-  std::function<void(int64_t)> post_scrape_hook_;
   Watchdog::Handle* watchdog_ = nullptr;
   std::atomic<uint64_t> scrapes_{0};
 

@@ -6,7 +6,6 @@
 #include <map>
 
 #include "common/macros.h"
-#include "obs/profile.h"
 #include "storage/allocation.h"
 
 namespace aims::propolyne {
@@ -94,7 +93,6 @@ size_t BlockedCube::BlockOfFlat(size_t flat) const {
 Result<BlockProgressiveResult> BlockedCube::EvaluateProgressive(
     const RangeSumQuery& query, BlockImportance importance,
     const BlockStepObserver& observer) const {
-  AIMS_PROFILE_SCOPE("propolyne.block_eval");
   AIMS_ASSIGN_OR_RETURN(auto product, evaluator_.ProductCoefficients(query));
 
   // Group the query coefficients by the block that stores their partner

@@ -5,7 +5,6 @@
 
 #include "common/macros.h"
 #include "common/stats.h"
-#include "obs/profile.h"
 
 namespace aims::recognition {
 
@@ -42,7 +41,6 @@ double StreamRecognizer::CurrentActivity() const {
 }
 
 Status StreamRecognizer::AccumulateEvidence() {
-  AIMS_PROFILE_SCOPE("recognition.evaluate");
   AIMS_ASSIGN_OR_RETURN(linalg::EigenDecomposition spectrum,
                         covariance_.Spectrum());
   AIMS_ASSIGN_OR_RETURN(std::vector<double> scores,

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/macros.h"
-#include "obs/profile.h"
 #include "signal/dft.h"
 #include "signal/dwt.h"
 #include "signal/wavelet_filter.h"
@@ -76,7 +75,6 @@ double WeightedSvdSimilarity::SpectraSimilarity(
 
 Result<double> WeightedSvdSimilarity::Similarity(
     const linalg::Matrix& a, const linalg::Matrix& b) const {
-  AIMS_PROFILE_SCOPE("recognition.weighted_svd");
   AIMS_RETURN_NOT_OK(CheckSegments(a, b));
   AIMS_ASSIGN_OR_RETURN(linalg::EigenDecomposition ea, SegmentSpectrum(a));
   AIMS_ASSIGN_OR_RETURN(linalg::EigenDecomposition eb, SegmentSpectrum(b));

@@ -4,7 +4,6 @@
 #include <numeric>
 
 #include "common/macros.h"
-#include "obs/profile.h"
 #include "linalg/eigen.h"
 #include "recognition/similarity.h"
 #include "signal/dwt.h"
@@ -13,7 +12,6 @@ namespace aims::recognition {
 
 Result<linalg::Matrix> TransformSegment(const signal::WaveletFilter& filter,
                                         const linalg::Matrix& segment) {
-  AIMS_PROFILE_SCOPE("recognition.transform_segment");
   if (segment.rows() < 2) {
     return Status::InvalidArgument("TransformSegment: need >= 2 frames");
   }

@@ -250,7 +250,7 @@ void QueryScheduler::Execute(const QueryTicketPtr& ticket) {
     tenant->CountQuery();
   }
   // Always-on wall-clock charge for everything from dispatch to the end of
-  // evaluation (the AIMS_PROFILE_SCOPE idea, promoted to the ledger).
+  // evaluation (a scoped timer charged to the tenant's ledger).
   obs::ScopedCpuCharge cpu_charge(tenant);
 
   // Continuous-aggregate short circuit: a registered standing query whose

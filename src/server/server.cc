@@ -116,40 +116,21 @@ AimsServer::AimsServer(ServerConfig config)
       });
   scheduler_->SetAggregateRegistry(aggregates_.get());
 
-  reporter_ =
-      std::make_unique<obs::StatsReporter>(metrics_.get(), config.obs.reporter);
-
-  // Metrics history: the store, the scraper feeding it, and (with
-  // objectives configured) the SLO engine evaluated after every scrape.
+  // Metrics history: the store and the scraper feeding it. The reporter
+  // judges the configured objectives over the store.
   if (config.obs.enable_metrics_history) {
     history_ = std::make_unique<obs::MetricsTimeSeries>(config.obs.history);
     scraper_ =
         std::make_unique<obs::MetricsScraper>(metrics_.get(), history_.get());
-    if (!config.obs.slos.empty()) {
-      slo_ = std::make_unique<obs::SloEngine>(
-          history_.get(),
-          config.obs.enable_metrics ? metrics_.get() : nullptr,
-          config.obs.slos);
-      scraper_->SetPostScrapeHook(
-          [this](int64_t now_ms) { slo_->Evaluate(now_ms); });
-      // A burning objective degrades the derived health signal with the
-      // engine's reason — the SLO judges trajectories the reporter's
-      // instantaneous checks cannot see.
-      reporter_->SetHealthInput([this](obs::HealthSnapshot* snap) {
-        for (const obs::SloStatus& s : slo_->Latest()) {
-          if (!s.burning) continue;
-          snap->reasons.push_back(s.reason);
-          snap->level = std::max(snap->level, obs::HealthLevel::kDegraded);
-        }
-      });
-    }
   }
+  reporter_ = std::make_unique<obs::StatsReporter>(
+      metrics_.get(), config.obs.reporter, config.obs.slos, history_.get());
 
   // Watchdog: always constructed (supervised sections register
   // unconditionally and tests drive CheckNow); the checker thread only
   // runs when a cadence was configured.
   watchdog_ = std::make_unique<obs::Watchdog>(
-      obs::WatchdogConfig{config.obs.watchdog_deadline_ms},
+      obs::WatchdogConfig{},
       config.obs.enable_metrics ? metrics_->GetCounter("watchdog.stalls_total")
                                 : nullptr);
   pool_->SetWatchdog(watchdog_->Register("thread_pool"));
@@ -180,8 +161,8 @@ AimsServer::AimsServer(ServerConfig config)
       context.cache = catalog_->TotalCacheStats();
       context.shards = catalog_->ShardStats();
       context.watchdog = watchdog_->Status();
-      if (slo_ != nullptr) {
-        context.slo = slo_->Latest();
+      if (history_ != nullptr && !config_.obs.slos.empty()) {
+        context.slo = reporter_->Latest().slo;
         // Embed each burning series' recent window (capped so a bundle
         // stays bounded): the post-mortem sees the trajectory that
         // tripped the objective, not just the final burn rate.
@@ -207,8 +188,9 @@ AimsServer::AimsServer(ServerConfig config)
       }
       return context;
     });
-    // Feeds: the tracer's evictions, the reporter's health snapshots, the
-    // watchdog's stall episodes (the latter also trigger a dump).
+    // Feeds: the tracer's evictions, the reporter's health snapshots (and
+    // the objective breaches they mark), the watchdog's stall episodes (the
+    // latter also trigger a dump).
     if (config.obs.enable_tracing) {
       tracer_->SetEvictionSink([recorder = recorder_.get()](
                                    const obs::Trace& trace) {
@@ -219,15 +201,6 @@ AimsServer::AimsServer(ServerConfig config)
         [recorder = recorder_.get()](const obs::HealthSnapshot& snapshot) {
           recorder->RecordHealth(snapshot);
         });
-    if (slo_ != nullptr) {
-      // Every not-burning -> burning edge lands in the event ring; the
-      // bundle's context (wired above) then embeds the burning series'
-      // history window.
-      slo_->SetBreachHook(
-          [recorder = recorder_.get()](const obs::SloStatus& s) {
-            recorder->RecordEvent(s.reason);
-          });
-    }
     watchdog_->SetStallCallback(
         [recorder = recorder_.get()](const obs::Watchdog::ThreadStatus& s) {
           (void)recorder->Dump("watchdog stall: " + s.name);
@@ -238,11 +211,6 @@ AimsServer::AimsServer(ServerConfig config)
       std::fprintf(stderr,
                    "aims: previous flight-record bundle preserved at %s\n",
                    recorder_->previous_bundle_path().c_str());
-    }
-    if (config.obs.flight_fatal_signal_handler) {
-      // Best-effort: a second server in the process (or a sanitizer that
-      // owns these signals) simply goes without the crash hook.
-      (void)recorder_->InstallFatalSignalHandler();
     }
     recorder_->Start();
   }
@@ -665,25 +633,26 @@ void AimsServer::WireAdminRoutes() {
     if (catalog_->durable()) wal = catalog_->TotalWalStats();
     std::vector<obs::ShardStatsEntry> shards = catalog_->ShardStats();
     std::vector<obs::SloStatus> slo;
-    if (slo_ != nullptr) slo = slo_->Latest();
+    if (history_ != nullptr && !config_.obs.slos.empty()) {
+      slo = reporter_->Latest().slo;
+    }
     response.body = obs::PrometheusExport(
         *metrics_, config_.obs.enable_tracing ? tracer_.get() : nullptr,
         config_.obs.enable_cost_ledger ? cost_ledger_.get() : nullptr, &cache,
-        wal.has_value() ? &*wal : nullptr, &shards,
-        slo_ != nullptr ? &slo : nullptr);
+        wal.has_value() ? &*wal : nullptr, &shards, &slo);
     return response;
   });
 
   // /healthz: 200 while Ok/Degraded, 503 once Saturated — the load
   // balancer contract. "?refresh" (or any query naming it) forces an
-  // on-demand evaluation; so does a reporter that has never snapshotted.
+  // on-demand evaluation; so does a reporter that has never snapshotted
+  // (Latest computes the first snapshot).
   admin_->Route("/healthz", [this](const obs::AdminRequest& request) {
     obs::AdminResponse response;
-    obs::HealthSnapshot snapshot =
+    const obs::HealthSnapshot snapshot =
         request.query.find("refresh") != std::string::npos
             ? reporter_->SnapshotNow()
             : reporter_->Latest();
-    if (snapshot.sequence == 0) snapshot = reporter_->SnapshotNow();
     if (snapshot.level == obs::HealthLevel::kSaturated) response.status = 503;
     response.body = obs::HealthSnapshotJson(snapshot) + "\n";
     return response;
@@ -889,8 +858,6 @@ void AimsServer::Shutdown() {
   // heartbeat handle), and before the catalog teardown its sweeps lock.
   if (sweeper_ != nullptr) sweeper_->Stop();
   if (watchdog_ != nullptr) watchdog_->Stop();
-  // The scraper stops before the reporter: its post-scrape hook raises
-  // health through the SLO engine, which the reporter reads.
   if (scraper_ != nullptr) scraper_->Stop();
   reporter_->Stop();
   ingest_->Drain();

@@ -64,8 +64,8 @@ struct ObsConfig {
   /// Finished request traces retained for inspection (oldest evicted and
   /// counted in Tracer::dropped()).
   size_t trace_capacity = 512;
-  /// What the StatsReporter watches (latency histogram, saturation gauge,
-  /// targets) — see obs/stats_reporter.h.
+  /// The StatsReporter's health targets (queue capacity, p99, WAL lag,
+  /// shard-lock p99, slow-query rate) — see obs/stats_reporter.h.
   obs::StatsReporterConfig reporter;
   /// > 0 starts the periodic reporter thread on this cadence; 0 leaves
   /// health evaluation on-demand only.
@@ -106,18 +106,13 @@ struct ObsConfig {
   /// persist_interval_ms > 0 to keep the on-disk bundle at most one
   /// interval stale — what makes it survive SIGKILL.
   obs::FlightRecorderConfig flight_recorder;
-  /// Install SIGSEGV/SIGABRT handlers that write the pre-serialized
-  /// bundle with async-signal-safe calls and re-raise. Opt-in: sanitizer
-  /// builds and embedders often want those signals for themselves.
-  bool flight_fatal_signal_handler = false;
   /// > 0 starts the watchdog checker thread on this cadence. 0 (default)
   /// leaves stall checking on demand (Watchdog::CheckNow) — the
-  /// supervised sections still register and heartbeat either way.
+  /// supervised sections still register and heartbeat either way. An
+  /// armed heartbeat older than WatchdogConfig's default deadline is a
+  /// stall — counted in watchdog.stalls_total and dumped by the flight
+  /// recorder.
   double watchdog_interval_ms = 0.0;
-  /// Deadline for the supervised threads (pool, reporter, WAL sync
-  /// leaders, migrator): an armed heartbeat older than this is a stall —
-  /// counted in watchdog.stalls_total and dumped by the flight recorder.
-  double watchdog_deadline_ms = 5000.0;
   /// Self-hosted metrics history: a Gorilla-compressed in-memory TSDB over
   /// this server's own registry, queryable through QueryMetricsHistory and
   /// GET /api/v1/query_range. Off, neither exists (FailedPrecondition /
@@ -131,12 +126,12 @@ struct ObsConfig {
   /// leaves history collection on demand — tests and embedders call
   /// metrics_scraper()->ScrapeOnce() to build deterministic timelines.
   double history_scrape_interval_ms = 0.0;
-  /// Declarative SLOs evaluated as multi-window burn rates over the
-  /// history store after every scrape. A burning objective degrades
-  /// GetHealth with an SLO reason, shows up in the aims_slo_* family on
-  /// /metrics, and flight-records a breach event whose bundle embeds the
-  /// burning series' recent window. Ignored (engine not built) when
-  /// metrics history is disabled.
+  /// Declarative SLOs, judged by the StatsReporter as multi-window burn
+  /// rates over the history store as of the newest scrape, whenever health
+  /// is evaluated. A burning objective degrades GetHealth with an SLO
+  /// reason, shows up in the aims_slo_* family on /metrics, and
+  /// flight-records a breach event whose bundle embeds the burning series'
+  /// recent window. Ignored when metrics history is disabled.
   std::vector<obs::SloObjective> slos;
 };
 
@@ -317,9 +312,6 @@ class AimsServer {
   /// disabled. Its thread runs only when history_scrape_interval_ms > 0;
   /// ScrapeOnce works either way.
   obs::MetricsScraper* metrics_scraper() { return scraper_.get(); }
-  /// The SLO burn-rate engine, or null when metrics history is disabled
-  /// or no objectives are configured.
-  obs::SloEngine* slo_engine() { return slo_.get(); }
   /// Always constructed; its checker thread runs only when
   /// ObsConfig::watchdog_interval_ms > 0.
   obs::Watchdog& watchdog() { return *watchdog_; }
@@ -355,12 +347,7 @@ class AimsServer {
   // still publish records, and the logger flushes into the stream.
   std::unique_ptr<std::ofstream> slow_log_stream_;
   std::unique_ptr<obs::AsyncLogger> slow_log_;
-  // History store + SLO engine before the recorder: the recorder's
-  // context provider reads both, and the engine reads the store. The
-  // scraper (whose thread writes the store and drives the engine) is
-  // declared with the reporter further down, so it stops first.
   std::unique_ptr<obs::MetricsTimeSeries> history_;
-  std::unique_ptr<obs::SloEngine> slo_;
   // The black box outlives (is declared before) every component that
   // feeds it — scheduler, tracer sink, reporter hook, watchdog callback.
   // Shutdown stops its persist thread before those wind down.
@@ -377,9 +364,6 @@ class AimsServer {
   std::unique_ptr<QueryScheduler> scheduler_;
   std::unique_ptr<RecognitionService> recognition_;
   std::unique_ptr<obs::StatsReporter> reporter_;
-  // After the reporter (destroyed before it): the scraper's post-scrape
-  // hook drives the SLO engine, whose breach hook feeds the recorder —
-  // everything it touches is declared above and so outlives it.
   std::unique_ptr<obs::MetricsScraper> scraper_;
   // Retention sweeper: declared before the watchdog (whose handle it
   // beats) — safe because Shutdown() stops it while the watchdog is still

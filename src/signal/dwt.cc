@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/macros.h"
-#include "obs/profile.h"
 
 namespace aims::signal {
 
@@ -108,7 +107,6 @@ Result<std::vector<double>> ForwardDwt(const WaveletFilter& filter,
   if (levels > max_levels) {
     return Status::InvalidArgument("ForwardDwt: too many levels requested");
   }
-  AIMS_PROFILE_SCOPE("signal.forward_dwt");
   std::vector<double> out = signal;
   std::vector<double> current(signal);
   std::vector<double> s, d;
@@ -137,7 +135,6 @@ Result<std::vector<double>> InverseDwt(const WaveletFilter& filter,
   if (levels > max_levels) {
     return Status::InvalidArgument("InverseDwt: too many levels requested");
   }
-  AIMS_PROFILE_SCOPE("signal.inverse_dwt");
   std::vector<double> out = coeffs;
   size_t span = n >> levels;
   std::vector<double> s, d, merged;

@@ -656,6 +656,81 @@ TEST(DurableSystem, FailedOpenParksStatusAndRefusesIngest) {
   EXPECT_EQ(system.WalStats().commits, 0u);
 }
 
+/// One catalog entry in AimsSystem's serialized layout: a single channel
+/// that claims \p padded_len coefficients stored in blocks \p ids.
+std::vector<uint8_t> CraftedCatalogEntry(uint64_t padded_len,
+                                         const std::vector<uint32_t>& ids) {
+  std::vector<uint8_t> out;
+  auto put = [&out](const void* data, size_t n) {
+    const uint8_t* bytes = static_cast<const uint8_t*>(data);
+    out.insert(out.end(), bytes, bytes + n);
+  };
+  auto u64 = [&put](uint64_t v) { put(&v, sizeof(v)); };
+  auto f64 = [&put](double v) { put(&v, sizeof(v)); };
+  const std::string name = "crafted";
+  u64(name.size());
+  put(name.data(), name.size());
+  u64(padded_len);  // num_frames
+  f64(100.0);       // sample_rate_hz
+  u64(1);           // num_channels
+  u64(0);           // best-basis nodes
+  f64(0.0);         // mean
+  u64(padded_len);
+  f64(0.0);  // energy
+  u64(ids.size());
+  for (uint32_t id : ids) put(&id, sizeof(id));
+  return out;
+}
+
+/// Stores one real recording in a durable system at \p dir, commits
+/// \p entry as a WAL catalog record behind it, and returns the status of
+/// reopening the system (recovery replays the record).
+Status ReopenWithCommittedCatalogEntry(const std::string& dir,
+                                       const std::vector<uint8_t>& entry) {
+  core::AimsConfig config;
+  config.durability.path = dir;
+  {
+    core::AimsSystem system(config);
+    EXPECT_TRUE(system.init_status().ok());
+    EXPECT_TRUE(system.IngestRecording("real", MakeRecording(256, 1, 9)).ok());
+    EXPECT_GE(system.device().num_blocks(), 4u);
+  }
+  {
+    auto opened = WriteAheadLog::Open(dir + "/wal.aims");
+    EXPECT_TRUE(opened.ok());
+    WriteAheadLog& wal = *opened.ValueOrDie().wal;
+    const uint64_t txn = wal.BeginTxn().ValueOrDie();
+    EXPECT_TRUE(wal.AppendCatalog(txn, entry).ok());
+    EXPECT_TRUE(wal.Commit(txn).ok());
+  }
+  core::AimsSystem reopened(config);
+  return reopened.init_status();
+}
+
+TEST(DurableSystem, CatalogEntryRepeatingABlockIsRefused) {
+  // 16 blocks of 64 coefficients cover the claimed 1024, and block 0
+  // exists — but a valid entry never names a block twice. Refused before a
+  // layout of the claimed length is built, so a crafted entry cannot make
+  // recovery allocate by the length it claims.
+  const Status status = ReopenWithCommittedCatalogEntry(
+      TestDir("sys_repeated_block"),
+      CraftedCatalogEntry(1024, std::vector<uint32_t>(16, 0)));
+  EXPECT_EQ(status.code(), StatusCode::kIoError);
+  EXPECT_NE(status.message().find("repeats device block 0"),
+            std::string::npos)
+      << status.ToString();
+}
+
+TEST(DurableSystem, CatalogEntryLongerThanItsBlocksIsRefused) {
+  // Two 64-coefficient blocks cannot hold 1024 coefficients.
+  const Status status = ReopenWithCommittedCatalogEntry(
+      TestDir("sys_uncovered_length"), CraftedCatalogEntry(1024, {0, 1}));
+  EXPECT_EQ(status.code(), StatusCode::kIoError);
+  EXPECT_NE(status.message().find("malformed channel entry"),
+            std::string::npos)
+      << status.ToString();
+}
+
 // ---- ShardedCatalog / server / obs wiring -------------------------------
 
 TEST(DurableCatalog, PerShardStoresSurviveReopen) {

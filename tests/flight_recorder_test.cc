@@ -24,6 +24,7 @@
 #include "obs/tracer.h"
 #include "obs/watchdog.h"
 #include "server/server.h"
+#include "test_util.h"
 
 namespace aims::obs {
 namespace {
@@ -94,6 +95,16 @@ TEST(FlightRecorderTest, RetainsBoundedHistoryNewestLast) {
   EXPECT_NE(bundle.find("\"slow_queries_total\":10"), std::string::npos);
   EXPECT_NE(bundle.find("\"evicted_traces_total\":10"), std::string::npos);
   EXPECT_NE(bundle.find("{\"q\":10}"), std::string::npos);
+  // The bundle's sections, in order; "slo" and "slo_history" render even
+  // when no objective is configured.
+  EXPECT_EQ(testutil::TopLevelJsonKeys(bundle),
+            (std::vector<std::string>{
+                "bundle", "schema_version", "reason", "uptime_ms", "dumps",
+                "persists", "previous_bundle", "health",
+                "evicted_traces_total", "evicted_traces",
+                "slow_queries_total", "slow_queries", "events", "wal",
+                "cache", "shards", "watchdog", "slo", "slo_history"}))
+      << bundle;
   // In-memory configuration: Dump renders but returns no path.
   auto dumped = recorder.Dump("test");
   ASSERT_TRUE(dumped.ok());
@@ -168,12 +179,6 @@ TEST(FlightRecorderTest, PeriodicPersistKeepsTheBundleFresh) {
   EXPECT_NE(ReadFile(config.bundle_path).find("\"reason\":\"shutdown\""),
             std::string::npos);
   recorder.Stop();  // idempotent
-}
-
-TEST(FlightRecorderTest, FatalSignalHandlerNeedsABundlePath) {
-  FlightRecorder recorder;
-  EXPECT_EQ(recorder.InstallFatalSignalHandler().code(),
-            StatusCode::kFailedPrecondition);
 }
 
 // The acceptance scenario: an induced watchdog stall triggers a bundle

@@ -11,10 +11,10 @@
 
 #include "obs/exporters.h"
 #include "obs/metrics.h"
-#include "obs/profile.h"
 #include "obs/stats_reporter.h"
 #include "obs/tracer.h"
 #include "server/server.h"
+#include "test_util.h"
 
 /// \file observability_test.cc
 /// \brief The aims::obs contracts: the Prometheus export matches its golden
@@ -870,6 +870,30 @@ TEST(StatsReporterTest, SlowQueryRateDegradesHealth) {
   EXPECT_EQ(relaxed.SnapshotNow().level, HealthLevel::kOk);
 }
 
+TEST(StatsReporterTest, HealthJsonKeepsItsTopLevelKeyOrder) {
+  // The /healthz body: load balancers and dashboards parse it, so keys are
+  // only ever appended. Nested objects (last_transition, rates, slo) must
+  // not leak their keys into the top level.
+  MetricsRegistry registry;
+  registry.GetCounter("work.done")->Increment(3);
+  registry.GetGauge("ingest.queue_depth")->Set(5);
+  StatsReporterConfig config;
+  config.saturation_capacity = 4.0;
+  StatsReporter reporter(&registry, config);
+  HealthSnapshot snapshot = reporter.SnapshotNow();
+  ASSERT_TRUE(snapshot.last_transition.has_value());
+  snapshot.slo.resize(1);
+  snapshot.slo[0].name = "demo";
+  const std::string json = HealthSnapshotJson(snapshot);
+  EXPECT_EQ(testutil::TopLevelJsonKeys(json),
+            (std::vector<std::string>{
+                "sequence", "uptime_ms", "window_ms", "level", "reasons",
+                "queue_saturation", "wal_lag_saturation", "p99_ms",
+                "shard_lock_p99_ms", "slow_query_per_sec", "last_transition",
+                "rates", "slo"}))
+      << json;
+}
+
 TEST(StatsReporterTest, BackgroundThreadPublishesSnapshots) {
   MetricsRegistry registry;
   registry.GetCounter("tick")->Increment();
@@ -981,27 +1005,6 @@ TEST(StatsReporterTest, JudgesShardLockP99AgainstTarget) {
   p99_us->Set(9000);  // 9 ms: over 2x target
   snap = reporter.SnapshotNow();
   EXPECT_EQ(snap.level, HealthLevel::kSaturated);
-}
-
-// ---- Profiler -------------------------------------------------------------
-
-TEST(ProfilerTest, StageHistogramsRecordWhenCompiledIn) {
-  Profiler& profiler = Profiler::Global();
-  profiler.Reset();
-  {
-    AIMS_PROFILE_SCOPE("test.stage");
-    volatile double sink = 0.0;
-    for (int i = 0; i < 1000; ++i) sink = sink + 1.0;
-  }
-  if (Profiler::CompiledIn()) {
-    auto hists = profiler.registry().Histograms();
-    ASSERT_EQ(hists.size(), 1u);
-    EXPECT_EQ(hists[0].first, "test.stage");
-    EXPECT_EQ(hists[0].second->count(), 1u);
-  } else {
-    // Compiled out: the macro left no registration behind.
-    EXPECT_EQ(profiler.registry().Histograms().size(), 0u);
-  }
 }
 
 }  // namespace

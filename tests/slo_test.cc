@@ -8,18 +8,21 @@
 #include "obs/exporters.h"
 #include "obs/metrics.h"
 #include "obs/slo.h"
+#include "obs/stats_reporter.h"
 #include "obs/timeseries.h"
 #include "server/server.h"
 
 /// \file slo_test.cc
-/// \brief The SLO engine contracts: burn rates are bad-event fraction over
-/// error budget per window, computed from the history store for all three
+/// \brief The SLO contracts: burn rates are bad-event fraction over error
+/// budget per window, computed from the history store for all three
 /// objective kinds; an alert needs BOTH the fast and slow windows past the
-/// threshold (multi-window gating); breach edges fire the hook exactly
-/// once and count transitions; the aims_slo_* family renders family-major
-/// with {objective=...} labels; and a forced burn on a live server walks
-/// the whole chain — Degraded health carrying the SLO reason, aims_slo_*
-/// in the exposition, and a flight-record bundle embedding the burning
+/// threshold (multi-window gating); the StatsReporter judges objectives
+/// as of the newest scrape, marks each breach edge in exactly one
+/// snapshot and counts transitions, and judges nothing new without a
+/// newer scrape; the aims_slo_* family renders family-major with
+/// {objective=...} labels; and a forced burn on a live server walks the
+/// whole chain — Degraded health carrying the SLO reason, aims_slo_* in
+/// the exposition, and a flight-record bundle embedding the burning
 /// series' recent history window.
 
 namespace aims::obs {
@@ -55,13 +58,11 @@ SloObjective ErrorObjective() {
 TEST(SloEngineTest, QuietServiceDoesNotBurn) {
   MetricsTimeSeries store;
   FillCounters(&store, 120, 0, 0, 0.0);  // no errors at all
-  SloEngine engine(&store, nullptr, {ErrorObjective()});
-  std::vector<SloStatus> statuses = engine.Evaluate(119 * 1000);
-  ASSERT_EQ(statuses.size(), 1u);
-  EXPECT_EQ(statuses[0].fast_burn, 0.0);
-  EXPECT_EQ(statuses[0].slow_burn, 0.0);
-  EXPECT_FALSE(statuses[0].burning);
-  EXPECT_TRUE(statuses[0].reason.empty());
+  SloStatus status = EvaluateObjective(store, ErrorObjective(), 119 * 1000);
+  EXPECT_EQ(status.fast_burn, 0.0);
+  EXPECT_EQ(status.slow_burn, 0.0);
+  EXPECT_FALSE(status.burning);
+  EXPECT_TRUE(status.reason.empty());
 }
 
 TEST(SloEngineTest, ErrorRatioBurnIsFractionOverBudget) {
@@ -69,14 +70,12 @@ TEST(SloEngineTest, ErrorRatioBurnIsFractionOverBudget) {
   // Errors at 5/tick against 10 ops/tick across the whole timeline:
   // bad fraction 0.5, budget 0.1 -> burn 5.0 in both windows.
   FillCounters(&store, 120, 0, 120, 5.0);
-  SloEngine engine(&store, nullptr, {ErrorObjective()});
-  std::vector<SloStatus> statuses = engine.Evaluate(119 * 1000);
-  ASSERT_EQ(statuses.size(), 1u);
-  EXPECT_NEAR(statuses[0].fast_burn, 5.0, 0.1);
-  EXPECT_NEAR(statuses[0].slow_burn, 5.0, 0.1);
-  EXPECT_TRUE(statuses[0].burning);
-  EXPECT_NE(statuses[0].reason.find("demo-errors"), std::string::npos);
-  EXPECT_NE(statuses[0].reason.find("burning"), std::string::npos);
+  SloStatus status = EvaluateObjective(store, ErrorObjective(), 119 * 1000);
+  EXPECT_NEAR(status.fast_burn, 5.0, 0.1);
+  EXPECT_NEAR(status.slow_burn, 5.0, 0.1);
+  EXPECT_TRUE(status.burning);
+  EXPECT_NE(status.reason.find("demo-errors"), std::string::npos);
+  EXPECT_NE(status.reason.find("burning"), std::string::npos);
 }
 
 TEST(SloEngineTest, MultiWindowGateSuppressesShortBlips) {
@@ -85,12 +84,10 @@ TEST(SloEngineTest, MultiWindowGateSuppressesShortBlips) {
   // bad fraction, the slow 60s window dilutes it under the threshold — so
   // the alert must NOT fire.
   FillCounters(&store, 120, 115, 120, 5.0);
-  SloEngine engine(&store, nullptr, {ErrorObjective()});
-  std::vector<SloStatus> statuses = engine.Evaluate(119 * 1000);
-  ASSERT_EQ(statuses.size(), 1u);
-  EXPECT_GE(statuses[0].fast_burn, 2.0) << "fast window reacts";
-  EXPECT_LT(statuses[0].slow_burn, 2.0) << "slow window suppresses";
-  EXPECT_FALSE(statuses[0].burning);
+  SloStatus status = EvaluateObjective(store, ErrorObjective(), 119 * 1000);
+  EXPECT_GE(status.fast_burn, 2.0) << "fast window reacts";
+  EXPECT_LT(status.slow_burn, 2.0) << "slow window suppresses";
+  EXPECT_FALSE(status.burning);
 }
 
 TEST(SloEngineTest, LatencyQuantileKindJudgesViolatingFraction) {
@@ -109,60 +106,102 @@ TEST(SloEngineTest, LatencyQuantileKindJudgesViolatingFraction) {
   slo.fast_window_ms = 10 * 1000.0;
   slo.slow_window_ms = 120 * 1000.0;
   slo.burn_threshold = 5.0;
-  SloEngine engine(&store, nullptr, {slo});
-  std::vector<SloStatus> statuses = engine.Evaluate(119 * 1000);
-  ASSERT_EQ(statuses.size(), 1u);
+  SloStatus status = EvaluateObjective(store, slo, 119 * 1000);
   // Fast window: 100% violating / 5% budget = 20x.
-  EXPECT_NEAR(statuses[0].fast_burn, 20.0, 0.5);
+  EXPECT_NEAR(status.fast_burn, 20.0, 0.5);
   // Slow window: ~half violating / 5% budget = ~10x.
-  EXPECT_NEAR(statuses[0].slow_burn, 10.0, 1.0);
-  EXPECT_TRUE(statuses[0].burning);
+  EXPECT_NEAR(status.slow_burn, 10.0, 1.0);
+  EXPECT_TRUE(status.burning);
 }
 
 TEST(SloEngineTest, NoHistoryMeansNoBurn) {
   MetricsTimeSeries store;
-  SloEngine engine(&store, nullptr, {ErrorObjective()});
-  std::vector<SloStatus> statuses = engine.Evaluate(1000);
-  ASSERT_EQ(statuses.size(), 1u);
-  EXPECT_FALSE(statuses[0].burning) << "an empty store is silence, not fire";
+  SloStatus status = EvaluateObjective(store, ErrorObjective(), 1000);
+  EXPECT_FALSE(status.burning) << "an empty store is silence, not fire";
 }
 
 TEST(SloEngineTest, BreachEdgesFireHookOnceAndCountTransitions) {
   MetricsTimeSeries store;
   MetricsRegistry registry;
   SloObjective slo = ErrorObjective();
-  SloEngine engine(&store, &registry, {slo});
+  StatsReporter reporter(&registry, {}, {slo}, &store);
+  // The snapshot hook is the breach feed: each edge is marked in exactly
+  // one snapshot.
   std::vector<std::string> hook_reasons;
-  engine.SetBreachHook([&hook_reasons](const SloStatus& status) {
-    hook_reasons.push_back(status.reason);
+  reporter.SetSnapshotHook([&hook_reasons](const HealthSnapshot& snapshot) {
+    for (const SloStatus& status : snapshot.slo) {
+      if (status.breached) hook_reasons.push_back(status.reason);
+    }
   });
 
   // Quiet -> no hook, gauge 0.
   FillCounters(&store, 30, 0, 0, 0.0);
-  engine.Evaluate(29 * 1000);
+  store.MarkScraped(29 * 1000);
+  reporter.SnapshotNow();
   EXPECT_TRUE(hook_reasons.empty());
   EXPECT_EQ(registry.GetGauge("slo.burning")->value(), 0);
 
   // Burning: one edge, one hook call, counter 1, gauge 1 — and a repeat
-  // evaluation while still burning does NOT re-fire the hook.
+  // judgement while still burning does NOT re-fire the hook.
   FillCounters(&store, 90, 0, 90, 5.0, 30 * 1000);
-  engine.Evaluate(119 * 1000);
-  engine.Evaluate(119 * 1000 + 1);
+  store.MarkScraped(119 * 1000);
+  reporter.SnapshotNow();
+  store.MarkScraped(119 * 1000 + 1);
+  reporter.SnapshotNow();
   ASSERT_EQ(hook_reasons.size(), 1u);
   EXPECT_NE(hook_reasons[0].find("demo-errors"), std::string::npos);
   EXPECT_EQ(registry.GetCounter("slo.breach_transitions_total")->value(), 1u);
   EXPECT_EQ(registry.GetGauge("slo.burning")->value(), 1);
-  ASSERT_EQ(engine.Latest().size(), 1u);
-  EXPECT_TRUE(engine.Latest()[0].burning);
+  ASSERT_EQ(reporter.Latest().slo.size(), 1u);
+  EXPECT_TRUE(reporter.Latest().slo[0].burning);
 
   // Recovery clears the edge state: a second breach fires the hook again.
   FillCounters(&store, 300, 0, 0, 0.0, 120 * 1000);
-  engine.Evaluate(419 * 1000);
+  store.MarkScraped(419 * 1000);
+  reporter.SnapshotNow();
   EXPECT_EQ(registry.GetGauge("slo.burning")->value(), 0);
   FillCounters(&store, 90, 0, 90, 5.0, 420 * 1000);
-  engine.Evaluate(509 * 1000);
+  store.MarkScraped(509 * 1000);
+  reporter.SnapshotNow();
   EXPECT_EQ(hook_reasons.size(), 2u);
   EXPECT_EQ(registry.GetCounter("slo.breach_transitions_total")->value(), 2u);
+}
+
+TEST(SloReporterTest, NoNewerScrapeMeansNoNewJudgement) {
+  MetricsTimeSeries store;
+  MetricsRegistry registry;
+  StatsReporter reporter(&registry, {}, {ErrorObjective()}, &store);
+  FillCounters(&store, 120, 0, 120, 5.0);
+  EXPECT_TRUE(reporter.SnapshotNow().slo.empty()) << "no scrape yet";
+
+  store.MarkScraped(119 * 1000);
+  const HealthSnapshot first = reporter.SnapshotNow();
+  ASSERT_EQ(first.slo.size(), 1u);
+  EXPECT_TRUE(first.slo[0].burning);
+  EXPECT_TRUE(first.slo[0].breached);
+  EXPECT_EQ(first.level, HealthLevel::kDegraded);
+
+  // The history moves on to a quiet stretch, but no scrape marks it
+  // complete: the next snapshot keeps every status, gauge and counter.
+  FillCounters(&store, 300, 0, 0, 0.0, 120 * 1000);
+  const HealthSnapshot second = reporter.SnapshotNow();
+  ASSERT_EQ(second.slo.size(), 1u);
+  EXPECT_EQ(second.slo[0].fast_burn, first.slo[0].fast_burn);
+  EXPECT_EQ(second.slo[0].slow_burn, first.slo[0].slow_burn);
+  EXPECT_TRUE(second.slo[0].burning);
+  EXPECT_EQ(second.slo[0].reason, first.slo[0].reason);
+  EXPECT_FALSE(second.slo[0].breached) << "an edge is carried once";
+  EXPECT_EQ(second.level, HealthLevel::kDegraded);
+  EXPECT_EQ(registry.GetGauge("slo.burning")->value(), 1);
+  EXPECT_EQ(registry.GetCounter("slo.breach_transitions_total")->value(), 1u);
+
+  // The scrape that completes the quiet stretch is judged.
+  store.MarkScraped(419 * 1000);
+  const HealthSnapshot third = reporter.SnapshotNow();
+  ASSERT_EQ(third.slo.size(), 1u);
+  EXPECT_FALSE(third.slo[0].burning);
+  EXPECT_EQ(third.level, HealthLevel::kOk);
+  EXPECT_EQ(registry.GetGauge("slo.burning")->value(), 0);
 }
 
 TEST(SloEngineTest, KindNames) {
@@ -253,7 +292,6 @@ TEST(SloServerChainTest, ForcedBurnDegradesHealthExportsAndEmbedsHistory) {
   server::AimsServer server(config);
   ASSERT_NE(server.metrics_history(), nullptr);
   ASSERT_NE(server.metrics_scraper(), nullptr);
-  ASSERT_NE(server.slo_engine(), nullptr);
 
   // Drive the scraper on a deterministic cadence anchored near the wall
   // clock (the flight recorder's history embed queries a real-now window).
@@ -270,14 +308,14 @@ TEST(SloServerChainTest, ForcedBurnDegradesHealthExportsAndEmbedsHistory) {
     server.metrics_scraper()->ScrapeOnce(t0 + i * 1000);
   }
 
-  // 1. The SLO engine judged the burn (the post-scrape hook evaluated it).
-  std::vector<SloStatus> latest = server.slo_engine()->Latest();
+  // 1. The reporter judged the burn as of the newest scrape.
+  auto health = server.GetHealth({/*force_refresh=*/true});
+  ASSERT_TRUE(health.ok());
+  const std::vector<SloStatus> latest = health->health.slo;
   ASSERT_EQ(latest.size(), 1u);
   EXPECT_TRUE(latest[0].burning);
 
   // 2. Health: Degraded with the SLO reason, through the typed API.
-  auto health = server.GetHealth({/*force_refresh=*/true});
-  ASSERT_TRUE(health.ok());
   EXPECT_GE(health->health.level, HealthLevel::kDegraded);
   bool slo_reason = false;
   for (const std::string& reason : health->health.reasons) {
@@ -293,7 +331,7 @@ TEST(SloServerChainTest, ForcedBurnDegradesHealthExportsAndEmbedsHistory) {
             std::string::npos);
   EXPECT_NE(exposition.find("aims_slo_burn_rate_fast{objective=\"demo-errors\"}"),
             std::string::npos);
-  // The engine also published its registry metrics.
+  // The reporter also published its registry metrics.
   EXPECT_NE(exposition.find("aims_slo_breach_transitions_total 1"),
             std::string::npos);
 
@@ -326,8 +364,12 @@ TEST(SloServerChainTest, ForcedBurnDegradesHealthExportsAndEmbedsHistory) {
       << "the bundle embeds the burning series";
   EXPECT_NE(bundle.find("\"samples\":[[", history_at), std::string::npos)
       << "with actual samples";
-  // The breach event landed in the recorder's event ring.
-  EXPECT_NE(bundle.find("SLO demo-errors burning"), std::string::npos);
+  // The breach event landed in the recorder's event ring (the reason also
+  // appears in the health entries, so look inside "events" only).
+  const size_t events_at = bundle.find("\"events\":[");
+  ASSERT_NE(events_at, std::string::npos);
+  EXPECT_LT(bundle.find("SLO demo-errors burning", events_at),
+            bundle.find("],\"wal\":", events_at));
 
   server.Shutdown();
 }
@@ -337,10 +379,13 @@ TEST(SloServerChainTest, HistoryDisabledMeansNoScraperAndTypedErrors) {
   config.num_shards = 1;
   config.num_threads = 1;
   config.obs.enable_metrics_history = false;
+  config.obs.slos = {ErrorObjective()};
   server::AimsServer server(config);
   EXPECT_EQ(server.metrics_history(), nullptr);
   EXPECT_EQ(server.metrics_scraper(), nullptr);
-  EXPECT_EQ(server.slo_engine(), nullptr);
+  auto health = server.GetHealth({/*force_refresh=*/true});
+  ASSERT_TRUE(health.ok());
+  EXPECT_TRUE(health->health.slo.empty()) << "objectives need the history";
   auto ranged = server.QueryMetricsHistory({});
   ASSERT_FALSE(ranged.ok());
   EXPECT_EQ(ranged.status().code(), StatusCode::kFailedPrecondition);

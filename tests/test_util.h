@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -40,6 +41,34 @@ inline double MaxAbsDiff(const std::vector<double>& a,
   }
   if (a.size() != b.size()) return 1e300;
   return m;
+}
+
+/// Keys of a JSON object's top level, in document order (nested objects'
+/// keys excluded). Expects well-formed JSON.
+inline std::vector<std::string> TopLevelJsonKeys(const std::string& json) {
+  std::vector<std::string> keys;
+  int depth = 0;
+  bool expect_key = false;
+  for (size_t i = 0; i < json.size(); ++i) {
+    const char c = json[i];
+    if (c == '"') {
+      size_t end = i + 1;
+      while (end < json.size() && json[end] != '"') {
+        end += json[end] == '\\' ? 2 : 1;
+      }
+      if (expect_key) keys.push_back(json.substr(i + 1, end - i - 1));
+      expect_key = false;
+      i = end;
+    } else if (c == '{' || c == '[') {
+      ++depth;
+      expect_key = depth == 1 && c == '{';
+    } else if (c == '}' || c == ']') {
+      --depth;
+    } else if (c == ',') {
+      expect_key = depth == 1;
+    }
+  }
+  return keys;
 }
 
 }  // namespace aims::testutil

@@ -420,11 +420,10 @@ TEST(MetricsScraperTest, ScrapeOnceLandsEveryRegistryMetric) {
 
   MetricsTimeSeries store;
   MetricsScraper scraper(&registry, &store);
-  int64_t hook_ms = 0;
-  scraper.SetPostScrapeHook([&hook_ms](int64_t now_ms) { hook_ms = now_ms; });
+  EXPECT_EQ(store.last_scrape_ms(), 0) << "no scrape yet";
 
   EXPECT_EQ(scraper.ScrapeOnce(5000), 5000) << "at_ms overrides the clock";
-  EXPECT_EQ(hook_ms, 5000) << "the hook sees the scrape timestamp";
+  EXPECT_EQ(store.last_scrape_ms(), 5000) << "the store marks the scrape";
   EXPECT_EQ(scraper.scrapes(), 1u);
 
   auto last = [&store](const std::string& series) {
