@@ -7,16 +7,21 @@
 # JSON artifact. Any lost ack or unexpected helper exit fails the run.
 #
 # A second loop does the same against a 2-shard sharded catalog, killing
-# the helper MID-TENANT-MIGRATION (inside the routing journal's
-# begin/copy/route-move appends) and verifying the exactly-one-owner
-# recovery invariant after every kill.
+# the helper MID-TENANT-MIGRATION (inside the target copy's appends) and
+# verifying the exactly-one-owner recovery invariant after every kill.
+#
+# A third loop kills a 2-shard sharded catalog's ingest after its shard
+# commit is durable and before it is acknowledged. That commit carries the
+# route, so every acknowledged AND every killed ingest must come back
+# routed once, under its own tenant, and nothing under any other client.
 #
 # Usage: scripts/crash_smoke.sh <helper-binary> <iterations> <out-json>
 #   helper-binary  build/tests/crash_ingest_helper
 #   iterations     how many kill+recover rounds per loop (the ingest loop
 #                  cycles payload -> precommit -> postcommit -> segment,
 #                  the last one killing mid-raw-segment-seal; the
-#                  migration loop varies the armed payload-append count)
+#                  migration loop varies the armed payload-append count;
+#                  the catalog loop kills after the shard commit)
 #   out-json       where to write the collected recovery stats
 set -euo pipefail
 
@@ -26,7 +31,8 @@ OUT_JSON="$3"
 
 STORE="$(mktemp -d "${TMPDIR:-/tmp}/aims_crash_smoke.XXXXXX")"
 MSTORE="$(mktemp -d "${TMPDIR:-/tmp}/aims_crash_msmoke.XXXXXX")"
-trap 'rm -rf "${STORE}" "${MSTORE}"' EXIT
+CSTORE="$(mktemp -d "${TMPDIR:-/tmp}/aims_crash_csmoke.XXXXXX")"
+trap 'rm -rf "${STORE}" "${MSTORE}" "${CSTORE}"' EXIT
 
 MODES=(payload precommit postcommit segment)
 RUNS=""
@@ -57,13 +63,15 @@ for ((i = 0; i < ITERATIONS; ++i)); do
 done
 
 # Mid-migration kill loop: vary the armed payload-append count so the
-# SIGKILL lands at different points of the migration protocol (the
-# journaled begin record, a copy's block puts, the route-move record).
+# SIGKILL lands at different points of the migration's copy step.
 MRUNS=""
 for ((i = 0; i < ITERATIONS; ++i)); do
-  # 1..8 walks the kill point through the whole protocol: the journaled
-  # begin record, the copy's block puts, and past the route-move record
-  # (where recovery places the session on the TARGET — still one owner).
+  # A migration journals no begin record, so count 1 is the copy's first
+  # block put and each count lands one append earlier than it would with
+  # one. 1..8 walks the kill point through the first session's copy: its
+  # block puts, catalog entry and raw segments. Its route-move record is
+  # the 12th append, so every round recovers that session on the source,
+  # with the partial copy on the target owned by no route.
   appends=$((1 + i % 8))
   echo "== crash smoke (migration) ${i}: kill after ${appends} payload append(s) =="
   status=0
@@ -76,6 +84,23 @@ for ((i = 0; i < ITERATIONS; ++i)); do
   echo "   recovered: ${report}"
   MRUNS+="${MRUNS:+,
     }{\"iteration\": ${i}, \"payload_appends\": ${appends}, \"recovery\": ${report}}"
+done
+
+# Catalog-ingest kill loop: one acknowledged ingest per round, then one
+# killed after its shard commit is durable.
+CRUNS=""
+for ((i = 0; i < ITERATIONS; ++i)); do
+  echo "== crash smoke (catalog) ${i}: kill after the shard commit =="
+  status=0
+  "${HELPER}" "${CSTORE}" ccrash 1 || status=$?
+  if [[ "${status}" -ne 137 ]]; then
+    echo "crash smoke: catalog helper exited ${status}, expected SIGKILL (137)" >&2
+    exit 1
+  fi
+  report="$("${HELPER}" "${CSTORE}" cverify 0)"
+  echo "   recovered: ${report}"
+  CRUNS+="${CRUNS:+,
+    }{\"iteration\": ${i}, \"recovery\": ${report}}"
 done
 
 mkdir -p "$(dirname "${OUT_JSON}")"
@@ -97,9 +122,12 @@ cat > "${OUT_JSON}" <<EOF
   ],
   "migration_runs": [
     ${MRUNS}
+  ],
+  "catalog_runs": [
+    ${CRUNS}
   ]
 }
 EOF
-echo "== crash smoke: ${ITERATIONS} ingest + ${ITERATIONS} mid-migration kill+recover rounds, zero acked ingests lost, one owner per session =="
+echo "== crash smoke: ${ITERATIONS} ingest + ${ITERATIONS} mid-migration + ${ITERATIONS} catalog-ingest kill+recover rounds, zero acked ingests lost, one owner per session, killed catalog ingests kept under their tenant =="
 echo "== flight-record bundle survived every SIGKILL =="
 echo "== recovery stats in ${OUT_JSON} =="

@@ -1,20 +1,16 @@
 #include "core/aims.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
-#include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <map>
 #include <set>
 
+#include "common/byte_codec.h"
 #include "common/crc32.h"
+#include "common/durable_file.h"
 #include "common/macros.h"
 #include "obs/json_util.h"
 #include "propolyne/incremental.h"
@@ -28,55 +24,6 @@ namespace aims::core {
 
 namespace {
 
-/// Little serialization helpers for the catalog blob / snapshot formats
-/// (host byte order, like the rest of the durable layer's files).
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  const uint8_t* p = reinterpret_cast<const uint8_t*>(&v);
-  out->insert(out->end(), p, p + sizeof(v));
-}
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  const uint8_t* p = reinterpret_cast<const uint8_t*>(&v);
-  out->insert(out->end(), p, p + sizeof(v));
-}
-void PutF64(std::vector<uint8_t>* out, double v) {
-  const uint8_t* p = reinterpret_cast<const uint8_t*>(&v);
-  out->insert(out->end(), p, p + sizeof(v));
-}
-
-/// Bounds-checked forward reader over a serialized blob. Underflow trips
-/// the sticky ok flag instead of reading garbage; callers check once.
-struct ByteReader {
-  const uint8_t* data;
-  size_t size;
-  size_t pos = 0;
-  bool ok = true;
-
-  bool Copy(void* dst, size_t n) {
-    if (!ok || size - pos < n) {
-      ok = false;
-      return false;
-    }
-    std::memcpy(dst, data + pos, n);
-    pos += n;
-    return true;
-  }
-  uint32_t U32() {
-    uint32_t v = 0;
-    Copy(&v, sizeof(v));
-    return v;
-  }
-  uint64_t U64() {
-    uint64_t v = 0;
-    Copy(&v, sizeof(v));
-    return v;
-  }
-  double F64() {
-    double v = 0;
-    Copy(&v, sizeof(v));
-    return v;
-  }
-};
-
 constexpr uint32_t kSnapshotMagic = 0x50414E53u;  // "SNAP"
 /// v1: sessions only. v2 appends the sealed-segment section (raw-sample
 /// lifecycle); v1 snapshots still load (their systems simply predate
@@ -84,48 +31,6 @@ constexpr uint32_t kSnapshotMagic = 0x50414E53u;  // "SNAP"
 constexpr uint32_t kSnapshotVersion = 2;
 /// Guard against a corrupt length field allocating gigabytes at parse.
 constexpr uint64_t kMaxCatalogField = 1u << 30;
-
-Status WriteFileDurably(const std::string& dir, const std::string& name,
-                        const std::vector<uint8_t>& bytes) {
-  const std::string tmp = dir + "/" + name + ".tmp";
-  const std::string final_path = dir + "/" + name;
-  int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) {
-    return Status::IoError("WriteFileDurably: cannot open " + tmp + ": " +
-                           std::strerror(errno));
-  }
-  size_t done = 0;
-  while (done < bytes.size()) {
-    ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      Status status = Status::IoError("WriteFileDurably: write " + tmp + ": " +
-                                      std::strerror(errno));
-      ::close(fd);
-      return status;
-    }
-    done += static_cast<size_t>(n);
-  }
-  if (::fsync(fd) != 0) {
-    Status status = Status::IoError("WriteFileDurably: fsync " + tmp + ": " +
-                                    std::strerror(errno));
-    ::close(fd);
-    return status;
-  }
-  ::close(fd);
-  // Atomic replace: readers see either the old snapshot or the new one,
-  // never a torn mix. The directory fsync makes the rename itself stick.
-  if (std::rename(tmp.c_str(), final_path.c_str()) != 0) {
-    return Status::IoError("WriteFileDurably: rename to " + final_path + ": " +
-                           std::strerror(errno));
-  }
-  int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (dfd >= 0) {
-    (void)::fsync(dfd);
-    ::close(dfd);
-  }
-  return Status::OK();
-}
 
 }  // namespace
 
@@ -353,7 +258,8 @@ Result<AimsSystem::StoredSession> AimsSystem::BuildSession(
 
 Result<AimsSystem::StagedIngest> AimsSystem::StageIngest(
     const std::string& name, const streams::Recording& recording,
-    obs::Trace* trace, std::vector<StandingRangeUpdate>* updates) {
+    obs::Trace* trace, std::vector<StandingRangeUpdate>* updates,
+    std::optional<SessionOwner> owner) {
   AIMS_RETURN_NOT_OK(init_status_);
   // Without a WAL the Puts below write the blocks through to the device.
   // The durable buffer pool is in write-back mode instead: every Put parks
@@ -361,6 +267,7 @@ Result<AimsSystem::StagedIngest> AimsSystem::StageIngest(
   // is durable.
   AIMS_ASSIGN_OR_RETURN(StoredSession session,
                         BuildSession(name, recording, trace, updates));
+  session.info.owner = owner;
   StagedIngest staged;
   staged.id = session.info.id;
   if (wal_ != nullptr) AIMS_RETURN_NOT_OK(LogSession(session, &staged));
@@ -472,43 +379,48 @@ obs::WalStats AimsSystem::WalStats() const {
 std::vector<uint8_t> AimsSystem::SerializeSession(
     const StoredSession& session) const {
   std::vector<uint8_t> out;
-  PutU64(&out, session.info.name.size());
-  out.insert(out.end(), session.info.name.begin(), session.info.name.end());
-  PutU64(&out, session.info.num_frames);
-  PutF64(&out, session.info.sample_rate_hz);
-  PutU64(&out, session.channels.size());
+  ByteWriter writer(&out);
+  writer.U64(session.info.name.size());
+  writer.Bytes(session.info.name.data(), session.info.name.size());
+  writer.U64(session.info.num_frames);
+  writer.F64(session.info.sample_rate_hz);
+  writer.U64(session.channels.size());
   for (size_t c = 0; c < session.channels.size(); ++c) {
     const StoredChannel& channel = session.channels[c];
-    PutU64(&out, c < session.info.best_basis_nodes.size()
-                     ? session.info.best_basis_nodes[c]
-                     : 0);
-    PutF64(&out, channel.mean);
-    PutU64(&out, channel.padded_len);
-    PutF64(&out, channel.energy);
+    writer.U64(c < session.info.best_basis_nodes.size()
+                   ? session.info.best_basis_nodes[c]
+                   : 0);
+    writer.F64(channel.mean);
+    writer.U64(channel.padded_len);
+    writer.F64(channel.energy);
     const std::vector<storage::BlockId>& ids = channel.store->device_blocks();
-    PutU64(&out, ids.size());
-    for (storage::BlockId id : ids) PutU32(&out, id);
+    writer.U64(ids.size());
+    for (storage::BlockId id : ids) writer.U32(id);
+  }
+  // The owner trails the entry, so an entry without one (older stores,
+  // migration copies) decodes as owner-less with no version bump.
+  if (session.info.owner.has_value()) {
+    writer.U64(session.info.owner->global_id);
+    writer.U64(session.info.owner->client);
   }
   return out;
 }
 
-Status AimsSystem::ApplyCatalogBlob(const std::vector<uint8_t>& blob) {
-  ByteReader reader{blob.data(), blob.size()};
+Status AimsSystem::ApplyCatalogBlob(std::span<const uint8_t> blob) {
+  ByteReader reader(blob);
   StoredSession session;
   session.info.id = static_cast<SessionId>(sessions_.size());
   const uint64_t name_len = reader.U64();
-  if (!reader.ok || name_len > kMaxCatalogField ||
-      blob.size() - reader.pos < name_len) {
+  if (!reader.ok() || name_len > kMaxCatalogField ||
+      reader.remaining() < name_len) {
     return Status::IoError("ApplyCatalogBlob: malformed catalog entry");
   }
-  session.info.name.assign(reinterpret_cast<const char*>(blob.data()) +
-                               reader.pos,
-                           name_len);
-  reader.pos += name_len;
+  std::span<const uint8_t> name = reader.Bytes(name_len);
+  session.info.name.assign(name.begin(), name.end());
   session.info.num_frames = reader.U64();
   session.info.sample_rate_hz = reader.F64();
   const uint64_t num_channels = reader.U64();
-  if (!reader.ok || num_channels > kMaxCatalogField) {
+  if (!reader.ok() || num_channels > kMaxCatalogField) {
     return Status::IoError("ApplyCatalogBlob: malformed catalog entry");
   }
   session.info.num_channels = num_channels;
@@ -527,8 +439,8 @@ Status AimsSystem::ApplyCatalogBlob(const std::vector<uint8_t>& blob) {
     // No block holds more than block_items coefficients, so a padded
     // length the block list cannot cover is corrupt — refused before a
     // layout of that length is built.
-    if (!reader.ok || num_blocks > kMaxCatalogField ||
-        reader.size - reader.pos < num_blocks * sizeof(uint32_t) ||
+    if (!reader.ok() || num_blocks > kMaxCatalogField ||
+        reader.remaining() < num_blocks * sizeof(uint32_t) ||
         channel.padded_len > kMaxCatalogField ||
         !signal::IsPowerOfTwo(channel.padded_len) ||
         num_blocks * block_items < channel.padded_len) {
@@ -536,9 +448,6 @@ Status AimsSystem::ApplyCatalogBlob(const std::vector<uint8_t>& blob) {
     }
     std::vector<storage::BlockId> ids(num_blocks);
     for (uint64_t b = 0; b < num_blocks; ++b) ids[b] = reader.U32();
-    if (!reader.ok) {
-      return Status::IoError("ApplyCatalogBlob: malformed channel entry");
-    }
     for (storage::BlockId id : ids) {
       if (id >= device_->num_blocks()) {
         return Status::IoError(
@@ -561,20 +470,30 @@ Status AimsSystem::ApplyCatalogBlob(const std::vector<uint8_t>& blob) {
         device_.get(), std::move(layout), cache_.get(), std::move(ids));
     session.channels.push_back(std::move(channel));
   }
+  if (reader.remaining() != 0) {
+    SessionOwner owner;
+    owner.global_id = reader.U64();
+    owner.client = reader.U64();
+    if (!reader.ok() || reader.remaining() != 0) {
+      return Status::IoError("ApplyCatalogBlob: malformed owner field");
+    }
+    session.info.owner = owner;
+  }
   sessions_.push_back(std::move(session));
   return Status::OK();
 }
 
 Status AimsSystem::WriteSnapshot() const {
   std::vector<uint8_t> out;
-  PutU32(&out, kSnapshotMagic);
-  PutU32(&out, kSnapshotVersion);
-  PutU64(&out, applied_txn_);
-  PutU64(&out, sessions_.size());
+  ByteWriter writer(&out);
+  writer.U32(kSnapshotMagic);
+  writer.U32(kSnapshotVersion);
+  writer.U64(applied_txn_);
+  writer.U64(sessions_.size());
   for (const StoredSession& session : sessions_) {
     std::vector<uint8_t> blob = SerializeSession(session);
-    PutU64(&out, blob.size());
-    out.insert(out.end(), blob.begin(), blob.end());
+    writer.U64(blob.size());
+    writer.Bytes(blob.data(), blob.size());
   }
   // v2 segment section: every sealed segment as a kPut op, so recovery
   // rebuilds the stores by replaying them through ApplySegmentOp.
@@ -582,18 +501,20 @@ Status AimsSystem::WriteSnapshot() const {
   for (const StoredSession& session : sessions_) {
     num_segments += session.segments.size();
   }
-  PutU64(&out, num_segments);
+  writer.U64(num_segments);
   for (const StoredSession& session : sessions_) {
     for (const auto& [key, seg] : session.segments.segments()) {
       (void)key;
       std::vector<uint8_t> blob = storage::tslife::EncodeSegmentOp(
           storage::tslife::SegmentOp::Kind::kPut, session.info.id, seg);
-      PutU64(&out, blob.size());
-      out.insert(out.end(), blob.begin(), blob.end());
+      writer.U64(blob.size());
+      writer.Bytes(blob.data(), blob.size());
     }
   }
-  PutU32(&out, Crc32(out.data(), out.size()));
-  return WriteFileDurably(config_.durability.path, "catalog.snap", out);
+  writer.U32(Crc32(out.data(), out.size()));
+  return WriteFileDurably(
+      config_.durability.path + "/catalog.snap",
+      {reinterpret_cast<const char*>(out.data()), out.size()});
 }
 
 Status AimsSystem::LoadSnapshot() {
@@ -606,14 +527,15 @@ Status AimsSystem::LoadSnapshot() {
   if (buf.size() < kHeader + sizeof(uint32_t)) {
     return Status::IoError("LoadSnapshot: truncated snapshot " + path);
   }
-  uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, buf.data() + buf.size() - sizeof(uint32_t),
-              sizeof(uint32_t));
-  if (Crc32(buf.data(), buf.size() - sizeof(uint32_t)) != stored_crc) {
+  const std::span<const uint8_t> body =
+      std::span<const uint8_t>(buf).first(buf.size() - sizeof(uint32_t));
+  const uint32_t stored_crc =
+      ByteReader(std::span<const uint8_t>(buf).last(sizeof(uint32_t))).U32();
+  if (Crc32(body.data(), body.size()) != stored_crc) {
     return Status::IoError("LoadSnapshot: snapshot checksum mismatch in " +
                            path);
   }
-  ByteReader reader{buf.data(), buf.size() - sizeof(uint32_t)};
+  ByteReader reader(body);
   const uint32_t magic = reader.U32();
   const uint32_t version = reader.U32();
   if (magic != kSnapshotMagic || version < 1 || version > kSnapshotVersion) {
@@ -621,36 +543,32 @@ Status AimsSystem::LoadSnapshot() {
   }
   applied_txn_ = reader.U64();
   const uint64_t num_sessions = reader.U64();
-  if (!reader.ok || num_sessions > kMaxCatalogField) {
+  if (!reader.ok() || num_sessions > kMaxCatalogField) {
     return Status::IoError("LoadSnapshot: malformed snapshot " + path);
   }
-  for (uint64_t s = 0; s < num_sessions; ++s) {
+  // Each section is a count, then that many length-prefixed blobs.
+  auto next_blob = [&]() -> Result<std::span<const uint8_t>> {
     const uint64_t blob_len = reader.U64();
-    if (!reader.ok || blob_len > kMaxCatalogField ||
-        reader.size - reader.pos < blob_len) {
+    if (!reader.ok() || blob_len > kMaxCatalogField ||
+        reader.remaining() < blob_len) {
       return Status::IoError("LoadSnapshot: malformed snapshot " + path);
     }
-    std::vector<uint8_t> blob(buf.begin() + reader.pos,
-                              buf.begin() + reader.pos + blob_len);
-    reader.pos += blob_len;
+    return reader.Bytes(blob_len);
+  };
+  for (uint64_t s = 0; s < num_sessions; ++s) {
+    AIMS_ASSIGN_OR_RETURN(std::span<const uint8_t> blob, next_blob());
     AIMS_RETURN_NOT_OK(ApplyCatalogBlob(blob));
   }
   if (version >= 2) {
     const uint64_t num_segments = reader.U64();
-    if (!reader.ok || num_segments > kMaxCatalogField) {
+    if (!reader.ok() || num_segments > kMaxCatalogField) {
       return Status::IoError("LoadSnapshot: malformed snapshot " + path);
     }
     for (uint64_t i = 0; i < num_segments; ++i) {
-      const uint64_t blob_len = reader.U64();
-      if (!reader.ok || blob_len > kMaxCatalogField ||
-          reader.size - reader.pos < blob_len) {
-        return Status::IoError("LoadSnapshot: malformed snapshot " + path);
-      }
+      AIMS_ASSIGN_OR_RETURN(std::span<const uint8_t> blob, next_blob());
       AIMS_ASSIGN_OR_RETURN(
           storage::tslife::SegmentOp op,
-          storage::tslife::DecodeSegmentOp(buf.data() + reader.pos,
-                                           blob_len));
-      reader.pos += blob_len;
+          storage::tslife::DecodeSegmentOp(blob.data(), blob.size()));
       AIMS_RETURN_NOT_OK(ApplySegmentOp(op));
     }
   }

@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -95,6 +96,15 @@ struct AimsConfig {
   storage::tslife::TsLifeConfig tslife;
 };
 
+/// \brief The (global id, client) pair a caller may attach to a session at
+/// ingest. The core stores it in the catalog entry without interpreting
+/// it, so it is durable in the ingest's own WAL group and in every
+/// snapshot; the server rebuilds its route table from it.
+struct SessionOwner {
+  uint64_t global_id = 0;
+  uint64_t client = 0;
+};
+
 /// \brief Catalog entry for a stored session.
 struct SessionInfo {
   SessionId id = 0;
@@ -106,6 +116,9 @@ struct SessionInfo {
   /// multi-basis transformation step; storage itself uses the plain DWT so
   /// that offline queries can use the lazy transform).
   std::vector<size_t> best_basis_nodes;
+  /// Set when the ingest carried one; entries written without an owner
+  /// (migration copies, direct core ingests) have none.
+  std::optional<SessionOwner> owner;
 };
 
 /// \brief Aggregate over a frame range of one stored channel.
@@ -303,10 +316,12 @@ class AimsSystem {
   /// queries from here on. Requires exclusive synchronization, but never
   /// blocks on a sync: the caller releases its exclusive lock, then calls
   /// WaitDurable, so concurrent ingests can share one group-commit fsync.
+  /// \p owner (optional) is stored in the catalog entry (SessionInfo).
   Result<StagedIngest> StageIngest(
       const std::string& name, const streams::Recording& recording,
       obs::Trace* trace = nullptr,
-      std::vector<StandingRangeUpdate>* updates = nullptr);
+      std::vector<StandingRangeUpdate>* updates = nullptr,
+      std::optional<SessionOwner> owner = std::nullopt);
 
   /// \brief Phase 2: blocks until the staged ingest's commit is on stable
   /// storage; returns at once when nothing was logged. Safe to call
@@ -565,8 +580,8 @@ class AimsSystem {
   std::vector<uint8_t> SerializeSession(const StoredSession& session) const;
   /// Appends the session a serialized catalog entry describes, attaching
   /// its WaveletStores to already-written device blocks.
-  Status ApplyCatalogBlob(const std::vector<uint8_t>& blob);
-  /// Writes the catalog snapshot atomically (tmp + fsync + rename).
+  Status ApplyCatalogBlob(std::span<const uint8_t> blob);
+  /// Writes the catalog snapshot atomically (WriteFileDurably).
   Status WriteSnapshot() const;
   /// Loads the catalog snapshot, if one exists.
   Status LoadSnapshot();

@@ -1,13 +1,9 @@
 #include "obs/flight_recorder.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <utility>
 
+#include "common/durable_file.h"
 #include "common/macros.h"
 #include "obs/json_util.h"
 
@@ -242,35 +238,9 @@ std::string FlightRecorder::RenderLocked(const std::string& reason,
 }
 
 Status FlightRecorder::WriteBundleFile(const std::string& json) {
-  // tmp + fsync + rename: a reader (or a crash) never sees a torn bundle.
+  // Dumps and periodic persists share one tmp path; serialize them.
   std::lock_guard<std::mutex> lock(write_mutex_);
-  const std::string tmp = config_.bundle_path + ".tmp";
-  int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    return Status::IoError("flight recorder: open " + tmp + ": " +
-                           std::strerror(errno));
-  }
-  size_t off = 0;
-  while (off < json.size()) {
-    ssize_t n = ::write(fd, json.data() + off, json.size() - off);
-    if (n <= 0) {
-      ::close(fd);
-      return Status::IoError("flight recorder: write " + tmp + ": " +
-                             std::strerror(errno));
-    }
-    off += static_cast<size_t>(n);
-  }
-  if (::fsync(fd) != 0) {
-    ::close(fd);
-    return Status::IoError("flight recorder: fsync " + tmp + ": " +
-                           std::strerror(errno));
-  }
-  ::close(fd);
-  if (::rename(tmp.c_str(), config_.bundle_path.c_str()) != 0) {
-    return Status::IoError("flight recorder: rename to " +
-                           config_.bundle_path + ": " + std::strerror(errno));
-  }
-  return Status::OK();
+  return WriteFileDurably(config_.bundle_path, json);
 }
 
 Result<std::string> FlightRecorder::Dump(const std::string& reason) {

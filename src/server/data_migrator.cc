@@ -46,7 +46,7 @@ Status DataMigrator::MigrateTenant(ClientId client, size_t target_shard) {
     return status;
   };
 
-  // Pin + journal + quiesce, then the stable list of sessions to copy.
+  // Pin + quiesce, then the stable list of sessions to copy.
   Result<std::vector<GlobalSessionId>> to_move =
       catalog_->BeginTenantMigration(client, target_shard);
   if (!to_move.ok()) {

@@ -17,8 +17,9 @@
 ///     pin + quiesce (BeginTenantMigration), per-session copy under the
 ///     source's shared lock with a dual-read window (MigrateSession),
 ///     atomic routing flip (CommitTenantMigration). Queries and ingests to
-///     the tenant keep running throughout; on the durable backend every
-///     step is journaled so a crash recovers to exactly one owner.
+///     the tenant keep running throughout; on the durable backend each
+///     route flip and the final pin are journaled, and a copy no record
+///     names is never routed, so a crash recovers to exactly one owner.
 ///
 ///   * RebalancePlanner — turns the cost ledger's per-tenant usage into
 ///     hot-tenant moves: compute per-shard load through the router's

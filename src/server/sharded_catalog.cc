@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <map>
 #include <mutex>
-#include <set>
 #include <unordered_set>
 #include <utility>
 
+#include "common/byte_codec.h"
 #include "common/macros.h"
 
 namespace aims::server {
@@ -26,75 +27,47 @@ double MsSince(std::chrono::steady_clock::time_point start) {
 constexpr uint64_t kCounterMask = 0xffffffffffffull;
 
 // ---- Routing-journal record encoding -------------------------------------
-// One catalog blob per mutation, framed by the WriteAheadLog exactly like
-// the shards' own catalog records (host byte order):
-//   type u8, then the type's fixed-width fields.
-
+// One catalog blob per record, framed by the WriteAheadLog like the shards'
+// own catalog records: type u8, then the type's fixed-width fields. An
+// ingest writes none: its route rides the shard's commit group as the
+// catalog entry's owner. kRouteAdd is written only for routes of stores
+// whose entries predate owners; type 2 (a migration-begin record those
+// stores may hold) is skipped on replay.
 enum RouteRecordType : uint8_t {
   kRouteAdd = 1,        // u64 gid, u64 client, u32 shard, u32 local
-  kMigrationBegin = 2,  // u64 client, u32 target
   kRouteMove = 3,       // u64 gid, u32 target shard, u32 target local
   kMigrationCommit = 4, // u64 client, u32 target
 };
 
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-uint32_t GetU32(const uint8_t* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-
-uint64_t GetU64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
-  return v;
-}
-
 std::vector<uint8_t> EncodeRouteAdd(GlobalSessionId id, ClientId client,
                                     size_t shard, core::SessionId local) {
   std::vector<uint8_t> blob;
-  blob.push_back(kRouteAdd);
-  PutU64(&blob, id);
-  PutU64(&blob, client);
-  PutU32(&blob, static_cast<uint32_t>(shard));
-  PutU32(&blob, static_cast<uint32_t>(local));
-  return blob;
-}
-
-std::vector<uint8_t> EncodeMigrationBegin(ClientId client, size_t target) {
-  std::vector<uint8_t> blob;
-  blob.push_back(kMigrationBegin);
-  PutU64(&blob, client);
-  PutU32(&blob, static_cast<uint32_t>(target));
+  ByteWriter writer(&blob);
+  writer.U8(kRouteAdd);
+  writer.U64(id);
+  writer.U64(client);
+  writer.U32(static_cast<uint32_t>(shard));
+  writer.U32(local);
   return blob;
 }
 
 std::vector<uint8_t> EncodeRouteMove(GlobalSessionId id, size_t target_shard,
                                      core::SessionId target_local) {
   std::vector<uint8_t> blob;
-  blob.push_back(kRouteMove);
-  PutU64(&blob, id);
-  PutU32(&blob, static_cast<uint32_t>(target_shard));
-  PutU32(&blob, static_cast<uint32_t>(target_local));
+  ByteWriter writer(&blob);
+  writer.U8(kRouteMove);
+  writer.U64(id);
+  writer.U32(static_cast<uint32_t>(target_shard));
+  writer.U32(target_local);
   return blob;
 }
 
 std::vector<uint8_t> EncodeMigrationCommit(ClientId client, size_t target) {
   std::vector<uint8_t> blob;
-  blob.push_back(kMigrationCommit);
-  PutU64(&blob, client);
-  PutU32(&blob, static_cast<uint32_t>(target));
+  ByteWriter writer(&blob);
+  writer.U8(kMigrationCommit);
+  writer.U64(client);
+  writer.U32(static_cast<uint32_t>(target));
   return blob;
 }
 
@@ -230,11 +203,9 @@ GlobalSessionId ShardedCatalog::MintSessionId() {
 void ShardedCatalog::RegisterRoute(GlobalSessionId id, ClientId client,
                                    size_t shard, core::SessionId local) {
   std::unique_lock<std::shared_mutex> lock(routes_mutex_);
-  Route route;
-  route.client = client;
-  route.shard = static_cast<uint32_t>(shard);
-  route.local = local;
-  routes_[id] = route;
+  routes_[id] = Route{.client = client,
+                      .shard = static_cast<uint32_t>(shard),
+                      .local = local};
   client_sessions_[client].push_back(id);
 }
 
@@ -313,15 +284,15 @@ Result<GlobalSessionId> ShardedCatalog::Ingest(
   size_t shard_index = router_->ShardForClient(client);
   Shard& shard = *shards_[shard_index];
   auto start = std::chrono::steady_clock::now();
+  // The id is minted before staging so the shard's commit group carries
+  // it: that one commit makes the session durable and routable again after
+  // a crash, under this client and this id.
+  const GlobalSessionId id = MintSessionId();
   std::vector<core::StandingRangeUpdate> updates;
   Result<core::SessionId> local = IngestOnShard(
-      shard, name, recording, trace, io_stats,
+      shard, name, recording, core::SessionOwner{id, client}, trace, io_stats,
       ingest_hook_ != nullptr ? &updates : nullptr);
   AIMS_RETURN_NOT_OK(local.status());
-  GlobalSessionId id = MintSessionId();
-  // The route must be durable before the ingest is acknowledged: an acked
-  // session that recovery cannot address again would be a lost ack.
-  AIMS_RETURN_NOT_OK(JournalRouteAdd(id, client, shard_index, *local));
   RegisterRoute(id, client, shard_index, *local);
   // Continuous aggregates learn the new session only after it is routed
   // and durable; no shard lock is held here, so the hook may take the
@@ -346,7 +317,8 @@ void ShardedCatalog::SetStandingQueries(
 
 Result<core::SessionId> ShardedCatalog::IngestOnShard(
     Shard& shard, const std::string& name,
-    const streams::Recording& recording, obs::Trace* trace,
+    const streams::Recording& recording,
+    std::optional<core::SessionOwner> owner, obs::Trace* trace,
     IngestIoStats* io_stats, std::vector<core::StandingRangeUpdate>* updates) {
   // Device writes happen only inside a shard's exclusive sections, so the
   // write-counter delta inside this ingest's sections is exactly its own
@@ -356,7 +328,7 @@ Result<core::SessionId> ShardedCatalog::IngestOnShard(
   Result<core::AimsSystem::StagedIngest> staged = WriteOnShard(
       shard,
       [&](core::AimsSystem& sys) {
-        return sys.StageIngest(name, recording, trace, updates);
+        return sys.StageIngest(name, recording, trace, updates, owner);
       },
       trace, "shard_lock", &blocks_written);
   Status status = staged.status();
@@ -710,14 +682,9 @@ Result<std::vector<GlobalSessionId>> ShardedCatalog::BeginTenantMigration(
   }
   AIMS_RETURN_NOT_OK(journal_status_);
   // Pin first: every ingest that resolves placement from here on lands on
-  // the target. Then journal the begin record, so recovery knows the
-  // target shard may hold partial copies.
+  // the target. Nothing is journaled yet: a copy carries no owner, so a
+  // copy no RouteMove names is never routed after a crash.
   router_->SetPin(client, target_shard);
-  Status journaled = JournalMigrationBegin(client, target_shard);
-  if (!journaled.ok()) {
-    router_->ClearPin(client);
-    return journaled;
-  }
   // Wait out ingests that resolved placement before the pin. They are
   // acknowledged normally (redirected-in-time or drained, never dropped);
   // after the drain the tenant's session set is stable under this
@@ -766,7 +733,8 @@ Status ShardedCatalog::MigrateSession(GlobalSessionId id, size_t target_shard) {
   AIMS_ASSIGN_OR_RETURN(
       core::SessionId target_local,
       IngestOnShard(*shards_[target_shard], name, *materialized,
-                    /*trace=*/nullptr, /*io_stats=*/nullptr));
+                    /*owner=*/std::nullopt, /*trace=*/nullptr,
+                    /*io_stats=*/nullptr));
   // 2b. Carry the sealed raw segments over verbatim. The target's ingest
   //     rebuilt tier-0 segments from the materialized samples, but the
   //     source may hold downsampled tiers (tier/decimation/NMSE metadata)
@@ -785,7 +753,8 @@ Status ShardedCatalog::MigrateSession(GlobalSessionId id, size_t target_shard) {
   //    resolves the session to the target — and only then does the live
   //    route flip, so crash-before and crash-after both leave exactly one
   //    owner.
-  AIMS_RETURN_NOT_OK(JournalRouteMove(id, target_shard, target_local));
+  AIMS_RETURN_NOT_OK(
+      JournalAppend(EncodeRouteMove(id, target_shard, target_local)));
   // 4. Enter the dual-read window: primary = target, fallback = source.
   {
     std::unique_lock<std::shared_mutex> lock(routes_mutex_);
@@ -824,7 +793,8 @@ Status ShardedCatalog::CommitTenantMigration(ClientId client,
   CloseDualReadWindows(client);
   // The commit record makes the pin durable: recovery re-pins the tenant,
   // so post-restart ingests keep landing where the data lives.
-  AIMS_RETURN_NOT_OK(JournalMigrationCommit(client, target_shard));
+  AIMS_RETURN_NOT_OK(
+      JournalAppend(EncodeMigrationCommit(client, target_shard)));
   router_->BumpEpoch();
   return Status::OK();
 }
@@ -847,26 +817,6 @@ Status ShardedCatalog::JournalAppend(const std::vector<uint8_t>& blob) {
   return journal_->Commit(txn);
 }
 
-Status ShardedCatalog::JournalRouteAdd(GlobalSessionId id, ClientId client,
-                                       size_t shard, core::SessionId local) {
-  return JournalAppend(EncodeRouteAdd(id, client, shard, local));
-}
-
-Status ShardedCatalog::JournalMigrationBegin(ClientId client,
-                                             size_t target_shard) {
-  return JournalAppend(EncodeMigrationBegin(client, target_shard));
-}
-
-Status ShardedCatalog::JournalRouteMove(GlobalSessionId id, size_t target_shard,
-                                        core::SessionId target_local) {
-  return JournalAppend(EncodeRouteMove(id, target_shard, target_local));
-}
-
-Status ShardedCatalog::JournalMigrationCommit(ClientId client,
-                                              size_t target_shard) {
-  return JournalAppend(EncodeMigrationCommit(client, target_shard));
-}
-
 Status ShardedCatalog::OpenAndReplayJournal(const std::string& base_path) {
   namespace durable = storage::durable;
   durable::WalConfig wal_config;
@@ -878,76 +828,66 @@ Status ShardedCatalog::OpenAndReplayJournal(const std::string& base_path) {
   AIMS_ASSIGN_OR_RETURN(durable::WriteAheadLog::Opened opened,
                         durable::WriteAheadLog::Open(path, wal_config));
 
-  // Replay. The journal is tiny relative to the shard WALs (fixed-width
-  // routing records only), so a full linear replay at open is cheap.
-  uint64_t max_counter = 0;
-  // client -> targets of migrations that began and never committed. A
-  // set, not a single slot: a tenant can crash one migration and later
-  // start another — the first target's partial copies stay unowned
-  // forever and must stay excluded from adoption on every future reopen.
-  std::unordered_map<ClientId, std::set<size_t>> open_migrations;
-  std::set<std::pair<uint32_t, core::SessionId>> moved_away;
-  std::vector<std::pair<ClientId, size_t>> pins;
-  for (const durable::RecoveredTxn& txn : opened.committed) {
-    for (const std::vector<uint8_t>& blob : txn.catalog_blobs) {
-      if (blob.empty()) continue;
-      const uint8_t* p = blob.data() + 1;
-      switch (blob[0]) {
-        case kRouteAdd: {
-          if (blob.size() < 1 + 8 + 8 + 4 + 4) break;
-          GlobalSessionId id = GetU64(p);
-          ClientId client = GetU64(p + 8);
-          uint32_t shard = GetU32(p + 16);
-          uint32_t local = GetU32(p + 20);
-          if (shard >= shards_.size()) break;  // stale vs. shrunken topology
-          Route route;
-          route.client = client;
-          route.shard = shard;
-          route.local = static_cast<core::SessionId>(local);
-          routes_[id] = route;
-          max_counter = std::max(max_counter, id & kCounterMask);
-          break;
-        }
-        case kMigrationBegin: {
-          if (blob.size() < 1 + 8 + 4) break;
-          open_migrations[GetU64(p)].insert(GetU32(p + 8));
-          break;
-        }
-        case kRouteMove: {
-          if (blob.size() < 1 + 8 + 4 + 4) break;
-          GlobalSessionId id = GetU64(p);
-          uint32_t target_shard = GetU32(p + 8);
-          uint32_t target_local = GetU32(p + 12);
-          if (target_shard >= shards_.size()) break;
-          auto it = routes_.find(id);
-          if (it == routes_.end()) break;
-          // The source copy is superseded; remember it so orphan adoption
-          // below does not resurrect it as a second owner.
-          moved_away.insert({it->second.shard, it->second.local});
-          it->second.shard = target_shard;
-          it->second.local = static_cast<core::SessionId>(target_local);
-          break;
-        }
-        case kMigrationCommit: {
-          if (blob.size() < 1 + 8 + 4) break;
-          ClientId client = GetU64(p);
-          uint32_t target = GetU32(p + 8);
-          // Only the committed target's copies became route-owned; an
-          // earlier crashed migration's target (other set entries) keeps
-          // its exclusion.
-          auto open_it = open_migrations.find(client);
-          if (open_it != open_migrations.end()) {
-            open_it->second.erase(target);
-            if (open_it->second.empty()) open_migrations.erase(open_it);
-          }
-          if (target < shards_.size()) pins.emplace_back(client, target);
-          break;
-        }
-        default:
-          break;  // forward-compatible: unknown record types are skipped
+  // Ingest routes: an owner-tagged shard entry is its session's home. The
+  // owner committed in the session's own WAL group, so every committed
+  // ingest is routed, under the client and id it was staged with.
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    for (const core::SessionInfo& info : shards_[i]->system.ListSessions()) {
+      if (!info.owner.has_value()) continue;
+      const Route route{.client = info.owner->client,
+                        .shard = static_cast<uint32_t>(i),
+                        .local = info.id};
+      if (!routes_.emplace(info.owner->global_id, route).second) {
+        return Status::IoError("routing: two shard entries claim session " +
+                               std::to_string(info.owner->global_id));
       }
     }
   }
+
+  // Replay. The journal is tiny relative to the shard WALs (fixed-width
+  // migration records), so a full linear replay at open is cheap. A
+  // RouteAdd is the only route of an entry that predates owners.
+  std::unordered_set<GlobalSessionId> journal_routed;
+  std::map<ClientId, size_t> pins;  // latest committed target per tenant
+  for (const durable::RecoveredTxn& txn : opened.committed) {
+    for (const std::vector<uint8_t>& blob : txn.catalog_blobs) {
+      ByteReader reader(blob);
+      const uint8_t type = reader.U8();
+      if (type == kRouteAdd) {
+        const GlobalSessionId id = reader.U64();
+        Route route;
+        route.client = reader.U64();
+        route.shard = reader.U32();
+        route.local = reader.U32();
+        // A shard index past the topology is stale (shrunken shard count).
+        if (!reader.ok() || route.shard >= shards_.size()) continue;
+        routes_[id] = route;
+        journal_routed.insert(id);
+      } else if (type == kRouteMove) {
+        const GlobalSessionId id = reader.U64();
+        const uint32_t shard = reader.U32();
+        const core::SessionId local = reader.U32();
+        auto it = routes_.find(id);
+        if (!reader.ok() || shard >= shards_.size() || it == routes_.end()) {
+          continue;
+        }
+        it->second.shard = shard;
+        it->second.local = local;
+      } else if (type == kMigrationCommit) {
+        const ClientId client = reader.U64();
+        const uint32_t target = reader.U32();
+        if (reader.ok() && target < shards_.size()) pins[client] = target;
+      }
+      // Anything else is skipped: forward-compatible.
+    }
+  }
+
+  uint64_t max_counter = 0;
+  for (const auto& [id, route] : routes_) {
+    (void)route;
+    max_counter = std::max(max_counter, id & kCounterMask);
+  }
+  next_session_counter_.store(max_counter + 1, std::memory_order_relaxed);
 
   // Validate every recovered route against what shard recovery actually
   // restored; a route whose session is gone (deleted store, external
@@ -959,43 +899,8 @@ Status ShardedCatalog::OpenAndReplayJournal(const std::string& base_path) {
     it = exists ? std::next(it) : routes_.erase(it);
   }
 
-  next_session_counter_.store(max_counter + 1, std::memory_order_relaxed);
-
-  // Orphan adoption: a shard session with no durable route belongs to an
-  // ingest that committed on the shard WAL but crashed before its route
-  // record — it was never acknowledged. Adopt it under the lost-and-found
-  // tenant (client 0) with a fresh id so the data stays reachable. Two
-  // exclusions keep "exactly one owner" true: source copies superseded by
-  // a RouteMove, and any shard that is the target of a migration that
-  // began but never committed (its unreferenced sessions may be partial
-  // copies of sessions the source still owns).
-  std::unordered_set<size_t> open_targets;
-  for (const auto& [client, targets] : open_migrations) {
-    (void)client;
-    open_targets.insert(targets.begin(), targets.end());
-  }
-  std::set<std::pair<uint32_t, core::SessionId>> referenced;
-  for (const auto& [id, route] : routes_) {
-    (void)id;
-    referenced.insert({route.shard, route.local});
-  }
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    if (open_targets.count(i) != 0) continue;
-    for (const core::SessionInfo& info : shards_[i]->system.ListSessions()) {
-      std::pair<uint32_t, core::SessionId> key{static_cast<uint32_t>(i),
-                                               info.id};
-      if (referenced.count(key) != 0 || moved_away.count(key) != 0) continue;
-      GlobalSessionId id = MintSessionId();
-      Route route;
-      route.client = 0;
-      route.shard = static_cast<uint32_t>(i);
-      route.local = info.id;
-      routes_[id] = route;
-    }
-  }
-
-  // Restore pins (each bump advances the epoch past every committed
-  // migration's generation).
+  // Restore each tenant's latest pin. Every SetPin bumps the epoch, which
+  // only tags newly minted ids; the counter keeps them unique.
   for (const auto& [client, target] : pins) router_->SetPin(client, target);
 
   // Rebuild the by-client index in mint order.
@@ -1012,7 +917,10 @@ Status ShardedCatalog::OpenAndReplayJournal(const std::string& base_path) {
   // Compact: rewrite the journal as one snapshot transaction in a fresh
   // file, then atomically rename it over the old log. Crash before the
   // rename leaves the old journal intact; crash after leaves the complete
-  // snapshot — either way recovery sees a consistent log.
+  // snapshot — either way recovery sees a consistent log. The snapshot
+  // holds what the shard entries do not: a RouteAdd per route that came
+  // from one, a RouteMove per route away from its owner-tagged entry, and
+  // each tenant's latest pin.
   const std::string tmp_path = path + ".tmp";
   std::error_code ec;
   std::filesystem::remove(tmp_path, ec);  // stale tmp from an earlier crash
@@ -1020,22 +928,22 @@ Status ShardedCatalog::OpenAndReplayJournal(const std::string& base_path) {
                         durable::WriteAheadLog::Open(tmp_path, wal_config));
   AIMS_ASSIGN_OR_RETURN(uint64_t txn, compacted.wal->BeginTxn());
   for (const auto& [id, route] : ordered) {
-    AIMS_RETURN_NOT_OK(compacted.wal->AppendCatalog(
-        txn, EncodeRouteAdd(id, route->client, route->shard, route->local)));
+    std::vector<uint8_t> blob;
+    if (journal_routed.count(id) != 0) {
+      blob = EncodeRouteAdd(id, route->client, route->shard, route->local);
+    } else {
+      Result<core::SessionInfo> at =
+          shards_[route->shard]->system.GetSession(route->local);
+      if (at.ok() && at->owner.has_value() && at->owner->global_id == id) {
+        continue;  // still at its home entry
+      }
+      blob = EncodeRouteMove(id, route->shard, route->local);
+    }
+    AIMS_RETURN_NOT_OK(compacted.wal->AppendCatalog(txn, blob));
   }
   for (const auto& [client, target] : pins) {
     AIMS_RETURN_NOT_OK(compacted.wal->AppendCatalog(
         txn, EncodeMigrationCommit(client, target)));
-  }
-  // Open migrations survive compaction: their targets may hold partial
-  // copies of sessions the source still owns, and the no-adoption
-  // exclusion above must keep holding on every future reopen — otherwise
-  // the second reopen would adopt those copies as second owners.
-  for (const auto& [client, targets] : open_migrations) {
-    for (size_t target : targets) {
-      AIMS_RETURN_NOT_OK(compacted.wal->AppendCatalog(
-          txn, EncodeMigrationBegin(client, target)));
-    }
   }
   AIMS_RETURN_NOT_OK(compacted.wal->Commit(txn));
   compacted.wal.reset();  // close before the rename

@@ -36,10 +36,12 @@
 ///   * A route table maps every id to its current {shard, local id}, with
 ///     a dual-read window during migration: reads try the migration
 ///     target first and fall back to the source copy.
-///   * On the durable backend, the route table is backed by a routing
-///     journal — a second WriteAheadLog (`routes.wal`, same record
-///     framing as the shard WALs) replayed at open, so a crash mid-
-///     migration recovers every session to exactly one owner.
+///   * On the durable backend, an ingest's route is durable in the
+///     shard's own WAL commit group: the catalog entry carries the global
+///     id and the client, and open rebuilds ingest routes from the shard
+///     catalogs. A routing journal (`routes.wal`, the shard WALs' record
+///     framing) holds only migration records, so a crash mid-migration
+///     recovers every session to exactly one owner.
 ///
 /// The original concurrency properties are unchanged: ingest takes one
 /// shard's exclusive lock (twice on the durable backend, around the
@@ -152,10 +154,12 @@ class ShardedCatalog {
   /// (trace span "wal_sync") so concurrent ingests share one group-commit
   /// fsync, and re-lock ("shard_apply_lock") for page write-back. The
   /// in-memory backend logs nothing, so its ingest is one exclusive
-  /// section. A durable ingest is acknowledged only after its commit
-  /// record — AND its route-journal entry — are on stable storage, which
-  /// is what makes "acknowledged" imply "survives a crash with its route
-  /// intact".
+  /// section. The global id is minted before staging and stored with
+  /// \p client in the session's catalog entry, so the shard's commit
+  /// record is the ingest's only durable write: an acknowledged ingest
+  /// survives a crash with its route intact. An ingest whose commit is
+  /// durable but that was never acknowledged (killed after the commit, or
+  /// failed in write-back) also recovers under \p client and its minted id.
   Result<GlobalSessionId> Ingest(ClientId client, const std::string& name,
                                  const streams::Recording& recording,
                                  obs::Trace* trace = nullptr,
@@ -257,8 +261,8 @@ class ShardedCatalog {
   /// \brief WAL counters summed across shards (zero-valued struct on the
   /// in-memory backend) — the aims_wal_* Prometheus family and the
   /// GetHealth durability section. max_commits_per_sync aggregates as the
-  /// max over shards (it is a high-water mark, not a total). Includes the
-  /// routing journal's own counters.
+  /// max over shards (it is a high-water mark, not a total). The routing
+  /// journal's counters are not included.
   obs::WalStats TotalWalStats() const;
 
   // ---- Shard health ------------------------------------------------------
@@ -289,11 +293,11 @@ class ShardedCatalog {
   // ---- Live migration (called by the DataMigrator) -----------------------
 
   /// \brief Starts moving \p client to \p target_shard: pins the tenant so
-  /// new ingests land on the target, journals the migration-begin record,
-  /// waits for in-flight ingests that resolved placement before the pin to
-  /// drain (they are acknowledged, never dropped), then returns the ids of
-  /// the tenant's sessions not yet on the target. On error the pin is
-  /// rolled back.
+  /// new ingests land on the target, waits for in-flight ingests that
+  /// resolved placement before the pin to drain (they are acknowledged,
+  /// never dropped), then returns the ids of the tenant's sessions not yet
+  /// on the target. Journals nothing: the pin becomes durable with the
+  /// commit record.
   Result<std::vector<GlobalSessionId>> BeginTenantMigration(
       ClientId client, size_t target_shard);
 
@@ -302,8 +306,9 @@ class ShardedCatalog {
   /// is materialized under the source's *shared* lock — concurrent queries
   /// keep running — and the owner flip is journaled only after the target
   /// copy is durable, so a crash leaves exactly one owner. The copy
-  /// bypasses catalog metrics and carries no tenant attribution: migration
-  /// is an infrastructure move, not tenant activity.
+  /// carries no owner tag, bypasses catalog metrics and carries no tenant
+  /// attribution: migration is an infrastructure move, not tenant
+  /// activity. A copy no RouteMove names stays on disk, unrouted.
   Status MigrateSession(GlobalSessionId id, size_t target_shard);
 
   /// \brief Ends the dual-read window for every session of \p client
@@ -384,13 +389,15 @@ class ShardedCatalog {
 
   /// Shard-level ingest (no routing, no metrics) — the normal ingest path
   /// and the migrator's copy step share it. Runs the staged protocol on
-  /// either backend (see Ingest). \p updates (optional, threaded through
+  /// either backend (see Ingest). \p owner goes into the catalog entry;
+  /// the migrator passes none. \p updates (optional, threaded through
   /// to the system) receives the standing-query results of the new
   /// session; the migrator passes null: a migration copy is not tenant
   /// activity and must not fire the continuous-aggregate hook.
   Result<core::SessionId> IngestOnShard(
       Shard& shard, const std::string& name,
-      const streams::Recording& recording, obs::Trace* trace,
+      const streams::Recording& recording,
+      std::optional<core::SessionOwner> owner, obs::Trace* trace,
       IngestIoStats* io_stats,
       std::vector<core::StandingRangeUpdate>* updates = nullptr);
 
@@ -412,18 +419,13 @@ class ShardedCatalog {
   /// Appends one record as its own committed journal transaction; the
   /// append is durable when this returns OK. No-op in-memory.
   Status JournalAppend(const std::vector<uint8_t>& blob);
-  Status JournalRouteAdd(GlobalSessionId id, ClientId client, size_t shard,
-                         core::SessionId local);
-  Status JournalMigrationBegin(ClientId client, size_t target_shard);
-  Status JournalRouteMove(GlobalSessionId id, size_t target_shard,
-                          core::SessionId target_local);
-  Status JournalMigrationCommit(ClientId client, size_t target_shard);
 
-  /// Opens `<path>/routes.wal`, replays it into the route table (validated
-  /// against what shard recovery actually restored), adopts orphaned shard
-  /// sessions that never got a durable route (their ingests were never
-  /// acknowledged), and rewrites the journal as one compact snapshot
-  /// transaction. Sets init error state on failure.
+  /// Rebuilds ingest routes from the shards' owner-tagged entries (two
+  /// entries claiming one id are IoError), replays `<path>/routes.wal`'s
+  /// route moves, pins, and the route adds of entries that predate owners,
+  /// drops routes whose session recovery did not restore, and rewrites the
+  /// journal as one compact snapshot transaction. Sets init error state on
+  /// failure.
   Status OpenAndReplayJournal(const std::string& base_path);
 
   core::AimsConfig config_;

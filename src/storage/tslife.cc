@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 
+#include "common/byte_codec.h"
 #include "common/macros.h"
 #include "signal/resample.h"
 
@@ -15,43 +15,6 @@ namespace {
 /// Scan-time sanity bound, mirroring the WAL's: a corrupt length field
 /// must never make decode allocate gigabytes.
 constexpr uint64_t kMaxField = 1ull << 30;
-
-void PutU8(std::vector<uint8_t>* out, uint8_t v) { out->push_back(v); }
-
-template <typename T>
-void PutRaw(std::vector<uint8_t>* out, T v) {
-  const size_t at = out->size();
-  out->resize(at + sizeof(T));
-  std::memcpy(out->data() + at, &v, sizeof(T));
-}
-
-/// Bounds-checked sequential reader (the catalog-blob idiom).
-class ByteReader {
- public:
-  ByteReader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
-
-  template <typename T>
-  bool Read(T* out) {
-    if (pos_ + sizeof(T) > size_) return false;
-    std::memcpy(out, data_ + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return true;
-  }
-
-  bool ReadBytes(std::vector<uint8_t>* out, size_t len) {
-    if (pos_ + len > size_) return false;
-    out->assign(data_ + pos_, data_ + pos_ + len);
-    pos_ += len;
-    return true;
-  }
-
-  size_t remaining() const { return size_ - pos_; }
-
- private:
-  const uint8_t* data_;
-  size_t size_;
-  size_t pos_ = 0;
-};
 
 /// Linear interpolation of (t, v) pairs back onto query timestamps
 /// \p t_query (both time-ascending), holding flat beyond the ends — the
@@ -239,20 +202,21 @@ std::vector<uint8_t> EncodeSegmentOp(SegmentOp::Kind kind, uint64_t session,
                                      const Segment& segment) {
   std::vector<uint8_t> out;
   out.reserve(64 + segment.bytes.size());
-  PutU8(&out, static_cast<uint8_t>(kind));
-  PutRaw<uint64_t>(&out, session);
-  PutRaw<uint64_t>(&out, segment.meta.channel);
-  PutRaw<uint64_t>(&out, segment.meta.seq);
-  PutRaw<uint32_t>(&out, segment.meta.tier);
-  PutRaw<uint32_t>(&out, segment.meta.decimation);
-  PutRaw<uint64_t>(&out, segment.meta.count);
-  PutRaw<int64_t>(&out, segment.meta.t0_us);
-  PutRaw<int64_t>(&out, segment.meta.t1_us);
-  PutRaw<double>(&out, segment.meta.rate_hz);
-  PutRaw<double>(&out, segment.meta.nmse);
+  ByteWriter writer(&out);
+  writer.U8(static_cast<uint8_t>(kind));
+  writer.U64(session);
+  writer.U64(segment.meta.channel);
+  writer.U64(segment.meta.seq);
+  writer.U32(segment.meta.tier);
+  writer.U32(segment.meta.decimation);
+  writer.U64(segment.meta.count);
+  writer.I64(segment.meta.t0_us);
+  writer.I64(segment.meta.t1_us);
+  writer.F64(segment.meta.rate_hz);
+  writer.F64(segment.meta.nmse);
   if (kind == SegmentOp::Kind::kPut) {
-    PutRaw<uint64_t>(&out, segment.bytes.size());
-    out.insert(out.end(), segment.bytes.begin(), segment.bytes.end());
+    writer.U64(segment.bytes.size());
+    writer.Bytes(segment.bytes.data(), segment.bytes.size());
   }
   return out;
 }
@@ -261,35 +225,35 @@ Result<SegmentOp> DecodeSegmentOp(const uint8_t* data, size_t size) {
   const auto corrupt = [] {
     return Status::InvalidArgument("tslife: corrupt segment op");
   };
-  ByteReader reader(data, size);
-  uint8_t kind = 0;
-  if (!reader.Read(&kind)) return corrupt();
-  if (kind != static_cast<uint8_t>(SegmentOp::Kind::kPut) &&
-      kind != static_cast<uint8_t>(SegmentOp::Kind::kDrop)) {
+  ByteReader reader({data, size});
+  const uint8_t kind = reader.U8();
+  if (!reader.ok() || (kind != static_cast<uint8_t>(SegmentOp::Kind::kPut) &&
+                       kind != static_cast<uint8_t>(SegmentOp::Kind::kDrop))) {
     return corrupt();
   }
   SegmentOp op;
   op.kind = static_cast<SegmentOp::Kind>(kind);
-  uint64_t channel = 0, count = 0;
-  if (!reader.Read(&op.session) || !reader.Read(&channel) ||
-      !reader.Read(&op.segment.meta.seq) ||
-      !reader.Read(&op.segment.meta.tier) ||
-      !reader.Read(&op.segment.meta.decimation) || !reader.Read(&count) ||
-      !reader.Read(&op.segment.meta.t0_us) ||
-      !reader.Read(&op.segment.meta.t1_us) ||
-      !reader.Read(&op.segment.meta.rate_hz) ||
-      !reader.Read(&op.segment.meta.nmse)) {
+  op.session = reader.U64();
+  const uint64_t channel = reader.U64();
+  op.segment.meta.seq = reader.U64();
+  op.segment.meta.tier = reader.U32();
+  op.segment.meta.decimation = reader.U32();
+  const uint64_t count = reader.U64();
+  op.segment.meta.t0_us = reader.I64();
+  op.segment.meta.t1_us = reader.I64();
+  op.segment.meta.rate_hz = reader.F64();
+  op.segment.meta.nmse = reader.F64();
+  if (!reader.ok() || channel > kMaxField || count > kMaxField) {
     return corrupt();
   }
-  if (channel > kMaxField || count > kMaxField) return corrupt();
   op.segment.meta.channel = static_cast<size_t>(channel);
   op.segment.meta.count = static_cast<size_t>(count);
   if (op.kind == SegmentOp::Kind::kPut) {
-    uint64_t len = 0;
-    if (!reader.Read(&len) || len > kMaxField) return corrupt();
-    if (!reader.ReadBytes(&op.segment.bytes, static_cast<size_t>(len))) {
-      return corrupt();
-    }
+    const uint64_t len = reader.U64();
+    if (!reader.ok() || len > kMaxField) return corrupt();
+    std::span<const uint8_t> bytes = reader.Bytes(static_cast<size_t>(len));
+    if (!reader.ok()) return corrupt();
+    op.segment.bytes.assign(bytes.begin(), bytes.end());
   }
   if (reader.remaining() != 0) return corrupt();
   return op;

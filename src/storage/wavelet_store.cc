@@ -76,7 +76,7 @@ Status WaveletStore::Put(const std::vector<double>& coefficients) {
     }
     // Allocate lazily and record the allocation before attempting the
     // write: if the write faults, the retry finds the block already
-    // allocated and reuses it instead of orphaning it. A re-Put likewise
+    // allocated and reuses it instead of leaking it. A re-Put likewise
     // overwrites the existing blocks rather than growing the device.
     if (b >= num_allocated_) {
       device_blocks_[b] = device_->Allocate();

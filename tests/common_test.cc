@@ -1,5 +1,15 @@
+#include <unistd.h>
+
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "common/byte_codec.h"
+#include "common/durable_file.h"
 #include "common/macros.h"
 #include "common/rng.h"
 #include "common/stats.h"
@@ -217,6 +227,74 @@ TEST(TablePrinterTest, RendersAlignedTable) {
   EXPECT_NE(rendered.find("42"), std::string::npos);
   // Header separator row present.
   EXPECT_NE(rendered.find("|--"), std::string::npos);
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST(WriteFileDurablyTest, ReplacesAnExistingFileAndLeavesNoTmp) {
+  const std::string dir = ::testing::TempDir() + "aims_durable_file_" +
+                          std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/bundle.json";
+  ASSERT_TRUE(WriteFileDurably(path, "first version, the longer one").ok());
+  EXPECT_EQ(ReadFile(path), "first version, the longer one");
+  ASSERT_TRUE(WriteFileDurably(path, std::string("sec\0nd", 6)).ok());
+  EXPECT_EQ(ReadFile(path), std::string("sec\0nd", 6));
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  size_t entries = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    (void)entry;
+    ++entries;
+  }
+  EXPECT_EQ(entries, 1u);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(WriteFileDurablyTest, MissingDirectoryIsIoError) {
+  const std::string dir = ::testing::TempDir() + "aims_no_such_dir_" +
+                          std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  const Status status = WriteFileDurably(dir + "/file", "bytes");
+  EXPECT_EQ(status.code(), StatusCode::kIoError);
+  EXPECT_FALSE(std::filesystem::exists(dir));
+}
+
+TEST(ByteCodecTest, RoundTripsAndUnderflowIsSticky) {
+  std::vector<uint8_t> bytes;
+  ByteWriter writer(&bytes);
+  writer.U8(7);
+  writer.U32(0xdeadbeefu);
+  writer.U64(1ull << 40);
+  writer.I64(-5);
+  writer.F64(0.25);
+  writer.Bytes("ab", 2);
+  EXPECT_EQ(bytes.size(), 1u + 4 + 8 + 8 + 8 + 2);
+
+  ByteReader reader(bytes);
+  EXPECT_EQ(reader.U8(), 7);
+  EXPECT_EQ(reader.U32(), 0xdeadbeefu);
+  EXPECT_EQ(reader.U64(), 1ull << 40);
+  EXPECT_EQ(reader.I64(), -5);
+  EXPECT_EQ(reader.F64(), 0.25);
+  std::span<const uint8_t> tail = reader.Bytes(2);
+  EXPECT_EQ(std::string(tail.begin(), tail.end()), "ab");
+  EXPECT_TRUE(reader.ok());
+  EXPECT_EQ(reader.remaining(), 0u);
+
+  // Past the end: zero values, and the flag stays tripped even for a read
+  // that would fit.
+  ByteReader short_reader(std::span<const uint8_t>(bytes).first(3));
+  EXPECT_EQ(short_reader.U8(), 7);
+  EXPECT_EQ(short_reader.U32(), 0u);
+  EXPECT_FALSE(short_reader.ok());
+  EXPECT_EQ(short_reader.U8(), 0);
+  EXPECT_TRUE(short_reader.Bytes(1).empty());
+  EXPECT_FALSE(short_reader.ok());
 }
 
 }  // namespace

@@ -21,14 +21,27 @@
 //                     stats as one JSON line (exit 6 if an acknowledged
 //                     ingest is missing or its raw samples drifted)
 //
+// Catalog-ingest modes (2-shard durable ShardedCatalog on <dir>, where an
+// ingest's route rides the shard's commit group):
+//          ccrash     ingest <count> acked sessions for one tenant, then
+//                     one more with the after-commit-durable hook armed:
+//                     the process dies once the shard commit is durable,
+//                     before the ingest is acknowledged
+//          cverify    recover, check every acked session AND every killed
+//                     ingest is present exactly once under that tenant
+//                     and that no session belongs to another client (exit
+//                     6 on a missing or unreadable session, 7 on a double
+//                     owner, 8 on a session under another client), print
+//                     stats as one JSON line
+//
 // Migration modes (2-shard durable ShardedCatalog on the same <dir>,
 // exercising the routing journal's exactly-one-owner recovery):
 //          mcrash     ingest one more acked session for the migrating
 //                     tenant, arm the payload-append crash hook with
 //                     <count>, then start a live tenant migration; the
 //                     process SIGKILLs itself mid-protocol (inside the
-//                     begin/copy/route-move journal appends, depending on
-//                     <count>)
+//                     copy's appends or the route-move journal append,
+//                     depending on <count>)
 //          mverify    recover, check every acked session is readable and
 //                     owned by EXACTLY ONE route (exit 6 on a lost ack,
 //                     exit 7 on a double owner), print stats as one JSON
@@ -45,6 +58,7 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "core/aims.h"
 #include "crash_test_common.h"
@@ -76,15 +90,16 @@ aims::obs::FlightRecorder* StartCrashRecorder(const std::string& dir,
   return recorder;
 }
 
-// The tenant the migration modes move back and forth. Any fixed id works:
-// source/target are derived from the router, never assumed.
+// The tenant the catalog modes ingest for and the migration modes move
+// back and forth. Any fixed id works: source/target are derived from the
+// router, never assumed.
 constexpr aims::server::ClientId kTenant = 42;
 
 // Migration-mode crash round: add one acked session so there is always
 // something to move, arm the global payload-append hook, migrate. The
-// hook fires inside the migration protocol (the begin record, a copy
-// block put, or the route-move record, depending on the armed count) and
-// the process never returns from MigrateTenant.
+// hook fires inside the migration protocol (a copy's block put, catalog
+// entry or segment, or the route-move record, depending on the armed
+// count) and the process never returns from MigrateTenant.
 int RunMigrationCrash(const std::string& dir, int payload_appends) {
   aims::core::AimsConfig config;
   config.durability.path = dir;
@@ -119,6 +134,109 @@ int RunMigrationCrash(const std::string& dir, int payload_appends) {
   std::cerr << "crash hook did not fire (migration "
             << (status.ok() ? "succeeded" : status.ToString()) << ")\n";
   return 5;
+}
+
+// Catalog-ingest crash round: <clean> acknowledged ingests, then one whose
+// name is written to ckilled.txt before the after-commit-durable hook
+// kills the process inside it.
+int RunCatalogCrash(const std::string& dir, int clean) {
+  aims::core::AimsConfig config;
+  config.durability.path = dir;
+  aims::server::ShardedCatalog catalog(2, config);
+  if (!catalog.init_status().ok()) {
+    std::cerr << "open failed: " << catalog.init_status().ToString() << "\n";
+    return 3;
+  }
+  std::ofstream acks(dir + "/cacks.txt", std::ios::app);
+  std::ofstream killed(dir + "/ckilled.txt", std::ios::app);
+  if (!acks || !killed) {
+    std::cerr << "cannot open acks files\n";
+    return 3;
+  }
+  uint32_t seed = static_cast<uint32_t>(catalog.total_sessions());
+  for (int i = 0; i < clean; ++i, ++seed) {
+    auto id = catalog.Ingest(kTenant, aims::crashtest::SessionName(seed),
+                             aims::crashtest::MakeRecording(seed));
+    if (!id.ok()) {
+      std::cerr << "ingest failed: " << id.status().ToString() << "\n";
+      return 4;
+    }
+    acks << aims::crashtest::SessionName(seed) << "\n" << std::flush;
+  }
+  StartCrashRecorder(dir, "ccrash");
+  killed << aims::crashtest::SessionName(seed) << "\n" << std::flush;
+  aims::storage::durable::testing::SetCrashAfterCommitDurable(true);
+  auto id = catalog.Ingest(kTenant, aims::crashtest::SessionName(seed),
+                           aims::crashtest::MakeRecording(seed));
+  std::cerr << "crash hook did not fire (ingest "
+            << (id.ok() ? "succeeded" : id.status().ToString()) << ")\n";
+  return 5;
+}
+
+// Non-empty lines of the file at `path`.
+std::vector<std::string> ReadLines(const std::string& path) {
+  std::vector<std::string> lines;
+  std::ifstream in(path);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (!line.empty()) lines.push_back(line);
+  }
+  return lines;
+}
+
+// Catalog-ingest verify: every acknowledged and every killed ingest is
+// routed exactly once, under the tenant that ingested it.
+int RunCatalogVerify(const std::string& dir) {
+  aims::core::AimsConfig config;
+  config.durability.path = dir;
+  aims::server::ShardedCatalog catalog(2, config);
+  if (!catalog.init_status().ok()) {
+    std::cerr << "open failed: " << catalog.init_status().ToString() << "\n";
+    return 3;
+  }
+  std::map<std::string, size_t> owners;
+  size_t other_client = 0, unreadable = 0;
+  for (const auto& entry : catalog.ListSessions()) {
+    if (entry.client != kTenant) {
+      ++other_client;
+      std::cerr << "session " << entry.info.name << " recovered under client "
+                << entry.client << "\n";
+      continue;
+    }
+    owners[entry.info.name] += 1;
+    auto channel = catalog.ReadChannel(entry.id, 0);
+    if (!channel.ok() || channel->size() != entry.info.num_frames) {
+      ++unreadable;
+      std::cerr << "session " << entry.info.name << " unreadable\n";
+    }
+  }
+  const std::vector<std::string> acked = ReadLines(dir + "/cacks.txt");
+  const std::vector<std::string> killed = ReadLines(dir + "/ckilled.txt");
+  size_t missing = 0, doubled = 0;
+  for (const std::vector<std::string>* names : {&acked, &killed}) {
+    for (const std::string& name : *names) {
+      auto it = owners.find(name);
+      if (it == owners.end()) {
+        ++missing;
+        std::cerr << "ingest " << name << " not routed to its tenant\n";
+      } else if (it->second != 1) {
+        ++doubled;
+        std::cerr << "ingest " << name << " has " << it->second
+                  << " owners\n";
+      }
+    }
+  }
+  std::cout << "{\"sessions\": " << catalog.total_sessions()
+            << ", \"acked\": " << acked.size()
+            << ", \"killed\": " << killed.size()
+            << ", \"missing\": " << missing
+            << ", \"double_owned\": " << doubled
+            << ", \"other_client\": " << other_client
+            << ", \"unreadable\": " << unreadable << "}\n";
+  if (missing > 0 || unreadable > 0) return 6;
+  if (doubled > 0) return 7;
+  if (other_client > 0) return 8;
+  return 0;
 }
 
 // Migration-mode verify: recover the catalog (shard WALs + routing
@@ -181,6 +299,8 @@ int main(int argc, char** argv) {
   const std::string mode = argv[2];
   const int clean = std::atoi(argv[3]);
 
+  if (mode == "ccrash") return RunCatalogCrash(dir, clean);
+  if (mode == "cverify") return RunCatalogVerify(dir);
   if (mode == "mcrash") return RunMigrationCrash(dir, clean);
   if (mode == "mverify") return RunMigrationVerify(dir);
 

@@ -7,6 +7,9 @@
 //   * every ACKNOWLEDGED ingest is fully queryable (bit-exact), and
 //   * no half-applied ingest is visible — an uncommitted group vanishes,
 //     a committed-but-unapplied group is replayed in full.
+//
+// The catalog case kills a ShardedCatalog ingest after its shard commit:
+// that commit carries the route, so the ingest recovers under its client.
 
 #include <sys/wait.h>
 #include <unistd.h>
@@ -22,6 +25,7 @@
 
 #include "core/aims.h"
 #include "crash_test_common.h"
+#include "server/sharded_catalog.h"
 
 namespace aims {
 namespace {
@@ -181,6 +185,31 @@ TEST(CrashRecovery, SurvivesRepeatedKillsOnOneStore) {
     ASSERT_EQ(ReadAcks(dir).size(), acked_total);
   }
   VerifyRecovered(dir, expected_sessions, ReadAcks(dir));
+}
+
+TEST(CrashRecovery, CatalogIngestKilledAfterShardCommitKeepsItsClient) {
+  std::string dir = TestDir("catalog");
+  ExpectKilledBySigkill(RunHelper(dir, "ccrash", 2));
+  // The killed ingest's shard commit was durable, so it recovers with the
+  // acknowledged ones: routed once each, all under the ingesting tenant.
+  {
+    core::AimsConfig config;
+    config.durability.path = dir;
+    server::ShardedCatalog recovered(2, config);
+    ASSERT_TRUE(recovered.init_status().ok())
+        << recovered.init_status().ToString();
+    auto sessions = recovered.ListSessions();
+    ASSERT_EQ(sessions.size(), 3u);
+    for (size_t i = 0; i < sessions.size(); ++i) {
+      EXPECT_EQ(sessions[i].info.name, crashtest::SessionName(i));
+      EXPECT_EQ(sessions[i].client, 42u) << sessions[i].info.name;
+      EXPECT_TRUE(recovered.ReadChannel(sessions[i].id, 0).ok());
+    }
+  }
+  // The helper's own verify (the CI loop's check) agrees.
+  int status = RunHelper(dir, "cverify", 0);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+      << "cverify status " << status;
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -729,6 +730,46 @@ TEST(DurableSystem, CatalogEntryLongerThanItsBlocksIsRefused) {
   EXPECT_NE(status.message().find("malformed channel entry"),
             std::string::npos)
       << status.ToString();
+}
+
+TEST(DurableSystem, CatalogEntryWithPartialOwnerIsRefused) {
+  // An entry may end after its channels (no owner) or carry the full
+  // 16-byte owner; anything in between is a torn field.
+  std::vector<uint8_t> entry = CraftedCatalogEntry(64, {0});
+  entry.resize(entry.size() + 8, 0x11);
+  const Status status =
+      ReopenWithCommittedCatalogEntry(TestDir("sys_partial_owner"), entry);
+  EXPECT_EQ(status.code(), StatusCode::kIoError);
+  EXPECT_NE(status.message().find("malformed owner field"), std::string::npos)
+      << status.ToString();
+}
+
+TEST(DurableSystem, OwnerSurvivesWalReplayAndSnapshot) {
+  std::string dir = TestDir("sys_owner");
+  core::AimsConfig config;
+  config.durability.path = dir;
+  const core::SessionOwner owner{(1ull << 48) | 42, 9};
+  {
+    core::AimsSystem system(config);
+    ASSERT_TRUE(system.IngestRecording("plain", MakeRecording(64, 1, 1)).ok());
+    auto staged = system.StageIngest("owned", MakeRecording(64, 1, 2), nullptr,
+                                     nullptr, owner);
+    ASSERT_TRUE(staged.ok());
+    ASSERT_TRUE(system.WaitDurable(*staged).ok());
+    ASSERT_TRUE(system.ApplyStaged(*staged).ok());
+    ASSERT_TRUE(system.GetSession(1)->owner.has_value());
+  }
+  // The first reopen replays the WAL group; the second loads the snapshot
+  // that recovery wrote.
+  for (int reopen = 0; reopen < 2; ++reopen) {
+    core::AimsSystem system(config);
+    ASSERT_TRUE(system.init_status().ok()) << system.init_status().ToString();
+    EXPECT_FALSE(system.GetSession(0)->owner.has_value());
+    std::optional<core::SessionOwner> got = system.GetSession(1)->owner;
+    ASSERT_TRUE(got.has_value()) << "reopen " << reopen;
+    EXPECT_EQ(got->global_id, owner.global_id);
+    EXPECT_EQ(got->client, owner.client);
+  }
 }
 
 // ---- ShardedCatalog / server / obs wiring -------------------------------
