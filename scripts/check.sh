@@ -29,15 +29,37 @@ cmake -B "${BUILD_DIR}" -S . "${CMAKE_ARGS[@]+"${CMAKE_ARGS[@]}"}"
 cmake --build "${BUILD_DIR}" -j "$(nproc)"
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)"
 
-if [[ "${AIMS_BENCH_SMOKE:-0}" == "1" ]]; then
-  ARTIFACT_DIR="${BUILD_DIR}/bench-artifacts"
-  mkdir -p "${ARTIFACT_DIR}"
-  echo "== bench smoke: bench_server (+ live admin endpoint curl) =="
-  # The admin smoke handshake: bench_server stands up a loaded server with
-  # the loopback admin plane, publishes the ephemeral port to a file, and
-  # holds the server alive until we drop the .done sentinel. In between we
-  # scrape /metrics and /healthz over real HTTP and validate the
-  # Prometheus exposition.
+# Every smoke step runs, even after one fails: run_step gives each its own
+# subshell with errexit on, so a failing gate ends only that step. The
+# script exits non-zero at the end, naming every step that failed.
+FAILED_STEPS=()
+
+# run_step <title> <stdout file, or - to pass it through> <command...>
+run_step() {
+  local title="$1" out="$2"
+  shift 2
+  echo "== ${title} =="
+  local status=0
+  set +e
+  if [[ "${out}" == "-" ]]; then
+    (set -e; "$@")
+  else
+    (set -e; "$@") > "${out}"
+  fi
+  status=$?
+  set -e
+  if [[ ${status} -ne 0 ]]; then
+    echo "${title}: FAILED (exit ${status})" >&2
+    FAILED_STEPS+=("${title}")
+  fi
+}
+
+# The admin smoke handshake: bench_server stands up a loaded server with
+# the loopback admin plane, publishes the ephemeral port to a file, and
+# holds the server alive until we drop the .done sentinel. In between we
+# scrape /metrics and /healthz over real HTTP and validate the Prometheus
+# exposition.
+admin_smoke() {
   PORT_FILE="$(mktemp "${TMPDIR:-/tmp}/aims_admin_port.XXXXXX")"
   rm -f "${PORT_FILE}" "${PORT_FILE}.done"
   AIMS_ADMIN_PORT_FILE="${PORT_FILE}" "./${BUILD_DIR}/bench/bench_server" \
@@ -47,9 +69,12 @@ if [[ "${AIMS_BENCH_SMOKE:-0}" == "1" ]]; then
     [[ -s "${PORT_FILE}" ]] && break
     sleep 0.1
   done
+  # However this step ends, release the server: drop the sentinel, and
+  # kill it if it has not exited by then.
+  trap 'touch "${PORT_FILE}.done"; sleep 1; kill "${BENCH_PID}" 2>/dev/null
+        rm -f "${PORT_FILE}" "${PORT_FILE}.done"' EXIT
   if [[ ! -s "${PORT_FILE}" ]]; then
     echo "bench smoke: admin port file never appeared" >&2
-    kill "${BENCH_PID}" 2>/dev/null || true
     exit 1
   fi
   ADMIN_PORT="$(cat "${PORT_FILE}")"
@@ -121,38 +146,53 @@ PY
   fi
   touch "${PORT_FILE}.done"
   wait "${BENCH_PID}"
+  trap - EXIT
   rm -f "${PORT_FILE}" "${PORT_FILE}.done"
   echo "   /metrics, /healthz, and /api/v1/query_range scraped live (artifacts saved)"
-  echo "== bench smoke: bench_observability =="
-  "./${BUILD_DIR}/bench/bench_observability" "${ARTIFACT_DIR}" \
-    > "${ARTIFACT_DIR}/bench_observability.json"
-  echo "== bench smoke: bench_query_cost (asserts ledger overhead < 2%) =="
-  "./${BUILD_DIR}/bench/bench_query_cost" "${ARTIFACT_DIR}" \
-    > "${ARTIFACT_DIR}/bench_query_cost.txt"
-  echo "== bench smoke: bench_block_cache (asserts >= 3x hot p50 win) =="
-  "./${BUILD_DIR}/bench/bench_block_cache" \
-    > "${ARTIFACT_DIR}/bench_block_cache.json"
-  echo "== bench smoke: bench_durability (asserts >= 2x group-commit win) =="
-  "./${BUILD_DIR}/bench/bench_durability" \
-    > "${ARTIFACT_DIR}/bench_durability.json"
-  echo "== bench smoke: bench_rebalance (asserts >= 70% throughput under live migration) =="
-  "./${BUILD_DIR}/bench/bench_rebalance" \
-    > "${ARTIFACT_DIR}/bench_rebalance.json"
-  echo "== bench smoke: bench_tslife (asserts >= 4x segment compression, zero-I/O aggregate hits) =="
-  "./${BUILD_DIR}/bench/bench_tslife" \
-    > "${ARTIFACT_DIR}/bench_tslife.json"
-  echo "== bench smoke: bench_incremental (asserts the recognizer's events equal the golden file) =="
-  "./${BUILD_DIR}/bench/bench_incremental" \
-    > "${ARTIFACT_DIR}/bench_incremental.txt"
-  echo "== bench smoke: perfbench self-test (every workload, answers checked, recognition event parity included) =="
+}
+
+perfbench_self_test() {
   CARGO_TARGET_DIR="${BUILD_DIR}/perfbench-target" \
     python3 perfbench/run.py --self-test \
     | tee "${ARTIFACT_DIR}/perfbench_self_test.txt"
+}
+
+if [[ "${AIMS_BENCH_SMOKE:-0}" == "1" ]]; then
+  ARTIFACT_DIR="${BUILD_DIR}/bench-artifacts"
+  mkdir -p "${ARTIFACT_DIR}"
+  BENCH="./${BUILD_DIR}/bench"
+  run_step "bench smoke: bench_server (+ live admin endpoint curl)" - \
+    admin_smoke
+  run_step "bench smoke: bench_observability" \
+    "${ARTIFACT_DIR}/bench_observability.json" \
+    "${BENCH}/bench_observability" "${ARTIFACT_DIR}"
+  run_step "bench smoke: bench_query_cost (asserts ledger overhead < 2%)" \
+    "${ARTIFACT_DIR}/bench_query_cost.txt" \
+    "${BENCH}/bench_query_cost" "${ARTIFACT_DIR}"
+  run_step "bench smoke: bench_block_cache (asserts >= 3x hot p50 win)" \
+    "${ARTIFACT_DIR}/bench_block_cache.json" "${BENCH}/bench_block_cache"
+  run_step "bench smoke: bench_durability (asserts >= 2x group-commit win)" \
+    "${ARTIFACT_DIR}/bench_durability.json" "${BENCH}/bench_durability"
+  run_step "bench smoke: bench_rebalance (asserts >= 70% throughput under live migration)" \
+    "${ARTIFACT_DIR}/bench_rebalance.json" "${BENCH}/bench_rebalance"
+  run_step "bench smoke: bench_tslife (asserts >= 4x segment compression, zero-I/O aggregate hits)" \
+    "${ARTIFACT_DIR}/bench_tslife.json" "${BENCH}/bench_tslife"
+  run_step "bench smoke: bench_incremental (asserts the recognizer's events equal the golden file)" \
+    "${ARTIFACT_DIR}/bench_incremental.txt" "${BENCH}/bench_incremental"
+  run_step "bench smoke: perfbench self-test (every workload, answers checked, recognition event parity included)" - \
+    perfbench_self_test
   echo "== bench smoke artifacts in ${ARTIFACT_DIR} =="
 fi
 
 if [[ "${AIMS_CRASH_SMOKE:-0}" != "0" ]]; then
   mkdir -p "${BUILD_DIR}/bench-artifacts"
-  scripts/crash_smoke.sh "${BUILD_DIR}/tests/crash_ingest_helper" \
+  run_step "crash smoke (${AIMS_CRASH_SMOKE} rounds per loop)" - \
+    scripts/crash_smoke.sh "${BUILD_DIR}/tests/crash_ingest_helper" \
     "${AIMS_CRASH_SMOKE}" "${BUILD_DIR}/bench-artifacts/crash_smoke.json"
+fi
+
+if [[ ${#FAILED_STEPS[@]} -gt 0 ]]; then
+  echo "check.sh: ${#FAILED_STEPS[@]} step(s) failed:" >&2
+  printf '  - %s\n' "${FAILED_STEPS[@]}" >&2
+  exit 1
 fi

@@ -101,6 +101,24 @@ Status AimsSystem::OpenDurable() {
   // between snapshot write and log truncation) are skipped by txn id, so
   // replay is idempotent.
   AIMS_RETURN_NOT_OK(LoadSnapshot());
+  // Every block a valid log names is in the page file already or was
+  // allocated after it last grew durably, and each of those has a put in
+  // the log. A put beyond that is corrupt: refuse it before replay grows
+  // the page file toward it one block at a time.
+  uint64_t block_limit = device_->num_blocks();
+  for (const storage::durable::RecoveredTxn& txn : opened.committed) {
+    block_limit += txn.block_puts.size();
+  }
+  for (const storage::durable::RecoveredTxn& txn : opened.committed) {
+    for (const auto& put : txn.block_puts) {
+      if (put.first >= block_limit) {
+        return Status::IoError(
+            "OpenDurable: WAL put names block " + std::to_string(put.first) +
+            ", past the page file's " + std::to_string(device_->num_blocks()) +
+            " blocks plus the log's puts");
+      }
+    }
+  }
   for (const storage::durable::RecoveredTxn& txn : opened.committed) {
     if (txn.txn_id <= applied_txn_) continue;
     for (const auto& [id, payload] : txn.block_puts) {
@@ -132,33 +150,45 @@ Status AimsSystem::OpenDurable() {
 Result<SessionId> AimsSystem::IngestRecording(
     const std::string& name, const streams::Recording& recording,
     obs::Trace* trace, std::vector<StandingRangeUpdate>* updates) {
+  AIMS_ASSIGN_OR_RETURN(PreparedIngest prepared,
+                        PrepareIngest(name, recording, trace));
   AIMS_ASSIGN_OR_RETURN(StagedIngest staged,
-                        StageIngest(name, recording, trace, updates));
+                        StageIngest(std::move(prepared), trace, updates));
   AIMS_RETURN_NOT_OK(WaitDurable(staged));
-  AIMS_RETURN_NOT_OK(ApplyStaged(staged));
+  AIMS_RETURN_NOT_OK(ApplyStaged(staged, trace));
   return staged.id;
 }
 
-Result<AimsSystem::StoredSession> AimsSystem::BuildSession(
+Result<AimsSystem::PreparedIngest> AimsSystem::PrepareIngest(
     const std::string& name, const streams::Recording& recording,
-    obs::Trace* trace, std::vector<StandingRangeUpdate>* updates) {
+    obs::Trace* trace) const {
+  // A client can fill Recording::frames directly, so the shape is checked
+  // here, before Recording::Channel (which aborts on a narrow frame).
   if (recording.num_frames() < 2) {
     return Status::InvalidArgument("IngestRecording: too few frames");
   }
-  StoredSession session;
-  session.info.id = static_cast<SessionId>(sessions_.size());
-  session.info.name = name;
-  session.info.num_channels = recording.num_channels();
-  session.info.num_frames = recording.num_frames();
-  session.info.sample_rate_hz = recording.sample_rate_hz;
+  const size_t num_channels = recording.num_channels();
+  if (num_channels == 0) {
+    return Status::InvalidArgument("IngestRecording: frames carry no values");
+  }
+  for (const streams::Frame& frame : recording.frames) {
+    if (frame.values.size() != num_channels) {
+      return Status::InvalidArgument(
+          "IngestRecording: frame widths differ from frame 0's");
+    }
+  }
+  if (config_.block_size_bytes / sizeof(double) == 0) {
+    return Status::InvalidArgument("IngestRecording: block size too small");
+  }
+  PreparedIngest prepared;
+  prepared.info.name = name;
+  prepared.info.num_channels = num_channels;
+  prepared.info.num_frames = recording.num_frames();
+  prepared.info.sample_rate_hz = recording.sample_rate_hz;
 
   size_t padded = 1;
   while (padded < recording.num_frames()) padded <<= 1;
-
-  const size_t block_items = config_.block_size_bytes / sizeof(double);
-  if (block_items == 0) {
-    return Status::InvalidArgument("IngestRecording: block size too small");
-  }
+  std::shared_ptr<const storage::BlockLayout> layout = LayoutFor(padded);
 
   // Raw-sample lifecycle: segment timestamps on the microsecond grid
   // (frame timestamps are seconds; ms would alias above 1 kHz).
@@ -171,7 +201,8 @@ Result<AimsSystem::StoredSession> AimsSystem::BuildSession(
     }
   }
 
-  for (size_t c = 0; c < recording.num_channels(); ++c) {
+  prepared.channels.reserve(num_channels);
+  for (size_t c = 0; c < num_channels; ++c) {
     std::vector<double> channel = recording.Channel(c);
 
     // Seal the channel's *raw* samples (pre-centering, pre-padding) into
@@ -185,117 +216,137 @@ Result<AimsSystem::StoredSession> AimsSystem::BuildSession(
                                          recording.sample_rate_hz,
                                          config_.tslife.segment_max_samples);
       for (storage::tslife::Segment& seg : segments) {
-        session.segments.Put(std::move(seg));
+        prepared.segments.Put(std::move(seg));
       }
       if (trace != nullptr) trace->EndSpan(seal_span);
     }
 
-    StoredChannel stored;
-    stored.padded_len = padded;
-    // Mean-center so zero padding does not create an artificial step; the
-    // mean goes to the catalog and is added back at query time.
-    double mean = 0.0;
-    for (double v : channel) mean += v;
-    mean /= static_cast<double>(channel.size());
-    stored.mean = mean;
-    std::vector<double> padded_channel(padded, 0.0);
-    for (size_t i = 0; i < channel.size(); ++i) {
-      padded_channel[i] = channel[i] - mean;
-    }
-
-    // Multi-basis transformation report: which DWPT basis the cost
-    // functional would pick for this channel (Sec. 3.1.1).
     size_t transform_span = 0;
     if (trace != nullptr) transform_span = trace->BeginSpan("transform");
-    AIMS_ASSIGN_OR_RETURN(
-        signal::WaveletPacketTree tree,
-        signal::WaveletPacketTree::Build(filter_, padded_channel,
-                                         /*max_depth=*/6));
-    session.info.best_basis_nodes.push_back(
-        tree.BestBasis(config_.basis_cost).size());
-
-    // Storage: plain DWT coefficients (lazy-transform compatible) placed by
-    // error-tree tiling.
-    AIMS_ASSIGN_OR_RETURN(std::vector<double> coeffs,
+    PreparedIngest::Channel& out = prepared.channels.emplace_back();
+    out.layout = layout;
+    // Mean-center so zero padding does not create an artificial step; the
+    // mean goes to the catalog and is added back at query time.
+    for (double v : channel) out.mean += v;
+    out.mean /= static_cast<double>(channel.size());
+    std::vector<double> padded_channel(padded, 0.0);
+    for (size_t i = 0; i < channel.size(); ++i) {
+      padded_channel[i] = channel[i] - out.mean;
+    }
+    // Storage: plain DWT coefficients (lazy-transform compatible), encoded
+    // into the blocks of their error-tree tiling.
+    AIMS_ASSIGN_OR_RETURN(out.coefficients,
                           signal::ForwardDwt(filter_, padded_channel));
+    for (double v : out.coefficients) out.energy += v * v;
+    out.payloads = layout->Encode(out.coefficients);
     if (trace != nullptr) trace->EndSpan(transform_span);
+  }
+  return prepared;
+}
 
-    // Continuous aggregates: evaluate the standing queries against the
-    // coefficients while they are still in memory — same math (and the
-    // same floating-point accumulation order) as QueryRange against block
-    // storage, but zero block I/O.
-    if (updates != nullptr) {
+Result<AimsSystem::StagedIngest> AimsSystem::StageIngest(
+    PreparedIngest prepared, obs::Trace* trace,
+    std::vector<StandingRangeUpdate>* updates,
+    std::optional<SessionOwner> owner) {
+  AIMS_RETURN_NOT_OK(init_status_);
+  StoredSession session;
+  session.info = std::move(prepared.info);
+  session.info.id = static_cast<SessionId>(sessions_.size());
+  session.info.owner = owner;
+  session.segments = std::move(prepared.segments);
+
+  // Continuous aggregates: evaluate the standing queries against the
+  // prepared coefficients — same math (and the same floating-point
+  // accumulation order) as QueryRange against block storage, but zero
+  // block I/O.
+  if (updates != nullptr) {
+    for (size_t c = 0; c < prepared.channels.size(); ++c) {
+      const PreparedIngest::Channel& channel = prepared.channels[c];
       for (const StandingRangeQuery& q : standing_queries_) {
         if (q.channel != c || q.first_frame > q.last_frame ||
-            q.last_frame >= recording.num_frames()) {
+            q.last_frame >= session.info.num_frames) {
           continue;
         }
         AIMS_ASSIGN_OR_RETURN(
             double centered,
-            propolyne::IncrementalRangeSum(filter_, padded, q.first_frame,
-                                           q.last_frame, coeffs));
+            propolyne::IncrementalRangeSum(filter_, channel.layout->n(),
+                                           q.first_frame, q.last_frame,
+                                           channel.coefficients));
         StandingRangeUpdate update;
         update.handle = q.handle;
         update.session = session.info.id;
         update.count = q.last_frame - q.first_frame + 1;
-        update.sum = centered + mean * static_cast<double>(update.count);
+        update.sum =
+            centered + channel.mean * static_cast<double>(update.count);
         update.mean = update.sum / static_cast<double>(update.count);
         updates->push_back(update);
       }
     }
-
-    size_t write_span = 0;
-    if (trace != nullptr) write_span = trace->BeginSpan("block_write");
-    stored.store = std::make_unique<storage::WaveletStore>(
-        device_.get(), LayoutFor(padded), cache_.get());
-    for (double v : coeffs) stored.energy += v * v;
-    AIMS_RETURN_NOT_OK(stored.store->Put(coeffs));
-    if (trace != nullptr) trace->EndSpan(write_span);
-    session.channels.push_back(std::move(stored));
   }
-  return session;
-}
 
-Result<AimsSystem::StagedIngest> AimsSystem::StageIngest(
-    const std::string& name, const streams::Recording& recording,
-    obs::Trace* trace, std::vector<StandingRangeUpdate>* updates,
-    std::optional<SessionOwner> owner) {
-  AIMS_RETURN_NOT_OK(init_status_);
-  // Without a WAL the Puts below write the blocks through to the device.
-  // The durable buffer pool is in write-back mode instead: every Put parks
+  // Without a WAL the Puts write the blocks through to the device. The
+  // durable buffer pool is in write-back mode instead: every Put parks
   // its blocks dirty, so no page-file I/O happens before the commit record
   // is durable.
-  AIMS_ASSIGN_OR_RETURN(StoredSession session,
-                        BuildSession(name, recording, trace, updates));
-  session.info.owner = owner;
   StagedIngest staged;
   staged.id = session.info.id;
-  if (wal_ != nullptr) AIMS_RETURN_NOT_OK(LogSession(session, &staged));
+  for (const PreparedIngest::Channel& channel : prepared.channels) {
+    size_t write_span = 0;
+    if (trace != nullptr) write_span = trace->BeginSpan("block_write");
+    StoredChannel stored;
+    stored.mean = channel.mean;
+    stored.padded_len = channel.layout->n();
+    stored.energy = channel.energy;
+    stored.store = std::make_unique<storage::WaveletStore>(
+        device_.get(), channel.layout, cache_.get());
+    Status put = stored.store->PutPayloads(channel.payloads);
+    if (trace != nullptr) trace->EndSpan(write_span);
+    if (!put.ok()) {
+      // Nothing was logged: the pages parked so far are dropped.
+      if (wal_ != nullptr) cache_->DropDirty(staged.blocks);
+      return put;
+    }
+    const std::vector<storage::BlockId>& ids = stored.store->device_blocks();
+    staged.blocks.insert(staged.blocks.end(), ids.begin(), ids.end());
+    session.channels.push_back(std::move(stored));
+  }
+  if (wal_ != nullptr) {
+    size_t wal_span = 0;
+    if (trace != nullptr) wal_span = trace->BeginSpan("wal_append");
+    Status logged = LogSession(session, prepared, &staged);
+    if (trace != nullptr) trace->EndSpan(wal_span);
+    AIMS_RETURN_NOT_OK(logged);
+  }
   sessions_.push_back(std::move(session));
   return staged;
 }
 
 Status AimsSystem::LogSession(const StoredSession& session,
+                              const PreparedIngest& prepared,
                               StagedIngest* staged) {
-  for (const StoredChannel& channel : session.channels) {
-    const std::vector<storage::BlockId>& ids = channel.store->device_blocks();
-    staged->blocks.insert(staged->blocks.end(), ids.begin(), ids.end());
-  }
   // Failed logging rolls the pool back: the dirty entries are dropped and
   // nothing was logged as committed, so the ingest simply never happened.
+  // Its blocks stay allocated with no put in the log naming them, so the
+  // page file's new length is made durable: recovery's bound (file blocks
+  // plus logged puts) must cover the blocks later groups are given.
   auto fail = [&](Status status) {
     cache_->DropDirty(staged->blocks);
+    (void)file_device_->SyncPages();
     return status;
   };
   Result<uint64_t> txn = wal_->BeginTxn();
   if (!txn.ok()) return fail(txn.status());
-  for (storage::BlockId id : staged->blocks) {
-    // The staged payload is pinned dirty in the pool, so this is a cache
-    // hit, never device I/O.
-    Result<std::vector<uint8_t>> payload = cache_->Read(id);
-    if (!payload.ok()) return fail(payload.status());
-    Status status = wal_->AppendBlockPut(*txn, id, *payload);
-    if (!status.ok()) return fail(status);
+  // One record per block, from the payloads the stores were just given:
+  // nothing is read back from the pool.
+  for (size_t c = 0; c < session.channels.size(); ++c) {
+    const std::vector<storage::BlockId>& ids =
+        session.channels[c].store->device_blocks();
+    const std::vector<std::vector<uint8_t>>& payloads =
+        prepared.channels[c].payloads;
+    for (size_t b = 0; b < ids.size(); ++b) {
+      Status status = wal_->AppendBlockPut(*txn, ids[b], payloads[b]);
+      if (!status.ok()) return fail(status);
+    }
   }
   Status status = wal_->AppendCatalog(*txn, SerializeSession(session));
   if (!status.ok()) return fail(status);
@@ -324,7 +375,8 @@ Status AimsSystem::WaitDurable(const StagedIngest& staged) {
   return wal_->WaitDurable(staged.ticket);
 }
 
-Status AimsSystem::ApplyStaged(const StagedIngest& staged) {
+Status AimsSystem::ApplyStaged(const StagedIngest& staged,
+                               obs::Trace* trace) {
   if (!staged.logged()) return Status::OK();
   // Commit-time write-back: the transaction flushes exactly its own
   // blocks. An error is reported but loses nothing — the group is in the
@@ -337,7 +389,11 @@ Status AimsSystem::ApplyStaged(const StagedIngest& staged) {
   if (config_.durability.checkpoint_wal_bytes > 0 &&
       wal_->lag_bytes() > config_.durability.checkpoint_wal_bytes &&
       CheckpointBlocker().ok()) {
-    return Checkpoint();
+    size_t checkpoint_span = 0;
+    if (trace != nullptr) checkpoint_span = trace->BeginSpan("checkpoint");
+    Status checkpoint = Checkpoint();
+    if (trace != nullptr) trace->EndSpan(checkpoint_span);
+    return checkpoint;
   }
   return Status::OK();
 }
@@ -387,9 +443,9 @@ std::vector<uint8_t> AimsSystem::SerializeSession(
   writer.U64(session.channels.size());
   for (size_t c = 0; c < session.channels.size(); ++c) {
     const StoredChannel& channel = session.channels[c];
-    writer.U64(c < session.info.best_basis_nodes.size()
-                   ? session.info.best_basis_nodes[c]
-                   : 0);
+    // The basis field: readers ignore it (BestBasisReport computes the
+    // report on demand), and it stays so the entry layout is unchanged.
+    writer.U64(0);
     writer.F64(channel.mean);
     writer.U64(channel.padded_len);
     writer.F64(channel.energy);
@@ -430,7 +486,7 @@ Status AimsSystem::ApplyCatalogBlob(std::span<const uint8_t> blob) {
   // claim by the page file's real block count before any layout is built.
   std::set<storage::BlockId> entry_blocks;
   for (uint64_t c = 0; c < num_channels; ++c) {
-    session.info.best_basis_nodes.push_back(reader.U64());
+    (void)reader.U64();  // Best-basis field: 0, or an old ingest-time count.
     StoredChannel channel;
     channel.mean = reader.F64();
     channel.padded_len = reader.U64();
@@ -576,7 +632,8 @@ Status AimsSystem::LoadSnapshot() {
 }
 
 std::shared_ptr<const storage::BlockLayout> AimsSystem::LayoutFor(
-    size_t padded_len) {
+    size_t padded_len) const {
+  std::lock_guard<std::mutex> lock(layouts_mutex_);
   std::shared_ptr<const storage::BlockLayout>& layout = layouts_[padded_len];
   if (layout == nullptr) {
     layout = std::make_shared<const storage::BlockLayout>(
@@ -858,18 +915,38 @@ Result<std::vector<double>> AimsSystem::ReadChannel(SessionId id,
     return Status::OutOfRange("ReadChannel: channel out of range");
   }
   const StoredChannel& stored = session.channels[channel];
-  std::vector<size_t> all(stored.padded_len);
-  for (size_t i = 0; i < all.size(); ++i) all[i] = i;
-  AIMS_ASSIGN_OR_RETURN(auto fetched, stored.store->Fetch(all));
-  std::vector<double> coeffs(stored.padded_len, 0.0);
-  for (const auto& [idx, value] : fetched) coeffs[idx] = value;
   AIMS_ASSIGN_OR_RETURN(std::vector<double> padded_channel,
-                        signal::InverseDwt(filter_, coeffs));
+                        ReadCentered(stored));
   std::vector<double> out(session.info.num_frames);
   for (size_t i = 0; i < out.size(); ++i) {
     out[i] = padded_channel[i] + stored.mean;
   }
   return out;
+}
+
+Result<std::vector<double>> AimsSystem::ReadCentered(
+    const StoredChannel& stored) const {
+  std::vector<size_t> all(stored.padded_len);
+  for (size_t i = 0; i < all.size(); ++i) all[i] = i;
+  AIMS_ASSIGN_OR_RETURN(auto fetched, stored.store->Fetch(all));
+  std::vector<double> coeffs(stored.padded_len, 0.0);
+  for (const auto& [idx, value] : fetched) coeffs[idx] = value;
+  return signal::InverseDwt(filter_, coeffs);
+}
+
+Result<std::vector<size_t>> AimsSystem::BestBasisReport(SessionId id) const {
+  if (id >= sessions_.size()) {
+    return Status::NotFound("BestBasisReport: unknown session id");
+  }
+  std::vector<size_t> nodes;
+  for (const StoredChannel& stored : sessions_[id].channels) {
+    AIMS_ASSIGN_OR_RETURN(std::vector<double> centered, ReadCentered(stored));
+    AIMS_ASSIGN_OR_RETURN(
+        signal::WaveletPacketTree tree,
+        signal::WaveletPacketTree::Build(filter_, centered, /*max_depth=*/6));
+    nodes.push_back(tree.BestBasis(config_.basis_cost).size());
+  }
+  return nodes;
 }
 
 namespace {

@@ -4,6 +4,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -77,7 +78,9 @@ struct AimsConfig {
   signal::WaveletKind filter = signal::WaveletKind::kDb2;
   /// Disk block size for the wavelet store.
   size_t block_size_bytes = 512;
-  /// Basis-selection cost functional for the per-channel DWPT report.
+  /// Basis-selection cost functional of the DWPT best-basis report
+  /// (AimsSystem::BestBasisReport). Storage always uses the plain DWT, so
+  /// this changes no stored byte.
   signal::BasisCost basis_cost = signal::BasisCost::kShannonEntropy;
   /// Disk cost model for the block device. Set simulate_io_wait to make
   /// block I/O take real wall-clock time (server concurrency benches).
@@ -112,10 +115,6 @@ struct SessionInfo {
   size_t num_channels = 0;
   size_t num_frames = 0;     ///< Original (unpadded) frame count.
   double sample_rate_hz = 0.0;
-  /// Best DWPT basis size chosen per channel during ingest (reported by the
-  /// multi-basis transformation step; storage itself uses the plain DWT so
-  /// that offline queries can use the lazy transform).
-  std::vector<size_t> best_basis_nodes;
   /// Set when the ingest carried one; entries written without an owner
   /// (migration copies, direct core ingests) have none.
   std::optional<SessionOwner> owner;
@@ -234,10 +233,12 @@ struct ProgressiveRangeResult {
 
 /// \brief The integrated system.
 ///
-/// Concurrency contract: AimsSystem itself holds no locks. The const
-/// methods (catalog lookups and the whole off-line query path) are safe to
-/// call from many threads at once; the mutating methods (ingest, import,
-/// recognizer control) require external exclusive synchronization.
+/// Concurrency contract: AimsSystem holds no lock over its catalog. The
+/// const methods (catalog lookups and the whole off-line query path) are
+/// safe to call from many threads at once; the mutating methods (ingest,
+/// import, recognizer control) require external exclusive
+/// synchronization. PrepareIngest needs none at all: it reads only the
+/// configuration and the layout table, which has a mutex of its own.
 /// aims::server::ShardedCatalog wraps instances with reader/writer locks
 /// to enforce exactly this.
 /// \brief One standing ProPolyne range query whose result is incrementally
@@ -277,15 +278,12 @@ class AimsSystem {
 
   // ---- Acquisition + storage -------------------------------------------
 
-  /// \brief Ingests a multi-channel recording: per-channel mean-centering,
-  /// DWT, best-basis report, and block placement on the shared device.
-  /// \p trace (optional) gains one "seal" (when the raw-sample lifecycle
-  /// is on), one "transform" and one "block_write" span per channel,
-  /// nesting under whatever span the caller has open — the storage half
-  /// of an end-to-end ingest trace.
-  /// This is the sequential form of the staged protocol below, on either
-  /// backend: it returns once the ingest's WAL commit (if any) is durable
-  /// and its pages are on the device.
+  /// \brief Ingests a multi-channel recording: PrepareIngest, StageIngest,
+  /// WaitDurable, ApplyStaged — the sequential form of the staged protocol
+  /// below, on either backend. Returns once the ingest's WAL commit (if
+  /// any) is durable and its pages are on the device. \p trace (optional)
+  /// gains the spans of every phase, nesting under whatever span the
+  /// caller has open — the storage half of an end-to-end ingest trace.
   /// \p updates (optional) receives one StandingRangeUpdate per registered
   /// standing query that applies to this session — evaluated from the
   /// in-memory coefficients, no block I/O.
@@ -294,12 +292,51 @@ class AimsSystem {
       obs::Trace* trace = nullptr,
       std::vector<StandingRangeUpdate>* updates = nullptr);
 
+  /// \brief A recording transformed for storage but not yet stored: its
+  /// raw samples sealed into segments, every channel mean-centred,
+  /// zero-padded to a power of two, DWT-transformed and encoded into one
+  /// payload per block of its layout. It has no session id and no device
+  /// blocks; StageIngest assigns both. Only PrepareIngest builds one.
+  class PreparedIngest {
+   private:
+    friend class AimsSystem;
+    PreparedIngest() = default;
+    struct Channel {
+      double mean = 0.0;
+      /// Total energy of the coefficients (StoredChannel::energy).
+      double energy = 0.0;
+      std::shared_ptr<const storage::BlockLayout> layout;
+      /// Kept for the standing queries StageIngest evaluates.
+      std::vector<double> coefficients;
+      /// layout->Encode(coefficients): what StageIngest writes and logs.
+      std::vector<std::vector<uint8_t>> payloads;
+    };
+    SessionInfo info;
+    std::vector<Channel> channels;
+    storage::tslife::SegmentStore segments;
+  };
+
+  /// \brief Phase 0 of the ingest protocol: everything an ingest computes
+  /// that needs no lock. Validates the recording, then per channel seals
+  /// the raw samples (when the lifecycle is on), centres, pads, runs the
+  /// DWT and encodes the block payloads. Reads no mutable state of the
+  /// system (the shared layout table has its own mutex), so it may run
+  /// concurrently with anything, the exclusive sections included.
+  /// InvalidArgument, before any work, for fewer than 2 frames, for frames
+  /// with no values, or for frames narrower or wider than frame 0.
+  /// \p trace (optional) gains one "seal" (lifecycle on) and one
+  /// "transform" span per channel.
+  Result<PreparedIngest> PrepareIngest(const std::string& name,
+                                       const streams::Recording& recording,
+                                       obs::Trace* trace = nullptr) const;
+
   /// \brief One ingest in flight between the staged phases.
   struct StagedIngest {
     SessionId id = 0;
     /// WAL durability ticket for WaitDurable; 0 when nothing was logged.
     uint64_t ticket = 0;
-    /// Device blocks the ingest parked dirty in the write-back pool.
+    /// Device blocks the ingest wrote: parked dirty in the write-back pool
+    /// on the durable backend, already on the device without a WAL.
     std::vector<storage::BlockId> blocks;
 
     /// Whether the ingest logged a WAL commit, so WaitDurable has a sync
@@ -308,18 +345,22 @@ class AimsSystem {
     bool logged() const { return ticket != 0; }
   };
 
-  /// \brief Phase 1 of the ingest protocol: transform, then Put every
-  /// block — through to the device on the in-memory backend, dirty into
-  /// the write-back pool on the durable one (no device I/O) — log the
-  /// ingest as one WAL record group with its commit record when a WAL
-  /// exists, and publish the catalog entry. The session is visible to
-  /// queries from here on. Requires exclusive synchronization, but never
-  /// blocks on a sync: the caller releases its exclusive lock, then calls
-  /// WaitDurable, so concurrent ingests can share one group-commit fsync.
-  /// \p owner (optional) is stored in the catalog entry (SessionInfo).
+  /// \brief Phase 1, the publish step: assigns the session id, allocates
+  /// the blocks and Puts the prepared payloads — through to the device on
+  /// the in-memory backend, dirty into the write-back pool on the durable
+  /// one (no device I/O) — evaluates the standing queries against the
+  /// prepared coefficients into \p updates (optional), logs the ingest as
+  /// one WAL record group with its commit record when a WAL exists (its
+  /// block records carry the prepared payloads), and publishes the catalog
+  /// entry. The session is visible to queries from here on. Requires
+  /// exclusive synchronization, but never blocks on a sync: the caller
+  /// releases its exclusive lock, then calls WaitDurable, so concurrent
+  /// ingests can share one group-commit fsync. \p owner (optional) is
+  /// stored in the catalog entry (SessionInfo). \p trace (optional) gains
+  /// one "block_write" span per channel and, with a WAL, one "wal_append"
+  /// span.
   Result<StagedIngest> StageIngest(
-      const std::string& name, const streams::Recording& recording,
-      obs::Trace* trace = nullptr,
+      PreparedIngest prepared, obs::Trace* trace = nullptr,
       std::vector<StandingRangeUpdate>* updates = nullptr,
       std::optional<SessionOwner> owner = std::nullopt);
 
@@ -332,8 +373,9 @@ class AimsSystem {
   /// \brief Phase 3: writes exactly the staged pages back to the page file,
   /// then may auto-checkpoint; a no-op when nothing was logged. Requires
   /// exclusive synchronization. A failure here loses nothing — the WAL
-  /// holds the committed group, and reopening replays it.
-  Status ApplyStaged(const StagedIngest& staged);
+  /// holds the committed group, and reopening replays it. \p trace
+  /// (optional) gains a "checkpoint" span when the auto-checkpoint runs.
+  Status ApplyStaged(const StagedIngest& staged, obs::Trace* trace = nullptr);
 
   /// \brief Forces a checkpoint: pages fsync'd, catalog snapshot written
   /// atomically, WAL truncated. Requires exclusive synchronization.
@@ -358,6 +400,13 @@ class AimsSystem {
   /// Catalog lookup.
   Result<SessionInfo> GetSession(SessionId id) const;
   std::vector<SessionInfo> ListSessions() const;
+
+  /// \brief The multi-basis transformation report of Sec. 3.1.1, on
+  /// demand: per channel, the number of DWPT nodes (depth 6) in the best
+  /// basis under AimsConfig::basis_cost, computed from the stored
+  /// coefficients (every block of the session is read). Storage itself
+  /// always uses the plain DWT, which the lazy-transform queries need.
+  Result<std::vector<size_t>> BestBasisReport(SessionId id) const;
 
   /// \brief The wavelet store of one stored channel. Every store of one
   /// padded length shares one BlockLayout (see LayoutFor).
@@ -551,21 +600,20 @@ class AimsSystem {
   };
 
   /// The layout every stored channel of \p padded_len shares: subtree
-  /// tiling at the configured block size, built on first use. Exclusive-
-  /// lock domain, like sessions_.
-  std::shared_ptr<const storage::BlockLayout> LayoutFor(size_t padded_len);
-  /// Builds one session's stores (transform + Put through the cache) but
-  /// does not publish it — StageIngest's first step. Also seals the raw
-  /// segments and, when \p updates is non-null, evaluates the standing
-  /// queries against the in-memory coefficients.
-  Result<StoredSession> BuildSession(const std::string& name,
-                                     const streams::Recording& recording,
-                                     obs::Trace* trace,
-                                     std::vector<StandingRangeUpdate>* updates);
-  /// Logs \p session's staged blocks, catalog entry, and segments as one
-  /// WAL record group and appends its commit record (durable backend).
-  /// On failure the dirty pages are dropped and nothing was committed.
-  Status LogSession(const StoredSession& session, StagedIngest* staged);
+  /// tiling at the configured block size, built on first use. Guarded by
+  /// layouts_mutex_, so PrepareIngest may call it without the caller's
+  /// exclusive lock.
+  std::shared_ptr<const storage::BlockLayout> LayoutFor(
+      size_t padded_len) const;
+  /// Logs \p session's blocks (\p prepared's payloads under the device
+  /// ids the stores were given, in staged->blocks order), its catalog
+  /// entry, and its segments as one WAL record group and appends the
+  /// commit record (durable backend).
+  Status LogSession(const StoredSession& session,
+                    const PreparedIngest& prepared, StagedIngest* staged);
+  /// The stored channel's mean-centred, padded samples: every block read,
+  /// then the inverse DWT.
+  Result<std::vector<double>> ReadCentered(const StoredChannel& stored) const;
   /// Why a checkpoint may not truncate the WAL right now (OK when it may).
   Status CheckpointBlocker() const;
   /// Applies one decoded segment op (put/drop) to the session it names.
@@ -605,7 +653,9 @@ class AimsSystem {
   uint64_t applied_txn_ = 0;
   std::vector<StoredSession> sessions_;
   /// Padded channel length -> the layout its stores share.
-  std::map<size_t, std::shared_ptr<const storage::BlockLayout>> layouts_;
+  mutable std::mutex layouts_mutex_;
+  mutable std::map<size_t, std::shared_ptr<const storage::BlockLayout>>
+      layouts_;
   /// Standing queries evaluated at every ingest (exclusive-lock domain,
   /// like sessions_).
   std::vector<StandingRangeQuery> standing_queries_;

@@ -188,7 +188,8 @@ class AimsServer {
 
   /// \brief Stores a recording through the admission-controlled ingest
   /// pipeline and blocks until it lands. NotFound without an open session;
-  /// ResourceExhausted when admission rejects.
+  /// ResourceExhausted when admission rejects; InvalidArgument for fewer
+  /// than 2 frames or frames whose widths differ or are 0.
   Result<IngestRecordingResponse> IngestRecording(
       IngestRecordingRequest request);
 

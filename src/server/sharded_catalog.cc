@@ -320,6 +320,11 @@ Result<core::SessionId> ShardedCatalog::IngestOnShard(
     const streams::Recording& recording,
     std::optional<core::SessionOwner> owner, obs::Trace* trace,
     IngestIoStats* io_stats, std::vector<core::StandingRangeUpdate>* updates) {
+  // Seal, transform and encode before taking the lock: PrepareIngest
+  // reads no state the exclusive sections mutate, so queries on the shard
+  // never wait for this ingest's CPU work.
+  AIMS_ASSIGN_OR_RETURN(core::AimsSystem::PreparedIngest prepared,
+                        shard.system.PrepareIngest(name, recording, trace));
   // Device writes happen only inside a shard's exclusive sections, so the
   // write-counter delta inside this ingest's sections is exactly its own
   // I/O — and it is charged whatever the outcome: a fault mid-ingest has
@@ -328,7 +333,7 @@ Result<core::SessionId> ShardedCatalog::IngestOnShard(
   Result<core::AimsSystem::StagedIngest> staged = WriteOnShard(
       shard,
       [&](core::AimsSystem& sys) {
-        return sys.StageIngest(name, recording, trace, updates, owner);
+        return sys.StageIngest(std::move(prepared), trace, updates, owner);
       },
       trace, "shard_lock", &blocks_written);
   Status status = staged.status();
@@ -346,7 +351,7 @@ Result<core::SessionId> ShardedCatalog::IngestOnShard(
       status = WriteOnShard(
           shard,
           [&](core::AimsSystem& sys) {
-            Status applied = sys.ApplyStaged(*staged);
+            Status applied = sys.ApplyStaged(*staged, trace);
             shard.wal_lag.store(sys.WalStats().lag_bytes,
                                 std::memory_order_relaxed);
             return applied;
@@ -419,6 +424,15 @@ Result<core::ProgressiveRangeResult> ShardedCatalog::QueryRangeProgressive(
                result->steps.empty() ? 0 : result->steps.back().blocks_read);
   }
   return result;
+}
+
+Result<std::vector<size_t>> ShardedCatalog::BestBasisReport(
+    GlobalSessionId id) const {
+  AIMS_ASSIGN_OR_RETURN(Route route, FindRoute(id));
+  return ReadRouted(route, [](const core::AimsSystem& sys,
+                              core::SessionId local) {
+    return sys.BestBasisReport(local);
+  });
 }
 
 Result<core::QueryPlan> ShardedCatalog::PlanRangeQuery(GlobalSessionId id,

@@ -148,16 +148,17 @@ class ShardedCatalog {
   /// exact block-write I/O — filled even when the ingest fails partway, so
   /// a write fault's device I/O still reaches the tenant's cost ledger.
   ///
-  /// Both backends run AimsSystem's staged protocol: stage (plus the WAL
-  /// append, when there is a WAL) under the exclusive lock; then, only
-  /// when a commit was logged, wait for its sync with the lock released
-  /// (trace span "wal_sync") so concurrent ingests share one group-commit
-  /// fsync, and re-lock ("shard_apply_lock") for page write-back. The
-  /// in-memory backend logs nothing, so its ingest is one exclusive
-  /// section. The global id is minted before staging and stored with
-  /// \p client in the session's catalog entry, so the shard's commit
-  /// record is the ingest's only durable write: an acknowledged ingest
-  /// survives a crash with its route intact. An ingest whose commit is
+  /// Both backends run AimsSystem's staged protocol: prepare (seal,
+  /// transform, encode) with no lock held, then stage (block Puts, standing
+  /// queries, the WAL append when there is a WAL, the catalog insert) under
+  /// the exclusive lock; then, only when a commit was logged, wait for its
+  /// sync with the lock released (trace span "wal_sync") so concurrent
+  /// ingests share one group-commit fsync, and re-lock ("shard_apply_lock")
+  /// for page write-back. The in-memory backend logs nothing, so its ingest
+  /// is one exclusive section. The global id is minted before staging and
+  /// stored with \p client in the session's catalog entry, so the shard's
+  /// commit record is the ingest's only durable write: an acknowledged
+  /// ingest survives a crash with its route intact. An ingest whose commit is
   /// durable but that was never acknowledged (killed after the commit, or
   /// failed in write-back) also recovers under \p client and its minted id.
   Result<GlobalSessionId> Ingest(ClientId client, const std::string& name,
@@ -202,6 +203,9 @@ class ShardedCatalog {
       GlobalSessionId id, size_t channel, size_t first_frame,
       size_t last_frame, const core::ProgressiveObserver& observer = {},
       const std::function<void()>& on_shard_locked = {}) const;
+
+  /// \brief AimsSystem::BestBasisReport under the shard's shared lock.
+  Result<std::vector<size_t>> BestBasisReport(GlobalSessionId id) const;
 
   /// \brief EXPLAIN under the shard's shared lock: the deterministic plan
   /// a progressive evaluation of this range would follow, with zero block
@@ -389,11 +393,12 @@ class ShardedCatalog {
 
   /// Shard-level ingest (no routing, no metrics) — the normal ingest path
   /// and the migrator's copy step share it. Runs the staged protocol on
-  /// either backend (see Ingest). \p owner goes into the catalog entry;
-  /// the migrator passes none. \p updates (optional, threaded through
-  /// to the system) receives the standing-query results of the new
-  /// session; the migrator passes null: a migration copy is not tenant
-  /// activity and must not fire the continuous-aggregate hook.
+  /// either backend (see Ingest), preparing before the exclusive lock.
+  /// \p owner goes into the catalog entry; the migrator passes none.
+  /// \p updates (optional, threaded through to the system) receives the
+  /// standing-query results of the new session; the migrator passes null:
+  /// a migration copy is not tenant activity and must not fire the
+  /// continuous-aggregate hook.
   Result<core::SessionId> IngestOnShard(
       Shard& shard, const std::string& name,
       const streams::Recording& recording,

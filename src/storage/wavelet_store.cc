@@ -61,19 +61,37 @@ WaveletStore::WaveletStore(BlockDevice* device,
                    std::make_shared<const BlockLayout>(std::move(allocator), n),
                    cache) {}
 
+std::vector<std::vector<uint8_t>> BlockLayout::Encode(
+    std::span<const double> coefficients) const {
+  AIMS_CHECK(coefficients.size() == n_);
+  std::vector<std::vector<uint8_t>> payloads(num_blocks());
+  for (size_t b = 0; b < payloads.size(); ++b) {
+    const std::span<const size_t> slots = contents(b);
+    std::vector<uint8_t>& payload = payloads[b];
+    payload.resize(slots.size() * sizeof(double));
+    for (size_t slot = 0; slot < slots.size(); ++slot) {
+      std::memcpy(payload.data() + slot * sizeof(double),
+                  &coefficients[slots[slot]], sizeof(double));
+    }
+  }
+  return payloads;
+}
+
 Status WaveletStore::Put(const std::vector<double>& coefficients) {
   if (coefficients.size() != layout_->n()) {
     return Status::InvalidArgument("WaveletStore::Put: size mismatch");
   }
+  return PutPayloads(layout_->Encode(coefficients));
+}
+
+Status WaveletStore::PutPayloads(
+    const std::vector<std::vector<uint8_t>>& payloads) {
   const size_t num_blocks = layout_->num_blocks();
+  AIMS_CHECK(payloads.size() == num_blocks);
   device_blocks_.resize(num_blocks);
   for (size_t b = 0; b < num_blocks; ++b) {
-    const std::span<const size_t> contents = layout_->contents(b);
-    std::vector<uint8_t> payload(contents.size() * sizeof(double));
-    for (size_t slot = 0; slot < contents.size(); ++slot) {
-      double v = coefficients[contents[slot]];
-      std::memcpy(payload.data() + slot * sizeof(double), &v, sizeof(double));
-    }
+    AIMS_CHECK(payloads[b].size() ==
+               layout_->contents(b).size() * sizeof(double));
     // Allocate lazily and record the allocation before attempting the
     // write: if the write faults, the retry finds the block already
     // allocated and reuses it instead of leaking it. A re-Put likewise
@@ -82,7 +100,7 @@ Status WaveletStore::Put(const std::vector<double>& coefficients) {
       device_blocks_[b] = device_->Allocate();
       num_allocated_ = b + 1;
     }
-    AIMS_RETURN_NOT_OK(WriteBlock(device_blocks_[b], payload));
+    AIMS_RETURN_NOT_OK(WriteBlock(device_blocks_[b], payloads[b]));
   }
   populated_ = true;
   return Status::OK();

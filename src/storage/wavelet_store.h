@@ -41,6 +41,13 @@ class BlockLayout {
   /// Coefficient count of the fullest block.
   size_t max_block_items() const { return max_block_items_; }
 
+  /// \brief The bytes WaveletStore::Put writes for \p coefficients: one
+  /// payload per block, the block's coefficients in contents() order, 8
+  /// bytes each. Pure, so it can run before any device block exists.
+  /// Requires coefficients.size() == n().
+  std::vector<std::vector<uint8_t>> Encode(
+      std::span<const double> coefficients) const;
+
  private:
   std::unique_ptr<CoefficientAllocator> allocator_;
   size_t n_;
@@ -78,11 +85,17 @@ class WaveletStore {
                std::unique_ptr<CoefficientAllocator> allocator, size_t n,
                BlockCache* cache = nullptr);
 
-  /// Writes all coefficients to their blocks. Device blocks are allocated
-  /// on first use and reused on later calls, so a re-Put (re-ingest of a
-  /// session) or a retry after a mid-Put write fault overwrites in place
-  /// instead of leaking the previous allocation.
+  /// Writes all coefficients to their blocks: BlockLayout::Encode, then
+  /// PutPayloads.
   Status Put(const std::vector<double>& coefficients);
+
+  /// Writes one already encoded payload per layout block, exactly what
+  /// BlockLayout::Encode returns (anything else is a programmer error and
+  /// aborts). Device blocks are allocated on first use and reused on later
+  /// calls, so a re-Put (re-ingest of a session) or a retry after a
+  /// mid-Put write fault overwrites in place instead of leaking the
+  /// previous allocation.
+  Status PutPayloads(const std::vector<std::vector<uint8_t>>& payloads);
 
   /// Fetches the requested coefficients, reading each containing block
   /// exactly once. Returns index -> value. Const: safe for concurrent

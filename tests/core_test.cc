@@ -37,7 +37,10 @@ TEST(AimsSystemTest, IngestAndCatalog) {
   EXPECT_EQ(info.ValueOrDie().name, "session-1");
   EXPECT_EQ(info.ValueOrDie().num_channels, synth::kHandChannels);
   EXPECT_EQ(info.ValueOrDie().num_frames, rec.num_frames());
-  EXPECT_EQ(info.ValueOrDie().best_basis_nodes.size(), synth::kHandChannels);
+  auto report = system.BestBasisReport(id.ValueOrDie());
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->size(), synth::kHandChannels);
+  EXPECT_FALSE(system.BestBasisReport(99).ok());
   EXPECT_EQ(system.ListSessions().size(), 1u);
   EXPECT_FALSE(system.GetSession(99).ok());
 }
@@ -114,6 +117,28 @@ TEST(AimsSystemTest, IngestRejectsDegenerateRecording) {
   tiny.sample_rate_hz = 100.0;
   tiny.Append(streams::Frame{0.0, {1.0}});
   EXPECT_FALSE(system.IngestRecording("tiny", tiny).ok());
+}
+
+TEST(AimsSystemTest, IngestRejectsRaggedRecording) {
+  // Frames filled directly skip Recording::Append's width check; ingest
+  // refuses them before doing any work instead of aborting in
+  // Recording::Channel.
+  AimsSystem system;
+  streams::Recording good = GloveRecording(3);
+  for (size_t width : {size_t{0}, size_t{5}, synth::kHandChannels + 1}) {
+    streams::Recording ragged = good;
+    ragged.frames[ragged.num_frames() / 2].values.assign(width, 0.5);
+    auto id = system.IngestRecording("ragged", ragged);
+    EXPECT_EQ(id.status().code(), StatusCode::kInvalidArgument)
+        << "width " << width;
+  }
+  streams::Recording empty_frames;
+  empty_frames.frames.resize(4);
+  EXPECT_EQ(system.PrepareIngest("empty", empty_frames).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(system.ListSessions().empty());
+  EXPECT_EQ(system.device().num_blocks(), 0u);
+  EXPECT_TRUE(system.IngestRecording("good", good).ok());
 }
 
 TEST(AimsSystemTest, OnlineRecognitionEndToEnd) {

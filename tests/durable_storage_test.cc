@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -66,6 +67,22 @@ streams::Recording MakeRecording(size_t frames, size_t channels,
     rec.Append(std::move(frame));
   }
   return rec;
+}
+
+bool BitIdentical(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+std::vector<std::string> SpanNames(const obs::Trace& trace) {
+  std::vector<std::string> names;
+  for (const obs::TraceSpan& span : trace.spans()) names.push_back(span.name);
+  return names;
+}
+
+bool HasSpan(const obs::Trace& trace, const std::string& name) {
+  std::vector<std::string> names = SpanNames(trace);
+  return std::find(names.begin(), names.end(), name) != names.end();
 }
 
 // ---- FileBlockDevice ----------------------------------------------------
@@ -552,9 +569,18 @@ TEST(DurableSystem, AutoCheckpointByWalLag) {
   core::AimsSystem system(config);
   ASSERT_TRUE(system.init_status().ok());
   uint64_t checkpoints_before = system.WalStats().checkpoints;
-  ASSERT_TRUE(system.IngestRecording("ck", MakeRecording(100, 1, 4)).ok());
+  obs::Trace trace;
+  ASSERT_TRUE(
+      system.IngestRecording("ck", MakeRecording(100, 1, 4), &trace).ok());
   EXPECT_GT(system.WalStats().checkpoints, checkpoints_before);
   EXPECT_EQ(system.WalStats().lag_bytes, 0u);
+  // The checkpoint runs inside the ingest's apply step, after the append.
+  std::vector<std::string> names = SpanNames(trace);
+  auto append = std::find(names.begin(), names.end(), "wal_append");
+  auto checkpoint = std::find(names.begin(), names.end(), "checkpoint");
+  ASSERT_NE(append, names.end());
+  ASSERT_NE(checkpoint, names.end());
+  EXPECT_LT(append, checkpoint);
 }
 
 TEST(DurableSystem, FailedWriteBackIsNotCheckpointedAway) {
@@ -744,6 +770,40 @@ TEST(DurableSystem, CatalogEntryWithPartialOwnerIsRefused) {
       << status.ToString();
 }
 
+TEST(DurableSystem, WalPutFarPastThePageFileIsRefused) {
+  // A committed group may only name blocks the page file has or that the
+  // log's own puts account for. One put at block 2^22 used to make reopen
+  // grow pages.aims one block at a time (11 s, 2 GB) and then succeed.
+  const std::string dir = TestDir("sys_far_put");
+  core::AimsConfig config;
+  config.durability.path = dir;
+  {
+    core::AimsSystem system(config);
+    ASSERT_TRUE(system.IngestRecording("real", MakeRecording(256, 1, 9)).ok());
+  }
+  {
+    auto opened = WriteAheadLog::Open(dir + "/wal.aims");
+    ASSERT_TRUE(opened.ok());
+    WriteAheadLog& wal = *opened.ValueOrDie().wal;
+    const uint64_t txn = wal.BeginTxn().ValueOrDie();
+    ASSERT_TRUE(
+        wal.AppendBlockPut(txn, 1u << 22, std::vector<uint8_t>(64, 0x5a)).ok());
+    ASSERT_TRUE(wal.Commit(txn).ok());
+  }
+  const auto pages_before = std::filesystem::file_size(dir + "/pages.aims");
+  const auto start = std::chrono::steady_clock::now();
+  core::AimsSystem reopened(config);
+  const double elapsed_s = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+  const Status status = reopened.init_status();
+  EXPECT_EQ(status.code(), StatusCode::kIoError);
+  EXPECT_NE(status.message().find("past the page file"), std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(std::filesystem::file_size(dir + "/pages.aims"), pages_before);
+  EXPECT_LT(elapsed_s, 5.0);
+}
+
 TEST(DurableSystem, OwnerSurvivesWalReplayAndSnapshot) {
   std::string dir = TestDir("sys_owner");
   core::AimsConfig config;
@@ -752,8 +812,10 @@ TEST(DurableSystem, OwnerSurvivesWalReplayAndSnapshot) {
   {
     core::AimsSystem system(config);
     ASSERT_TRUE(system.IngestRecording("plain", MakeRecording(64, 1, 1)).ok());
-    auto staged = system.StageIngest("owned", MakeRecording(64, 1, 2), nullptr,
-                                     nullptr, owner);
+    auto prepared = system.PrepareIngest("owned", MakeRecording(64, 1, 2));
+    ASSERT_TRUE(prepared.ok());
+    auto staged =
+        system.StageIngest(std::move(*prepared), nullptr, nullptr, owner);
     ASSERT_TRUE(staged.ok());
     ASSERT_TRUE(system.WaitDurable(*staged).ok());
     ASSERT_TRUE(system.ApplyStaged(*staged).ok());
@@ -823,22 +885,6 @@ TEST(DurableCatalog, IngestIoStatsCountStagedBlocks) {
   EXPECT_EQ(io.blocks_written, catalog.total_blocks_written());
 }
 
-bool BitIdentical(const std::vector<double>& a, const std::vector<double>& b) {
-  return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
-}
-
-std::vector<std::string> SpanNames(const obs::Trace& trace) {
-  std::vector<std::string> names;
-  for (const obs::TraceSpan& span : trace.spans()) names.push_back(span.name);
-  return names;
-}
-
-bool HasSpan(const obs::Trace& trace, const std::string& name) {
-  std::vector<std::string> names = SpanNames(trace);
-  return std::find(names.begin(), names.end(), name) != names.end();
-}
-
 TEST(BackendParity, CatalogIngestMatchesAcrossBackends) {
   // Both backends run one staged ingest protocol, so the same recordings
   // cost the same device writes, build the same catalog entries, and read
@@ -874,7 +920,8 @@ TEST(BackendParity, CatalogIngestMatchesAcrossBackends) {
     EXPECT_EQ(mi.num_channels, di.num_channels);
     EXPECT_EQ(mi.num_frames, di.num_frames);
     EXPECT_EQ(mi.sample_rate_hz, di.sample_rate_hz);
-    EXPECT_EQ(mi.best_basis_nodes, di.best_basis_nodes);
+    EXPECT_EQ(mem.BestBasisReport(*m).ValueOrDie(),
+              durable.BestBasisReport(*d).ValueOrDie());
 
     for (size_t c = 0; c < rec.num_channels(); ++c) {
       EXPECT_TRUE(BitIdentical(mem.ReadChannel(*m, c).ValueOrDie(),
@@ -900,17 +947,62 @@ TEST(BackendParity, CatalogIngestMatchesAcrossBackends) {
     }
 
     EXPECT_TRUE(HasSpan(mem_trace, "shard_lock"));
-    EXPECT_FALSE(HasSpan(mem_trace, "wal_sync"));
-    EXPECT_FALSE(HasSpan(mem_trace, "shard_apply_lock"));
-    for (const char* span : {"shard_lock", "wal_sync", "shard_apply_lock"}) {
+    for (const char* span : {"wal_append", "wal_sync", "shard_apply_lock"}) {
+      EXPECT_FALSE(HasSpan(mem_trace, span)) << span;
+    }
+    for (const char* span :
+         {"shard_lock", "wal_append", "wal_sync", "shard_apply_lock"}) {
       EXPECT_TRUE(HasSpan(durable_trace, span)) << span;
     }
+    // These recordings stay far below the WAL's checkpoint threshold.
+    EXPECT_FALSE(HasSpan(durable_trace, "checkpoint"));
     // Identical apart from the durable-only phases.
     std::vector<std::string> durable_names = SpanNames(durable_trace);
     std::erase_if(durable_names, [](const std::string& n) {
-      return n == "wal_sync" || n == "shard_apply_lock";
+      return n == "wal_append" || n == "wal_sync" || n == "shard_apply_lock";
     });
     EXPECT_EQ(SpanNames(mem_trace), durable_names);
+  }
+}
+
+TEST(BackendParity, IngestCpuRunsBeforeTheShardLock) {
+  // Sealing and transforming need no lock: on both backends every "seal"
+  // and "transform" span of an ingest ends before its exclusive lock is
+  // requested, and every block write starts once the lock is held.
+  core::AimsConfig durable_config;
+  durable_config.durability.path = TestDir("prepare_unlocked");
+  server::ShardedCatalog mem(1, core::AimsConfig{});
+  server::ShardedCatalog durable(1, durable_config);
+  ASSERT_TRUE(durable.init_status().ok());
+  constexpr size_t kChannels = 3;
+  for (server::ShardedCatalog* catalog : {&mem, &durable}) {
+    SCOPED_TRACE(catalog->durable() ? "durable" : "in-memory");
+    obs::Trace trace;
+    auto id = catalog->Ingest(1, "split", MakeRecording(300, kChannels, 5),
+                              &trace);
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    const obs::TraceSpan* lock = nullptr;
+    for (const obs::TraceSpan& span : trace.spans()) {
+      if (span.name == "shard_lock") {
+        lock = &span;
+        break;
+      }
+    }
+    ASSERT_NE(lock, nullptr);
+    size_t seals = 0, transforms = 0, writes = 0;
+    for (const obs::TraceSpan& span : trace.spans()) {
+      if (span.name == "seal" || span.name == "transform") {
+        if (span.name == "seal") ++seals;
+        if (span.name == "transform") ++transforms;
+        EXPECT_LE(span.end_ms, lock->start_ms) << span.name;
+      } else if (span.name == "block_write") {
+        ++writes;
+        EXPECT_GE(span.start_ms, lock->end_ms);
+      }
+    }
+    EXPECT_EQ(seals, kChannels);
+    EXPECT_EQ(transforms, kChannels);
+    EXPECT_EQ(writes, kChannels);
   }
 }
 

@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <optional>
@@ -17,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/crc32.h"
 #include "common/macros.h"
 #include "core/aims.h"
 #include "server/data_migrator.h"
@@ -146,9 +148,11 @@ Result<core::SessionId> IngestOwned(core::AimsSystem* system,
                                     const std::string& name,
                                     const streams::Recording& recording,
                                     core::SessionOwner owner) {
+  AIMS_ASSIGN_OR_RETURN(core::AimsSystem::PreparedIngest prepared,
+                        system->PrepareIngest(name, recording));
   AIMS_ASSIGN_OR_RETURN(
       core::AimsSystem::StagedIngest staged,
-      system->StageIngest(name, recording, nullptr, nullptr, owner));
+      system->StageIngest(std::move(prepared), nullptr, nullptr, owner));
   AIMS_RETURN_NOT_OK(system->WaitDurable(staged));
   AIMS_RETURN_NOT_OK(system->ApplyStaged(staged));
   return staged.id;
@@ -156,14 +160,25 @@ Result<core::SessionId> IngestOwned(core::AimsSystem* system,
 
 // ---- Byte pins -----------------------------------------------------------
 // Hex recorded from the encoders before they moved onto the shared byte
-// codec. A change here is a format change.
+// codec. A change here is a format change. The catalog entry's per-channel
+// best-basis fields have been written 0 since the report became on demand;
+// readers ignore them.
 
 constexpr GlobalSessionId kPinnedGid = (1ull << 48) | 1;
+/// The entry as stores wrote it while ingest computed the best-basis
+/// report: each channel's first field held the DWPT node count (8 here).
+constexpr const char* kIngestTimeBasisEntryHex =
+    "060000000000000070696e6e656405000000000000000000000000004940020000000000"
+    "000008000000000000009a9999999999e93f080000000000000064666666666605400100"
+    "0000000000000000000008000000000000009a9999999999c9bf08000000000000006266"
+    "666666660640010000000000000001000000";
+/// The entry as written since the report became on demand: the same
+/// bytes, with 0 in both channels' basis fields.
 constexpr const char* kPinnedEntryHex =
     "060000000000000070696e6e656405000000000000000000000000004940020000000000"
-    "000008000000000000009a9999999999e93f08000000000000006466666666660540010"
-    "00000000000000000000008000000000000009a9999999999c9bf080000000000000062"
-    "66666666660640010000000000000001000000";
+    "000000000000000000009a9999999999e93f080000000000000064666666666605400100"
+    "0000000000000000000000000000000000009a9999999999c9bf08000000000000006266"
+    "666666660640010000000000000001000000";
 
 TEST(PersistedFormat, CatalogEntryKeepsItsBytesAndAppendsTheOwner) {
   const std::string dir = TestDir("entry_pin");
@@ -187,6 +202,191 @@ TEST(PersistedFormat, CatalogEntryKeepsItsBytesAndAppendsTheOwner) {
       CommittedCatalogBlobs(dir + "/owned/wal.aims");
   ASSERT_EQ(owned.size(), 1u);
   EXPECT_EQ(Hex(owned[0]), std::string(kPinnedEntryHex) + Hex(owned_suffix));
+  std::filesystem::remove_all(dir);
+}
+
+/// The rest of the committed group of one plain durable ingest of
+/// PinnedRecording, recorded before the block records were built from the
+/// prepared payloads: the block puts, then (after the catalog entry) the
+/// two channels' sealed segments.
+struct PinnedPut {
+  storage::BlockId block;
+  const char* payload_hex;
+};
+constexpr PinnedPut kPinnedPuts[] = {
+    {0,
+     "000000000080b2bc6649fdda6343d53fc7b85b8845a2a2bff24f544aa197e0bfc27d071c"
+     "266cf7bf72f3a060ba63c6bf850ab835c9807a3fad2464c2373ed6bf"},
+    {1,
+     "0000000000009abc4feb96d8f24ae33f9723d23bddaed6bf20667d9dc239c4bf11bf4847"
+     "dde8ee3f5e125bf393d1ebbf7f0ab835c980ba3f0e11a4cc7a81e8bf"},
+};
+constexpr const char* kPinnedSegmentHex[] = {
+    "010000000000000000000000000000000000000000000000000000000001000000050000"
+    "000000000000000000000000008038010000000000000000000000494000000000000000"
+    "00240000000000000000000000000000003fe0000000000000f0000000000004e20d6058"
+    "0a802c05ffeb097ffa",
+    "010000000000000000010000000000000000000000000000000000000001000000050000"
+    "000000000000000000000000008038010000000000000000000000494000000000000000"
+    "0022000000000000000000000000000000bff0000000000000f0000000000004e20c05df"
+    "fa3ff47feaffc0",
+};
+
+std::vector<uint8_t> Unhex(const std::string& hex) {
+  std::vector<uint8_t> out;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(
+        static_cast<uint8_t>(std::stoi(hex.substr(i, 2), nullptr, 16)));
+  }
+  return out;
+}
+
+/// One line per record of \p txn: its puts, catalog entries and segment
+/// ops, each kind in append order.
+std::vector<std::string> GroupLines(
+    const storage::durable::RecoveredTxn& txn) {
+  std::vector<std::string> lines;
+  for (const auto& [block, payload] : txn.block_puts) {
+    lines.push_back("put " + std::to_string(block) + " " + Hex(payload));
+  }
+  for (const auto& blob : txn.catalog_blobs) {
+    lines.push_back("catalog " + Hex(blob));
+  }
+  for (const auto& blob : txn.segment_blobs) {
+    lines.push_back("segment " + Hex(blob));
+  }
+  return lines;
+}
+
+/// The pinned group with \p entry_hex as its catalog entry.
+std::vector<std::string> PinnedGroupLines(const std::string& entry_hex) {
+  std::vector<std::string> lines;
+  for (const PinnedPut& put : kPinnedPuts) {
+    lines.push_back("put " + std::to_string(put.block) + " " + put.payload_hex);
+  }
+  lines.push_back("catalog " + entry_hex);
+  for (const char* seg : kPinnedSegmentHex) {
+    lines.push_back("segment " + std::string(seg));
+  }
+  return lines;
+}
+
+TEST(PersistedFormat, IngestGroupKeepsItsBytes) {
+  const std::string dir = TestDir("group_pin");
+  {
+    core::AimsSystem system(DurableAt(dir));
+    ASSERT_TRUE(system.IngestRecording("pinned", PinnedRecording()).ok());
+  }
+  auto opened = WriteAheadLog::Open(dir + "/wal.aims");
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  const auto& committed = opened.ValueOrDie().committed;
+  ASSERT_EQ(committed.size(), 1u);
+  EXPECT_EQ(GroupLines(committed[0]), PinnedGroupLines(kPinnedEntryHex));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(PersistedFormat, GroupWithIngestTimeBasisCountsStillLoads) {
+  // The group exactly as stores wrote it before the report became on
+  // demand. The basis fields are read and ignored; the on-demand report
+  // recomputes the same counts from the stored coefficients.
+  const std::string dir = TestDir("group_old_basis");
+  {
+    auto opened = WriteAheadLog::Open(dir + "/wal.aims");
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    WriteAheadLog& wal = *opened.ValueOrDie().wal;
+    const uint64_t txn = wal.BeginTxn().ValueOrDie();
+    for (const PinnedPut& put : kPinnedPuts) {
+      ASSERT_TRUE(
+          wal.AppendBlockPut(txn, put.block, Unhex(put.payload_hex)).ok());
+    }
+    ASSERT_TRUE(wal.AppendCatalog(txn, Unhex(kIngestTimeBasisEntryHex)).ok());
+    for (const char* seg : kPinnedSegmentHex) {
+      ASSERT_TRUE(wal.AppendSegment(txn, Unhex(seg)).ok());
+    }
+    ASSERT_TRUE(wal.Commit(txn).ok());
+  }
+  const streams::Recording recording = PinnedRecording();
+  // The first open replays the group; the second loads the snapshot that
+  // recovery wrote, whose entry carries 0 in the basis fields.
+  for (int reopen = 0; reopen < 2; ++reopen) {
+    SCOPED_TRACE("reopen " + std::to_string(reopen));
+    core::AimsSystem system(DurableAt(dir));
+    ASSERT_TRUE(system.init_status().ok()) << system.init_status().ToString();
+    auto info = system.GetSession(0);
+    ASSERT_TRUE(info.ok());
+    EXPECT_EQ(info->name, "pinned");
+    EXPECT_EQ(info->num_frames, 5u);
+    EXPECT_EQ(info->num_channels, 2u);
+    for (size_t c = 0; c < 2; ++c) {
+      const std::vector<double> want = recording.Channel(c);
+      auto read = system.ReadChannel(0, c);
+      ASSERT_TRUE(read.ok());
+      ASSERT_EQ(read->size(), want.size());
+      for (size_t f = 0; f < want.size(); ++f) {
+        EXPECT_NEAR((*read)[f], want[f], 1e-12);
+      }
+      auto raw = system.ReadRawSamples(0, c);
+      ASSERT_TRUE(raw.ok());
+      ASSERT_EQ(raw->size(), want.size());
+      for (size_t f = 0; f < want.size(); ++f) {
+        EXPECT_EQ((*raw)[f].value, want[f]);
+      }
+    }
+    EXPECT_EQ(system.BestBasisReport(0).ValueOrDie(),
+              (std::vector<size_t>{8, 8}));
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(PersistedFormat, MultiBlockIngestGroupKeepsItsBytes) {
+  // Five blocks per channel, so the order of the block records within a
+  // channel is pinned too. Recorded before the block records were built
+  // from the prepared payloads: each put's and segment op's size and
+  // CRC-32, and the catalog entry with its basis fields zeroed (they then
+  // held the ingest-time node count, 2 for both channels).
+  const std::vector<std::string> want = {
+      "put 0 512 72106fda", "put 1 504 476bf77e", "put 2 504 b836ad24",
+      "put 3 504 3c7cc602", "put 4 24 0eb40c00",  "put 5 512 c346a69e",
+      "put 6 504 09997520", "put 7 504 cd14588a", "put 8 504 bdc052b1",
+      "put 9 24 33950fde",
+      "catalog "
+      "05000000000000006d756c7469c80000000000000000000000000059400200000000"
+      "00000000000000000000009a584d73c66ff03f00010000000000009c9f3803fa6458"
+      "40050000000000000000000000010000000200000003000000040000000000000000"
+      "000000590ef9d8f3cbf03f0001000000000000cc9b474ba20d5a4005000000000000"
+      "000500000006000000070000000800000009000000",
+      "segment 1541 39eae1a2", "segment 1523 da2da623"};
+  const std::string dir = TestDir("multi_block_pin");
+  {
+    core::AimsSystem system(DurableAt(dir));
+    auto id = system.IngestRecording("multi", MakeRecording(200, 1.0));
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    // The on-demand report matches the counts ingest used to store.
+    EXPECT_EQ(system.BestBasisReport(*id).ValueOrDie(),
+              (std::vector<size_t>{2, 2}));
+  }
+  auto opened = WriteAheadLog::Open(dir + "/wal.aims");
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  const auto& committed = opened.ValueOrDie().committed;
+  ASSERT_EQ(committed.size(), 1u);
+  const storage::durable::RecoveredTxn& txn = committed[0];
+  auto sized_crc = [](const std::vector<uint8_t>& bytes) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%zu %08x", bytes.size(),
+                  Crc32(bytes.data(), bytes.size()));
+    return std::string(buf);
+  };
+  std::vector<std::string> got;
+  for (const auto& [block, payload] : txn.block_puts) {
+    got.push_back("put " + std::to_string(block) + " " + sized_crc(payload));
+  }
+  for (const auto& blob : txn.catalog_blobs) {
+    got.push_back("catalog " + Hex(blob));
+  }
+  for (const auto& blob : txn.segment_blobs) {
+    got.push_back("segment " + sized_crc(blob));
+  }
+  EXPECT_EQ(got, want);
   std::filesystem::remove_all(dir);
 }
 

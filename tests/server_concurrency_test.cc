@@ -1,7 +1,12 @@
+#include <unistd.h>
+
 #include <atomic>
 #include <cmath>
+#include <cstring>
+#include <filesystem>
 #include <future>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -183,6 +188,140 @@ TEST(ShardedCatalogTest, ConcurrentReadersOfOneSessionAgree) {
   }
   for (auto& t : readers) t.join();
   EXPECT_EQ(failures.load(), 0u);
+}
+
+TEST(ShardedCatalogTest, IngestsRaceQueriesAndStandingQueriesOnOneShard) {
+  // Ingests prepare with no lock held, so on one shard their CPU work
+  // overlaps queries, other ingests' publish steps and SetStandingQueries.
+  // Every acknowledged ingest must read back bit-exactly what a lone
+  // system stores for the same recording, and every standing-query result
+  // it reports must equal that session's exact range sum.
+  constexpr size_t kWriters = 3;
+  constexpr size_t kPerWriter = 5;
+  constexpr size_t kFrames = 96;
+  constexpr size_t kChannels = 2;
+  // Handle h names kQueries[h - 1] in every set the toggler installs, so an
+  // update is checkable whichever set was live when its ingest published.
+  const std::vector<core::StandingRangeQuery> kQueries = {
+      {1, 0, 0, kFrames - 1}, {2, 1, 5, 60}, {3, 0, 17, 17}, {4, 1, 30, 95}};
+  for (bool durable : {false, true}) {
+    SCOPED_TRACE(durable ? "durable" : "in-memory");
+    core::AimsConfig config;
+    if (durable) {
+      config.durability.path = ::testing::TempDir() + "aims_race_" +
+                               std::to_string(::getpid());
+      std::filesystem::remove_all(config.durability.path);
+      config.durability.sync_mode = storage::durable::WalSyncMode::kNone;
+      config.durability.checkpoint_wal_bytes = 64 << 10;
+    }
+    ShardedCatalog catalog(1, config);
+    ASSERT_TRUE(catalog.init_status().ok());
+
+    std::mutex mutex;
+    std::vector<std::pair<GlobalSessionId, double>> ingested;  // id, base
+    std::vector<std::pair<GlobalSessionId, core::StandingRangeUpdate>> updates;
+    catalog.SetIngestCommitHook(
+        [&](GlobalSessionId id, ClientId,
+            const std::vector<core::StandingRangeUpdate>& batch) {
+          std::lock_guard<std::mutex> lock(mutex);
+          for (const auto& update : batch) updates.emplace_back(id, update);
+        });
+    catalog.SetStandingQueries(kQueries);
+
+    std::atomic<bool> writers_done{false};
+    std::atomic<size_t> failures{0};
+    std::thread toggler([&] {
+      for (size_t round = 1; !writers_done.load(); ++round) {
+        std::vector<core::StandingRangeQuery> subset;
+        for (size_t q = 0; q < kQueries.size(); ++q) {
+          if ((round >> q) & 1) subset.push_back(kQueries[q]);
+        }
+        catalog.SetStandingQueries(subset);
+        std::this_thread::yield();
+      }
+    });
+    std::vector<std::thread> readers;
+    for (size_t r = 0; r < 2; ++r) {
+      readers.emplace_back([&, r] {
+        for (size_t i = r; !writers_done.load(); ++i) {
+          GlobalSessionId id = 0;
+          {
+            std::lock_guard<std::mutex> lock(mutex);
+            if (!ingested.empty()) id = ingested[i % ingested.size()].first;
+          }
+          if (id == 0) {
+            std::this_thread::yield();
+            continue;
+          }
+          if (!catalog.QueryRange(id, i % kChannels, 3, kFrames - 4).ok() ||
+              !catalog.QueryRangeProgressive(id, 0, 0, kFrames / 2).ok() ||
+              !catalog.ReadChannel(id, 1).ok()) {
+            failures.fetch_add(1);
+          }
+        }
+      });
+    }
+    std::vector<std::thread> writers;
+    for (size_t w = 0; w < kWriters; ++w) {
+      writers.emplace_back([&, w] {
+        for (size_t i = 0; i < kPerWriter; ++i) {
+          const double base = static_cast<double>(w * 10 + i);
+          auto id = catalog.Ingest(w, "race",
+                                   MakeRecording(kFrames, kChannels, base));
+          if (!id.ok()) {
+            failures.fetch_add(1);
+            continue;
+          }
+          std::lock_guard<std::mutex> lock(mutex);
+          ingested.emplace_back(*id, base);
+        }
+      });
+    }
+    for (auto& t : writers) t.join();
+    writers_done.store(true);
+    for (auto& t : readers) t.join();
+    toggler.join();
+    EXPECT_EQ(failures.load(), 0u);
+    ASSERT_EQ(ingested.size(), kWriters * kPerWriter);
+
+    // One more ingest with every query installed, so the update check
+    // below never runs empty.
+    catalog.SetStandingQueries(kQueries);
+    auto last =
+        catalog.Ingest(0, "last", MakeRecording(kFrames, kChannels, 99));
+    ASSERT_TRUE(last.ok()) << last.status().ToString();
+    ingested.emplace_back(*last, 99.0);
+    ASSERT_GE(updates.size(), kQueries.size());
+
+    core::AimsSystem lone;
+    for (const auto& [id, base] : ingested) {
+      const streams::Recording rec = MakeRecording(kFrames, kChannels, base);
+      auto ref = lone.IngestRecording("ref", rec);
+      ASSERT_TRUE(ref.ok());
+      for (size_t c = 0; c < kChannels; ++c) {
+        auto got = catalog.ReadChannel(id, c);
+        auto want = lone.ReadChannel(*ref, c);
+        ASSERT_TRUE(got.ok() && want.ok());
+        ASSERT_EQ(got->size(), want->size());
+        EXPECT_EQ(std::memcmp(got->data(), want->data(),
+                              got->size() * sizeof(double)),
+                  0)
+            << "session " << id << " channel " << c;
+      }
+    }
+    for (const auto& [id, update] : updates) {
+      ASSERT_GE(update.handle, 1u);
+      ASSERT_LE(update.handle, kQueries.size());
+      const core::StandingRangeQuery& q = kQueries[update.handle - 1];
+      auto exact = catalog.QueryRange(id, q.channel, q.first_frame,
+                                      q.last_frame);
+      ASSERT_TRUE(exact.ok());
+      EXPECT_EQ(update.count, exact->count);
+      EXPECT_EQ(update.sum, exact->sum) << "handle " << update.handle;
+      EXPECT_EQ(update.mean, exact->mean) << "handle " << update.handle;
+    }
+    if (durable) std::filesystem::remove_all(config.durability.path);
+  }
 }
 
 TEST(IngestServiceTest, BackpressureIsBoundedAndAccounted) {
@@ -484,6 +623,31 @@ TEST(AimsServerTest, MalformedFramesRejectedAndStreamKeepsRecognizing) {
     EXPECT_EQ(served[e].start_frame, expected[e].start_frame);
     EXPECT_EQ(served[e].end_frame, expected[e].end_frame);
   }
+}
+
+TEST(AimsServerTest, RaggedRecordingIsRejectedAndServerKeepsServing) {
+  // A client can fill Recording::frames directly, so frames of mixed
+  // widths reach the server without passing Recording::Append's check.
+  ServerConfig config;
+  config.num_shards = 1;
+  config.num_threads = 1;
+  AimsServer server(config);
+  ASSERT_TRUE(server.OpenSession({1}).ok());
+  for (size_t width : {size_t{0}, size_t{1}, size_t{4}}) {
+    streams::Recording ragged = MakeRecording(64, 3, 1.0);
+    ragged.frames[10].values.assign(width, 1.0);
+    auto rejected = server.IngestRecording({1, "ragged", std::move(ragged)});
+    EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument)
+        << "width " << width;
+  }
+  EXPECT_EQ(server.catalog().total_sessions(), 0u);
+  const streams::Recording good = MakeRecording(64, 3, 2.0);
+  auto stored = server.IngestRecording({1, "good", good});
+  ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+  auto stats = server.catalog().QueryRange(stored->session, 2, 0, 63);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_NEAR(stats->sum, ChannelSum(good, 2), 1e-9);
+  server.Shutdown();
 }
 
 TEST(AimsServerTest, VocabularyUpdatesRaceStreamLifecycles) {
