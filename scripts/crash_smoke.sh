@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Crash-recovery smoke loop: SIGKILL the ingest helper at armed points
-# inside the WAL commit path, over and over against ONE durable store,
+# inside the WAL commit path and the checkpoint steps, over and over
+# against ONE durable store,
 # recovering on every reopen. After each kill the helper's verify mode
 # reopens the store, asserts every acknowledged ingest survived, and
 # reports recovery stats; the per-iteration reports are collected into a
@@ -19,7 +20,12 @@
 #   helper-binary  build/tests/crash_ingest_helper
 #   iterations     how many kill+recover rounds per loop (the ingest loop
 #                  cycles payload -> precommit -> postcommit -> segment,
-#                  the last one killing mid-raw-segment-seal; the
+#                  the last one killing mid-raw-segment-seal, then through
+#                  the checkpoint steps: rotated -> pagesync -> torndelta
+#                  -> deltadurable, each killing an ingest inside the
+#                  checkpoint it began, and compact, killing a reopen's
+#                  compaction between the base rename and the catalog.log
+#                  reset; the
 #                  migration loop varies the armed payload-append count;
 #                  the catalog loop kills after the shard commit)
 #   out-json       where to write the collected recovery stats
@@ -34,7 +40,8 @@ MSTORE="$(mktemp -d "${TMPDIR:-/tmp}/aims_crash_msmoke.XXXXXX")"
 CSTORE="$(mktemp -d "${TMPDIR:-/tmp}/aims_crash_csmoke.XXXXXX")"
 trap 'rm -rf "${STORE}" "${MSTORE}" "${CSTORE}"' EXIT
 
-MODES=(payload precommit postcommit segment)
+MODES=(payload precommit postcommit segment rotated pagesync torndelta
+  deltadurable compact)
 RUNS=""
 
 for ((i = 0; i < ITERATIONS; ++i)); do
@@ -128,6 +135,6 @@ cat > "${OUT_JSON}" <<EOF
   ]
 }
 EOF
-echo "== crash smoke: ${ITERATIONS} ingest + ${ITERATIONS} mid-migration + ${ITERATIONS} catalog-ingest kill+recover rounds, zero acked ingests lost, one owner per session, killed catalog ingests kept under their tenant =="
+echo "== crash smoke: ${ITERATIONS} ingest/checkpoint + ${ITERATIONS} mid-migration + ${ITERATIONS} catalog-ingest kill+recover rounds, zero acked ingests lost, one owner per session, killed catalog ingests kept under their tenant =="
 echo "== flight-record bundle survived every SIGKILL =="
 echo "== recovery stats in ${OUT_JSON} =="

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <map>
 #include <set>
 
@@ -32,6 +33,18 @@ constexpr uint32_t kSnapshotVersion = 2;
 /// Guard against a corrupt length field allocating gigabytes at parse.
 constexpr uint64_t kMaxCatalogField = 1u << 30;
 
+// catalog.log records: the txn the record covers (u64), then items of
+// kind u8, size u32 and that many bytes of a catalog entry
+// (SerializeSession) or a segment op (EncodeSegmentOp), in commit order.
+constexpr uint8_t kDeltaEntry = 1;
+constexpr uint8_t kDeltaSegmentOp = 2;
+constexpr size_t kDeltaItemHeader = 1 + sizeof(uint32_t);
+/// Where the covered txn sits in a framed record.
+constexpr size_t kDeltaTxnOffset = storage::durable::CatalogLog::kFrameBytes;
+
+using storage::durable::testing::CheckpointStep;
+using storage::durable::testing::ReachCheckpointStep;
+
 }  // namespace
 
 AimsSystem::AimsSystem(AimsConfig config)
@@ -52,6 +65,7 @@ AimsSystem::AimsSystem(AimsConfig config)
     // Keep the accessors (device(), block_cache()) valid even after a
     // failed open; every mutating call refuses with init_status_.
     wal_.reset();
+    catalog_log_.reset();
     file_device_ = nullptr;
     sessions_.clear();
     if (device_ == nullptr) {
@@ -91,16 +105,24 @@ Status AimsSystem::OpenDurable() {
   wal_config.sync_mode = config_.durability.sync_mode;
   wal_config.group_commit_ms = config_.durability.group_commit_ms;
   wal_config.simulated_sync_ms = config_.durability.simulated_sync_ms;
-  AIMS_ASSIGN_OR_RETURN(
-      storage::durable::WriteAheadLog::Opened opened,
-      storage::durable::WriteAheadLog::Open(dir + "/wal.aims", wal_config));
+  AIMS_ASSIGN_OR_RETURN(storage::durable::WriteAheadLog::Opened opened,
+                        storage::durable::WriteAheadLog::Open(
+                            dir + "/wal.aims", wal_config, dir + "/wal.1.aims"));
   wal_ = std::move(opened.wal);
 
-  // Recovery: checkpoint state first, then redo every committed WAL group
-  // the snapshot predates. Groups the snapshot already covers (a crash
-  // between snapshot write and log truncation) are skipped by txn id, so
-  // replay is idempotent.
+  // Recovery: the base, then every delta record younger than it, then
+  // every committed WAL group younger than the last delta, both WAL files'
+  // in commit order. What the base or a delta already covers (a crash
+  // before the log it came from was reset or dropped) is skipped by txn
+  // id, so recovery is idempotent.
   AIMS_RETURN_NOT_OK(LoadSnapshot());
+  AIMS_ASSIGN_OR_RETURN(
+      catalog_log_,
+      storage::durable::CatalogLog::Open(
+          dir + "/catalog.log",
+          [this](std::span<const uint8_t> record) {
+            return ApplyDelta(record);
+          }));
   // Every block a valid log names is in the page file already or was
   // allocated after it last grew durably, and each of those has a put in
   // the log. A put beyond that is corrupt: refuse it before replay grows
@@ -141,10 +163,16 @@ Status AimsSystem::OpenDurable() {
     applied_txn_ = txn.txn_id;
   }
   // Make the recovered state durable before dropping the records that
-  // produced it, then start from a clean log.
+  // produced it: a compacted base, then empty logs.
   AIMS_RETURN_NOT_OK(file_device_->SyncPages());
-  AIMS_RETURN_NOT_OK(WriteSnapshot());
-  return wal_->Truncate();
+  const std::vector<uint8_t> base = SerializeSnapshot();
+  AIMS_RETURN_NOT_OK(Compact(base));
+  AIMS_RETURN_NOT_OK(wal_->Truncate());
+  base_bytes_ = base.size();
+  log_bytes_ = catalog_log_->size_bytes();
+  dead_bytes_ = 0;
+  ResetDelta();
+  return Status::OK();
 }
 
 Result<SessionId> AimsSystem::IngestRecording(
@@ -155,7 +183,10 @@ Result<SessionId> AimsSystem::IngestRecording(
   AIMS_ASSIGN_OR_RETURN(StagedIngest staged,
                         StageIngest(std::move(prepared), trace, updates));
   AIMS_RETURN_NOT_OK(WaitDurable(staged));
-  AIMS_RETURN_NOT_OK(ApplyStaged(staged, trace));
+  AIMS_RETURN_NOT_OK(ApplyStaged(staged));
+  // The ingest is durable: a failed checkpoint is logged and retried by a
+  // later ingest, never reported as this one's failure.
+  (void)FinishCheckpoint(trace);
   return staged.id;
 }
 
@@ -329,7 +360,10 @@ Status AimsSystem::LogSession(const StoredSession& session,
   // Its blocks stay allocated with no put in the log naming them, so the
   // page file's new length is made durable: recovery's bound (file blocks
   // plus logged puts) must cover the blocks later groups are given.
+  // The delta items logged so far are dropped with the group.
+  const size_t delta_mark = delta_.size();
   auto fail = [&](Status status) {
+    delta_.resize(delta_mark);
     cache_->DropDirty(staged->blocks);
     (void)file_device_->SyncPages();
     return status;
@@ -348,19 +382,21 @@ Status AimsSystem::LogSession(const StoredSession& session,
       if (!status.ok()) return fail(status);
     }
   }
-  Status status = wal_->AppendCatalog(*txn, SerializeSession(session));
+  const std::vector<uint8_t> entry = SerializeSession(session);
+  Status status = wal_->AppendCatalog(*txn, entry);
   if (!status.ok()) return fail(status);
+  AddDeltaItem(kDeltaEntry, entry);
   // The session's sealed raw segments ride the same record group: a crash
   // after the commit record recovers them together with the catalog entry
   // (no acked ingest loses its raw samples), a crash before it loses the
   // whole ingest atomically.
   for (const auto& [key, seg] : session.segments.segments()) {
     (void)key;
-    Status seg_status = wal_->AppendSegment(
-        *txn,
-        storage::tslife::EncodeSegmentOp(storage::tslife::SegmentOp::Kind::kPut,
-                                         session.info.id, seg));
+    const std::vector<uint8_t> op = storage::tslife::EncodeSegmentOp(
+        storage::tslife::SegmentOp::Kind::kPut, session.info.id, seg);
+    Status seg_status = wal_->AppendSegment(*txn, op);
     if (!seg_status.ok()) return fail(seg_status);
+    AddDeltaItem(kDeltaSegmentOp, op);
   }
   Result<uint64_t> ticket = wal_->AppendCommit(*txn);
   if (!ticket.ok()) return fail(ticket.status());
@@ -375,8 +411,7 @@ Status AimsSystem::WaitDurable(const StagedIngest& staged) {
   return wal_->WaitDurable(staged.ticket);
 }
 
-Status AimsSystem::ApplyStaged(const StagedIngest& staged,
-                               obs::Trace* trace) {
+Status AimsSystem::ApplyStaged(const StagedIngest& staged) {
   if (!staged.logged()) return Status::OK();
   // Commit-time write-back: the transaction flushes exactly its own
   // blocks. An error is reported but loses nothing — the group is in the
@@ -384,16 +419,15 @@ Status AimsSystem::ApplyStaged(const StagedIngest& staged,
   Status flush = cache_->FlushBlocks(staged.blocks);
   pending_commits_.fetch_sub(1, std::memory_order_relaxed);
   AIMS_RETURN_NOT_OK(flush);
-  // A blocked auto-checkpoint is skipped, not failed: the log keeps
-  // growing, and the WAL-lag health input reports the stall.
+  // A blocked checkpoint is skipped, not failed: the log keeps growing,
+  // and the WAL-lag health input reports the stall.
   if (config_.durability.checkpoint_wal_bytes > 0 &&
-      wal_->lag_bytes() > config_.durability.checkpoint_wal_bytes &&
-      CheckpointBlocker().ok()) {
-    size_t checkpoint_span = 0;
-    if (trace != nullptr) checkpoint_span = trace->BeginSpan("checkpoint");
-    Status checkpoint = Checkpoint();
-    if (trace != nullptr) trace->EndSpan(checkpoint_span);
-    return checkpoint;
+      wal_->lag_bytes() > config_.durability.checkpoint_wal_bytes) {
+    Status begun = BeginCheckpoint();
+    if (!begun.ok() && begun.code() != StatusCode::kFailedPrecondition) {
+      std::fprintf(stderr, "aims: checkpoint of %s not begun: %s\n",
+                   config_.durability.path.c_str(), begun.ToString().c_str());
+    }
   }
   return Status::OK();
 }
@@ -414,18 +448,141 @@ Status AimsSystem::CheckpointBlocker() const {
   return Status::OK();
 }
 
+Status AimsSystem::BeginCheckpoint() {
+  std::lock_guard<std::mutex> lock(checkpoint_mutex_);
+  // One checkpoint at a time: a running one finishes on its own thread,
+  // and a failed one is retried as it stands.
+  if (checkpoint_.has_value()) return Status::OK();
+  AIMS_RETURN_NOT_OK(CheckpointBlocker());
+  // Every committed group so far is in the file the rotation retires, and
+  // delta_ holds exactly their catalog changes.
+  AIMS_RETURN_NOT_OK(wal_->Rotate());
+  ReachCheckpointStep(CheckpointStep::kWalRotated);
+  CheckpointWork& work = checkpoint_.emplace();
+  // Compact once the dead bytes outweigh the live ones, so recovery reads
+  // at most about twice the live catalog. An append-only capture never
+  // compacts after open.
+  if (2 * dead_bytes_ > base_bytes_ + log_bytes_ + delta_.size()) {
+    work.compact = true;
+    work.bytes = SerializeSnapshot();
+    dead_bytes_ = 0;
+  } else {
+    std::memcpy(delta_.data() + kDeltaTxnOffset, &applied_txn_,
+                sizeof(applied_txn_));
+    work.bytes = std::move(delta_);
+  }
+  ResetDelta();
+  return Status::OK();
+}
+
+Status AimsSystem::FinishCheckpoint(obs::Trace* trace) {
+  return RunCheckpoint(trace, /*wait=*/false);
+}
+
+Status AimsSystem::RunCheckpoint(obs::Trace* trace, bool wait) {
+  std::unique_lock<std::mutex> lock(checkpoint_mutex_);
+  if (wait) checkpoint_cv_.wait(lock, [&] { return !checkpoint_running_; });
+  if (!checkpoint_.has_value() || checkpoint_running_) return Status::OK();
+  checkpoint_running_ = true;
+  CheckpointWork& work = *checkpoint_;
+  lock.unlock();
+
+  size_t span = 0;
+  if (trace != nullptr) span = trace->BeginSpan("checkpoint");
+  // Order is the recovery contract: the retired groups' pages on stable
+  // storage, then the catalog changes they carried, and only then may the
+  // WAL forget them.
+  Status status = Status::OK();
+  if (!work.written) {
+    status = file_device_->SyncPages();
+    if (status.ok()) {
+      ReachCheckpointStep(CheckpointStep::kPagesSynced);
+      if (work.compact) {
+        status = Compact(work.bytes);
+      } else {
+        status = catalog_log_->Append(&work.bytes);
+        if (status.ok()) ReachCheckpointStep(CheckpointStep::kDeltaDurable);
+      }
+    }
+    work.written = status.ok();
+  }
+  if (status.ok()) status = wal_->DropRetired();
+  if (trace != nullptr) trace->EndSpan(span);
+
+  lock.lock();
+  if (status.ok()) {
+    if (work.compact) base_bytes_ = work.bytes.size();
+    log_bytes_ = catalog_log_->size_bytes();
+    checkpoint_.reset();
+  }
+  checkpoint_running_ = false;
+  checkpoint_cv_.notify_all();
+  lock.unlock();
+  if (!status.ok()) {
+    std::fprintf(stderr,
+                 "aims: checkpoint of %s failed, kept for a retry: %s\n",
+                 config_.durability.path.c_str(), status.ToString().c_str());
+  }
+  return status;
+}
+
 Status AimsSystem::Checkpoint() {
   AIMS_RETURN_NOT_OK(init_status_);
   if (!durable()) {
     return Status::FailedPrecondition("Checkpoint: not a durable system");
   }
-  AIMS_RETURN_NOT_OK(CheckpointBlocker());
-  // Order is the recovery contract: pages on stable storage, then the
-  // catalog snapshot naming them, and only then may the log forget the
-  // records that produced both.
-  AIMS_RETURN_NOT_OK(file_device_->SyncPages());
-  AIMS_RETURN_NOT_OK(WriteSnapshot());
-  return wal_->Truncate();
+  // The caller's exclusive lock keeps new checkpoints from beginning, so
+  // once the one in flight is done this one covers the whole WAL.
+  AIMS_RETURN_NOT_OK(RunCheckpoint(nullptr, /*wait=*/true));
+  AIMS_RETURN_NOT_OK(BeginCheckpoint());
+  return RunCheckpoint(nullptr, /*wait=*/true);
+}
+
+Status AimsSystem::Compact(const std::vector<uint8_t>& base) {
+  AIMS_RETURN_NOT_OK(WriteFileDurably(
+      config_.durability.path + "/catalog.snap",
+      {reinterpret_cast<const char*>(base.data()), base.size()}));
+  // The new base covers every record in the log, which recovery would
+  // skip by txn id; resetting it only saves the reading.
+  ReachCheckpointStep(CheckpointStep::kBaseRenamed);
+  return catalog_log_->Reset();
+}
+
+void AimsSystem::ResetDelta() {
+  delta_.assign(kDeltaTxnOffset + sizeof(uint64_t), 0);
+}
+
+void AimsSystem::AddDeltaItem(uint8_t kind, const std::vector<uint8_t>& blob) {
+  ByteWriter writer(&delta_);
+  writer.U8(kind);
+  writer.U32(static_cast<uint32_t>(blob.size()));
+  writer.Bytes(blob.data(), blob.size());
+}
+
+Status AimsSystem::ApplyDelta(std::span<const uint8_t> record) {
+  ByteReader reader(record);
+  const uint64_t txn = reader.U64();
+  if (!reader.ok()) return Status::IoError("ApplyDelta: record too short");
+  if (txn <= applied_txn_) return Status::OK();
+  while (reader.remaining() > 0) {
+    const uint8_t kind = reader.U8();
+    const uint32_t size = reader.U32();
+    const std::span<const uint8_t> blob = reader.Bytes(size);
+    if (!reader.ok()) return Status::IoError("ApplyDelta: item cut short");
+    if (kind == kDeltaEntry) {
+      AIMS_RETURN_NOT_OK(ApplyCatalogBlob(blob));
+    } else if (kind == kDeltaSegmentOp) {
+      AIMS_ASSIGN_OR_RETURN(
+          storage::tslife::SegmentOp op,
+          storage::tslife::DecodeSegmentOp(blob.data(), blob.size()));
+      AIMS_RETURN_NOT_OK(ApplySegmentOp(op));
+    } else {
+      return Status::IoError("ApplyDelta: unknown item kind " +
+                             std::to_string(kind));
+    }
+  }
+  applied_txn_ = txn;
+  return Status::OK();
 }
 
 obs::WalStats AimsSystem::WalStats() const {
@@ -476,7 +633,7 @@ Status AimsSystem::ApplyCatalogBlob(std::span<const uint8_t> blob) {
   session.info.num_frames = reader.U64();
   session.info.sample_rate_hz = reader.F64();
   const uint64_t num_channels = reader.U64();
-  if (!reader.ok() || num_channels > kMaxCatalogField) {
+  if (!reader.ok() || num_channels == 0 || num_channels > kMaxCatalogField) {
     return Status::IoError("ApplyCatalogBlob: malformed catalog entry");
   }
   session.info.num_channels = num_channels;
@@ -494,12 +651,16 @@ Status AimsSystem::ApplyCatalogBlob(std::span<const uint8_t> blob) {
     const uint64_t num_blocks = reader.U64();
     // No block holds more than block_items coefficients, so a padded
     // length the block list cannot cover is corrupt — refused before a
-    // layout of that length is built.
+    // layout of that length is built. Ingest pads to the smallest power
+    // of two holding the frames, so a frame count that disagrees is
+    // corrupt too: reads size their output by it.
     if (!reader.ok() || num_blocks > kMaxCatalogField ||
         reader.remaining() < num_blocks * sizeof(uint32_t) ||
         channel.padded_len > kMaxCatalogField ||
         !signal::IsPowerOfTwo(channel.padded_len) ||
-        num_blocks * block_items < channel.padded_len) {
+        num_blocks * block_items < channel.padded_len ||
+        session.info.num_frames > channel.padded_len ||
+        2 * session.info.num_frames <= channel.padded_len) {
       return Status::IoError("ApplyCatalogBlob: malformed channel entry");
     }
     std::vector<storage::BlockId> ids(num_blocks);
@@ -539,7 +700,7 @@ Status AimsSystem::ApplyCatalogBlob(std::span<const uint8_t> blob) {
   return Status::OK();
 }
 
-Status AimsSystem::WriteSnapshot() const {
+std::vector<uint8_t> AimsSystem::SerializeSnapshot() const {
   std::vector<uint8_t> out;
   ByteWriter writer(&out);
   writer.U32(kSnapshotMagic);
@@ -568,17 +729,19 @@ Status AimsSystem::WriteSnapshot() const {
     }
   }
   writer.U32(Crc32(out.data(), out.size()));
-  return WriteFileDurably(
-      config_.durability.path + "/catalog.snap",
-      {reinterpret_cast<const char*>(out.data()), out.size()});
+  return out;
 }
 
 Status AimsSystem::LoadSnapshot() {
   const std::string path = config_.durability.path + "/catalog.snap";
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) return Status::OK();  // first open: nothing checkpointed yet
-  std::vector<uint8_t> buf((std::istreambuf_iterator<char>(in)),
-                           std::istreambuf_iterator<char>());
+  // One read sized by the file: no length the bytes claim sizes anything.
+  std::vector<uint8_t> buf(static_cast<size_t>(in.tellg()));
+  in.seekg(0);
+  in.read(reinterpret_cast<char*>(buf.data()),
+          static_cast<std::streamsize>(buf.size()));
+  if (!in) return Status::IoError("LoadSnapshot: cannot read " + path);
   constexpr size_t kHeader = 4 + 4 + 8 + 8;
   if (buf.size() < kHeader + sizeof(uint32_t)) {
     return Status::IoError("LoadSnapshot: truncated snapshot " + path);
@@ -871,14 +1034,27 @@ void AimsSystem::SetStandingQueries(std::vector<StandingRangeQuery> queries) {
 }
 
 Status AimsSystem::ApplySegmentOp(const storage::tslife::SegmentOp& op) {
+  using Kind = storage::tslife::SegmentOp::Kind;
   if (op.session >= sessions_.size()) {
     return Status::IoError("ApplySegmentOp: op references unknown session " +
                            std::to_string(op.session));
   }
   storage::tslife::SegmentStore& store = sessions_[op.session].segments;
-  if (op.kind == storage::tslife::SegmentOp::Kind::kPut) {
+  // The put an op replaces or drops, and a drop itself, stay in the
+  // catalog files as dead bytes until a compaction.
+  auto old =
+      store.segments().find({op.segment.meta.channel, op.segment.meta.seq});
+  if (old != store.segments().end()) {
+    dead_bytes_ += kDeltaItemHeader +
+                   storage::tslife::EncodedSegmentOpSize(Kind::kPut,
+                                                         old->second);
+  }
+  if (op.kind == Kind::kPut) {
     store.Put(op.segment);
   } else {
+    dead_bytes_ += kDeltaItemHeader +
+                   storage::tslife::EncodedSegmentOpSize(Kind::kDrop,
+                                                         op.segment);
     store.Drop(op.segment.meta.channel, op.segment.meta.seq);
   }
   return Status::OK();
@@ -890,14 +1066,24 @@ Status AimsSystem::CommitSegmentOps(
   if (durable()) {
     // One WAL record group for the whole batch: recovery sees all of a
     // sweep / migration import or none of it.
-    AIMS_ASSIGN_OR_RETURN(uint64_t txn_id, wal_->BeginTxn());
-    for (const storage::tslife::SegmentOp& op : ops) {
-      AIMS_RETURN_NOT_OK(
-          wal_->AppendSegment(txn_id, storage::tslife::EncodeSegmentOp(op)));
+    // The ops join the next delta record only once they are durable.
+    const size_t delta_mark = delta_.size();
+    Status logged = [&]() -> Status {
+      AIMS_ASSIGN_OR_RETURN(uint64_t txn_id, wal_->BeginTxn());
+      for (const storage::tslife::SegmentOp& op : ops) {
+        const std::vector<uint8_t> blob = storage::tslife::EncodeSegmentOp(op);
+        AIMS_RETURN_NOT_OK(wal_->AppendSegment(txn_id, blob));
+        AddDeltaItem(kDeltaSegmentOp, blob);
+      }
+      AIMS_ASSIGN_OR_RETURN(uint64_t ticket, wal_->AppendCommit(txn_id));
+      AIMS_RETURN_NOT_OK(wal_->WaitDurable(ticket));
+      if (txn_id > applied_txn_) applied_txn_ = txn_id;
+      return Status::OK();
+    }();
+    if (!logged.ok()) {
+      delta_.resize(delta_mark);
+      return logged;
     }
-    AIMS_ASSIGN_OR_RETURN(uint64_t ticket, wal_->AppendCommit(txn_id));
-    AIMS_RETURN_NOT_OK(wal_->WaitDurable(ticket));
-    if (txn_id > applied_txn_) applied_txn_ = txn_id;
   }
   for (const storage::tslife::SegmentOp& op : ops) {
     AIMS_RETURN_NOT_OK(ApplySegmentOp(op));

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <functional>
 #include <map>
 #include <memory>
@@ -50,7 +51,10 @@ using SessionId = uint32_t;
 /// whatever a previous incarnation committed.
 struct DurabilityConfig {
   /// Directory for the store (created if absent): pages.aims (the page
-  /// file), wal.aims (the log), catalog.snap (the checkpoint snapshot).
+  /// file), wal.aims and wal.1.aims (the log's two files: one takes the
+  /// appends, the other is empty or retired by a checkpoint in flight),
+  /// catalog.snap (the catalog base, rewritten at open and by compaction)
+  /// and catalog.log (one delta record per checkpoint since the base).
   std::string path;
   /// Whether commits fsync (survive power loss) or merely append to the
   /// OS page cache (survive process crash only).
@@ -61,9 +65,12 @@ struct DurabilityConfig {
   double group_commit_ms = 0.0;
   /// Modeled extra latency per physical WAL sync (see WalConfig).
   double simulated_sync_ms = 0.0;
-  /// Auto-checkpoint once the WAL grows past this many bytes (pages
-  /// synced, catalog snapshot written, log truncated). 0 disables
-  /// automatic checkpoints; Checkpoint() can always be called explicitly.
+  /// Auto-checkpoint once the WAL grows past this many bytes: the WAL
+  /// rotates, the pages are synced, the catalog changes its groups carried
+  /// are appended to catalog.log, and the retired WAL file is dropped. 0
+  /// disables automatic checkpoints; Checkpoint() can always be called
+  /// explicitly. Until one runs, the WAL and the pending delta (the
+  /// catalog changes it will append) keep growing.
   size_t checkpoint_wal_bytes = 1 << 20;
   /// Byte budget for the write-back buffer pool the durable path requires
   /// when AimsConfig::block_cache is disabled. Ignored when the caller
@@ -239,6 +246,8 @@ struct ProgressiveRangeResult {
 /// import, recognizer control) require external exclusive
 /// synchronization. PrepareIngest needs none at all: it reads only the
 /// configuration and the layout table, which has a mutex of its own.
+/// Neither does FinishCheckpoint, whose I/O runs beside queries and later
+/// ingests.
 /// aims::server::ShardedCatalog wraps instances with reader/writer locks
 /// to enforce exactly this.
 /// \brief One standing ProPolyne range query whose result is incrementally
@@ -279,9 +288,10 @@ class AimsSystem {
   // ---- Acquisition + storage -------------------------------------------
 
   /// \brief Ingests a multi-channel recording: PrepareIngest, StageIngest,
-  /// WaitDurable, ApplyStaged — the sequential form of the staged protocol
-  /// below, on either backend. Returns once the ingest's WAL commit (if
-  /// any) is durable and its pages are on the device. \p trace (optional)
+  /// WaitDurable, ApplyStaged, FinishCheckpoint — the sequential form of
+  /// the staged protocol below, on either backend. Returns once the
+  /// ingest's WAL commit (if any) is durable and its pages are on the
+  /// device; a failed checkpoint does not fail it. \p trace (optional)
   /// gains the spans of every phase, nesting under whatever span the
   /// caller has open — the storage half of an end-to-end ingest trace.
   /// \p updates (optional) receives one StandingRangeUpdate per registered
@@ -370,18 +380,35 @@ class AimsSystem {
   /// shared fsync, the rest ride it.
   Status WaitDurable(const StagedIngest& staged);
 
-  /// \brief Phase 3: writes exactly the staged pages back to the page file,
-  /// then may auto-checkpoint; a no-op when nothing was logged. Requires
-  /// exclusive synchronization. A failure here loses nothing — the WAL
-  /// holds the committed group, and reopening replays it. \p trace
-  /// (optional) gains a "checkpoint" span when the auto-checkpoint runs.
-  Status ApplyStaged(const StagedIngest& staged, obs::Trace* trace = nullptr);
+  /// \brief Phase 3: writes exactly the staged pages back to the page file;
+  /// a no-op when nothing was logged. Requires exclusive synchronization.
+  /// A failure here loses nothing — the WAL holds the committed group, and
+  /// reopening replays it. When the WAL lag has passed
+  /// checkpoint_wal_bytes it also begins a checkpoint, doing only what
+  /// needs the lock: the WAL rotates to its empty file and the catalog
+  /// changes logged since the last checkpoint are set aside as its delta
+  /// (or, when compaction is due, the whole catalog is serialized as the
+  /// new base). Nothing is begun while one is in flight, while an ingest is
+  /// between its phases, or while the pool holds pages a failed write-back
+  /// left dirty. FinishCheckpoint does the rest after the lock is released.
+  Status ApplyStaged(const StagedIngest& staged);
 
-  /// \brief Forces a checkpoint: pages fsync'd, catalog snapshot written
-  /// atomically, WAL truncated. Requires exclusive synchronization.
-  /// FailedPrecondition while an ingest is between its staged phases or
-  /// the pool holds pages a failed write-back left dirty — truncating the
-  /// log then would lose the only copy of those pages.
+  /// \brief The I/O of a begun checkpoint, with no lock: the page file is
+  /// synced, then the delta is appended to catalog.log and synced (or, when
+  /// compacting, the base is rewritten and the log reset), then the WAL
+  /// file retired at the rotation is dropped. Returns at once when no
+  /// checkpoint is begun or another thread is finishing it. A failure is
+  /// logged to stderr and returned, and keeps the retired WAL file and the
+  /// delta: the next ingest past the threshold retries from the failed
+  /// step. \p trace (optional) gains a "checkpoint" span when it runs.
+  Status FinishCheckpoint(obs::Trace* trace = nullptr);
+
+  /// \brief Forces a checkpoint: finishes one in flight, then begins and
+  /// finishes one covering the whole WAL, which is empty afterwards.
+  /// Requires exclusive synchronization. FailedPrecondition while an
+  /// ingest is between its staged phases or the pool holds pages a failed
+  /// write-back left dirty — dropping the log then would lose the only
+  /// copy of those pages.
   Status Checkpoint();
 
   /// \brief WAL counters (zero-valued struct on the in-memory backend).
@@ -614,8 +641,24 @@ class AimsSystem {
   /// The stored channel's mean-centred, padded samples: every block read,
   /// then the inverse DWT.
   Result<std::vector<double>> ReadCentered(const StoredChannel& stored) const;
-  /// Why a checkpoint may not truncate the WAL right now (OK when it may).
+  /// Why a checkpoint may not begin right now (OK when it may).
   Status CheckpointBlocker() const;
+  /// The locked half of a checkpoint (see ApplyStaged). OK without
+  /// beginning one when one is already begun.
+  Status BeginCheckpoint();
+  /// Runs the begun checkpoint's I/O (see FinishCheckpoint). With \p wait
+  /// it first waits for another thread finishing one, and retries it if
+  /// that failed.
+  Status RunCheckpoint(obs::Trace* trace, bool wait);
+  /// Writes \p base over catalog.snap durably, then resets catalog.log.
+  Status Compact(const std::vector<uint8_t>& base);
+  /// Starts the next delta record: the frame's room and the txn slot.
+  void ResetDelta();
+  /// Appends one catalog entry or segment op to the next delta record.
+  void AddDeltaItem(uint8_t kind, const std::vector<uint8_t>& blob);
+  /// Applies one catalog.log record unless the base or an earlier record
+  /// already covers its txn.
+  Status ApplyDelta(std::span<const uint8_t> record);
   /// Applies one decoded segment op (put/drop) to the session it names.
   Status ApplySegmentOp(const storage::tslife::SegmentOp& op);
   /// Commits \p ops as one WAL record group (durable backend; no-op list
@@ -629,9 +672,9 @@ class AimsSystem {
   /// Appends the session a serialized catalog entry describes, attaching
   /// its WaveletStores to already-written device blocks.
   Status ApplyCatalogBlob(std::span<const uint8_t> blob);
-  /// Writes the catalog snapshot atomically (WriteFileDurably).
-  Status WriteSnapshot() const;
-  /// Loads the catalog snapshot, if one exists.
+  /// The whole catalog as a base snapshot (format v2, CRC-sealed).
+  std::vector<uint8_t> SerializeSnapshot() const;
+  /// Loads the catalog base, if one exists, with one sized read.
   Status LoadSnapshot();
 
   AimsConfig config_;
@@ -642,15 +685,46 @@ class AimsSystem {
   /// Downcast alias of device_ on the durable backend (for SyncPages).
   storage::durable::FileBlockDevice* file_device_ = nullptr;
   std::unique_ptr<storage::durable::WriteAheadLog> wal_;
+  /// Delta records since the base (durable backend). Only OpenDurable and
+  /// the thread running a checkpoint touch it.
+  std::unique_ptr<storage::durable::CatalogLog> catalog_log_;
   Status init_status_;
   /// Logged ingests between StageIngest and the end of ApplyStaged;
   /// checkpoints are refused while nonzero (their pages may be dirty or
   /// their commits not yet durable).
   std::atomic<size_t> pending_commits_{0};
   /// Largest transaction id whose effects are in sessions_ — recorded in
-  /// the snapshot so recovery replays only younger WAL groups (a crash
-  /// between snapshot write and log truncation must not double-apply).
+  /// the base and in each delta record, so recovery applies only younger
+  /// deltas and WAL groups (a crash before the log they came from is
+  /// dropped must not double-apply).
   uint64_t applied_txn_ = 0;
+  /// The next delta record: room for its frame, the txn it will cover,
+  /// then every catalog entry and segment op committed since the last
+  /// checkpoint began, in commit order (exclusive-lock domain).
+  std::vector<uint8_t> delta_;
+  /// Bytes of segment ops in the base, the log and delta_ that a later op
+  /// replaced or dropped, and of the drops themselves: what compaction
+  /// would reclaim (exclusive-lock domain).
+  uint64_t dead_bytes_ = 0;
+
+  /// A checkpoint between its locked and unlocked halves.
+  struct CheckpointWork {
+    /// The framed delta record, or the new base when compacting.
+    std::vector<uint8_t> bytes;
+    bool compact = false;
+    /// Set once the record or base is durable: a retry only drops the
+    /// retired WAL file.
+    bool written = false;
+  };
+  std::mutex checkpoint_mutex_;
+  std::condition_variable checkpoint_cv_;
+  /// The begun checkpoint (guarded by checkpoint_mutex_; while
+  /// checkpoint_running_, only the thread running it touches it).
+  std::optional<CheckpointWork> checkpoint_;
+  bool checkpoint_running_ = false;
+  /// Bytes of catalog.snap and catalog.log (guarded by checkpoint_mutex_).
+  uint64_t base_bytes_ = 0;
+  uint64_t log_bytes_ = 0;
   std::vector<StoredSession> sessions_;
   /// Padded channel length -> the layout its stores share.
   mutable std::mutex layouts_mutex_;

@@ -350,13 +350,15 @@ Result<core::SessionId> ShardedCatalog::IngestOnShard(
     if (status.ok()) {
       status = WriteOnShard(
           shard,
-          [&](core::AimsSystem& sys) {
-            Status applied = sys.ApplyStaged(*staged, trace);
-            shard.wal_lag.store(sys.WalStats().lag_bytes,
-                                std::memory_order_relaxed);
-            return applied;
-          },
+          [&](core::AimsSystem& sys) { return sys.ApplyStaged(*staged); },
           trace, "shard_apply_lock", &blocks_written);
+      // A checkpoint the apply step began does its I/O here, with the lock
+      // released: queries and later ingests on the shard run beside it. A
+      // failure is logged and retried by a later ingest; this one is
+      // durable either way.
+      (void)shard.system.FinishCheckpoint(trace);
+      shard.wal_lag.store(shard.system.WalStats().lag_bytes,
+                          std::memory_order_relaxed);
       PublishWalLag();
     }
   }

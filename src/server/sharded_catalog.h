@@ -45,7 +45,8 @@
 ///
 /// The original concurrency properties are unchanged: ingest takes one
 /// shard's exclusive lock (twice on the durable backend, around the
-/// unlocked group-commit wait), the whole off-line query path runs under
+/// unlocked group-commit wait; a checkpoint's I/O runs after the second),
+/// the whole off-line query path runs under
 /// shared locks on AimsSystem's const read path, so ingests to different
 /// shards proceed concurrently and queries never block other queries.
 
@@ -154,8 +155,11 @@ class ShardedCatalog {
   /// the exclusive lock; then, only when a commit was logged, wait for its
   /// sync with the lock released (trace span "wal_sync") so concurrent
   /// ingests share one group-commit fsync, and re-lock ("shard_apply_lock")
-  /// for page write-back. The in-memory backend logs nothing, so its ingest
-  /// is one exclusive section. The global id is minted before staging and
+  /// for page write-back. A checkpoint that write-back begins runs its I/O
+  /// after the lock is released (trace span "checkpoint"); its failure is
+  /// logged and never fails the ingest, which is durable and routed. The
+  /// in-memory backend logs nothing, so its ingest is one exclusive
+  /// section. The global id is minted before staging and
   /// stored with \p client in the session's catalog entry, so the shard's
   /// commit record is the ingest's only durable write: an acknowledged
   /// ingest survives a crash with its route intact. An ingest whose commit is

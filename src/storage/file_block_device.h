@@ -62,7 +62,8 @@ class FileBlockDevice final : public BlockDevice {
   /// \brief Forces every written page to stable storage (fsync) and
   /// persists the current write epoch in the superblock. The checkpoint
   /// step: once this returns, the WAL records that produced those pages
-  /// are redundant and the log may be truncated.
+  /// are redundant and the log may drop them. Safe beside Reads, Writes
+  /// and Allocate (a checkpoint runs it without the shard lock).
   Status SyncPages();
 
  protected:

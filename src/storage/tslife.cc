@@ -221,6 +221,14 @@ std::vector<uint8_t> EncodeSegmentOp(SegmentOp::Kind kind, uint64_t session,
   return out;
 }
 
+size_t EncodedSegmentOpSize(SegmentOp::Kind kind, const Segment& segment) {
+  // kind, session, channel, seq, tier, decimation, count, t0, t1, rate,
+  // nmse; then a put's payload length and payload.
+  constexpr size_t kFixed = 1 + 8 + 8 + 8 + 4 + 4 + 8 + 8 + 8 + 8 + 8;
+  return kind == SegmentOp::Kind::kPut ? kFixed + 8 + segment.bytes.size()
+                                       : kFixed;
+}
+
 Result<SegmentOp> DecodeSegmentOp(const uint8_t* data, size_t size) {
   const auto corrupt = [] {
     return Status::InvalidArgument("tslife: corrupt segment op");

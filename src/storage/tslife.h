@@ -171,6 +171,8 @@ std::vector<uint8_t> EncodeSegmentOp(SegmentOp::Kind kind, uint64_t session,
 inline std::vector<uint8_t> EncodeSegmentOp(const SegmentOp& op) {
   return EncodeSegmentOp(op.kind, op.session, op.segment);
 }
+/// \brief EncodeSegmentOp(kind, session, segment).size(), without encoding.
+size_t EncodedSegmentOpSize(SegmentOp::Kind kind, const Segment& segment);
 /// \brief Parses one op; InvalidArgument on truncation or corruption.
 Result<SegmentOp> DecodeSegmentOp(const uint8_t* data, size_t size);
 inline Result<SegmentOp> DecodeSegmentOp(const std::vector<uint8_t>& blob) {

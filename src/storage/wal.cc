@@ -93,11 +93,20 @@ std::atomic<int> g_crash_after_payload_appends{-1};
 std::atomic<int> g_crash_after_segment_appends{-1};
 std::atomic<bool> g_crash_before_commit_append{false};
 std::atomic<bool> g_crash_after_commit_durable{false};
+/// The armed testing::CheckpointStep, or -1.
+std::atomic<int> g_crash_at_checkpoint_step{-1};
+std::mutex g_step_hook_mutex;
+std::function<void(testing::CheckpointStep)> g_step_hook;
 
 /// Dies like a power cut: no atexit, no buffers flushed, no destructors.
 [[noreturn]] void CrashNow() {
   std::raise(SIGKILL);
   std::abort();  // unreachable; SIGKILL cannot be handled
+}
+
+bool CrashArmedAt(testing::CheckpointStep step) {
+  return g_crash_at_checkpoint_step.load(std::memory_order_relaxed) ==
+         static_cast<int>(step);
 }
 
 void MaybeCrashAfterPayloadAppend() {
@@ -137,53 +146,80 @@ void SetCrashAfterCommitDurable(bool enabled) {
   g_crash_after_commit_durable.store(enabled, std::memory_order_relaxed);
 }
 
+void SetCrashAtCheckpointStep(std::optional<CheckpointStep> step) {
+  g_crash_at_checkpoint_step.store(step ? static_cast<int>(*step) : -1,
+                                   std::memory_order_relaxed);
+}
+
+void SetCheckpointStepHook(std::function<void(CheckpointStep)> hook) {
+  std::lock_guard<std::mutex> lock(g_step_hook_mutex);
+  g_step_hook = std::move(hook);
+}
+
+void ReachCheckpointStep(CheckpointStep step) {
+  std::function<void(CheckpointStep)> hook;
+  {
+    std::lock_guard<std::mutex> lock(g_step_hook_mutex);
+    hook = g_step_hook;
+  }
+  if (hook) hook(step);
+  if (CrashArmedAt(step)) CrashNow();
+}
+
 }  // namespace testing
 
-Result<WriteAheadLog::Opened> WriteAheadLog::Open(const std::string& path,
-                                                  WalConfig config) {
-  int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
-  if (fd < 0) {
+namespace {
+
+/// One log file as Open found it.
+struct ScannedFile {
+  int fd = -1;
+  /// Committed groups in commit order.
+  std::vector<RecoveredTxn> committed;
+  uint64_t committed_records = 0;
+  /// End of the last intact record (the torn tail is cut off here).
+  uint64_t end = kFileHeaderSize;
+  uint64_t max_txn = 0;
+  uint64_t discarded_bytes = 0;
+};
+
+/// Opens (creating with a synced header if empty) and scans one log file.
+Result<ScannedFile> OpenAndScan(const std::string& path) {
+  ScannedFile file;
+  file.fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
+  if (file.fd < 0) {
     return ErrnoError("WriteAheadLog::Open: cannot open " + path);
   }
-  struct stat st{};
-  if (::fstat(fd, &st) != 0) {
-    Status status = ErrnoError("WriteAheadLog::Open: fstat " + path);
-    ::close(fd);
+  auto fail = [&](Status status) {
+    ::close(file.fd);
     return status;
+  };
+  struct stat st{};
+  if (::fstat(file.fd, &st) != 0) {
+    return fail(ErrnoError("WriteAheadLog::Open: fstat " + path));
   }
   const uint64_t file_size = static_cast<uint64_t>(st.st_size);
-
-  Opened opened;
   if (file_size == 0) {
     uint8_t header[kFileHeaderSize] = {};
     std::memcpy(header, &kWalMagic, sizeof(kWalMagic));
     std::memcpy(header + 4, &kWalVersion, sizeof(kWalVersion));
-    Status status = PwriteFully(fd, header, sizeof(header), 0);
-    if (status.ok() && ::fsync(fd) != 0) {
+    Status status = PwriteFully(file.fd, header, sizeof(header), 0);
+    if (status.ok() && ::fsync(file.fd) != 0) {
       status = ErrnoError("WriteAheadLog::Open: fsync " + path);
     }
-    if (!status.ok()) {
-      ::close(fd);
-      return status;
-    }
-    opened.wal = std::unique_ptr<WriteAheadLog>(
-        new WriteAheadLog(path, fd, config, kFileHeaderSize));
-    return opened;
+    if (!status.ok()) return fail(status);
+    return file;
   }
 
-  Result<std::vector<uint8_t>> read = ReadWholeFile(fd, file_size);
-  if (!read.ok()) {
-    ::close(fd);
-    return read.status();
-  }
+  Result<std::vector<uint8_t>> read = ReadWholeFile(file.fd, file_size);
+  if (!read.ok()) return fail(read.status());
   const std::vector<uint8_t>& buf = *read;
   if (buf.size() < kFileHeaderSize ||
       LoadField<uint32_t>(buf.data(), 0) != kWalMagic ||
       LoadField<uint32_t>(buf.data(), 4) != kWalVersion) {
-    ::close(fd);
-    return Status::InvalidArgument(
-        "WriteAheadLog::Open: not a WAL file: " + path);
+    return fail(Status::InvalidArgument(
+        "WriteAheadLog::Open: not a WAL file: " + path));
   }
+  file.max_txn = LoadField<uint64_t>(buf.data(), kTxnHighWaterOffset);
 
   // Scan: valid records accumulate into per-transaction pending groups; a
   // commit record promotes its group to the committed list. The first
@@ -196,8 +232,6 @@ Result<WriteAheadLog::Opened> WriteAheadLog::Open(const std::string& path,
   };
   std::unordered_map<uint64_t, Pending> pending;
   uint64_t pos = kFileHeaderSize;
-  uint64_t max_txn = 0;
-  uint64_t committed_records = 0;
   while (pos + kRecordHeaderSize <= buf.size()) {
     const uint8_t* rec = buf.data() + pos;
     const uint32_t stored_crc = LoadField<uint32_t>(rec, kCrcOffset);
@@ -213,7 +247,7 @@ Result<WriteAheadLog::Opened> WriteAheadLog::Open(const std::string& path,
     if (crc != stored_crc) break;  // torn tail: record content damaged
     const uint8_t* payload = rec + kRecordHeaderSize;
     const uint64_t record_bytes = kRecordHeaderSize + payload_size;
-    if (txn_id > max_txn) max_txn = txn_id;
+    if (txn_id > file.max_txn) file.max_txn = txn_id;
     Pending& group = pending[txn_id];
     group.txn.txn_id = txn_id;
     group.bytes += record_bytes;
@@ -236,8 +270,8 @@ Result<WriteAheadLog::Opened> WriteAheadLog::Open(const std::string& path,
         group.txn.segment_blobs.emplace_back(payload, payload + payload_size);
         break;
       case kCommit: {
-        committed_records += group.records;
-        opened.committed.push_back(std::move(group.txn));
+        file.committed_records += group.records;
+        file.committed.push_back(std::move(group.txn));
         pending.erase(txn_id);
         break;
       }
@@ -254,34 +288,76 @@ Result<WriteAheadLog::Opened> WriteAheadLog::Open(const std::string& path,
     // Physically remove the torn tail so later appends never interleave
     // with garbage. Uncommitted-but-intact records can stay: replay
     // ignores them and the next checkpoint truncation sweeps them away.
-    if (::ftruncate(fd, static_cast<off_t>(pos)) != 0 || ::fsync(fd) != 0) {
-      Status status =
-          ErrnoError("WriteAheadLog::Open: cannot truncate torn tail of " +
-                     path);
-      ::close(fd);
-      return status;
+    if (::ftruncate(file.fd, static_cast<off_t>(pos)) != 0 ||
+        ::fsync(file.fd) != 0) {
+      return fail(ErrnoError(
+          "WriteAheadLog::Open: cannot truncate torn tail of " + path));
     }
   }
+  file.end = pos;
+  file.discarded_bytes = torn_bytes + uncommitted_bytes;
+  return file;
+}
 
-  opened.wal = std::unique_ptr<WriteAheadLog>(
-      new WriteAheadLog(path, fd, config, pos));
-  opened.wal->next_txn_ =
-      std::max(max_txn, LoadField<uint64_t>(buf.data(), kTxnHighWaterOffset)) +
-      1;
-  opened.wal->recovery_.recovered_txns = opened.committed.size();
-  opened.wal->recovery_.recovered_records = committed_records;
-  opened.wal->recovery_.discarded_bytes = torn_bytes + uncommitted_bytes;
+}  // namespace
+
+Result<WriteAheadLog::Opened> WriteAheadLog::Open(
+    const std::string& path, WalConfig config,
+    const std::string& rotate_path) {
+  std::unique_ptr<WriteAheadLog> wal(new WriteAheadLog(config));
+  ScannedFile scanned[2];
+  wal->num_files_ = rotate_path.empty() ? 1 : 2;
+  for (size_t i = 0; i < wal->num_files_; ++i) {
+    // The destructor closes the files opened so far if a later one fails.
+    wal->files_[i].path = i == 0 ? path : rotate_path;
+    AIMS_ASSIGN_OR_RETURN(scanned[i], OpenAndScan(wal->files_[i].path));
+    wal->files_[i].fd = scanned[i].fd;
+  }
+  // Every group of the file appended to since the last rotation began
+  // after every group of the other one. The file holding the newest groups
+  // (file 0 when neither holds any) keeps taking appends; the other one's
+  // groups replay first, and it stays retired until dropped.
+  size_t active = 0;
+  if (wal->num_files_ == 2 && !scanned[1].committed.empty() &&
+      (scanned[0].committed.empty() ||
+       scanned[1].committed.front().txn_id >
+           scanned[0].committed.front().txn_id)) {
+    active = 1;
+  }
+  Opened opened;
+  uint64_t max_txn = 0;
+  const size_t replay_order[2] = {1 - active, active};
+  for (size_t n = 2 - wal->num_files_; n < 2; ++n) {
+    ScannedFile& file = scanned[replay_order[n]];
+    for (RecoveredTxn& txn : file.committed) {
+      opened.committed.push_back(std::move(txn));
+    }
+    max_txn = std::max(max_txn, file.max_txn);
+    wal->recovery_.recovered_records += file.committed_records;
+    wal->recovery_.discarded_bytes += file.discarded_bytes;
+  }
+  wal->active_ = active;
+  wal->file_size_ = scanned[active].end;
+  if (wal->num_files_ == 2 && scanned[1 - active].end > kFileHeaderSize) {
+    wal->retired_ = true;
+    wal->retired_bytes_ = scanned[1 - active].end - kFileHeaderSize;
+  }
+  wal->next_txn_ = max_txn + 1;
+  wal->recovery_.recovered_txns = opened.committed.size();
+  wal->PublishLag();
+  opened.wal = std::move(wal);
   return opened;
 }
 
-WriteAheadLog::WriteAheadLog(std::string path, int fd, WalConfig config,
-                             uint64_t file_size)
-    : path_(std::move(path)), fd_(fd), config_(config), file_size_(file_size) {
-  lag_bytes_.store(file_size - kFileHeaderSize, std::memory_order_relaxed);
+WriteAheadLog::~WriteAheadLog() {
+  for (const File& file : files_) {
+    if (file.fd >= 0) ::close(file.fd);
+  }
 }
 
-WriteAheadLog::~WriteAheadLog() {
-  if (fd_ >= 0) ::close(fd_);
+void WriteAheadLog::PublishLag() {
+  lag_bytes_.store(file_size_ - kFileHeaderSize + retired_bytes_,
+                   std::memory_order_relaxed);
 }
 
 Status WriteAheadLog::AppendRecord(uint8_t type, uint64_t txn_id,
@@ -307,11 +383,16 @@ Status WriteAheadLog::AppendRecord(uint8_t type, uint64_t txn_id,
   std::memcpy(rec.data() + kCrcOffset, &crc, sizeof(crc));
 
   std::lock_guard<std::mutex> lock(append_mutex_);
-  AIMS_RETURN_NOT_OK(PwriteFully(fd_, rec.data(), rec.size(), file_size_));
+  return AppendLocked(rec);
+}
+
+Status WriteAheadLog::AppendLocked(const std::vector<uint8_t>& rec) {
+  AIMS_RETURN_NOT_OK(
+      PwriteFully(files_[active_].fd, rec.data(), rec.size(), file_size_));
   file_size_ += rec.size();
   records_.fetch_add(1, std::memory_order_relaxed);
   bytes_appended_.fetch_add(rec.size(), std::memory_order_relaxed);
-  lag_bytes_.store(file_size_ - kFileHeaderSize, std::memory_order_relaxed);
+  PublishLag();
   return Status::OK();
 }
 
@@ -370,11 +451,7 @@ Result<uint64_t> WriteAheadLog::AppendCommit(uint64_t txn_id) {
   std::memcpy(rec.data() + kCrcOffset, &crc, sizeof(crc));
 
   std::lock_guard<std::mutex> lock(append_mutex_);
-  AIMS_RETURN_NOT_OK(PwriteFully(fd_, rec.data(), rec.size(), file_size_));
-  file_size_ += rec.size();
-  records_.fetch_add(1, std::memory_order_relaxed);
-  bytes_appended_.fetch_add(rec.size(), std::memory_order_relaxed);
-  lag_bytes_.store(file_size_ - kFileHeaderSize, std::memory_order_relaxed);
+  AIMS_RETURN_NOT_OK(AppendLocked(rec));
   return appended_commits_.fetch_add(1, std::memory_order_release) + 1;
 }
 
@@ -405,6 +482,9 @@ Status WriteAheadLog::WaitDurable(uint64_t ticket) {
     // covers every commit appended before it started.
     sync_in_progress_ = true;
     const uint64_t prev_synced = synced_commits_;
+    // Rotate waits for this episode to end and syncs the old file itself,
+    // so every commit this fsync covers is in the file active now.
+    const File& file = files_[active_];
     lock.unlock();
     uint64_t covered = 0;
     Status status = Status::OK();
@@ -424,8 +504,8 @@ Status WriteAheadLog::WaitDurable(uint64_t ticket) {
         std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
             config_.simulated_sync_ms));
       }
-      if (::fsync(fd_) != 0) {
-        status = ErrnoError("WriteAheadLog: fsync " + path_);
+      if (::fsync(file.fd) != 0) {
+        status = ErrnoError("WriteAheadLog: fsync " + file.path);
       }
     }
     lock.lock();
@@ -453,28 +533,86 @@ Status WriteAheadLog::Commit(uint64_t txn_id) {
   return WaitDurable(ticket);
 }
 
+Status WriteAheadLog::EmptyFile(size_t index, uint64_t high_water) {
+  // Persist the txn-id high-water mark BEFORE dropping the records that
+  // carry it. Recovery takes max(header marks, scanned ids) + 1, so ids
+  // never restart after a checkpoint — a reused id would fall under the
+  // catalog's applied-txn mark and make recovery skip a committed group
+  // (an acknowledged ingest silently lost on the third open).
+  const File& file = files_[index];
+  const bool sync = config_.sync_mode == WalSyncMode::kFsync;
+  AIMS_RETURN_NOT_OK(PwriteFully(file.fd, &high_water, sizeof(high_water),
+                                 kTxnHighWaterOffset));
+  if (sync && ::fsync(file.fd) != 0) {
+    return ErrnoError("WriteAheadLog: fsync " + file.path);
+  }
+  if (::ftruncate(file.fd, static_cast<off_t>(kFileHeaderSize)) != 0) {
+    return ErrnoError("WriteAheadLog: ftruncate " + file.path);
+  }
+  if (sync && ::fsync(file.fd) != 0) {
+    return ErrnoError("WriteAheadLog: fsync " + file.path);
+  }
+  return Status::OK();
+}
+
 Status WriteAheadLog::Truncate() {
   std::lock_guard<std::mutex> append_lock(append_mutex_);
   std::lock_guard<std::mutex> sync_lock(sync_mutex_);
-  // Persist the txn-id high-water mark BEFORE dropping the records that
-  // carry it. Recovery takes max(header mark, scanned ids) + 1, so ids
-  // never restart after a checkpoint — a reused id would fall under the
-  // snapshot's applied-txn mark and make recovery skip a committed group
-  // (an acknowledged ingest silently lost on the third open).
-  const uint64_t high_water = next_txn_ - 1;
-  AIMS_RETURN_NOT_OK(
-      PwriteFully(fd_, &high_water, sizeof(high_water), kTxnHighWaterOffset));
-  if (config_.sync_mode == WalSyncMode::kFsync && ::fsync(fd_) != 0) {
-    return ErrnoError("WriteAheadLog::Truncate: fsync " + path_);
-  }
-  if (::ftruncate(fd_, static_cast<off_t>(kFileHeaderSize)) != 0) {
-    return ErrnoError("WriteAheadLog::Truncate: ftruncate " + path_);
-  }
-  if (config_.sync_mode == WalSyncMode::kFsync && ::fsync(fd_) != 0) {
-    return ErrnoError("WriteAheadLog::Truncate: fsync " + path_);
+  for (size_t i = 0; i < num_files_; ++i) {
+    AIMS_RETURN_NOT_OK(EmptyFile(i, next_txn_ - 1));
   }
   file_size_ = kFileHeaderSize;
-  lag_bytes_.store(0, std::memory_order_relaxed);
+  retired_ = false;
+  retired_bytes_ = 0;
+  PublishLag();
+  checkpoints_.fetch_add(1, std::memory_order_relaxed);
+  return Status::OK();
+}
+
+Status WriteAheadLog::Rotate() {
+  std::lock_guard<std::mutex> append_lock(append_mutex_);
+  if (num_files_ != 2) {
+    return Status::FailedPrecondition("WriteAheadLog::Rotate: one file only");
+  }
+  if (retired_) {
+    return Status::FailedPrecondition(
+        "WriteAheadLog::Rotate: the retired file is not dropped yet");
+  }
+  std::unique_lock<std::mutex> sync_lock(sync_mutex_);
+  sync_cv_.wait(sync_lock, [&] { return !sync_in_progress_; });
+  const uint64_t appended = appended_commits_.load(std::memory_order_acquire);
+  if (config_.sync_mode == WalSyncMode::kFsync && synced_commits_ < appended) {
+    if (::fsync(files_[active_].fd) != 0) {
+      return ErrnoError("WriteAheadLog::Rotate: fsync " +
+                        files_[active_].path);
+    }
+    syncs_.fetch_add(1, std::memory_order_relaxed);
+    synced_commits_ = appended;
+    sync_cv_.notify_all();
+  }
+  retired_ = true;
+  retired_bytes_ = file_size_ - kFileHeaderSize;
+  active_ = 1 - active_;
+  file_size_ = kFileHeaderSize;
+  PublishLag();
+  return Status::OK();
+}
+
+Status WriteAheadLog::DropRetired() {
+  size_t index = 0;
+  uint64_t high_water = 0;
+  {
+    std::lock_guard<std::mutex> lock(append_mutex_);
+    if (!retired_) return Status::OK();
+    index = 1 - active_;
+    high_water = next_txn_ - 1;
+  }
+  // Off the append mutex: commits keep landing in the active file.
+  AIMS_RETURN_NOT_OK(EmptyFile(index, high_water));
+  std::lock_guard<std::mutex> lock(append_mutex_);
+  retired_ = false;
+  retired_bytes_ = 0;
+  PublishLag();
   checkpoints_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }
@@ -494,6 +632,102 @@ obs::WalStats WriteAheadLog::Stats() const {
   stats.lag_bytes = lag_bytes_.load(std::memory_order_relaxed);
   stats.checkpoints = checkpoints_.load(std::memory_order_relaxed);
   return stats;
+}
+
+// ---- CatalogLog ------------------------------------------------------------
+
+namespace {
+
+constexpr uint32_t kCatalogLogMagic = 0x474F4C43u;  // "CLOG"
+constexpr uint32_t kCatalogLogVersion = 1;
+constexpr uint64_t kCatalogLogHeader = 8;
+
+}  // namespace
+
+Result<std::unique_ptr<CatalogLog>> CatalogLog::Open(
+    const std::string& path,
+    const std::function<Status(std::span<const uint8_t>)>& visit) {
+  const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
+  if (fd < 0) return ErrnoError("CatalogLog::Open: cannot open " + path);
+  std::unique_ptr<CatalogLog> log(new CatalogLog(path, fd));
+  struct stat st{};
+  if (::fstat(fd, &st) != 0) {
+    return ErrnoError("CatalogLog::Open: fstat " + path);
+  }
+  if (st.st_size == 0) {
+    uint8_t header[kCatalogLogHeader];
+    std::memcpy(header, &kCatalogLogMagic, sizeof(kCatalogLogMagic));
+    std::memcpy(header + 4, &kCatalogLogVersion, sizeof(kCatalogLogVersion));
+    AIMS_RETURN_NOT_OK(PwriteFully(fd, header, sizeof(header), 0));
+    if (::fsync(fd) != 0) return ErrnoError("CatalogLog::Open: fsync " + path);
+    log->size_ = kCatalogLogHeader;
+    return log;
+  }
+  // One read sized by the file: no length the bytes claim sizes anything.
+  AIMS_ASSIGN_OR_RETURN(std::vector<uint8_t> buf,
+                        ReadWholeFile(fd, static_cast<uint64_t>(st.st_size)));
+  if (buf.size() < kCatalogLogHeader ||
+      LoadField<uint32_t>(buf.data(), 0) != kCatalogLogMagic ||
+      LoadField<uint32_t>(buf.data(), 4) != kCatalogLogVersion) {
+    return Status::IoError("CatalogLog::Open: not a catalog log: " + path);
+  }
+  uint64_t pos = kCatalogLogHeader;
+  while (pos < buf.size()) {
+    const uint64_t left = buf.size() - pos;
+    if (left < kFrameBytes) break;  // torn: the frame itself cut short
+    const uint32_t size = LoadField<uint32_t>(buf.data(), pos);
+    const uint32_t crc = LoadField<uint32_t>(buf.data(), pos + 4);
+    if (size > left - kFrameBytes) break;  // torn: the payload cut short
+    const std::span<const uint8_t> payload(buf.data() + pos + kFrameBytes,
+                                           size);
+    if (Crc32(payload.data(), payload.size()) != crc) {
+      // Only the last record can be torn: one with bytes after it was
+      // synced before they were written, so its damage is corruption.
+      if (size == left - kFrameBytes) break;
+      return Status::IoError("CatalogLog::Open: damaged record at offset " +
+                             std::to_string(pos) + " of " + path);
+    }
+    AIMS_RETURN_NOT_OK(visit(payload));
+    pos += kFrameBytes + size;
+  }
+  log->size_ = pos;
+  if (pos < buf.size() &&
+      (::ftruncate(fd, static_cast<off_t>(pos)) != 0 || ::fsync(fd) != 0)) {
+    return ErrnoError("CatalogLog::Open: cannot cut the torn record of " +
+                      path);
+  }
+  return log;
+}
+
+CatalogLog::~CatalogLog() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
+Status CatalogLog::Append(std::vector<uint8_t>* framed) {
+  AIMS_CHECK(framed->size() >= kFrameBytes);
+  const uint32_t size = static_cast<uint32_t>(framed->size() - kFrameBytes);
+  const uint32_t crc = Crc32(framed->data() + kFrameBytes, size);
+  std::memcpy(framed->data(), &size, sizeof(size));
+  std::memcpy(framed->data() + 4, &crc, sizeof(crc));
+  if (CrashArmedAt(testing::CheckpointStep::kDeltaAppend)) {
+    (void)PwriteFully(fd_, framed->data(), framed->size() / 2, size_);
+    CrashNow();
+  }
+  AIMS_RETURN_NOT_OK(PwriteFully(fd_, framed->data(), framed->size(), size_));
+  if (::fdatasync(fd_) != 0) {
+    return ErrnoError("CatalogLog::Append: fdatasync " + path_);
+  }
+  size_ += framed->size();
+  return Status::OK();
+}
+
+Status CatalogLog::Reset() {
+  if (::ftruncate(fd_, static_cast<off_t>(kCatalogLogHeader)) != 0 ||
+      ::fsync(fd_) != 0) {
+    return ErrnoError("CatalogLog::Reset: " + path_);
+  }
+  size_ = kCatalogLogHeader;
+  return Status::OK();
 }
 
 }  // namespace aims::storage::durable

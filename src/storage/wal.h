@@ -3,8 +3,11 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -25,6 +28,13 @@
 /// page is written before its group's commit record is durable, so redo
 /// records are sufficient and undo is never needed.
 ///
+/// Rotation: a log opened with a second file appends to one of the two
+/// and keeps the other empty. A checkpoint rotates the appends over to the
+/// empty file (Rotate), makes the retired file's effects durable elsewhere,
+/// then drops it (DropRetired), so the slow steps of a checkpoint run
+/// beside new commits instead of in front of them. Recovery scans both
+/// files and replays the older file's groups first.
+///
 /// Group commit: when `group_commit_ms > 0`, the first committer to need a
 /// sync becomes the leader, waits out the window so concurrent commits can
 /// append behind it, then performs ONE fsync covering all of them — the
@@ -34,7 +44,7 @@
 /// On-disk layout (host byte order, like the page file):
 ///
 ///   offset 0    file header: magic u32, version u32, txn-id high-water
-///               mark u64 (written at checkpoint truncation so ids never
+///               mark u64 (written whenever a file is emptied, so ids never
 ///               restart once their records are gone)
 ///   then        records: crc u32 (over everything after it), type u8,
 ///               pad u8[3], txn_id u64, payload_size u32, payload bytes
@@ -98,8 +108,13 @@ class WriteAheadLog {
   /// \brief Opens (creating if absent) the log at \p path, scanning any
   /// existing records. A torn tail — an incomplete or checksum-failing
   /// record — is truncated off; groups without a commit record are
-  /// dropped. Both show up in Stats() as discarded bytes.
-  static Result<Opened> Open(const std::string& path, WalConfig config = {});
+  /// dropped. Both show up in Stats() as discarded bytes. With a
+  /// \p rotate_path the log has a second file there (created empty if
+  /// absent) and supports Rotate; `committed` then holds both files'
+  /// groups, the older file's first. Appends go to the file holding the
+  /// newer records.
+  static Result<Opened> Open(const std::string& path, WalConfig config = {},
+                             const std::string& rotate_path = {});
 
   ~WriteAheadLog();
 
@@ -137,12 +152,29 @@ class WriteAheadLog {
   /// \brief AppendCommit + WaitDurable, for single-threaded callers.
   Status Commit(uint64_t txn_id);
 
-  /// \brief Checkpoint truncation: empties the log. Caller contract: every
-  /// committed group's effects are already on stable storage (pages
-  /// synced, catalog snapshot written) and no transaction is in flight.
+  /// \brief Empties the log, both files of a rotating one. Caller
+  /// contract: every committed group's effects are already on stable
+  /// storage (pages synced, catalog written) and no transaction is in
+  /// flight.
   Status Truncate();
 
-  /// \brief Bytes of committed-but-not-checkpointed log — the WAL lag.
+  /// \brief Switches appends to the second file, which must be empty; the
+  /// file appended to so far is retired, keeping its groups until
+  /// DropRetired. Commits appended before the switch are synced first (a
+  /// no-op when every one was already waited for), so a later sync of the
+  /// new file never has to cover the old one. Caller contract: no
+  /// transaction is between BeginTxn and AppendCommit. FailedPrecondition
+  /// without a second file, or while a retired file is still held.
+  Status Rotate();
+
+  /// \brief Empties the retired file, which becomes the next Rotate's
+  /// target; a no-op without one. Caller contract: every group in it has
+  /// its effects on stable storage. Runs beside appends to the other file
+  /// (not beside Rotate or Truncate).
+  Status DropRetired();
+
+  /// \brief Bytes of committed-but-not-checkpointed log — the WAL lag:
+  /// the records in both files, the retired one's until it is dropped.
   uint64_t lag_bytes() const;
 
   /// \brief Snapshot of the accounting counters (the aims_wal_* family).
@@ -157,25 +189,44 @@ class WriteAheadLog {
     watchdog_.store(handle, std::memory_order_release);
   }
 
-  const std::string& path() const { return path_; }
+  const std::string& path() const { return files_[0].path; }
   const WalConfig& config() const { return config_; }
 
  private:
-  WriteAheadLog(std::string path, int fd, WalConfig config,
-                uint64_t file_size);
+  /// One log file; a rotating log has two.
+  struct File {
+    std::string path;
+    int fd = -1;
+  };
+
+  explicit WriteAheadLog(WalConfig config) : config_(config) {}
 
   /// Builds and appends one framed record; updates size/record counters.
   Status AppendRecord(uint8_t type, uint64_t txn_id, const uint8_t* payload,
                       size_t payload_size);
+  /// Appends one framed record to the active file; append_mutex_ held.
+  Status AppendLocked(const std::vector<uint8_t>& rec);
+  /// Writes the txn-id high-water mark into file \p index's header, then
+  /// cuts the file back to its header, syncing both steps.
+  Status EmptyFile(size_t index, uint64_t high_water);
+  /// Stores both files' record bytes in lag_bytes_; append_mutex_ held.
+  void PublishLag();
 
-  std::string path_;
-  int fd_ = -1;
+  File files_[2];
+  size_t num_files_ = 1;
   WalConfig config_;
 
   /// Serializes appends (one writer at a time keeps records contiguous).
+  /// Rotate holds it together with sync_mutex_, so the active file may be
+  /// read under either.
   std::mutex append_mutex_;
-  uint64_t file_size_ = 0;   ///< Guarded by append_mutex_.
+  size_t active_ = 0;        ///< Index of the file appends go to.
+  uint64_t file_size_ = 0;   ///< Of the active file; guarded by append_mutex_.
   uint64_t next_txn_ = 1;    ///< Guarded by append_mutex_.
+  /// Whether the other file holds groups (it is retired) and how many
+  /// record bytes; guarded by append_mutex_.
+  bool retired_ = false;
+  uint64_t retired_bytes_ = 0;
 
   /// Commit tickets: appended_commits_ is published by AppendCommit (under
   /// append_mutex_) and read by the sync leader without it.
@@ -202,7 +253,83 @@ class WriteAheadLog {
   std::atomic<obs::Watchdog::Handle*> watchdog_{nullptr};
 };
 
+/// \brief The catalog delta log: an append-only file of CRC-framed
+/// records, each synced (fdatasync) before Append returns. The core layer
+/// defines the payloads (one checkpoint's catalog changes each); this
+/// class frames, scans and resets them.
+///
+/// On-disk layout (host byte order): magic u32, version u32, then
+/// records: payload_size u32, crc u32 (CRC-32 of the payload), payload.
+///
+/// Not thread-safe: one checkpoint at a time appends to it.
+class CatalogLog {
+ public:
+  /// Bytes a record's frame adds in front of its payload.
+  static constexpr size_t kFrameBytes = 8;
+
+  /// \brief Opens (creating if absent) the log at \p path with one sized
+  /// read, and hands every intact record's payload, in order, to \p visit.
+  /// A last record cut short or failing its checksum is a torn append: it
+  /// is cut off the file, unvisited. A damaged record
+  /// with more bytes after it is IoError, as is a wrong header. A visit
+  /// error ends the open with that status.
+  static Result<std::unique_ptr<CatalogLog>> Open(
+      const std::string& path,
+      const std::function<Status(std::span<const uint8_t>)>& visit);
+
+  ~CatalogLog();
+  CatalogLog(const CatalogLog&) = delete;
+  CatalogLog& operator=(const CatalogLog&) = delete;
+
+  /// \brief Appends one record and syncs it. \p framed holds kFrameBytes
+  /// of room, then the payload; Append fills the frame in place. After a
+  /// failure the log's end is unchanged, so a retry overwrites whatever
+  /// part of the record reached the file.
+  Status Append(std::vector<uint8_t>* framed);
+
+  /// \brief Cuts the log back to its header, synced.
+  Status Reset();
+
+  /// Bytes of the log (header and records), torn bytes excluded.
+  uint64_t size_bytes() const { return size_; }
+
+ private:
+  CatalogLog(std::string path, int fd) : path_(std::move(path)), fd_(fd) {}
+
+  std::string path_;
+  int fd_ = -1;
+  uint64_t size_ = 0;
+};
+
 namespace testing {
+
+/// \brief The steps of a checkpoint (core/aims.h) a test can stop at.
+enum class CheckpointStep {
+  /// Under the exclusive lock, right after the WAL rotated.
+  kWalRotated,
+  /// Off the lock, once the page file is synced.
+  kPagesSynced,
+  /// Inside CatalogLog::Append, with half the delta record written (a
+  /// crash here leaves a torn record).
+  kDeltaAppend,
+  /// Once the delta record is synced, before the retired WAL file is
+  /// dropped.
+  kDeltaDurable,
+  /// In a compaction, once the new base has been renamed into place and
+  /// before the catalog log is reset.
+  kBaseRenamed,
+};
+
+/// \brief Dies (SIGKILL) the next time a checkpoint reaches \p step;
+/// std::nullopt disarms. Only the crash helper binary arms this.
+void SetCrashAtCheckpointStep(std::optional<CheckpointStep> step);
+/// \brief Runs \p hook on the checkpointing thread at every step it
+/// reaches, before any armed crash; an empty function disarms. Lets a test
+/// hold a checkpoint between two steps.
+void SetCheckpointStepHook(std::function<void(CheckpointStep)> hook);
+/// \brief Called by the checkpoint at each step: runs the hook, then dies
+/// if a crash is armed there.
+void ReachCheckpointStep(CheckpointStep step);
 
 /// \brief Crash hooks for the kill-the-process recovery tests. Each
 /// arms a point inside the commit path at which the *current process*

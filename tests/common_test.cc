@@ -1,5 +1,6 @@
 #include <unistd.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -9,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "common/byte_codec.h"
+#include "common/crc32.h"
 #include "common/durable_file.h"
 #include "common/macros.h"
 #include "common/rng.h"
@@ -295,6 +297,54 @@ TEST(ByteCodecTest, RoundTripsAndUnderflowIsSticky) {
   EXPECT_EQ(short_reader.U8(), 0);
   EXPECT_TRUE(short_reader.Bytes(1).empty());
   EXPECT_FALSE(short_reader.ok());
+}
+
+/// The byte-wise CRC-32 the slicing-by-8 update must equal: one table
+/// lookup per byte.
+uint32_t ByteWiseCrc32Update(uint32_t crc, const uint8_t* p, size_t len) {
+  crc ^= 0xFFFFFFFFu;
+  for (size_t i = 0; i < len; ++i) {
+    uint32_t c = (crc ^ p[i]) & 0xFFu;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    crc = c ^ (crc >> 8);
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, CheckValue) {
+  const char* check = "123456789";
+  EXPECT_EQ(Crc32(check, 9), 0xCBF43926u);
+  EXPECT_EQ(Crc32(check, 0), 0u);
+}
+
+TEST(Crc32Test, EqualsTheByteWiseCrcAtEveryLengthAndAlignment) {
+  Rng rng(20261017);
+  std::vector<uint8_t> bytes(4096 + 8);
+  for (uint8_t& b : bytes) b = static_cast<uint8_t>(rng.UniformInt(0, 255));
+  for (size_t align = 0; align < 8; ++align) {
+    for (size_t len = 0; len <= 4096; ++len) {
+      const uint8_t* p = bytes.data() + align;
+      ASSERT_EQ(Crc32(p, len), ByteWiseCrc32Update(0, p, len))
+          << "length " << len << " at alignment " << align;
+    }
+  }
+}
+
+TEST(Crc32Test, ChainedUpdatesEqualOnePass) {
+  Rng rng(7);
+  std::vector<uint8_t> bytes(1000);
+  for (uint8_t& b : bytes) b = static_cast<uint8_t>(rng.UniformInt(0, 255));
+  const uint32_t whole = Crc32(bytes.data(), bytes.size());
+  for (size_t cut = 0; cut <= bytes.size(); cut += 37) {
+    const uint32_t head = Crc32(bytes.data(), cut);
+    EXPECT_EQ(Crc32Update(head, bytes.data() + cut, bytes.size() - cut), whole)
+        << "cut at " << cut;
+    EXPECT_EQ(Crc32Update(head, bytes.data() + cut, bytes.size() - cut),
+              ByteWiseCrc32Update(ByteWiseCrc32Update(0, bytes.data(), cut),
+                                  bytes.data() + cut, bytes.size() - cut));
+  }
 }
 
 }  // namespace

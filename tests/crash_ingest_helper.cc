@@ -15,6 +15,18 @@
 //          segment    die mid-group, after the first sealed raw-sample
 //                     segment record append (the tslife leg of the same
 //                     commit group)
+//
+// Checkpoint modes: every ingest checkpoints (checkpoint_wal_bytes = 1),
+// and the last one dies inside its checkpoint, after its commit is
+// durable but before it is acknowledged:
+//          rotated    right after the WAL rotated (under the lock)
+//          pagesync   after the page file is synced
+//          torndelta  mid delta append: half the record is in catalog.log
+//          deltadurable  after the delta is synced, before the retired WAL
+//                     file is dropped
+//          compact    no crashed ingest: after the <count> acked ones the
+//                     store is reopened, and the open's compaction dies
+//                     between the base rename and the catalog.log reset
 //          verify     no ingest: recover, check every acked session is
 //                     present AND its raw segments decode bit-exact
 //                     against the regenerated recording, print recovery
@@ -23,10 +35,11 @@
 //
 // Catalog-ingest modes (2-shard durable ShardedCatalog on <dir>, where an
 // ingest's route rides the shard's commit group):
-//          ccrash     ingest <count> acked sessions for one tenant, then
-//                     one more with the after-commit-durable hook armed:
-//                     the process dies once the shard commit is durable,
-//                     before the ingest is acknowledged
+//          ccrash     ingest <count> acked sessions for one tenant, each
+//                     checkpointing, then one more with the
+//                     after-commit-durable hook armed: the process dies
+//                     once the shard commit is durable, before the ingest
+//                     is acknowledged
 //          cverify    recover, check every acked session AND every killed
 //                     ingest is present exactly once under that tenant
 //                     and that no session belongs to another client (exit
@@ -56,6 +69,7 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -142,6 +156,9 @@ int RunMigrationCrash(const std::string& dir, int payload_appends) {
 int RunCatalogCrash(const std::string& dir, int clean) {
   aims::core::AimsConfig config;
   config.durability.path = dir;
+  // Every acked ingest checkpoints, so its owner reaches the next open
+  // through a catalog.log delta record rather than a WAL group.
+  config.durability.checkpoint_wal_bytes = 1;
   aims::server::ShardedCatalog catalog(2, config);
   if (!catalog.init_status().ok()) {
     std::cerr << "open failed: " << catalog.init_status().ToString() << "\n";
@@ -304,9 +321,21 @@ int main(int argc, char** argv) {
   if (mode == "mcrash") return RunMigrationCrash(dir, clean);
   if (mode == "mverify") return RunMigrationVerify(dir);
 
+  using aims::storage::durable::testing::CheckpointStep;
+  const std::map<std::string, CheckpointStep> checkpoint_modes = {
+      {"rotated", CheckpointStep::kWalRotated},
+      {"pagesync", CheckpointStep::kPagesSynced},
+      {"torndelta", CheckpointStep::kDeltaAppend},
+      {"deltadurable", CheckpointStep::kDeltaDurable},
+      {"compact", CheckpointStep::kBaseRenamed}};
+  const auto checkpoint_mode = checkpoint_modes.find(mode);
   aims::core::AimsConfig config;
   config.durability.path = dir;
-  aims::core::AimsSystem system(config);
+  if (checkpoint_mode != checkpoint_modes.end()) {
+    config.durability.checkpoint_wal_bytes = 1;
+  }
+  auto owned = std::make_unique<aims::core::AimsSystem>(config);
+  aims::core::AimsSystem& system = *owned;
   if (!system.init_status().ok()) {
     std::cerr << "open failed: " << system.init_status().ToString() << "\n";
     return 3;
@@ -399,7 +428,22 @@ int main(int argc, char** argv) {
 
   if (mode == "clean") return 0;
   StartCrashRecorder(dir, mode);
-  if (mode == "payload") {
+  if (mode == "compact") {
+    // The open's compaction rewrites the base over the deltas the acked
+    // ingests' checkpoints appended; the process dies before it resets
+    // the log.
+    owned.reset();
+    aims::storage::durable::testing::SetCrashAtCheckpointStep(
+        CheckpointStep::kBaseRenamed);
+    aims::core::AimsSystem reopened(config);
+    std::cerr << "crash hook did not fire (reopen "
+              << reopened.init_status().ToString() << ")\n";
+    return 5;
+  }
+  if (checkpoint_mode != checkpoint_modes.end()) {
+    aims::storage::durable::testing::SetCrashAtCheckpointStep(
+        checkpoint_mode->second);
+  } else if (mode == "payload") {
     aims::storage::durable::testing::SetCrashAfterPayloadAppends(1);
   } else if (mode == "precommit") {
     aims::storage::durable::testing::SetCrashBeforeCommitAppend(true);

@@ -10,14 +10,23 @@
 //
 // The catalog case kills a ShardedCatalog ingest after its shard commit:
 // that commit carries the route, so the ingest recovers under its client.
+//
+// The checkpoint cases kill an ingest inside the checkpoint it began,
+// after its commit is durable: after the WAL rotation, after the page
+// sync, mid delta append (a torn catalog.log record), and after the delta
+// is durable but before the retired WAL file is dropped; and an open's
+// compaction between the base rename and the catalog.log reset.
 
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <csignal>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -185,6 +194,63 @@ TEST(CrashRecovery, SurvivesRepeatedKillsOnOneStore) {
     ASSERT_EQ(ReadAcks(dir).size(), acked_total);
   }
   VerifyRecovered(dir, expected_sessions, ReadAcks(dir));
+}
+
+/// The checkpoint modes' kill is after the ingest's commit is durable, so
+/// the unacknowledged ingest recovers complete beside the acked ones.
+void ExpectCheckpointKillRecovers(const std::string& mode) {
+  std::string dir = TestDir(mode);
+  ExpectKilledBySigkill(RunHelper(dir, mode, 2));
+  std::vector<std::string> acks = ReadAcks(dir);
+  ASSERT_EQ(acks.size(), 2u);
+  VerifyRecovered(dir, 3u, acks);
+}
+
+TEST(CrashRecovery, KilledAfterWalRotationReplaysBothWalFiles) {
+  ExpectCheckpointKillRecovers("rotated");
+}
+
+TEST(CrashRecovery, KilledAfterPageSyncReplaysTheRetiredWal) {
+  ExpectCheckpointKillRecovers("pagesync");
+}
+
+TEST(CrashRecovery, KilledMidDeltaAppendDiscardsTheTornRecord) {
+  std::string dir = TestDir("torndelta");
+  ExpectKilledBySigkill(RunHelper(dir, "torndelta", 2));
+  // The last catalog.log record is cut short: its frame claims more bytes
+  // than the file holds.
+  std::ifstream in(dir + "/catalog.log", std::ios::binary);
+  std::vector<char> log((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+  size_t pos = 8;
+  bool torn = false;
+  while (pos + 8 <= log.size()) {
+    uint32_t size = 0;
+    std::memcpy(&size, log.data() + pos, sizeof(size));
+    if (pos + 8 + size > log.size()) {
+      torn = true;
+      break;
+    }
+    pos += 8 + size;
+  }
+  EXPECT_TRUE(torn || pos != log.size()) << "no torn record in catalog.log";
+  std::vector<std::string> acks = ReadAcks(dir);
+  ASSERT_EQ(acks.size(), 2u);
+  VerifyRecovered(dir, 3u, acks);
+}
+
+TEST(CrashRecovery, KilledAfterDeltaDurableSkipsTheCoveredWalGroups) {
+  ExpectCheckpointKillRecovers("deltadurable");
+}
+
+TEST(CrashRecovery, KilledMidCompactionSkipsTheCoveredDeltas) {
+  std::string dir = TestDir("compact");
+  ExpectKilledBySigkill(RunHelper(dir, "compact", 3));
+  // The new base is in place and the log still holds the deltas it covers.
+  EXPECT_GT(std::filesystem::file_size(dir + "/catalog.log"), 8u);
+  std::vector<std::string> acks = ReadAcks(dir);
+  ASSERT_EQ(acks.size(), 3u);
+  VerifyRecovered(dir, 3u, acks);
 }
 
 TEST(CrashRecovery, CatalogIngestKilledAfterShardCommitKeepsItsClient) {

@@ -1,6 +1,7 @@
 // Seeded mutation test of the sealed-segment decoders: valid
-// EncodeSegmentOp blobs, mutated by bit flips, byte stomps, truncation,
-// extension, and count/length inflation, go through DecodeSegmentOp and
+// EncodeSegmentOp blobs, mutated by the shared harness (bit flips, byte
+// stomps, truncation, extension) and by count/length inflation, go
+// through DecodeSegmentOp and
 // Segment::Decode(). Every outcome must be an InvalidArgument status or a
 // decode consistent with the mutation — never a crash, undefined behavior,
 // or an allocation sized by a corrupt field. The mutation budget is fixed
@@ -17,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "mutation_harness.h"
 #include "storage/tslife.h"
 
 namespace aims::storage::tslife {
@@ -110,68 +112,32 @@ std::vector<SeedOp> Seeds() {
   return seeds;
 }
 
-void PatchU64(std::vector<uint8_t>* blob, size_t offset, uint64_t v) {
-  if (blob->size() >= offset + sizeof(v)) {
-    std::memcpy(blob->data() + offset, &v, sizeof(v));
-  }
-}
-
-/// Applies one to three stacked mutations drawn from \p rng.
+/// Applies one to three stacked mutations drawn from \p rng: the shared
+/// ones, then count inflation and payload length inflation.
 std::vector<uint8_t> Mutate(const SeedOp& seed, std::mt19937_64* rng) {
-  std::vector<uint8_t> m = seed.blob;
-  const int stacked = 1 + static_cast<int>((*rng)() % 3);
-  for (int k = 0; k < stacked && !m.empty(); ++k) {
-    switch ((*rng)() % 6) {
-      case 0: {  // bit flips
-        const int flips = 1 + static_cast<int>((*rng)() % 4);
-        for (int f = 0; f < flips; ++f) {
-          const size_t bit = (*rng)() % (m.size() * 8);
-          m[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
-        }
-        break;
-      }
-      case 1: {  // byte stomps
-        const int stomps = 1 + static_cast<int>((*rng)() % 4);
-        for (int s = 0; s < stomps; ++s) {
-          m[(*rng)() % m.size()] = static_cast<uint8_t>((*rng)());
-        }
-        break;
-      }
-      case 2:  // truncation
-        m.resize((*rng)() % m.size());
-        break;
-      case 3: {  // extension
-        const size_t extra = 1 + (*rng)() % 16;
-        for (size_t e = 0; e < extra; ++e) {
-          m.push_back(static_cast<uint8_t>((*rng)()));
-        }
-        break;
-      }
-      case 4: {  // count inflation
+  using mutation::PatchU64;
+  const std::vector<mutation::Inflation> inflations = {
+      [&seed](std::vector<uint8_t>* m, std::mt19937_64* r) {
         const uint64_t count = seed.segment.meta.count;
         const uint64_t choices[] = {count + 1,
-                                    count + 1 + (*rng)() % 1000,
+                                    count + 1 + (*r)() % 1000,
                                     2 * count + 1,
                                     uint64_t{1} << 30,
                                     (uint64_t{1} << 30) + 1,
                                     std::numeric_limits<uint64_t>::max(),
-                                    (*rng)()};
-        PatchU64(&m, kCountOffset, choices[(*rng)() % 7]);
-        break;
-      }
-      default: {  // payload length inflation
-        if (seed.kind != SegmentOp::Kind::kPut) break;
+                                    (*r)()};
+        PatchU64(m, kCountOffset, choices[(*r)() % 7]);
+      },
+      [&seed](std::vector<uint8_t>* m, std::mt19937_64* r) {
+        if (seed.kind != SegmentOp::Kind::kPut) return;
         const uint64_t len = seed.segment.bytes.size();
-        const uint64_t choices[] = {len + 1, len + 1 + (*rng)() % 64,
+        const uint64_t choices[] = {len + 1, len + 1 + (*r)() % 64,
                                     uint64_t{1} << 30,
                                     std::numeric_limits<uint64_t>::max(),
-                                    (*rng)()};
-        PatchU64(&m, kLengthOffset, choices[(*rng)() % 5]);
-        break;
-      }
-    }
-  }
-  return m;
+                                    (*r)()};
+        PatchU64(m, kLengthOffset, choices[(*r)() % 5]);
+      }};
+  return mutation::Mutate(seed.blob, rng, inflations);
 }
 
 TEST(SegmentMutationTest, EveryMutationIsAStatusOrAConsistentDecode) {

@@ -229,6 +229,10 @@ TEST(TsLifeSegmentOp, EncodeDecodeRoundTrip) {
   EXPECT_DOUBLE_EQ(op.segment.meta.nmse, 0.0125);
   EXPECT_EQ(op.segment.bytes, seg.bytes);
   EXPECT_EQ(op.segment.meta.count, seg.meta.count);
+  // The size the catalog's dead-byte count uses, for both kinds.
+  EXPECT_EQ(EncodedSegmentOpSize(SegmentOp::Kind::kPut, seg), blob.size());
+  EXPECT_EQ(EncodedSegmentOpSize(SegmentOp::Kind::kDrop, seg),
+            EncodeSegmentOp(SegmentOp::Kind::kDrop, 9, seg).size());
 }
 
 TEST(TsLifeSegmentOp, DecodeRejectsTruncationAndTrailingGarbage) {
