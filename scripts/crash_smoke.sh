@@ -74,11 +74,13 @@ done
 MRUNS=""
 for ((i = 0; i < ITERATIONS; ++i)); do
   # A migration journals no begin record, so count 1 is the copy's first
-  # block put and each count lands one append earlier than it would with
-  # one. 1..8 walks the kill point through the first session's copy: its
-  # block puts, catalog entry and raw segments. Its route-move record is
-  # the 12th append, so every round recovers that session on the source,
-  # with the partial copy on the target owned by no route.
+  # block put. The first session's copy is one WAL group of 7 payload
+  # appends (a 2-channel, 120-frame recording: 4 block puts, the catalog
+  # entry, 2 segment puts), and its route-move record is the 8th append
+  # (measured: a kill at count 8 recovers the session on the source, at
+  # count 9 on the target). So 1..8 walks the kill point through the copy
+  # and ends on the route move, and every round recovers that session on
+  # the source, with any partial copy on the target owned by no route.
   appends=$((1 + i % 8))
   echo "== crash smoke (migration) ${i}: kill after ${appends} payload append(s) =="
   status=0

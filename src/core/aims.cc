@@ -41,6 +41,9 @@ constexpr uint8_t kDeltaSegmentOp = 2;
 constexpr size_t kDeltaItemHeader = 1 + sizeof(uint32_t);
 /// Where the covered txn sits in a framed record.
 constexpr size_t kDeltaTxnOffset = storage::durable::CatalogLog::kFrameBytes;
+/// Budget of the write-back buffer pool the durable path creates when the
+/// config disables the block cache.
+constexpr size_t kBufferPoolBytes = 4u << 20;
 
 using storage::durable::testing::CheckpointStep;
 using storage::durable::testing::ReachCheckpointStep;
@@ -93,10 +96,10 @@ Status AimsSystem::OpenDurable() {
   // The buffer pool is mandatory on the durable path: write-back staging
   // is what keeps uncommitted pages off the page file (no-steal). A
   // caller-configured cache is switched to write-back; otherwise one is
-  // created with the durability budget.
+  // created with the default budget.
   storage::BlockCacheConfig cache_config = config_.block_cache;
   if (cache_config.capacity_bytes == 0) {
-    cache_config.capacity_bytes = config_.durability.buffer_pool_bytes;
+    cache_config.capacity_bytes = kBufferPoolBytes;
   }
   cache_config.write_back = true;
   cache_ = std::make_unique<storage::BlockCache>(device_.get(), cache_config);
@@ -104,7 +107,6 @@ Status AimsSystem::OpenDurable() {
   storage::durable::WalConfig wal_config;
   wal_config.sync_mode = config_.durability.sync_mode;
   wal_config.group_commit_ms = config_.durability.group_commit_ms;
-  wal_config.simulated_sync_ms = config_.durability.simulated_sync_ms;
   AIMS_ASSIGN_OR_RETURN(storage::durable::WriteAheadLog::Opened opened,
                         storage::durable::WriteAheadLog::Open(
                             dir + "/wal.aims", wal_config, dir + "/wal.1.aims"));
@@ -275,6 +277,28 @@ Result<AimsSystem::PreparedIngest> AimsSystem::PrepareIngest(
   return prepared;
 }
 
+Result<AimsSystem::PreparedIngest> AimsSystem::ExportStored(
+    SessionId id) const {
+  if (id >= sessions_.size()) {
+    return Status::NotFound("ExportStored: unknown session id");
+  }
+  const StoredSession& session = sessions_[id];
+  PreparedIngest exported;
+  exported.info = session.info;
+  exported.info.owner.reset();
+  exported.segments = session.segments;
+  exported.channels.reserve(session.channels.size());
+  for (const StoredChannel& stored : session.channels) {
+    PreparedIngest::Channel& out = exported.channels.emplace_back();
+    out.mean = stored.mean;
+    out.energy = stored.energy;
+    AIMS_ASSIGN_OR_RETURN(out.coefficients, ReadCoefficients(stored));
+    // Encoding copies bytes: these are the payloads the blocks hold.
+    out.payloads = stored.store->layout()->Encode(out.coefficients);
+  }
+  return exported;
+}
+
 Result<AimsSystem::StagedIngest> AimsSystem::StageIngest(
     PreparedIngest prepared, obs::Trace* trace,
     std::vector<StandingRangeUpdate>* updates,
@@ -300,9 +324,9 @@ Result<AimsSystem::StagedIngest> AimsSystem::StageIngest(
         }
         AIMS_ASSIGN_OR_RETURN(
             double centered,
-            propolyne::IncrementalRangeSum(filter_, channel.layout->n(),
-                                           q.first_frame, q.last_frame,
-                                           channel.coefficients));
+            propolyne::IncrementalRangeSum(
+                filter_, channel.coefficients.size(), q.first_frame,
+                q.last_frame, channel.coefficients));
         StandingRangeUpdate update;
         update.handle = q.handle;
         update.session = session.info.id;
@@ -324,12 +348,17 @@ Result<AimsSystem::StagedIngest> AimsSystem::StageIngest(
   for (const PreparedIngest::Channel& channel : prepared.channels) {
     size_t write_span = 0;
     if (trace != nullptr) write_span = trace->BeginSpan("block_write");
+    // An export carries no layout: the copy takes this system's own, which
+    // every other store of its padded length shares.
+    std::shared_ptr<const storage::BlockLayout> layout =
+        channel.layout != nullptr ? channel.layout
+                                  : LayoutFor(channel.coefficients.size());
     StoredChannel stored;
     stored.mean = channel.mean;
-    stored.padded_len = channel.layout->n();
+    stored.padded_len = layout->n();
     stored.energy = channel.energy;
     stored.store = std::make_unique<storage::WaveletStore>(
-        device_.get(), channel.layout, cache_.get());
+        device_.get(), std::move(layout), cache_.get());
     Status put = stored.store->PutPayloads(channel.payloads);
     if (trace != nullptr) trace->EndSpan(write_span);
     if (!put.ok()) {
@@ -864,50 +893,6 @@ size_t AimsSystem::SegmentBytes() const {
   return total;
 }
 
-Result<std::vector<storage::tslife::Segment>> AimsSystem::ExportSegments(
-    SessionId id) const {
-  if (id >= sessions_.size()) {
-    return Status::NotFound("ExportSegments: unknown session id");
-  }
-  std::vector<storage::tslife::Segment> out;
-  out.reserve(sessions_[id].segments.size());
-  for (const auto& [key, seg] : sessions_[id].segments.segments()) {
-    (void)key;
-    out.push_back(seg);
-  }
-  return out;
-}
-
-Status AimsSystem::ReplaceSegments(
-    SessionId id, std::vector<storage::tslife::Segment> segments) {
-  AIMS_RETURN_NOT_OK(init_status_);
-  if (id >= sessions_.size()) {
-    return Status::NotFound("ReplaceSegments: unknown session id");
-  }
-  using Kind = storage::tslife::SegmentOp::Kind;
-  std::vector<storage::tslife::SegmentOp> ops;
-  ops.reserve(sessions_[id].segments.size() + segments.size());
-  // Drops first, then puts: a re-put of a surviving (channel, seq) key
-  // lands after its drop in replay order, so the new payload wins.
-  for (const auto& [key, seg] : sessions_[id].segments.segments()) {
-    (void)seg;
-    storage::tslife::SegmentOp op;
-    op.kind = Kind::kDrop;
-    op.session = id;
-    op.segment.meta.channel = key.first;
-    op.segment.meta.seq = key.second;
-    ops.push_back(std::move(op));
-  }
-  for (storage::tslife::Segment& seg : segments) {
-    storage::tslife::SegmentOp op;
-    op.kind = Kind::kPut;
-    op.session = id;
-    op.segment = std::move(seg);
-    ops.push_back(std::move(op));
-  }
-  return CommitSegmentOps(ops);
-}
-
 Result<storage::tslife::SweepStats> AimsSystem::SweepRetention(
     const storage::tslife::RetentionPolicy& policy, int64_t now_us,
     const std::vector<SessionId>* sessions) {
@@ -1065,7 +1050,7 @@ Status AimsSystem::CommitSegmentOps(
   if (ops.empty()) return Status::OK();
   if (durable()) {
     // One WAL record group for the whole batch: recovery sees all of a
-    // sweep / migration import or none of it.
+    // sweep or none of it.
     // The ops join the next delta record only once they are durable.
     const size_t delta_mark = delta_.size();
     Status logged = [&]() -> Status {
@@ -1110,13 +1095,19 @@ Result<std::vector<double>> AimsSystem::ReadChannel(SessionId id,
   return out;
 }
 
+Result<std::vector<double>> AimsSystem::ReadCoefficients(
+    const StoredChannel& stored) const {
+  std::vector<double> coeffs(stored.padded_len, 0.0);
+  for (size_t b = 0; b < stored.store->layout()->num_blocks(); ++b) {
+    AIMS_ASSIGN_OR_RETURN(auto contents, stored.store->FetchBlock(b));
+    for (const auto& [idx, value] : contents) coeffs[idx] = value;
+  }
+  return coeffs;
+}
+
 Result<std::vector<double>> AimsSystem::ReadCentered(
     const StoredChannel& stored) const {
-  std::vector<size_t> all(stored.padded_len);
-  for (size_t i = 0; i < all.size(); ++i) all[i] = i;
-  AIMS_ASSIGN_OR_RETURN(auto fetched, stored.store->Fetch(all));
-  std::vector<double> coeffs(stored.padded_len, 0.0);
-  for (const auto& [idx, value] : fetched) coeffs[idx] = value;
+  AIMS_ASSIGN_OR_RETURN(std::vector<double> coeffs, ReadCoefficients(stored));
   return signal::InverseDwt(filter_, coeffs);
 }
 
@@ -1220,25 +1211,40 @@ std::string QueryPlan::ToJson() const {
   return out;
 }
 
-Result<QueryPlan> AimsSystem::PlanRangeQuery(SessionId id, size_t channel,
-                                             size_t first_frame,
-                                             size_t last_frame) const {
+Result<AimsSystem::RangeQueryInput> AimsSystem::StartRangeQuery(
+    const char* op, SessionId id, size_t channel, size_t first_frame,
+    size_t last_frame) const {
   if (id >= sessions_.size()) {
-    return Status::NotFound("PlanRangeQuery: unknown session id");
+    return Status::NotFound(std::string(op) + ": unknown session id");
   }
   const StoredSession& session = sessions_[id];
   if (channel >= session.channels.size()) {
-    return Status::OutOfRange("PlanRangeQuery: channel out of range");
+    return Status::OutOfRange(std::string(op) + ": channel out of range");
   }
   if (first_frame > last_frame || last_frame >= session.info.num_frames) {
-    return Status::OutOfRange("PlanRangeQuery: bad frame range");
+    return Status::OutOfRange(std::string(op) + ": bad frame range");
   }
-  const StoredChannel& stored = session.channels[channel];
+  RangeQueryInput input;
+  input.stored = &session.channels[channel];
+  // sum_{i in [a,b]} x[i] = <1_[a,b], x> = <Q, X> by Parseval; the lazy
+  // transform selects the O(lg n) nonzero Q entries, and a query reads
+  // only the blocks holding them.
   AIMS_ASSIGN_OR_RETURN(
-      signal::SparseCoefficients query,
-      signal::LazyWaveletTransform(filter_, stored.padded_len, first_frame,
-                                   last_frame,
+      input.query,
+      signal::LazyWaveletTransform(filter_, input.stored->padded_len,
+                                   first_frame, last_frame,
                                    signal::Polynomial::Constant(1.0)));
+  return input;
+}
+
+Result<QueryPlan> AimsSystem::PlanRangeQuery(SessionId id, size_t channel,
+                                             size_t first_frame,
+                                             size_t last_frame) const {
+  AIMS_ASSIGN_OR_RETURN(RangeQueryInput input,
+                        StartRangeQuery("PlanRangeQuery", id, channel,
+                                        first_frame, last_frame));
+  const StoredChannel& stored = *input.stored;
+  const signal::SparseCoefficients& query = input.query;
   std::vector<ScheduledBlock> order = BuildBlockSchedule(*stored.store, query);
 
   QueryPlan plan;
@@ -1276,26 +1282,11 @@ Result<QueryPlan> AimsSystem::PlanRangeQuery(SessionId id, size_t channel,
 Result<RangeStatistics> AimsSystem::QueryRange(SessionId id, size_t channel,
                                                size_t first_frame,
                                                size_t last_frame) const {
-  if (id >= sessions_.size()) {
-    return Status::NotFound("QueryRange: unknown session id");
-  }
-  const StoredSession& session = sessions_[id];
-  if (channel >= session.channels.size()) {
-    return Status::OutOfRange("QueryRange: channel out of range");
-  }
-  if (first_frame > last_frame || last_frame >= session.info.num_frames) {
-    return Status::OutOfRange("QueryRange: bad frame range");
-  }
-  const StoredChannel& stored = session.channels[channel];
-
-  // sum_{i in [a,b]} x[i] = <1_[a,b], x> = <Q, X> by Parseval; the lazy
-  // transform selects the O(lg n) nonzero Q entries and the store reads
-  // only the blocks holding them.
   AIMS_ASSIGN_OR_RETURN(
-      signal::SparseCoefficients query,
-      signal::LazyWaveletTransform(filter_, stored.padded_len, first_frame,
-                                   last_frame,
-                                   signal::Polynomial::Constant(1.0)));
+      RangeQueryInput input,
+      StartRangeQuery("QueryRange", id, channel, first_frame, last_frame));
+  const StoredChannel& stored = *input.stored;
+  const signal::SparseCoefficients& query = input.query;
   std::vector<size_t> needed;
   needed.reserve(query.entries.size());
   for (const auto& [idx, value] : query.entries) {
@@ -1320,23 +1311,12 @@ Result<RangeStatistics> AimsSystem::QueryRange(SessionId id, size_t channel,
 Result<ProgressiveRangeResult> AimsSystem::QueryRangeProgressive(
     SessionId id, size_t channel, size_t first_frame, size_t last_frame,
     const ProgressiveObserver& observer) const {
-  if (id >= sessions_.size()) {
-    return Status::NotFound("QueryRangeProgressive: unknown session id");
-  }
-  const StoredSession& session = sessions_[id];
-  if (channel >= session.channels.size()) {
-    return Status::OutOfRange("QueryRangeProgressive: channel out of range");
-  }
-  if (first_frame > last_frame || last_frame >= session.info.num_frames) {
-    return Status::OutOfRange("QueryRangeProgressive: bad frame range");
-  }
-  const StoredChannel& stored = session.channels[channel];
-  AIMS_ASSIGN_OR_RETURN(
-      signal::SparseCoefficients query,
-      signal::LazyWaveletTransform(filter_, stored.padded_len, first_frame,
-                                   last_frame,
-                                   signal::Polynomial::Constant(1.0)));
-  std::vector<ScheduledBlock> order = BuildBlockSchedule(*stored.store, query);
+  AIMS_ASSIGN_OR_RETURN(RangeQueryInput input,
+                        StartRangeQuery("QueryRangeProgressive", id, channel,
+                                        first_frame, last_frame));
+  const StoredChannel& stored = *input.stored;
+  std::vector<ScheduledBlock> order =
+      BuildBlockSchedule(*stored.store, input.query);
   double remaining_query_energy = 0.0;
   for (const ScheduledBlock& work : order) {
     remaining_query_energy += work.query_energy;

@@ -18,6 +18,7 @@
 #include "recognition/isolator.h"
 #include "recognition/vocabulary.h"
 #include "signal/dwpt.h"
+#include "signal/lazy_wavelet.h"
 #include "signal/wavelet_filter.h"
 #include "storage/block_cache.h"
 #include "storage/block_device.h"
@@ -48,7 +49,9 @@ using SessionId = uint32_t;
 /// the system is the original in-memory simulator: nothing survives the
 /// process. With a path, blocks live in a checksummed page file, every
 /// ingest is an atomic WAL transaction, and construction recovers
-/// whatever a previous incarnation committed.
+/// whatever a previous incarnation committed. The durable path always
+/// stages blocks in a write-back buffer pool: the configured block cache
+/// switched to write-back, or a 4 MiB pool when the cache is disabled.
 struct DurabilityConfig {
   /// Directory for the store (created if absent): pages.aims (the page
   /// file), wal.aims and wal.1.aims (the log's two files: one takes the
@@ -63,8 +66,6 @@ struct DurabilityConfig {
   /// Group-commit window (ms): how long a commit waits for concurrent
   /// commits to share its fsync. 0 syncs per commit.
   double group_commit_ms = 0.0;
-  /// Modeled extra latency per physical WAL sync (see WalConfig).
-  double simulated_sync_ms = 0.0;
   /// Auto-checkpoint once the WAL grows past this many bytes: the WAL
   /// rotates, the pages are synced, the catalog changes its groups carried
   /// are appended to catalog.log, and the retired WAL file is dropped. 0
@@ -72,10 +73,6 @@ struct DurabilityConfig {
   /// explicitly. Until one runs, the WAL and the pending delta (the
   /// catalog changes it will append) keep growing.
   size_t checkpoint_wal_bytes = 1 << 20;
-  /// Byte budget for the write-back buffer pool the durable path requires
-  /// when AimsConfig::block_cache is disabled. Ignored when the caller
-  /// configured a cache (which is then switched to write-back mode).
-  size_t buffer_pool_bytes = 4u << 20;
 };
 
 /// \brief System-wide configuration.
@@ -306,7 +303,8 @@ class AimsSystem {
   /// raw samples sealed into segments, every channel mean-centred,
   /// zero-padded to a power of two, DWT-transformed and encoded into one
   /// payload per block of its layout. It has no session id and no device
-  /// blocks; StageIngest assigns both. Only PrepareIngest builds one.
+  /// blocks; StageIngest assigns both. PrepareIngest builds one from a
+  /// recording, ExportStored from a stored session.
   class PreparedIngest {
    private:
     friend class AimsSystem;
@@ -315,6 +313,8 @@ class AimsSystem {
       double mean = 0.0;
       /// Total energy of the coefficients (StoredChannel::energy).
       double energy = 0.0;
+      /// Null in an export: the staging system supplies its own layout
+      /// for coefficients.size().
       std::shared_ptr<const storage::BlockLayout> layout;
       /// Kept for the standing queries StageIngest evaluates.
       std::vector<double> coefficients;
@@ -339,6 +339,14 @@ class AimsSystem {
   Result<PreparedIngest> PrepareIngest(const std::string& name,
                                        const streams::Recording& recording,
                                        obs::Trace* trace = nullptr) const;
+
+  /// \brief A stored session as the PreparedIngest StageIngest publishes:
+  /// the copy step of cross-shard migration, bit-identical to its source.
+  /// Reads every block of the session; the info carries no owner, the
+  /// sealed segments are copied with their tiers, and each channel keeps
+  /// its stored coefficients, mean, energy and block payloads. Const like
+  /// the read path, so it runs under a shared lock.
+  Result<PreparedIngest> ExportStored(SessionId id) const;
 
   /// \brief One ingest in flight between the staged phases.
   struct StagedIngest {
@@ -457,19 +465,6 @@ class AimsSystem {
   /// aims_tslife_bytes gauge).
   size_t SegmentBytes() const;
 
-  /// \brief Copies of one session's sealed segments — the migration
-  /// export (re-building segments from wavelet-reconstructed data would
-  /// not preserve the raw tier bit-exactly).
-  Result<std::vector<storage::tslife::Segment>> ExportSegments(
-      SessionId id) const;
-
-  /// \brief Replaces one session's segments wholesale — the migration
-  /// import. Durable backend: logged as one WAL record group (drops of
-  /// the rebuilt segments, puts of the copied ones) committed before the
-  /// in-memory state changes. Requires exclusive synchronization.
-  Status ReplaceSegments(SessionId id,
-                         std::vector<storage::tslife::Segment> segments);
-
   /// \brief One retention sweep over every session: segments older than
   /// the policy's tiers are downsampled (NMSE-bounded, recorded per
   /// segment) or dropped, oldest-first under the byte budget. \p now_us
@@ -550,8 +545,9 @@ class AimsSystem {
   /// \brief Reconstructs a stored session as an in-memory Recording —
   /// every channel read back from its wavelet blocks, frame timestamps
   /// regenerated from the sample rate. This is the copy step of session
-  /// export and of cross-shard migration: the result can be re-ingested
-  /// elsewhere and answers the same queries.
+  /// export to a recording file; the samples go through the inverse DWT,
+  /// so a re-ingest of them answers the same queries to rounding, not
+  /// bit for bit (migration copies the stored bytes: ExportStored).
   Result<streams::Recording> MaterializeSession(SessionId id) const;
 
   /// \brief Exports a stored session to the binary recording container
@@ -638,9 +634,24 @@ class AimsSystem {
   /// commit record (durable backend).
   Status LogSession(const StoredSession& session,
                     const PreparedIngest& prepared, StagedIngest* staged);
-  /// The stored channel's mean-centred, padded samples: every block read,
+  /// The stored channel's padded coefficient vector: every block read.
+  Result<std::vector<double>> ReadCoefficients(
+      const StoredChannel& stored) const;
+  /// The stored channel's mean-centred, padded samples: ReadCoefficients,
   /// then the inverse DWT.
   Result<std::vector<double>> ReadCentered(const StoredChannel& stored) const;
+  /// What every range query starts from: the channel it reads and the
+  /// lazy transform's query coefficients for its frame range.
+  struct RangeQueryInput {
+    const StoredChannel* stored = nullptr;
+    signal::SparseCoefficients query;
+  };
+  /// The session, channel and frame-range checks and the lazy transform
+  /// that PlanRangeQuery, QueryRange and QueryRangeProgressive share; \p op
+  /// prefixes the error messages.
+  Result<RangeQueryInput> StartRangeQuery(const char* op, SessionId id,
+                                          size_t channel, size_t first_frame,
+                                          size_t last_frame) const;
   /// Why a checkpoint may not begin right now (OK when it may).
   Status CheckpointBlocker() const;
   /// The locked half of a checkpoint (see ApplyStaged). OK without

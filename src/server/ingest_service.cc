@@ -19,7 +19,6 @@ IngestService::IngestService(ShardedCatalog* catalog, ThreadPool* pool,
   AIMS_CHECK(catalog_ != nullptr);
   AIMS_CHECK(pool_ != nullptr);
   AIMS_CHECK(policy_.queue_capacity >= 1);
-  if (policy_.max_attempts == 0) policy_.max_attempts = 1;
   if (metrics != nullptr) {
     submitted_ = metrics->GetCounter("ingest.submitted");
     admitted_ = metrics->GetCounter("ingest.admitted");
@@ -27,7 +26,6 @@ IngestService::IngestService(ShardedCatalog* catalog, ThreadPool* pool,
     rejected_capacity_ = metrics->GetCounter("ingest.rejected_capacity");
     completed_ = metrics->GetCounter("ingest.completed");
     failed_ = metrics->GetCounter("ingest.failed");
-    retries_ = metrics->GetCounter("ingest.retries");
     queue_depth_ = metrics->GetGauge("ingest.queue_depth");
     e2e_latency_ms_ = metrics->GetHistogram(
         "ingest.e2e_latency_ms",
@@ -127,23 +125,14 @@ void IngestService::ProcessItem(ClientState* state, PendingItem item) {
                               .count());
     tenant->CountIngest();
   }
-  // Wall-clock attribution for every attempt (including retries).
   obs::ScopedCpuCharge cpu_charge(tenant);
-  Result<GlobalSessionId> result =
-      Status::Internal("IngestService: no attempt ran");
   ShardedCatalog::IngestIoStats io_stats;
-  for (size_t attempt = 0; attempt < policy_.max_attempts; ++attempt) {
-    if (attempt > 0) {
-      if (retries_ != nullptr) retries_->Increment();
-      if (trace != nullptr) trace->AddMarker("retry");
-    }
-    result = catalog_->Ingest(state->client, item.name, item.recording, trace,
-                              &io_stats);
-    if (tenant != nullptr && io_stats.blocks_written > 0) {
-      tenant->ChargeWrite(io_stats.blocks_written, io_stats.bytes_written);
-    }
-    // Only transient storage faults are worth another attempt.
-    if (result.ok() || result.status().code() != StatusCode::kIoError) break;
+  // One attempt: on the durable backend a fault after the commit is
+  // durable fails the call, and a retry would store the recording twice.
+  Result<GlobalSessionId> result = catalog_->Ingest(
+      state->client, item.name, item.recording, trace, &io_stats);
+  if (tenant != nullptr && io_stats.blocks_written > 0) {
+    tenant->ChargeWrite(io_stats.blocks_written, io_stats.bytes_written);
   }
   if (trace != nullptr && tracer_ != nullptr) {
     tracer_->Record(std::move(*item.trace));

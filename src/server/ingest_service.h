@@ -34,7 +34,7 @@
 
 namespace aims::server {
 
-/// \brief Admission and retry policy for ingest submissions.
+/// \brief Admission policy for ingest submissions.
 struct IngestAdmissionPolicy {
   /// Per-client bounded queue capacity (recordings awaiting ingest).
   /// A full queue rejects new submissions with ResourceExhausted.
@@ -43,24 +43,20 @@ struct IngestAdmissionPolicy {
   /// cap. Exceeding it rejects with ResourceExhausted before the
   /// per-client queue is consulted.
   size_t max_pending_total = 0;
-  /// Ingest attempts per recording (>= 1). Transient storage failures
-  /// (IoError) are retried up to this many attempts; other errors are
-  /// reported immediately.
-  size_t max_attempts = 1;
 };
 
 /// \brief Asynchronous, admission-controlled ingest over a ShardedCatalog.
 class IngestService {
  public:
   /// Completion callback: the new global session id, or the error that
-  /// ended the final attempt. Runs on a pool worker thread.
+  /// ended the ingest. Runs on a pool worker thread.
   using Callback = std::function<void(const Result<GlobalSessionId>&)>;
 
   /// \param catalog destination catalog (not owned).
   /// \param pool executor draining the queues (not owned).
   /// \param metrics optional registry (may be null). Exposes:
   ///   ingest.submitted / admitted / rejected_queue / rejected_capacity /
-  ///   completed / failed / retries (counters),
+  ///   completed / failed (counters),
   ///   ingest.queue_depth (gauge with high-water mark),
   ///   ingest.e2e_latency_ms (submit-to-completion histogram).
   /// \param tracer optional span sink (may be null). Every admitted
@@ -143,7 +139,6 @@ class IngestService {
   obs::Counter* rejected_capacity_ = nullptr;
   obs::Counter* completed_ = nullptr;
   obs::Counter* failed_ = nullptr;
-  obs::Counter* retries_ = nullptr;
   obs::Gauge* queue_depth_ = nullptr;
   obs::Histogram* e2e_latency_ms_ = nullptr;
 };

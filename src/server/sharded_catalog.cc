@@ -113,10 +113,8 @@ class ShardedCatalog::IngestGate {
 };
 
 ShardedCatalog::ShardedCatalog(size_t num_shards, core::AimsConfig config,
-                               obs::MetricsRegistry* metrics,
-                               ShardRouterConfig router_config)
-    : config_(config),
-      router_(std::make_unique<ShardRouter>(num_shards, router_config)) {
+                               obs::MetricsRegistry* metrics)
+    : config_(config), router_(std::make_unique<ShardRouter>(num_shards)) {
   AIMS_CHECK(num_shards >= 1);
   std::vector<double> lock_bounds =
       obs::MetricsRegistry::DefaultLatencyBoundsMs();
@@ -288,10 +286,15 @@ Result<GlobalSessionId> ShardedCatalog::Ingest(
   // it: that one commit makes the session durable and routable again after
   // a crash, under this client and this id.
   const GlobalSessionId id = MintSessionId();
+  // Seal, transform and encode before taking the lock: PrepareIngest
+  // reads no state the exclusive sections mutate, so queries on the shard
+  // never wait for this ingest's CPU work.
+  AIMS_ASSIGN_OR_RETURN(core::AimsSystem::PreparedIngest prepared,
+                        shard.system.PrepareIngest(name, recording, trace));
   std::vector<core::StandingRangeUpdate> updates;
   Result<core::SessionId> local = IngestOnShard(
-      shard, name, recording, core::SessionOwner{id, client}, trace, io_stats,
-      ingest_hook_ != nullptr ? &updates : nullptr);
+      shard, std::move(prepared), core::SessionOwner{id, client}, trace,
+      io_stats, ingest_hook_ != nullptr ? &updates : nullptr);
   AIMS_RETURN_NOT_OK(local.status());
   RegisterRoute(id, client, shard_index, *local);
   // Continuous aggregates learn the new session only after it is routed
@@ -316,15 +319,9 @@ void ShardedCatalog::SetStandingQueries(
 }
 
 Result<core::SessionId> ShardedCatalog::IngestOnShard(
-    Shard& shard, const std::string& name,
-    const streams::Recording& recording,
+    Shard& shard, core::AimsSystem::PreparedIngest prepared,
     std::optional<core::SessionOwner> owner, obs::Trace* trace,
     IngestIoStats* io_stats, std::vector<core::StandingRangeUpdate>* updates) {
-  // Seal, transform and encode before taking the lock: PrepareIngest
-  // reads no state the exclusive sections mutate, so queries on the shard
-  // never wait for this ingest's CPU work.
-  AIMS_ASSIGN_OR_RETURN(core::AimsSystem::PreparedIngest prepared,
-                        shard.system.PrepareIngest(name, recording, trace));
   // Device writes happen only inside a shard's exclusive sections, so the
   // write-counter delta inside this ingest's sections is exactly its own
   // I/O — and it is charged whatever the outcome: a fault mid-ingest has
@@ -730,41 +727,25 @@ Status ShardedCatalog::MigrateSession(GlobalSessionId id, size_t target_shard) {
   }
   AIMS_ASSIGN_OR_RETURN(Route route, FindRoute(id));
   if (route.shard == target_shard) return Status::OK();
-  // 1. Materialize the source copy under the source's SHARED lock —
-  //    concurrent queries keep running against it throughout.
-  Shard& source = *shards_[route.shard];
-  std::string name;
-  Result<streams::Recording> materialized = ReadOnShard(
-      source, [&](const core::AimsSystem& sys) -> Result<streams::Recording> {
-        AIMS_ASSIGN_OR_RETURN(core::SessionInfo info,
-                              sys.GetSession(route.local));
-        name = info.name;
-        return sys.MaterializeSession(route.local);
-      });
-  AIMS_RETURN_NOT_OK(materialized.status());
-  // 2. Ingest the copy into the target through the full staged protocol:
-  //    on the durable backend the copy is on stable storage before we
-  //    proceed. No catalog metrics, no tenant attribution — migration is an
+  // 1. Export the stored session under the source's SHARED lock —
+  //    concurrent queries keep running against it throughout. The copy is
+  //    its stored bytes: coefficients, block payloads and sealed segments
+  //    (downsampled tiers included), so the target answers bit for bit.
+  AIMS_ASSIGN_OR_RETURN(
+      core::AimsSystem::PreparedIngest copy,
+      ReadOnShard(*shards_[route.shard], [&](const core::AimsSystem& sys) {
+        return sys.ExportStored(route.local);
+      }));
+  // 2. Stage the copy on the target through the publish step of every
+  //    ingest: one WAL group, on stable storage before we proceed on the
+  //    durable backend. No owner, no trace, no catalog metrics, no tenant
+  //    attribution, no standing-query results — migration is an
   //    infrastructure move, not tenant activity.
   AIMS_ASSIGN_OR_RETURN(
       core::SessionId target_local,
-      IngestOnShard(*shards_[target_shard], name, *materialized,
+      IngestOnShard(*shards_[target_shard], std::move(copy),
                     /*owner=*/std::nullopt, /*trace=*/nullptr,
                     /*io_stats=*/nullptr));
-  // 2b. Carry the sealed raw segments over verbatim. The target's ingest
-  //     rebuilt tier-0 segments from the materialized samples, but the
-  //     source may hold downsampled tiers (tier/decimation/NMSE metadata)
-  //     and the raw tier must stay bit-exact across moves — so the copied
-  //     segments replace the rebuilt ones wholesale.
-  Result<std::vector<storage::tslife::Segment>> segments = ReadOnShard(
-      source, [&](const core::AimsSystem& sys) {
-        return sys.ExportSegments(route.local);
-      });
-  AIMS_RETURN_NOT_OK(segments.status());
-  AIMS_RETURN_NOT_OK(WriteOnShard(
-      *shards_[target_shard], [&](core::AimsSystem& sys) {
-        return sys.ReplaceSegments(target_local, std::move(*segments));
-      }));
   // 3. Journal the owner flip. Once this record is durable, recovery
   //    resolves the session to the target — and only then does the live
   //    route flip, so crash-before and crash-after both leave exactly one
@@ -838,7 +819,6 @@ Status ShardedCatalog::OpenAndReplayJournal(const std::string& base_path) {
   durable::WalConfig wal_config;
   wal_config.sync_mode = config_.durability.sync_mode;
   wal_config.group_commit_ms = config_.durability.group_commit_ms;
-  wal_config.simulated_sync_ms = config_.durability.simulated_sync_ms;
   const std::string path = base_path + "/routes.wal";
 
   AIMS_ASSIGN_OR_RETURN(durable::WriteAheadLog::Opened opened,

@@ -106,10 +106,8 @@ class ShardedCatalog {
   /// block device and catalog built from \p config.
   /// \param metrics optional registry for latency histograms and
   /// operation counters (may be null).
-  /// \param router_config consistent-hash ring tuning.
   explicit ShardedCatalog(size_t num_shards, core::AimsConfig config = {},
-                          obs::MetricsRegistry* metrics = nullptr,
-                          ShardRouterConfig router_config = {});
+                          obs::MetricsRegistry* metrics = nullptr);
   ~ShardedCatalog();
 
   size_t num_shards() const { return shards_.size(); }
@@ -311,12 +309,15 @@ class ShardedCatalog {
 
   /// \brief Copies one session to \p target_shard and flips its route into
   /// the dual-read window (primary = target, fallback = source). The copy
-  /// is materialized under the source's *shared* lock — concurrent queries
-  /// keep running — and the owner flip is journaled only after the target
-  /// copy is durable, so a crash leaves exactly one owner. The copy
-  /// carries no owner tag, bypasses catalog metrics and carries no tenant
-  /// attribution: migration is an infrastructure move, not tenant
-  /// activity. A copy no RouteMove names stays on disk, unrouted.
+  /// is the source's stored bytes (AimsSystem::ExportStored, under the
+  /// source's *shared* lock — concurrent queries keep running), staged on
+  /// the target as one WAL group by the publish step every ingest uses, so
+  /// it answers bit for bit like its source. The owner flip is journaled
+  /// only after the target copy is durable, so a crash leaves exactly one
+  /// owner. The copy carries no owner tag, records no trace, bypasses
+  /// catalog metrics and carries no tenant attribution: migration is an
+  /// infrastructure move, not tenant activity. A copy no RouteMove names
+  /// stays on disk, unrouted.
   Status MigrateSession(GlobalSessionId id, size_t target_shard);
 
   /// \brief Ends the dual-read window for every session of \p client
@@ -395,17 +396,18 @@ class ShardedCatalog {
                   std::chrono::steady_clock::time_point start,
                   size_t blocks_read) const;
 
-  /// Shard-level ingest (no routing, no metrics) — the normal ingest path
-  /// and the migrator's copy step share it. Runs the staged protocol on
-  /// either backend (see Ingest), preparing before the exclusive lock.
+  /// Shard-level staging of a prepared session (no routing, no metrics):
+  /// the publish step of every stored session, shared by Ingest (a
+  /// PrepareIngest of the recording, run before this with no lock) and
+  /// the migrator's copy (an ExportStored of the source). Runs the staged
+  /// protocol's locked phases on either backend (see Ingest).
   /// \p owner goes into the catalog entry; the migrator passes none.
   /// \p updates (optional, threaded through to the system) receives the
   /// standing-query results of the new session; the migrator passes null:
   /// a migration copy is not tenant activity and must not fire the
   /// continuous-aggregate hook.
   Result<core::SessionId> IngestOnShard(
-      Shard& shard, const std::string& name,
-      const streams::Recording& recording,
+      Shard& shard, core::AimsSystem::PreparedIngest prepared,
       std::optional<core::SessionOwner> owner, obs::Trace* trace,
       IngestIoStats* io_stats,
       std::vector<core::StandingRangeUpdate>* updates = nullptr);

@@ -111,9 +111,10 @@ constexpr aims::server::ClientId kTenant = 42;
 
 // Migration-mode crash round: add one acked session so there is always
 // something to move, arm the global payload-append hook, migrate. The
-// hook fires inside the migration protocol (a copy's block put, catalog
-// entry or segment, or the route-move record, depending on the armed
-// count) and the process never returns from MigrateTenant.
+// hook fires inside the migration protocol and the process never returns
+// from MigrateTenant. The first session's copy is one WAL group: counts
+// 1-4 land on its block puts, 5 on its catalog entry, 6-7 on its segment
+// puts, and 8 on its route-move record.
 int RunMigrationCrash(const std::string& dir, int payload_appends) {
   aims::core::AimsConfig config;
   config.durability.path = dir;

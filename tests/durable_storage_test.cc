@@ -493,6 +493,21 @@ TEST(DurableSystem, StoresOfOnePaddedLengthShareOneLayout) {
     auto d = replayed.IngestRecording("d", MakeRecording(500, 1, 4));
     ASSERT_TRUE(d.ok());
     EXPECT_EQ(layout_of(replayed, *d, 0), layout_of(replayed, 0, 0));
+    // So does a migration copy: another system's export, staged here.
+    core::AimsSystem source;
+    auto e = source.IngestRecording("e", MakeRecording(400, 2, 5));
+    ASSERT_TRUE(e.ok());
+    EXPECT_EQ(source.ExportStored(*e + 1).status().code(),
+              StatusCode::kNotFound);
+    auto exported = source.ExportStored(*e);
+    ASSERT_TRUE(exported.ok()) << exported.status().ToString();
+    auto staged = replayed.StageIngest(exported.MoveValueUnsafe());
+    ASSERT_TRUE(staged.ok()) << staged.status().ToString();
+    ASSERT_TRUE(replayed.WaitDurable(*staged).ok());
+    ASSERT_TRUE(replayed.ApplyStaged(*staged).ok());
+    EXPECT_EQ(layout_of(replayed, staged->id, 1), layout_of(replayed, 0, 0));
+    EXPECT_EQ(replayed.ReadChannel(staged->id, 1).ValueOrDie(),
+              source.ReadChannel(*e, 1).ValueOrDie());
     ASSERT_TRUE(replayed.Checkpoint().ok());
   }
   core::AimsSystem from_snapshot(config);

@@ -1,6 +1,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <mutex>
 #include <thread>
@@ -48,6 +49,152 @@ double ChannelSum(const streams::Recording& rec, size_t channel) {
   return sum;
 }
 
+// Slow, quantized tones with frame timestamps from \p t0 seconds: smooth
+// enough that a retention sweep downsamples their raw segments.
+streams::Recording TonesFrom(double t0, size_t frames, size_t channels) {
+  streams::Recording rec;
+  rec.sample_rate_hz = 100.0;
+  for (size_t f = 0; f < frames; ++f) {
+    streams::Frame frame;
+    frame.timestamp = t0 + static_cast<double>(f) / 100.0;
+    frame.values.resize(channels);
+    for (size_t c = 0; c < channels; ++c) {
+      frame.values[c] = std::round(std::sin(0.03 * static_cast<double>(f) *
+                                            static_cast<double>(c + 1)) *
+                                   2048.0) /
+                        2048.0;
+    }
+    rec.Append(std::move(frame));
+  }
+  return rec;
+}
+
+uint64_t Bits(double value) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+// What one stored session answers, as bits. Left out are the progressive
+// steps' cache_hits and the plan's residency flags: they describe the
+// shard's block cache, not the session.
+struct SessionAnswers {
+  std::vector<uint64_t> channels;     // ReadChannel
+  std::vector<uint64_t> progressive;  // QueryRangeProgressive steps
+  std::vector<uint64_t> schedules;    // PlanRangeQuery schedules
+  std::vector<uint64_t> segments;     // ListSegments
+  std::vector<uint64_t> raw;          // ReadRawSamples
+};
+
+SessionAnswers AnswersOf(const ShardedCatalog& catalog, GlobalSessionId id,
+                         size_t channels, size_t first, size_t last) {
+  SessionAnswers out;
+  for (size_t c = 0; c < channels; ++c) {
+    auto values = catalog.ReadChannel(id, c);
+    EXPECT_TRUE(values.ok()) << values.status().ToString();
+    if (values.ok()) {
+      for (double v : *values) out.channels.push_back(Bits(v));
+    }
+    auto progressive = catalog.QueryRangeProgressive(id, c, first, last);
+    EXPECT_TRUE(progressive.ok()) << progressive.status().ToString();
+    if (progressive.ok()) {
+      for (const core::ProgressiveRangeStep& step : progressive->steps) {
+        out.progressive.insert(
+            out.progressive.end(),
+            {step.blocks_read, Bits(step.sum_estimate),
+             Bits(step.mean_estimate), Bits(step.sum_error_bound)});
+      }
+    }
+    auto plan = catalog.PlanRangeQuery(id, c, first, last);
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+    if (plan.ok()) {
+      for (const core::QueryPlanBlockFetch& fetch : plan->schedule) {
+        out.schedules.insert(out.schedules.end(),
+                             {fetch.logical_block, fetch.num_coefficients,
+                              Bits(fetch.query_energy)});
+      }
+    }
+    auto raw = catalog.ReadRawSamples(id, c);
+    EXPECT_TRUE(raw.ok()) << raw.status().ToString();
+    if (raw.ok()) {
+      for (const gorilla::Sample& sample : *raw) {
+        out.raw.insert(out.raw.end(), {static_cast<uint64_t>(sample.t_ms),
+                                       Bits(sample.value)});
+      }
+    }
+  }
+  auto metas = catalog.ListSegments(id);
+  EXPECT_TRUE(metas.ok()) << metas.status().ToString();
+  if (metas.ok()) {
+    for (const storage::tslife::SegmentMeta& meta : *metas) {
+      out.segments.insert(
+          out.segments.end(),
+          {meta.channel, meta.seq, meta.tier, meta.decimation, meta.count,
+           static_cast<uint64_t>(meta.t0_us), static_cast<uint64_t>(meta.t1_us),
+           Bits(meta.rate_hz), Bits(meta.nmse)});
+    }
+  }
+  return out;
+}
+
+// A move copies the stored bytes: after it, every session answers bit for
+// bit as before, one of them downsampled by a retention sweep first. On a
+// durable target each copy is one WAL group (its block puts, its catalog
+// entry, one put per source segment, begin and commit) with no segment
+// drop.
+void ExpectBitIdenticalMove(const core::AimsConfig& config) {
+  ShardedCatalog catalog(2, config);
+  ASSERT_TRUE(catalog.init_status().ok()) << catalog.init_status().ToString();
+  const ClientId client = 9;
+  const size_t target = 1 - catalog.router().ShardForClient(client);
+  constexpr size_t kChannels = 3;
+  constexpr size_t kFrames = 300;
+  // The sweep at data time 60 s downsamples the session recorded from 0 s
+  // and leaves the one recorded from 100 s raw.
+  std::vector<GlobalSessionId> ids;
+  std::vector<size_t> blocks;
+  for (double t0 : {0.0, 100.0}) {
+    const size_t written = catalog.total_blocks_written();
+    auto id = catalog.Ingest(client, "move", TonesFrom(t0, kFrames, kChannels));
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    ids.push_back(*id);
+    blocks.push_back(catalog.total_blocks_written() - written);
+  }
+  ShardedCatalog::TenantRetentionPolicies policies;
+  policies.default_policy.downsample_age_seconds = 1.0;
+  ASSERT_TRUE(catalog.SweepRetention(policies, 60 * 1000000ll).ok());
+
+  std::vector<SessionAnswers> before;
+  size_t expected_records = 0;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    auto metas = catalog.ListSegments(ids[i]);
+    ASSERT_TRUE(metas.ok());
+    ASSERT_FALSE(metas->empty());
+    EXPECT_EQ(metas->front().tier, i == 0 ? 1u : 0u);
+    before.push_back(AnswersOf(catalog, ids[i], kChannels, 17, kFrames - 20));
+    expected_records += blocks[i] + 1 + metas->size() + 2;
+  }
+  const obs::WalStats wal_before = catalog.TotalWalStats();
+
+  DataMigrator migrator(&catalog);
+  ASSERT_TRUE(migrator.MigrateTenant(client, target).ok());
+  EXPECT_EQ(catalog.ShardStats()[target].sessions, ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    SessionAnswers after =
+        AnswersOf(catalog, ids[i], kChannels, 17, kFrames - 20);
+    EXPECT_EQ(after.channels, before[i].channels) << "session " << i;
+    EXPECT_EQ(after.progressive, before[i].progressive) << "session " << i;
+    EXPECT_EQ(after.schedules, before[i].schedules) << "session " << i;
+    EXPECT_EQ(after.segments, before[i].segments) << "session " << i;
+    EXPECT_EQ(after.raw, before[i].raw) << "session " << i;
+  }
+  if (catalog.durable()) {
+    const obs::WalStats wal_after = catalog.TotalWalStats();
+    EXPECT_EQ(wal_after.commits - wal_before.commits, ids.size());
+    EXPECT_EQ(wal_after.records - wal_before.records, expected_records);
+  }
+}
+
 std::string TestDir(const std::string& name) {
   std::string dir =
       (std::filesystem::temp_directory_path() / ("aims_rebalance_" + name))
@@ -77,7 +224,7 @@ TEST(DataMigratorTest, MigrateTenantMovesEverySessionAndIdsSurvive) {
   DataMigrator migrator(&catalog);
   ASSERT_TRUE(migrator.MigrateTenant(client, target).ok());
 
-  // The same opaque ids keep answering, bit-for-bit.
+  // The same opaque ids keep answering (MoveIsBitIdentical* pin the bits).
   for (const auto& [id, expected] : sessions) {
     auto stats = catalog.QueryRange(id, 0, 0, kFrames - 1);
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
@@ -99,6 +246,18 @@ TEST(DataMigratorTest, MigrateTenantMovesEverySessionAndIdsSurvive) {
   MigrationStatus status = migrator.status();
   EXPECT_EQ(status.state, MigrationStatus::State::kDone);
   EXPECT_EQ(status.sessions_moved, kSessions);
+}
+
+TEST(DataMigratorTest, MoveIsBitIdenticalInMemory) {
+  ExpectBitIdenticalMove(core::AimsConfig{});
+}
+
+TEST(DataMigratorTest, MoveIsBitIdenticalAndOneWalGroupPerSessionDurable) {
+  const std::string dir = TestDir("bit_identical");
+  core::AimsConfig config;
+  config.durability.path = dir;
+  ExpectBitIdenticalMove(config);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(DataMigratorTest, MigrationToCurrentShardIsANoop) {

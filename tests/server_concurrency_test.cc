@@ -401,43 +401,11 @@ TEST(IngestServiceTest, GlobalCapacityCapRejects) {
   EXPECT_EQ(catalog.total_sessions(), 2u);
 }
 
-TEST(IngestServiceTest, RetriesTransientWriteFaults) {
-  obs::MetricsRegistry metrics;
-  ShardedCatalog catalog(1, {}, &metrics);
-  ThreadPool pool(1);
-  IngestAdmissionPolicy policy;
-  policy.max_attempts = 3;
-  IngestService service(&catalog, &pool, policy, &metrics);
-
-  AdminFaultRequest fault;
-  fault.shard = catalog.router().ShardForClient(0);
-  fault.fail_next_writes = 1;
-  ASSERT_TRUE(catalog.ApplyFault(fault).ok());
-  Result<GlobalSessionId> outcome = Status::Internal("callback never ran");
-  std::promise<void> done;
-  ASSERT_TRUE(service
-                  .Submit(0, "flaky", MakeRecording(32, 2, 1.0),
-                          [&](const Result<GlobalSessionId>& result) {
-                            outcome = result;
-                            done.set_value();
-                          })
-                  .ok());
-  done.get_future().wait();
-  service.Drain();
-  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-  EXPECT_EQ(metrics.GetCounter("ingest.retries")->value(), 1u);
-  EXPECT_EQ(metrics.GetCounter("ingest.completed")->value(), 1u);
-  EXPECT_EQ(metrics.GetCounter("ingest.failed")->value(), 0u);
-  EXPECT_TRUE(catalog.GetSession(*outcome).ok());
-}
-
 TEST(IngestServiceTest, PersistentFaultExhaustsAttemptsAndFails) {
   obs::MetricsRegistry metrics;
   ShardedCatalog catalog(1, {}, &metrics);
   ThreadPool pool(1);
-  IngestAdmissionPolicy policy;
-  policy.max_attempts = 2;
-  IngestService service(&catalog, &pool, policy, &metrics);
+  IngestService service(&catalog, &pool, {}, &metrics);
 
   AdminFaultRequest fault;
   fault.shard = catalog.router().ShardForClient(0);
@@ -456,7 +424,6 @@ TEST(IngestServiceTest, PersistentFaultExhaustsAttemptsAndFails) {
   service.Drain();
   EXPECT_FALSE(outcome.ok());
   EXPECT_EQ(outcome.status().code(), StatusCode::kIoError);
-  EXPECT_EQ(metrics.GetCounter("ingest.retries")->value(), 1u);
   EXPECT_EQ(metrics.GetCounter("ingest.failed")->value(), 1u);
   EXPECT_EQ(catalog.total_sessions(), 0u);
   AdminFaultRequest disarm;

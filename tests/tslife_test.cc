@@ -444,40 +444,6 @@ TEST(TsLifeCore, SessionFilterScopesTheSweep) {
   EXPECT_FALSE(b_metas.ValueOrDie().empty()) << "filter must scope the sweep";
 }
 
-TEST(TsLifeCore, ExportReplacePreservesTiersAcrossSystems) {
-  // The migration pair: a target re-ingest rebuilds tier-0 segments from
-  // reconstructed samples, then ReplaceSegments installs the source's
-  // sealed segments verbatim so tier/decimation/NMSE metadata survive.
-  core::AimsSystem source;
-  streams::Recording rec = MakeRecording(256, 1);
-  auto src_id = source.IngestRecording("move", rec);
-  ASSERT_TRUE(src_id.ok());
-  RetentionPolicy policy;
-  policy.downsample_age_seconds = 1.0;
-  ASSERT_TRUE(source.SweepRetention(policy, 3600 * 1000000ll).ok());
-  auto exported = source.ExportSegments(src_id.ValueOrDie());
-  ASSERT_TRUE(exported.ok());
-  ASSERT_FALSE(exported.ValueOrDie().empty());
-  ASSERT_EQ(exported.ValueOrDie()[0].meta.tier, 1u);
-
-  core::AimsSystem target;
-  auto dst_id = target.IngestRecording("move", rec);
-  ASSERT_TRUE(dst_id.ok());
-  auto rebuilt = target.ListSegments(dst_id.ValueOrDie());
-  ASSERT_TRUE(rebuilt.ok());
-  EXPECT_EQ(rebuilt.ValueOrDie()[0].tier, 0u) << "re-ingest rebuilds raw";
-
-  ASSERT_TRUE(
-      target.ReplaceSegments(dst_id.ValueOrDie(), exported.ValueOrDie())
-          .ok());
-  auto replaced = target.ListSegments(dst_id.ValueOrDie());
-  ASSERT_TRUE(replaced.ok());
-  ASSERT_EQ(replaced.ValueOrDie().size(), exported.ValueOrDie().size());
-  EXPECT_EQ(replaced.ValueOrDie()[0].tier, 1u);
-  EXPECT_GT(replaced.ValueOrDie()[0].nmse, 0.0);
-  EXPECT_FALSE(target.ReplaceSegments(99, exported.ValueOrDie()).ok());
-}
-
 TEST(TsLifeCore, StandingQueriesMaintainExactResultsAtIngest) {
   core::AimsSystem system;
   streams::Recording rec = MakeRecording(256, 2);
