@@ -133,7 +133,8 @@ int main() {
   auto traces = server.tracer().Snapshot();
   if (!traces.empty()) {
     for (const auto& span : traces.back().spans()) {
-      std::printf("  %-16s %8.3f ms .. %8.3f ms\n", span.name.c_str(),
+      std::printf("  %-16.*s %8.3f ms .. %8.3f ms\n",
+                  static_cast<int>(span.name.size()), span.name.data(),
                   span.start_ms, span.end_ms);
     }
   }

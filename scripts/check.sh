@@ -86,9 +86,20 @@ admin_smoke() {
   # Exposition validity: every family used below is present, and every
   # non-comment line is "name{labels} value" with a numeric value.
   for family in aims_build_info aims_uptime_seconds \
-      aims_catalog_ingest_count aims_shard_sessions; do
+      aims_catalog_ingest_count aims_shard_sessions \
+      aims_span_ingest_ms aims_span_query_ms; do
     if ! grep -q "^${family}" "${ARTIFACT_DIR}/admin_metrics.prom"; then
       echo "bench smoke: /metrics is missing family ${family}" >&2
+      exit 1
+    fi
+  done
+  # The stage histograms are fed by the request spans: the loaded server
+  # has recorded ingest and query root spans.
+  for family in aims_span_ingest_ms aims_span_query_ms; do
+    if ! awk -v name="${family}_count" \
+        '$1 == name && $2 > 0 { found = 1 } END { exit !found }' \
+        "${ARTIFACT_DIR}/admin_metrics.prom"; then
+      echo "bench smoke: /metrics has no positive ${family}_count" >&2
       exit 1
     fi
   done

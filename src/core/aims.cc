@@ -19,7 +19,6 @@
 #include "signal/lazy_wavelet.h"
 #include "signal/polynomial.h"
 #include "storage/allocation.h"
-#include "streams/recording_io.h"
 
 namespace aims::core {
 
@@ -243,7 +242,7 @@ Result<AimsSystem::PreparedIngest> AimsSystem::PrepareIngest(
     // lifecycle, bit-exact against the ingested values.
     if (config_.tslife.enabled) {
       size_t seal_span = 0;
-      if (trace != nullptr) seal_span = trace->BeginSpan("seal");
+      if (trace != nullptr) seal_span = trace->BeginSpan(obs::Stage::kSeal);
       std::vector<storage::tslife::Segment> segments =
           storage::tslife::BuildSegments(c, t_us, channel,
                                          recording.sample_rate_hz,
@@ -255,7 +254,9 @@ Result<AimsSystem::PreparedIngest> AimsSystem::PrepareIngest(
     }
 
     size_t transform_span = 0;
-    if (trace != nullptr) transform_span = trace->BeginSpan("transform");
+    if (trace != nullptr) {
+      transform_span = trace->BeginSpan(obs::Stage::kTransform);
+    }
     PreparedIngest::Channel& out = prepared.channels.emplace_back();
     out.layout = layout;
     // Mean-center so zero padding does not create an artificial step; the
@@ -347,7 +348,9 @@ Result<AimsSystem::StagedIngest> AimsSystem::StageIngest(
   staged.id = session.info.id;
   for (const PreparedIngest::Channel& channel : prepared.channels) {
     size_t write_span = 0;
-    if (trace != nullptr) write_span = trace->BeginSpan("block_write");
+    if (trace != nullptr) {
+      write_span = trace->BeginSpan(obs::Stage::kBlockWrite);
+    }
     // An export carries no layout: the copy takes this system's own, which
     // every other store of its padded length shares.
     std::shared_ptr<const storage::BlockLayout> layout =
@@ -372,7 +375,7 @@ Result<AimsSystem::StagedIngest> AimsSystem::StageIngest(
   }
   if (wal_ != nullptr) {
     size_t wal_span = 0;
-    if (trace != nullptr) wal_span = trace->BeginSpan("wal_append");
+    if (trace != nullptr) wal_span = trace->BeginSpan(obs::Stage::kWalAppend);
     Status logged = LogSession(session, prepared, &staged);
     if (trace != nullptr) trace->EndSpan(wal_span);
     AIMS_RETURN_NOT_OK(logged);
@@ -517,7 +520,7 @@ Status AimsSystem::RunCheckpoint(obs::Trace* trace, bool wait) {
   lock.unlock();
 
   size_t span = 0;
-  if (trace != nullptr) span = trace->BeginSpan("checkpoint");
+  if (trace != nullptr) span = trace->BeginSpan(obs::Stage::kCheckpoint);
   // Order is the recovery contract: the retired groups' pages on stable
   // storage, then the catalog changes they carried, and only then may the
   // WAL forget them.
@@ -1433,82 +1436,6 @@ Result<propolyne::DataCube> AimsSystem::BuildChannelCube(
   }
   return propolyne::DataCube::FromDenseMultiFilter(schema, filters,
                                                    std::move(dense));
-}
-
-Result<streams::Recording> AimsSystem::MaterializeSession(SessionId id) const {
-  if (id >= sessions_.size()) {
-    return Status::NotFound("MaterializeSession: unknown session id");
-  }
-  const SessionInfo& info = sessions_[id].info;
-  streams::Recording recording;
-  recording.sample_rate_hz = info.sample_rate_hz;
-  std::vector<std::vector<double>> channels(info.num_channels);
-  for (size_t c = 0; c < info.num_channels; ++c) {
-    AIMS_ASSIGN_OR_RETURN(channels[c], ReadChannel(id, c));
-  }
-  double dt = info.sample_rate_hz > 0.0 ? 1.0 / info.sample_rate_hz : 0.0;
-  for (size_t f = 0; f < info.num_frames; ++f) {
-    streams::Frame frame;
-    frame.timestamp = static_cast<double>(f) * dt;
-    frame.values.resize(info.num_channels);
-    for (size_t c = 0; c < info.num_channels; ++c) {
-      frame.values[c] = channels[c][f];
-    }
-    recording.Append(std::move(frame));
-  }
-  return recording;
-}
-
-Status AimsSystem::ExportSession(SessionId id,
-                                 const std::string& path) const {
-  AIMS_ASSIGN_OR_RETURN(streams::Recording recording, MaterializeSession(id));
-  return streams::WriteBinary(recording, path);
-}
-
-Result<SessionId> AimsSystem::ImportSession(const std::string& name,
-                                            const std::string& path) {
-  AIMS_ASSIGN_OR_RETURN(streams::Recording recording,
-                        streams::ReadBinary(path));
-  return IngestRecording(name, recording);
-}
-
-Status AimsSystem::SaveCatalog(const std::string& directory) const {
-  std::ofstream index(directory + "/catalog.txt");
-  if (!index) {
-    return Status::IoError("SaveCatalog: cannot open index in " + directory);
-  }
-  for (const StoredSession& session : sessions_) {
-    std::string file = "session_" + std::to_string(session.info.id) + ".aimr";
-    AIMS_RETURN_NOT_OK(ExportSession(session.info.id, directory + "/" + file));
-    index << file << '\t' << session.info.name << '\n';
-  }
-  if (!index) {
-    return Status::IoError("SaveCatalog: index write failed");
-  }
-  return Status::OK();
-}
-
-Result<std::vector<SessionId>> AimsSystem::LoadCatalog(
-    const std::string& directory) {
-  std::ifstream index(directory + "/catalog.txt");
-  if (!index) {
-    return Status::IoError("LoadCatalog: cannot open index in " + directory);
-  }
-  std::vector<SessionId> ids;
-  std::string line;
-  while (std::getline(index, line)) {
-    if (line.empty()) continue;
-    size_t tab = line.find('\t');
-    if (tab == std::string::npos) {
-      return Status::InvalidArgument("LoadCatalog: malformed index line");
-    }
-    std::string file = line.substr(0, tab);
-    std::string name = line.substr(tab + 1);
-    AIMS_ASSIGN_OR_RETURN(SessionId id,
-                          ImportSession(name, directory + "/" + file));
-    ids.push_back(id);
-  }
-  return ids;
 }
 
 Status AimsSystem::AddVocabularyEntry(std::string label,

@@ -542,31 +542,6 @@ class AimsSystem {
   Result<propolyne::DataCube> BuildChannelCube(
       const std::vector<SessionId>& ids, const CubeSpec& spec) const;
 
-  /// \brief Reconstructs a stored session as an in-memory Recording —
-  /// every channel read back from its wavelet blocks, frame timestamps
-  /// regenerated from the sample rate. This is the copy step of session
-  /// export to a recording file; the samples go through the inverse DWT,
-  /// so a re-ingest of them answers the same queries to rounding, not
-  /// bit for bit (migration copies the stored bytes: ExportStored).
-  Result<streams::Recording> MaterializeSession(SessionId id) const;
-
-  /// \brief Exports a stored session to the binary recording container
-  /// (MaterializeSession + WriteBinary).
-  Status ExportSession(SessionId id, const std::string& path) const;
-
-  /// \brief Ingests a recording previously written by ExportSession (or
-  /// any AIMR file).
-  Result<SessionId> ImportSession(const std::string& name,
-                                  const std::string& path);
-
-  /// \brief Persists the whole catalog: one AIMR file per session plus a
-  /// `catalog.txt` index in \p directory (which must exist).
-  Status SaveCatalog(const std::string& directory) const;
-
-  /// \brief Re-ingests every session of a saved catalog, in the saved
-  /// order. Returns the new ids (session ids are assigned afresh).
-  Result<std::vector<SessionId>> LoadCatalog(const std::string& directory);
-
   /// Device-level I/O counters (shared across sessions).
   const storage::BlockDevice& device() const { return *device_; }
   storage::BlockDevice* mutable_device() { return device_.get(); }

@@ -79,8 +79,8 @@ std::string PrometheusExport(const MetricsRegistry& registry,
                                  nullptr,
                              const std::vector<SloStatus>* slo = nullptr);
 
-/// \brief One Prometheus-sanitized metric name: "scheduler.exec_ms" ->
-/// "aims_scheduler_exec_ms". Exposed for tests and dashboards.
+/// \brief One Prometheus-sanitized metric name: "span.query_ms" ->
+/// "aims_span_query_ms". Exposed for tests and dashboards.
 std::string PrometheusName(const std::string& name);
 
 /// \brief Chrome trace_event JSON for every trace the tracer retains:

@@ -127,11 +127,10 @@ void FlightRecorder::RecordHealth(const HealthSnapshot& snapshot) {
   if (trigger) (void)Dump("health transition to Saturated");
 }
 
-void FlightRecorder::RecordEvictedTrace(const Trace& trace) {
-  std::string json = trace.ToJson();
+void FlightRecorder::RecordEvictedTrace(Trace trace) {
   std::lock_guard<std::mutex> lock(mutex_);
   ++evicted_trace_total_;
-  evicted_traces_.push_back(std::move(json));
+  evicted_traces_.push_back(std::move(trace));
   while (evicted_traces_.size() > config_.trace_capacity) {
     evicted_traces_.pop_front();
   }
@@ -188,7 +187,7 @@ std::string FlightRecorder::RenderLocked(const std::string& reason,
   out += ",\"evicted_traces\":[";
   for (size_t i = 0; i < evicted_traces_.size(); ++i) {
     if (i > 0) out += ',';
-    out += evicted_traces_[i];
+    out += evicted_traces_[i].ToJson();
   }
   out += "],\"slow_queries_total\":" + std::to_string(slow_query_total_);
   out += ",\"slow_queries\":[";

@@ -31,9 +31,10 @@
 /// cadence, so the file on disk is at most one interval stale: the
 /// aircraft-flight-recorder model, not the core-dump model.
 ///
-/// Recording paths are cheap (one mutex, bounded deques of pre-serialized
-/// strings) and never block on I/O: bundle writes happen on the trigger's
-/// thread or the persist thread, never inside Record*.
+/// Recording paths are cheap (one mutex, bounded deques; an evicted trace
+/// is kept as the Trace itself and rendered only with a bundle) and never
+/// block on I/O: bundle writes happen on the trigger's thread or the
+/// persist thread, never inside Record*.
 
 namespace aims::obs {
 
@@ -41,7 +42,7 @@ namespace aims::obs {
 struct FlightRecorderConfig {
   /// Health snapshots retained (the bundle's recent-history window).
   size_t health_capacity = 32;
-  /// Evicted traces retained (each stored as its ToJson string).
+  /// Evicted traces retained (rendered as their ToJson with a bundle).
   size_t trace_capacity = 16;
   /// Slow-query records retained (JSON lines, newest last).
   size_t slow_query_capacity = 32;
@@ -106,9 +107,10 @@ class FlightRecorder {
   /// Saturated triggers a bundle dump (the operator's "it just fell over"
   /// marker).
   void RecordHealth(const HealthSnapshot& snapshot);
-  /// \brief Retains a trace the tracer ring evicted. Called under the
-  /// tracer's mutex — must not (and does not) call back into the tracer.
-  void RecordEvictedTrace(const Trace& trace);
+  /// \brief Retains a trace the tracer ring evicted, unrendered. Called
+  /// under the tracer's mutex — must not (and does not) call back into the
+  /// tracer.
+  void RecordEvictedTrace(Trace trace);
   /// \brief Retains one slow-query JSON record.
   void RecordSlowQuery(const std::string& json_line);
   /// \brief Retains one free-form event line (trigger history).
@@ -168,7 +170,7 @@ class FlightRecorder {
 
   mutable std::mutex mutex_;
   std::deque<HealthSnapshot> health_;
-  std::deque<std::string> evicted_traces_;
+  std::deque<Trace> evicted_traces_;
   std::deque<std::string> slow_queries_;
   std::deque<std::string> events_;
   HealthLevel prev_level_ = HealthLevel::kOk;

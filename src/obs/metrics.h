@@ -139,9 +139,9 @@ class MetricsRegistry {
   /// 0.25, 0.5, 1, 2, ... up to 2^12 ms (~4 s), 14 finite buckets.
   static std::vector<double> DefaultLatencyBoundsMs();
 
-  /// \brief Sub-millisecond bounds for profiling-hook histograms:
-  /// 1 us doubling up to ~4 s (23 finite buckets), so microsecond-scale
-  /// kernel timings land in distinct buckets.
+  /// \brief Sub-millisecond bounds for the tracer's stage histograms:
+  /// 1 us doubling up to ~2.1 s (22 finite buckets), so microsecond-scale
+  /// stages such as a block fetch land in distinct buckets.
   static std::vector<double> DefaultProfileBoundsMs();
 
   /// \brief Name-sorted snapshots (registration order never leaks into the

@@ -28,7 +28,7 @@ namespace aims::obs {
 /// \brief What an objective judges.
 enum class SloKind {
   /// Fraction of scrape intervals where the latency quantile series
-  /// (e.g. "scheduler.exec_ms.p99") stayed at or under latency_target_ms.
+  /// (e.g. "span.query_ms.p99") stayed at or under latency_target_ms.
   kLatencyQuantile,
   /// 1 - increase(bad)/increase(total) over the window, from two counter
   /// series (errors vs. operations).

@@ -12,8 +12,9 @@ namespace aims::obs {
 namespace {
 
 // The signals the checks read, under the names their publishers register:
-// the scheduler, the ingest service and the catalog.
-constexpr char kLatencyHistogram[] = "scheduler.exec_ms";
+// the tracer (the query stage's histogram), the ingest service, the
+// catalog and the scheduler.
+constexpr char kLatencyHistogram[] = "span.query_ms";
 constexpr char kQueueDepthGauge[] = "ingest.queue_depth";
 constexpr char kWalLagGauge[] = "storage.wal_lag_bytes";
 constexpr char kShardLockGauge[] = "catalog.shard_lock_p99_us";

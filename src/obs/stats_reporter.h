@@ -31,8 +31,10 @@ namespace aims::obs {
 /// signal under the name its publisher registers; an unregistered signal
 /// or a 0 target disables the check.
 struct StatsReporterConfig {
-  /// Target for the p99 of the scheduler's "scheduler.exec_ms" histogram.
-  /// Degraded when p99 exceeds this; saturated when it exceeds twice this.
+  /// Target for the p99 of the tracer's "span.query_ms" histogram: a
+  /// query's root span, from submission to answer — what a client waits
+  /// for, and where a saturated pool shows first. Degraded when p99
+  /// exceeds this; saturated when it exceeds twice this.
   double p99_target_ms = 0.0;
   /// Capacity the ingest service's "ingest.queue_depth" gauge is divided
   /// by. Degraded at >= 75% of capacity, saturated at >= 100%.
@@ -108,7 +110,7 @@ struct HealthSnapshot {
   double queue_saturation = 0.0;
   /// WAL lag / wal_lag_budget_bytes (0 when disabled).
   double wal_lag_saturation = 0.0;
-  /// p99 of "scheduler.exec_ms" in ms (0 when disabled/unregistered).
+  /// p99 of "span.query_ms" in ms (0 when disabled/unregistered).
   double p99_ms = 0.0;
   /// Max-over-shards shard-lock-wait p99 in ms (0 when the shard-lock
   /// gauge is unregistered).

@@ -12,8 +12,9 @@ std::string Trace::ToJson() const {
   for (size_t i = 0; i < spans_.size(); ++i) {
     const TraceSpan& span = spans_[i];
     if (i > 0) out += ',';
-    out += "{\"name\":\"" + JsonEscape(span.name) +
-           "\",\"id\":" + std::to_string(span.id) +
+    out += "{\"name\":\"";
+    out += span.name;  // a stage name: nothing to escape
+    out += "\",\"id\":" + std::to_string(span.id) +
            ",\"parent_id\":" + std::to_string(span.parent_id) +
            ",\"start_ms\":";
     AppendJsonDouble(&out, span.start_ms);
@@ -25,21 +26,38 @@ std::string Trace::ToJson() const {
   return out;
 }
 
-void Tracer::SetEvictionSink(std::function<void(const Trace&)> sink) {
+Tracer::Tracer(size_t capacity, MetricsRegistry* metrics)
+    : capacity_(capacity) {
+  if (metrics == nullptr) return;
+  for (size_t i = 0; i < kNumStages; ++i) {
+    stage_ms_[i] = metrics->GetHistogram(
+        "span." + std::string(kStageNames[i]) + "_ms",
+        MetricsRegistry::DefaultProfileBoundsMs());
+  }
+}
+
+void Tracer::SetEvictionSink(std::function<void(Trace&&)> sink) {
   std::lock_guard<std::mutex> lock(mutex_);
   eviction_sink_ = std::move(sink);
 }
 
 void Tracer::Record(Trace trace) {
   trace.CloseOpenSpans();
+  if (stage_ms_.front() != nullptr) {
+    for (const TraceSpan& span : trace.spans()) {
+      stage_ms_[static_cast<size_t>(span.stage)]->Record(span.end_ms -
+                                                         span.start_ms);
+    }
+  }
+  if (capacity_ == 0) return;
   std::lock_guard<std::mutex> lock(mutex_);
   ++total_recorded_;
   traces_.push_back(std::move(trace));
   while (traces_.size() > capacity_) {
-    // The sink (flight recorder) sees the trace BEFORE it leaves the ring,
+    // The sink (flight recorder) takes the trace as it leaves the ring,
     // and the dropped counter moves exactly once per eviction either way —
     // capture never changes the accounting.
-    if (eviction_sink_) eviction_sink_(traces_.front());
+    if (eviction_sink_) eviction_sink_(std::move(traces_.front()));
     traces_.pop_front();
     ++dropped_;
   }
@@ -71,28 +89,6 @@ double Tracer::OldestRetainedAgeMs() const {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - traces_.front().epoch())
       .count();
-}
-
-void Tracer::Clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  traces_.clear();
-  total_recorded_ = 0;
-  dropped_ = 0;
-}
-
-std::string Tracer::DumpJson() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::string out = "{\"total_recorded\":" + std::to_string(total_recorded_) +
-                    ",\"dropped\":" + std::to_string(dropped_) +
-                    ",\"traces\":[";
-  bool first = true;
-  for (const Trace& trace : traces_) {
-    if (!first) out += ',';
-    first = false;
-    out += trace.ToJson();
-  }
-  out += "]}";
-  return out;
 }
 
 }  // namespace aims::obs

@@ -1,39 +1,77 @@
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <iterator>
 #include <mutex>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
+#include "obs/metrics.h"
+
 /// \file tracer.h
-/// \brief Lightweight request tracing shared by every subsystem. Where the
-/// MetricsRegistry aggregates (how many queries, what p99), a Trace
-/// decomposes ONE request's latency into named spans — ingest admission,
-/// queue wait, shard lock, every block I/O, each recognizer update — so a
-/// slow request is explainable, not just countable. Spans carry parent/
-/// child ids, so one trace follows a request end-to-end through nested
-/// stages and exports as a correctly nested Chrome trace_event timeline
-/// (see obs/exporters.h). Traces are built lock-free by the worker that
-/// owns the request and handed to a bounded, thread-safe Tracer ring
-/// buffer that exports them as JSON next to the metrics dump.
+/// \brief Lightweight request tracing shared by every subsystem. A Trace
+/// decomposes ONE request's latency into spans — ingest admission, queue
+/// wait, shard lock, every block I/O, each recognizer update — so a slow
+/// request is explainable, not just countable. Each span names a Stage of
+/// one table, and the Tracer observes every recorded span in its stage's
+/// histogram: the spans are the per-stage latency metrics. Spans carry
+/// parent/child ids, so one trace exports as a correctly nested Chrome
+/// trace_event timeline (see obs/exporters.h). Traces are built lock-free
+/// by the worker that owns the request and handed to a bounded,
+/// thread-safe Tracer ring buffer.
 
 namespace aims::obs {
+
+/// \brief The one table of span names: every stage a service times. Each
+/// is a span in a trace and, in a Tracer given a registry, the histogram
+/// "span.<name>_ms".
+enum class Stage : uint8_t {
+  // Ingest, root first.
+  kIngest, kAdmission, kQueueWait, kSeal, kTransform, kShardLock,
+  kBlockWrite, kWalAppend, kWalSync, kShardApplyLock, kCheckpoint,
+  // Range query, root first.
+  kQuery, kAdmissionWait, kRefinement, kBlockIo,
+  // Live recognition, root first.
+  kStreamSamples, kRecognizerUpdate, kClassificationEvent,
+};
+
+inline constexpr size_t kNumStages =
+    static_cast<size_t>(Stage::kClassificationEvent) + 1;
+
+/// Span names, indexed by Stage.
+inline constexpr std::string_view kStageNames[] = {
+    "ingest", "admission", "queue_wait", "seal", "transform", "shard_lock",
+    "block_write", "wal_append", "wal_sync", "shard_apply_lock", "checkpoint",
+    "query", "admission_wait", "refinement", "block_io",
+    "stream_samples", "recognizer_update", "classification_event",
+};
+static_assert(std::size(kStageNames) == kNumStages);
+
+constexpr std::string_view StageName(Stage stage) {
+  return kStageNames[static_cast<size_t>(stage)];
+}
 
 /// \brief One named interval of a request's life, in milliseconds relative
 /// to the request's submission. Span ids are 1-based within their trace;
 /// parent_id 0 marks a root span.
 struct TraceSpan {
-  std::string name;
+  Stage stage = Stage::kIngest;
+  /// The stage's name; points into kStageNames, so a span owns no memory.
+  std::string_view name;
   uint64_t id = 0;
   uint64_t parent_id = 0;
   double start_ms = 0.0;
   /// Negative while the span is open; EndSpan/CloseOpenSpans stamps it.
   double end_ms = -1.0;
 };
+static_assert(std::is_trivially_copyable_v<TraceSpan>);
 
 /// \brief The span timeline of one request. Not thread-safe: a trace is
 /// mutated only by the thread currently driving its request.
@@ -62,16 +100,13 @@ class Trace {
 
   /// \brief Opens a span starting now, child of the innermost open span;
   /// returns its index for EndSpan.
-  size_t BeginSpan(std::string name) {
-    return BeginSpanAt(std::move(name), ElapsedMs());
-  }
+  size_t BeginSpan(Stage stage) { return BeginSpanAt(stage, ElapsedMs()); }
 
   /// \brief Opens a span with an explicit start — e.g. a root span that
   /// covers the request from submission (start 0) even though the worker
   /// opens it only at dispatch.
-  size_t BeginSpanAt(std::string name, double start_ms) {
-    spans_.push_back(TraceSpan{std::move(name), NextSpanId(), CurrentParent(),
-                               start_ms, -1.0});
+  size_t BeginSpanAt(Stage stage, double start_ms) {
+    AddSpan(stage, start_ms, -1.0);
     open_stack_.push_back(spans_.size() - 1);
     return spans_.size() - 1;
   }
@@ -87,17 +122,16 @@ class Trace {
   /// \brief Records a closed span with explicit bounds (e.g. an interval
   /// that started before the current thread picked the request up), child
   /// of the innermost open span.
-  void AddSpan(std::string name, double start_ms, double end_ms) {
-    spans_.push_back(
-        TraceSpan{std::move(name), NextSpanId(), CurrentParent(), start_ms,
-                  end_ms});
+  void AddSpan(Stage stage, double start_ms, double end_ms) {
+    spans_.push_back(TraceSpan{stage, StageName(stage), NextSpanId(),
+                               CurrentParent(), start_ms, end_ms});
   }
 
   /// \brief Records an instantaneous marker (start == end == now), child of
-  /// the innermost open span — e.g. "classification_event".
-  void AddMarker(std::string name) {
+  /// the innermost open span — e.g. Stage::kClassificationEvent.
+  void AddMarker(Stage stage) {
     double now = ElapsedMs();
-    AddSpan(std::move(name), now, now);
+    AddSpan(stage, now, now);
   }
 
   /// \brief Stamps every still-open span with the current time; call
@@ -138,26 +172,34 @@ class Trace {
   std::vector<size_t> open_stack_;
 };
 
-/// \brief Bounded, thread-safe ring buffer of finished traces. Keeps the
-/// most recent `capacity` traces; recording past capacity explicitly
-/// evicts the oldest trace and increments the dropped-trace counter, so
-/// tracing never grows without bound under sustained load and the loss is
+/// \brief Bounded, thread-safe ring buffer of finished traces, and the
+/// source of the per-stage latency histograms. Keeps the most recent
+/// `capacity` traces; recording past capacity explicitly evicts the
+/// oldest trace and increments the dropped-trace counter, so tracing
+/// never grows without bound under sustained load and the loss is
 /// observable instead of silent.
 class Tracer {
  public:
-  explicit Tracer(size_t capacity = 512) : capacity_(capacity) {}
+  /// \param capacity traces retained; 0 retains none, and Record then
+  /// only feeds the stage histograms.
+  /// \param metrics optional registry (may be null). Registers one
+  /// histogram per stage, "span.<stage>_ms" with profile bounds, and every
+  /// recorded span becomes an observation of its stage's histogram (a
+  /// marker observes 0).
+  explicit Tracer(size_t capacity = 512, MetricsRegistry* metrics = nullptr);
 
-  /// \brief Stores a finished trace (closing any still-open spans). When
-  /// the ring is full the oldest retained trace is evicted and counted in
-  /// dropped(); an eviction sink, when set, observes it on its way out.
+  /// \brief Adds every span of a finished trace (closing any still-open
+  /// spans) to its stage's histogram, then stores the trace. When the ring
+  /// is full the oldest retained trace is evicted and counted in
+  /// dropped(); an eviction sink, when set, takes it on its way out.
   void Record(Trace trace);
 
-  /// \brief Observer of every trace the ring evicts (the flight
-  /// recorder's last-chance capture). Runs under the tracer's mutex on
-  /// the recording thread: keep it cheap and NEVER call back into the
-  /// tracer from it. Eviction accounting (dropped()) is unchanged by the
-  /// sink. Set during wiring, before concurrent recording starts.
-  void SetEvictionSink(std::function<void(const Trace&)> sink);
+  /// \brief Taker of every trace the ring evicts, by move (the flight
+  /// recorder's last-chance capture). Runs under the tracer's mutex on the
+  /// recording thread: keep it cheap and NEVER call back into the tracer
+  /// from it. Eviction accounting (dropped()) is unchanged by the sink.
+  /// Set during wiring, before concurrent recording starts.
+  void SetEvictionSink(std::function<void(Trace&&)> sink);
 
   /// \brief Server-wide request-id source, shared by every traced
   /// subsystem so exported timelines never collide on id.
@@ -170,7 +212,7 @@ class Tracer {
 
   size_t capacity() const { return capacity_; }
   uint64_t total_recorded() const;
-  /// Traces evicted by the ring buffer since construction (or Clear).
+  /// Traces evicted by the ring buffer since construction.
   uint64_t dropped() const;
   /// Traces currently retained (<= capacity).
   size_t retained() const;
@@ -180,23 +222,18 @@ class Tracer {
   /// the ring still spans the incident it is investigating; this can.
   double OldestRetainedAgeMs() const;
 
-  /// \brief Test/bench-only: forgets retained traces and zeroes the
-  /// recorded/dropped counters (the request-id source keeps advancing).
-  void Clear();
-
-  /// \brief {"total_recorded":N,"dropped":D,"traces":[...]} — the JSON
-  /// companion to MetricsRegistry::DumpText.
-  std::string DumpJson() const;
-
  private:
   const size_t capacity_;
+  /// Per-stage latency histograms, indexed by Stage; null without a
+  /// registry.
+  std::array<Histogram*, kNumStages> stage_ms_{};
   std::atomic<uint64_t> next_request_id_{1};
   mutable std::mutex mutex_;
   std::deque<Trace> traces_;
   uint64_t total_recorded_ = 0;
   uint64_t dropped_ = 0;
   /// Guarded by mutex_; invoked under it (see SetEvictionSink).
-  std::function<void(const Trace&)> eviction_sink_;
+  std::function<void(Trace&&)> eviction_sink_;
 };
 
 }  // namespace aims::obs

@@ -140,7 +140,7 @@ struct GetTenantUsageResponse {
 /// is InvalidArgument — so pick a start near now, not 0.
 struct QueryMetricsHistoryRequest {
   /// Stored series name, e.g. "catalog.ingest_count" or
-  /// "scheduler.exec_ms.p99" (histograms are stored as derived
+  /// "span.query_ms.p99" (histograms are stored as derived
   /// .p50/.p95/.p99/.count series).
   std::string series;
   /// Aggregation per step window: avg/min/max/last/rate/delta/quantile

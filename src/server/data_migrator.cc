@@ -129,14 +129,14 @@ RebalancePlan RebalancePlanner::Plan(
   // heavier than HALF the hot/cool gap would leave the pair at least as
   // spread as before (or just swap which shard is hot and ping-pong), so
   // it is skipped in favor of the next one down.
-  while (plan.moves.size() < config_.max_moves && mean > 0.0) {
+  while (plan.moves.size() < kMaxMoves && mean > 0.0) {
     size_t hottest = static_cast<size_t>(
         std::max_element(shard_load.begin(), shard_load.end()) -
         shard_load.begin());
     size_t coolest = static_cast<size_t>(
         std::min_element(shard_load.begin(), shard_load.end()) -
         shard_load.begin());
-    if (shard_load[hottest] <= config_.trigger_ratio * mean) break;
+    if (shard_load[hottest] <= kTriggerRatio * mean) break;
     double gap = shard_load[hottest] - shard_load[coolest];
 
     Tenant* best = nullptr;

@@ -99,16 +99,17 @@ struct RebalancePlannerConfig {
   double cpu_weight_per_ms = 1.0;
   double io_weight_per_block = 0.05;
   double queue_weight_per_ms = 0.25;
-  /// Plan moves only while max shard load > trigger_ratio * mean load.
-  double trigger_ratio = 1.25;
-  /// Upper bound on proposed moves per plan (a migration is expensive;
-  /// rebalancing converges over several small plans, not one huge one).
-  size_t max_moves = 4;
 };
 
 /// \brief Greedy hot-tenant spreading from ledger usage.
 class RebalancePlanner {
  public:
+  /// Plan moves only while max shard load > kTriggerRatio * mean load.
+  static constexpr double kTriggerRatio = 1.25;
+  /// Upper bound on proposed moves per plan (a migration is expensive;
+  /// rebalancing converges over several small plans, not one huge one).
+  static constexpr size_t kMaxMoves = 4;
+
   explicit RebalancePlanner(RebalancePlannerConfig config = {});
 
   /// \brief Proposes moves given per-tenant \p usage (a CostLedger

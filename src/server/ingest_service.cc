@@ -27,9 +27,6 @@ IngestService::IngestService(ShardedCatalog* catalog, ThreadPool* pool,
     completed_ = metrics->GetCounter("ingest.completed");
     failed_ = metrics->GetCounter("ingest.failed");
     queue_depth_ = metrics->GetGauge("ingest.queue_depth");
-    e2e_latency_ms_ = metrics->GetHistogram(
-        "ingest.e2e_latency_ms",
-        obs::MetricsRegistry::DefaultLatencyBoundsMs());
   }
 }
 
@@ -68,9 +65,11 @@ Status IngestService::Submit(ClientId client, std::string name,
     obs::Trace trace(tracer_->NextRequestId());
     trace.set_label("ingest client=" + std::to_string(client) +
                     " name=" + item.name);
-    trace.BeginSpan("ingest");  // Root span: closed when Record() stamps it.
-    trace.AddSpan("admission", 0.0, trace.ElapsedMs());
-    item.queue_span = trace.BeginSpan("queue_wait");
+    // Root span: closed when Record() stamps it, so it covers admission
+    // to completion.
+    trace.BeginSpan(obs::Stage::kIngest);
+    trace.AddSpan(obs::Stage::kAdmission, 0.0, trace.ElapsedMs());
+    item.queue_span = trace.BeginSpan(obs::Stage::kQueueWait);
     item.trace = std::move(trace);
   }
   if (!state->queue.Produce(std::move(item))) {
@@ -141,12 +140,6 @@ void IngestService::ProcessItem(ClientState* state, PendingItem item) {
     if (completed_ != nullptr) completed_->Increment();
   } else {
     if (failed_ != nullptr) failed_->Increment();
-  }
-  if (e2e_latency_ms_ != nullptr) {
-    e2e_latency_ms_->Record(std::chrono::duration<double, std::milli>(
-                                std::chrono::steady_clock::now() -
-                                item.enqueued)
-                                .count());
   }
   if (queue_depth_ != nullptr) queue_depth_->AddTracked(-1);
   if (item.on_done) item.on_done(result);

@@ -57,12 +57,12 @@ class IngestService {
   /// \param metrics optional registry (may be null). Exposes:
   ///   ingest.submitted / admitted / rejected_queue / rejected_capacity /
   ///   completed / failed (counters),
-  ///   ingest.queue_depth (gauge with high-water mark),
-  ///   ingest.e2e_latency_ms (submit-to-completion histogram).
+  ///   ingest.queue_depth (gauge with high-water mark).
   /// \param tracer optional span sink (may be null). Every admitted
   /// submission then carries a Trace — admission, queue_wait, shard_lock,
   /// and the per-channel transform/block_write spans — recorded when the
-  /// ingest finishes.
+  /// ingest finishes. Its root span, "ingest", runs from admission to
+  /// completion: the tracer's span.ingest_ms is the end-to-end latency.
   /// \param ledger optional per-tenant cost ledger (may be null). Each
   /// ingest charges its client's ledger: queue wait, processing CPU time,
   /// exact blocks/bytes written, plus ingest/rejection counts.
@@ -140,7 +140,6 @@ class IngestService {
   obs::Counter* completed_ = nullptr;
   obs::Counter* failed_ = nullptr;
   obs::Gauge* queue_depth_ = nullptr;
-  obs::Histogram* e2e_latency_ms_ = nullptr;
 };
 
 }  // namespace aims::server

@@ -120,11 +120,6 @@ QueryScheduler::QueryScheduler(const ShardedCatalog* catalog, ThreadPool* pool,
     failed_ = metrics->GetCounter("scheduler.failed");
     slow_queries_ = metrics->GetCounter("scheduler.slow_queries");
     pending_gauge_ = metrics->GetGauge("scheduler.pending");
-    admission_wait_ms_ = metrics->GetHistogram(
-        "scheduler.admission_wait_ms",
-        obs::MetricsRegistry::DefaultLatencyBoundsMs());
-    exec_ms_ = metrics->GetHistogram(
-        "scheduler.exec_ms", obs::MetricsRegistry::DefaultLatencyBoundsMs());
   }
 }
 
@@ -156,7 +151,7 @@ Result<QueryTicketPtr> QueryScheduler::Submit(QueryRequest request) {
     std::lock_guard<std::mutex> lock(queues_mutex_);
     std::deque<QueryTicketPtr>& lane = interactive ? interactive_ : batch_;
     const size_t cap = interactive ? config_.max_pending_interactive
-                                   : config_.max_pending_batch;
+                                   : kMaxPendingBatch;
     if (lane.size() >= cap) {
       if (rejected_ != nullptr) rejected_->Increment();
       if (ledger_ != nullptr) ledger_->ForTenant(req.tenant)->CountRejected();
@@ -230,10 +225,9 @@ void QueryScheduler::Execute(const QueryTicketPtr& ticket) {
 
   // Root span covering the request from submission; every stage below
   // nests under it, so the Chrome export shows one tree per query.
-  trace.BeginSpanAt("query", 0.0);
+  trace.BeginSpanAt(obs::Stage::kQuery, 0.0);
   const double admission_ms = trace.ElapsedMs();
-  trace.AddSpan("admission_wait", 0.0, admission_ms);
-  if (admission_wait_ms_ != nullptr) admission_wait_ms_->Record(admission_ms);
+  trace.AddSpan(obs::Stage::kAdmissionWait, 0.0, admission_ms);
 
   if (ticket->cancel_requested()) {
     // Cancelled while pending: release the executor slot without touching
@@ -314,7 +308,7 @@ void QueryScheduler::Execute(const QueryTicketPtr& ticket) {
 
   const double exec_start_ms = trace.ElapsedMs();
   constexpr size_t kNoSpan = static_cast<size_t>(-1);
-  size_t lock_span = trace.BeginSpan("shard_lock");
+  size_t lock_span = trace.BeginSpan(obs::Stage::kShardLock);
   size_t refine_span = kNoSpan;
   // The interval between observer callbacks is exactly one block fetch, so
   // each callback stamps the previous fetch as a closed block_io span.
@@ -325,7 +319,7 @@ void QueryScheduler::Execute(const QueryTicketPtr& ticket) {
 
   auto on_shard_locked = [&] {
     trace.EndSpan(lock_span);
-    refine_span = trace.BeginSpan("refinement");
+    refine_span = trace.BeginSpan(obs::Stage::kRefinement);
     io_start_ms = trace.ElapsedMs();
     lock_acquired_ms = io_start_ms;
   };
@@ -337,7 +331,7 @@ void QueryScheduler::Execute(const QueryTicketPtr& ticket) {
   auto observer =
       [&](const core::ProgressiveRangeStep& step) -> core::StepControl {
     const double now_ms = trace.ElapsedMs();
-    trace.AddSpan("block_io", io_start_ms, now_ms);
+    trace.AddSpan(obs::Stage::kBlockIo, io_start_ms, now_ms);
     io_start_ms = now_ms;
     observed_fetches = step.blocks_read;
     observed_hits = step.cache_hits;
@@ -365,7 +359,6 @@ void QueryScheduler::Execute(const QueryTicketPtr& ticket) {
   if (refine_span != kNoSpan) trace.EndSpan(refine_span);
   trace.CloseOpenSpans();
   const double exec_end_ms = trace.ElapsedMs();
-  if (exec_ms_ != nullptr) exec_ms_->Record(exec_end_ms - exec_start_ms);
 
   if (!result.ok()) {
     // The originating StatusCode (NotFound, OutOfRange, IoError, ...)
@@ -475,8 +468,11 @@ void QueryScheduler::Finish(const QueryTicketPtr& ticket,
       break;
   }
   ticket->trace_.CloseOpenSpans();
-  outcome.trace = ticket->trace_;
-  if (tracer_ != nullptr) tracer_->Record(ticket->trace_);
+  // The outcome takes the ticket's trace (nothing reads it after this) and
+  // the tracer a copy: a copy's span vector is sized to fit, and the ring
+  // may retain it for a long time.
+  outcome.trace = std::move(ticket->trace_);
+  if (tracer_ != nullptr) tracer_->Record(outcome.trace);
 
   if (slow_query_threshold_ms_ > 0.0 && total_ms >= slow_query_threshold_ms_) {
     if (slow_queries_ != nullptr) slow_queries_->Increment();

@@ -227,9 +227,10 @@ using QueryTicketPtr = std::shared_ptr<QueryTicket>;
 
 /// \brief Admission and fairness policy.
 struct SchedulerConfig {
-  /// Bounded pending queues; a full lane rejects with ResourceExhausted.
+  /// Bounded pending interactive lane (the batch lane holds
+  /// QueryScheduler::kMaxPendingBatch); a full lane rejects with
+  /// ResourceExhausted.
   size_t max_pending_interactive = 64;
-  size_t max_pending_batch = 256;
   /// Every Nth dispatch serves the batch lane first (0 disables the rule),
   /// so batch queries are dispatched within N slots of admission even
   /// under a saturating interactive stream.
@@ -242,9 +243,13 @@ struct SchedulerConfig {
 /// ticket. Exposes (when given a registry):
 ///   scheduler.submitted / rejected / completed / partial_deadline /
 ///   cancelled / failed (counters), scheduler.pending (gauge with
-///   high-water mark), scheduler.admission_wait_ms / exec_ms (histograms).
+///   high-water mark). A query's latencies are its trace's spans, which
+///   the tracer observes in its span.<stage>_ms histograms.
 class QueryScheduler {
  public:
+  /// Bound of the batch lane's pending queue.
+  static constexpr size_t kMaxPendingBatch = 256;
+
   /// \param catalog query target (not owned).
   /// \param pool shared executor (not owned).
   /// \param tracer optional span sink (may be null).
@@ -337,8 +342,6 @@ class QueryScheduler {
   obs::Counter* failed_ = nullptr;
   obs::Counter* slow_queries_ = nullptr;
   obs::Gauge* pending_gauge_ = nullptr;
-  obs::Histogram* admission_wait_ms_ = nullptr;
-  obs::Histogram* exec_ms_ = nullptr;
 };
 
 }  // namespace aims::server

@@ -1,6 +1,5 @@
 #include "server/recognition_service.h"
 
-#include <chrono>
 #include <utility>
 
 #include "common/macros.h"
@@ -15,9 +14,6 @@ RecognitionService::RecognitionService(
     frames_ = metrics->GetCounter("recognition.frames");
     events_ = metrics->GetCounter("recognition.events");
     open_streams_ = metrics->GetGauge("recognition.open_streams");
-    frame_latency_ms_ =
-        metrics->GetHistogram("recognition.frame_latency_ms",
-                              obs::MetricsRegistry::DefaultLatencyBoundsMs());
   }
 }
 
@@ -78,26 +74,21 @@ RecognitionService::PushFrames(ClientId client,
   }
   std::vector<recognition::RecognitionEvent> events;
   for (const streams::Frame& frame : frames) {
-    auto start = std::chrono::steady_clock::now();
     size_t update_span = 0;
-    if (trace != nullptr) update_span = trace->BeginSpan("recognizer_update");
+    if (trace != nullptr) {
+      update_span = trace->BeginSpan(obs::Stage::kRecognizerUpdate);
+    }
     auto result = stream->recognizer.Push(frame);
     if (trace != nullptr) {
       trace->EndSpan(update_span);
       if (result.ok() && result->has_value()) {
-        trace->AddMarker("classification_event");
+        trace->AddMarker(obs::Stage::kClassificationEvent);
       }
     }
     if (frames_ != nullptr) frames_->Increment();
-    if (frame_latency_ms_ != nullptr) {
-      frame_latency_ms_->Record(std::chrono::duration<double, std::milli>(
-                                    std::chrono::steady_clock::now() - start)
-                                    .count());
-    }
     AIMS_RETURN_NOT_OK(result.status());
     if (result->has_value()) {
       if (events_ != nullptr) events_->Increment();
-      stream->history.Push(**result);
       events.push_back(std::move(**result));
     }
   }
@@ -138,15 +129,6 @@ RecognitionService::CloseStream(ClientId client) {
     events_->Increment();
   }
   return result;
-}
-
-std::vector<recognition::RecognitionEvent> RecognitionService::RecentEvents(
-    ClientId client) const {
-  std::shared_lock<std::shared_mutex> lock(streams_mutex_);
-  auto it = streams_.find(client);
-  if (it == streams_.end()) return {};
-  std::lock_guard<std::mutex> stream_lock(it->second->mutex);
-  return it->second->history.Snapshot();
 }
 
 size_t RecognitionService::open_streams() const {

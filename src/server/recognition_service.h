@@ -16,7 +16,6 @@
 #include "recognition/similarity.h"
 #include "recognition/vocabulary.h"
 #include "server/sharded_catalog.h"
-#include "streams/ring_buffer.h"
 #include "streams/sample.h"
 
 /// \file recognition_service.h
@@ -35,8 +34,8 @@ class RecognitionService {
   /// \param config recognizer tuning applied to every stream.
   /// \param metrics optional registry (may be null). Exposes:
   ///   recognition.streams_opened / frames / events (counters),
-  ///   recognition.open_streams (gauge),
-  ///   recognition.frame_latency_ms (histogram).
+  ///   recognition.open_streams (gauge). A frame's latency is its
+  ///   recognizer_update span (see PushFrames).
   explicit RecognitionService(recognition::StreamRecognizerConfig config = {},
                               obs::MetricsRegistry* metrics = nullptr);
 
@@ -69,27 +68,19 @@ class RecognitionService {
   Result<std::optional<recognition::RecognitionEvent>> CloseStream(
       ClientId client);
 
-  /// Most recent events of one client, oldest first (bounded history).
-  std::vector<recognition::RecognitionEvent> RecentEvents(
-      ClientId client) const;
-
   size_t open_streams() const;
 
  private:
-  /// Events retained per client for RecentEvents.
-  static constexpr size_t kEventHistory = 16;
-
   struct ClientStream {
     ClientStream(const recognition::Vocabulary* vocabulary,
                  const recognition::WeightedSvdSimilarity* measure,
                  recognition::StreamRecognizerConfig config)
-        : recognizer(vocabulary, measure, config), history(kEventHistory) {}
+        : recognizer(vocabulary, measure, config) {}
     mutable std::mutex mutex;
     /// Set (under mutex) by the CloseStream that flushed the recognizer;
     /// the recognizer is never used again.
     bool closed = false;
     recognition::StreamRecognizer recognizer;
-    streams::RingBuffer<recognition::RecognitionEvent> history;
   };
 
   recognition::WeightedSvdSimilarity measure_;
@@ -106,7 +97,6 @@ class RecognitionService {
   obs::Counter* frames_ = nullptr;
   obs::Counter* events_ = nullptr;
   obs::Gauge* open_streams_ = nullptr;
-  obs::Histogram* frame_latency_ms_ = nullptr;
 };
 
 }  // namespace aims::server

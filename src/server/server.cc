@@ -53,9 +53,13 @@ AimsServer::AimsServer(ServerConfig config)
       // Registry and tracer are always constructed (the accessors promise a
       // valid reference); the enable flags only decide whether the services
       // get a pointer, so disabling observability leaves the services'
-      // null-checks as the entire instrumentation cost.
+      // null-checks as the entire instrumentation cost. The tracer feeds
+      // the stage histograms with metrics on and retains traces only with
+      // tracing on.
       metrics_(std::make_unique<obs::MetricsRegistry>()),
-      tracer_(std::make_unique<obs::Tracer>(config.obs.trace_capacity)),
+      tracer_(std::make_unique<obs::Tracer>(
+          config.obs.enable_tracing ? config.obs.trace_capacity : 0,
+          config.obs.enable_metrics ? metrics_.get() : nullptr)),
       cost_ledger_(std::make_unique<obs::CostLedger>()),
       // Slow-query logging needs both a threshold and a destination; with
       // either missing, the scheduler still counts slow queries but the
@@ -93,11 +97,10 @@ AimsServer::AimsServer(ServerConfig config)
       ingest_(std::make_unique<IngestService>(
           catalog_.get(), pool_.get(), config.admission,
           config.obs.enable_metrics ? metrics_.get() : nullptr,
-          config.obs.enable_tracing ? tracer_.get() : nullptr,
+          span_tracer(),
           config.obs.enable_cost_ledger ? cost_ledger_.get() : nullptr)),
       scheduler_(std::make_unique<QueryScheduler>(
-          catalog_.get(), pool_.get(), config.scheduler,
-          config.obs.enable_tracing ? tracer_.get() : nullptr,
+          catalog_.get(), pool_.get(), config.scheduler, span_tracer(),
           config.obs.enable_metrics ? metrics_.get() : nullptr,
           config.obs.enable_cost_ledger ? cost_ledger_.get() : nullptr,
           slow_log_.get(), config.obs.slow_query_threshold_ms,
@@ -188,15 +191,14 @@ AimsServer::AimsServer(ServerConfig config)
       }
       return context;
     });
-    // Feeds: the tracer's evictions, the reporter's health snapshots (and
-    // the objective breaches they mark), the watchdog's stall episodes (the
+    // Feeds: the tracer's evictions (none while tracing is off: the ring
+    // then retains nothing), the reporter's health snapshots (and the
+    // objective breaches they mark), the watchdog's stall episodes (the
     // latter also trigger a dump).
-    if (config.obs.enable_tracing) {
-      tracer_->SetEvictionSink([recorder = recorder_.get()](
-                                   const obs::Trace& trace) {
-        recorder->RecordEvictedTrace(trace);
-      });
-    }
+    tracer_->SetEvictionSink(
+        [recorder = recorder_.get()](obs::Trace&& trace) {
+          recorder->RecordEvictedTrace(std::move(trace));
+        });
     reporter_->SetSnapshotHook(
         [recorder = recorder_.get()](const obs::HealthSnapshot& snapshot) {
           recorder->RecordHealth(snapshot);
@@ -339,12 +341,13 @@ Result<StreamSamplesResponse> AimsServer::StreamSamples(
   // One trace per batch: a root span with one recognizer_update child per
   // frame and a classification_event marker per recognized motion — the
   // online-query counterpart of the scheduler's query traces.
+  obs::Tracer* tracer = span_tracer();
   std::optional<obs::Trace> trace;
-  if (config_.obs.enable_tracing) {
-    trace.emplace(tracer_->NextRequestId());
+  if (tracer != nullptr) {
+    trace.emplace(tracer->NextRequestId());
     trace->set_label("stream_samples client=" + std::to_string(request.client) +
                      " frames=" + std::to_string(request.frames.size()));
-    trace->BeginSpan("stream_samples");
+    trace->BeginSpan(obs::Stage::kStreamSamples);
   }
   obs::Trace* trace_ptr = trace.has_value() ? &*trace : nullptr;
   obs::TenantLedger* tenant =
@@ -356,7 +359,7 @@ Result<StreamSamplesResponse> AimsServer::StreamSamples(
   auto events =
       recognition_->PushFrames(request.client, request.frames, trace_ptr);
   // A failed batch still records what it did up to the failing frame.
-  if (trace.has_value()) tracer_->Record(std::move(*trace));
+  if (trace.has_value()) tracer->Record(std::move(*trace));
   AIMS_RETURN_NOT_OK(events.status());
   response.frames_pushed = request.frames.size();
   response.events = events.MoveValueUnsafe();

@@ -58,11 +58,14 @@ struct ObsConfig {
   /// null registry — the instrumentation reduces to null-pointer checks
   /// (the "off" side of bench_observability).
   bool enable_metrics = true;
-  /// Build per-request span traces. Off, every service runs with a null
-  /// tracer and requests carry no trace.
+  /// Retain finished per-request traces: the tracer's ring, /traces, the
+  /// aims_tracer_* family and the flight recorder's evicted traces. The
+  /// spans are built whenever metrics or tracing is on, because they feed
+  /// the per-stage "span.<stage>_ms" histograms; with both off, every
+  /// service runs with a null tracer and requests carry no trace.
   bool enable_tracing = true;
-  /// Finished request traces retained for inspection (oldest evicted and
-  /// counted in Tracer::dropped()).
+  /// Finished request traces retained while enable_tracing is on (oldest
+  /// evicted and counted in Tracer::dropped()).
   size_t trace_capacity = 512;
   /// The StatsReporter's health targets (queue capacity, p99, WAL lag,
   /// shard-lock p99, slow-query rate) — see obs/stats_reporter.h.
@@ -339,6 +342,14 @@ class AimsServer {
   /// Builds the admin plane's routing table (called once at construction
   /// when admin_port >= 0; all routes are read paths over the members).
   void WireAdminRoutes();
+
+  /// The tracer the services record spans into: present whenever metrics
+  /// (the stage histograms) or tracing (the retained traces) is on.
+  obs::Tracer* span_tracer() const {
+    return config_.obs.enable_metrics || config_.obs.enable_tracing
+               ? tracer_.get()
+               : nullptr;
+  }
 
   ServerConfig config_;
   std::unique_ptr<obs::MetricsRegistry> metrics_;

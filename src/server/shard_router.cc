@@ -10,8 +10,7 @@ namespace aims::server {
 ShardRouter::ShardRouter(size_t num_shards, ShardRouterConfig config)
     : config_(config) {
   AIMS_CHECK(num_shards >= 1);
-  AIMS_CHECK(config_.vnodes_per_shard >= 1);
-  points_.reserve(num_shards * config_.vnodes_per_shard);
+  points_.reserve(num_shards * kVnodesPerShard);
   for (size_t i = 0; i < num_shards; ++i) {
     num_shards_ = i + 1;
     InsertShardPoints(i);
@@ -26,7 +25,7 @@ uint64_t ShardRouter::Mix64(uint64_t x) {
 }
 
 void ShardRouter::InsertShardPoints(size_t shard) {
-  for (size_t v = 0; v < config_.vnodes_per_shard; ++v) {
+  for (size_t v = 0; v < kVnodesPerShard; ++v) {
     RingPoint point;
     // Two mixing rounds decorrelate (shard, vnode) pairs; the seed keeps
     // independent rings distinct.

@@ -13,7 +13,7 @@
 /// table the live migrator uses to override it. This is the single source
 /// of placement truth: nothing above the router may assume `client % N`.
 ///
-/// The ring carries `vnodes_per_shard` virtual points per shard, hashed
+/// The ring carries kVnodesPerShard virtual points per shard, hashed
 /// with a splitmix64-style mixer, and a tenant lands on the successor of
 /// its own hash. Growing the ring N -> N+1 therefore remaps only the
 /// tenants whose successor became one of the new shard's points — in
@@ -41,9 +41,6 @@ using ClientId = uint64_t;
 
 /// \brief Tuning of one ShardRouter.
 struct ShardRouterConfig {
-  /// Virtual nodes per shard. More points -> smoother load split and a
-  /// tighter remap bound, at O(points log points) build cost.
-  size_t vnodes_per_shard = 128;
   /// Seed folded into every hash, so independent routers (tests) can
   /// build distinct rings from the same shard count.
   uint64_t hash_seed = 0x9e3779b97f4a7c15ull;
@@ -52,6 +49,10 @@ struct ShardRouterConfig {
 /// \brief Consistent-hash ring + tenant pin table.
 class ShardRouter {
  public:
+  /// Virtual nodes per shard. More points -> smoother load split and a
+  /// tighter remap bound, at O(points log points) build cost.
+  static constexpr size_t kVnodesPerShard = 128;
+
   explicit ShardRouter(size_t num_shards, ShardRouterConfig config = {});
 
   size_t num_shards() const;

@@ -141,12 +141,6 @@ ShardedCatalog::ShardedCatalog(size_t num_shards, core::AimsConfig config,
     ingest_count_ = metrics->GetCounter("catalog.ingest.count");
     query_count_ = metrics->GetCounter("catalog.query.count");
     blocks_read_ = metrics->GetCounter("catalog.query.blocks_read");
-    ingest_latency_ms_ = metrics->GetHistogram(
-        "catalog.ingest.latency_ms",
-        obs::MetricsRegistry::DefaultLatencyBoundsMs());
-    query_latency_ms_ = metrics->GetHistogram(
-        "catalog.query.latency_ms",
-        obs::MetricsRegistry::DefaultLatencyBoundsMs());
     // Max-over-shards lock-wait p99 in MICROseconds (integer gauges would
     // flatten sub-ms waits to zero in ms) — the StatsReporter's shard-
     // health input.
@@ -243,11 +237,10 @@ auto ShardedCatalog::ReadRouted(const Route& route, Fn&& fn) const {
 
 template <typename Fn>
 auto ShardedCatalog::WriteOnShard(Shard& shard, Fn&& fn, obs::Trace* trace,
-                                  const char* span_name,
-                                  size_t* device_writes) {
+                                  obs::Stage stage, size_t* device_writes) {
   ShardOpScope scope(shard.active_ops);
   size_t span = 0;
-  if (trace != nullptr) span = trace->BeginSpan(span_name);
+  if (trace != nullptr) span = trace->BeginSpan(stage);
   auto wait_start = std::chrono::steady_clock::now();
   std::unique_lock<std::shared_mutex> lock(shard.mutex);
   shard.lock_wait_ms.Record(MsSince(wait_start));
@@ -261,11 +254,9 @@ auto ShardedCatalog::WriteOnShard(Shard& shard, Fn&& fn, obs::Trace* trace,
 }
 
 void ShardedCatalog::CountQuery(const Route& route,
-                                std::chrono::steady_clock::time_point start,
                                 size_t blocks_read) const {
   shards_[route.shard]->queries.fetch_add(1, std::memory_order_relaxed);
   if (query_count_ != nullptr) query_count_->Increment();
-  if (query_latency_ms_ != nullptr) query_latency_ms_->Record(MsSince(start));
   if (blocks_read_ != nullptr && blocks_read > 0) {
     blocks_read_->Increment(blocks_read);
   }
@@ -281,7 +272,6 @@ Result<GlobalSessionId> ShardedCatalog::Ingest(
   IngestGate gate(this, client);
   size_t shard_index = router_->ShardForClient(client);
   Shard& shard = *shards_[shard_index];
-  auto start = std::chrono::steady_clock::now();
   // The id is minted before staging so the shard's commit group carries
   // it: that one commit makes the session durable and routable again after
   // a crash, under this client and this id.
@@ -305,7 +295,6 @@ Result<GlobalSessionId> ShardedCatalog::Ingest(
   }
   shard.ingests.fetch_add(1, std::memory_order_relaxed);
   if (ingest_count_ != nullptr) ingest_count_->Increment();
-  if (ingest_latency_ms_ != nullptr) ingest_latency_ms_->Record(MsSince(start));
   PublishShardHealth();
   return id;
 }
@@ -332,7 +321,7 @@ Result<core::SessionId> ShardedCatalog::IngestOnShard(
       [&](core::AimsSystem& sys) {
         return sys.StageIngest(std::move(prepared), trace, updates, owner);
       },
-      trace, "shard_lock", &blocks_written);
+      trace, obs::Stage::kShardLock, &blocks_written);
   Status status = staged.status();
   if (staged.ok() && staged->logged()) {
     // The sync wait runs with the shard lock RELEASED: concurrent ingests
@@ -341,14 +330,14 @@ Result<core::SessionId> ShardedCatalog::IngestOnShard(
     // Not durable -> not acknowledged; the WAL's sync error is sticky, so
     // the shard refuses further commits rather than silently degrading.
     size_t sync_span = 0;
-    if (trace != nullptr) sync_span = trace->BeginSpan("wal_sync");
+    if (trace != nullptr) sync_span = trace->BeginSpan(obs::Stage::kWalSync);
     status = shard.system.WaitDurable(*staged);
     if (trace != nullptr) trace->EndSpan(sync_span);
     if (status.ok()) {
       status = WriteOnShard(
           shard,
           [&](core::AimsSystem& sys) { return sys.ApplyStaged(*staged); },
-          trace, "shard_apply_lock", &blocks_written);
+          trace, obs::Stage::kShardApplyLock, &blocks_written);
       // A checkpoint the apply step began does its I/O here, with the lock
       // released: queries and later ingests on the shard run beside it. A
       // failure is logged and retried by a later ingest; this one is
@@ -380,12 +369,11 @@ Result<core::SessionInfo> ShardedCatalog::GetSession(GlobalSessionId id) const {
 Result<std::vector<double>> ShardedCatalog::ReadChannel(GlobalSessionId id,
                                                         size_t channel) const {
   AIMS_ASSIGN_OR_RETURN(Route route, FindRoute(id));
-  auto start = std::chrono::steady_clock::now();
   Result<std::vector<double>> result = ReadRouted(
       route, [&](const core::AimsSystem& sys, core::SessionId local) {
         return sys.ReadChannel(local, channel);
       });
-  if (result.ok()) CountQuery(route, start, 0);
+  if (result.ok()) CountQuery(route, 0);
   return result;
 }
 
@@ -393,7 +381,6 @@ Result<core::RangeStatistics> ShardedCatalog::QueryRange(
     GlobalSessionId id, size_t channel, size_t first_frame,
     size_t last_frame) const {
   AIMS_ASSIGN_OR_RETURN(Route route, FindRoute(id));
-  auto start = std::chrono::steady_clock::now();
   Result<core::RangeStatistics> result = ReadRouted(
       route, [&](const core::AimsSystem& sys, core::SessionId local) {
         return sys.QueryRange(local, channel, first_frame, last_frame);
@@ -402,7 +389,7 @@ Result<core::RangeStatistics> ShardedCatalog::QueryRange(
   // delta and may include reads issued by overlapping queries on the same
   // shard — treat both it and the blocks-read counter as approximate;
   // total_blocks_read() reads the exact device counters.
-  if (result.ok()) CountQuery(route, start, result->blocks_read);
+  if (result.ok()) CountQuery(route, result->blocks_read);
   return result;
 }
 
@@ -411,7 +398,6 @@ Result<core::ProgressiveRangeResult> ShardedCatalog::QueryRangeProgressive(
     const core::ProgressiveObserver& observer,
     const std::function<void()>& on_shard_locked) const {
   AIMS_ASSIGN_OR_RETURN(Route route, FindRoute(id));
-  auto start = std::chrono::steady_clock::now();
   Result<core::ProgressiveRangeResult> result = ReadRouted(
       route, [&](const core::AimsSystem& sys, core::SessionId local) {
         if (on_shard_locked) on_shard_locked();
@@ -419,7 +405,7 @@ Result<core::ProgressiveRangeResult> ShardedCatalog::QueryRangeProgressive(
                                          last_frame, observer);
       });
   if (result.ok()) {
-    CountQuery(route, start,
+    CountQuery(route,
                result->steps.empty() ? 0 : result->steps.back().blocks_read);
   }
   return result;

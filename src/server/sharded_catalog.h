@@ -1,7 +1,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -104,8 +103,8 @@ class ShardedCatalog {
  public:
   /// \param num_shards shard count (at least 1); every shard gets its own
   /// block device and catalog built from \p config.
-  /// \param metrics optional registry for latency histograms and
-  /// operation counters (may be null).
+  /// \param metrics optional registry for operation counters and the
+  /// WAL-lag and shard-lock gauges (may be null).
   explicit ShardedCatalog(size_t num_shards, core::AimsConfig config = {},
                           obs::MetricsRegistry* metrics = nullptr);
   ~ShardedCatalog();
@@ -382,19 +381,17 @@ class ShardedCatalog {
   auto ReadRouted(const Route& route, Fn&& fn) const;
 
   /// Runs \p fn under \p shard's exclusive lock with lock-wait timing and
-  /// queue-depth accounting. \p trace (optional) gains span \p span_name
+  /// queue-depth accounting. \p trace (optional) gains a span of \p stage
   /// covering the lock wait; \p device_writes (optional) accumulates the
   /// device write-counter delta inside the section.
   template <typename Fn>
   auto WriteOnShard(Shard& shard, Fn&& fn, obs::Trace* trace = nullptr,
-                    const char* span_name = nullptr,
+                    obs::Stage stage = obs::Stage::kShardLock,
                     size_t* device_writes = nullptr);
 
   /// Records one successful read on \p route's primary shard and in the
-  /// catalog query metrics.
-  void CountQuery(const Route& route,
-                  std::chrono::steady_clock::time_point start,
-                  size_t blocks_read) const;
+  /// catalog query counters.
+  void CountQuery(const Route& route, size_t blocks_read) const;
 
   /// Shard-level staging of a prepared session (no routing, no metrics):
   /// the publish step of every stored session, shared by Ingest (a
@@ -466,8 +463,6 @@ class ShardedCatalog {
   obs::Counter* blocks_read_ = nullptr;
   obs::Gauge* wal_lag_gauge_ = nullptr;
   obs::Gauge* shard_lock_p99_gauge_ = nullptr;
-  obs::Histogram* ingest_latency_ms_ = nullptr;
-  obs::Histogram* query_latency_ms_ = nullptr;
 };
 
 }  // namespace aims::server

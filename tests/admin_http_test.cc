@@ -10,9 +10,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
+#include <cstdint>
+#include <filesystem>
 #include <future>
 #include <mutex>
 #include <string>
@@ -540,6 +544,195 @@ TEST(AdminEndpointsTest, AdminDisabledByDefaultAndTypedDumpWorks) {
             std::string::npos);
   EXPECT_NE(dumped->bundle_json.find("typed-api test"), std::string::npos);
 }
+
+// ---- Span stage histograms ------------------------------------------------
+
+/// How many spans of each stage the tracer's retained traces hold.
+using StageCounts = std::array<uint64_t, obs::kNumStages>;
+
+StageCounts RetainedSpanCounts(server::AimsServer& server) {
+  StageCounts counts{};
+  for (const obs::Trace& trace : server.tracer().Snapshot()) {
+    for (const obs::TraceSpan& span : trace.spans()) {
+      ++counts[static_cast<size_t>(span.stage)];
+    }
+  }
+  return counts;
+}
+
+/// The observation count of every "span.<stage>_ms" histogram; a stage
+/// whose histogram is not registered reads UINT64_MAX.
+StageCounts HistogramCounts(server::AimsServer& server) {
+  StageCounts counts;
+  counts.fill(UINT64_MAX);
+  for (const auto& [name, hist] : server.metrics().Histograms()) {
+    for (size_t i = 0; i < obs::kNumStages; ++i) {
+      if (name == "span." + std::string(obs::kStageNames[i]) + "_ms") {
+        counts[i] = hist->count();
+      }
+    }
+  }
+  return counts;
+}
+
+size_t StageIndex(obs::Stage stage) { return static_cast<size_t>(stage); }
+
+constexpr size_t kStageIngests = 3;
+constexpr size_t kStageQueries = 4;
+constexpr size_t kStageBatches = 2;
+constexpr size_t kStageFramesPerBatch = 6;
+constexpr size_t kStageChannels = 2;
+
+/// A server with the admin plane on, on the in-memory backend or on a
+/// durable store under a fresh directory that checkpoints every few
+/// ingests.
+server::ServerConfig StageServerConfig(bool durable, bool tracing,
+                                       const std::string& tag) {
+  server::ServerConfig config = AdminServerConfig();
+  config.obs.enable_tracing = tracing;
+  if (durable) {
+    const std::string dir = ::testing::TempDir() + "/aims_span_stages_" + tag;
+    std::filesystem::remove_all(dir);
+    config.system.durability.path = dir;
+    config.system.durability.checkpoint_wal_bytes = 4096;
+  }
+  return config;
+}
+
+/// N ingests, M queries (the first with EXPLAIN ANALYZE) and K stream
+/// batches, one after another, so every run of it records the same spans.
+void RunStageWorkload(server::AimsServer& server) {
+  linalg::Matrix segment(8, kStageChannels);
+  for (size_t r = 0; r < 8; ++r) {
+    segment.SetRow(r, {static_cast<double>(r), 1.0});
+  }
+  ASSERT_TRUE(server.AddVocabularyEntry("wave", segment).ok());
+  ASSERT_TRUE(server.OpenSession({1, /*enable_recognition=*/true}).ok());
+  std::vector<server::GlobalSessionId> sessions;
+  for (size_t i = 0; i < kStageIngests; ++i) {
+    streams::Recording rec;
+    rec.sample_rate_hz = 100.0;
+    for (size_t f = 0; f < 256; ++f) {
+      streams::Frame frame;
+      frame.timestamp = static_cast<double>(f) / 100.0;
+      frame.values = {std::sin(0.1 * static_cast<double>(f + i)),
+                      std::cos(0.05 * static_cast<double>(f))};
+      rec.Append(std::move(frame));
+    }
+    auto ingested = server.IngestRecording(
+        {1, "rec" + std::to_string(i), std::move(rec)});
+    ASSERT_TRUE(ingested.ok()) << ingested.status().ToString();
+    sessions.push_back(ingested->session);
+  }
+  for (size_t q = 0; q < kStageQueries; ++q) {
+    server::QueryRequest query;
+    query.session = sessions[q % sessions.size()];
+    query.channel = q % kStageChannels;
+    query.first_frame = 7 + q;
+    query.last_frame = 246;
+    if (q == 0) query.explain = server::ExplainMode::kAnalyze;
+    auto submitted = server.SubmitQuery({1, query});
+    ASSERT_TRUE(submitted.ok());
+    ASSERT_EQ(submitted->ticket->Wait().state, server::QueryState::kComplete);
+  }
+  for (size_t b = 0; b < kStageBatches; ++b) {
+    server::StreamSamplesRequest request;
+    request.client = 1;
+    for (size_t f = 0; f < kStageFramesPerBatch; ++f) {
+      streams::Frame frame;
+      frame.timestamp = static_cast<double>(f) / 100.0;
+      frame.values = {12.0 * std::sin(0.3 * static_cast<double>(f)), 1.0};
+      request.frames.push_back(std::move(frame));
+    }
+    ASSERT_TRUE(server.StreamSamples(std::move(request)).ok());
+  }
+}
+
+class SpanStageMetricsTest : public ::testing::TestWithParam<bool> {
+ protected:
+  bool durable() const { return GetParam(); }
+};
+
+TEST_P(SpanStageMetricsTest, EveryRetainedSpanIsOneObservationOfItsStage) {
+  server::AimsServer server(StageServerConfig(durable(), true, "on"));
+  ASSERT_TRUE(server.admin_status().ok());
+  RunStageWorkload(server);
+  ASSERT_FALSE(HasFatalFailure());
+  EXPECT_EQ(server.tracer().dropped(), 0u);
+
+  const StageCounts spans = RetainedSpanCounts(server);
+  const StageCounts observed = HistogramCounts(server);
+  for (size_t i = 0; i < obs::kNumStages; ++i) {
+    EXPECT_EQ(observed[i], spans[i]) << obs::kStageNames[i];
+  }
+  // The workload reached every stage it drives.
+  using obs::Stage;
+  EXPECT_EQ(spans[StageIndex(Stage::kIngest)], kStageIngests);
+  EXPECT_EQ(spans[StageIndex(Stage::kTransform)],
+            kStageIngests * kStageChannels);
+  EXPECT_EQ(spans[StageIndex(Stage::kQuery)], kStageQueries);
+  EXPECT_EQ(spans[StageIndex(Stage::kAdmissionWait)], kStageQueries);
+  EXPECT_EQ(spans[StageIndex(Stage::kRefinement)], kStageQueries);
+  EXPECT_GT(spans[StageIndex(Stage::kBlockIo)], kStageQueries);
+  EXPECT_EQ(spans[StageIndex(Stage::kStreamSamples)], kStageBatches);
+  EXPECT_EQ(spans[StageIndex(Stage::kRecognizerUpdate)],
+            kStageBatches * kStageFramesPerBatch);
+  if (durable()) {
+    EXPECT_EQ(spans[StageIndex(Stage::kWalSync)], kStageIngests);
+    EXPECT_EQ(spans[StageIndex(Stage::kShardApplyLock)], kStageIngests);
+    EXPECT_GT(spans[StageIndex(Stage::kCheckpoint)], 0u);
+  }
+
+  // /metrics exports them: one family per stage.
+  const int port = server.admin_http()->port();
+  HttpReply metrics = Get(port, "/metrics");
+  EXPECT_EQ(metrics.status, 200);
+  EXPECT_NE(metrics.body.find("\naims_span_ingest_ms_count " +
+                              std::to_string(kStageIngests) + "\n"),
+            std::string::npos);
+  EXPECT_NE(metrics.body.find("\naims_span_query_ms_count " +
+                              std::to_string(kStageQueries) + "\n"),
+            std::string::npos);
+  EXPECT_EQ(Get(port, "/traces").status, 200);
+  server.Shutdown();
+}
+
+TEST_P(SpanStageMetricsTest, CountsAdvanceWithTracingOff) {
+  StageCounts traced;
+  {
+    server::AimsServer server(StageServerConfig(durable(), true, "ref"));
+    RunStageWorkload(server);
+    ASSERT_FALSE(HasFatalFailure());
+    traced = HistogramCounts(server);
+  }
+  server::AimsServer server(StageServerConfig(durable(), false, "off"));
+  ASSERT_TRUE(server.admin_status().ok());
+  RunStageWorkload(server);
+  ASSERT_FALSE(HasFatalFailure());
+
+  // The same spans were observed, and none was retained.
+  const StageCounts observed = HistogramCounts(server);
+  for (size_t i = 0; i < obs::kNumStages; ++i) {
+    EXPECT_EQ(observed[i], traced[i]) << obs::kStageNames[i];
+  }
+  EXPECT_EQ(observed[StageIndex(obs::Stage::kQuery)], kStageQueries);
+  EXPECT_TRUE(server.tracer().Snapshot().empty());
+  EXPECT_EQ(server.tracer().total_recorded(), 0u);
+  EXPECT_EQ(server.tracer().dropped(), 0u);
+
+  const int port = server.admin_http()->port();
+  EXPECT_EQ(Get(port, "/traces").status, 404);
+  HttpReply metrics = Get(port, "/metrics");
+  EXPECT_EQ(metrics.status, 200);
+  EXPECT_NE(metrics.body.find("aims_span_query_ms_count"), std::string::npos);
+  EXPECT_EQ(metrics.body.find("aims_tracer_"), std::string::npos);
+  server.Shutdown();
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, SpanStageMetricsTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Durable" : "InMemory";
+                         });
 
 }  // namespace
 }  // namespace aims

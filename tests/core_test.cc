@@ -1,8 +1,6 @@
 #include "core/aims.h"
 
 #include <cmath>
-#include <cstdio>
-#include <filesystem>
 
 #include <gtest/gtest.h>
 
@@ -222,29 +220,6 @@ TEST(AimsSystemTest, MalformedTemplatesAndFramesRejected) {
   EXPECT_TRUE(system.PushLiveFrame(frame).ok());
 }
 
-TEST(AimsSystemTest, ExportImportRoundTrip) {
-  AimsSystem system;
-  streams::Recording rec = GloveRecording(9);
-  auto id = system.IngestRecording("to-export", rec);
-  ASSERT_TRUE(id.ok());
-  std::string path = std::string(::testing::TempDir()) + "/session.aimr";
-  ASSERT_TRUE(system.ExportSession(id.ValueOrDie(), path).ok());
-  auto imported = system.ImportSession("re-imported", path);
-  ASSERT_TRUE(imported.ok());
-  // The round trip is loss-free up to the transform's numerics.
-  for (size_t c : {size_t{0}, size_t{20}}) {
-    auto original = system.ReadChannel(id.ValueOrDie(), c);
-    auto reimported = system.ReadChannel(imported.ValueOrDie(), c);
-    ASSERT_TRUE(original.ok() && reimported.ok());
-    EXPECT_LT(testutil::MaxAbsDiff(original.ValueOrDie(),
-                                   reimported.ValueOrDie()),
-              1e-6);
-  }
-  EXPECT_FALSE(system.ExportSession(999, path).ok());
-  EXPECT_FALSE(system.ImportSession("x", "/nonexistent.aimr").ok());
-  std::remove(path.c_str());
-}
-
 TEST(AimsSystemTest, ProgressiveRangeQueryConvergesWithValidBounds) {
   AimsSystem system;
   synth::CyberGloveSimulator sim(synth::DefaultAslVocabulary(), 10);
@@ -324,36 +299,6 @@ TEST(AimsSystemTest, BuildChannelCubeMatchesDirectStatistics) {
   AimsSystem::CubeSpec bad = spec;
   bad.time_buckets = 33;
   EXPECT_FALSE(system.BuildChannelCube(ids, bad).ok());
-}
-
-TEST(AimsSystemTest, CatalogSaveAndLoadRoundTrip) {
-  AimsSystem original;
-  std::vector<SessionId> ids;
-  for (uint64_t seed : {21u, 22u}) {
-    auto id = original.IngestRecording("sess" + std::to_string(seed),
-                                       GloveRecording(seed));
-    ASSERT_TRUE(id.ok());
-    ids.push_back(id.ValueOrDie());
-  }
-  std::string dir = std::string(::testing::TempDir()) + "/aims_catalog";
-  std::filesystem::create_directories(dir);
-  ASSERT_TRUE(original.SaveCatalog(dir).ok());
-
-  AimsSystem restored;
-  auto loaded = restored.LoadCatalog(dir);
-  ASSERT_TRUE(loaded.ok());
-  ASSERT_EQ(loaded.ValueOrDie().size(), 2u);
-  for (size_t s = 0; s < 2; ++s) {
-    auto info = restored.GetSession(loaded.ValueOrDie()[s]);
-    ASSERT_TRUE(info.ok());
-    EXPECT_EQ(info.ValueOrDie().name, "sess" + std::to_string(21 + s));
-    auto a = original.ReadChannel(ids[s], 3);
-    auto b = restored.ReadChannel(loaded.ValueOrDie()[s], 3);
-    ASSERT_TRUE(a.ok() && b.ok());
-    EXPECT_LT(testutil::MaxAbsDiff(a.ValueOrDie(), b.ValueOrDie()), 1e-6);
-  }
-  EXPECT_FALSE(restored.LoadCatalog("/nonexistent-dir").ok());
-  std::filesystem::remove_all(dir);
 }
 
 TEST(AimsSystemTest, MultipleSessionsShareTheDevice) {

@@ -76,7 +76,9 @@ bool BitIdentical(const std::vector<double>& a, const std::vector<double>& b) {
 
 std::vector<std::string> SpanNames(const obs::Trace& trace) {
   std::vector<std::string> names;
-  for (const obs::TraceSpan& span : trace.spans()) names.push_back(span.name);
+  for (const obs::TraceSpan& span : trace.spans()) {
+    names.emplace_back(span.name);
+  }
   return names;
 }
 

@@ -15,6 +15,8 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -77,7 +79,7 @@ TEST(FlightRecorderTest, RetainsBoundedHistoryNewestLast) {
     recorder.RecordSlowQuery("{\"q\":" + std::to_string(i) + "}");
     recorder.RecordEvent("event " + std::to_string(i));
     Trace trace(i);
-    trace.BeginSpan("work");
+    trace.BeginSpan(Stage::kQuery);
     recorder.RecordEvictedTrace(trace);
   }
   EXPECT_EQ(recorder.health_retained(), 4u);
@@ -109,6 +111,39 @@ TEST(FlightRecorderTest, RetainsBoundedHistoryNewestLast) {
   auto dumped = recorder.Dump("test");
   ASSERT_TRUE(dumped.ok());
   EXPECT_TRUE(dumped->empty());
+}
+
+TEST(FlightRecorderTest, BundleRendersTheLastEvictedTracesOldestFirst) {
+  // The recorder keeps what the tracer's ring evicts as Trace objects and
+  // renders them only with a bundle: the section is byte for byte the
+  // ToJson of the last trace_capacity evicted traces, oldest first.
+  FlightRecorderConfig config;
+  config.trace_capacity = 3;
+  FlightRecorder recorder(config);
+  Tracer tracer(2);
+  tracer.SetEvictionSink([&recorder](Trace&& trace) {
+    recorder.RecordEvictedTrace(std::move(trace));
+  });
+
+  std::vector<std::string> rendered;
+  for (uint64_t i = 1; i <= 8; ++i) {
+    Trace trace(i);
+    trace.set_label("query " + std::to_string(i));
+    trace.AddSpan(Stage::kQuery, 0.0, static_cast<double>(i));
+    trace.AddSpan(Stage::kBlockIo, 0.5, 0.25 * static_cast<double>(i));
+    rendered.push_back(trace.ToJson());
+    tracer.Record(std::move(trace));
+  }
+  // The ring keeps traces 7 and 8; it evicted 1..6, the recorder kept the
+  // last three of those.
+  ASSERT_EQ(tracer.dropped(), 6u);
+  EXPECT_EQ(recorder.traces_retained(), 3u);
+  const std::string expected = "\"evicted_traces_total\":6,"
+                               "\"evicted_traces\":[" +
+                               rendered[3] + "," + rendered[4] + "," +
+                               rendered[5] + "]";
+  EXPECT_NE(recorder.RenderBundle("test").find(expected), std::string::npos)
+      << expected;
 }
 
 TEST(FlightRecorderTest, SaturatedTransitionWritesABundle) {
@@ -211,7 +246,8 @@ TEST(FlightRecorderTest, WatchdogStallDumpsBundleWithRecentHistory) {
   }
   for (uint64_t i = 1; i <= 2; ++i) {
     Trace trace(i);
-    trace.BeginSpan("evicted work");
+    trace.set_label("evicted work");
+    trace.BeginSpan(Stage::kCheckpoint);
     recorder.RecordEvictedTrace(trace);
     recorder.RecordSlowQuery("{\"slow\":" + std::to_string(i) + "}");
   }

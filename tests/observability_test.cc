@@ -290,7 +290,7 @@ TEST(PrometheusExportTest, MatchesGoldenFile) {
 }
 
 TEST(PrometheusExportTest, NameSanitization) {
-  EXPECT_EQ(PrometheusName("scheduler.exec_ms"), "aims_scheduler_exec_ms");
+  EXPECT_EQ(PrometheusName("span.query_ms"), "aims_span_query_ms");
   EXPECT_EQ(PrometheusName("a-b c/d"), "aims_a_b_c_d");
 }
 
@@ -432,9 +432,9 @@ TEST(ChromeTraceExportTest, EmitsValidJsonWithCompleteEvents) {
   Tracer tracer(8);
   Trace trace(tracer.NextRequestId());
   trace.set_label("test \"quoted\" request");
-  size_t root = trace.BeginSpan("root");
-  size_t child = trace.BeginSpan("child");
-  trace.AddMarker("marker");
+  size_t root = trace.BeginSpan(Stage::kQuery);
+  size_t child = trace.BeginSpan(Stage::kRefinement);
+  trace.AddMarker(Stage::kBlockIo);
   trace.EndSpan(child);
   trace.EndSpan(root);
   tracer.Record(std::move(trace));
@@ -467,21 +467,22 @@ TEST(ChromeTraceExportTest, EmptyTracerExportsEmptyEventList) {
 
 TEST(TraceTest, ImplicitParentStackNestsSpans) {
   Trace trace(1);
-  size_t root = trace.BeginSpan("root");
-  size_t child = trace.BeginSpan("child");
-  trace.AddMarker("leaf");
+  size_t root = trace.BeginSpan(Stage::kQuery);
+  size_t child = trace.BeginSpan(Stage::kRefinement);
+  trace.AddMarker(Stage::kBlockIo);
   trace.EndSpan(child);
-  trace.AddSpan("sibling", 0.0, 0.1);
+  trace.AddSpan(Stage::kAdmissionWait, 0.0, 0.1);
   trace.EndSpan(root);
 
   const std::vector<TraceSpan>& spans = trace.spans();
   ASSERT_EQ(spans.size(), 4u);
-  EXPECT_EQ(spans[0].name, "root");
+  EXPECT_EQ(spans[0].name, "query");
+  EXPECT_EQ(spans[0].stage, Stage::kQuery);
   EXPECT_EQ(spans[0].parent_id, 0u);  // root
   EXPECT_EQ(spans[1].parent_id, spans[0].id);
-  EXPECT_EQ(spans[2].name, "leaf");
+  EXPECT_EQ(spans[2].name, "block_io");
   EXPECT_EQ(spans[2].parent_id, spans[1].id);  // child was open
-  EXPECT_EQ(spans[3].name, "sibling");
+  EXPECT_EQ(spans[3].name, "admission_wait");
   EXPECT_EQ(spans[3].parent_id, spans[0].id);  // child had closed
   for (const TraceSpan& span : spans) EXPECT_GE(span.end_ms, span.start_ms);
 }
@@ -491,7 +492,7 @@ TEST(TracerTest, RingBufferEvictsOldestAndCountsDrops) {
   EXPECT_EQ(tracer.capacity(), 4u);
   for (uint64_t i = 1; i <= 10; ++i) {
     Trace trace(i);
-    trace.BeginSpan("work");
+    trace.BeginSpan(Stage::kQuery);
     tracer.Record(std::move(trace));
   }
   EXPECT_EQ(tracer.total_recorded(), 10u);
@@ -505,13 +506,6 @@ TEST(TracerTest, RingBufferEvictsOldestAndCountsDrops) {
   }
   // Record() closed the open span before storing.
   EXPECT_GE(retained[0].spans()[0].end_ms, 0.0);
-
-  std::string json = tracer.DumpJson();
-  EXPECT_NE(json.find("\"dropped\":6"), std::string::npos);
-
-  tracer.Clear();
-  EXPECT_EQ(tracer.Snapshot().size(), 0u);
-  EXPECT_EQ(tracer.dropped(), 0u);
 }
 
 TEST(TracerTest, SurfacesRetainedCountAndOldestTraceAge) {
@@ -533,10 +527,6 @@ TEST(TracerTest, SurfacesRetainedCountAndOldestTraceAge) {
   tracer.Record(Trace(5));
   EXPECT_EQ(tracer.retained(), 4u);
   EXPECT_LT(tracer.OldestRetainedAgeMs(), full_window);
-
-  tracer.Clear();
-  EXPECT_EQ(tracer.retained(), 0u);
-  EXPECT_EQ(tracer.OldestRetainedAgeMs(), 0.0);
 }
 
 TEST(TracerTest, EvictionSinkObservesEvictedTracesAndAccountingIsExact) {
@@ -547,7 +537,7 @@ TEST(TracerTest, EvictionSinkObservesEvictedTracesAndAccountingIsExact) {
 
   for (uint64_t i = 1; i <= 10; ++i) {
     Trace trace(i);
-    trace.BeginSpan("work");
+    trace.BeginSpan(Stage::kQuery);
     tracer.Record(std::move(trace));
   }
   // The sink saw exactly the evicted traces, oldest first, and the
@@ -761,7 +751,7 @@ TEST(StatsReporterTest, HealthLevelsFromSaturationAndLatency) {
   MetricsRegistry registry;
   Gauge* depth = registry.GetGauge("ingest.queue_depth");
   Histogram* lat = registry.GetHistogram(
-      "scheduler.exec_ms", MetricsRegistry::DefaultLatencyBoundsMs());
+      "span.query_ms", MetricsRegistry::DefaultLatencyBoundsMs());
 
   StatsReporterConfig config;
   config.p99_target_ms = 1.0;
@@ -792,6 +782,39 @@ TEST(StatsReporterTest, HealthLevelsFromSaturationAndLatency) {
   EXPECT_STREQ(HealthLevelName(HealthLevel::kOk), "Ok");
   EXPECT_STREQ(HealthLevelName(HealthLevel::kDegraded), "Degraded");
   EXPECT_STREQ(HealthLevelName(HealthLevel::kSaturated), "Saturated");
+}
+
+TEST(StatsReporterTest, RealQueriesDegradeHealthPastTheirP99Target) {
+  // The latency check reads the query stage's histogram, fed by the spans
+  // of real scheduled queries: a target below any real query's latency
+  // degrades the server once queries ran, and not before.
+  server::ServerConfig config;
+  config.num_shards = 1;
+  config.num_threads = 2;
+  config.obs.reporter.p99_target_ms = 1e-6;
+  server::AimsServer server(config);
+  ASSERT_TRUE(server.OpenSession({1}).ok());
+  auto ingest = server.IngestRecording({1, "rec", MakeRecording(256, 1)});
+  ASSERT_TRUE(ingest.ok());
+  EXPECT_EQ(server.reporter().SnapshotNow().level, HealthLevel::kOk);
+
+  for (size_t q = 0; q < 5; ++q) {
+    server::QueryRequest query;
+    query.session = ingest->session;
+    query.first_frame = q;
+    query.last_frame = 200;
+    auto submitted = server.SubmitQuery({1, query});
+    ASSERT_TRUE(submitted.ok());
+    ASSERT_EQ(submitted->ticket->Wait().state, server::QueryState::kComplete);
+  }
+  HealthSnapshot snapshot = server.reporter().SnapshotNow();
+  EXPECT_NE(snapshot.level, HealthLevel::kOk);
+  EXPECT_GT(snapshot.p99_ms, config.obs.reporter.p99_target_ms);
+  bool latency_reason = false;
+  for (const std::string& reason : snapshot.reasons) {
+    latency_reason |= reason.find("span.query_ms p99") != std::string::npos;
+  }
+  EXPECT_TRUE(latency_reason);
 }
 
 TEST(StatsReporterTest, SnapshotsCarryTheLastHealthTransition) {

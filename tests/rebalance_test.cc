@@ -491,7 +491,7 @@ TEST(RebalancePlannerTest, HotTenantMovesToTheCoolestShard) {
     EXPECT_EQ(move.to_shard, 1u);
   }
   EXPECT_LT(plan.imbalance_after, plan.imbalance_before);
-  EXPECT_LE(plan.moves.size(), RebalancePlannerConfig().max_moves);
+  EXPECT_LE(plan.moves.size(), RebalancePlanner::kMaxMoves);
 }
 
 // ---- Server façade: shard stats, rebalance, typed admin -------------------

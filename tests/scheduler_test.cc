@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/macros.h"
 #include "obs/tracer.h"
 #include "server/query_scheduler.h"
 #include "server/server.h"
