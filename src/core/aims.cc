@@ -8,6 +8,7 @@
 #include <fstream>
 #include <map>
 #include <set>
+#include <span>
 
 #include "common/byte_codec.h"
 #include "common/crc32.h"
@@ -1101,9 +1102,12 @@ Result<std::vector<double>> AimsSystem::ReadChannel(SessionId id,
 Result<std::vector<double>> AimsSystem::ReadCoefficients(
     const StoredChannel& stored) const {
   std::vector<double> coeffs(stored.padded_len, 0.0);
-  for (size_t b = 0; b < stored.store->layout()->num_blocks(); ++b) {
-    AIMS_ASSIGN_OR_RETURN(auto contents, stored.store->FetchBlock(b));
-    for (const auto& [idx, value] : contents) coeffs[idx] = value;
+  const storage::BlockLayout& layout = *stored.store->layout();
+  for (size_t b = 0; b < layout.num_blocks(); ++b) {
+    AIMS_ASSIGN_OR_RETURN(std::vector<double> values,
+                          stored.store->FetchBlock(b));
+    const std::span<const size_t> slots = layout.contents(b);
+    for (size_t k = 0; k < slots.size(); ++k) coeffs[slots[k]] = values[k];
   }
   return coeffs;
 }
@@ -1131,12 +1135,30 @@ Result<std::vector<size_t>> AimsSystem::BestBasisReport(SessionId id) const {
 
 namespace {
 
-/// One block of a query's refinement schedule with the coefficients it
-/// carries — the unit both the planner and the evaluator work in.
+/// One query coefficient of a schedule, with the block holding its stored
+/// partner.
+struct ScheduledCoefficient {
+  size_t block = 0;
+  size_t index = 0;
+  double value = 0.0;
+};
+
+/// One block of a query's refinement schedule — the unit both the planner
+/// and the evaluator work in. Its query coefficients are
+/// BlockSchedule::coefficients[begin, end), ascending by index.
 struct ScheduledBlock {
   size_t block = 0;
-  std::vector<std::pair<size_t, double>> coefficients;
+  size_t begin = 0;
+  size_t end = 0;
   double query_energy = 0.0;
+};
+
+struct BlockSchedule {
+  /// Every query coefficient, grouped by block, ascending by index within
+  /// each block.
+  std::vector<ScheduledCoefficient> coefficients;
+  /// The blocks in refinement order.
+  std::vector<ScheduledBlock> blocks;
 };
 
 /// \brief Groups the query coefficients by the block holding their stored
@@ -1145,29 +1167,38 @@ struct ScheduledBlock {
 /// the schedule — and therefore EXPLAIN vs. ANALYZE reconciliation — is
 /// fully deterministic. Shared by PlanRangeQuery (no I/O) and
 /// QueryRangeProgressive (fetches in exactly this order).
-std::vector<ScheduledBlock> BuildBlockSchedule(
-    const storage::WaveletStore& store,
-    const signal::SparseCoefficients& query) {
-  std::map<size_t, ScheduledBlock> per_block;
+BlockSchedule BuildBlockSchedule(const storage::WaveletStore& store,
+                                 const signal::SparseCoefficients& query) {
+  const storage::CoefficientAllocator& allocator = store.allocator();
+  BlockSchedule schedule;
+  schedule.coefficients.reserve(query.entries.size());
   for (const auto& [idx, q] : query.entries) {
-    std::vector<size_t> blocks = store.BlocksFor({idx});
-    AIMS_CHECK(blocks.size() == 1);
-    ScheduledBlock& work = per_block[blocks[0]];
-    work.block = blocks[0];
-    work.coefficients.emplace_back(idx, q);
-    work.query_energy += q * q;
+    schedule.coefficients.push_back({allocator.BlockOf(idx), idx, q});
   }
-  std::vector<ScheduledBlock> order;
-  order.reserve(per_block.size());
-  for (auto& [block, work] : per_block) order.push_back(std::move(work));
-  std::sort(order.begin(), order.end(),
+  // The entries ascend by index, so sorting by (block, index) groups them
+  // and keeps each block's energy summed in index order.
+  std::sort(schedule.coefficients.begin(), schedule.coefficients.end(),
+            [](const ScheduledCoefficient& a, const ScheduledCoefficient& b) {
+              return a.block != b.block ? a.block < b.block
+                                        : a.index < b.index;
+            });
+  for (size_t k = 0; k < schedule.coefficients.size(); ++k) {
+    const ScheduledCoefficient& c = schedule.coefficients[k];
+    if (schedule.blocks.empty() || schedule.blocks.back().block != c.block) {
+      schedule.blocks.push_back({c.block, k, k, 0.0});
+    }
+    ScheduledBlock& work = schedule.blocks.back();
+    ++work.end;
+    work.query_energy += c.value * c.value;
+  }
+  std::sort(schedule.blocks.begin(), schedule.blocks.end(),
             [](const ScheduledBlock& a, const ScheduledBlock& b) {
               if (a.query_energy != b.query_energy) {
                 return a.query_energy > b.query_energy;
               }
               return a.block < b.block;
             });
-  return order;
+  return schedule;
 }
 
 /// Wavelet level of one DWT coefficient index: 0 is the approximation
@@ -1248,7 +1279,7 @@ Result<QueryPlan> AimsSystem::PlanRangeQuery(SessionId id, size_t channel,
                                         first_frame, last_frame));
   const StoredChannel& stored = *input.stored;
   const signal::SparseCoefficients& query = input.query;
-  std::vector<ScheduledBlock> order = BuildBlockSchedule(*stored.store, query);
+  const BlockSchedule schedule = BuildBlockSchedule(*stored.store, query);
 
   QueryPlan plan;
   plan.session = id;
@@ -1257,22 +1288,24 @@ Result<QueryPlan> AimsSystem::PlanRangeQuery(SessionId id, size_t channel,
   plan.last_frame = last_frame;
   plan.padded_len = stored.padded_len;
   plan.num_query_coefficients = query.entries.size();
-  std::set<size_t> levels;
+  // The entries ascend by index, and the level with it.
   for (const auto& [idx, q] : query.entries) {
     (void)q;
-    levels.insert(WaveletLevelOf(idx));
+    const size_t level = WaveletLevelOf(idx);
+    if (plan.wavelet_levels.empty() || plan.wavelet_levels.back() != level) {
+      plan.wavelet_levels.push_back(level);
+    }
   }
-  plan.wavelet_levels.assign(levels.begin(), levels.end());
-  plan.predicted_blocks = order.size();
+  plan.predicted_blocks = schedule.blocks.size();
   plan.block_size_bytes = config_.block_size_bytes;
-  plan.schedule.reserve(order.size());
-  for (const ScheduledBlock& work : order) {
+  plan.schedule.reserve(schedule.blocks.size());
+  for (const ScheduledBlock& work : schedule.blocks) {
     // Residency probe only — Contains never perturbs the cache's LRU
     // order, so EXPLAIN stays free of side effects.
     const bool cached = stored.store->IsBlockCached(work.block);
     if (cached) ++plan.predicted_cached_blocks;
     plan.schedule.push_back(QueryPlanBlockFetch{
-        work.block, work.coefficients.size(), work.query_energy, cached});
+        work.block, work.end - work.begin, work.query_energy, cached});
   }
   plan.predicted_cold_blocks =
       plan.predicted_blocks - plan.predicted_cached_blocks;
@@ -1318,10 +1351,10 @@ Result<ProgressiveRangeResult> AimsSystem::QueryRangeProgressive(
                         StartRangeQuery("QueryRangeProgressive", id, channel,
                                         first_frame, last_frame));
   const StoredChannel& stored = *input.stored;
-  std::vector<ScheduledBlock> order =
-      BuildBlockSchedule(*stored.store, input.query);
+  const BlockSchedule schedule = BuildBlockSchedule(*stored.store, input.query);
+  const storage::BlockLayout& layout = *stored.store->layout();
   double remaining_query_energy = 0.0;
-  for (const ScheduledBlock& work : order) {
+  for (const ScheduledBlock& work : schedule.blocks) {
     remaining_query_energy += work.query_energy;
   }
 
@@ -1329,21 +1362,29 @@ Result<ProgressiveRangeResult> AimsSystem::QueryRangeProgressive(
   double remaining_data_energy = stored.energy;
   double centered_sum = 0.0;
   ProgressiveRangeResult result;
-  result.total_blocks_needed = order.size();
+  result.total_blocks_needed = schedule.blocks.size();
   size_t blocks_read = 0;
   size_t cache_hits = 0;
-  for (const ScheduledBlock& work : order) {
+  for (const ScheduledBlock& work : schedule.blocks) {
     bool hit = false;
-    AIMS_ASSIGN_OR_RETURN(auto contents,
+    AIMS_ASSIGN_OR_RETURN(std::vector<double> values,
                           stored.store->FetchBlock(work.block, &hit));
     ++blocks_read;
     if (hit) ++cache_hits;
-    for (const auto& [idx, value] : contents) {
+    // Merge-join in slot order: the slots and the block's query
+    // coefficients both ascend by index, and every query coefficient has
+    // a slot. The bound subtracts every stored value's square.
+    const std::span<const size_t> slots = layout.contents(work.block);
+    size_t next = work.begin;
+    for (size_t k = 0; k < slots.size(); ++k) {
+      const double value = values[k];
       remaining_data_energy -= value * value;
-      for (const auto& [qidx, q] : work.coefficients) {
-        if (qidx == idx) centered_sum += q * value;
+      if (next < work.end && schedule.coefficients[next].index == slots[k]) {
+        centered_sum += schedule.coefficients[next].value * value;
+        ++next;
       }
     }
+    AIMS_CHECK(next == work.end);
     remaining_query_energy -= work.query_energy;
     ProgressiveRangeStep step;
     step.blocks_read = blocks_read;
@@ -1355,7 +1396,7 @@ Result<ProgressiveRangeResult> AimsSystem::QueryRangeProgressive(
         std::sqrt(std::max(remaining_data_energy, 0.0));
     result.steps.push_back(step);
     if (observer && observer(step) == StepControl::kStop &&
-        blocks_read < order.size()) {
+        blocks_read < schedule.blocks.size()) {
       result.complete = false;
       break;
     }

@@ -23,7 +23,7 @@
 /// hit a write-once lock-free fast table — and the returned TenantLedger
 /// is pointer-stable for the ledger's lifetime with every charge on it a
 /// relaxed atomic add: cheap enough to stay always-on (bench_query_cost
-/// asserts < 2% overhead on a CPU-bound workload).
+/// bounds a query's charge sequence at < 2% of the query's CPU).
 
 namespace aims::obs {
 
@@ -33,7 +33,8 @@ using TenantId = uint64_t;
 
 /// \brief Point-in-time copy of one tenant's accumulated costs.
 struct TenantUsage {
-  /// CPU time spent on this tenant's requests (ScopedCpuCharge sections).
+  /// CPU time spent on this tenant's requests (ScopedCpuCharge sections,
+  /// and each query's span from dispatch to its outcome).
   uint64_t cpu_ns = 0;
   uint64_t blocks_read = 0;
   uint64_t blocks_written = 0;

@@ -393,6 +393,7 @@ void MetricsScraper::SetWatchdogHandle(Watchdog::Handle* handle) {
 }
 
 int64_t MetricsScraper::ScrapeOnce(int64_t at_ms) {
+  std::lock_guard<std::mutex> lock(scrape_mutex_);
   const int64_t now_ms =
       at_ms != 0
           ? at_ms
@@ -406,11 +407,15 @@ int64_t MetricsScraper::ScrapeOnce(int64_t at_ms) {
     store_->Append(name, now_ms, static_cast<double>(gauge->value()));
   }
   for (const auto& [name, hist] : registry_->Histograms()) {
-    store_->Append(name + ".p50", now_ms, hist->ApproxQuantile(0.5));
-    store_->Append(name + ".p95", now_ms, hist->ApproxQuantile(0.95));
-    store_->Append(name + ".p99", now_ms, hist->ApproxQuantile(0.99));
-    store_->Append(name + ".count", now_ms,
-                   static_cast<double>(hist->count()));
+    auto [it, fresh] = histogram_series_.try_emplace(hist);
+    HistogramSeries& series = it->second;
+    if (fresh) {
+      series = {name + ".p50", name + ".p95", name + ".p99", name + ".count"};
+    }
+    store_->Append(series.p50, now_ms, hist->ApproxQuantile(0.5));
+    store_->Append(series.p95, now_ms, hist->ApproxQuantile(0.95));
+    store_->Append(series.p99, now_ms, hist->ApproxQuantile(0.99));
+    store_->Append(series.count, now_ms, static_cast<double>(hist->count()));
   }
   if (config_.include_process) {
     const ProcessStats process = ReadProcessStats();

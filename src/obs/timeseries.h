@@ -6,6 +6,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/gorilla.h"
@@ -268,6 +269,16 @@ class MetricsScraper {
 
   Watchdog::Handle* watchdog_ = nullptr;
   std::atomic<uint64_t> scrapes_{0};
+
+  /// A histogram's four series names, built by the first scrape that sees
+  /// it: registered metrics live as long as the registry.
+  struct HistogramSeries {
+    std::string p50, p95, p99, count;
+  };
+  /// Serializes ScrapeOnce (the loop and direct callers) and guards
+  /// histogram_series_.
+  std::mutex scrape_mutex_;
+  std::unordered_map<const Histogram*, HistogramSeries> histogram_series_;
 
   PeriodicThread loop_;
 };

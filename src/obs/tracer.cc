@@ -50,6 +50,10 @@ void Tracer::Record(Trace trace) {
     }
   }
   if (capacity_ == 0) return;
+  // A span vector moved in keeps its growth capacity (a 64-frame stream
+  // batch's 65 spans keep room for 128), and the ring may hold the trace
+  // for a long time. Trim it before taking the lock.
+  trace.ShrinkToFit();
   std::lock_guard<std::mutex> lock(mutex_);
   ++total_recorded_;
   traces_.push_back(std::move(trace));

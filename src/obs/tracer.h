@@ -145,6 +145,14 @@ class Trace {
 
   const std::vector<TraceSpan>& spans() const { return spans_; }
 
+  /// \brief Drops the spare capacity that growth left in the span vector
+  /// and the open-span stack, so a trace retained for a long time holds its
+  /// spans and nothing more.
+  void ShrinkToFit() {
+    spans_.shrink_to_fit();
+    open_stack_.shrink_to_fit();
+  }
+
   /// \brief One JSON object:
   /// {"request_id":7,"label":"...","spans":[{"name":...,"id":...,
   /// "parent_id":...,"start_ms":...,"end_ms":...},...]}.
@@ -189,7 +197,8 @@ class Tracer {
   explicit Tracer(size_t capacity = 512, MetricsRegistry* metrics = nullptr);
 
   /// \brief Adds every span of a finished trace (closing any still-open
-  /// spans) to its stage's histogram, then stores the trace. When the ring
+  /// spans) to its stage's histogram, then stores the trace at its exact
+  /// size (a trace moved in keeps no growth capacity). When the ring
   /// is full the oldest retained trace is evicted and counted in
   /// dropped(); an eviction sink, when set, takes it on its way out.
   void Record(Trace trace);

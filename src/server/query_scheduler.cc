@@ -234,7 +234,7 @@ void QueryScheduler::Execute(const QueryTicketPtr& ticket) {
     // the catalog at all.
     outcome.state = QueryState::kCancelled;
     outcome.status = Status::Cancelled("query cancelled before dispatch");
-    Finish(ticket, std::move(outcome));
+    Finish(ticket, std::move(outcome), nullptr, admission_ms);
     return;
   }
   ticket->state_.store(QueryState::kRunning, std::memory_order_release);
@@ -243,9 +243,9 @@ void QueryScheduler::Execute(const QueryTicketPtr& ticket) {
     tenant->ChargeQueueMs(admission_ms);
     tenant->CountQuery();
   }
-  // Always-on wall-clock charge for everything from dispatch to the end of
-  // evaluation (a scoped timer charged to the tenant's ledger).
-  obs::ScopedCpuCharge cpu_charge(tenant);
+  // From here on every Finish charges the tenant the wall time from
+  // dispatch (admission_ms) to Finish's own clock read: the always-on CPU
+  // charge costs no clock read of its own.
 
   // Continuous-aggregate short circuit: a registered standing query whose
   // exact range (and tenant) this request matches is answered from the
@@ -277,7 +277,7 @@ void QueryScheduler::Execute(const QueryTicketPtr& ticket) {
         breakdown.reconciled = true;
         outcome.breakdown = std::move(breakdown);
       }
-      Finish(ticket, std::move(outcome));
+      Finish(ticket, std::move(outcome), tenant, admission_ms);
       return;
     }
   }
@@ -290,7 +290,7 @@ void QueryScheduler::Execute(const QueryTicketPtr& ticket) {
     if (!plan.ok()) {
       outcome.state = QueryState::kFailed;
       outcome.status = plan.status();
-      Finish(ticket, std::move(outcome));
+      Finish(ticket, std::move(outcome), tenant, admission_ms);
       return;
     }
     outcome.plan = std::move(*plan);
@@ -301,7 +301,7 @@ void QueryScheduler::Execute(const QueryTicketPtr& ticket) {
       outcome.state = QueryState::kComplete;
       outcome.answer.count = req.last_frame - req.first_frame + 1;
       outcome.answer.blocks_needed = outcome.plan->predicted_blocks;
-      Finish(ticket, std::move(outcome));
+      Finish(ticket, std::move(outcome), tenant, admission_ms);
       return;
     }
   }
@@ -376,7 +376,7 @@ void QueryScheduler::Execute(const QueryTicketPtr& ticket) {
         tenant->ChargeRead(cold, cold * catalog_->block_size_bytes());
       }
     }
-    Finish(ticket, std::move(outcome));
+    Finish(ticket, std::move(outcome), tenant, admission_ms);
     return;
   }
 
@@ -439,17 +439,21 @@ void QueryScheduler::Execute(const QueryTicketPtr& ticket) {
   outcome.breakdown = std::move(breakdown);
 
   if (tenant != nullptr) {
-    // Hits cost CPU (already covered by the ScopedCpuCharge), not I/O:
+    // Hits cost CPU (covered by Finish's CPU charge), not I/O:
     // only cold reads reach the tenant's I/O ledger.
     const size_t cold = answer.blocks_read - answer.cache_hits;
     tenant->ChargeRead(cold, cold * catalog_->block_size_bytes());
   }
-  Finish(ticket, std::move(outcome));
+  Finish(ticket, std::move(outcome), tenant, admission_ms);
 }
 
 void QueryScheduler::Finish(const QueryTicketPtr& ticket,
-                            QueryOutcome outcome) {
+                            QueryOutcome outcome, obs::TenantLedger* tenant,
+                            double dispatch_ms) {
   const double total_ms = ticket->trace_.ElapsedMs();
+  if (tenant != nullptr && total_ms > dispatch_ms) {
+    tenant->ChargeCpuNs(static_cast<uint64_t>((total_ms - dispatch_ms) * 1e6));
+  }
   if (outcome.breakdown.has_value()) outcome.breakdown->total_ms = total_ms;
   switch (outcome.state) {
     case QueryState::kComplete:

@@ -310,7 +310,11 @@ class QueryScheduler {
   void RunOne();
   QueryTicketPtr PopNext();
   void Execute(const QueryTicketPtr& ticket);
-  void Finish(const QueryTicketPtr& ticket, QueryOutcome outcome);
+  /// Publishes \p outcome, first charging a non-null \p tenant the wall
+  /// time from \p dispatch_ms (on the ticket's trace clock) to now as the
+  /// query's CPU.
+  void Finish(const QueryTicketPtr& ticket, QueryOutcome outcome,
+              obs::TenantLedger* tenant, double dispatch_ms);
 
   const ShardedCatalog* catalog_;
   ThreadPool* pool_;

@@ -136,21 +136,8 @@ Result<std::unordered_map<size_t, double>> WaveletStore::Fetch(
   return out;
 }
 
-size_t WaveletStore::BlocksNeeded(const std::vector<size_t>& indices) const {
-  std::set<size_t> blocks;
-  for (size_t idx : indices) blocks.insert(allocator().BlockOf(idx));
-  return blocks.size();
-}
-
-std::vector<size_t> WaveletStore::BlocksFor(
-    const std::vector<size_t>& indices) const {
-  std::set<size_t> blocks;
-  for (size_t idx : indices) blocks.insert(allocator().BlockOf(idx));
-  return {blocks.begin(), blocks.end()};
-}
-
-Result<std::vector<std::pair<size_t, double>>> WaveletStore::FetchBlock(
-    size_t logical_block, bool* cache_hit) const {
+Result<std::vector<double>> WaveletStore::FetchBlock(size_t logical_block,
+                                                     bool* cache_hit) const {
   if (cache_hit != nullptr) *cache_hit = false;
   if (!populated_) {
     return Status::FailedPrecondition("WaveletStore::FetchBlock before Put");
@@ -160,15 +147,12 @@ Result<std::vector<std::pair<size_t, double>>> WaveletStore::FetchBlock(
   }
   AIMS_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
                         ReadBlock(logical_block, cache_hit));
-  std::vector<std::pair<size_t, double>> out;
-  const std::span<const size_t> contents = layout_->contents(logical_block);
-  out.reserve(contents.size());
-  for (size_t slot = 0; slot < contents.size(); ++slot) {
-    double v = 0.0;
-    std::memcpy(&v, payload.data() + slot * sizeof(double), sizeof(double));
-    out.emplace_back(contents[slot], v);
+  // ReadBlock checked the size: one double per slot.
+  std::vector<double> values(payload.size() / sizeof(double));
+  if (!values.empty()) {
+    std::memcpy(values.data(), payload.data(), payload.size());
   }
-  return out;
+  return values;
 }
 
 bool WaveletStore::IsBlockCached(size_t logical_block) const {

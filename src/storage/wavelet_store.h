@@ -103,18 +103,14 @@ class WaveletStore {
   Result<std::unordered_map<size_t, double>> Fetch(
       const std::vector<size_t>& indices) const;
 
-  /// Number of distinct blocks the given index set would touch.
-  size_t BlocksNeeded(const std::vector<size_t>& indices) const;
-
-  /// Logical blocks holding the given indices (deduplicated, ascending).
-  std::vector<size_t> BlocksFor(const std::vector<size_t>& indices) const;
-
   /// Reads one logical block (one device I/O when cold, none when cached)
-  /// and returns every (coefficient index, value) pair stored on it — the
-  /// primitive for block-progressive query evaluation. \p cache_hit
-  /// (optional) reports whether a configured cache served this call.
-  Result<std::vector<std::pair<size_t, double>>> FetchBlock(
-      size_t logical_block, bool* cache_hit = nullptr) const;
+  /// and returns its payload as values in contents() order: value k is
+  /// coefficient layout()->contents(logical_block)[k]. Progressive
+  /// evaluation merge-joins it with a block's query coefficients, and a
+  /// whole-channel read scatters it. \p cache_hit (optional) reports
+  /// whether a configured cache served this call.
+  Result<std::vector<double>> FetchBlock(size_t logical_block,
+                                         bool* cache_hit = nullptr) const;
 
   /// Whether the logical block is currently resident in the configured
   /// cache (always false without one). Residency probe for EXPLAIN's

@@ -1,6 +1,7 @@
 #include "core/aims.h"
 
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -310,6 +311,168 @@ TEST(AimsSystemTest, MultipleSessionsShareTheDevice) {
   EXPECT_EQ(system.ListSessions().size(), 2u);
   EXPECT_GT(system.device().num_blocks(), 0u);
 }
+
+/// FNV-1a over the exact bits of everything a query path reports, so a
+/// change in any entry, value, block order or summation order moves it.
+class BitDigest {
+ public:
+  void Add(uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      hash_ ^= (v >> (8 * i)) & 0xff;
+      hash_ *= 0x100000001b3ull;
+    }
+  }
+  void Add(double v) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    Add(bits);
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+/// Random-walk channels: smooth enough to look like glove data, spread
+/// wide enough that every block holds distinct bits.
+streams::Recording RandomWalkRecording(size_t frames, size_t channels,
+                                       Rng* rng) {
+  streams::Recording rec;
+  rec.sample_rate_hz = 100.0;
+  std::vector<double> level(channels, 0.0);
+  for (size_t f = 0; f < frames; ++f) {
+    streams::Frame frame;
+    frame.timestamp = static_cast<double>(f) / 100.0;
+    frame.values.resize(channels);
+    for (size_t c = 0; c < channels; ++c) {
+      level[c] += rng->Gaussian(0.0, 1.0 + static_cast<double>(c));
+      frame.values[c] = level[c];
+    }
+    rec.Append(std::move(frame));
+  }
+  return rec;
+}
+
+struct QueryPinCase {
+  const char* name;
+  signal::WaveletKind filter;
+  size_t block_size_bytes;
+  size_t cache_bytes;
+  uint64_t digest;
+};
+
+void PrintTo(const QueryPinCase& c, std::ostream* os) { *os << c.name; }
+
+class QueryPathPinTest : public ::testing::TestWithParam<QueryPinCase> {};
+
+// Pins the bits of every PlanRangeQuery schedule, every
+// QueryRangeProgressive step and every QueryRange answer over seeded
+// sessions and ranges (point ranges, the full domain, log-uniform widths,
+// every seventh progressive query stopped after two steps). With a cache
+// the LRU state carries from query to query, so the plans' cached flags
+// and the steps' cache_hits are pinned too. The digests were recorded
+// from the map/set transform, per-coefficient schedule and pairwise
+// block match that the flat versions replaced.
+TEST_P(QueryPathPinTest, PlansStepsAndAnswersAreBitIdentical) {
+  const QueryPinCase& c = GetParam();
+  AimsConfig config;
+  config.filter = c.filter;
+  config.block_size_bytes = c.block_size_bytes;
+  config.block_cache.capacity_bytes = c.cache_bytes;
+  config.block_cache.num_shards = 4;
+  AimsSystem system(config);
+  Rng rng(2027);
+  std::vector<std::pair<SessionId, size_t>> sessions;
+  for (size_t frames : {size_t{37}, size_t{300}, size_t{1024}, size_t{2999}}) {
+    auto id =
+        system.IngestRecording("pin", RandomWalkRecording(frames, 6, &rng));
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    sessions.emplace_back(*id, frames);
+  }
+  BitDigest digest;
+  size_t queries = 0, steps = 0, hits = 0, stopped = 0;
+  for (int round = 0; round < 150; ++round) {
+    for (const auto& [id, frames] : sessions) {
+      const size_t channel = static_cast<size_t>(rng.UniformInt(0, 5));
+      size_t first = 0, last = frames - 1;
+      if (round % 10 == 1) {
+        first = last = static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(frames) - 1));
+      } else if (round % 10 != 0) {
+        const double log_width =
+            rng.Uniform(0.0, std::log2(static_cast<double>(frames)));
+        const size_t width = std::min(
+            frames, static_cast<size_t>(std::exp2(log_width)));
+        first = static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(frames - width)));
+        last = first + width - 1;
+      }
+      auto plan = system.PlanRangeQuery(id, channel, first, last);
+      ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+      digest.Add(uint64_t{plan->num_query_coefficients});
+      for (size_t level : plan->wavelet_levels) digest.Add(uint64_t{level});
+      digest.Add(uint64_t{plan->predicted_blocks});
+      digest.Add(uint64_t{plan->predicted_cached_blocks});
+      digest.Add(uint64_t{plan->predicted_cold_blocks});
+      digest.Add(plan->predicted_io_ms);
+      for (const QueryPlanBlockFetch& fetch : plan->schedule) {
+        digest.Add(uint64_t{fetch.logical_block});
+        digest.Add(uint64_t{fetch.num_coefficients});
+        digest.Add(fetch.query_energy);
+        digest.Add(uint64_t{fetch.cached});
+      }
+      const bool stop_early = queries % 7 == 3;
+      auto progressive = system.QueryRangeProgressive(
+          id, channel, first, last, [&](const ProgressiveRangeStep& step) {
+            return stop_early && step.blocks_read >= 2 ? StepControl::kStop
+                                                       : StepControl::kContinue;
+          });
+      ASSERT_TRUE(progressive.ok()) << progressive.status().ToString();
+      digest.Add(uint64_t{progressive->complete});
+      digest.Add(uint64_t{progressive->total_blocks_needed});
+      if (!progressive->complete) ++stopped;
+      steps += progressive->steps.size();
+      hits += progressive->steps.back().cache_hits;
+      for (const ProgressiveRangeStep& step : progressive->steps) {
+        digest.Add(uint64_t{step.blocks_read});
+        digest.Add(uint64_t{step.cache_hits});
+        digest.Add(step.sum_estimate);
+        digest.Add(step.mean_estimate);
+        digest.Add(step.sum_error_bound);
+      }
+      auto exact = system.QueryRange(id, channel, first, last);
+      ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+      digest.Add(exact->sum);
+      digest.Add(exact->mean);
+      digest.Add(uint64_t{exact->blocks_read});
+      ++queries;
+    }
+  }
+  EXPECT_EQ(queries, 600u);
+  EXPECT_GT(stopped, 0u);
+  // A cache that hit always or never would pin nothing about the LRU.
+  if (c.cache_bytes == 0) {
+    EXPECT_EQ(hits, 0u);
+  } else {
+    EXPECT_GT(hits, steps / 10);
+    EXPECT_LT(hits, steps - steps / 10);
+  }
+  EXPECT_EQ(digest.value(), c.digest)
+      << c.name << ": 0x" << std::hex << digest.value();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Configs, QueryPathPinTest,
+    ::testing::Values(
+        QueryPinCase{"db2_512_uncached", signal::WaveletKind::kDb2, 512, 0,
+                     0x3564e9b6fb925c91ull},
+        QueryPinCase{"db2_512_cached", signal::WaveletKind::kDb2, 512,
+                     16 * 1024, 0xdfa3aa388fa24942ull},
+        QueryPinCase{"db4_128_cached", signal::WaveletKind::kDb4, 128,
+                     32 * 1024, 0xde65b377ebdc9d8cull},
+        QueryPinCase{"haar_64_uncached", signal::WaveletKind::kHaar, 64, 0,
+                     0xa9f3c4d71d22a634ull}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 }  // namespace
 }  // namespace aims::core

@@ -551,6 +551,31 @@ TEST(TracerTest, EvictionSinkObservesEvictedTracesAndAccountingIsExact) {
   EXPECT_EQ(tracer.retained(), 4u);
 }
 
+TEST(TracerTest, RetainsTracesAtTheirExactSize) {
+  // A 64-frame stream batch grows its span vector one span at a time; the
+  // ring keeps (and evicts) the spans without the room growth left.
+  Tracer tracer(1);
+  size_t evicted_size = 0, evicted_capacity = 0;
+  tracer.SetEvictionSink([&](Trace&& trace) {
+    evicted_size = trace.spans().size();
+    evicted_capacity = trace.spans().capacity();
+  });
+  Trace stream(1);
+  stream.BeginSpan(Stage::kStreamSamples);
+  for (int frame = 0; frame < 64; ++frame) {
+    stream.AddMarker(Stage::kRecognizerUpdate);
+  }
+  ASSERT_EQ(stream.spans().size(), 65u);
+  ASSERT_GT(stream.spans().capacity(), 65u) << "growth left no spare room";
+  tracer.Record(std::move(stream));
+  std::vector<Trace> retained = tracer.Snapshot();
+  ASSERT_EQ(retained.size(), 1u);
+  EXPECT_EQ(retained[0].spans().size(), 65u);
+  tracer.Record(Trace(2));  // evicts the stream trace, moved out of the ring
+  EXPECT_EQ(evicted_size, 65u);
+  EXPECT_EQ(evicted_capacity, 65u);
+}
+
 // ---- End-to-end traces through the server ---------------------------------
 
 streams::Recording MakeRecording(size_t frames, size_t channels) {

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <string>
@@ -446,6 +447,37 @@ TEST(MetricsScraperTest, ScrapeOnceLandsEveryRegistryMetric) {
   scraper.ScrapeOnce(6000);
   EXPECT_EQ(last("req.count"), 10.0);
   EXPECT_EQ(store.Query("req.count", 0, 10000).size(), 2u);
+}
+
+TEST(MetricsScraperTest, ConcurrentScrapesNameLateHistogramsToo) {
+  // The scraper names a histogram's series the first time it sees it; the
+  // loop and direct callers may scrape at once, and a histogram registered
+  // after scraping began still lands under its four names.
+  MetricsRegistry registry;
+  registry.GetHistogram("early.ms", {1.0, 2.0})->Record(1.5);
+  MetricsTimeSeries store;
+  MetricsScraperConfig config;
+  config.include_process = false;
+  MetricsScraper scraper(&registry, &store, config);
+  scraper.Start(1.0);
+  std::vector<std::thread> callers;
+  for (int t = 0; t < 2; ++t) {
+    callers.emplace_back([&] {
+      for (int i = 0; i < 100; ++i) scraper.ScrapeOnce();
+    });
+  }
+  registry.GetHistogram("late.ms", {1.0, 2.0})->Record(0.5);
+  for (std::thread& caller : callers) caller.join();
+  scraper.ScrapeOnce();
+  scraper.Stop();
+  EXPECT_GE(scraper.scrapes(), 201u);
+  const std::vector<std::string> names = store.SeriesNames();
+  for (const char* name :
+       {"early.ms.p50", "early.ms.p95", "early.ms.p99", "early.ms.count",
+        "late.ms.p50", "late.ms.p95", "late.ms.p99", "late.ms.count"}) {
+    EXPECT_NE(std::find(names.begin(), names.end(), name), names.end())
+        << name;
+  }
 }
 
 TEST(MetricsScraperTest, ProcessSeriesCanBeDisabled) {
