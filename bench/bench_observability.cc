@@ -8,27 +8,39 @@
 // waits the instrumentation cost is the only difference between the two
 // configurations, which is exactly what this bench measures.
 //
-// Each mode is timed best-of-kReps; the bench asserts the observed
-// overhead stays under kMaxOverheadPct. Two further paired-leg modes
-// bound the admin plane under a prober hammer and the metrics-history
-// pipeline (self-scrape thread, Gorilla TSDB, SLO burn-rate evaluation)
-// at < 2% each. Results go to stdout as JSON (progress notes to stderr).
-// With an output directory argument the instrumented run's Prometheus
-// dump, Chrome trace JSON, and the metrics-history dump are written
-// there so CI can archive them:
+// Every gate compares two kinds of leg, each on a fresh server: a base
+// leg and the same leg with the cost under test switched on. A leg is
+// timed in process CPU seconds (every server and client thread, so the
+// queries clients run on their own threads count too), not wall-clock
+// time, which follows the host's other tenants. The legs run interleaved,
+// base, test, base, test, ..., base: kTestLegs test legs, each bracketed
+// by two base legs, and a gate bounds the median over the test legs of
+// test / mean(bracketing bases). The bracket cancels a steady drift of
+// the host's speed, which would otherwise bias the leg that runs second.
+// The instrumentation must cost under kMaxOverheadPct; the admin plane
+// under a prober hammer and the metrics-history pipeline (self-scrape
+// thread, Gorilla TSDB, SLO burn-rate evaluation) under 2% each. Results
+// go to stdout as JSON (progress notes to stderr). With an output
+// directory argument the instrumented run's Prometheus dump, Chrome trace
+// JSON, and the metrics-history dump are written there so CI can archive
+// them:
 //
 //   bench_observability [output_dir]
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -45,27 +57,26 @@ namespace {
 
 using streams::Recording;
 
-constexpr int kSchemaVersion = 1;
+constexpr int kSchemaVersion = 2;
 
 constexpr size_t kClients = 4;
 constexpr size_t kIngestsPerClient = 3;
 constexpr size_t kQueriesPerIngest = 2;
 constexpr size_t kStreamFrames = 96;
 constexpr size_t kSliceFrames = 128;
-constexpr int kReps = 3;
+/// Test legs per gate (each bracketed by base legs); odd, so the median
+/// ratio is one leg's.
+constexpr int kTestLegs = 21;
+constexpr size_t kOnOffIters = 8;  ///< workload passes per on/off leg
 constexpr double kMaxOverheadPct = 5.0;
-/// The paired-leg modes assert much tighter (2%) bounds, so they take
-/// more reps: only the per-leg minimum matters and contention is
-/// one-sided noise, so best-of-N converges to the true cost as N grows.
-constexpr int kPairedReps = 5;
 
 /// The admin-plane acceptance: 64 concurrent loopback probers hammering
 /// /healthz (and periodically /metrics) must cost the data plane < 2%.
 /// Each prober cycles at a real load-balancer health-check cadence; the
 /// probers are staggered across the interval, so from t=0 the admin plane
-/// fields a steady kAdminHammerConns / interval request rate. On this
-/// single-core CI host every admin request is CPU stolen directly from
-/// the data plane, which is exactly the cost being bounded.
+/// fields a steady kAdminHammerConns / interval request rate. The server
+/// side of every request is the cost being bounded; the probers' own CPU
+/// is the load generator's and is not counted.
 constexpr size_t kAdminHammerConns = 64;
 constexpr double kAdminProbeIntervalMs = 2000.0;
 constexpr size_t kAdminHammerIters = 16;  ///< workload passes per timed leg
@@ -74,12 +85,68 @@ constexpr double kAdminOverheadLimitPct = 2.0;
 /// The metrics-history acceptance: the self-scrape pipeline — scraper
 /// thread at a tight cadence, Gorilla TSDB appends for every registry
 /// series, the reporter's SLO burn-rate judgement of every scrape — must
-/// cost the instrumented data plane < 2% of wall-clock. 25ms is 40x a
+/// cost the instrumented data plane < 2% of its CPU. 25ms is 40x a
 /// production scrape cadence, so the bound holds with a wide margin in
 /// deployment.
 constexpr double kHistoryScrapeIntervalMs = 25.0;
 constexpr size_t kHistoryIters = 16;  ///< workload passes per timed leg
 constexpr double kHistoryOverheadLimitPct = 2.0;
+
+/// CPU seconds consumed so far by \p clock (a process or thread clock).
+double CpuSeconds(clockid_t clock) {
+  timespec ts{};
+  AIMS_CHECK(::clock_gettime(clock, &ts) == 0);
+  return static_cast<double>(ts.tv_sec) +
+         static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+/// CPU seconds of the legs of one gate, in run order: base[i] ran before
+/// test[i] and base[i + 1] after it.
+struct PairedCpu {
+  std::vector<double> base;
+  std::vector<double> test;
+
+  /// Runs the interleaved legs: \p run_leg(is_test, is_last_test).
+  template <typename RunLeg>
+  static PairedCpu Run(RunLeg run_leg) {
+    PairedCpu cpu;
+    cpu.base.push_back(run_leg(false, false));
+    for (int i = 0; i < kTestLegs; ++i) {
+      cpu.test.push_back(run_leg(true, i == kTestLegs - 1));
+      cpu.base.push_back(run_leg(false, false));
+    }
+    return cpu;
+  }
+  static double Median(std::vector<double> values) {
+    std::sort(values.begin(), values.end());
+    return values[values.size() / 2];
+  }
+  /// The gated figure, in %: the median over test legs of test / mean of
+  /// the two bracketing base legs, minus 1.
+  double OverheadPct() const {
+    std::vector<double> ratios;
+    for (size_t i = 0; i < test.size(); ++i) {
+      ratios.push_back(test[i] / (0.5 * (base[i] + base[i + 1])));
+    }
+    return (Median(ratios) - 1.0) * 100.0;
+  }
+  /// JSON fields shared by every gate.
+  std::string Json(double limit_pct) const {
+    auto list = [](const std::vector<double>& values) {
+      std::string out = "[";
+      for (size_t i = 0; i < values.size(); ++i) {
+        out += (i == 0 ? "" : ", ") + obs::TrimmedDouble(values[i]);
+      }
+      return out + "]";
+    };
+    std::string out = "\"test_legs\": " + std::to_string(test.size());
+    out += ", \"base_cpu_seconds\": " + list(base);
+    out += ", \"test_cpu_seconds\": " + list(test);
+    out += ", \"overhead_pct\": " + obs::TrimmedDouble(OverheadPct());
+    out += ", \"overhead_limit_pct\": " + obs::TrimmedDouble(limit_pct);
+    return out;
+  }
+};
 
 /// A \p len-frame window of \p rec starting at \p start.
 Recording Slice(const Recording& rec, size_t start, size_t len) {
@@ -157,14 +224,6 @@ server::ServerConfig MakeConfig(bool observability, bool admin = false) {
   return config;
 }
 
-struct ModeResult {
-  double best_seconds = 0.0;
-  double ops_per_sec = 0.0;
-  size_t ops = 0;
-  size_t traces_recorded = 0;
-  size_t traces_dropped = 0;
-};
-
 /// Drives the full workload through \p srv with one thread per client.
 size_t RunWorkload(server::AimsServer& srv, const Workload& work) {
   std::vector<std::thread> clients;
@@ -195,43 +254,58 @@ size_t RunWorkload(server::AimsServer& srv, const Workload& work) {
   return kClients * kIngestsPerClient * (1 + kQueriesPerIngest) + kClients;
 }
 
-/// Best-of-kReps timing of the workload under one ObsConfig mode. When
-/// \p export_dir is non-empty the last instrumented run's Prometheus and
+/// \p iters back-to-back workload passes through \p srv; returns the
+/// process CPU seconds they took (every thread of the process).
+double CpuWorkloadIters(server::AimsServer& srv, const Workload& work,
+                        size_t iters, size_t* ops) {
+  const double start = CpuSeconds(CLOCK_PROCESS_CPUTIME_ID);
+  size_t total = 0;
+  for (size_t i = 0; i < iters; ++i) total += RunWorkload(srv, work);
+  if (ops != nullptr) *ops = total;
+  return CpuSeconds(CLOCK_PROCESS_CPUTIME_ID) - start;
+}
+
+struct OnOffResult {
+  PairedCpu cpu;  ///< base = observability off, test = on
+  size_t ops = 0;  ///< per leg
+  size_t traces_recorded = 0;
+  size_t traces_dropped = 0;
+};
+
+/// One on/off leg on a FRESH server: kOnOffIters workload passes. When
+/// \p export_dir is non-empty the instrumented server's Prometheus and
 /// Chrome-trace dumps are written there.
-ModeResult RunMode(bool observability, const Workload& work,
-                   const std::string& export_dir) {
-  ModeResult result;
-  for (int rep = 0; rep < kReps; ++rep) {
-    server::AimsServer srv(MakeConfig(observability));
-    for (const auto& [label, segment] : work.vocabulary) {
-      AIMS_CHECK(srv.AddVocabularyEntry(label, segment).ok());
-    }
-    auto start = std::chrono::steady_clock::now();
-    result.ops = RunWorkload(srv, work);
-    double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    if (rep == 0 || seconds < result.best_seconds) {
-      result.best_seconds = seconds;
-    }
-    if (observability) {
-      result.traces_recorded = srv.tracer().total_recorded();
-      result.traces_dropped = srv.tracer().dropped();
-      if (!export_dir.empty() && rep == kReps - 1) {
-        std::ofstream prom(export_dir + "/observability_metrics.prom");
-        prom << obs::PrometheusExport(srv.metrics());
-        std::ofstream trace(export_dir + "/observability_trace.json");
-        trace << obs::ChromeTraceExport(srv.tracer());
-        AIMS_CHECK(prom.good() && trace.good());
-        std::fprintf(stderr,
-                     "bench_observability: wrote %s/observability_metrics.prom"
-                     " and %s/observability_trace.json\n",
-                     export_dir.c_str(), export_dir.c_str());
-      }
-    }
-    srv.Shutdown();
+double RunOnOffLeg(bool observability, const Workload& work,
+                   OnOffResult* result, const std::string& export_dir) {
+  server::AimsServer srv(MakeConfig(observability));
+  for (const auto& [label, segment] : work.vocabulary) {
+    AIMS_CHECK(srv.AddVocabularyEntry(label, segment).ok());
   }
-  result.ops_per_sec = static_cast<double>(result.ops) / result.best_seconds;
+  const double cpu = CpuWorkloadIters(srv, work, kOnOffIters, &result->ops);
+  if (observability) {
+    result->traces_recorded = srv.tracer().total_recorded();
+    result->traces_dropped = srv.tracer().dropped();
+    if (!export_dir.empty()) {
+      std::ofstream prom(export_dir + "/observability_metrics.prom");
+      prom << obs::PrometheusExport(srv.metrics());
+      std::ofstream trace(export_dir + "/observability_trace.json");
+      trace << obs::ChromeTraceExport(srv.tracer());
+      AIMS_CHECK(prom.good() && trace.good());
+      std::fprintf(stderr,
+                   "bench_observability: wrote %s/observability_metrics.prom"
+                   " and %s/observability_trace.json\n",
+                   export_dir.c_str(), export_dir.c_str());
+    }
+  }
+  srv.Shutdown();
+  return cpu;
+}
+
+OnOffResult RunOnOffMode(const Workload& work, const std::string& export_dir) {
+  OnOffResult result;
+  result.cpu = PairedCpu::Run([&](bool on, bool last) {
+    return RunOnOffLeg(on, work, &result, last ? export_dir : "");
+  });
   return result;
 }
 
@@ -268,34 +342,21 @@ int AdminGet(int port, const std::string& target) {
 }
 
 struct HammerResult {
-  double base_best_seconds = 0.0;    ///< timed leg, admin idle
-  double hammer_best_seconds = 0.0;  ///< timed leg, 64 probers live
-  double base_ops_per_sec = 0.0;
-  double hammer_ops_per_sec = 0.0;
-  size_t ops = 0;                    ///< per timed leg
-  size_t admin_requests = 0;  ///< served by the admin plane, last rep
-  size_t admin_rejected = 0;  ///< canned 503s under overload, last rep
-  size_t hammer_gets = 0;     ///< prober-side completed GETs, last rep
+  PairedCpu cpu;              ///< base = admin idle, test = probers live
+  size_t ops = 0;             ///< per leg
+  size_t admin_requests = 0;  ///< served by the admin plane, last pair
+  size_t admin_rejected = 0;  ///< canned 503s under overload, last pair
+  size_t hammer_gets = 0;     ///< prober-side completed GETs, last pair
+  double prober_cpu_seconds = 0.0;  ///< probers' own CPU, last pair
 };
-
-/// \p iters back-to-back workload passes through \p srv, timed.
-double TimeWorkloadIters(server::AimsServer& srv, const Workload& work,
-                         size_t iters, size_t* ops) {
-  auto start = std::chrono::steady_clock::now();
-  size_t total = 0;
-  for (size_t i = 0; i < iters; ++i) total += RunWorkload(srv, work);
-  if (ops != nullptr) *ops = total;
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
 
 /// One timed leg on a FRESH server: kAdminHammerIters workload passes,
 /// with the prober fleet live when \p with_hammer is set. Both legs are
 /// structurally identical — same construction, same empty catalog — so
 /// the only difference between them is the admin traffic. (A single
 /// shared server would skew the comparison: the catalog accumulates
-/// recordings across passes, so a second leg is always slower.)
+/// recordings across passes, so a second leg is always slower.) Returns
+/// the leg's process CPU seconds less the probers' own thread CPU.
 double RunHammerLeg(const Workload& work, bool with_hammer,
                     HammerResult* result) {
   server::AimsServer srv(MakeConfig(/*observability=*/true, /*admin=*/true));
@@ -307,69 +368,80 @@ double RunHammerLeg(const Workload& work, bool with_hammer,
 
   // Probers are staggered across the probe interval, so the request rate
   // is at its steady kAdminHammerConns / interval from t=0 — no
-  // synchronized connect burst, no settling wait.
-  std::atomic<bool> stop{false};
+  // synchronized connect burst, no settling wait. Each adds its own
+  // thread CPU to prober_ns when it exits.
+  std::mutex stop_mutex;
+  std::condition_variable stop_cv;
+  bool stop = false;
   std::atomic<size_t> gets{0};
+  std::atomic<uint64_t> prober_ns{0};
   std::vector<std::thread> hammer;
   const auto interval =
       std::chrono::duration<double, std::milli>(kAdminProbeIntervalMs);
+  auto sleep_unless_stopped = [&](auto duration) {
+    std::unique_lock<std::mutex> lock(stop_mutex);
+    return !stop_cv.wait_for(lock, duration, [&] { return stop; });
+  };
   if (with_hammer) {
     for (size_t h = 0; h < kAdminHammerConns; ++h) {
       hammer.emplace_back([&, h] {
-        std::this_thread::sleep_for(interval * h / kAdminHammerConns);
-        for (size_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
-          const char* target = (i % 16 == 15) ? "/metrics" : "/healthz";
-          if (AdminGet(port, target) > 0) {
-            gets.fetch_add(1, std::memory_order_relaxed);
+        if (sleep_unless_stopped(interval * h / kAdminHammerConns)) {
+          for (size_t i = 0;; ++i) {
+            const char* target = (i % 16 == 15) ? "/metrics" : "/healthz";
+            if (AdminGet(port, target) > 0) {
+              gets.fetch_add(1, std::memory_order_relaxed);
+            }
+            if (!sleep_unless_stopped(interval)) break;
           }
-          std::this_thread::sleep_for(interval);
         }
+        prober_ns.fetch_add(
+            static_cast<uint64_t>(CpuSeconds(CLOCK_THREAD_CPUTIME_ID) * 1e9),
+            std::memory_order_relaxed);
       });
     }
   }
 
-  size_t ops = 0;
-  double seconds = TimeWorkloadIters(srv, work, kAdminHammerIters, &ops);
-  stop.store(true);
+  const double start = CpuSeconds(CLOCK_PROCESS_CPUTIME_ID);
+  for (size_t i = 0; i < kAdminHammerIters; ++i) {
+    result->ops = RunWorkload(srv, work) * kAdminHammerIters;
+  }
+  // Read before the probers stop: waking and joining 64 threads is the
+  // load generator's cost, not the admin plane's.
+  const double end = CpuSeconds(CLOCK_PROCESS_CPUTIME_ID);
+  {
+    std::lock_guard<std::mutex> lock(stop_mutex);
+    stop = true;
+  }
+  stop_cv.notify_all();
   for (std::thread& t : hammer) t.join();
+  // A prober's CPU before the first pass (thread start) and after the
+  // end reading (its wake-up on stop) is a few microseconds.
+  const double prober_seconds = static_cast<double>(prober_ns.load()) * 1e-9;
+  const double cpu = end - start - prober_seconds;
 
-  result->ops = ops;
   if (with_hammer) {
     result->admin_requests = srv.admin_http()->requests();
     result->admin_rejected = srv.admin_http()->rejected();
     result->hammer_gets = gets.load();
+    result->prober_cpu_seconds = prober_seconds;
   }
   srv.Shutdown();
-  return seconds;
+  return cpu;
 }
 
-/// The fully-instrumented workload, best-of-kReps with the admin plane
-/// idle vs. best-of-kReps under the kAdminHammerConns prober fleet.
+/// The fully-instrumented workload with the admin plane idle vs. under the
+/// kAdminHammerConns prober fleet, interleaved.
 HammerResult RunAdminHammerMode(const Workload& work) {
   HammerResult result;
-  for (int rep = 0; rep < kPairedReps; ++rep) {
-    double base = RunHammerLeg(work, /*with_hammer=*/false, &result);
-    double hammered = RunHammerLeg(work, /*with_hammer=*/true, &result);
-    if (rep == 0 || base < result.base_best_seconds) {
-      result.base_best_seconds = base;
-    }
-    if (rep == 0 || hammered < result.hammer_best_seconds) {
-      result.hammer_best_seconds = hammered;
-    }
-  }
-  result.base_ops_per_sec =
-      static_cast<double>(result.ops) / result.base_best_seconds;
-  result.hammer_ops_per_sec =
-      static_cast<double>(result.ops) / result.hammer_best_seconds;
+  result.cpu = PairedCpu::Run([&](bool with_hammer, bool) {
+    return RunHammerLeg(work, with_hammer, &result);
+  });
   return result;
 }
 
 struct HistoryResult {
-  double base_best_seconds = 0.0;     ///< timed leg, history disabled
-  double history_best_seconds = 0.0;  ///< timed leg, scraper + SLO live
-  double base_ops_per_sec = 0.0;
-  double history_ops_per_sec = 0.0;
-  size_t ops = 0;  ///< per timed leg
+  PairedCpu cpu;   ///< base = history disabled, test = scraper + SLO live
+  size_t ops = 0;  ///< per leg
   // Store + scraper state after the last history leg.
   size_t scrapes = 0;
   obs::TimeSeriesStats stats;
@@ -422,11 +494,11 @@ void WriteHistoryDump(server::AimsServer& srv, const std::string& path) {
   AIMS_CHECK(out.good());
 }
 
-/// One timed leg on a FRESH server, fully instrumented either way; when
-/// \p with_history is set the Gorilla TSDB, the self-scrape thread at
-/// kHistoryScrapeIntervalMs, and one SLO objective (judged by the reporter
-/// once per scrape) are all live, so the delta between the legs is the
-/// entire metrics-history pipeline.
+/// One leg on a FRESH server, fully instrumented either way, timed in
+/// process CPU seconds; when \p with_history is set the Gorilla TSDB, the
+/// self-scrape thread at kHistoryScrapeIntervalMs, and one SLO objective
+/// (judged by the reporter once per scrape) are all live, so the delta
+/// between the legs is the entire metrics-history pipeline.
 double RunHistoryLeg(const Workload& work, bool with_history,
                      HistoryResult* result, const std::string& export_dir) {
   server::ServerConfig config = MakeConfig(/*observability=*/true);
@@ -446,9 +518,7 @@ double RunHistoryLeg(const Workload& work, bool with_history,
     AIMS_CHECK(srv.AddVocabularyEntry(label, segment).ok());
   }
 
-  size_t ops = 0;
-  double seconds = TimeWorkloadIters(srv, work, kHistoryIters, &ops);
-  result->ops = ops;
+  const double cpu = CpuWorkloadIters(srv, work, kHistoryIters, &result->ops);
   if (with_history) {
     result->scrapes = srv.metrics_scraper()->scrapes();
     result->stats = srv.metrics_history()->Stats();
@@ -465,30 +535,18 @@ double RunHistoryLeg(const Workload& work, bool with_history,
     }
   }
   srv.Shutdown();
-  return seconds;
+  return cpu;
 }
 
-/// The fully-instrumented workload, best-of-kReps with metrics history
-/// off vs. best-of-kReps with the scrape->append->SLO pipeline live.
+/// The fully-instrumented workload with metrics history off vs. with the
+/// scrape->append->SLO pipeline live, interleaved.
 HistoryResult RunHistoryMode(const Workload& work,
                              const std::string& export_dir) {
   HistoryResult result;
-  for (int rep = 0; rep < kPairedReps; ++rep) {
-    const std::string dump_dir = rep == kPairedReps - 1 ? export_dir : "";
-    double base = RunHistoryLeg(work, /*with_history=*/false, &result, "");
-    double history =
-        RunHistoryLeg(work, /*with_history=*/true, &result, dump_dir);
-    if (rep == 0 || base < result.base_best_seconds) {
-      result.base_best_seconds = base;
-    }
-    if (rep == 0 || history < result.history_best_seconds) {
-      result.history_best_seconds = history;
-    }
-  }
-  result.base_ops_per_sec =
-      static_cast<double>(result.ops) / result.base_best_seconds;
-  result.history_ops_per_sec =
-      static_cast<double>(result.ops) / result.history_best_seconds;
+  result.cpu = PairedCpu::Run([&](bool with_history, bool last) {
+    return RunHistoryLeg(work, with_history, &result,
+                         last ? export_dir : "");
+  });
   return result;
 }
 
@@ -502,91 +560,72 @@ int main(int argc, char** argv) {
   aims::Workload work = aims::MakeWorkload();
 
   // Warm-up: touch every code path once (allocator, page cache, lazily
-  // built tables) so neither timed mode pays first-run costs.
+  // built tables) so neither leg pays first-run costs.
   std::fprintf(stderr, "bench_observability: warm-up...\n");
-  aims::RunMode(/*observability=*/false, work, "");
+  aims::OnOffResult warmup;
+  aims::RunOnOffLeg(/*observability=*/false, work, &warmup, "");
 
-  std::fprintf(stderr, "bench_observability: observability OFF (%d reps)...\n",
-               aims::kReps);
-  aims::ModeResult off = aims::RunMode(false, work, "");
-  std::fprintf(stderr, "bench_observability: observability ON (%d reps)...\n",
-               aims::kReps);
-  aims::ModeResult on = aims::RunMode(true, work, export_dir);
+  std::fprintf(stderr,
+               "bench_observability: observability off/on (%d test legs)...\n",
+               aims::kTestLegs);
+  aims::OnOffResult onoff = aims::RunOnOffMode(work, export_dir);
   std::fprintf(stderr,
                "bench_observability: admin hammer, %zu connections "
-               "(%d reps)...\n",
-               aims::kAdminHammerConns, aims::kReps);
+               "(%d test legs)...\n",
+               aims::kAdminHammerConns, aims::kTestLegs);
   aims::HammerResult hammer = aims::RunAdminHammerMode(work);
   std::fprintf(stderr,
                "bench_observability: metrics history, %.0fms scrape cadence "
-               "(%d reps)...\n",
-               aims::kHistoryScrapeIntervalMs, aims::kReps);
+               "(%d test legs)...\n",
+               aims::kHistoryScrapeIntervalMs, aims::kTestLegs);
   aims::HistoryResult history = aims::RunHistoryMode(work, export_dir);
 
-  double overhead_pct =
-      (on.best_seconds - off.best_seconds) / off.best_seconds * 100.0;
-  double admin_overhead_pct = (hammer.hammer_best_seconds -
-                               hammer.base_best_seconds) /
-                              hammer.base_best_seconds * 100.0;
-  double history_overhead_pct = (history.history_best_seconds -
-                                 history.base_best_seconds) /
-                                history.base_best_seconds * 100.0;
+  const double overhead_pct = onoff.cpu.OverheadPct();
+  const double admin_overhead_pct = hammer.cpu.OverheadPct();
+  const double history_overhead_pct = history.cpu.OverheadPct();
 
   std::printf("{\n  \"bench\": \"bench_observability\",\n");
   std::printf("  \"schema_version\": %d,\n", aims::kSchemaVersion);
   std::printf(
       "  \"config\": {\"clients\": %zu, \"ingests_per_client\": %zu, "
       "\"queries_per_ingest\": %zu, \"stream_frames\": %zu, "
-      "\"slice_frames\": %zu, \"reps\": %d},\n",
+      "\"slice_frames\": %zu, \"test_legs\": %d},\n",
       aims::kClients, aims::kIngestsPerClient, aims::kQueriesPerIngest,
-      aims::kStreamFrames, aims::kSliceFrames, aims::kReps);
+      aims::kStreamFrames, aims::kSliceFrames, aims::kTestLegs);
   std::printf(
-      "  \"off\": {\"best_seconds\": %.4f, \"ops\": %zu, "
-      "\"ops_per_sec\": %.2f},\n",
-      off.best_seconds, off.ops, off.ops_per_sec);
-  std::printf(
-      "  \"on\": {\"best_seconds\": %.4f, \"ops\": %zu, "
-      "\"ops_per_sec\": %.2f, \"traces_recorded\": %zu, "
-      "\"traces_dropped\": %zu},\n",
-      on.best_seconds, on.ops, on.ops_per_sec, on.traces_recorded,
-      on.traces_dropped);
-  std::printf("  \"overhead_pct\": %.2f,\n", overhead_pct);
-  std::printf("  \"overhead_limit_pct\": %.1f,\n", aims::kMaxOverheadPct);
+      "  \"onoff\": {\"iters_per_leg\": %zu, \"ops_per_leg\": %zu, "
+      "\"traces_recorded\": %zu, \"traces_dropped\": %zu, %s},\n",
+      aims::kOnOffIters, onoff.ops, onoff.traces_recorded,
+      onoff.traces_dropped, onoff.cpu.Json(aims::kMaxOverheadPct).c_str());
   std::printf(
       "  \"admin\": {\"connections\": %zu, \"probe_interval_ms\": %.0f, "
-      "\"base_best_seconds\": %.4f, \"hammer_best_seconds\": %.4f, "
-      "\"base_ops_per_sec\": %.2f, \"hammer_ops_per_sec\": %.2f, "
-      "\"hammer_gets\": %zu, \"admin_requests\": %zu, "
-      "\"admin_rejected\": %zu, \"overhead_pct\": %.2f, "
-      "\"overhead_limit_pct\": %.1f},\n",
-      aims::kAdminHammerConns, aims::kAdminProbeIntervalMs,
-      hammer.base_best_seconds, hammer.hammer_best_seconds,
-      hammer.base_ops_per_sec, hammer.hammer_ops_per_sec, hammer.hammer_gets,
-      hammer.admin_requests, hammer.admin_rejected, admin_overhead_pct,
-      aims::kAdminOverheadLimitPct);
+      "\"ops_per_leg\": %zu, \"hammer_gets\": %zu, "
+      "\"admin_requests\": %zu, \"admin_rejected\": %zu, "
+      "\"prober_cpu_seconds\": %s, %s},\n",
+      aims::kAdminHammerConns, aims::kAdminProbeIntervalMs, hammer.ops,
+      hammer.hammer_gets, hammer.admin_requests, hammer.admin_rejected,
+      aims::obs::TrimmedDouble(hammer.prober_cpu_seconds).c_str(),
+      hammer.cpu.Json(aims::kAdminOverheadLimitPct).c_str());
   std::printf(
-      "  \"history\": {\"scrape_interval_ms\": %.0f, "
-      "\"base_best_seconds\": %.4f, \"history_best_seconds\": %.4f, "
-      "\"base_ops_per_sec\": %.2f, \"history_ops_per_sec\": %.2f, "
+      "  \"history\": {\"scrape_interval_ms\": %.0f, \"ops_per_leg\": %zu, "
       "\"scrapes\": %zu, \"series\": %llu, \"samples_appended\": %llu, "
       "\"samples_retained\": %llu, \"compressed_bytes\": %llu, "
       "\"compression_ratio\": %.2f, \"slo_objectives\": %zu, "
-      "\"slo_burning\": %zu, \"overhead_pct\": %.2f, "
-      "\"overhead_limit_pct\": %.1f}\n}\n",
-      aims::kHistoryScrapeIntervalMs, history.base_best_seconds,
-      history.history_best_seconds, history.base_ops_per_sec,
-      history.history_ops_per_sec, history.scrapes,
+      "\"slo_burning\": %zu, %s}\n}\n",
+      aims::kHistoryScrapeIntervalMs, history.ops, history.scrapes,
       static_cast<unsigned long long>(history.stats.series),
       static_cast<unsigned long long>(history.stats.samples_appended),
       static_cast<unsigned long long>(history.stats.samples_retained),
       static_cast<unsigned long long>(history.stats.compressed_bytes),
       history.stats.compression_ratio, history.slo_objectives,
-      history.slo_burning, history_overhead_pct,
-      aims::kHistoryOverheadLimitPct);
+      history.slo_burning,
+      history.cpu.Json(aims::kHistoryOverheadLimitPct).c_str());
+  // The report must reach the artifact even when a gate below aborts.
+  std::fflush(stdout);
 
   // The contract this bench exists to enforce: full observability (metrics
-  // + tracing + reporter thread) costs less than kMaxOverheadPct of
-  // wall-clock on a CPU-bound mixed workload.
+  // + tracing + reporter thread) costs less than kMaxOverheadPct of the
+  // CPU of a CPU-bound mixed workload.
   AIMS_CHECK(overhead_pct < aims::kMaxOverheadPct);
   // And the admin plane under a 64-connection hammer costs the data plane
   // less than kAdminOverheadLimitPct on top of instrumentation itself.

@@ -149,7 +149,9 @@ Status AimsSystem::OpenDurable() {
       // The slot allocation itself is not logged; re-derive it. Committed
       // payloads always land on blocks that were allocated before the
       // commit, so extending to cover the id reconstructs the same state.
-      while (device_->num_blocks() <= id) device_->Allocate();
+      if (device_->num_blocks() <= id) {
+        device_->Allocate(id + 1 - device_->num_blocks());
+      }
       AIMS_RETURN_NOT_OK(device_->Write(id, payload));
     }
     for (const std::vector<uint8_t>& blob : txn.catalog_blobs) {
@@ -1141,6 +1143,8 @@ struct ScheduledCoefficient {
   size_t block = 0;
   size_t index = 0;
   double value = 0.0;
+  /// Position of the coefficient in the query's index-sorted entries.
+  size_t entry = 0;
 };
 
 /// One block of a query's refinement schedule — the unit both the planner
@@ -1172,8 +1176,9 @@ BlockSchedule BuildBlockSchedule(const storage::WaveletStore& store,
   const storage::CoefficientAllocator& allocator = store.allocator();
   BlockSchedule schedule;
   schedule.coefficients.reserve(query.entries.size());
-  for (const auto& [idx, q] : query.entries) {
-    schedule.coefficients.push_back({allocator.BlockOf(idx), idx, q});
+  for (size_t e = 0; e < query.entries.size(); ++e) {
+    const auto& [idx, q] = query.entries[e];
+    schedule.coefficients.push_back({allocator.BlockOf(idx), idx, q, e});
   }
   // The entries ascend by index, so sorting by (block, index) groups them
   // and keeps each block's energy summed in index order.
@@ -1323,21 +1328,39 @@ Result<RangeStatistics> AimsSystem::QueryRange(SessionId id, size_t channel,
       StartRangeQuery("QueryRange", id, channel, first_frame, last_frame));
   const StoredChannel& stored = *input.stored;
   const signal::SparseCoefficients& query = input.query;
-  std::vector<size_t> needed;
-  needed.reserve(query.entries.size());
-  for (const auto& [idx, value] : query.entries) {
-    (void)value;
-    needed.push_back(idx);
-  }
-  size_t reads_before = device_->reads();
-  AIMS_ASSIGN_OR_RETURN(auto fetched, stored.store->Fetch(needed));
+  const BlockSchedule schedule = BuildBlockSchedule(*stored.store, query);
+  const std::vector<ScheduledCoefficient>& coefficients =
+      schedule.coefficients;
+  const storage::BlockLayout& layout = *stored.store->layout();
   RangeStatistics stats;
-  stats.blocks_read = device_->reads() - reads_before;
+  // Each query coefficient's stored partner, by entry. The blocks are read
+  // in ascending order (the coefficients are grouped that way), and each
+  // is merge-joined with its index-sorted query coefficients.
+  std::vector<double> partner(query.entries.size());
+  for (size_t next = 0; next < coefficients.size();) {
+    const size_t block = coefficients[next].block;
+    bool hit = false;
+    AIMS_ASSIGN_OR_RETURN(std::vector<double> values,
+                          stored.store->FetchBlock(block, &hit));
+    // A per-call count: concurrent readers of the device cannot inflate it.
+    if (!hit) ++stats.blocks_read;
+    const std::span<const size_t> slots = layout.contents(block);
+    for (size_t k = 0; k < slots.size() && next < coefficients.size() &&
+                       coefficients[next].block == block;
+         ++k) {
+      if (coefficients[next].index == slots[k]) {
+        partner[coefficients[next].entry] = values[k];
+        ++next;
+      }
+    }
+    AIMS_CHECK(next == coefficients.size() ||
+               coefficients[next].block != block);
+  }
   stats.count = last_frame - first_frame + 1;
+  // Summed in index order, as the entries come.
   double centered_sum = 0.0;
-  for (const auto& [idx, qv] : query.entries) {
-    auto it = fetched.find(idx);
-    if (it != fetched.end()) centered_sum += qv * it->second;
+  for (size_t e = 0; e < query.entries.size(); ++e) {
+    centered_sum += query.entries[e].second * partner[e];
   }
   stats.sum = centered_sum + stored.mean * static_cast<double>(stats.count);
   stats.mean = stats.sum / static_cast<double>(stats.count);

@@ -85,6 +85,16 @@ std::string QueryRecordJson(const QueryRequest& request,
 
 QueryOutcome QueryTicket::Wait() const {
   std::unique_lock<std::mutex> lock(mutex_);
+  // Holding mutex_ with done_ unset keeps the scheduler alive: Finish needs
+  // this mutex to publish, and the scheduler drains every unfinished
+  // ticket before it is destroyed.
+  if (!done_) {
+    if (QueryTicketPtr claimed = scheduler_->ClaimForCaller(this)) {
+      lock.unlock();
+      scheduler_->Execute(claimed);
+      lock.lock();
+    }
+  }
   cv_.wait(lock, [&] { return done_; });
   return outcome_;
 }
@@ -119,6 +129,7 @@ QueryScheduler::QueryScheduler(const ShardedCatalog* catalog, ThreadPool* pool,
     cancelled_ = metrics->GetCounter("scheduler.cancelled");
     failed_ = metrics->GetCounter("scheduler.failed");
     slow_queries_ = metrics->GetCounter("scheduler.slow_queries");
+    dispatched_inline_ = metrics->GetCounter("scheduler.dispatched_inline");
     pending_gauge_ = metrics->GetGauge("scheduler.pending");
   }
 }
@@ -132,7 +143,7 @@ Result<QueryTicketPtr> QueryScheduler::Submit(QueryRequest request) {
   const uint64_t id = tracer_ != nullptr
                           ? tracer_->NextRequestId()
                           : next_id_.fetch_add(1, std::memory_order_relaxed);
-  QueryTicketPtr ticket(new QueryTicket(id, std::move(request)));
+  QueryTicketPtr ticket(new QueryTicket(this, id, std::move(request)));
   const QueryRequest& req = ticket->request_;
   if (req.deadline_ms > 0.0) {
     ticket->deadline_ =
@@ -163,21 +174,21 @@ Result<QueryTicketPtr> QueryScheduler::Submit(QueryRequest request) {
   in_flight_.fetch_add(1, std::memory_order_acq_rel);
   if (pending_gauge_ != nullptr) pending_gauge_->AddTracked(1);
 
+  posted_.fetch_add(1, std::memory_order_acq_rel);
   if (!pool_->Submit([this] { RunOne(); })) {
+    Retire(&posted_);
     // Executor shutting down: retract the admission if the ticket is still
     // queued. If a concurrent worker already claimed it, its own task will
     // carry it to completion and the submission stands.
-    std::lock_guard<std::mutex> lock(queues_mutex_);
+    std::unique_lock<std::mutex> lock(queues_mutex_);
     std::deque<QueryTicketPtr>& lane = interactive ? interactive_ : batch_;
     auto it = std::find(lane.begin(), lane.end(), ticket);
     if (it != lane.end()) {
       lane.erase(it);
+      lock.unlock();
       if (pending_gauge_ != nullptr) pending_gauge_->Add(-1);
       if (rejected_ != nullptr) rejected_->Increment();
-      if (in_flight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard<std::mutex> drain_lock(drain_mutex_);
-        drained_cv_.notify_all();
-      }
+      Retire(&in_flight_);
       return Status::FailedPrecondition(
           "QueryScheduler::Submit: executor shutting down");
     }
@@ -186,29 +197,56 @@ Result<QueryTicketPtr> QueryScheduler::Submit(QueryRequest request) {
   return ticket;
 }
 
+std::deque<QueryTicketPtr>* QueryScheduler::NextLaneLocked() {
+  const bool prefer_batch =
+      config_.batch_promotion_period > 0 &&
+      (pop_counter_ + 1) % config_.batch_promotion_period == 0;
+  std::deque<QueryTicketPtr>& first = prefer_batch ? batch_ : interactive_;
+  std::deque<QueryTicketPtr>& second = prefer_batch ? interactive_ : batch_;
+  if (!first.empty()) return &first;
+  if (!second.empty()) return &second;
+  return nullptr;
+}
+
 QueryTicketPtr QueryScheduler::PopNext() {
   std::lock_guard<std::mutex> lock(queues_mutex_);
+  std::deque<QueryTicketPtr>* lane = NextLaneLocked();
+  if (lane == nullptr) return nullptr;
   ++pop_counter_;
-  const bool prefer_batch = config_.batch_promotion_period > 0 &&
-                            pop_counter_ % config_.batch_promotion_period == 0;
-  auto pop = [](std::deque<QueryTicketPtr>& lane) -> QueryTicketPtr {
-    if (lane.empty()) return nullptr;
-    QueryTicketPtr ticket = std::move(lane.front());
-    lane.pop_front();
-    return ticket;
-  };
-  if (prefer_batch) {
-    if (QueryTicketPtr ticket = pop(batch_)) return ticket;
-    return pop(interactive_);
+  QueryTicketPtr ticket = std::move(lane->front());
+  lane->pop_front();
+  return ticket;
+}
+
+QueryTicketPtr QueryScheduler::ClaimForCaller(const QueryTicket* ticket) {
+  // A busy pool keeps the query queued: running it here would raise the
+  // query concurrency the pool bounds.
+  if (!pool_->HasIdleWorker()) return nullptr;
+  QueryTicketPtr claimed;
+  {
+    std::lock_guard<std::mutex> lock(queues_mutex_);
+    std::deque<QueryTicketPtr>* lane = NextLaneLocked();
+    if (lane == nullptr || lane->front().get() != ticket) return nullptr;
+    ++pop_counter_;
+    claimed = std::move(lane->front());
+    lane->pop_front();
   }
-  if (QueryTicketPtr ticket = pop(interactive_)) return ticket;
-  return pop(batch_);
+  if (dispatched_inline_ != nullptr) dispatched_inline_->Increment();
+  return claimed;
 }
 
 void QueryScheduler::RunOne() {
-  QueryTicketPtr ticket = PopNext();
-  if (ticket == nullptr) return;  // retracted by a failed Submit
-  Execute(ticket);
+  // Null when a waiting caller ran this task's ticket (and every other
+  // queued one is taken), or when a failed Submit retracted it.
+  if (QueryTicketPtr ticket = PopNext()) Execute(ticket);
+  Retire(&posted_);
+}
+
+void QueryScheduler::Retire(std::atomic<size_t>* counter) {
+  std::lock_guard<std::mutex> lock(drain_mutex_);
+  if (counter->fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    drained_cv_.notify_all();
+  }
 }
 
 void QueryScheduler::Execute(const QueryTicketPtr& ticket) {
@@ -503,16 +541,14 @@ void QueryScheduler::Finish(const QueryTicketPtr& ticket,
   ticket->cv_.notify_all();
 
   if (pending_gauge_ != nullptr) pending_gauge_->Add(-1);
-  if (in_flight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    std::lock_guard<std::mutex> lock(drain_mutex_);
-    drained_cv_.notify_all();
-  }
+  Retire(&in_flight_);
 }
 
 void QueryScheduler::Drain() {
   std::unique_lock<std::mutex> lock(drain_mutex_);
   drained_cv_.wait(lock, [&] {
-    return in_flight_.load(std::memory_order_acquire) == 0;
+    return in_flight_.load(std::memory_order_acquire) == 0 &&
+           posted_.load(std::memory_order_acquire) == 0;
   });
 }
 

@@ -39,6 +39,11 @@
 ///     and a promotion rule that keeps the batch lane starvation-free
 ///     under sustained interactive load.
 ///
+/// A query runs on whichever thread dispatches it first: a pool worker,
+/// or the caller blocked in QueryTicket::Wait when the pool has an idle
+/// worker and the ticket is next in dispatch order (it would have started
+/// at once anyway, so the cross-thread hop buys nothing).
+///
 /// Every request carries a Trace decomposing its latency into spans
 /// (admission wait, shard lock, each block I/O, the refinement loop),
 /// recorded into the server's Tracer on completion.
@@ -46,6 +51,7 @@
 namespace aims::server {
 
 class ContinuousAggregateRegistry;
+class QueryScheduler;
 
 /// \brief Admission lane of a query.
 enum class QueryPriority {
@@ -86,7 +92,7 @@ struct QueryRequest {
 /// \brief Terminal (and transient) states of a scheduled query.
 enum class QueryState {
   kPending,          ///< Admitted, waiting for an executor slot.
-  kRunning,          ///< Evaluating on a pool worker.
+  kRunning,          ///< Evaluating (on a pool worker or the caller).
   kComplete,         ///< Exact, or reached the requested error bound.
   kPartialDeadline,  ///< Deadline expired; best partial answer returned.
   kCancelled,        ///< Cancelled before or during evaluation.
@@ -197,7 +203,11 @@ class QueryTicket {
     return cancel_requested_.load(std::memory_order_acquire);
   }
 
-  /// \brief Blocks until the query reaches a terminal state.
+  /// \brief Blocks until the query reaches a terminal state. When the
+  /// ticket is still queued, is the next one the scheduler would dispatch,
+  /// and a pool worker is idle, the query runs here on the calling thread
+  /// instead (same evaluation, same contracts) — counted in
+  /// scheduler.dispatched_inline.
   QueryOutcome Wait() const;
 
   /// \brief The outcome if the query already finished, else nullopt.
@@ -205,9 +215,15 @@ class QueryTicket {
 
  private:
   friend class QueryScheduler;
-  QueryTicket(uint64_t id, QueryRequest request)
-      : id_(id), request_(std::move(request)), trace_(id) {}
+  QueryTicket(QueryScheduler* scheduler, uint64_t id, QueryRequest request)
+      : scheduler_(scheduler),
+        id_(id),
+        request_(std::move(request)),
+        trace_(id) {}
 
+  /// Alive while the ticket is unfinished: the scheduler drains every
+  /// admitted ticket before it is destroyed.
+  QueryScheduler* const scheduler_;
   const uint64_t id_;
   const QueryRequest request_;
   /// Absolute deadline derived from deadline_ms at submission.
@@ -242,9 +258,9 @@ struct SchedulerConfig {
 /// Thread-safe. Submit never blocks; results are delivered through the
 /// ticket. Exposes (when given a registry):
 ///   scheduler.submitted / rejected / completed / partial_deadline /
-///   cancelled / failed (counters), scheduler.pending (gauge with
-///   high-water mark). A query's latencies are its trace's spans, which
-///   the tracer observes in its span.<stage>_ms histograms.
+///   cancelled / failed / dispatched_inline (counters), scheduler.pending
+///   (gauge with high-water mark). A query's latencies are its trace's
+///   spans, which the tracer observes in its span.<stage>_ms histograms.
 class QueryScheduler {
  public:
   /// Bound of the batch lane's pending queue.
@@ -273,8 +289,8 @@ class QueryScheduler {
                  double slow_query_threshold_ms = 0.0,
                  obs::FlightRecorder* recorder = nullptr);
 
-  /// Waits for every admitted query to finish (the pool must still be
-  /// running or already drained).
+  /// Waits for every admitted query to finish and every posted pool task
+  /// to return (the pool must still be running or already drained).
   ~QueryScheduler();
 
   QueryScheduler(const QueryScheduler&) = delete;
@@ -295,8 +311,10 @@ class QueryScheduler {
   /// Never blocks.
   Result<QueryTicketPtr> Submit(QueryRequest request);
 
-  /// \brief Blocks until every admitted query has finished. Call before
-  /// tearing down the catalog or the pool.
+  /// \brief Blocks until every admitted query has finished and every pool
+  /// task Submit posted has returned (a task whose ticket a waiting caller
+  /// ran still holds a pointer to this scheduler). Call before tearing
+  /// down the catalog or the pool.
   void Drain();
 
   /// Admitted-but-unfinished count.
@@ -307,14 +325,29 @@ class QueryScheduler {
   const SchedulerConfig& config() const { return config_; }
 
  private:
+  friend class QueryTicket;
+
+  /// The pool task Submit posts once per admitted ticket: dispatches the
+  /// next queued ticket, if a waiting caller has not taken it already.
   void RunOne();
   QueryTicketPtr PopNext();
+  /// The lane the next dispatch pops from (null when both are empty).
+  /// Requires queues_mutex_.
+  std::deque<QueryTicketPtr>* NextLaneLocked();
+  /// Dispatches \p ticket to its waiting caller: succeeds only when a pool
+  /// worker is idle and \p ticket is the one PopNext would return next,
+  /// which the claim then counts as a pop. Null otherwise.
+  QueryTicketPtr ClaimForCaller(const QueryTicket* ticket);
   void Execute(const QueryTicketPtr& ticket);
   /// Publishes \p outcome, first charging a non-null \p tenant the wall
   /// time from \p dispatch_ms (on the ticket's trace clock) to now as the
   /// query's CPU.
   void Finish(const QueryTicketPtr& ticket, QueryOutcome outcome,
               obs::TenantLedger* tenant, double dispatch_ms);
+  /// Decrements one of Drain's counters under drain_mutex_, so Drain can
+  /// never return (and the scheduler be destroyed) between the decrement
+  /// and the notify.
+  void Retire(std::atomic<size_t>* counter);
 
   const ShardedCatalog* catalog_;
   ThreadPool* pool_;
@@ -335,6 +368,9 @@ class QueryScheduler {
   std::atomic<uint64_t> dispatch_counter_{0};
   /// Admitted queries not yet finished; the destructor blocks on zero.
   std::atomic<size_t> in_flight_{0};
+  /// RunOne tasks posted to the pool and not yet returned; the destructor
+  /// blocks on zero too.
+  std::atomic<size_t> posted_{0};
   std::mutex drain_mutex_;
   std::condition_variable drained_cv_;
 
@@ -345,6 +381,7 @@ class QueryScheduler {
   obs::Counter* cancelled_ = nullptr;
   obs::Counter* failed_ = nullptr;
   obs::Counter* slow_queries_ = nullptr;
+  obs::Counter* dispatched_inline_ = nullptr;
   obs::Gauge* pending_gauge_ = nullptr;
 };
 

@@ -20,6 +20,7 @@ bool ThreadPool::Submit(std::function<void()> task) {
     std::lock_guard<std::mutex> lock(mutex_);
     if (shutting_down_) return false;
     queue_.push_back(std::move(task));
+    queued_.store(queue_.size(), std::memory_order_relaxed);
   }
   cv_.notify_one();
   return true;
@@ -65,12 +66,17 @@ void ThreadPool::WorkerLoop() {
       // Bounded wait instead of an open-ended one so an IDLE worker still
       // heartbeats: only a pool where every worker is wedged goes quiet.
       while (queue_.empty() && !shutting_down_) {
+        // A woken worker counts as idle until it holds the mutex again:
+        // the task that woke it is still queued until then.
+        idle_.fetch_add(1, std::memory_order_relaxed);
         cv_.wait_for(lock, std::chrono::milliseconds(500));
+        idle_.fetch_sub(1, std::memory_order_relaxed);
         BeatWatchdog();
       }
       if (queue_.empty()) return;  // Shutting down and fully drained.
       task = std::move(queue_.front());
       queue_.pop_front();
+      queued_.store(queue_.size(), std::memory_order_relaxed);
     }
     BeatWatchdog();
     task();

@@ -50,6 +50,15 @@ class ThreadPool {
   /// Tasks enqueued but not yet started (diagnostic).
   size_t queued() const;
 
+  /// \brief True when some worker is blocked waiting for a task and there
+  /// are at least as many such workers as queued tasks, so every queued
+  /// task starts at once. A lock-free snapshot (a waking worker needs the
+  /// pool's mutex); it may change as soon as it returns.
+  bool HasIdleWorker() const {
+    const size_t idle = idle_.load(std::memory_order_relaxed);
+    return idle > 0 && idle >= queued_.load(std::memory_order_relaxed);
+  }
+
   /// \brief Shared heartbeat slot for the whole pool: arms it, and every
   /// worker beats it when it wakes and around each task. One wedged task
   /// does not trip the deadline while its siblings still make progress —
@@ -69,6 +78,10 @@ class ThreadPool {
   std::condition_variable cv_;
   std::deque<std::function<void()>> queue_;
   std::vector<std::thread> workers_;
+  /// Workers blocked in the wait for a task, and queue_.size(): written
+  /// under mutex_, read without it by HasIdleWorker.
+  std::atomic<size_t> idle_{0};
+  std::atomic<size_t> queued_{0};
   bool shutting_down_ = false;
   std::atomic<obs::Watchdog::Handle*> watchdog_{nullptr};
 };

@@ -2,9 +2,8 @@
 
 #include <atomic>
 #include <cstddef>
-#include <list>
+#include <cstdint>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -25,6 +24,11 @@
 ///     readers on different blocks rarely contend on one lock;
 ///   * a byte budget split evenly across shards, enforced per shard with
 ///     LRU eviction (accounting actual payload bytes, not block capacity);
+///   * flat shards: each shard keeps its entries in a slot vector linked
+///     in LRU order by 32-bit indices, and finds them through an
+///     open-addressing BlockId -> slot table (linear probing,
+///     backward-shift deletion). Freed slots, and their payload buffers,
+///     are reused, so a hit, a miss or an eviction allocates no node;
 ///   * write-through invalidation: Write forwards to the device and drops
 ///     any cached copy first, so the cache can never serve stale bytes —
 ///     re-ingest (WaveletStore re-Put) goes through this path;
@@ -127,19 +131,55 @@ class BlockCache {
   BlockDevice* mutable_device() { return device_; }
 
  private:
-  struct Entry {
+  /// Null slot index: the end of a list, or an empty table entry.
+  static constexpr uint32_t kNil = UINT32_MAX;
+
+  /// One cached block, or a free slot awaiting reuse.
+  struct Slot {
     BlockId id = 0;
-    std::vector<uint8_t> payload;
+    /// Neighbours in the LRU list (prev toward the most recent end); a
+    /// free slot chains the free list through next.
+    uint32_t prev = kNil;
+    uint32_t next = kNil;
     /// Staged by a write-back Write, not yet on the device. Dirty entries
     /// are pinned: never evicted, never dropped by Clear.
     bool dirty = false;
+    std::vector<uint8_t> payload;
   };
-  /// One shard: an LRU list (front = most recent) plus an index into it.
+  /// One entry of a shard's BlockId -> slot table (slot kNil = empty).
+  struct IndexEntry {
+    BlockId id = 0;
+    uint32_t slot = kNil;
+  };
+  /// One shard: slots linked in LRU order (head = most recent) and the
+  /// table that finds them. Every member requires the mutex.
   struct Shard {
     mutable std::mutex mutex;
-    std::list<Entry> lru;
-    std::unordered_map<BlockId, std::list<Entry>::iterator> index;
+    std::vector<Slot> slots;
+    uint32_t head = kNil;
+    uint32_t tail = kNil;
+    uint32_t free = kNil;
+    /// Power-of-two size, at most half full.
+    std::vector<IndexEntry> table;
+    size_t live = 0;
     size_t bytes = 0;
+
+    /// The slot holding \p id, or kNil.
+    uint32_t Find(BlockId id) const;
+    /// Links a fresh (or reused) slot for \p id at the head and indexes
+    /// it; the caller fills the payload and the byte count.
+    uint32_t Add(BlockId id);
+    /// Unindexes and unlinks \p slot and puts it on the free list. The
+    /// caller has taken its bytes off the count.
+    void Remove(uint32_t slot);
+    void MoveToFront(uint32_t slot);
+
+   private:
+    size_t Home(BlockId id) const;
+    void Unlink(uint32_t slot);
+    void PushFront(uint32_t slot);
+    void TableInsert(BlockId id, uint32_t slot);
+    void TableErase(BlockId id);
   };
 
   Shard& ShardFor(BlockId id) const {
@@ -153,6 +193,8 @@ class BlockCache {
   /// Evicts clean entries from the LRU tail until the shard fits its
   /// budget or only dirty entries remain.
   void EvictToBudgetLocked(Shard& shard) const;
+  /// Drops \p slot's entry and its byte, block (and dirty) counts.
+  void RemoveLocked(Shard& shard, uint32_t slot) const;
 
   BlockDevice* device_;
   BlockCacheConfig config_;

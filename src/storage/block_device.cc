@@ -34,6 +34,11 @@ bool BlockDevice::ConsumeFault(std::atomic<size_t>* pending) {
   return false;
 }
 
+BlockId BlockDevice::Allocate(size_t count) {
+  AIMS_CHECK(count >= 1);
+  return DoAllocate(count);
+}
+
 Status BlockDevice::Write(BlockId id, const std::vector<uint8_t>& payload) {
   if (id >= num_blocks()) {
     return Status::OutOfRange("BlockDevice::Write: no such block");
@@ -92,9 +97,10 @@ MemBlockDevice::MemBlockDevice(size_t block_size_bytes,
                                DiskCostModel cost_model)
     : BlockDevice(block_size_bytes, cost_model) {}
 
-BlockId MemBlockDevice::DoAllocate() {
-  blocks_.emplace_back();
-  return static_cast<BlockId>(blocks_.size() - 1);
+BlockId MemBlockDevice::DoAllocate(size_t count) {
+  const size_t first = blocks_.size();
+  blocks_.resize(first + count);
+  return static_cast<BlockId>(first);
 }
 
 Status MemBlockDevice::DoWrite(BlockId id, const std::vector<uint8_t>& payload,

@@ -71,8 +71,9 @@ class BlockDevice {
   size_t block_size_bytes() const { return block_size_bytes_; }
   virtual size_t num_blocks() const = 0;
 
-  /// Allocates a fresh block; returns its id. Requires exclusive access.
-  BlockId Allocate() { return DoAllocate(); }
+  /// Allocates \p count (at least 1) fresh blocks with consecutive ids;
+  /// returns the first. Requires exclusive access.
+  BlockId Allocate(size_t count = 1);
 
   /// Overwrites a block's payload (must fit the block size). Requires
   /// exclusive access.
@@ -124,7 +125,8 @@ class BlockDevice {
   void ChargeAccess() const;
   const DiskCostModel& cost_model() const { return cost_model_; }
 
-  virtual BlockId DoAllocate() = 0;
+  /// Extends the device by \p count >= 1 blocks; returns the first id.
+  virtual BlockId DoAllocate(size_t count) = 0;
   /// \p payload may be a corrupted copy when corruption injection fired;
   /// \p payload_crc is always the CRC-32 of the payload the caller wrote,
   /// so backends store the checksum a clean write would have stored.
@@ -159,7 +161,7 @@ class MemBlockDevice : public BlockDevice {
   size_t num_blocks() const override { return blocks_.size(); }
 
  protected:
-  BlockId DoAllocate() override;
+  BlockId DoAllocate(size_t count) override;
   Status DoWrite(BlockId id, const std::vector<uint8_t>& payload,
                  uint32_t payload_crc) override;
   Result<std::vector<uint8_t>> DoRead(BlockId id) const override;

@@ -146,7 +146,7 @@ Result<std::unique_ptr<FileBlockDevice>> FileBlockDevice::Open(
         std::to_string(block_size_bytes) + ")");
   }
   // The block count is implied by the file length: Allocate extends the
-  // file by one (sparse) slot. Partial trailing slots — a crash mid-extend
+  // file by its (sparse) slots. Partial trailing slots — a crash mid-extend
   // — round down; such blocks were never written, let alone committed.
   const uint64_t slot = kPageHeaderSize + block_size_bytes;
   if (file_size > kSuperblockSize) {
@@ -198,17 +198,16 @@ Status FileBlockDevice::SyncPages() {
   return Status::OK();
 }
 
-BlockId FileBlockDevice::DoAllocate() {
+BlockId FileBlockDevice::DoAllocate(size_t count) {
   const size_t id = num_blocks_.load(std::memory_order_relaxed);
-  // Best-effort file extension so the block count survives reopen even if
-  // the slot is never written. pwrite extends the file anyway on the first
-  // write, so an ftruncate failure only loses count of trailing unwritten
-  // (hence uncommitted) blocks.
-  (void)::ftruncate(fd_,
-                    static_cast<off_t>(kSuperblockSize +
-                                       (static_cast<uint64_t>(id) + 1) *
-                                           SlotSize()));
-  num_blocks_.store(id + 1, std::memory_order_release);
+  // Best-effort file extension, one per call, so the block count survives
+  // reopen even if the slots are never written. pwrite extends the file
+  // anyway on the first write, so an ftruncate failure only loses count of
+  // trailing unwritten (hence uncommitted) blocks.
+  (void)::ftruncate(fd_, static_cast<off_t>(kSuperblockSize +
+                                            static_cast<uint64_t>(id + count) *
+                                                SlotSize()));
+  num_blocks_.store(id + count, std::memory_order_release);
   return static_cast<BlockId>(id);
 }
 

@@ -67,7 +67,7 @@ class FileBlockDevice final : public BlockDevice {
   Status SyncPages();
 
  protected:
-  BlockId DoAllocate() override;
+  BlockId DoAllocate(size_t count) override;
   Status DoWrite(BlockId id, const std::vector<uint8_t>& payload,
                  uint32_t payload_crc) override;
   Result<std::vector<uint8_t>> DoRead(BlockId id) const override;

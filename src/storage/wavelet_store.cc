@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <set>
 #include <string>
 
 #include "common/macros.h"
@@ -89,51 +88,25 @@ Status WaveletStore::PutPayloads(
   const size_t num_blocks = layout_->num_blocks();
   AIMS_CHECK(payloads.size() == num_blocks);
   device_blocks_.resize(num_blocks);
+  // Allocate the missing blocks in one device call (one file extension on
+  // the durable backend), and record the allocation before any write: if
+  // a write faults, the retry finds the blocks already allocated and
+  // reuses them instead of leaking them. A re-Put likewise overwrites the
+  // existing blocks rather than growing the device.
+  if (num_allocated_ < num_blocks) {
+    const BlockId first = device_->Allocate(num_blocks - num_allocated_);
+    for (size_t b = num_allocated_; b < num_blocks; ++b) {
+      device_blocks_[b] = first + static_cast<BlockId>(b - num_allocated_);
+    }
+    num_allocated_ = num_blocks;
+  }
   for (size_t b = 0; b < num_blocks; ++b) {
     AIMS_CHECK(payloads[b].size() ==
                layout_->contents(b).size() * sizeof(double));
-    // Allocate lazily and record the allocation before attempting the
-    // write: if the write faults, the retry finds the block already
-    // allocated and reuses it instead of leaking it. A re-Put likewise
-    // overwrites the existing blocks rather than growing the device.
-    if (b >= num_allocated_) {
-      device_blocks_[b] = device_->Allocate();
-      num_allocated_ = b + 1;
-    }
     AIMS_RETURN_NOT_OK(WriteBlock(device_blocks_[b], payloads[b]));
   }
   populated_ = true;
   return Status::OK();
-}
-
-Result<std::unordered_map<size_t, double>> WaveletStore::Fetch(
-    const std::vector<size_t>& indices) const {
-  if (!populated_) {
-    return Status::FailedPrecondition("WaveletStore::Fetch before Put");
-  }
-  std::set<size_t> blocks;
-  for (size_t idx : indices) {
-    if (idx >= layout_->n()) {
-      return Status::OutOfRange("WaveletStore::Fetch: index out of range");
-    }
-    blocks.insert(allocator().BlockOf(idx));
-  }
-  std::set<size_t> wanted(indices.begin(), indices.end());
-  std::unordered_map<size_t, double> out;
-  for (size_t b : blocks) {
-    AIMS_ASSIGN_OR_RETURN(std::vector<uint8_t> payload, ReadBlock(b));
-    const std::span<const size_t> contents = layout_->contents(b);
-    for (size_t slot = 0; slot < contents.size(); ++slot) {
-      size_t idx = contents[slot];
-      if (wanted.count(idx)) {
-        double v = 0.0;
-        std::memcpy(&v, payload.data() + slot * sizeof(double),
-                    sizeof(double));
-        out[idx] = v;
-      }
-    }
-  }
-  return out;
 }
 
 Result<std::vector<double>> WaveletStore::FetchBlock(size_t logical_block,
@@ -145,9 +118,19 @@ Result<std::vector<double>> WaveletStore::FetchBlock(size_t logical_block,
   if (logical_block >= layout_->num_blocks()) {
     return Status::OutOfRange("WaveletStore::FetchBlock: no such block");
   }
-  AIMS_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
-                        ReadBlock(logical_block, cache_hit));
-  // ReadBlock checked the size: one double per slot.
+  const BlockId id = device_blocks_[logical_block];
+  AIMS_ASSIGN_OR_RETURN(
+      std::vector<uint8_t> payload,
+      cache_ != nullptr ? cache_->Read(id, cache_hit) : device_->Read(id));
+  // A never-written or cut-short page reads back short; decoding it would
+  // read past the payload's end.
+  const size_t expected =
+      layout_->contents(logical_block).size() * sizeof(double);
+  if (payload.size() != expected) {
+    return Status::IoError("WaveletStore: device block " + std::to_string(id) +
+                           " holds " + std::to_string(payload.size()) +
+                           " bytes, expected " + std::to_string(expected));
+  }
   std::vector<double> values(payload.size() / sizeof(double));
   if (!values.empty()) {
     std::memcpy(values.data(), payload.data(), payload.size());
@@ -161,25 +144,6 @@ bool WaveletStore::IsBlockCached(size_t logical_block) const {
     return false;
   }
   return cache_->Contains(device_blocks_[logical_block]);
-}
-
-Result<std::vector<uint8_t>> WaveletStore::ReadBlock(size_t logical_block,
-                                                     bool* cache_hit) const {
-  const BlockId id = device_blocks_[logical_block];
-  if (cache_hit != nullptr) *cache_hit = false;
-  AIMS_ASSIGN_OR_RETURN(
-      std::vector<uint8_t> payload,
-      cache_ != nullptr ? cache_->Read(id, cache_hit) : device_->Read(id));
-  // A never-written or cut-short page reads back short; decoding it would
-  // read past the payload's end.
-  const size_t expected =
-      layout_->contents(logical_block).size() * sizeof(double);
-  if (payload.size() != expected) {
-    return Status::IoError("WaveletStore: device block " + std::to_string(id) +
-                           " holds " + std::to_string(payload.size()) +
-                           " bytes, expected " + std::to_string(expected));
-  }
-  return payload;
 }
 
 Status WaveletStore::WriteBlock(BlockId id,

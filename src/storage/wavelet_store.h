@@ -2,7 +2,6 @@
 
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -97,18 +96,15 @@ class WaveletStore {
   /// previous allocation.
   Status PutPayloads(const std::vector<std::vector<uint8_t>>& payloads);
 
-  /// Fetches the requested coefficients, reading each containing block
-  /// exactly once. Returns index -> value. Const: safe for concurrent
-  /// readers once Put has completed (see BlockDevice's contract).
-  Result<std::unordered_map<size_t, double>> Fetch(
-      const std::vector<size_t>& indices) const;
-
   /// Reads one logical block (one device I/O when cold, none when cached)
   /// and returns its payload as values in contents() order: value k is
-  /// coefficient layout()->contents(logical_block)[k]. Progressive
-  /// evaluation merge-joins it with a block's query coefficients, and a
-  /// whole-channel read scatters it. \p cache_hit (optional) reports
-  /// whether a configured cache served this call.
+  /// coefficient layout()->contents(logical_block)[k]. The one block-read
+  /// path: range queries merge-join it with a block's query coefficients,
+  /// and a whole-channel read scatters it. \p cache_hit (optional) reports
+  /// whether a configured cache served this call. IoError when the payload
+  /// is not exactly the block's coefficients (a never-written or truncated
+  /// page). Const: safe for concurrent readers once Put has completed (see
+  /// BlockDevice's contract).
   Result<std::vector<double>> FetchBlock(size_t logical_block,
                                          bool* cache_hit = nullptr) const;
 
@@ -129,11 +125,6 @@ class WaveletStore {
   const std::vector<BlockId>& device_blocks() const { return device_blocks_; }
 
  private:
-  /// Reads a logical block's device block through the cache when one is
-  /// configured. IoError when the payload is not exactly the block's
-  /// coefficients (a never-written or truncated page).
-  Result<std::vector<uint8_t>> ReadBlock(size_t logical_block,
-                                         bool* cache_hit = nullptr) const;
   /// Writes a device block, invalidating any cached copy first.
   Status WriteBlock(BlockId id, const std::vector<uint8_t>& payload);
 

@@ -1,12 +1,18 @@
 #include "storage/block_cache.h"
 
+#include <algorithm>
 #include <atomic>
+#include <list>
 #include <shared_mutex>
+#include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/macros.h"
+#include "common/rng.h"
 #include "storage/block_device.h"
 
 namespace aims::storage {
@@ -16,6 +22,296 @@ std::vector<uint8_t> Payload(uint8_t seed, size_t n) {
   std::vector<uint8_t> out(n);
   for (size_t i = 0; i < n; ++i) out[i] = static_cast<uint8_t>(seed + i);
   return out;
+}
+
+/// The list + map LRU cache BlockCache's flat shards replaced, kept as the
+/// reference its replacement policy, counters and dirty pinning must match
+/// bit for bit: a std::list per shard (front = most recent) indexed by a
+/// std::unordered_map of iterators.
+class ListMapCache {
+ public:
+  ListMapCache(BlockDevice* device, BlockCacheConfig config)
+      : device_(device),
+        config_(config),
+        shard_capacity_bytes_(config.capacity_bytes /
+                              std::max<size_t>(config.num_shards, 1)),
+        shards_(std::max<size_t>(config.num_shards, 1)) {}
+
+  Result<std::vector<uint8_t>> Read(BlockId id, bool* hit) {
+    Shard& shard = ShardFor(id);
+    auto it = shard.index.find(id);
+    if (it != shard.index.end()) {
+      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+      ++stats_.hits;
+      *hit = true;
+      return it->second->payload;
+    }
+    ++stats_.misses;
+    *hit = false;
+    AIMS_ASSIGN_OR_RETURN(std::vector<uint8_t> payload, device_->Read(id));
+    if (shard.index.find(id) == shard.index.end()) {
+      InsertLocked(shard, id, payload, /*dirty=*/false);
+    }
+    return payload;
+  }
+
+  Status Write(BlockId id, const std::vector<uint8_t>& payload) {
+    if (config_.write_back) {
+      Shard& shard = ShardFor(id);
+      auto it = shard.index.find(id);
+      if (it != shard.index.end()) {
+        Entry& entry = *it->second;
+        shard.bytes -= entry.payload.size();
+        stats_.bytes_cached -= entry.payload.size();
+        if (!entry.dirty) ++dirty_;
+        entry.payload = payload;
+        entry.dirty = true;
+        shard.bytes += payload.size();
+        stats_.bytes_cached += payload.size();
+        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+        EvictToBudgetLocked(shard);
+      } else {
+        InsertLocked(shard, id, payload, /*dirty=*/true);
+      }
+      return Status::OK();
+    }
+    Invalidate(id);
+    return device_->Write(id, payload);
+  }
+
+  Status FlushBlocks(const std::vector<BlockId>& ids) {
+    for (BlockId id : ids) {
+      Shard& shard = ShardFor(id);
+      auto it = shard.index.find(id);
+      if (it == shard.index.end() || !it->second->dirty) continue;
+      AIMS_RETURN_NOT_OK(device_->Write(id, it->second->payload));
+      it->second->dirty = false;
+      --dirty_;
+      EvictToBudgetLocked(shard);
+    }
+    return Status::OK();
+  }
+
+  void DropDirty(const std::vector<BlockId>& ids) {
+    for (BlockId id : ids) {
+      Shard& shard = ShardFor(id);
+      auto it = shard.index.find(id);
+      if (it == shard.index.end() || !it->second->dirty) continue;
+      shard.bytes -= it->second->payload.size();
+      stats_.bytes_cached -= it->second->payload.size();
+      --stats_.blocks_cached;
+      --dirty_;
+      ++stats_.invalidations;
+      shard.lru.erase(it->second);
+      shard.index.erase(it);
+    }
+  }
+
+  void Invalidate(BlockId id) {
+    Shard& shard = ShardFor(id);
+    auto it = shard.index.find(id);
+    if (it == shard.index.end()) return;
+    shard.bytes -= it->second->payload.size();
+    stats_.bytes_cached -= it->second->payload.size();
+    --stats_.blocks_cached;
+    if (it->second->dirty) --dirty_;
+    ++stats_.invalidations;
+    shard.lru.erase(it->second);
+    shard.index.erase(it);
+  }
+
+  bool Contains(BlockId id) {
+    Shard& shard = ShardFor(id);
+    return shard.index.find(id) != shard.index.end();
+  }
+
+  void Clear() {
+    for (Shard& shard : shards_) {
+      for (auto it = shard.lru.begin(); it != shard.lru.end();) {
+        if (it->dirty) {
+          ++it;
+          continue;
+        }
+        shard.bytes -= it->payload.size();
+        stats_.bytes_cached -= it->payload.size();
+        --stats_.blocks_cached;
+        shard.index.erase(it->id);
+        it = shard.lru.erase(it);
+      }
+    }
+  }
+
+  obs::CacheStats Stats() const {
+    obs::CacheStats stats = stats_;
+    stats.capacity_bytes = config_.capacity_bytes;
+    return stats;
+  }
+  size_t DirtyBlocks() const { return dirty_; }
+
+ private:
+  struct Entry {
+    BlockId id = 0;
+    std::vector<uint8_t> payload;
+    bool dirty = false;
+  };
+  struct Shard {
+    std::list<Entry> lru;
+    std::unordered_map<BlockId, std::list<Entry>::iterator> index;
+    size_t bytes = 0;
+  };
+
+  Shard& ShardFor(BlockId id) { return shards_[id % shards_.size()]; }
+
+  void InsertLocked(Shard& shard, BlockId id,
+                    const std::vector<uint8_t>& payload, bool dirty) {
+    if (!dirty && payload.size() > shard_capacity_bytes_) return;
+    shard.lru.push_front(Entry{id, payload, dirty});
+    shard.index[id] = shard.lru.begin();
+    shard.bytes += payload.size();
+    stats_.bytes_cached += payload.size();
+    ++stats_.blocks_cached;
+    ++stats_.insertions;
+    if (dirty) ++dirty_;
+    EvictToBudgetLocked(shard);
+  }
+
+  void EvictToBudgetLocked(Shard& shard) {
+    auto it = shard.lru.end();
+    while (shard.bytes > shard_capacity_bytes_ && it != shard.lru.begin()) {
+      --it;
+      if (it->dirty) continue;
+      shard.bytes -= it->payload.size();
+      stats_.bytes_cached -= it->payload.size();
+      --stats_.blocks_cached;
+      ++stats_.evictions;
+      shard.index.erase(it->id);
+      it = shard.lru.erase(it);
+    }
+  }
+
+  BlockDevice* device_;
+  BlockCacheConfig config_;
+  size_t shard_capacity_bytes_;
+  std::vector<Shard> shards_;
+  obs::CacheStats stats_;
+  size_t dirty_ = 0;
+};
+
+void ExpectSameStats(const obs::CacheStats& got, const obs::CacheStats& want,
+                     const std::string& where) {
+  EXPECT_EQ(got.hits, want.hits) << where;
+  EXPECT_EQ(got.misses, want.misses) << where;
+  EXPECT_EQ(got.evictions, want.evictions) << where;
+  EXPECT_EQ(got.invalidations, want.invalidations) << where;
+  EXPECT_EQ(got.insertions, want.insertions) << where;
+  EXPECT_EQ(got.bytes_cached, want.bytes_cached) << where;
+  EXPECT_EQ(got.blocks_cached, want.blocks_cached) << where;
+  EXPECT_EQ(got.capacity_bytes, want.capacity_bytes) << where;
+}
+
+// 10^5+ seeded operations per run, over shard counts, budgets, both write
+// modes and payloads from empty to larger than a whole shard's budget:
+// after every operation the flat cache and the list + map reference agree
+// on the hit flag, the payload, the status, every counter and every id's
+// residency. Residency after each step pins the LRU victim order.
+TEST(BlockCacheReferenceTest, MatchesListMapCacheOpForOp) {
+  struct Config {
+    size_t capacity_bytes;
+    size_t num_shards;
+    bool write_back;
+  };
+  const std::vector<Config> configs = {
+      {512, 1, false},  {512, 1, true},   {1024, 2, false}, {1024, 3, true},
+      {4096, 8, false}, {4096, 8, true},  {256, 4, false},  {3000, 5, true},
+  };
+  constexpr size_t kBlockSize = 256;
+  constexpr BlockId kIds = 48;
+  constexpr size_t kOpsPerConfig = 15000;
+  size_t ops = 0;
+  for (size_t c = 0; c < configs.size(); ++c) {
+    const BlockCacheConfig config{configs[c].capacity_bytes,
+                                  configs[c].num_shards,
+                                  configs[c].write_back};
+    MemBlockDevice device(kBlockSize);
+    MemBlockDevice ref_device(kBlockSize);
+    BlockCache cache(&device, config);
+    ListMapCache ref(&ref_device, config);
+    device.Allocate(kIds);
+    ref_device.Allocate(kIds);
+    Rng rng(1000 + c);
+    auto random_id = [&] {
+      return static_cast<BlockId>(rng.UniformInt(0, kIds - 1));
+    };
+    auto random_ids = [&] {
+      std::vector<BlockId> ids(static_cast<size_t>(rng.UniformInt(0, 4)));
+      for (BlockId& id : ids) id = random_id();
+      return ids;
+    };
+    for (size_t op = 0; op < kOpsPerConfig; ++op, ++ops) {
+      const std::string where =
+          "config " + std::to_string(c) + " op " + std::to_string(op);
+      const int64_t kind = rng.UniformInt(0, 99);
+      if (kind < 55) {
+        const BlockId id = random_id();
+        if (rng.Bernoulli(0.01)) {
+          device.FailNextReads(1);
+          ref_device.FailNextReads(1);
+        }
+        bool hit = false;
+        bool ref_hit = false;
+        auto got = cache.Read(id, &hit);
+        auto want = ref.Read(id, &ref_hit);
+        ASSERT_EQ(hit, ref_hit) << where;
+        ASSERT_EQ(got.ok(), want.ok()) << where;
+        if (got.ok()) {
+          ASSERT_EQ(*got, *want) << where;
+        }
+      } else if (kind < 80) {
+        const BlockId id = random_id();
+        // Mostly block-sized payloads; some empty, some past a small
+        // shard's whole budget (still within the device's block).
+        const size_t size = static_cast<size_t>(rng.UniformInt(0, kBlockSize));
+        std::vector<uint8_t> payload(size);
+        for (uint8_t& byte : payload) {
+          byte = static_cast<uint8_t>(rng.UniformInt(0, 255));
+        }
+        ASSERT_EQ(cache.Write(id, payload).code(),
+                  ref.Write(id, payload).code())
+            << where;
+      } else if (kind < 86) {
+        const BlockId id = random_id();
+        cache.Invalidate(id);
+        ref.Invalidate(id);
+      } else if (kind < 91) {
+        const BlockId id = random_id();
+        ASSERT_EQ(cache.Contains(id), ref.Contains(id)) << where;
+      } else if (kind < 95) {
+        const std::vector<BlockId> ids = random_ids();
+        ASSERT_EQ(cache.FlushBlocks(ids).code(), ref.FlushBlocks(ids).code())
+            << where;
+      } else if (kind < 98) {
+        const std::vector<BlockId> ids = random_ids();
+        cache.DropDirty(ids);
+        ref.DropDirty(ids);
+      } else {
+        cache.Clear();
+        ref.Clear();
+      }
+      ExpectSameStats(cache.Stats(), ref.Stats(), where);
+      ASSERT_EQ(cache.DirtyBlocks(), ref.DirtyBlocks()) << where;
+      for (BlockId id = 0; id < kIds; ++id) {
+        ASSERT_EQ(cache.Contains(id), ref.Contains(id))
+            << where << " id " << id;
+      }
+      if (::testing::Test::HasFailure()) return;
+    }
+    // The run must have exercised eviction, invalidation and dirty pinning.
+    const obs::CacheStats stats = cache.Stats();
+    EXPECT_GT(stats.evictions, 0u) << "config " << c;
+    EXPECT_GT(stats.invalidations, 0u) << "config " << c;
+    EXPECT_GT(stats.hits, 0u) << "config " << c;
+  }
+  EXPECT_GE(ops, 100000u);
 }
 
 TEST(BlockCacheTest, ReadThroughHitAndMissAccounting) {

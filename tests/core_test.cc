@@ -1,10 +1,13 @@
 #include "core/aims.h"
 
+#include <atomic>
 #include <cmath>
 #include <cstring>
+#include <thread>
 
 #include <gtest/gtest.h>
 
+#include "common/macros.h"
 #include "common/stats.h"
 #include "synth/cyberglove.h"
 #include "test_util.h"
@@ -99,6 +102,43 @@ TEST(AimsSystemTest, QueryRangeReadsFarFewerBlocksThanFullScan) {
   ASSERT_GE(total_blocks, 16u);
   EXPECT_LT(stats.ValueOrDie().blocks_read, total_blocks / 2);
   EXPECT_GT(stats.ValueOrDie().blocks_read, 0u);
+}
+
+// blocks_read is this query's own cold reads. Under simulated I/O waits a
+// second thread's reads of the same device interleave with every query,
+// so a device-counter delta would count them too.
+TEST(AimsSystemTest, QueryRangeBlocksReadIgnoresConcurrentReaders) {
+  AimsConfig config;
+  config.block_size_bytes = 64;  // 8 coefficients a block: many blocks
+  config.disk_cost.seek_ms = 0.5;
+  config.disk_cost.transfer_ms_per_kb = 0.0;
+  config.disk_cost.simulate_io_wait = true;
+  AimsSystem system(config);
+  const streams::Recording rec = GloveRecording(6);
+  auto id = system.IngestRecording("concurrent", rec);
+  ASSERT_TRUE(id.ok());
+  const size_t frames = rec.num_frames();
+
+  std::atomic<bool> stop{false};
+  std::atomic<size_t> background_queries{0};
+  std::thread reader([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      AIMS_CHECK(system.QueryRange(*id, 1, 3, frames - 4).ok());
+      background_queries.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  for (size_t q = 0; q < 12; ++q) {
+    const size_t first = 1 + q * 5;
+    const size_t last = frames - 2 - q * 3;
+    auto plan = system.PlanRangeQuery(*id, 0, first, last);
+    auto stats = system.QueryRange(*id, 0, first, last);
+    ASSERT_TRUE(plan.ok() && stats.ok());
+    ASSERT_GT(plan->predicted_blocks, 1u);
+    EXPECT_EQ(stats->blocks_read, plan->predicted_blocks) << "query " << q;
+  }
+  stop.store(true);
+  reader.join();
+  EXPECT_GT(background_queries.load(), 0u);
 }
 
 TEST(AimsSystemTest, QueryRangeValidation) {

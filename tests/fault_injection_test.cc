@@ -99,12 +99,13 @@ TEST(FaultInjection, WaveletStorePropagatesFetchFaults) {
       &device, std::make_unique<storage::SubtreeTilingAllocator>(n, 64), n);
   Rng rng(1);
   ASSERT_TRUE(store.Put(testutil::RandomSignal(n, &rng)).ok());
+  const size_t block = store.allocator().BlockOf(200);
   device.FailNextReads(1);
-  auto fetched = store.Fetch({0, 1, 200});
+  auto fetched = store.FetchBlock(block);
   EXPECT_FALSE(fetched.ok());
   EXPECT_EQ(fetched.status().code(), StatusCode::kIoError);
   // Recovery: the same fetch works once the fault clears.
-  EXPECT_TRUE(store.Fetch({0, 1, 200}).ok());
+  EXPECT_TRUE(store.FetchBlock(block).ok());
 }
 
 TEST(FaultInjection, WaveletStorePutFaultLeavesStatusClean) {

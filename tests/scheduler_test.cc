@@ -2,6 +2,7 @@
 #include <chrono>
 #include <cmath>
 #include <future>
+#include <memory>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -397,6 +398,117 @@ TEST(QuerySchedulerTest, ConcurrentSubmitAndCancelIsCoherent) {
   h.scheduler.Drain();
   EXPECT_EQ(h.metrics.GetCounter("scheduler.submitted")->value(),
             kSubmitters * kPerSubmitter);
+}
+
+// A caller that waits on an idle pool runs its own query: a worker would
+// have started it at once, so the cross-thread hop buys nothing. The
+// answers are the pool path's, bit for bit.
+TEST(QuerySchedulerTest, WaitRunsTheQueryInlineOnAnIdlePool) {
+  Harness h(SmallBlockConfig(), /*threads=*/2);
+  streams::Recording rec = MakeRecording(512, 2, 5.0);
+  GlobalSessionId id = h.Store(rec);
+  const obs::Counter* inline_runs =
+      h.metrics.GetCounter("scheduler.dispatched_inline");
+  constexpr size_t kQueries = 200;
+  auto query_for = [&](size_t i) {
+    QueryRequest query = MakeQuery(id, rec.num_frames(), i % 2);
+    query.first_frame = i % 37;
+    return query;
+  };
+
+  // The pool path: poll until a worker has finished each query, so Wait
+  // only collects the outcome.
+  std::vector<QueryOutcome> pooled;
+  for (size_t i = 0; i < kQueries; ++i) {
+    auto ticket = h.scheduler.Submit(query_for(i));
+    ASSERT_TRUE(ticket.ok());
+    while (!ticket.ValueOrDie()->done()) std::this_thread::yield();
+    pooled.push_back(ticket.ValueOrDie()->Wait());
+  }
+  EXPECT_EQ(inline_runs->value(), 0u);
+
+  for (size_t i = 0; i < kQueries; ++i) {
+    // Idle: the task posted for the previous query has returned and its
+    // worker is back asleep, so no awake worker races this caller.
+    h.scheduler.Drain();
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    auto ticket = h.scheduler.Submit(query_for(i));
+    ASSERT_TRUE(ticket.ok());
+    const QueryOutcome outcome = ticket.ValueOrDie()->Wait();
+    const QueryAnswer& want = pooled[i].answer;
+    ASSERT_EQ(outcome.state, QueryState::kComplete);
+    ASSERT_EQ(pooled[i].state, QueryState::kComplete);
+    EXPECT_EQ(outcome.answer.sum, want.sum) << i;
+    EXPECT_EQ(outcome.answer.mean, want.mean) << i;
+    EXPECT_EQ(outcome.answer.count, want.count) << i;
+    EXPECT_EQ(outcome.answer.error_bound, want.error_bound) << i;
+    EXPECT_EQ(outcome.answer.blocks_read, want.blocks_read) << i;
+    EXPECT_EQ(outcome.answer.blocks_needed, want.blocks_needed) << i;
+  }
+  // Nearly all on a quiet host. The worker Submit wakes may still take a
+  // ticket first, more often on a loaded host, where it can preempt the
+  // caller, so the bound leaves room.
+  RecordProperty("inline_runs", static_cast<int>(inline_runs->value()));
+  EXPECT_GT(inline_runs->value(), kQueries / 4);
+}
+
+// With the only worker busy, Wait leaves the query queued: running it on
+// the caller would raise the concurrency the pool bounds.
+TEST(QuerySchedulerTest, WaitOnABusyPoolWaitsForAWorker) {
+  Harness h(SmallBlockConfig(), /*threads=*/1);
+  streams::Recording rec = MakeRecording(256, 1, 5.0);
+  GlobalSessionId id = h.Store(rec);
+
+  auto gate = BlockWorker(&h.pool);
+  auto ticket = h.scheduler.Submit(MakeQuery(id, rec.num_frames()));
+  ASSERT_TRUE(ticket.ok());
+  const auto start = std::chrono::steady_clock::now();
+  std::thread releaser([gate] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    gate->set_value();
+  });
+  const QueryOutcome outcome = ticket.ValueOrDie()->Wait();
+  const double waited_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+  releaser.join();
+
+  EXPECT_GE(waited_ms, 50.0);
+  EXPECT_EQ(outcome.state, QueryState::kComplete);
+  ASSERT_TRUE(outcome.breakdown.has_value());
+  EXPECT_GE(outcome.breakdown->admission_wait_ms, 50.0);
+  EXPECT_EQ(h.metrics.GetCounter("scheduler.dispatched_inline")->value(), 0u);
+}
+
+// The pool task posted for a ticket its caller ran can outlive the last
+// in-flight query. Destroying the scheduler right after such a query must
+// wait for that task, or the task runs on freed memory.
+TEST(QuerySchedulerTest, DestroyAfterAnInlineQueryLeavesNoTaskBehind) {
+  obs::MetricsRegistry metrics;
+  ShardedCatalog catalog(1, SmallBlockConfig(), &metrics);
+  ThreadPool pool(2);
+  streams::Recording rec = MakeRecording(128, 1, 5.0);
+  auto id = catalog.Ingest(0, "test", rec);
+  ASSERT_TRUE(id.ok());
+  const obs::Counter* inline_runs =
+      metrics.GetCounter("scheduler.dispatched_inline");
+  for (int round = 0; round < 200; ++round) {
+    auto scheduler = std::make_unique<QueryScheduler>(
+        &catalog, &pool, SchedulerConfig{}, nullptr, &metrics);
+    // Query until one runs on this thread (a woken worker may win a race).
+    const uint64_t inline_before = inline_runs->value();
+    for (int attempt = 0; attempt < 1000 && inline_runs->value() ==
+                                                inline_before;
+         ++attempt) {
+      auto ticket = scheduler->Submit(MakeQuery(*id, rec.num_frames()));
+      ASSERT_TRUE(ticket.ok());
+      EXPECT_EQ(ticket.ValueOrDie()->Wait().state, QueryState::kComplete);
+    }
+    ASSERT_GT(inline_runs->value(), inline_before) << "round " << round;
+    scheduler.reset();
+    // Every task the scheduler posted has returned.
+    EXPECT_EQ(pool.queued(), 0u) << "round " << round;
+  }
 }
 
 TEST(AimsServerFacadeTest, StatusCodesRoundTripThroughEnvelopes) {

@@ -1,11 +1,13 @@
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <memory>
 #include <set>
 #include <span>
 
 #include <gtest/gtest.h>
 
+#include "common/macros.h"
 #include "common/rng.h"
 #include "signal/dwt.h"
 #include "signal/error_tree.h"
@@ -19,6 +21,24 @@ namespace aims::storage {
 namespace {
 
 using ::aims::testutil::RandomSignal;
+
+/// The stored values of \p indices, read through FetchBlock: each block
+/// holding one of them once, in ascending block order.
+Result<std::map<size_t, double>> FetchValues(
+    const WaveletStore& store, const std::vector<size_t>& indices) {
+  std::set<size_t> blocks;
+  for (size_t idx : indices) blocks.insert(store.allocator().BlockOf(idx));
+  const std::set<size_t> wanted(indices.begin(), indices.end());
+  std::map<size_t, double> out;
+  for (size_t b : blocks) {
+    AIMS_ASSIGN_OR_RETURN(std::vector<double> values, store.FetchBlock(b));
+    const std::span<const size_t> slots = store.layout()->contents(b);
+    for (size_t k = 0; k < slots.size(); ++k) {
+      if (wanted.count(slots[k]) > 0) out[slots[k]] = values[k];
+    }
+  }
+  return out;
+}
 
 TEST(BlockDeviceTest, ReadWriteAndCounters) {
   MemBlockDevice device(64);
@@ -178,7 +198,7 @@ TEST(WaveletStoreTest, PutFetchRoundTrip) {
   Rng rng(10);
   std::vector<double> coeffs = RandomSignal(n, &rng);
   ASSERT_TRUE(store.Put(coeffs).ok());
-  auto fetched = store.Fetch({0, 1, 17, 255});
+  auto fetched = FetchValues(store, {0, 1, 17, 255});
   ASSERT_TRUE(fetched.ok());
   for (size_t idx : {size_t{0}, size_t{1}, size_t{17}, size_t{255}}) {
     ASSERT_TRUE(fetched.ValueOrDie().count(idx));
@@ -261,7 +281,7 @@ TEST(WaveletStoreTest, FetchReadsEachBlockOnce) {
   device.ResetCounters();
   signal::HaarErrorTree tree(n);
   std::vector<size_t> path = tree.PointQuerySupport(100);
-  ASSERT_TRUE(store.Fetch(path).ok());
+  ASSERT_TRUE(FetchValues(store, path).ok());
   std::set<size_t> blocks;
   for (size_t idx : path) blocks.insert(store.allocator().BlockOf(idx));
   EXPECT_EQ(device.reads(), blocks.size());
@@ -273,10 +293,11 @@ TEST(WaveletStoreTest, ErrorsOnMisuse) {
   MemBlockDevice device(16 * sizeof(double));
   WaveletStore store(&device,
                      std::make_unique<SubtreeTilingAllocator>(n, 16), n);
-  EXPECT_FALSE(store.Fetch({0}).ok());  // before Put
+  EXPECT_FALSE(store.FetchBlock(0).ok());  // before Put
   EXPECT_FALSE(store.Put(std::vector<double>(32, 0.0)).ok());
   ASSERT_TRUE(store.Put(std::vector<double>(n, 1.0)).ok());
-  EXPECT_FALSE(store.Fetch({n}).ok());  // out of range
+  // out of range
+  EXPECT_FALSE(store.FetchBlock(store.layout()->num_blocks()).ok());
 }
 
 TEST(WaveletStoreTest, RePutReusesDeviceBlocks) {
@@ -294,7 +315,7 @@ TEST(WaveletStoreTest, RePutReusesDeviceBlocks) {
   ASSERT_TRUE(store.Put(second).ok());
   EXPECT_EQ(device.num_blocks(), blocks_after_first);
 
-  auto fetched = store.Fetch({0, 42, 255});
+  auto fetched = FetchValues(store, {0, 42, 255});
   ASSERT_TRUE(fetched.ok());
   for (size_t idx : {size_t{0}, size_t{42}, size_t{255}}) {
     EXPECT_DOUBLE_EQ(fetched.ValueOrDie().at(idx), second[idx]);
@@ -325,7 +346,7 @@ TEST(WaveletStoreTest, FailedPutRetryDoesNotLeakBlocks) {
   // footprint ends identical to a clean single Put, and the data is whole.
   ASSERT_TRUE(store.Put(coeffs).ok());
   EXPECT_EQ(device.num_blocks(), clean_blocks);
-  auto fetched = store.Fetch({0, 100, 255});
+  auto fetched = FetchValues(store, {0, 100, 255});
   ASSERT_TRUE(fetched.ok());
   EXPECT_DOUBLE_EQ(fetched.ValueOrDie().at(100), coeffs[100]);
 }
@@ -343,7 +364,8 @@ TEST(WaveletStoreTest, ShortPayloadUnderAStoredChannelIsAnIoError) {
   // read instead of decoding past the payload's end.
   for (size_t bytes : {size_t{3}, size_t{0}}) {
     ASSERT_TRUE(device.Write(id, std::vector<uint8_t>(bytes, 0xab)).ok());
-    EXPECT_EQ(store.Fetch({100}).status().code(), StatusCode::kIoError);
+    EXPECT_EQ(FetchValues(store, {100}).status().code(),
+              StatusCode::kIoError);
     EXPECT_EQ(store.FetchBlock(logical).status().code(), StatusCode::kIoError);
   }
 }
