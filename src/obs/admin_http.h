@@ -19,7 +19,7 @@
 /// /debug/flightrecord. One blocking accept thread (poll() with a short
 /// timeout so Stop() is prompt) feeds a BOUNDED connection queue drained
 /// by a small handler pool — the same reject-don't-block admission idiom
-/// as the ingest queues: when the queue is full the listener writes a
+/// as ingest admission: when the queue is full the listener writes a
 /// canned 503 and closes instead of queueing unboundedly, so a curl storm
 /// can never pile threads onto the data plane. Handlers are read paths
 /// over already-lock-cheap snapshots; concurrency is capped by the pool

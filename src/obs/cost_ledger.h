@@ -40,9 +40,8 @@ struct TenantUsage {
   uint64_t blocks_written = 0;
   uint64_t bytes_read = 0;
   uint64_t bytes_written = 0;
-  /// Total time this tenant's work sat in bounded queues (ingest queue,
-  /// scheduler admission) — the "queue occupancy" a noisy tenant inflicts
-  /// on itself.
+  /// Total time this tenant's queries sat in the scheduler's admission
+  /// queue — the "queue occupancy" a noisy tenant inflicts on itself.
   double queue_ms = 0.0;
   uint64_t queries = 0;
   uint64_t ingests = 0;

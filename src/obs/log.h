@@ -13,7 +13,7 @@
 /// \file log.h
 /// \brief Structured asynchronous logging: a lock-free bounded MPSC ring
 /// drained by one background thread into a JSON-lines sink. The producer
-/// contract is the same reject-never-block rule the ingest queues follow —
+/// contract is the same reject-never-block rule ingest admission follows —
 /// Log() is a handful of atomic operations and NEVER blocks, sleeps, or
 /// allocates a lock; when the ring is full (the drainer fell behind) or
 /// the rate limit trips, the record is dropped and counted instead. The

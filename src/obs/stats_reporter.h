@@ -19,7 +19,7 @@
 /// \brief Periodic introspection over a MetricsRegistry: a background
 /// thread snapshots the registry on an interval, turns monotonic counters
 /// into rates (delta / elapsed, wrap-safe), and derives a single health
-/// signal — is the ingest queue saturating, is query p99 over target, is
+/// signal — are in-flight ingests saturating, is query p99 over target, is
 /// an objective burning its error budget — the way Aurora's QoS monitor
 /// reduces per-operator statistics to "are we meeting the service
 /// contract". The latest snapshot is served lock-cheap to the typed API's

@@ -219,10 +219,10 @@ double IncreaseOverSamples(const std::vector<gorilla::Sample>& samples) {
   return increase;
 }
 
+/// \p q in [0, 1]: EvaluateRangeQuery rejects anything else.
 double QuantileOfSamples(std::vector<double> values, double q) {
   if (values.empty()) return 0.0;
   std::sort(values.begin(), values.end());
-  q = std::clamp(q, 0.0, 1.0);
   const double pos = q * static_cast<double>(values.size() - 1);
   const size_t lo = static_cast<size_t>(pos);
   const size_t hi = std::min(lo + 1, values.size() - 1);
@@ -239,6 +239,12 @@ Result<std::vector<RangePoint>> EvaluateRangeQuery(
   }
   if (query.end_ms < query.start_ms) {
     return Status::InvalidArgument("range query: end before start");
+  }
+  // Written so that NaN fails too: a NaN position would cast to size_t
+  // as UB.
+  if (query.func == RangeFunc::kQuantile &&
+      !(query.quantile >= 0.0 && query.quantile <= 1.0)) {
+    return Status::InvalidArgument("range query: quantile must be in [0, 1]");
   }
   // start/end/step come straight off an HTTP query string: bound the
   // magnitudes (so the window arithmetic below cannot overflow int64) and

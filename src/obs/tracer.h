@@ -34,8 +34,8 @@ namespace aims::obs {
 /// "span.<name>_ms".
 enum class Stage : uint8_t {
   // Ingest, root first.
-  kIngest, kAdmission, kQueueWait, kSeal, kTransform, kShardLock,
-  kBlockWrite, kWalAppend, kWalSync, kShardApplyLock, kCheckpoint,
+  kIngest, kAdmission, kSeal, kTransform, kShardLock, kBlockWrite,
+  kWalAppend, kWalSync, kShardApplyLock, kCheckpoint,
   // Range query, root first.
   kQuery, kAdmissionWait, kRefinement, kBlockIo,
   // Live recognition, root first.
@@ -47,8 +47,8 @@ inline constexpr size_t kNumStages =
 
 /// Span names, indexed by Stage.
 inline constexpr std::string_view kStageNames[] = {
-    "ingest", "admission", "queue_wait", "seal", "transform", "shard_lock",
-    "block_write", "wal_append", "wal_sync", "shard_apply_lock", "checkpoint",
+    "ingest", "admission", "seal", "transform", "shard_lock", "block_write",
+    "wal_append", "wal_sync", "shard_apply_lock", "checkpoint",
     "query", "admission_wait", "refinement", "block_io",
     "stream_samples", "recognizer_update", "classification_event",
 };

@@ -46,9 +46,8 @@ struct OpenSessionResponse {
   uint64_t router_epoch = 0;
 };
 
-/// \brief Stores one fully materialized recording (blocking convenience
-/// over the asynchronous ingest pipeline: admission, queueing, and retry
-/// policy all still apply).
+/// \brief Stores one fully materialized recording. Admission control
+/// applies, and the ingest runs on the calling thread.
 struct IngestRecordingRequest {
   ClientId client = 0;
   std::string name;

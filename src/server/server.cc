@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
@@ -95,7 +94,7 @@ AimsServer::AimsServer(ServerConfig config)
       migrator_(std::make_unique<DataMigrator>(catalog_.get())),
       pool_(std::make_unique<ThreadPool>(config.num_threads)),
       ingest_(std::make_unique<IngestService>(
-          catalog_.get(), pool_.get(), config.admission,
+          catalog_.get(), config.admission,
           config.obs.enable_metrics ? metrics_.get() : nullptr,
           span_tracer(),
           config.obs.enable_cost_ledger ? cost_ledger_.get() : nullptr)),
@@ -283,26 +282,9 @@ Result<IngestRecordingResponse> AimsServer::IngestRecording(
   IngestRecordingResponse response;
   response.num_frames = request.recording.num_frames();
   response.num_channels = request.recording.num_channels();
-
-  // Blocking convenience over the asynchronous pipeline: admission and
-  // retry policy still apply, we just wait for the completion callback.
-  std::mutex done_mutex;
-  std::condition_variable done_cv;
-  bool done = false;
-  Result<GlobalSessionId> outcome =
-      Status::Internal("ingest did not complete");
-  Status admitted = ingest_->Submit(
-      request.client, std::move(request.name), std::move(request.recording),
-      [&](const Result<GlobalSessionId>& result) {
-        std::lock_guard<std::mutex> lock(done_mutex);
-        outcome = result;
-        done = true;
-        done_cv.notify_all();
-      });
-  AIMS_RETURN_NOT_OK(admitted);
-  std::unique_lock<std::mutex> lock(done_mutex);
-  done_cv.wait(lock, [&] { return done; });
-  AIMS_ASSIGN_OR_RETURN(response.session, outcome);
+  AIMS_ASSIGN_OR_RETURN(
+      response.session,
+      ingest_->Ingest(request.client, request.name, request.recording));
   return response;
 }
 
@@ -779,18 +761,20 @@ void AimsServer::WireAdminRoutes() {
       expr = expr.substr(paren + 1, expr.size() - paren - 2);
     }
     query.series = expr;
-    // Unix seconds (fractional ok) -> ms. Strict: the whole string must be
-    // one finite number ("nan"/"inf" would cast to int64 as UB), and the
-    // magnitude must stay within the range-query timestamp bound — which
-    // also keeps the double->int64 cast defined (the bound is far below
-    // where the cast becomes UB).
-    auto parse_ms = [](const std::string& text, int64_t* out) {
+    // Strict: the whole string must be one finite number ("nan"/"inf"
+    // would cast to an integer as UB, and strtod alone reads "abc" as 0).
+    auto parse_finite = [](const std::string& text, double* out) {
       char* parse_end = nullptr;
-      const double seconds = std::strtod(text.c_str(), &parse_end);
-      if (parse_end == text.c_str() || *parse_end != '\0' ||
-          !std::isfinite(seconds)) {
-        return false;
-      }
+      *out = std::strtod(text.c_str(), &parse_end);
+      return parse_end != text.c_str() && *parse_end == '\0' &&
+             std::isfinite(*out);
+    };
+    // Unix seconds (fractional ok) -> ms. The magnitude must stay within
+    // the range-query timestamp bound — which also keeps the double->int64
+    // cast defined (the bound is far below where the cast becomes UB).
+    auto parse_ms = [&parse_finite](const std::string& text, int64_t* out) {
+      double seconds = 0.0;
+      if (!parse_finite(text, &seconds)) return false;
       const double ms = seconds * 1000.0;
       if (ms < -static_cast<double>(obs::kMaxRangeQueryTimestampMs) ||
           ms > static_cast<double>(obs::kMaxRangeQueryTimestampMs)) {
@@ -807,7 +791,9 @@ void AimsServer::WireAdminRoutes() {
       }
     }
     if (const std::string* quantile = get("quantile")) {
-      query.quantile = std::strtod(quantile->c_str(), nullptr);
+      if (!parse_finite(*quantile, &query.quantile)) {
+        return error(400, "bad quantile");
+      }
     }
     Result<std::vector<obs::RangePoint>> points =
         obs::EvaluateRangeQuery(*history_, query);
@@ -849,9 +835,9 @@ void AimsServer::WireAdminRoutes() {
 void AimsServer::Shutdown() {
   if (shut_down_) return;
   shut_down_ = true;
-  // Order matters: admitted ingests and queries must finish while the pool
-  // is still running; only then may the workers be joined. Services and
-  // catalog are destroyed after the pool, so in-flight tasks never dangle.
+  // Order matters: admitted ingests (on their callers) and queries (on the
+  // pool) must finish before the workers are joined. Services and catalog
+  // are destroyed after the pool, so in-flight tasks never dangle.
   // The admin listener goes first (its handlers read everything below),
   // then the watchdog (so winding-down components are never judged
   // stalled), then the reporter so its thread never reads the registry
@@ -863,7 +849,7 @@ void AimsServer::Shutdown() {
   if (watchdog_ != nullptr) watchdog_->Stop();
   if (scraper_ != nullptr) scraper_->Stop();
   reporter_->Stop();
-  ingest_->Drain();
+  ingest_->Shutdown();
   scheduler_->Drain();
   // All queries have published by now, so stopping the logger (join +
   // final flush) makes every slow-query record durable before teardown.

@@ -32,9 +32,9 @@
 /// the pieces of aims::server together the way Fig. 1 wires the library's
 /// subsystems:
 ///
-///   ThreadPool          -> shared executor for asynchronous work,
+///   ThreadPool          -> executor for queued queries and rebalances,
 ///   ShardedCatalog      -> N AimsSystem shards behind rw-locks,
-///   IngestService       -> bounded-queue admission onto the shards,
+///   IngestService       -> capped admission; ingests on the caller,
 ///   QueryScheduler      -> deadline-aware progressive offline queries,
 ///   RecognitionService  -> per-client live recognizers,
 ///   Tracer              -> per-request span timelines,
@@ -46,9 +46,9 @@
 /// propagate unchanged from the subsystem that produced them.
 ///
 /// Lifecycle: construct, register vocabulary, serve, Shutdown (or let the
-/// destructor do it). Shutdown drains admitted ingests and scheduled
-/// queries before stopping the executor, so no admitted work is ever
-/// silently lost.
+/// destructor do it). Shutdown waits for admitted ingests and drains
+/// scheduled queries before stopping the executor, so no admitted work is
+/// ever silently lost.
 
 namespace aims::server {
 
@@ -152,7 +152,7 @@ struct ServerConfig {
   /// instead of simulated seeks, and tenants are billed only for cold
   /// reads.
   core::AimsConfig system;
-  /// Ingest admission/retry policy.
+  /// Ingest admission policy (per-client and global in-flight caps).
   IngestAdmissionPolicy admission;
   /// Query admission/fairness policy.
   SchedulerConfig scheduler;
@@ -189,10 +189,11 @@ class AimsServer {
   /// empty vocabulary.
   Result<OpenSessionResponse> OpenSession(const OpenSessionRequest& request);
 
-  /// \brief Stores a recording through the admission-controlled ingest
-  /// pipeline and blocks until it lands. NotFound without an open session;
-  /// ResourceExhausted when admission rejects; InvalidArgument for fewer
-  /// than 2 frames or frames whose widths differ or are 0.
+  /// \brief Stores a recording through the ingest admission gate, on the
+  /// calling thread, and returns once it lands. NotFound without an open
+  /// session; ResourceExhausted when admission rejects; FailedPrecondition
+  /// after Shutdown; InvalidArgument for fewer than 2 frames or frames
+  /// whose widths differ or are 0.
   Result<IngestRecordingResponse> IngestRecording(
       IngestRecordingRequest request);
 
@@ -330,8 +331,8 @@ class AimsServer {
   const Status& admin_status() const { return admin_status_; }
   const ServerConfig& config() const { return config_; }
 
-  /// \brief Drains admitted ingests and queries, then stops the executor.
-  /// Idempotent.
+  /// \brief Waits for admitted ingests and drains queries, then stops the
+  /// executor. Later ingests fail with FailedPrecondition. Idempotent.
   void Shutdown();
 
  private:

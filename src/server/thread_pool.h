@@ -12,11 +12,10 @@
 #include "obs/watchdog.h"
 
 /// \file thread_pool.h
-/// \brief Fixed-size task executor for the service runtime. The paper's
-/// acquisition design already uses dedicated threads (Sec. 3.1's double
-/// buffering); the server generalizes that to a shared pool so M clients'
-/// ingest and recognition work multiplex over a bounded number of OS
-/// threads instead of a thread per client.
+/// \brief Fixed-size task executor for the service runtime: it runs the
+/// work no caller waits on, queued query tickets and rebalance tasks, over
+/// a bounded number of OS threads. Ingest and live recognition run on
+/// their callers' threads.
 
 namespace aims::server {
 

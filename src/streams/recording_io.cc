@@ -176,8 +176,20 @@ Result<Recording> ReadBinary(const std::string& path) {
   if (channels == 0 || channels > 1u << 20 || frames > 1u << 30) {
     return Status::InvalidArgument("ReadBinary: implausible dimensions");
   }
+  // Size nothing by what the header claims until the file holds it: each
+  // frame is a timestamp plus one double per channel (< 2^54 bytes in all
+  // under the bounds above, so the product cannot wrap).
+  const std::streampos data_start = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streamoff bytes_left = in.tellg() - data_start;
+  in.seekg(data_start);
+  if (!in || static_cast<uint64_t>(bytes_left) <
+                 frames * (channels + 1) * sizeof(double)) {
+    return Status::InvalidArgument("ReadBinary: truncated frame data");
+  }
   Recording recording;
   recording.sample_rate_hz = rate;
+  recording.frames.reserve(frames);
   for (uint64_t f = 0; f < frames; ++f) {
     Frame frame;
     frame.values.resize(channels);

@@ -516,6 +516,55 @@ TEST(AdminEndpointsTest, QueryRangeServesPrometheusMatrixOverHistory) {
   server.Shutdown();
 }
 
+TEST(AdminEndpointsTest, QuantileMustBeAFiniteNumberInTheUnitInterval) {
+  server::AimsServer server(AdminServerConfig());
+  ASSERT_TRUE(server.admin_status().ok());
+  const int port = server.admin_http()->port();
+  const int64_t t0 = std::chrono::duration_cast<std::chrono::milliseconds>(
+                         std::chrono::system_clock::now().time_since_epoch())
+                         .count() /
+                     1000 * 1000 - 20 * 1000;
+  obs::Gauge* level = server.metrics().GetGauge("qr.level");
+  for (int i = 0; i < 10; ++i) {
+    level->Set(i);
+    server.metrics_scraper()->ScrapeOnce(t0 + i * 1000);
+  }
+
+  server::QueryMetricsHistoryRequest typed;
+  typed.series = "qr.level";
+  typed.func = obs::RangeFunc::kQuantile;
+  typed.start_ms = t0 + 9000;
+  typed.end_ms = t0 + 9000;
+  typed.step_ms = 10000;
+  for (double bad : {std::nan(""), -0.1, 1.5}) {
+    typed.quantile = bad;
+    EXPECT_EQ(server.QueryMetricsHistory(typed).status().code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+  }
+  for (double edge : {0.0, 1.0}) {
+    typed.quantile = edge;
+    auto answered = server.QueryMetricsHistory(typed);
+    ASSERT_TRUE(answered.ok()) << edge;
+    ASSERT_EQ(answered->points.size(), 1u);
+    EXPECT_EQ(answered->points[0].value, edge == 0.0 ? 0.0 : 9.0);
+  }
+
+  const std::string query =
+      "/api/v1/query_range?query=quantile_over_time%28qr.level%29"
+      "&start=" + std::to_string(t0 / 1000 + 9) +
+      "&end=" + std::to_string(t0 / 1000 + 9) + "&step=10&quantile=";
+  for (const char* bad : {"nan", "abc", "1.5", "0.5x", ""}) {
+    EXPECT_EQ(Get(port, query + bad).status, 400) << bad;
+  }
+  for (const char* edge : {"0", "1"}) {
+    HttpReply reply = Get(port, query + edge);
+    EXPECT_EQ(reply.status, 200) << edge;
+    EXPECT_NE(reply.body.find("\"values\":[["), std::string::npos) << edge;
+  }
+  server.Shutdown();
+}
+
 TEST(AdminEndpointsTest, QueryRangeIs404WhenHistoryDisabled) {
   server::ServerConfig config = AdminServerConfig();
   config.obs.enable_metrics_history = false;

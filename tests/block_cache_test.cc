@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <list>
 #include <shared_mutex>
 #include <string>
@@ -529,21 +530,39 @@ TEST(BlockCacheTest, ConcurrentReadsAndInvalidateAreClean) {
   std::shared_mutex table_lock;
   std::atomic<bool> stop{false};
   std::atomic<size_t> read_errors{0};
+  std::atomic<size_t> reads{0};
   std::vector<std::thread> readers;
   for (int t = 0; t < 4; ++t) {
     readers.emplace_back([&, t] {
       size_t i = static_cast<size_t>(t);
       while (!stop.load(std::memory_order_relaxed)) {
-        std::shared_lock<std::shared_mutex> lock(table_lock);
-        if (!cache.Read(ids[i % ids.size()]).ok()) ++read_errors;
+        {
+          std::shared_lock<std::shared_mutex> lock(table_lock);
+          if (!cache.Read(ids[i % ids.size()]).ok()) ++read_errors;
+        }
+        ++reads;
         ++i;
+        // glibc's shared_mutex prefers readers: readers that re-lock at
+        // once keep it shared, and the invalidator waits behind them for
+        // seconds. A pause after each release lets it in.
+        std::this_thread::yield();
       }
     });
   }
+  size_t reads_at_first_invalidation = 0;
+  size_t reads_at_last_invalidation = 0;
   std::thread invalidator([&] {
+    // Start once the readers are reading, and pause between rounds, so the
+    // 200 invalidations interleave with reads even on a loaded host.
+    while (reads.load() < 4) std::this_thread::yield();
     for (int round = 0; round < 200; ++round) {
-      std::unique_lock<std::shared_mutex> lock(table_lock);
-      cache.Invalidate(ids[static_cast<size_t>(round) % ids.size()]);
+      {
+        std::unique_lock<std::shared_mutex> lock(table_lock);
+        if (round == 0) reads_at_first_invalidation = reads.load();
+        if (round == 199) reads_at_last_invalidation = reads.load();
+        cache.Invalidate(ids[static_cast<size_t>(round) % ids.size()]);
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
     }
     stop.store(true, std::memory_order_relaxed);
   });
@@ -551,6 +570,8 @@ TEST(BlockCacheTest, ConcurrentReadsAndInvalidateAreClean) {
   for (std::thread& t : readers) t.join();
 
   EXPECT_EQ(read_errors.load(), 0u);
+  // The readers were served between the invalidations, not only after.
+  EXPECT_GT(reads_at_last_invalidation, reads_at_first_invalidation);
   obs::CacheStats stats = cache.Stats();
   EXPECT_GT(stats.hits + stats.misses, 0u);
   // Conservation: every resident byte was inserted and not yet removed.

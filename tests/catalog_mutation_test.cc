@@ -17,7 +17,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <limits>
 #include <new>
 #include <random>
@@ -67,18 +66,6 @@ std::string TestDir(const std::string& name) {
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir;
-}
-
-std::vector<uint8_t> ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::vector<uint8_t>((std::istreambuf_iterator<char>(in)),
-                              std::istreambuf_iterator<char>());
-}
-
-void WriteFile(const std::string& path, const std::vector<uint8_t>& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
 }
 
 streams::Recording MakeRecording(size_t frames, uint32_t seed) {
@@ -167,7 +154,7 @@ class CatalogMutationTest : public ::testing::Test {
       }
     }
     for (const char* file : kFiles) {
-      files_.push_back(ReadFile(source_ + "/" + file));
+      files_.push_back(mutation::ReadFile(source_ + "/" + file));
       present_bytes_ += files_.back().size();
     }
     ASSERT_EQ(Frames(files_[4]).size(), 2u);
@@ -178,7 +165,8 @@ class CatalogMutationTest : public ::testing::Test {
   std::unique_ptr<core::AimsSystem> OpenWith(size_t file,
                                              const std::vector<uint8_t>& bytes) {
     for (size_t f = 0; f < files_.size(); ++f) {
-      WriteFile(work_ + "/" + kFiles[f], f == file ? bytes : files_[f]);
+      mutation::WriteFile(work_ + "/" + kFiles[f],
+                          f == file ? bytes : files_[f]);
     }
     g_largest_allocation.store(0);
     auto system = std::make_unique<core::AimsSystem>(DurableAt(work_));

@@ -2,8 +2,11 @@
 
 #include <cstdint>
 #include <cstring>
+#include <fstream>
 #include <functional>
+#include <iterator>
 #include <random>
+#include <string>
 #include <vector>
 
 /// \file mutation_harness.h
@@ -17,6 +20,21 @@ namespace aims::mutation {
 
 /// \brief Rewrites one field of a blob, drawing what it needs from the rng.
 using Inflation = std::function<void(std::vector<uint8_t>*, std::mt19937_64*)>;
+
+/// \brief The bytes of the file at \p path (empty when it cannot be read).
+inline std::vector<uint8_t> ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<uint8_t>((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+}
+
+/// \brief Replaces the file at \p path with \p bytes.
+inline void WriteFile(const std::string& path,
+                      const std::vector<uint8_t>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
 
 /// \brief Overwrites the u64 at \p offset, when the blob still reaches it.
 inline void PatchU64(std::vector<uint8_t>* blob, size_t offset, uint64_t v) {

@@ -613,8 +613,8 @@ TEST(EndToEndTraceTest, IngestProducesOneNestedTrace) {
   ASSERT_NE(root, nullptr);
   EXPECT_EQ(root->parent_id, 0u);
   // The full pipeline, every stage nested under the root: admission ->
-  // queue -> shard lock -> per-channel seal + transform + block write.
-  for (const char* stage : {"admission", "queue_wait", "shard_lock"}) {
+  // shard lock -> per-channel seal + transform + block write.
+  for (const char* stage : {"admission", "shard_lock"}) {
     const TraceSpan* span = FindSpan(trace, stage);
     ASSERT_NE(span, nullptr) << stage;
     EXPECT_EQ(span->parent_id, root->id) << stage;

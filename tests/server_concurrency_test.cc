@@ -1,7 +1,9 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstring>
 #include <filesystem>
 #include <future>
@@ -324,104 +326,134 @@ TEST(ShardedCatalogTest, IngestsRaceQueriesAndStandingQueriesOnOneShard) {
   }
 }
 
+/// Parks the first \p limit ingests that reach \p catalog's commit hook
+/// until Release(); later ingests pass straight through. The hook runs on
+/// the ingest's own thread, after its route is registered.
+class CommitHookGate {
+ public:
+  CommitHookGate(ShardedCatalog* catalog, size_t limit) : limit_(limit) {
+    // The hook fires only for an ingest that maintains a standing query.
+    catalog->SetStandingQueries({{1, 0, 0, 15}});
+    catalog->SetIngestCommitHook(
+        [this](GlobalSessionId, ClientId,
+               const std::vector<core::StandingRangeUpdate>&) {
+          std::unique_lock<std::mutex> lock(mutex_);
+          if (held_ == limit_) return;
+          ++held_;
+          cv_.notify_all();
+          cv_.wait(lock, [&] { return released_; });
+        });
+  }
+  CommitHookGate(const CommitHookGate&) = delete;
+  CommitHookGate& operator=(const CommitHookGate&) = delete;
+
+  /// Blocks until \p limit ingests are parked in the hook.
+  void WaitUntilFull() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [&] { return held_ == limit_; });
+  }
+
+  void Release() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  const size_t limit_;
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  size_t held_ = 0;
+  bool released_ = false;
+};
+
 TEST(IngestServiceTest, BackpressureIsBoundedAndAccounted) {
   constexpr size_t kCapacity = 4;
   constexpr size_t kSubmissions = 50;
 
   obs::MetricsRegistry metrics;
   ShardedCatalog catalog(1, {}, &metrics);
-  ThreadPool pool(1);
-
-  // Jam the single worker so nothing drains while we flood the queue.
-  std::promise<void> release;
-  std::shared_future<void> release_future(release.get_future());
-  std::promise<void> worker_blocked;
-  ASSERT_TRUE(pool.Submit([&worker_blocked, release_future]() mutable {
-    worker_blocked.set_value();
-    release_future.wait();
-  }));
-  worker_blocked.get_future().wait();
+  // Stall the catalog: the first kCapacity ingests stay unfinished while
+  // the client floods the gate.
+  CommitHookGate gate(&catalog, kCapacity);
 
   IngestAdmissionPolicy policy;
   policy.queue_capacity = kCapacity;
-  IngestService service(&catalog, &pool, policy, &metrics);
+  IngestService service(&catalog, policy, &metrics);
 
-  streams::Recording rec = MakeRecording(32, 2, 1.0);
-  size_t accepted = 0;
-  size_t rejected = 0;
-  for (size_t i = 0; i < kSubmissions; ++i) {
-    Status status = service.Submit(0, "flood", rec);
-    if (status.ok()) {
+  const streams::Recording rec = MakeRecording(32, 2, 1.0);
+  std::atomic<size_t> accepted{0};
+  std::atomic<size_t> rejected{0};
+  auto submit = [&] {
+    Result<GlobalSessionId> result = service.Ingest(0, "flood", rec);
+    if (result.ok()) {
       ++accepted;
     } else {
-      EXPECT_EQ(status.code(), StatusCode::kResourceExhausted);
+      EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
       ++rejected;
     }
-  }
-  // The producer outran a fully-stalled consumer: exactly the queue
-  // capacity was admitted, everything else was rejected, not buffered.
-  EXPECT_EQ(accepted, kCapacity);
-  EXPECT_EQ(rejected, kSubmissions - kCapacity);
-  EXPECT_EQ(metrics.GetCounter("ingest.rejected_queue")->value(), rejected);
-  EXPECT_EQ(metrics.GetCounter("ingest.admitted")->value(), accepted);
+  };
+  std::vector<std::thread> held;
+  for (size_t i = 0; i < kCapacity; ++i) held.emplace_back(submit);
+  gate.WaitUntilFull();
+  // Every further submission is turned away at once, not buffered.
+  for (size_t i = kCapacity; i < kSubmissions; ++i) submit();
+  EXPECT_EQ(rejected.load(), kSubmissions - kCapacity);
+  EXPECT_EQ(metrics.GetCounter("ingest.rejected_queue")->value(),
+            rejected.load());
+  EXPECT_EQ(metrics.GetCounter("ingest.admitted")->value(), kCapacity);
   EXPECT_LE(metrics.GetGauge("ingest.queue_depth")->max(),
             static_cast<int64_t>(kCapacity));
 
-  release.set_value();
-  service.Drain();
-  EXPECT_EQ(metrics.GetCounter("ingest.completed")->value(), accepted);
+  gate.Release();
+  for (std::thread& t : held) t.join();
+  // The stalled client had exactly its cap admitted; all of it landed.
+  EXPECT_EQ(accepted.load(), kCapacity);
+  EXPECT_EQ(metrics.GetCounter("ingest.admitted")->value(), accepted.load());
+  EXPECT_EQ(metrics.GetCounter("ingest.completed")->value(), accepted.load());
   EXPECT_EQ(metrics.GetCounter("ingest.failed")->value(), 0u);
-  EXPECT_EQ(catalog.total_sessions(), accepted);
+  EXPECT_EQ(catalog.total_sessions(), accepted.load());
   EXPECT_EQ(metrics.GetGauge("ingest.queue_depth")->value(), 0);
 }
 
 TEST(IngestServiceTest, GlobalCapacityCapRejects) {
   obs::MetricsRegistry metrics;
   ShardedCatalog catalog(1);
-  ThreadPool pool(1);
-
-  std::promise<void> release;
-  std::shared_future<void> release_future(release.get_future());
-  ASSERT_TRUE(pool.Submit([release_future] { release_future.wait(); }));
+  CommitHookGate gate(&catalog, 2);
 
   IngestAdmissionPolicy policy;
   policy.queue_capacity = 8;
   policy.max_pending_total = 2;
-  IngestService service(&catalog, &pool, policy, &metrics);
+  IngestService service(&catalog, policy, &metrics);
 
-  streams::Recording rec = MakeRecording(32, 2, 1.0);
-  EXPECT_TRUE(service.Submit(0, "a", rec).ok());
-  EXPECT_TRUE(service.Submit(1, "b", rec).ok());
-  Status third = service.Submit(2, "c", rec);
-  EXPECT_EQ(third.code(), StatusCode::kResourceExhausted);
+  const streams::Recording rec = MakeRecording(32, 2, 1.0);
+  std::vector<std::thread> held;
+  for (ClientId client : {ClientId{0}, ClientId{1}}) {
+    held.emplace_back([&, client] {
+      EXPECT_TRUE(service.Ingest(client, "held", rec).ok());
+    });
+  }
+  gate.WaitUntilFull();
+  Result<GlobalSessionId> third = service.Ingest(2, "c", rec);
+  EXPECT_EQ(third.status().code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(metrics.GetCounter("ingest.rejected_capacity")->value(), 1u);
 
-  release.set_value();
-  service.Drain();
+  gate.Release();
+  for (std::thread& t : held) t.join();
   EXPECT_EQ(catalog.total_sessions(), 2u);
 }
 
 TEST(IngestServiceTest, PersistentFaultExhaustsAttemptsAndFails) {
   obs::MetricsRegistry metrics;
   ShardedCatalog catalog(1, {}, &metrics);
-  ThreadPool pool(1);
-  IngestService service(&catalog, &pool, {}, &metrics);
+  IngestService service(&catalog, {}, &metrics);
 
   AdminFaultRequest fault;
   fault.shard = catalog.router().ShardForClient(0);
   fault.fail_next_writes = 1000;
   ASSERT_TRUE(catalog.ApplyFault(fault).ok());
-  Result<GlobalSessionId> outcome = Status::Internal("callback never ran");
-  std::promise<void> done;
-  ASSERT_TRUE(service
-                  .Submit(0, "doomed", MakeRecording(32, 2, 1.0),
-                          [&](const Result<GlobalSessionId>& result) {
-                            outcome = result;
-                            done.set_value();
-                          })
-                  .ok());
-  done.get_future().wait();
-  service.Drain();
+  Result<GlobalSessionId> outcome =
+      service.Ingest(0, "doomed", MakeRecording(32, 2, 1.0));
   EXPECT_FALSE(outcome.ok());
   EXPECT_EQ(outcome.status().code(), StatusCode::kIoError);
   EXPECT_EQ(metrics.GetCounter("ingest.failed")->value(), 1u);
@@ -430,6 +462,48 @@ TEST(IngestServiceTest, PersistentFaultExhaustsAttemptsAndFails) {
   disarm.shard = fault.shard;
   disarm.clear_faults = true;
   ASSERT_TRUE(catalog.ApplyFault(disarm).ok());
+}
+
+TEST(IngestServiceTest, ShutdownWaitsForAnInFlightIngest) {
+  obs::MetricsRegistry metrics;
+  ShardedCatalog catalog(1, {}, &metrics);
+  CommitHookGate gate(&catalog, 1);
+  IngestAdmissionPolicy policy;
+  // The held ingest fills client 0's cap, so a probe that beats Shutdown
+  // is rejected, never parked.
+  policy.queue_capacity = 1;
+  IngestService service(&catalog, policy, &metrics);
+
+  const streams::Recording rec = MakeRecording(32, 2, 1.0);
+  Result<GlobalSessionId> held_result = Status::Internal("never ran");
+  std::thread held([&] { held_result = service.Ingest(0, "held", rec); });
+  gate.WaitUntilFull();
+
+  std::atomic<bool> shut_down{false};
+  std::thread stopper([&] {
+    service.Shutdown();
+    shut_down = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_FALSE(shut_down.load()) << "Shutdown returned with an ingest held";
+  // Shutdown has begun by now on any but a starved host; poll so that a
+  // late stopper thread cannot fail the test.
+  Status late;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  do {
+    late = service.Ingest(0, "late", rec).status();
+  } while (late.code() == StatusCode::kResourceExhausted &&
+           std::chrono::steady_clock::now() < deadline);
+  EXPECT_EQ(late.code(), StatusCode::kFailedPrecondition);
+
+  gate.Release();
+  stopper.join();
+  held.join();
+  EXPECT_TRUE(shut_down.load());
+  EXPECT_TRUE(held_result.ok()) << held_result.status().ToString();
+  EXPECT_EQ(metrics.GetCounter("ingest.completed")->value(), 1u);
+  EXPECT_EQ(catalog.total_sessions(), 1u);
 }
 
 /// A 40-frame, \p channels-wide motion template; distinct per \p variant.
@@ -680,18 +754,15 @@ TEST(AimsServerTest, EndToEndMultiTenant) {
   std::vector<std::thread> clients;
   for (size_t client = 0; client < kClients; ++client) {
     clients.emplace_back([&, client] {
+      ASSERT_TRUE(server.OpenSession({client}).ok());
       for (size_t i = 0; i < kPerClient; ++i) {
         streams::Recording rec =
             MakeRecording(64, 3, static_cast<double>(client * 100 + i));
-        Status status = server.ingest().Submit(
-            client, "session", std::move(rec),
-            [&](const Result<GlobalSessionId>& result) {
-              if (result.ok()) {
-                std::lock_guard<std::mutex> lock(ids_mutex);
-                ids.push_back(*result);
-              }
-            });
-        ASSERT_TRUE(status.ok()) << status.ToString();
+        auto stored =
+            server.IngestRecording({client, "session", std::move(rec)});
+        ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+        std::lock_guard<std::mutex> lock(ids_mutex);
+        ids.push_back(stored->session);
       }
       // Interleave queries with the other tenant's ingests.
       std::vector<GlobalSessionId> snapshot;
@@ -706,7 +777,6 @@ TEST(AimsServerTest, EndToEndMultiTenant) {
     });
   }
   for (auto& t : clients) t.join();
-  server.ingest().Drain();
 
   EXPECT_EQ(server.catalog().total_sessions(), kClients * kPerClient);
   {
@@ -724,8 +794,8 @@ TEST(AimsServerTest, EndToEndMultiTenant) {
   server.Shutdown();
   server.Shutdown();  // Idempotent.
   // Post-shutdown submissions are refused, not lost silently.
-  EXPECT_EQ(server.ingest()
-                .Submit(0, "late", MakeRecording(32, 2, 0.0))
+  EXPECT_EQ(server.IngestRecording({0, "late", MakeRecording(32, 2, 0.0)})
+                .status()
                 .code(),
             StatusCode::kFailedPrecondition);
 }
@@ -735,15 +805,66 @@ TEST(AimsServerTest, ShutdownDrainsAdmittedWork) {
   config.num_shards = 2;
   config.num_threads = 2;
   AimsServer server(config);
-  for (size_t i = 0; i < 8; ++i) {
-    ASSERT_TRUE(server.ingest()
-                    .Submit(i, "pending",
-                            MakeRecording(64, 2, static_cast<double>(i)))
-                    .ok());
+  constexpr size_t kClients = 8;
+  for (ClientId client = 0; client < kClients; ++client) {
+    ASSERT_TRUE(server.OpenSession({client}).ok());
   }
-  server.Shutdown();  // Must not drop the 8 admitted recordings.
-  EXPECT_EQ(server.catalog().total_sessions(), 8u);
-  EXPECT_EQ(server.metrics().GetCounter("ingest.completed")->value(), 8u);
+  std::vector<Status> outcomes(kClients);
+  std::vector<std::thread> clients;
+  for (ClientId client = 0; client < kClients; ++client) {
+    clients.emplace_back([&, client] {
+      outcomes[client] =
+          server
+              .IngestRecording({client, "pending",
+                                MakeRecording(64, 2, static_cast<double>(client))})
+              .status();
+    });
+  }
+  // Shut down with ingests in flight.
+  obs::Counter* admitted = server.metrics().GetCounter("ingest.admitted");
+  while (admitted->value() == 0) std::this_thread::yield();
+  server.Shutdown();  // Must not drop an admitted recording.
+  const uint64_t completed =
+      server.metrics().GetCounter("ingest.completed")->value();
+  EXPECT_GE(admitted->value(), 1u);
+  EXPECT_EQ(completed, admitted->value());
+  EXPECT_EQ(server.catalog().total_sessions(), completed);
+  for (std::thread& t : clients) t.join();
+  for (const Status& outcome : outcomes) {
+    EXPECT_TRUE(outcome.ok() ||
+                outcome.code() == StatusCode::kFailedPrecondition)
+        << outcome.ToString();
+  }
+}
+
+TEST(AimsServerTest, IngestRunsWithTheOnlyPoolWorkerBusy) {
+  ServerConfig config;
+  config.num_shards = 1;
+  config.num_threads = 1;
+  AimsServer server(config);
+  ASSERT_TRUE(server.OpenSession({1}).ok());
+
+  std::promise<void> release;
+  std::shared_future<void> released(release.get_future());
+  std::promise<void> parked;
+  ASSERT_TRUE(server.pool().Submit([&parked, released] {
+    parked.set_value();
+    released.wait();
+  }));
+  parked.get_future().wait();
+
+  auto ingest = std::async(std::launch::async, [&server] {
+    return server.IngestRecording({1, "rec", MakeRecording(64, 2, 1.0)});
+  });
+  // The ingest needs no pool worker, so it lands while the only one is
+  // parked. The worker is released either way, so a failure cannot hang.
+  const bool landed =
+      ingest.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+  release.set_value();
+  EXPECT_TRUE(landed) << "IngestRecording waited for a pool worker";
+  auto stored = ingest.get();
+  EXPECT_TRUE(stored.ok()) << stored.status().ToString();
+  EXPECT_EQ(server.catalog().total_sessions(), 1u);
 }
 
 TEST(ThreadPoolTest, DrainsQueueOnShutdown) {

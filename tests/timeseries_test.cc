@@ -328,6 +328,30 @@ TEST(RangeQueryTest, DeltaAndQuantileOverTime) {
   EXPECT_DOUBLE_EQ((*EvaluateRangeQuery(store, query))[0].value, 10.0);
 }
 
+TEST(RangeQueryTest, QuantileOutsideTheUnitIntervalIsInvalid) {
+  MetricsTimeSeries store = MakeRampStore();
+  RangeQuery query;
+  query.series = "ramp";
+  query.start_ms = 10000;
+  query.end_ms = 10000;
+  query.step_ms = 10000;  // one window with samples 1..10
+  query.func = RangeFunc::kQuantile;
+  for (double bad : {std::nan(""), -0.1, 1.5, HUGE_VAL}) {
+    query.quantile = bad;
+    EXPECT_EQ(EvaluateRangeQuery(store, query).status().code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+  }
+  query.quantile = 0.0;
+  auto lowest = EvaluateRangeQuery(store, query);
+  ASSERT_TRUE(lowest.ok());
+  EXPECT_DOUBLE_EQ((*lowest)[0].value, 1.0);
+  query.quantile = 1.0;
+  auto highest = EvaluateRangeQuery(store, query);
+  ASSERT_TRUE(highest.ok());
+  EXPECT_DOUBLE_EQ((*highest)[0].value, 10.0);
+}
+
 TEST(RangeQueryTest, InvalidQueriesAreErrorsUnknownSeriesIsNot) {
   MetricsTimeSeries store = MakeRampStore();
   RangeQuery query;
