@@ -232,6 +232,8 @@ int main() {
       reconcile.predicted_blocks, reconcile.cold_blocks_read,
       reconcile.hot_cache_hits, reconcile.both_reconciled ? "true" : "false");
   std::printf("  \"p50_speedup\": %.2f\n}\n", p50_speedup);
+  // A run the gates abort still reports what it measured.
+  std::fflush(stdout);
 
   // The acceptance bar: a hot working set under simulated seeks must be at
   // least 3x faster at the median with the cache on.

@@ -218,6 +218,8 @@ int main() {
       static_cast<unsigned long long>(staged.max_commits_per_sync),
       staged.commits_per_s);
   std::printf("  \"group_commit_speedup\": %.2f\n}\n", speedup);
+  // A run the gates abort still reports what it measured.
+  std::fflush(stdout);
 
   // Sanity on both disciplines: everything committed; the serialized
   // discipline really did one sync per commit, the staged one batched.

@@ -1,5 +1,7 @@
 #include "common/gorilla.h"
 
+#include <bit>
+
 namespace aims::gorilla {
 
 namespace {
@@ -24,6 +26,13 @@ inline int TrailingZeros(uint64_t v) {
   return v == 0 ? 64 : __builtin_ctzll(v);
 }
 
+inline void StoreBigEndian(uint64_t word, uint8_t* out) {
+  if constexpr (std::endian::native == std::endian::little) {
+    word = __builtin_bswap64(word);
+  }
+  std::memcpy(out, &word, sizeof(word));
+}
+
 // Delta-of-delta classes: prefix code, then the dod stored biased into an
 // unsigned field of the class width. The 64-bit escape stores raw two's
 // complement, so any int64 jump (wall-clock steps backwards included)
@@ -46,37 +55,49 @@ constexpr DodClass kDodClasses[] = {
 void BitWriter::Write(uint64_t value, int bits) {
   if (bits <= 0) return;
   if (bits < 64) value &= (uint64_t{1} << bits) - 1;
-  const int used = static_cast<int>(bit_count_ % 8);
-  bit_count_ += static_cast<size_t>(bits);
-  // Grow once, then fill whole bytes: the first one topped up from the
-  // partial last byte, the middle ones 8 bits at a time, the last one
-  // left-aligned (MSB-first).
-  const size_t first = bytes_.size() - (used > 0 ? 1 : 0);
-  bytes_.resize((bit_count_ + 7) / 8);
-  uint8_t* p = bytes_.data() + first;
-  int left = bits;
-  if (used > 0) {
-    const int room = 8 - used;
-    if (left <= room) {
-      *p |= static_cast<uint8_t>(value << (room - left));
-      return;
-    }
-    left -= room;
-    *p++ |= static_cast<uint8_t>(value >> left);
+  const int room = 64 - pending_;
+  if (bits < room) {
+    acc_ = (acc_ << bits) | value;
+    pending_ += bits;
+    return;
   }
-  while (left >= 8) {
-    left -= 8;
-    *p++ = static_cast<uint8_t>(value >> left);
+  // The field completes the word with its top `room` bits and leaves its
+  // low `spill` bits pending. An empty accumulator takes a 64-bit field
+  // as the whole word (acc_ << 64 would be undefined).
+  const int spill = bits - room;
+  const uint64_t word =
+      pending_ == 0 ? value : (acc_ << room) | (value >> spill);
+  if (flushed_ == capacity_) Grow();
+  StoreBigEndian(word, words_.get() + flushed_);
+  flushed_ += 8;
+  acc_ = value;
+  pending_ = spill;
+}
+
+void BitWriter::Grow() {
+  capacity_ = capacity_ == 0 ? 32 : capacity_ * 2;
+  auto grown = std::make_unique_for_overwrite<uint8_t[]>(capacity_);
+  if (flushed_ > 0) std::memcpy(grown.get(), words_.get(), flushed_);
+  words_ = std::move(grown);
+}
+
+std::vector<uint8_t> BitWriter::bytes() const {
+  const size_t tail = (static_cast<size_t>(pending_) + 7) / 8;
+  std::vector<uint8_t> out;
+  out.reserve(flushed_ + tail);
+  out.assign(words_.get(), words_.get() + flushed_);
+  if (tail > 0) {
+    uint8_t last[8] = {};
+    StoreBigEndian(acc_ << (64 - pending_), last);
+    out.insert(out.end(), last, last + tail);
   }
-  if (left > 0) *p = static_cast<uint8_t>(value << (8 - left));
+  return out;
 }
 
 std::vector<uint8_t> BitWriter::TakeBytes() {
-  // Exact-size hand-over: the growth slack of a doubling vector would
-  // otherwise stay allocated for the sealed segment's whole life.
-  bytes_.shrink_to_fit();
-  bit_count_ = 0;
-  return std::move(bytes_);
+  std::vector<uint8_t> out = bytes();
+  *this = BitWriter();
+  return out;
 }
 
 bool BitReader::Read(uint64_t* out, int bits) {
@@ -115,33 +136,32 @@ bool BitReader::ReadBit(bool* out) {
 
 void GorillaEncoder::Append(int64_t t_ms, double value) {
   const uint64_t bits = DoubleBits(value);
-  if (count_ == 0) {
+  if (count_++ == 0) {
     writer_.Write(static_cast<uint64_t>(t_ms), 64);
     writer_.Write(bits, 64);
     prev_t_ = static_cast<uint64_t>(t_ms);
     prev_delta_ = 0;
     prev_bits_ = bits;
-    ++count_;
     return;
   }
 
   // Timestamp: delta-of-delta against the previous delta, in wrapping
   // uint64_t arithmetic (same bits as the signed difference, no overflow).
+  // Its code is the head of the value's field below, so a sample usually
+  // costs one write.
   const uint64_t delta = static_cast<uint64_t>(t_ms) - prev_t_;
   const int64_t dod = static_cast<int64_t>(delta - prev_delta_);
-  if (dod == 0) {
-    writer_.WriteBit(false);
-  } else {
-    bool written = false;
+  uint64_t head = 0;
+  int head_bits = dod == 0 ? 1 : 0;
+  if (dod != 0) {
     for (const DodClass& c : kDodClasses) {
       if (dod >= c.min && dod <= c.max) {
-        writer_.Write(c.prefix, c.prefix_bits);
-        writer_.Write(static_cast<uint64_t>(dod - c.min), c.value_bits);
-        written = true;
+        head = (c.prefix << c.value_bits) | static_cast<uint64_t>(dod - c.min);
+        head_bits = c.prefix_bits + c.value_bits;
         break;
       }
     }
-    if (!written) {
+    if (head_bits == 0) {
       writer_.Write(0b1111, 4);
       writer_.Write(static_cast<uint64_t>(dod), 64);
     }
@@ -153,33 +173,38 @@ void GorillaEncoder::Append(int64_t t_ms, double value) {
   const uint64_t x = bits ^ prev_bits_;
   prev_bits_ = bits;
   if (x == 0) {
-    writer_.WriteBit(false);
-  } else {
-    writer_.WriteBit(true);
-    int leading = LeadingZeros(x);
-    const int trailing = TrailingZeros(x);
-    // The leading-zero field is 5 bits; deeper runs are clamped (costs a
-    // few extra meaningful bits, never correctness).
-    if (leading > 31) leading = 31;
-    if (prev_leading_ >= 0 && leading >= prev_leading_ &&
-        trailing >= prev_trailing_) {
-      // Control bit '0': the previous window still covers this XOR.
-      writer_.WriteBit(false);
-      const int window = 64 - prev_leading_ - prev_trailing_;
-      writer_.Write(x >> prev_trailing_, window);
-    } else {
-      // Control bit '1': explicit new window. The length field stores
-      // (meaningful bits - 1) in 6 bits, so a full 64-bit window fits.
-      writer_.WriteBit(true);
-      const int meaningful = 64 - leading - trailing;
-      writer_.Write(static_cast<uint64_t>(leading), 5);
-      writer_.Write(static_cast<uint64_t>(meaningful - 1), 6);
-      writer_.Write(x >> trailing, meaningful);
-      prev_leading_ = leading;
-      prev_trailing_ = trailing;
-    }
+    writer_.Write(head << 1, head_bits + 1);
+    return;
   }
-  ++count_;
+  int leading = LeadingZeros(x);
+  const int trailing = TrailingZeros(x);
+  // The leading-zero field is 5 bits; deeper runs are clamped (costs a few
+  // extra meaningful bits, never correctness).
+  if (leading > 31) leading = 31;
+  if (prev_leading_ >= 0 && leading >= prev_leading_ &&
+      trailing >= prev_trailing_) {
+    // Control bits '10': the previous window still covers this XOR.
+    head = (head << 2) | 0b10;
+    head_bits += 2;
+  } else {
+    // Control bits '11': explicit new window. The length field stores
+    // (meaningful bits - 1) in 6 bits, so a full 64-bit window fits.
+    head = (head << 13) | (uint64_t{0b11} << 11) |
+           (static_cast<uint64_t>(leading) << 6) |
+           static_cast<uint64_t>(63 - leading - trailing);
+    head_bits += 13;
+    prev_leading_ = leading;
+    prev_trailing_ = trailing;
+  }
+  // One write when head and window fit a word; head_bits >= 2 here, so
+  // the shift stays below 64.
+  const int window = 64 - prev_leading_ - prev_trailing_;
+  if (head_bits + window <= 64) {
+    writer_.Write((head << window) | (x >> prev_trailing_), head_bits + window);
+  } else {
+    writer_.Write(head, head_bits);
+    writer_.Write(x >> prev_trailing_, window);
+  }
 }
 
 Result<std::vector<Sample>> GorillaDecode(const uint8_t* data, size_t size,

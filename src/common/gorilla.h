@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -30,26 +31,36 @@ struct Sample {
   double value = 0.0;
 };
 
-/// \brief Append-only bit stream over a byte vector (MSB-first within each
-/// byte, the classic Gorilla layout). Writes and reads move whole bytes,
-/// not single bits.
+/// \brief Append-only bit stream (MSB-first within each byte, the classic
+/// Gorilla layout). The writer gathers bits in a 64-bit accumulator and
+/// stores each full word big-endian; the reader moves whole bytes.
 class BitWriter {
  public:
   /// Appends the low \p bits bits of \p value (0-64), most significant
   /// first.
   void Write(uint64_t value, int bits);
-  void WriteBit(bool bit) { Write(bit ? 1 : 0, 1); }
 
-  const std::vector<uint8_t>& bytes() const { return bytes_; }
-  /// Hands over the written bytes with no spare capacity and leaves the
-  /// writer empty.
+  /// The stream so far, pending bits included (the last byte zero-padded),
+  /// in a vector with no spare capacity: a sealed segment keeps it as is.
+  std::vector<uint8_t> bytes() const;
+  /// bytes(), leaving the writer empty.
   std::vector<uint8_t> TakeBytes();
   /// Total bits written so far (not rounded up to a byte).
-  size_t bit_count() const { return bit_count_; }
+  size_t bit_count() const {
+    return flushed_ * 8 + static_cast<size_t>(pending_);
+  }
 
  private:
-  std::vector<uint8_t> bytes_;
-  size_t bit_count_ = 0;
+  void Grow();
+
+  /// Full words, big-endian; grows by doubling, never zero-filled.
+  std::unique_ptr<uint8_t[]> words_;
+  size_t capacity_ = 0;  ///< bytes allocated in words_
+  size_t flushed_ = 0;   ///< bytes of full words stored in words_
+  /// The pending bits are the low pending_ (0-63) bits of acc_; anything
+  /// above them is stale and shifted out when the word is stored.
+  uint64_t acc_ = 0;
+  int pending_ = 0;
 };
 
 /// \brief Sequential reader over a BitWriter's output.
@@ -87,9 +98,9 @@ class GorillaEncoder {
   size_t count() const { return count_; }
   /// Compressed size so far, rounded up to whole bytes.
   size_t size_bytes() const { return (writer_.bit_count() + 7) / 8; }
-  /// Snapshot of the compressed bytes (the active-chunk read path decodes
-  /// a copy of this together with count()).
-  const std::vector<uint8_t>& bytes() const { return writer_.bytes(); }
+  /// Copy of the compressed bytes so far, size_bytes() long (the
+  /// active-chunk read path decodes it together with count()).
+  std::vector<uint8_t> bytes() const { return writer_.bytes(); }
   /// The sealed bytes, trimmed to size_bytes(); the encoder is spent
   /// afterwards.
   std::vector<uint8_t> TakeBytes() { return writer_.TakeBytes(); }

@@ -171,7 +171,9 @@ Status AimsSystem::OpenDurable() {
   AIMS_RETURN_NOT_OK(file_device_->SyncPages());
   const std::vector<uint8_t> base = SerializeSnapshot();
   AIMS_RETURN_NOT_OK(Compact(base));
-  AIMS_RETURN_NOT_OK(wal_->Truncate());
+  // New ids start above every id the catalog applied, or recovery would
+  // skip their groups as already applied.
+  AIMS_RETURN_NOT_OK(wal_->Truncate(applied_txn_));
   base_bytes_ = base.size();
   log_bytes_ = catalog_log_->size_bytes();
   dead_bytes_ = 0;

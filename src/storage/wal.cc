@@ -37,6 +37,12 @@ constexpr size_t kSizeOffset = 16;
 /// corrupt length field cannot make recovery allocate gigabytes.
 constexpr uint32_t kMaxRecordPayload = 1u << 30;
 
+/// Never issued: BeginTxn refuses once the ids reach it, so an id never
+/// wraps below the ones a catalog has already applied.
+constexpr uint64_t kNoTxnId = ~uint64_t{0};
+
+uint64_t NextTxnAfter(uint64_t id) { return id == kNoTxnId ? id : id + 1; }
+
 constexpr uint8_t kBegin = 1;
 constexpr uint8_t kBlockPut = 2;
 constexpr uint8_t kCatalog = 3;
@@ -342,7 +348,9 @@ Result<WriteAheadLog::Opened> WriteAheadLog::Open(
     wal->retired_ = true;
     wal->retired_bytes_ = scanned[1 - active].end - kFileHeaderSize;
   }
-  wal->next_txn_ = max_txn + 1;
+  // A damaged header mark can claim the last id; the ids then stay
+  // exhausted rather than wrap below the ids already applied.
+  wal->next_txn_ = NextTxnAfter(max_txn);
   wal->recovery_.recovered_txns = opened.committed.size();
   wal->PublishLag();
   opened.wal = std::move(wal);
@@ -400,6 +408,9 @@ Result<uint64_t> WriteAheadLog::BeginTxn() {
   uint64_t txn_id;
   {
     std::lock_guard<std::mutex> lock(append_mutex_);
+    if (next_txn_ == kNoTxnId) {
+      return Status::ResourceExhausted("WriteAheadLog: txn ids exhausted");
+    }
     txn_id = next_txn_++;
   }
   AIMS_RETURN_NOT_OK(AppendRecord(kBegin, txn_id, nullptr, 0));
@@ -555,9 +566,10 @@ Status WriteAheadLog::EmptyFile(size_t index, uint64_t high_water) {
   return Status::OK();
 }
 
-Status WriteAheadLog::Truncate() {
+Status WriteAheadLog::Truncate(uint64_t applied_txn) {
   std::lock_guard<std::mutex> append_lock(append_mutex_);
   std::lock_guard<std::mutex> sync_lock(sync_mutex_);
+  next_txn_ = std::max(next_txn_, NextTxnAfter(applied_txn));
   for (size_t i = 0; i < num_files_; ++i) {
     AIMS_RETURN_NOT_OK(EmptyFile(i, next_txn_ - 1));
   }

@@ -122,6 +122,8 @@ class WriteAheadLog {
   WriteAheadLog& operator=(const WriteAheadLog&) = delete;
 
   /// \brief Starts a record group; returns its transaction id.
+  /// ResourceExhausted once the ids run out (only a damaged high-water
+  /// mark gets there).
   Result<uint64_t> BeginTxn();
 
   /// \brief Logs one block write (the payload that will reach device block
@@ -152,11 +154,13 @@ class WriteAheadLog {
   /// \brief AppendCommit + WaitDurable, for single-threaded callers.
   Status Commit(uint64_t txn_id);
 
-  /// \brief Empties the log, both files of a rotating one. Caller
-  /// contract: every committed group's effects are already on stable
-  /// storage (pages synced, catalog written) and no transaction is in
-  /// flight.
-  Status Truncate();
+  /// \brief Empties the log, both files of a rotating one. Ids issued
+  /// afterwards are above \p applied_txn, the highest id whose effects the
+  /// caller holds (a catalog mark above the log's own comes only from
+  /// damaged files). Caller contract: every committed group's effects are
+  /// already on stable storage (pages synced, catalog written) and no
+  /// transaction is in flight.
+  Status Truncate(uint64_t applied_txn = 0);
 
   /// \brief Switches appends to the second file, which must be empty; the
   /// file appended to so far is retired, keeping its groups until

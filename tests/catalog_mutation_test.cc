@@ -11,47 +11,22 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <limits>
-#include <new>
 #include <random>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "allocation_tracker.h"
 #include "common/crc32.h"
 #include "core/aims.h"
 #include "mutation_harness.h"
 #include "streams/sample.h"
-
-namespace {
-
-/// Largest single allocation since the last reset (this binary only).
-std::atomic<size_t> g_largest_allocation{0};
-
-void* Allocate(size_t n) {
-  size_t seen = g_largest_allocation.load(std::memory_order_relaxed);
-  while (n > seen && !g_largest_allocation.compare_exchange_weak(
-                         seen, n, std::memory_order_relaxed)) {
-  }
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
-}
-
-}  // namespace
-
-void* operator new(size_t n) { return Allocate(n); }
-void* operator new[](size_t n) { return Allocate(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
-void operator delete[](void* p, size_t) noexcept { std::free(p); }
 
 namespace aims {
 namespace {
@@ -168,9 +143,9 @@ class CatalogMutationTest : public ::testing::Test {
       mutation::WriteFile(work_ + "/" + kFiles[f],
                           f == file ? bytes : files_[f]);
     }
-    g_largest_allocation.store(0);
+    mutation::ResetLargestAllocation();
     auto system = std::make_unique<core::AimsSystem>(DurableAt(work_));
-    largest_allocation_ = g_largest_allocation.load();
+    largest_allocation_ = mutation::LargestAllocation();
     return system;
   }
 

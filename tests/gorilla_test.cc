@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -19,8 +20,10 @@
 /// and ±inf — whatever the cadence; steady telemetry-shaped series
 /// compress at least 8x against the 16-byte raw encoding; truncated,
 /// short, or over-counted streams decode to InvalidArgument, never to
-/// garbage samples or an unbounded allocation; and the encoded bytes match
-/// a recorded golden file. To re-record it after an intentional format
+/// garbage samples or an unbounded allocation; the bytes after every
+/// append match a field-at-a-time reference encoder, and a mid-stream
+/// snapshot decodes to what was appended; and the encoded bytes match a
+/// recorded golden file. To re-record it after an intentional format
 /// change:
 ///   AIMS_REGEN_GOLDEN=1 ./gorilla_test --gtest_filter='GorillaGolden*'
 
@@ -31,6 +34,12 @@ uint64_t BitsOf(double v) {
   uint64_t bits = 0;
   std::memcpy(&bits, &v, sizeof(bits));
   return bits;
+}
+
+double FromBits(uint64_t bits) {
+  double v = 0.0;
+  std::memcpy(&v, &bits, sizeof(v));
+  return v;
 }
 
 std::vector<Sample> RoundTrip(const std::vector<Sample>& in) {
@@ -305,10 +314,11 @@ TEST(BitIoTest, EveryWidthAtEveryOffsetRoundTrips) {
         writer.Write(0b101, 3);
         ReferenceWrite(&expected, &expected_bits, 0b101, 3);
         ASSERT_EQ(writer.bit_count(), expected_bits);
-        ASSERT_EQ(writer.bytes(), expected)
+        const std::vector<uint8_t> bytes = writer.bytes();
+        ASSERT_EQ(bytes, expected)
             << "width " << width << " offset " << offset;
 
-        BitReader reader(writer.bytes().data(), writer.bytes().size());
+        BitReader reader(bytes.data(), bytes.size());
         uint64_t got = 0;
         ASSERT_TRUE(reader.Read(&got, offset));
         EXPECT_EQ(got, filler);
@@ -318,7 +328,7 @@ TEST(BitIoTest, EveryWidthAtEveryOffsetRoundTrips) {
         EXPECT_EQ(got, 0b101u);
         // Whatever is left is the zero padding of the last byte; reading
         // one bit past it fails.
-        const size_t padding = writer.bytes().size() * 8 - expected_bits;
+        const size_t padding = bytes.size() * 8 - expected_bits;
         ASSERT_TRUE(reader.Read(&got, static_cast<int>(padding)));
         EXPECT_EQ(got, 0u);
         EXPECT_FALSE(reader.Read(&got, 1));
@@ -341,13 +351,195 @@ TEST(BitIoTest, LongMixedStreamMatchesReference) {
     ReferenceWrite(&expected, &expected_bits, value, width);
     fields.emplace_back(value, width);
   }
-  ASSERT_EQ(writer.bytes(), expected);
-  BitReader reader(writer.bytes().data(), writer.bytes().size());
+  const std::vector<uint8_t> bytes = writer.bytes();
+  ASSERT_EQ(bytes, expected);
+  BitReader reader(bytes.data(), bytes.size());
   for (const auto& [value, width] : fields) {
     uint64_t got = 0;
     ASSERT_TRUE(reader.Read(&got, width));
     ASSERT_EQ(got, value);
   }
+}
+
+// ---- Reference encoder --------------------------------------------------
+
+/// GorillaEncoder::Append as it was when every field took its own write:
+/// the same choices, written one bit at a time through ReferenceWrite.
+class ReferenceEncoder {
+ public:
+  void Append(int64_t t_ms, double value) {
+    const uint64_t bits = BitsOf(value);
+    if (count_++ == 0) {
+      Write(static_cast<uint64_t>(t_ms), 64);
+      Write(bits, 64);
+      prev_t_ = static_cast<uint64_t>(t_ms);
+      prev_bits_ = bits;
+      return;
+    }
+    const uint64_t delta = static_cast<uint64_t>(t_ms) - prev_t_;
+    const int64_t dod = static_cast<int64_t>(delta - prev_delta_);
+    if (dod == 0) {
+      Write(0, 1);
+    } else if (dod >= -63 && dod <= 64) {
+      Write(0b10, 2);
+      Write(static_cast<uint64_t>(dod + 63), 7);
+    } else if (dod >= -255 && dod <= 256) {
+      Write(0b110, 3);
+      Write(static_cast<uint64_t>(dod + 255), 9);
+    } else if (dod >= -2047 && dod <= 2048) {
+      Write(0b1110, 4);
+      Write(static_cast<uint64_t>(dod + 2047), 12);
+    } else {
+      Write(0b1111, 4);
+      Write(static_cast<uint64_t>(dod), 64);
+    }
+    prev_delta_ = delta;
+    prev_t_ = static_cast<uint64_t>(t_ms);
+
+    const uint64_t x = bits ^ prev_bits_;
+    prev_bits_ = bits;
+    if (x == 0) {
+      Write(0, 1);
+      return;
+    }
+    Write(1, 1);
+    const int leading = std::min(__builtin_clzll(x), 31);
+    const int trailing = __builtin_ctzll(x);
+    if (prev_leading_ >= 0 && leading >= prev_leading_ &&
+        trailing >= prev_trailing_) {
+      Write(0, 1);
+      Write(x >> prev_trailing_, 64 - prev_leading_ - prev_trailing_);
+    } else {
+      const int meaningful = 64 - leading - trailing;
+      Write(1, 1);
+      Write(static_cast<uint64_t>(leading), 5);
+      Write(static_cast<uint64_t>(meaningful - 1), 6);
+      Write(x >> trailing, meaningful);
+      prev_leading_ = leading;
+      prev_trailing_ = trailing;
+    }
+  }
+
+  const std::vector<uint8_t>& bytes() const { return bytes_; }
+  size_t bit_count() const { return bit_count_; }
+
+ private:
+  void Write(uint64_t value, int bits) {
+    ReferenceWrite(&bytes_, &bit_count_, value, bits);
+  }
+
+  std::vector<uint8_t> bytes_;
+  size_t bit_count_ = 0;
+  size_t count_ = 0;
+  uint64_t prev_t_ = 0;
+  uint64_t prev_delta_ = 0;
+  uint64_t prev_bits_ = 0;
+  int prev_leading_ = -1;
+  int prev_trailing_ = 0;
+};
+
+/// A seeded series of \p n samples: values of kind \p values (0 random
+/// walk, 1 ADC codes times a non-binary scale, 2 the special values, 3 raw
+/// bit patterns) at timestamps of kind \p times (0 fixed cadence, 1
+/// jittered, 2 fixed with jumps, 3 a new dod class every step).
+std::vector<Sample> ReferenceSeries(int values, int times, size_t n,
+                                    std::mt19937_64* rng) {
+  const double specials[] = {0.0,
+                             -0.0,
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN(),
+                             FromBits(0x7FF80000DEADBEEFull),
+                             std::numeric_limits<double>::denorm_min(),
+                             -std::numeric_limits<double>::denorm_min(),
+                             std::numeric_limits<double>::max(),
+                             std::numeric_limits<double>::lowest(),
+                             std::numeric_limits<double>::min()};
+  const int64_t jitter = int64_t{3} << (4 * ((*rng)() % 3));  // 3, 48, 768
+  const int64_t dod_widths[] = {0, 60, 250, 2000, 1'000'000'000};
+  std::normal_distribution<double> step(0.0, 1.0);
+  std::vector<Sample> out;
+  uint64_t t = (*rng)() >> 12;  // wraps like the codec's own arithmetic
+  double walk = 0.0;
+  int64_t code = 2048;
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t r = (*rng)();
+    uint64_t dt = 1250;
+    if (times == 1) {
+      dt += r % (2 * jitter + 1) - jitter;
+    } else if (times == 2 && r % 50 == 0) {
+      dt = (*rng)();
+    } else if (times == 3 && r % 5 != 0) {
+      dt += (r >> 8) % dod_widths[r % 5];
+    }
+    t += dt;
+    double v = 0.0;
+    if (values == 0) {
+      walk += step(*rng) * std::pow(10.0, static_cast<double>(r % 5));
+      v = walk;
+    } else if (values == 1) {
+      code = std::clamp<int64_t>(code + static_cast<int64_t>(r % 33) - 16, 0,
+                                 4095);
+      v = static_cast<double>(code) * (90.0 / 4095.0);
+    } else if (values == 2) {
+      v = specials[r % std::size(specials)];
+    } else {
+      v = FromBits((*rng)());
+    }
+    out.push_back({static_cast<int64_t>(t), v});
+  }
+  return out;
+}
+
+TEST(GorillaReferenceTest, EveryAppendMatchesTheFieldAtATimeEncoder) {
+  std::mt19937_64 rng(2026);
+  for (int values = 0; values < 4; ++values) {
+    for (int times = 0; times < 4; ++times) {
+      for (size_t n : {size_t{1}, size_t{2}, size_t{700},
+                       static_cast<size_t>(1 + rng() % 700)}) {
+        const std::vector<Sample> series =
+            ReferenceSeries(values, times, n, &rng);
+        GorillaEncoder enc;
+        ReferenceEncoder ref;
+        for (size_t i = 0; i < series.size(); ++i) {
+          enc.Append(series[i]);
+          ref.Append(series[i].t_ms, series[i].value);
+          ASSERT_EQ(enc.size_bytes(), (ref.bit_count() + 7) / 8);
+          ASSERT_EQ(enc.bytes(), ref.bytes())
+              << "values " << values << " times " << times << " length "
+              << n << " sample " << i;
+        }
+        EXPECT_EQ(enc.TakeBytes(), ref.bytes());
+      }
+    }
+  }
+}
+
+TEST(GorillaTest, SnapshotAfterEveryAppendDecodesThePrefix) {
+  // The active-chunk read path decodes a live encoder's bytes between
+  // appends, so every snapshot must carry the pending bits, whatever the
+  // fill of the writer's 64-bit accumulator.
+  std::mt19937_64 rng(31);
+  GorillaEncoder enc;
+  ReferenceEncoder ref;  // only for the bit count
+  std::vector<Sample> in;
+  std::vector<bool> fill_seen(64, false);
+  // ADC codes first: once an XOR opens the full 64-bit window (a sign
+  // flip does), every later one reuses it and no window is fused again.
+  for (int values : {1, 0, 2, 3}) {
+    for (const Sample& s : ReferenceSeries(values, values, 100, &rng)) {
+      enc.Append(s);
+      ref.Append(s.t_ms, s.value);
+      in.push_back(s);
+      fill_seen[ref.bit_count() % 64] = true;
+      const std::vector<uint8_t> bytes = enc.bytes();
+      ASSERT_EQ(bytes.size(), enc.size_bytes());
+      Result<std::vector<Sample>> out = GorillaDecode(bytes, enc.count());
+      ASSERT_TRUE(out.ok()) << in.size() << ": " << out.status().message();
+      ExpectBitExact(in, *out);
+    }
+  }
+  EXPECT_EQ(std::count(fill_seen.begin(), fill_seen.end(), true), 64);
 }
 
 // ---- Golden encoding ----------------------------------------------------
@@ -359,12 +551,6 @@ uint64_t SplitMix(uint64_t* state) {
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
   return z ^ (z >> 31);
-}
-
-double FromBits(uint64_t bits) {
-  double v = 0.0;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
 }
 
 /// The golden series: an 800 Hz microsecond grid that first walks every

@@ -10,13 +10,10 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <new>
 #include <random>
 #include <set>
 #include <string>
@@ -24,31 +21,9 @@
 
 #include <gtest/gtest.h>
 
+#include "allocation_tracker.h"
 #include "mutation_harness.h"
 #include "streams/recording_io.h"
-
-namespace {
-
-/// Largest single allocation since the last reset (this binary only).
-std::atomic<size_t> g_largest_allocation{0};
-
-void* Allocate(size_t n) {
-  size_t seen = g_largest_allocation.load(std::memory_order_relaxed);
-  while (n > seen && !g_largest_allocation.compare_exchange_weak(
-                         seen, n, std::memory_order_relaxed)) {
-  }
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
-}
-
-}  // namespace
-
-void* operator new(size_t n) { return Allocate(n); }
-void* operator new[](size_t n) { return Allocate(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
-void operator delete[](void* p, size_t) noexcept { std::free(p); }
 
 namespace aims::streams {
 namespace {
@@ -143,9 +118,9 @@ class RecordingMutationTest : public ::testing::Test {
   /// Reads \p bytes back through \p read, recording its largest allocation.
   Result<Recording> ReadBack(Read read, const std::vector<uint8_t>& bytes) {
     mutation::WriteFile(path_, bytes);
-    g_largest_allocation.store(0);
+    mutation::ResetLargestAllocation();
     Result<Recording> result = read(path_);
-    largest_allocation_ = g_largest_allocation.load();
+    largest_allocation_ = mutation::LargestAllocation();
     return result;
   }
 
