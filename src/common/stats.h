@@ -13,8 +13,7 @@ namespace aims {
 /// \brief Welford single-pass accumulator for mean/variance/min/max.
 class RunningStats {
  public:
-  /// Adds one observation. Inline: the recognizer's activity detector
-  /// calls it for every channel of every frame in its window.
+  /// Adds one observation.
   void Add(double x) {
     if (count_ == 0) {
       min_ = max_ = x;

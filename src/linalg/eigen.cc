@@ -109,31 +109,4 @@ Result<SvdDecomposition> Svd(const Matrix& a) {
   return out;
 }
 
-Result<EigenDecomposition> RankOneUpdate(const EigenDecomposition& current,
-                                         const std::vector<double>& x,
-                                         double alpha) {
-  const size_t n = x.size();
-  if (current.vectors.rows() != n || current.vectors.cols() != n) {
-    return Status::InvalidArgument("RankOneUpdate: dimension mismatch");
-  }
-  if (alpha < 0.0 || alpha > 1.0) {
-    return Status::InvalidArgument("RankOneUpdate: alpha must be in [0,1]");
-  }
-  // Reconstruct (1-alpha) C + alpha x x^T and re-diagonalize. For the 28-dim
-  // matrices the recognizer uses, an exact re-diagonalization is cheap and
-  // avoids the numerical fragility of secular-equation updates.
-  Matrix c(n, n);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < n; ++j) {
-      double reconstructed = 0.0;
-      for (size_t k = 0; k < n; ++k) {
-        reconstructed += current.values[k] * current.vectors.At(i, k) *
-                         current.vectors.At(j, k);
-      }
-      c.At(i, j) = (1.0 - alpha) * reconstructed + alpha * x[i] * x[j];
-    }
-  }
-  return SymmetricEigen(c);
-}
-
 }  // namespace aims::linalg

@@ -39,12 +39,4 @@ struct SvdDecomposition {
 /// the well-conditioned low-rank use in pattern similarity).
 Result<SvdDecomposition> Svd(const Matrix& a);
 
-/// \brief Rank-one symmetric eigen update helper: given the current
-/// decomposition of C and a new observation row x, produces the
-/// decomposition of (1-alpha) C + alpha x x^T. Used by the incremental SVD
-/// path of the online recognizer (Sec. 3.4.1 "computing SVD incrementally").
-Result<EigenDecomposition> RankOneUpdate(const EigenDecomposition& current,
-                                         const std::vector<double>& x,
-                                         double alpha);
-
 }  // namespace aims::linalg

@@ -4,9 +4,72 @@
 #include <cmath>
 
 #include "common/macros.h"
-#include "common/stats.h"
 
 namespace aims::recognition {
+
+ActivityWindow::ActivityWindow(size_t window, size_t top_k)
+    : window_(window), top_k_(std::max<size_t>(top_k, 1)) {
+  AIMS_CHECK(window_ >= 1);
+}
+
+void ActivityWindow::Push(const std::vector<double>& values) {
+  if (channels_ == 0) {
+    channels_ = values.size();
+    ring_.assign(window_ * channels_, 0.0);
+    anchor_ = values;
+    sum_.assign(channels_, 0.0);
+    sum_sq_.assign(channels_, 0.0);
+    stddev_.assign(channels_, 0.0);
+  }
+  AIMS_CHECK(values.size() == channels_);
+  double* slot = &ring_[(oldest_ + size_) % window_ * channels_];
+  if (size_ == window_) {
+    // Full: the new frame takes the oldest frame's slot.
+    AddToSums(slot, -1.0);
+    oldest_ = (oldest_ + 1) % window_;
+  } else {
+    ++size_;
+  }
+  std::copy(values.begin(), values.end(), slot);
+  AddToSums(slot, 1.0);
+  if (++pushes_since_rebuild_ == window_) Rebuild();
+  activity_ = Score();
+}
+
+void ActivityWindow::AddToSums(const double* values, double sign) {
+  for (size_t c = 0; c < channels_; ++c) {
+    const double d = sign * (values[c] - anchor_[c]);
+    sum_[c] += d;
+    sum_sq_[c] += sign * d * d;
+  }
+}
+
+void ActivityWindow::Rebuild() {
+  pushes_since_rebuild_ = 0;
+  const double* oldest = frame(0);
+  anchor_.assign(oldest, oldest + channels_);
+  std::fill(sum_.begin(), sum_.end(), 0.0);
+  std::fill(sum_sq_.begin(), sum_sq_.end(), 0.0);
+  for (size_t i = 0; i < size_; ++i) AddToSums(frame(i), 1.0);
+}
+
+double ActivityWindow::Score() {
+  if (size_ < 2) return 0.0;
+  const double n = static_cast<double>(size_);
+  for (size_t c = 0; c < channels_; ++c) {
+    const double mean = sum_[c] / n;
+    // Population variance; rounding can leave a constant channel's a hair
+    // below zero.
+    const double variance = sum_sq_[c] / n - mean * mean;
+    stddev_[c] = variance > 0.0 ? std::sqrt(variance) : 0.0;
+  }
+  const size_t k = std::min(top_k_, channels_);
+  std::partial_sort(stddev_.begin(), stddev_.begin() + static_cast<ptrdiff_t>(k),
+                    stddev_.end(), std::greater<double>());
+  double total = 0.0;
+  for (size_t i = 0; i < k; ++i) total += stddev_[i];
+  return total / static_cast<double>(k);
+}
 
 StreamRecognizer::StreamRecognizer(const Vocabulary* vocabulary,
                                    const WeightedSvdSimilarity* measure,
@@ -14,30 +77,11 @@ StreamRecognizer::StreamRecognizer(const Vocabulary* vocabulary,
     : vocabulary_(vocabulary),
       measure_(measure),
       config_(config),
+      activity_(config.activity_window, config.activity_top_k),
       covariance_(1) {
   AIMS_CHECK(vocabulary_ != nullptr && measure_ != nullptr);
   AIMS_CHECK(config_.activity_window >= 2);
   AIMS_CHECK(config_.evaluation_stride >= 1);
-}
-
-double StreamRecognizer::CurrentActivity() const {
-  if (recent_.size() < 2) return 0.0;
-  // Mean rolling standard deviation of the top-k most active channels, in
-  // one frame-major pass over the window.
-  const size_t channels = recent_.front().values.size();
-  std::vector<RunningStats> stats(channels);
-  for (const streams::Frame& f : recent_) {
-    for (size_t c = 0; c < channels; ++c) stats[c].Add(f.values[c]);
-  }
-  std::vector<double> stddevs(channels);
-  for (size_t c = 0; c < channels; ++c) stddevs[c] = stats[c].stddev();
-  size_t k = std::min(std::max<size_t>(config_.activity_top_k, 1), channels);
-  std::partial_sort(stddevs.begin(),
-                    stddevs.begin() + static_cast<ptrdiff_t>(k),
-                    stddevs.end(), std::greater<double>());
-  double total = 0.0;
-  for (size_t i = 0; i < k; ++i) total += stddevs[i];
-  return total / static_cast<double>(k);
 }
 
 Status StreamRecognizer::AccumulateEvidence() {
@@ -63,11 +107,14 @@ Result<std::optional<RecognitionEvent>> StreamRecognizer::Push(
         " channels, the vocabulary " +
         std::to_string(vocabulary_->channels()));
   }
+  if (!std::all_of(frame.values.begin(), frame.values.end(),
+                   [](double v) { return std::isfinite(v); })) {
+    return Status::InvalidArgument(
+        "StreamRecognizer: frame holds a NaN or infinite value");
+  }
   ++frames_seen_;
-  recent_.push_back(frame);
-  if (recent_.size() > config_.activity_window) recent_.pop_front();
-
-  double activity = CurrentActivity();
+  activity_.Push(frame.values);
+  const double activity = activity_.activity();
   std::optional<RecognitionEvent> event;
 
   if (!in_segment_) {
@@ -75,9 +122,13 @@ Result<std::optional<RecognitionEvent>> StreamRecognizer::Push(
       in_segment_ = true;
       // Back-date the segment start to the window start: the onset frames
       // are already inside the activity window.
-      segment_start_ = frames_seen_ - recent_.size();
+      segment_start_ = frames_seen_ - activity_.size();
       covariance_.Reset(frame.values.size());
-      for (const streams::Frame& f : recent_) covariance_.Add(f.values);
+      std::vector<double> values(frame.values.size());
+      for (size_t i = 0; i < activity_.size(); ++i) {
+        std::copy_n(activity_.frame(i), values.size(), values.begin());
+        covariance_.Add(values);
+      }
       evidence_.assign(vocabulary_->size(), 0.0);
       frames_since_eval_ = 0;
       low_activity_run_ = 0;

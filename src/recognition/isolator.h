@@ -1,6 +1,5 @@
 #pragma once
 
-#include <deque>
 #include <optional>
 #include <string>
 #include <vector>
@@ -31,8 +30,10 @@
 /// segment close the recognizer emits the evidence argmax, provided the
 /// evidence passes a confidence threshold.
 ///
-/// The weighted-SVD comparison is computed incrementally (Sec. 3.4.1): the
-/// open segment is a running covariance rather than a frame buffer, and the
+/// Both halves run incrementally (Sec. 3.4.1): the activity detector keeps
+/// running sums over its window, so a frame costs O(channels), amortized,
+/// whatever the window's length; the weighted-SVD comparison runs on a running
+/// covariance of the open segment rather than a frame buffer, and the
 /// template spectra are computed once per vocabulary, so an evaluation costs
 /// one eigen-decomposition whatever the segment's length.
 
@@ -70,6 +71,56 @@ struct StreamRecognizerConfig {
   double min_confidence = 0.0;
 };
 
+/// \brief The activity detector: the last `window` frames and their score,
+/// the mean population standard deviation of the `top_k` most active
+/// channels over those frames.
+///
+/// The frames sit in one flat ring. Beside it, per-channel sums of
+/// (x - anchor) and (x - anchor)^2 take in each new frame and give back the
+/// one it evicts, so a push costs O(channels), not a pass over the window.
+/// Once every `window` pushes the sums are rebuilt from the ring, anchored
+/// at its oldest frame: the anchor keeps the differences small whatever
+/// offset a channel carries, and no rounding outlives one window.
+class ActivityWindow {
+ public:
+  ActivityWindow(size_t window, size_t top_k);
+
+  /// Appends \p values as the newest frame, evicting the oldest once the
+  /// window is full, and rescores. The first push fixes the channel count
+  /// and sizes every buffer; later pushes must have that many values.
+  void Push(const std::vector<double>& values);
+
+  /// The score after the last push; 0 while fewer than 2 frames are in.
+  double activity() const { return activity_; }
+  /// Frames in the window (at most `window`).
+  size_t size() const { return size_; }
+  /// The \p i-th oldest frame in the window (0 is the oldest), as many
+  /// values as every frame pushed.
+  const double* frame(size_t i) const {
+    return &ring_[(oldest_ + i) % window_ * channels_];
+  }
+
+ private:
+  /// Adds (\p sign 1) or takes away (-1) one frame's terms of the sums.
+  void AddToSums(const double* values, double sign);
+  /// Re-anchors the sums at the oldest frame and recomputes them.
+  void Rebuild();
+  double Score();
+
+  size_t window_;
+  size_t top_k_;
+  size_t channels_ = 0;
+  std::vector<double> ring_;  ///< window_ x channels_, frame-major.
+  size_t oldest_ = 0;         ///< Ring slot of the oldest frame.
+  size_t size_ = 0;
+  size_t pushes_since_rebuild_ = 0;
+  std::vector<double> anchor_;
+  std::vector<double> sum_;     ///< Of (x - anchor) over the window.
+  std::vector<double> sum_sq_;  ///< Of (x - anchor)^2 over the window.
+  std::vector<double> stddev_;  ///< Scratch for the top-k selection.
+  double activity_ = 0.0;
+};
+
 /// \brief Online recognizer: feed frames, receive recognition events.
 class StreamRecognizer {
  public:
@@ -83,7 +134,8 @@ class StreamRecognizer {
 
   /// Pushes one frame; returns an event when a pattern was just isolated
   /// and recognized. InvalidArgument, with no state change, when the
-  /// frame's channel count differs from the vocabulary's.
+  /// frame's channel count differs from the vocabulary's or a value is NaN
+  /// or infinite.
   Result<std::optional<RecognitionEvent>> Push(const streams::Frame& frame);
 
   /// Closes any open segment (end of stream).
@@ -102,7 +154,6 @@ class StreamRecognizer {
   size_t evaluations() const { return evaluations_; }
 
  private:
-  double CurrentActivity() const;
   /// Adds (scores - mean score) of the open segment to the evidence.
   Status AccumulateEvidence();
   Result<std::optional<RecognitionEvent>> CloseSegment();
@@ -111,8 +162,8 @@ class StreamRecognizer {
   const WeightedSvdSimilarity* measure_;
   StreamRecognizerConfig config_;
 
-  std::deque<streams::Frame> recent_;  ///< Activity-detector window.
-  IncrementalCovariance covariance_;   ///< Of the open segment's frames.
+  ActivityWindow activity_;
+  IncrementalCovariance covariance_;  ///< Of the open segment's frames.
   std::vector<double> evidence_;
   bool in_segment_ = false;
   size_t segment_start_ = 0;

@@ -1,19 +1,37 @@
 #include "recognition/vocabulary.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <map>
 
 #include "common/macros.h"
 
 namespace aims::recognition {
 
+namespace {
+
+/// Whether every value is finite, in one branch-free pass that vectorizes
+/// (it runs over every template value at registration): v * 0 is +-0 for
+/// a finite v and NaN otherwise, and the bits of +-0 never set an exponent
+/// bit, so the OR of all products has the all-ones exponent of a NaN
+/// exactly when some value is not finite.
+bool AllFinite(const std::vector<double>& values) {
+  uint64_t bits = 0;
+  for (double v : values) bits |= std::bit_cast<uint64_t>(v * 0.0);
+  constexpr uint64_t kExponent = 0x7ff0000000000000;
+  return (bits & kExponent) != kExponent;
+}
+
+}  // namespace
+
 void Vocabulary::Add(std::string label, linalg::Matrix segment) {
-  AIMS_CHECK(ValidateEntry(segment).ok());
+  AIMS_CHECK(ValidateShape(segment).ok());
   entries_.push_back(VocabularyEntry{std::move(label), std::move(segment)});
   spectra_ = std::make_shared<TemplateSpectra>();
 }
 
-Status Vocabulary::ValidateEntry(const linalg::Matrix& segment) const {
+Status Vocabulary::ValidateShape(const linalg::Matrix& segment) const {
   if (segment.rows() < 2 || segment.cols() == 0) {
     return Status::InvalidArgument(
         "vocabulary template needs at least 2 frames of at least 1 channel");
@@ -22,6 +40,15 @@ Status Vocabulary::ValidateEntry(const linalg::Matrix& segment) const {
     return Status::InvalidArgument(
         "vocabulary template has " + std::to_string(segment.cols()) +
         " channels, the registered templates " + std::to_string(channels()));
+  }
+  return Status::OK();
+}
+
+Status Vocabulary::ValidateEntry(const linalg::Matrix& segment) const {
+  AIMS_RETURN_NOT_OK(ValidateShape(segment));
+  if (!AllFinite(segment.data())) {
+    return Status::InvalidArgument(
+        "vocabulary template holds a NaN or infinite value");
   }
   return Status::OK();
 }

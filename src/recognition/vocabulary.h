@@ -38,14 +38,15 @@ struct Classification {
 class Vocabulary {
  public:
   /// Adds a template (multiple exemplars per label are allowed); aborts on
-  /// one that ValidateEntry rejects.
+  /// one whose shape ValidateEntry rejects.
   void Add(std::string label, linalg::Matrix segment);
 
-  /// \brief The rule for a valid template, which Add enforces:
-  /// InvalidArgument when it is empty, has fewer than 2 frames (its
-  /// covariance is undefined), or its channel count differs from the
+  /// \brief The rule for a valid template: InvalidArgument when it is
+  /// empty, has fewer than 2 frames (its covariance is undefined), holds a
+  /// NaN or infinite value, or its channel count differs from the
   /// registered templates'. Templates from outside the program are checked
-  /// here before Add.
+  /// here before Add, which enforces only the shape, so the values are
+  /// scanned once.
   Status ValidateEntry(const linalg::Matrix& segment) const;
 
   size_t size() const { return entries_.size(); }
@@ -81,6 +82,9 @@ class Vocabulary {
     Status status;
     std::vector<linalg::EigenDecomposition> spectra;
   };
+
+  /// The shape half of ValidateEntry.
+  Status ValidateShape(const linalg::Matrix& segment) const;
 
   std::vector<VocabularyEntry> entries_;
   std::shared_ptr<TemplateSpectra> spectra_ =

@@ -1,5 +1,7 @@
 #include "server/recognition_service.h"
 
+#include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "common/macros.h"
@@ -70,6 +72,11 @@ RecognitionService::PushFrames(ClientId client,
       return Status::InvalidArgument(
           "StreamSamples: a frame has " + std::to_string(frame.values.size()) +
           " channels, the vocabulary " + std::to_string(channels));
+    }
+    if (!std::all_of(frame.values.begin(), frame.values.end(),
+                     [](double v) { return std::isfinite(v); })) {
+      return Status::InvalidArgument(
+          "StreamSamples: a frame holds a NaN or infinite value");
     }
   }
   std::vector<recognition::RecognitionEvent> events;

@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -19,11 +20,14 @@ namespace aims::storage::durable {
 
 namespace {
 
-constexpr uint32_t kWalMagic = 0x4C415741u;  // "AWAL"
-constexpr uint32_t kWalVersion = 1;
+// File header: magic u32 | crc u32 of the mark | mark u64, the highest
+// txn id issued, written whenever a file is emptied so ids keep advancing
+// once the records are gone. Version 1 ("AWAL", then the version number 1
+// where the CRC now sits) had no check on its mark.
+constexpr uint32_t kWalMagic = 0x324C5741u;    // "AWL2"
+constexpr uint32_t kWalMagicV1 = 0x4C415741u;  // "AWAL"
 constexpr uint64_t kFileHeaderSize = 16;
-/// Header field: highest txn id ever issued, written at checkpoint
-/// truncation so ids keep advancing once the records are gone.
+constexpr size_t kHeaderCrcOffset = 4;
 constexpr size_t kTxnHighWaterOffset = 8;
 
 // Record framing: crc u32 | type u8 | pad u8[3] | txn_id u64 |
@@ -42,6 +46,18 @@ constexpr uint32_t kMaxRecordPayload = 1u << 30;
 constexpr uint64_t kNoTxnId = ~uint64_t{0};
 
 uint64_t NextTxnAfter(uint64_t id) { return id == kNoTxnId ? id : id + 1; }
+
+/// A file header whose mark is \p high_water.
+std::array<uint8_t, kFileHeaderSize> FileHeader(uint64_t high_water) {
+  std::array<uint8_t, kFileHeaderSize> header{};
+  std::memcpy(header.data(), &kWalMagic, sizeof(kWalMagic));
+  std::memcpy(header.data() + kTxnHighWaterOffset, &high_water,
+              sizeof(high_water));
+  const uint32_t crc = Crc32(header.data() + kTxnHighWaterOffset,
+                             sizeof(high_water));
+  std::memcpy(header.data() + kHeaderCrcOffset, &crc, sizeof(crc));
+  return header;
+}
 
 constexpr uint8_t kBegin = 1;
 constexpr uint8_t kBlockPut = 2;
@@ -205,10 +221,8 @@ Result<ScannedFile> OpenAndScan(const std::string& path) {
   }
   const uint64_t file_size = static_cast<uint64_t>(st.st_size);
   if (file_size == 0) {
-    uint8_t header[kFileHeaderSize] = {};
-    std::memcpy(header, &kWalMagic, sizeof(kWalMagic));
-    std::memcpy(header + 4, &kWalVersion, sizeof(kWalVersion));
-    Status status = PwriteFully(file.fd, header, sizeof(header), 0);
+    const auto header = FileHeader(0);
+    Status status = PwriteFully(file.fd, header.data(), header.size(), 0);
     if (status.ok() && ::fsync(file.fd) != 0) {
       status = ErrnoError("WriteAheadLog::Open: fsync " + path);
     }
@@ -219,13 +233,22 @@ Result<ScannedFile> OpenAndScan(const std::string& path) {
   Result<std::vector<uint8_t>> read = ReadWholeFile(file.fd, file_size);
   if (!read.ok()) return fail(read.status());
   const std::vector<uint8_t>& buf = *read;
-  if (buf.size() < kFileHeaderSize ||
-      LoadField<uint32_t>(buf.data(), 0) != kWalMagic ||
-      LoadField<uint32_t>(buf.data(), 4) != kWalVersion) {
+  const bool has_header = buf.size() >= kFileHeaderSize;
+  const uint32_t magic = has_header ? LoadField<uint32_t>(buf.data(), 0) : 0;
+  const uint32_t check =
+      has_header ? LoadField<uint32_t>(buf.data(), kHeaderCrcOffset) : 0;
+  if (magic != kWalMagic && !(magic == kWalMagicV1 && check == 1)) {
     return fail(Status::InvalidArgument(
         "WriteAheadLog::Open: not a WAL file: " + path));
   }
-  file.max_txn = LoadField<uint64_t>(buf.data(), kTxnHighWaterOffset);
+  // A mark without a valid CRC is not trusted: the ids then come from the
+  // records, each under its own CRC, and from the caller's applied mark
+  // (Truncate), so a damaged mark can neither exhaust the ids nor let them
+  // fall back to one recovery would skip as applied.
+  if (magic == kWalMagic &&
+      check == Crc32(buf.data() + kTxnHighWaterOffset, sizeof(uint64_t))) {
+    file.max_txn = LoadField<uint64_t>(buf.data(), kTxnHighWaterOffset);
+  }
 
   // Scan: valid records accumulate into per-transaction pending groups; a
   // commit record promotes its group to the committed list. The first
@@ -348,8 +371,8 @@ Result<WriteAheadLog::Opened> WriteAheadLog::Open(
     wal->retired_ = true;
     wal->retired_bytes_ = scanned[1 - active].end - kFileHeaderSize;
   }
-  // A damaged header mark can claim the last id; the ids then stay
-  // exhausted rather than wrap below the ids already applied.
+  // A record whose txn id is the last id leaves the ids exhausted rather
+  // than wrap below the ids already applied.
   wal->next_txn_ = NextTxnAfter(max_txn);
   wal->recovery_.recovered_txns = opened.committed.size();
   wal->PublishLag();
@@ -546,14 +569,14 @@ Status WriteAheadLog::Commit(uint64_t txn_id) {
 
 Status WriteAheadLog::EmptyFile(size_t index, uint64_t high_water) {
   // Persist the txn-id high-water mark BEFORE dropping the records that
-  // carry it. Recovery takes max(header marks, scanned ids) + 1, so ids
-  // never restart after a checkpoint — a reused id would fall under the
-  // catalog's applied-txn mark and make recovery skip a committed group
-  // (an acknowledged ingest silently lost on the third open).
+  // carry it. Recovery takes max(valid header marks, scanned ids) + 1, so
+  // ids never restart after a checkpoint: a reused id could fall under the
+  // catalog's applied mark, and recovery would skip its group. The whole
+  // header is written, so a version-1 file becomes a version-2 one here.
   const File& file = files_[index];
   const bool sync = config_.sync_mode == WalSyncMode::kFsync;
-  AIMS_RETURN_NOT_OK(PwriteFully(file.fd, &high_water, sizeof(high_water),
-                                 kTxnHighWaterOffset));
+  const auto header = FileHeader(high_water);
+  AIMS_RETURN_NOT_OK(PwriteFully(file.fd, header.data(), header.size(), 0));
   if (sync && ::fsync(file.fd) != 0) {
     return ErrnoError("WriteAheadLog: fsync " + file.path);
   }

@@ -43,9 +43,11 @@
 ///
 /// On-disk layout (host byte order, like the page file):
 ///
-///   offset 0    file header: magic u32, version u32, txn-id high-water
-///               mark u64 (written whenever a file is emptied, so ids never
-///               restart once their records are gone)
+///   offset 0    file header: magic u32 ("AWL2"), CRC-32 of the mark
+///               u32, txn-id high-water mark u64 (written whenever a file
+///               is emptied, so ids never restart once their records are
+///               gone; a mark failing its CRC is ignored, and so is a
+///               version-1 ("AWAL") header's, which had no CRC)
 ///   then        records: crc u32 (over everything after it), type u8,
 ///               pad u8[3], txn_id u64, payload_size u32, payload bytes
 ///
@@ -122,8 +124,8 @@ class WriteAheadLog {
   WriteAheadLog& operator=(const WriteAheadLog&) = delete;
 
   /// \brief Starts a record group; returns its transaction id.
-  /// ResourceExhausted once the ids run out (only a damaged high-water
-  /// mark gets there).
+  /// ResourceExhausted once the ids run out (only a record whose
+  /// CRC-valid txn id claims the last id gets there).
   Result<uint64_t> BeginTxn();
 
   /// \brief Logs one block write (the payload that will reach device block

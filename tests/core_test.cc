@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -242,6 +243,14 @@ TEST(AimsSystemTest, MalformedTemplatesAndFramesRejected) {
   EXPECT_EQ(system.AddVocabularyEntry("no-channels", linalg::Matrix(8, 0))
                 .code(),
             StatusCode::kInvalidArgument);
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    linalg::Matrix segment = ToMatrix(GloveRecording(7));
+    segment.At(3, 5) = bad;
+    EXPECT_EQ(system.AddVocabularyEntry("non-finite", segment).code(),
+              StatusCode::kInvalidArgument);
+  }
   EXPECT_EQ(system.vocabulary().size(), 0u);
   ASSERT_TRUE(
       system.AddVocabularyEntry("glove", ToMatrix(GloveRecording(7))).ok());

@@ -1,8 +1,20 @@
 #include "recognition/isolator.h"
 
+#include <algorithm>
+#include <cmath>
+#include <deque>
+#include <functional>
+#include <limits>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
+#include "common/stats.h"
 #include "recognition/similarity.h"
+#include "recognition_parity.h"
 #include "synth/cyberglove.h"
 
 namespace aims::recognition {
@@ -135,6 +147,15 @@ TEST_F(IsolatorFixture, FrameOfOtherWidthRejectedWithoutStateChange) {
         EXPECT_EQ(recognizer.Push(bad).status().code(),
                   StatusCode::kInvalidArgument);
       }
+      // Full width, one NaN or infinite channel.
+      for (double value : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+        streams::Frame bad = frames[i];
+        bad.values[3] = value;
+        EXPECT_EQ(recognizer.Push(bad).status().code(),
+                  StatusCode::kInvalidArgument);
+      }
     }
     auto event = recognizer.Push(frames[i]);
     ASSERT_TRUE(event.ok());
@@ -178,6 +199,170 @@ TEST_F(IsolatorFixture, EvidenceAccumulatesForPresentPattern) {
     if (evidence[i] > evidence[best]) best = i;
   }
   EXPECT_EQ(vocab_.entries()[best].label, "GREEN");
+}
+
+/// The activity detector as it was before its running sums: a Welford
+/// pass (one RunningStats per channel) over every frame of the window at
+/// every push, then the mean of the top_k population standard deviations.
+double WindowedPassActivity(const std::deque<std::vector<double>>& window,
+                            size_t top_k) {
+  if (window.size() < 2) return 0.0;
+  const size_t channels = window.front().size();
+  std::vector<RunningStats> stats(channels);
+  for (const std::vector<double>& frame : window) {
+    for (size_t c = 0; c < channels; ++c) stats[c].Add(frame[c]);
+  }
+  std::vector<double> stddevs(channels);
+  for (size_t c = 0; c < channels; ++c) stddevs[c] = stats[c].stddev();
+  const size_t k = std::min(std::max<size_t>(top_k, 1), channels);
+  std::partial_sort(stddevs.begin(),
+                    stddevs.begin() + static_cast<ptrdiff_t>(k),
+                    stddevs.end(), std::greater<double>());
+  double total = 0.0;
+  for (size_t i = 0; i < k; ++i) total += stddevs[i];
+  return total / static_cast<double>(k);
+}
+
+/// Frame i of a stream, drawn in order.
+using FrameAt = std::function<std::vector<double>(size_t)>;
+
+/// Pushes frames 0 .. \p n - 1 of \p frame_at into an ActivityWindow and
+/// into the windowed pass; after every push the scores agree within 1e-6
+/// and the window holds the same frames, oldest first. With \p exact_zero,
+/// the score is exactly 0 wherever the windowed pass reads 0. Returns the
+/// largest difference.
+double CompareWithWindowedPass(size_t n, const FrameAt& frame_at,
+                               size_t window, size_t top_k, bool exact_zero,
+                               const std::string& what) {
+  ActivityWindow detector(window, top_k);
+  std::deque<std::vector<double>> reference;
+  double largest = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    reference.push_back(frame_at(i));
+    if (reference.size() > window) reference.pop_front();
+    detector.Push(reference.back());
+    const double want = WindowedPassActivity(reference, top_k);
+    const double got = detector.activity();
+    largest = std::max(largest, std::abs(got - want));
+    if (std::abs(got - want) > 1e-6 ||
+        (exact_zero && want == 0.0 && got != 0.0)) {
+      ADD_FAILURE() << what << ": frame " << i << " scores " << got
+                    << ", the windowed pass " << want;
+      return largest;
+    }
+    if (i % 997 == 0 || i + 1 == n) {
+      EXPECT_EQ(detector.size(), reference.size()) << what;
+      for (size_t f = 0; f < reference.size(); ++f) {
+        EXPECT_TRUE(std::equal(reference[f].begin(), reference[f].end(),
+                               detector.frame(f)))
+            << what << ": frame " << i << ", window slot " << f;
+      }
+    }
+  }
+  return largest;
+}
+
+FrameAt FramesOf(const streams::Recording& recording) {
+  return [&recording](size_t i) { return recording.frames[i].values; };
+}
+
+/// Frames of \p channels channels, drawn in order: each channel a DC offset
+/// that grows by \p drift per frame, plus Gaussian noise, with a level step
+/// of up to +-50 noise sigmas every few hundred frames, and every fourth
+/// channel holding still for stretches of a few hundred frames.
+FrameAt SteppedFrames(size_t channels, double offset, double noise,
+                      uint64_t seed, double drift = 0.0) {
+  struct State {
+    Rng rng;
+    std::vector<double> level;
+    bool still = false;
+  };
+  auto state = std::make_shared<State>(
+      State{Rng(seed), std::vector<double>(channels, offset)});
+  return [state, channels, offset, noise, drift](size_t i) {
+    Rng& rng = state->rng;
+    if (rng.Bernoulli(1.0 / 300)) state->still = !state->still;
+    std::vector<double> frame(channels);
+    for (size_t c = 0; c < channels; ++c) {
+      double& level = state->level[c];
+      if (rng.Bernoulli(1.0 / 400)) {
+        level = offset + rng.Uniform(-50.0, 50.0) * noise;
+      }
+      frame[c] = drift * static_cast<double>(i) +
+                 (state->still && c % 4 == 0
+                      ? level
+                      : level + rng.Gaussian(0.0, noise));
+    }
+    return frame;
+  };
+}
+
+TEST(ActivityWindowReferenceTest, GloveStreamsMatchTheWindowedPass) {
+  // A 100 Hz stream with the default config and its x8 upsample (800 Hz,
+  // window 96), then the 100 Hz stream again under other windows.
+  const parity::ParityStream glove = parity::MakeParityStream(0);
+  const parity::ParityStream upsampled =
+      parity::MakeParityStream(parity::kNumStreams / 2);
+  ASSERT_EQ(upsampled.config.activity_window, 96u);
+  for (const parity::ParityStream* stream : {&glove, &upsampled}) {
+    CompareWithWindowedPass(stream->recording.num_frames(),
+                            FramesOf(stream->recording),
+                            stream->config.activity_window,
+                            stream->config.activity_top_k, false,
+                            stream->name);
+  }
+  for (size_t window : {2, 3, 12, 96}) {
+    CompareWithWindowedPass(glove.recording.num_frames(),
+                            FramesOf(glove.recording), window, 4, false,
+                            glove.name + " window " + std::to_string(window));
+  }
+}
+
+TEST(ActivityWindowReferenceTest, OffsetsNoiseAndStepsMatchTheWindowedPass) {
+  for (double offset : {0.0, 1e3, 1e6}) {
+    for (double noise : {1.0, 1e-3}) {
+      for (size_t window : {2, 3, 12, 96}) {
+        CompareWithWindowedPass(
+            6000, SteppedFrames(28, offset, noise, 7), window, 4, false,
+            "offset " + std::to_string(offset) + " noise " +
+                std::to_string(noise) + " window " + std::to_string(window));
+      }
+    }
+  }
+}
+
+TEST(ActivityWindowReferenceTest, ConstantChannelsScoreExactlyZero) {
+  // All channels constant: 0 from the first frame on, whatever the value.
+  for (double value : {0.0, -3.25, 1e6}) {
+    for (size_t window : {2, 3, 12, 96}) {
+      CompareWithWindowedPass(
+          500, [value](size_t) { return std::vector<double>(28, value); },
+          window, 4, true, "constant " + std::to_string(value));
+    }
+  }
+  // Channels that never move score 0 beside the moving ones, so a top-k
+  // that reaches them still matches.
+  for (size_t window : {2, 3, 12, 96}) {
+    FrameAt moving = SteppedFrames(6, 10.0, 1.0, 3);
+    CompareWithWindowedPass(
+        3000,
+        [moving](size_t i) {
+          std::vector<double> frame = moving(i);
+          frame[1] = 42.0;
+          frame[4] = -1e6;
+          return frame;
+        },
+        window, 6, true, "two constant channels");
+  }
+}
+
+TEST(ActivityWindowReferenceTest, AMillionFramesStayWithinTheBound) {
+  // 31,250 rebuilds of a 32-frame window while the offset drifts from 10^3
+  // to past 10^6: sums never re-anchored would cancel catastrophically.
+  EXPECT_LE(CompareWithWindowedPass(1000000,
+                                    SteppedFrames(4, 1e3, 1.0, 11, 1.0), 32,
+                                    2, false, "long stream"),
+            1e-6);
 }
 
 }  // namespace

@@ -184,38 +184,5 @@ TEST(SvdTest, RankDeficientMatrix) {
   EXPECT_NEAR(svd.ValueOrDie().values[1], 0.0, 1e-9);
 }
 
-TEST(RankOneUpdateTest, MatchesDirectRecomputation) {
-  Rng rng(6);
-  Matrix base = RandomMatrix(12, 4, &rng);
-  Matrix cov = base.ColumnCovariance();
-  auto eig = SymmetricEigen(cov);
-  ASSERT_TRUE(eig.ok());
-  std::vector<double> x = {0.5, -1.0, 2.0, 0.1};
-  const double alpha = 0.1;
-  auto updated = RankOneUpdate(eig.ValueOrDie(), x, alpha);
-  ASSERT_TRUE(updated.ok());
-  // Direct: (1-alpha) cov + alpha x x^T.
-  Matrix direct(4, 4);
-  for (size_t i = 0; i < 4; ++i) {
-    for (size_t j = 0; j < 4; ++j) {
-      direct(i, j) = (1 - alpha) * cov(i, j) + alpha * x[i] * x[j];
-    }
-  }
-  auto expected = SymmetricEigen(direct);
-  ASSERT_TRUE(expected.ok());
-  for (size_t k = 0; k < 4; ++k) {
-    EXPECT_NEAR(updated.ValueOrDie().values[k],
-                expected.ValueOrDie().values[k], 1e-9);
-  }
-}
-
-TEST(RankOneUpdateTest, RejectsBadInputs) {
-  EigenDecomposition eig;
-  eig.values = {1.0, 1.0};
-  eig.vectors = Matrix::Identity(2);
-  EXPECT_FALSE(RankOneUpdate(eig, {1.0, 2.0, 3.0}, 0.5).ok());
-  EXPECT_FALSE(RankOneUpdate(eig, {1.0, 2.0}, 1.5).ok());
-}
-
 }  // namespace
 }  // namespace aims::linalg

@@ -11,6 +11,8 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <tuple>
@@ -282,6 +284,79 @@ TEST(PersistedFormat, IngestGroupKeepsItsBytes) {
   const auto& committed = opened.ValueOrDie().committed;
   ASSERT_EQ(committed.size(), 1u);
   EXPECT_EQ(GroupLines(committed[0]), PinnedGroupLines(kPinnedEntryHex));
+  std::filesystem::remove_all(dir);
+}
+
+std::vector<uint8_t> ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<uint8_t>(std::istreambuf_iterator<char>(in), {});
+}
+
+void WriteBytes(const std::string& path, const std::vector<uint8_t>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST(PersistedFormat, LogHeaderKeepsItsBytes) {
+  // Magic "AWL2", the CRC-32 of the txn high-water mark, then the mark:
+  // 41 after a truncation above a catalog that applied txn 41.
+  const std::string dir = TestDir("log_header_pin");
+  {
+    auto opened = WriteAheadLog::Open(dir + "/wal.aims");
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    WriteAheadLog& wal = *opened.ValueOrDie().wal;
+    ASSERT_TRUE(wal.Commit(wal.BeginTxn().ValueOrDie()).ok());
+    ASSERT_TRUE(wal.Truncate(41).ok());
+  }
+  EXPECT_EQ(Hex(ReadBytes(dir + "/wal.aims")),
+            "41574c32" "14a61b83" "2900000000000000");
+  auto reopened = WriteAheadLog::Open(dir + "/wal.aims");
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(reopened.ValueOrDie().wal->BeginTxn().ValueOrDie(), 42u);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(PersistedFormat, VersionOneLogStillOpens) {
+  // The log of one ingest as version 1 wrote it: magic "AWAL", version 1,
+  // a mark with no CRC (0 here), then the records, whose framing has not
+  // changed. The group replays and the store keeps ingesting; the open
+  // rewrites the header as version 2.
+  const std::string dir = TestDir("log_v1");
+  {
+    core::AimsSystem system(DurableAt(dir));
+    ASSERT_TRUE(system.IngestRecording("pinned", PinnedRecording()).ok());
+  }
+  std::vector<uint8_t> wal = ReadBytes(dir + "/wal.aims");
+  ASSERT_GT(wal.size(), 16u);
+  const std::vector<uint8_t> v1_header =
+      Unhex("4157414c" "01000000" "0000000000000000");
+  std::copy(v1_header.begin(), v1_header.end(), wal.begin());
+  WriteBytes(dir + "/wal.aims", wal);
+  {
+    auto opened = WriteAheadLog::Open(dir + "/wal.aims");
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    const auto& committed = opened.ValueOrDie().committed;
+    ASSERT_EQ(committed.size(), 1u);
+    EXPECT_EQ(GroupLines(committed[0]), PinnedGroupLines(kPinnedEntryHex));
+  }
+  {
+    core::AimsSystem system(DurableAt(dir));
+    ASSERT_TRUE(system.init_status().ok()) << system.init_status().ToString();
+    ASSERT_TRUE(system.IngestRecording("next", MakeRecording(40, 1.0)).ok());
+  }
+  EXPECT_EQ(Hex(ReadBytes(dir + "/wal.aims")).substr(0, 8), "41574c32");
+  core::AimsSystem reopened(DurableAt(dir));
+  ASSERT_TRUE(reopened.init_status().ok());
+  const std::vector<core::SessionInfo> sessions = reopened.ListSessions();
+  ASSERT_EQ(sessions.size(), 2u);
+  EXPECT_EQ(sessions[0].name, "pinned");
+  EXPECT_EQ(sessions[1].name, "next");
+  const std::vector<double> want = MakeRecording(40, 1.0).Channel(0);
+  auto raw = reopened.ReadRawSamples(sessions[1].id, 0);
+  ASSERT_TRUE(raw.ok());
+  ASSERT_EQ(raw->size(), want.size());
+  for (size_t f = 0; f < want.size(); ++f) EXPECT_EQ((*raw)[f].value, want[f]);
   std::filesystem::remove_all(dir);
 }
 

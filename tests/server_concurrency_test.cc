@@ -7,6 +7,7 @@
 #include <cstring>
 #include <filesystem>
 #include <future>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -593,6 +594,14 @@ TEST(AimsServerTest, MalformedTemplatesRejected) {
   // Nothing was registered: recognition still needs a vocabulary.
   EXPECT_EQ(server.OpenSession({1, /*enable_recognition=*/true}).status().code(),
             StatusCode::kFailedPrecondition);
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    linalg::Matrix segment = MotionTemplate(6, 0);
+    segment.At(5, 2) = bad;
+    EXPECT_EQ(server.AddVocabularyEntry("non-finite", segment).code(),
+              StatusCode::kInvalidArgument);
+  }
   ASSERT_TRUE(server.AddVocabularyEntry("wave", MotionTemplate(6, 0)).ok());
   EXPECT_EQ(server.AddVocabularyEntry("narrow", MotionTemplate(5, 1)).code(),
             StatusCode::kInvalidArgument);
@@ -626,6 +635,15 @@ TEST(AimsServerTest, MalformedFramesRejectedAndStreamKeepsRecognizing) {
   for (size_t width : {size_t{0}, size_t{20}}) {
     std::vector<streams::Frame> batch(frames.begin(), frames.begin() + 60);
     batch[40].values.assign(width, 1.0);
+    EXPECT_EQ(server.StreamSamples({1, batch}).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  // So is a batch whose frame 40 holds one NaN or infinite value.
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    std::vector<streams::Frame> batch(frames.begin(), frames.begin() + 60);
+    batch[40].values[3] = bad;
     EXPECT_EQ(server.StreamSamples({1, batch}).status().code(),
               StatusCode::kInvalidArgument);
   }

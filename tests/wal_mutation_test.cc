@@ -43,9 +43,9 @@ constexpr int kMutationsPerMode = 300;
 constexpr size_t kSessions = 3;
 
 // The WAL's framing (storage/wal.cc): a 16-byte file header whose u64 at
-// 8 is the txn high-water mark, then records of crc u32 | type u8 |
-// pad u8[3] | txn_id u64 | payload_size u32 | payload, the CRC covering
-// everything after itself.
+// 8 is the txn high-water mark, under the CRC at 4, then records of
+// crc u32 | type u8 | pad u8[3] | txn_id u64 | payload_size u32 | payload,
+// the CRC covering everything after itself.
 constexpr size_t kFileHeaderSize = 16;
 constexpr size_t kHighWaterOffset = 8;
 constexpr size_t kRecordHeaderSize = 20;
@@ -222,8 +222,9 @@ class WalMutationTest : public ::testing::Test {
       exact += same ? 1 : 0;
     }
 
-    // Damaged txn marks can leave no id to issue: the ingest is then
-    // refused with ResourceExhausted, never given an id recovery skips.
+    // A record whose CRC-valid txn id claims the last id leaves no id to
+    // issue: the ingest is then refused with ResourceExhausted, never given
+    // an id recovery skips.
     const Result<core::SessionId> probe =
         system->IngestRecording("probe", recordings_[kSessions]);
     if (!probe.ok()) {
@@ -362,6 +363,27 @@ TEST_F(WalMutationTest, EveryMutationIsAStatusOrAServingStore) {
   EXPECT_GT(refused, 0u);
   EXPECT_GT(opened, exhausted_);
   EXPECT_GT(exact_sessions, 0u);
+}
+
+TEST_F(WalMutationTest, DamagedHeaderMarkKeepsIngesting) {
+  // Both log files' high-water marks damaged to the last ids: the marks
+  // fail their CRC and are ignored, so the next ids come from the records
+  // and the catalog, and a new ingest survives the next open.
+  constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  ASSERT_GE(files_[kWal + 1].size(), kFileHeaderSize);
+  const std::vector<uint8_t> rotated = files_[kWal + 1];
+  for (uint64_t mark : {kMax, kMax - 1}) {
+    SCOPED_TRACE("mark " + std::to_string(mark));
+    std::vector<uint8_t> wal = files_[kWal];
+    mutation::PatchU64(&wal, kHighWaterOffset, mark);
+    files_[kWal + 1] = rotated;
+    mutation::PatchU64(&files_[kWal + 1], kHighWaterOffset, mark);
+    std::unique_ptr<core::AimsSystem> system = OpenWith(wal);
+    ASSERT_TRUE(system->init_status().ok())
+        << system->init_status().ToString();
+    EXPECT_EQ(CheckServes(std::move(system), "damaged marks"), kSessions);
+    EXPECT_EQ(exhausted_, 0u);
+  }
 }
 
 TEST_F(WalMutationTest, LostLogFilesKeepNewIdsAboveTheCatalogMark) {
