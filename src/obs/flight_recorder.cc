@@ -83,8 +83,11 @@ void AppendWatchdogJson(std::string* out,
 
 }  // namespace
 
-FlightRecorder::FlightRecorder(FlightRecorderConfig config)
-    : config_(std::move(config)), epoch_(std::chrono::steady_clock::now()) {
+FlightRecorder::FlightRecorder(FlightRecorderConfig config,
+                               std::function<FlightContext()> context_provider)
+    : config_(std::move(config)),
+      epoch_(std::chrono::steady_clock::now()),
+      context_provider_(std::move(context_provider)) {
   if (config_.health_capacity < 1) config_.health_capacity = 1;
   if (config_.trace_capacity < 1) config_.trace_capacity = 1;
   if (config_.slow_query_capacity < 1) config_.slow_query_capacity = 1;
@@ -104,11 +107,6 @@ FlightRecorder::FlightRecorder(FlightRecorderConfig config)
 }
 
 FlightRecorder::~FlightRecorder() { Stop(); }
-
-void FlightRecorder::SetContextProvider(
-    std::function<FlightContext()> provider) {
-  context_provider_ = std::move(provider);
-}
 
 void FlightRecorder::RecordHealth(const HealthSnapshot& snapshot) {
   for (const SloStatus& status : snapshot.slo) {
@@ -153,16 +151,12 @@ void FlightRecorder::RecordEvent(const std::string& what) {
   while (events_.size() > config_.event_capacity) events_.pop_front();
 }
 
-std::string FlightRecorder::Render(const std::string& reason) {
+std::string FlightRecorder::RenderBundle(const std::string& reason) {
   FlightContext context;
   if (context_provider_) context = context_provider_();
   const double uptime_ms = MsSince(epoch_);
   std::lock_guard<std::mutex> lock(mutex_);
   return RenderLocked(reason, uptime_ms, context);
-}
-
-std::string FlightRecorder::RenderBundle(const std::string& reason) {
-  return Render(reason);
 }
 
 std::string FlightRecorder::RenderLocked(const std::string& reason,
@@ -244,7 +238,7 @@ Status FlightRecorder::WriteBundleFile(const std::string& json) {
 
 Result<std::string> FlightRecorder::Dump(const std::string& reason) {
   RecordEvent("dump: " + reason);
-  const std::string json = Render(reason);
+  const std::string json = RenderBundle(reason);
   dumps_.fetch_add(1, std::memory_order_relaxed);
   if (config_.bundle_path.empty()) return std::string();
   AIMS_RETURN_NOT_OK(WriteBundleFile(json));
@@ -254,7 +248,7 @@ Result<std::string> FlightRecorder::Dump(const std::string& reason) {
 void FlightRecorder::Start() {
   if (config_.bundle_path.empty()) return;
   persist_loop_.Start(config_.persist_interval_ms, [this] {
-    (void)WriteBundleFile(Render("periodic persist"));
+    (void)WriteBundleFile(RenderBundle("periodic persist"));
     persists_.fetch_add(1, std::memory_order_relaxed);
   });
 }
@@ -263,7 +257,7 @@ void FlightRecorder::Stop() {
   if (!persist_loop_.Stop()) return;
   // One final persist: the black box's last written state covers the
   // shutdown itself.
-  (void)WriteBundleFile(Render("shutdown"));
+  (void)WriteBundleFile(RenderBundle("shutdown"));
   persists_.fetch_add(1, std::memory_order_relaxed);
 }
 

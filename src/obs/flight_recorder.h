@@ -90,15 +90,15 @@ struct FlightContext {
 /// control threads and triggers.
 class FlightRecorder {
  public:
-  explicit FlightRecorder(FlightRecorderConfig config = {});
+  /// \param context_provider optional source of the point-in-time
+  /// context (WAL/cache/shard/watchdog stats) every bundle renders; it
+  /// runs on the rendering thread.
+  explicit FlightRecorder(FlightRecorderConfig config = {},
+                          std::function<FlightContext()> context_provider = {});
   ~FlightRecorder();
 
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
-
-  /// \brief Context snapshot source (WAL/cache/shard/watchdog stats). Set
-  /// before the recorder starts rendering (wiring time); may be empty.
-  void SetContextProvider(std::function<FlightContext()> provider);
 
   // ---- Feeds ------------------------------------------------------------
 
@@ -129,7 +129,7 @@ class FlightRecorder {
   /// \brief Starts the periodic persist thread (no-op unless
   /// persist_interval_ms > 0 and bundle_path is set). Idempotent.
   void Start();
-  /// \brief Stops the persist thread; with a bundle path configured,
+  /// \brief Stops the persist thread; when it stopped a running one,
   /// writes one final bundle so shutdown state is on disk. Idempotent.
   void Stop();
   bool running() const;
@@ -159,14 +159,12 @@ class FlightRecorder {
   /// Renders under mutex_.
   std::string RenderLocked(const std::string& reason, double uptime_ms,
                            const FlightContext& context);
-  std::string Render(const std::string& reason);
   Status WriteBundleFile(const std::string& json);
 
   FlightRecorderConfig config_;
   const std::chrono::steady_clock::time_point epoch_;
   std::string previous_bundle_path_;
-
-  std::function<FlightContext()> context_provider_;
+  const std::function<FlightContext()> context_provider_;
 
   mutable std::mutex mutex_;
   std::deque<HealthSnapshot> health_;

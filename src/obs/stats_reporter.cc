@@ -99,15 +99,19 @@ const char* HealthLevelName(HealthLevel level) {
   return "Unknown";
 }
 
-StatsReporter::StatsReporter(MetricsRegistry* registry,
-                             StatsReporterConfig config,
-                             std::vector<SloObjective> slos,
-                             const MetricsTimeSeries* history)
+StatsReporter::StatsReporter(
+    MetricsRegistry* registry, StatsReporterConfig config,
+    std::vector<SloObjective> slos, const MetricsTimeSeries* history,
+    Watchdog* watchdog,
+    std::function<void(const HealthSnapshot&)> snapshot_hook)
     : registry_(registry),
       config_(config),
       objectives_(history != nullptr ? std::move(slos)
                                      : std::vector<SloObjective>{}),
       history_(history),
+      watchdog_(watchdog != nullptr ? watchdog->Register("stats_reporter")
+                                    : nullptr),
+      snapshot_hook_(std::move(snapshot_hook)),
       epoch_(std::chrono::steady_clock::now()),
       prev_time_(epoch_) {
   AIMS_CHECK(registry_ != nullptr);
@@ -126,15 +130,6 @@ void StatsReporter::Start(double interval_ms) {
 void StatsReporter::Stop() { loop_.Stop(); }
 
 bool StatsReporter::running() const { return loop_.running(); }
-
-void StatsReporter::SetSnapshotHook(
-    std::function<void(const HealthSnapshot&)> hook) {
-  snapshot_hook_ = std::move(hook);
-}
-
-void StatsReporter::SetWatchdogHandle(Watchdog::Handle* handle) {
-  watchdog_ = handle;
-}
 
 HealthSnapshot StatsReporter::SnapshotNow() {
   HealthSnapshot snap;

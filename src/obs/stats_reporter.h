@@ -158,10 +158,17 @@ class StatsReporter {
   ///   \p history is null.
   /// \param history the metrics-history store (not owned, must outlive
   ///   this), or null when metrics history is off.
-  explicit StatsReporter(MetricsRegistry* registry,
-                         StatsReporterConfig config = {},
-                         std::vector<SloObjective> slos = {},
-                         const MetricsTimeSeries* history = nullptr);
+  /// \param watchdog optional supervisor (must outlive this): the reporter
+  ///   registers "stats_reporter", armed while the periodic loop runs and
+  ///   beaten before each of its snapshots.
+  /// \param snapshot_hook optional observer of every freshly computed
+  ///   snapshot (the flight recorder's health and breach feed). It runs on
+  ///   the snapshotting thread with no reporter lock held.
+  explicit StatsReporter(
+      MetricsRegistry* registry, StatsReporterConfig config = {},
+      std::vector<SloObjective> slos = {},
+      const MetricsTimeSeries* history = nullptr, Watchdog* watchdog = nullptr,
+      std::function<void(const HealthSnapshot&)> snapshot_hook = {});
   ~StatsReporter();
 
   StatsReporter(const StatsReporter&) = delete;
@@ -184,16 +191,6 @@ class StatsReporter {
   /// (so callers never see an empty sequence-0 report once they ask).
   HealthSnapshot Latest();
 
-  /// \brief Observer of every freshly computed snapshot (the flight
-  /// recorder's health and breach feed). Runs on the snapshotting thread
-  /// with no reporter lock held. Set before Start(); not synchronized
-  /// against concurrent snapshots.
-  void SetSnapshotHook(std::function<void(const HealthSnapshot&)> hook);
-
-  /// \brief Heartbeat slot the periodic loop beats each iteration (armed
-  /// while the loop runs). Set before Start(); may be null.
-  void SetWatchdogHandle(Watchdog::Handle* handle);
-
   bool running() const;
   const StatsReporterConfig& config() const { return config_; }
 
@@ -210,6 +207,8 @@ class StatsReporter {
   StatsReporterConfig config_;
   const std::vector<SloObjective> objectives_;
   const MetricsTimeSeries* history_;
+  Watchdog::Handle* const watchdog_;
+  const std::function<void(const HealthSnapshot&)> snapshot_hook_;
   /// Published only when there are objectives to judge.
   Gauge* burning_gauge_ = nullptr;
   Counter* breach_transitions_ = nullptr;
@@ -230,10 +229,6 @@ class StatsReporter {
   /// were judged as of (guarded by snapshot_mutex_).
   std::vector<SloStatus> slo_;
   int64_t judged_scrape_ms_ = 0;
-
-  /// Set-before-Start wiring (unsynchronized by contract).
-  std::function<void(const HealthSnapshot&)> snapshot_hook_;
-  Watchdog::Handle* watchdog_ = nullptr;
 
   PeriodicThread loop_;
 };

@@ -18,66 +18,64 @@
 namespace aims::obs {
 
 MetricsTimeSeries::MetricsTimeSeries(MetricsTimeSeriesConfig config)
-    : config_(config),
-      stripes_(config_.stripes < 1 ? 1 : config_.stripes) {
+    : config_(config) {
   if (config_.chunk_max_samples < 2) config_.chunk_max_samples = 2;
 }
 
 MetricsTimeSeries::MetricsTimeSeries(MetricsTimeSeries&& other) noexcept
     : config_(other.config_),
-      stripes_(std::move(other.stripes_)),
+      series_(std::move(other.series_)),
+      sealed_bytes_(other.sealed_bytes_),
+      samples_appended_(other.samples_appended_),
+      chunks_dropped_age_(other.chunks_dropped_age_),
+      chunks_dropped_size_(other.chunks_dropped_size_),
+      out_of_order_dropped_(other.out_of_order_dropped_),
+      appends_since_retention_(other.appends_since_retention_),
       last_scrape_ms_(other.last_scrape_ms()) {}
-
-MetricsTimeSeries::Stripe& MetricsTimeSeries::StripeFor(
-    const std::string& series) const {
-  return stripes_[std::hash<std::string>{}(series) % stripes_.size()];
-}
 
 void MetricsTimeSeries::Append(const std::string& series, int64_t t_ms,
                                double value) {
-  Stripe& stripe = StripeFor(series);
-  std::lock_guard<std::mutex> lock(stripe.mutex);
-  Series& s = stripe.series[series];
+  std::lock_guard<std::mutex> lock(mutex_);
+  Series& s = series_[series];
   const size_t active_count = s.active.count();
   if ((active_count > 0 || !s.sealed.empty()) && t_ms <= s.last_ms) {
     // Appends are time-ordered per series; a non-advancing timestamp (the
     // wall clock stepped) is dropped rather than corrupting the deltas.
-    ++stripe.out_of_order_dropped;
+    ++out_of_order_dropped_;
     return;
   }
   if (active_count == 0) s.active_start_ms = t_ms;
   s.active.Append(t_ms, value);
   s.last_ms = t_ms;
-  ++stripe.samples_appended;
+  ++samples_appended_;
   if (s.active.count() >= config_.chunk_max_samples) {
-    SealAndRetainLocked(stripe, s, t_ms);
-  } else if (++stripe.appends_since_retention >= kRetentionAppendPeriod) {
-    // Seals are the main retention trigger, but a stripe whose hot series
+    SealAndRetainLocked(s, t_ms);
+  } else if (++appends_since_retention_ >= kRetentionAppendPeriod) {
+    // Seals are the main retention trigger, but a store whose hot series
     // never seal (small active chunks, quiet neighbours) must still expire
     // its neighbours' old sealed chunks.
-    ApplyAgeRetentionLocked(stripe, t_ms);
+    ApplyAgeRetentionLocked(t_ms);
   }
 }
 
-void MetricsTimeSeries::SealAndRetainLocked(Stripe& stripe, Series& s,
-                                            int64_t now_ms) {
+void MetricsTimeSeries::SealAndRetainLocked(Series& s, int64_t now_ms) {
   SealedChunk chunk;
   chunk.count = s.active.count();
   chunk.start_ms = s.active_start_ms;
   chunk.end_ms = s.last_ms;
   chunk.bytes = s.active.TakeBytes();
-  stripe.sealed_bytes += chunk.bytes.size();
+  sealed_bytes_ += chunk.bytes.size();
   s.sealed.push_back(std::move(chunk));
   s.active = gorilla::GorillaEncoder();
 
-  ApplyAgeRetentionLocked(stripe, now_ms);
-  // Size retention: while over budget, drop the stripe's globally oldest
+  ApplyAgeRetentionLocked(now_ms);
+  // Size retention: while over budget, drop the store's globally oldest
   // sealed chunk. O(series) per drop — sealing is rare (once per
   // chunk_max_samples appends).
-  if (config_.max_bytes_per_stripe > 0) {
-    while (stripe.sealed_bytes > config_.max_bytes_per_stripe) {
+  if (config_.max_bytes > 0) {
+    while (sealed_bytes_ > config_.max_bytes) {
       Series* oldest = nullptr;
-      for (auto& [name, other] : stripe.series) {
+      for (auto& [name, other] : series_) {
         if (other.sealed.empty()) continue;
         if (oldest == nullptr ||
             other.sealed.front().start_ms <
@@ -86,25 +84,24 @@ void MetricsTimeSeries::SealAndRetainLocked(Stripe& stripe, Series& s,
         }
       }
       if (oldest == nullptr) break;  // budget smaller than active chunks
-      stripe.sealed_bytes -= oldest->sealed.front().bytes.size();
+      sealed_bytes_ -= oldest->sealed.front().bytes.size();
       oldest->sealed.pop_front();
-      ++stripe.chunks_dropped_size;
+      ++chunks_dropped_size_;
     }
   }
 }
 
-void MetricsTimeSeries::ApplyAgeRetentionLocked(Stripe& stripe,
-                                                int64_t now_ms) {
-  stripe.appends_since_retention = 0;
+void MetricsTimeSeries::ApplyAgeRetentionLocked(int64_t now_ms) {
+  appends_since_retention_ = 0;
   if (config_.retention_ms <= 0.0) return;
-  // Drop sealed chunks (any series in this stripe) whose newest sample
-  // fell out of the window.
+  // Drop sealed chunks (any series) whose newest sample fell out of the
+  // window.
   const int64_t cutoff = now_ms - static_cast<int64_t>(config_.retention_ms);
-  for (auto& [name, other] : stripe.series) {
+  for (auto& [name, other] : series_) {
     while (!other.sealed.empty() && other.sealed.front().end_ms < cutoff) {
-      stripe.sealed_bytes -= other.sealed.front().bytes.size();
+      sealed_bytes_ -= other.sealed.front().bytes.size();
       other.sealed.pop_front();
-      ++stripe.chunks_dropped_age;
+      ++chunks_dropped_age_;
     }
   }
 }
@@ -112,10 +109,9 @@ void MetricsTimeSeries::ApplyAgeRetentionLocked(Stripe& stripe,
 std::vector<gorilla::Sample> MetricsTimeSeries::Query(
     const std::string& series, int64_t start_ms, int64_t end_ms) const {
   std::vector<gorilla::Sample> out;
-  Stripe& stripe = StripeFor(series);
-  std::lock_guard<std::mutex> lock(stripe.mutex);
-  auto it = stripe.series.find(series);
-  if (it == stripe.series.end()) return out;
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = series_.find(series);
+  if (it == series_.end()) return out;
   const Series& s = it->second;
   auto take = [&](const std::vector<uint8_t>& bytes, size_t count) {
     // Decoding our own sealed bytes cannot fail; a failure here means the
@@ -142,24 +138,23 @@ std::vector<gorilla::Sample> MetricsTimeSeries::Query(
 
 std::vector<std::string> MetricsTimeSeries::SeriesNames() const {
   std::vector<std::string> out;
-  for (Stripe& stripe : stripes_) {
-    std::lock_guard<std::mutex> lock(stripe.mutex);
-    for (const auto& [name, s] : stripe.series) out.push_back(name);
-  }
-  std::sort(out.begin(), out.end());
+  std::lock_guard<std::mutex> lock(mutex_);
+  out.reserve(series_.size());
+  for (const auto& [name, s] : series_) out.push_back(name);
   return out;
 }
 
 TimeSeriesStats MetricsTimeSeries::Stats() const {
   TimeSeriesStats stats;
-  for (Stripe& stripe : stripes_) {
-    std::lock_guard<std::mutex> lock(stripe.mutex);
-    stats.series += stripe.series.size();
-    stats.samples_appended += stripe.samples_appended;
-    stats.chunks_dropped_age += stripe.chunks_dropped_age;
-    stats.chunks_dropped_size += stripe.chunks_dropped_size;
-    stats.out_of_order_dropped += stripe.out_of_order_dropped;
-    for (const auto& [name, s] : stripe.series) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    stats.series = series_.size();
+    stats.samples_appended = samples_appended_;
+    stats.chunks_dropped_age = chunks_dropped_age_;
+    stats.chunks_dropped_size = chunks_dropped_size_;
+    stats.out_of_order_dropped = out_of_order_dropped_;
+    stats.compressed_bytes = sealed_bytes_;
+    for (const auto& [name, s] : series_) {
       stats.samples_retained += s.active.count();
       stats.compressed_bytes += s.active.size_bytes();
       stats.sealed_chunks += s.sealed.size();
@@ -167,7 +162,6 @@ TimeSeriesStats MetricsTimeSeries::Stats() const {
         stats.samples_retained += chunk.count;
       }
     }
-    stats.compressed_bytes += stripe.sealed_bytes;
   }
   if (stats.compressed_bytes > 0) {
     stats.compression_ratio =
@@ -386,17 +380,18 @@ ProcessStats ReadProcessStats() {
 }
 
 MetricsScraper::MetricsScraper(const MetricsRegistry* registry,
-                               MetricsTimeSeries* store, Config config)
-    : registry_(registry), store_(store), config_(config) {
+                               MetricsTimeSeries* store, Config config,
+                               Watchdog* watchdog)
+    : registry_(registry),
+      store_(store),
+      config_(config),
+      watchdog_(watchdog != nullptr ? watchdog->Register("metrics_scraper")
+                                    : nullptr) {
   AIMS_CHECK(registry_ != nullptr);
   AIMS_CHECK(store_ != nullptr);
 }
 
 MetricsScraper::~MetricsScraper() { Stop(); }
-
-void MetricsScraper::SetWatchdogHandle(Watchdog::Handle* handle) {
-  watchdog_ = handle;
-}
 
 int64_t MetricsScraper::ScrapeOnce(int64_t at_ms) {
   std::lock_guard<std::mutex> lock(scrape_mutex_);

@@ -24,7 +24,7 @@
 /// climbing?" has an answer instead of a shrug.
 ///
 ///   MetricsTimeSeries — per-series sealed/active chunk rotation, age- and
-///     size-bounded retention, lock-striped concurrent append/read.
+///     size-bounded retention, thread-safe append/read under one lock.
 ///   EvaluateRangeQuery — step-aligned windows with rate()/delta() (wrap-
 ///     and reset-safe) and min/max/avg/quantile-over-time aggregations.
 ///   MetricsScraper — samples every registry counter, gauge, and histogram
@@ -41,17 +41,13 @@ struct MetricsTimeSeriesConfig {
   /// Sealed chunks whose newest sample is older than this are dropped.
   /// 0 disables age-based retention.
   double retention_ms = 15 * 60 * 1000.0;
-  /// Compressed-byte budget per stripe (the stripes are independent, so a
-  /// global budget would need a cross-stripe scan on the append path).
-  /// When a stripe exceeds it, its oldest sealed chunk is dropped.
-  /// 0 disables size-based retention.
-  size_t max_bytes_per_stripe = 1 << 20;
-  /// Lock stripes; series hash to a stripe, appends and reads of series in
-  /// different stripes never contend.
-  size_t stripes = 8;
+  /// Budget of the store's sealed compressed bytes. While the sealed
+  /// chunks exceed it, the oldest one is dropped. 0 disables size-based
+  /// retention.
+  size_t max_bytes = 8 << 20;
 };
 
-/// \brief Store-wide accounting (summed over stripes).
+/// \brief Store-wide accounting.
 struct TimeSeriesStats {
   uint64_t series = 0;
   uint64_t samples_appended = 0;
@@ -66,12 +62,13 @@ struct TimeSeriesStats {
   double compression_ratio = 0.0;
 };
 
-/// \brief Lock-striped Gorilla-compressed store of named series.
+/// \brief Gorilla-compressed store of named series.
 ///
-/// Thread-safe: Append/Query/SeriesNames/Stats from any thread. Appends
-/// must be time-ordered per series; a sample at or before the series'
-/// newest timestamp is dropped and counted (the scraper's clock only
-/// moves forward, so this only fires on wall-clock steps).
+/// Thread-safe: Append/Query/SeriesNames/Stats from any thread, under one
+/// mutex (the scraper is the one appender, and it appends a scrape at a
+/// time). Appends must be time-ordered per series; a sample at or before
+/// the series' newest timestamp is dropped and counted (the scraper's
+/// clock only moves forward, so this only fires on wall-clock steps).
 class MetricsTimeSeries {
  public:
   explicit MetricsTimeSeries(MetricsTimeSeriesConfig config = {});
@@ -117,34 +114,29 @@ class MetricsTimeSeries {
     int64_t last_ms = 0;
     std::deque<SealedChunk> sealed;
   };
-  struct Stripe {
-    mutable std::mutex mutex;
-    std::map<std::string, Series> series;
-    size_t sealed_bytes = 0;
-    uint64_t samples_appended = 0;
-    uint64_t chunks_dropped_age = 0;
-    uint64_t chunks_dropped_size = 0;
-    uint64_t out_of_order_dropped = 0;
-    /// Appends since the last age-retention sweep; age retention also runs
-    /// every kRetentionAppendPeriod appends, not only at seal time, so a
-    /// quiet series' sealed chunks still expire while its stripe stays hot.
-    uint32_t appends_since_retention = 0;
-  };
-
   /// Non-seal appends between opportunistic age-retention sweeps. The
-  /// sweep is O(series in stripe), so amortize it.
+  /// sweep is O(series), so amortize it.
   static constexpr uint32_t kRetentionAppendPeriod = 64;
 
-  Stripe& StripeFor(const std::string& series) const;
-  /// Caller holds the stripe mutex. Seals s.active into s.sealed and
-  /// applies both retention policies across the stripe.
-  void SealAndRetainLocked(Stripe& stripe, Series& s, int64_t now_ms);
-  /// Caller holds the stripe mutex. Drops every series' sealed chunks
-  /// whose newest sample fell out of the age window ending at now_ms.
-  void ApplyAgeRetentionLocked(Stripe& stripe, int64_t now_ms);
+  /// Caller holds mutex_. Seals s.active into s.sealed and applies both
+  /// retention policies across the store.
+  void SealAndRetainLocked(Series& s, int64_t now_ms);
+  /// Caller holds mutex_. Drops every series' sealed chunks whose newest
+  /// sample fell out of the age window ending at now_ms.
+  void ApplyAgeRetentionLocked(int64_t now_ms);
 
   MetricsTimeSeriesConfig config_;
-  mutable std::vector<Stripe> stripes_;
+  mutable std::mutex mutex_;
+  std::map<std::string, Series> series_;
+  size_t sealed_bytes_ = 0;
+  uint64_t samples_appended_ = 0;
+  uint64_t chunks_dropped_age_ = 0;
+  uint64_t chunks_dropped_size_ = 0;
+  uint64_t out_of_order_dropped_ = 0;
+  /// Appends since the last age-retention sweep; age retention also runs
+  /// every kRetentionAppendPeriod appends, not only at seal time, so a
+  /// quiet series' sealed chunks still expire while others stay hot.
+  uint32_t appends_since_retention_ = 0;
   std::atomic<int64_t> last_scrape_ms_{0};
 };
 
@@ -231,23 +223,21 @@ struct MetricsScraperConfig {
 /// as four derived series (<name>.p50/.p95/.p99 and <name>.count); process
 /// stats land as process.rss_bytes / process.open_fds /
 /// process.cpu_seconds_total. Each scrape ends by marking the store
-/// (MarkScraped). Start() spawns the scrape thread (with a watchdog
-/// heartbeat when a handle is set); ScrapeOnce() works without it, which
-/// is how tests drive deterministic timelines.
+/// (MarkScraped). Start() spawns the scrape thread; ScrapeOnce() works
+/// without it, which is how tests drive deterministic timelines.
 class MetricsScraper {
  public:
   using Config = MetricsScraperConfig;
 
+  /// \param watchdog optional supervisor (must outlive this): the scraper
+  /// registers "metrics_scraper", armed while the scrape loop runs and
+  /// beaten before each of its scrapes.
   MetricsScraper(const MetricsRegistry* registry, MetricsTimeSeries* store,
-                 Config config = {});
+                 Config config = {}, Watchdog* watchdog = nullptr);
   ~MetricsScraper();
 
   MetricsScraper(const MetricsScraper&) = delete;
   MetricsScraper& operator=(const MetricsScraper&) = delete;
-
-  /// \brief Heartbeat slot the scrape loop beats each iteration. Set
-  /// before Start(); may be null.
-  void SetWatchdogHandle(Watchdog::Handle* handle);
 
   /// \brief Samples the whole registry now; returns the timestamp used.
   /// \p at_ms overrides the wall clock (deterministic tests).
@@ -266,8 +256,7 @@ class MetricsScraper {
   const MetricsRegistry* registry_;
   MetricsTimeSeries* store_;
   Config config_;
-
-  Watchdog::Handle* watchdog_ = nullptr;
+  Watchdog::Handle* const watchdog_;
   std::atomic<uint64_t> scrapes_{0};
 
   /// A histogram's four series names, built by the first scrape that sees

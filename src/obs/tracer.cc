@@ -1,6 +1,7 @@
 #include "obs/tracer.h"
 
 #include <cstdio>
+#include <utility>
 
 #include "obs/json_util.h"
 
@@ -26,19 +27,15 @@ std::string Trace::ToJson() const {
   return out;
 }
 
-Tracer::Tracer(size_t capacity, MetricsRegistry* metrics)
-    : capacity_(capacity) {
+Tracer::Tracer(size_t capacity, MetricsRegistry* metrics,
+               std::function<void(Trace&&)> eviction_sink)
+    : capacity_(capacity), eviction_sink_(std::move(eviction_sink)) {
   if (metrics == nullptr) return;
   for (size_t i = 0; i < kNumStages; ++i) {
     stage_ms_[i] = metrics->GetHistogram(
         "span." + std::string(kStageNames[i]) + "_ms",
         MetricsRegistry::DefaultProfileBoundsMs());
   }
-}
-
-void Tracer::SetEvictionSink(std::function<void(Trace&&)> sink) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  eviction_sink_ = std::move(sink);
 }
 
 void Tracer::Record(Trace trace) {

@@ -194,21 +194,20 @@ class Tracer {
   /// histogram per stage, "span.<stage>_ms" with profile bounds, and every
   /// recorded span becomes an observation of its stage's histogram (a
   /// marker observes 0).
-  explicit Tracer(size_t capacity = 512, MetricsRegistry* metrics = nullptr);
+  /// \param eviction_sink optional taker of every trace the ring evicts,
+  /// by move (the flight recorder's last-chance capture). It runs under
+  /// the tracer's mutex on the recording thread: keep it cheap and NEVER
+  /// call back into the tracer from it. Eviction accounting (dropped()) is
+  /// the same with or without it.
+  explicit Tracer(size_t capacity = 512, MetricsRegistry* metrics = nullptr,
+                  std::function<void(Trace&&)> eviction_sink = {});
 
   /// \brief Adds every span of a finished trace (closing any still-open
   /// spans) to its stage's histogram, then stores the trace at its exact
   /// size (a trace moved in keeps no growth capacity). When the ring
   /// is full the oldest retained trace is evicted and counted in
-  /// dropped(); an eviction sink, when set, takes it on its way out.
+  /// dropped(); the eviction sink, if any, takes it on its way out.
   void Record(Trace trace);
-
-  /// \brief Taker of every trace the ring evicts, by move (the flight
-  /// recorder's last-chance capture). Runs under the tracer's mutex on the
-  /// recording thread: keep it cheap and NEVER call back into the tracer
-  /// from it. Eviction accounting (dropped()) is unchanged by the sink.
-  /// Set during wiring, before concurrent recording starts.
-  void SetEvictionSink(std::function<void(Trace&&)> sink);
 
   /// \brief Server-wide request-id source, shared by every traced
   /// subsystem so exported timelines never collide on id.
@@ -233,6 +232,7 @@ class Tracer {
 
  private:
   const size_t capacity_;
+  const std::function<void(Trace&&)> eviction_sink_;
   /// Per-stage latency histograms, indexed by Stage; null without a
   /// registry.
   std::array<Histogram*, kNumStages> stage_ms_{};
@@ -241,8 +241,6 @@ class Tracer {
   std::deque<Trace> traces_;
   uint64_t total_recorded_ = 0;
   uint64_t dropped_ = 0;
-  /// Guarded by mutex_; invoked under it (see SetEvictionSink).
-  std::function<void(Trace&&)> eviction_sink_;
 };
 
 }  // namespace aims::obs

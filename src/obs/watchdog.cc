@@ -6,9 +6,11 @@
 
 namespace aims::obs {
 
-Watchdog::Watchdog(WatchdogConfig config, Counter* stall_counter)
+Watchdog::Watchdog(WatchdogConfig config, Counter* stall_counter,
+                   std::function<void(const ThreadStatus&)> stall_callback)
     : config_(config),
       stall_counter_(stall_counter),
+      stall_callback_(std::move(stall_callback)),
       checker_(std::make_unique<PeriodicThread>()) {
   if (config_.deadline_ms <= 0.0) config_.deadline_ms = 5000.0;
 }
@@ -20,12 +22,6 @@ Watchdog::Handle* Watchdog::Register(std::string name, double deadline_ms) {
   handles_.push_back(std::unique_ptr<Handle>(new Handle(
       std::move(name), deadline_ms > 0.0 ? deadline_ms : config_.deadline_ms)));
   return handles_.back().get();
-}
-
-void Watchdog::SetStallCallback(
-    std::function<void(const ThreadStatus&)> callback) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  stall_callback_ = std::move(callback);
 }
 
 void Watchdog::Start(double interval_ms) {
@@ -40,10 +36,8 @@ size_t Watchdog::CheckNow() {
   // Judge under the lock, fire callbacks outside it: a callback that dumps
   // a flight-record bundle (file I/O) must not hold up Register/Status.
   std::vector<ThreadStatus> fresh_stalls;
-  std::function<void(const ThreadStatus&)> callback;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    callback = stall_callback_;
     for (const std::unique_ptr<Handle>& handle : handles_) {
       const bool armed = handle->armed();
       const double since = handle->MsSinceBeat();
@@ -61,8 +55,8 @@ size_t Watchdog::CheckNow() {
       }
     }
   }
-  if (callback) {
-    for (const ThreadStatus& status : fresh_stalls) callback(status);
+  if (stall_callback_) {
+    for (const ThreadStatus& status : fresh_stalls) stall_callback_(status);
   }
   return fresh_stalls.size();
 }

@@ -132,8 +132,12 @@ class Watchdog {
 
   /// \param stall_counter optional counter (e.g. the registry's
   /// "watchdog.stalls_total") ticked once per stall episode.
-  explicit Watchdog(WatchdogConfig config = {},
-                    Counter* stall_counter = nullptr);
+  /// \param stall_callback optional action per new stall episode (fire the
+  /// flight recorder); it runs on the checking thread with no Watchdog
+  /// lock held.
+  explicit Watchdog(
+      WatchdogConfig config = {}, Counter* stall_counter = nullptr,
+      std::function<void(const ThreadStatus&)> stall_callback = {});
   ~Watchdog();
 
   Watchdog(const Watchdog&) = delete;
@@ -143,10 +147,6 @@ class Watchdog {
   /// Watchdog and stays valid for its lifetime. \p deadline_ms 0 takes the
   /// config default. Handles start DISARMED.
   Handle* Register(std::string name, double deadline_ms = 0.0);
-
-  /// \brief What to do on a stall (fire the flight recorder). Runs on the
-  /// checker thread with no Watchdog lock held; set before Start().
-  void SetStallCallback(std::function<void(const ThreadStatus&)> callback);
 
   /// \brief Spawns the checker, walking the handles every \p interval_ms
   /// (idempotent; no-op when the interval is not positive).
@@ -170,12 +170,12 @@ class Watchdog {
  private:
   WatchdogConfig config_;
   Counter* stall_counter_;
+  const std::function<void(const ThreadStatus&)> stall_callback_;
 
   /// Guards handles_ (the deque — handle internals are atomic) and each
   /// handle's in_stall_ latch.
   mutable std::mutex mutex_;
   std::deque<std::unique_ptr<Handle>> handles_;
-  std::function<void(const ThreadStatus&)> stall_callback_;
 
   std::atomic<uint64_t> stalls_{0};
 

@@ -2,13 +2,22 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/macros.h"
 
 namespace aims::recognition {
 
 ActivityWindow::ActivityWindow(size_t window, size_t top_k)
-    : window_(window), top_k_(std::max<size_t>(top_k, 1)) {
+    : window_(window),
+      top_k_(std::max<size_t>(top_k, 1)),
+      // Each of the ~window additions and removals a sum takes between
+      // rebuilds rounds by up to epsilon of the sum, whose terms are at
+      // most largest_sq_: the variance carries up to about window *
+      // epsilon * largest_sq_ of rounding, which must stay under 2^-26 of
+      // it.
+      stale_share_(static_cast<double>(window) *
+                   std::numeric_limits<double>::epsilon() * 0x1p26) {
   AIMS_CHECK(window_ >= 1);
 }
 
@@ -19,6 +28,7 @@ void ActivityWindow::Push(const std::vector<double>& values) {
     anchor_ = values;
     sum_.assign(channels_, 0.0);
     sum_sq_.assign(channels_, 0.0);
+    largest_sq_.assign(channels_, 0.0);
     stddev_.assign(channels_, 0.0);
   }
   AIMS_CHECK(values.size() == channels_);
@@ -41,6 +51,7 @@ void ActivityWindow::AddToSums(const double* values, double sign) {
     const double d = sign * (values[c] - anchor_[c]);
     sum_[c] += d;
     sum_sq_[c] += sign * d * d;
+    if (sign > 0.0) largest_sq_[c] = std::max(largest_sq_[c], d * d);
   }
 }
 
@@ -50,18 +61,33 @@ void ActivityWindow::Rebuild() {
   anchor_.assign(oldest, oldest + channels_);
   std::fill(sum_.begin(), sum_.end(), 0.0);
   std::fill(sum_sq_.begin(), sum_sq_.end(), 0.0);
+  std::fill(largest_sq_.begin(), largest_sq_.end(), 0.0);
   for (size_t i = 0; i < size_; ++i) AddToSums(frame(i), 1.0);
+}
+
+bool ActivityWindow::StdDevs() {
+  const double n = static_cast<double>(size_);
+  bool clear = true;
+  for (size_t c = 0; c < channels_; ++c) {
+    const double mean = sum_[c] / n;
+    // Population variance; rounding can leave a constant channel's a hair
+    // below zero. A channel that never moved since the rebuild took in
+    // only zero terms, so its sums are exact and it is always clear.
+    const double variance = sum_sq_[c] / n - mean * mean;
+    if (variance < stale_share_ * largest_sq_[c]) clear = false;
+    stddev_[c] = variance > 0.0 ? std::sqrt(variance) : 0.0;
+  }
+  return clear;
 }
 
 double ActivityWindow::Score() {
   if (size_ < 2) return 0.0;
-  const double n = static_cast<double>(size_);
-  for (size_t c = 0; c < channels_; ++c) {
-    const double mean = sum_[c] / n;
-    // Population variance; rounding can leave a constant channel's a hair
-    // below zero.
-    const double variance = sum_sq_[c] / n - mean * mean;
-    stddev_[c] = variance > 0.0 ? std::sqrt(variance) : 0.0;
+  if (!StdDevs()) {
+    // Fresh sums are anchored inside the window, so their rounding is
+    // small against any variance the window holds.
+    ++early_rebuilds_;
+    Rebuild();
+    (void)StdDevs();
   }
   const size_t k = std::min(top_k_, channels_);
   std::partial_sort(stddev_.begin(), stddev_.begin() + static_cast<ptrdiff_t>(k),

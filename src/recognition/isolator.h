@@ -80,7 +80,11 @@ struct StreamRecognizerConfig {
 /// one it evicts, so a push costs O(channels), not a pass over the window.
 /// Once every `window` pushes the sums are rebuilt from the ring, anchored
 /// at its oldest frame: the anchor keeps the differences small whatever
-/// offset a channel carries, and no rounding outlives one window.
+/// offset a channel carries. The sums carry the rounding of the largest
+/// term they took in since the rebuild, so after a level step of many
+/// times a channel's noise leaves the window, that rounding can outweigh
+/// the channel's variance; a score that finds it no longer small against
+/// some channel's variance rebuilds the sums early and rescores.
 class ActivityWindow {
  public:
   ActivityWindow(size_t window, size_t top_k);
@@ -99,12 +103,18 @@ class ActivityWindow {
   const double* frame(size_t i) const {
     return &ring_[(oldest_ + i) % window_ * channels_];
   }
+  /// Rebuilds made ahead of the scheduled one because the rounding the
+  /// sums carried was no longer small against a channel's variance.
+  size_t early_rebuilds() const { return early_rebuilds_; }
 
  private:
   /// Adds (\p sign 1) or takes away (-1) one frame's terms of the sums.
   void AddToSums(const double* values, double sign);
   /// Re-anchors the sums at the oldest frame and recomputes them.
   void Rebuild();
+  /// Fills stddev_ from the sums. False when some channel's variance is
+  /// not clear of the rounding its sums carry.
+  bool StdDevs();
   double Score();
 
   size_t window_;
@@ -114,9 +124,15 @@ class ActivityWindow {
   size_t oldest_ = 0;         ///< Ring slot of the oldest frame.
   size_t size_ = 0;
   size_t pushes_since_rebuild_ = 0;
+  size_t early_rebuilds_ = 0;
+  /// A variance below this share of a channel's largest_sq_ is not clear
+  /// of the rounding its sums carry (see StdDevs).
+  double stale_share_;
   std::vector<double> anchor_;
   std::vector<double> sum_;     ///< Of (x - anchor) over the window.
   std::vector<double> sum_sq_;  ///< Of (x - anchor)^2 over the window.
+  /// The largest (x - anchor)^2 the sums took in since the rebuild.
+  std::vector<double> largest_sq_;
   std::vector<double> stddev_;  ///< Scratch for the top-k selection.
   double activity_ = 0.0;
 };

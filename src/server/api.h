@@ -180,8 +180,7 @@ struct GetShardStatsResponse {
 ///   * explicit move — both \c client and \c target_shard set: migrate
 ///     exactly that tenant there;
 ///   * planner-driven — neither set: derive hot-tenant moves from the cost
-///     ledger's per-tenant load (FailedPrecondition when the ledger is
-///     disabled).
+///     ledger's per-tenant load.
 /// The returned plan describes what will run; with \c dry_run the plan is
 /// returned without executing. Execution is asynchronous — poll
 /// RebalanceStatus. AlreadyExists when a rebalance is still running.

@@ -126,14 +126,6 @@ std::optional<AggregateResult> ContinuousAggregateRegistry::Lookup(
   return std::nullopt;
 }
 
-void ContinuousAggregateRegistry::ForgetSession(GlobalSessionId session) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& [handle, reg] : registrations_) {
-    (void)handle;
-    reg.values.erase(session);
-  }
-}
-
 size_t ContinuousAggregateRegistry::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return registrations_.size();

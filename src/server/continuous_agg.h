@@ -80,9 +80,9 @@ class ContinuousAggregateRegistry {
   /// NotFound for an unknown handle.
   Status Unregister(uint64_t handle);
 
-  /// \brief Ingest-commit hook (wire via
-  /// ShardedCatalog::SetIngestCommitHook): folds the core's maintained
-  /// updates into the registry. Updates for registrations whose client is
+  /// \brief The catalog's ingest-commit hook (ShardedCatalog::
+  /// IngestCommitHook): folds the core's maintained updates into the
+  /// registry. Updates for registrations whose client is
   /// not the ingesting client are ignored — the core evaluates every
   /// standing query against every ingest, the scoping lives here.
   void OnIngestCommit(GlobalSessionId session, ClientId client,
@@ -95,10 +95,6 @@ class ContinuousAggregateRegistry {
                                         GlobalSessionId session,
                                         size_t channel, size_t first_frame,
                                         size_t last_frame) const;
-
-  /// \brief Forgets one session's maintained results (a dropped or
-  /// migrated-away session must not serve stale hits).
-  void ForgetSession(GlobalSessionId session);
 
   size_t size() const;
 

@@ -3,32 +3,78 @@
 #include <algorithm>
 #include <numeric>
 #include <unordered_map>
+#include <utility>
 
 #include "common/macros.h"
 
 namespace aims::server {
 
-DataMigrator::DataMigrator(ShardedCatalog* catalog) : catalog_(catalog) {
+DataMigrator::DataMigrator(ShardedCatalog* catalog, obs::Watchdog* watchdog)
+    : catalog_(catalog),
+      watchdog_(watchdog != nullptr ? watchdog->Register("migrator")
+                                    : nullptr) {
   AIMS_CHECK(catalog_ != nullptr);
 }
 
 MigrationStatus DataMigrator::status() const {
-  std::lock_guard<std::mutex> lock(status_mutex_);
-  return status_;
+  std::lock_guard<std::mutex> lock(mutex_);
+  return run_.migration;
+}
+
+MigrationRun DataMigrator::run() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return run_;
 }
 
 void DataMigrator::SetStatus(const MigrationStatus& status) {
-  std::lock_guard<std::mutex> lock(status_mutex_);
-  status_ = status;
+  std::lock_guard<std::mutex> lock(mutex_);
+  run_.migration = status;
+}
+
+Status DataMigrator::Claim(std::vector<RebalanceMove> moves) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (run_.running) {
+    return Status::AlreadyExists("DataMigrator: a migration is already running");
+  }
+  run_ = MigrationRun{};
+  run_.running = true;
+  run_.moves = std::move(moves);
+  return Status::OK();
+}
+
+void DataMigrator::Abandon(std::string error) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  run_.error = std::move(error);
+  run_.running = false;
+}
+
+Status DataMigrator::RunClaimed() {
+  // The moves of a running run never change, so a copy is the plan.
+  const std::vector<RebalanceMove> moves = run().moves;
+  Status status = Status::OK();
+  for (const RebalanceMove& move : moves) {
+    status = MoveTenant(move.client, move.to_shard);
+    if (!status.ok()) break;
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++run_.completed;
+  }
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (!status.ok()) run_.error = status.message();
+  run_.running = false;
+  return status;
 }
 
 Status DataMigrator::MigrateTenant(ClientId client, size_t target_shard) {
-  std::unique_lock<std::mutex> run(run_mutex_, std::try_to_lock);
-  if (!run.owns_lock()) {
-    return Status::FailedPrecondition(
-        "DataMigrator: a migration is already in progress");
-  }
-  // Armed for the whole run: a migration is episodic supervised work — a
+  RebalanceMove move;
+  move.client = client;
+  move.from_shard = catalog_->router().ShardForClient(client);
+  move.to_shard = target_shard;
+  AIMS_RETURN_NOT_OK(Claim({move}));
+  return RunClaimed();
+}
+
+Status DataMigrator::MoveTenant(ClientId client, size_t target_shard) {
+  // Armed for the whole move: a migration is episodic supervised work — a
   // copy wedged on one session must trip the watchdog, an idle migrator
   // must not.
   obs::Watchdog::Scope supervised(watchdog_);

@@ -30,7 +30,16 @@
 
 namespace aims::server {
 
-/// \brief Progress of the migrator's current (or most recent) run.
+/// \brief One proposed tenant move.
+struct RebalanceMove {
+  ClientId client = 0;
+  size_t from_shard = 0;
+  size_t to_shard = 0;
+  /// The tenant's modeled load (see RebalancePlannerConfig weights).
+  double load = 0.0;
+};
+
+/// \brief Progress of the migrator's current (or most recent) tenant move.
 struct MigrationStatus {
   enum class State : uint8_t { kIdle, kRunning, kDone, kFailed };
   State state = State::kIdle;
@@ -42,43 +51,58 @@ struct MigrationStatus {
   std::string error;
 };
 
-/// \brief Live tenant migration driver. One migration runs at a time
-/// (FailedPrecondition otherwise); status is observable concurrently.
+/// \brief The migrator's current (or most recent) run: a plan's moves,
+/// executed in order, one tenant at a time.
+struct MigrationRun {
+  bool running = false;
+  std::vector<RebalanceMove> moves;
+  /// Moves that finished without error.
+  size_t completed = 0;
+  /// First failure; the run stops at it.
+  std::string error;
+  /// The move in flight (or the last one).
+  MigrationStatus migration;
+};
+
+/// \brief Moves tenants between live shards. One run at a time (AlreadyExists
+/// otherwise); its progress is observable concurrently.
 class DataMigrator {
  public:
-  explicit DataMigrator(ShardedCatalog* catalog);
+  /// \param watchdog optional supervisor (must outlive the migrator): the
+  /// migrator registers "migrator", armed for the span of each tenant move
+  /// and beaten after every migrated session, so a move wedged on one
+  /// session's copy (shard lock, WAL) is a stall.
+  explicit DataMigrator(ShardedCatalog* catalog,
+                        obs::Watchdog* watchdog = nullptr);
+
+  /// \brief Claims the migrator for a run of \p moves, which RunClaimed
+  /// then executes (on an executor, for an asynchronous rebalance).
+  /// AlreadyExists while another run is in flight.
+  Status Claim(std::vector<RebalanceMove> moves);
+  /// \brief Executes the claimed run's moves in order and ends the run.
+  /// Returns the first failure, at which the run stops.
+  Status RunClaimed();
+  /// \brief Ends a claimed run that will not execute, with \p error.
+  void Abandon(std::string error);
 
   /// \brief Moves every session of \p client to \p target_shard while the
-  /// tenant stays fully serveable. Blocking; run it on an executor for
-  /// async rebalancing. No-op success when the tenant is already there.
+  /// tenant stays fully serveable: a one-move run on the calling thread.
+  /// No-op success when the tenant is already there.
   Status MigrateTenant(ClientId client, size_t target_shard);
 
+  /// The move in flight (or the last one).
   MigrationStatus status() const;
-
-  /// \brief Heartbeat slot armed for the span of each MigrateTenant run
-  /// and beaten after every migrated session, so a migration wedged on one
-  /// session's copy (shard lock, WAL) is a watchdog stall. The handle must
-  /// outlive the migrator; null (default) disables.
-  void SetWatchdog(obs::Watchdog::Handle* handle) { watchdog_ = handle; }
+  MigrationRun run() const;
 
  private:
+  /// One move of the claimed run; publishes its progress as it goes.
+  Status MoveTenant(ClientId client, size_t target_shard);
   void SetStatus(const MigrationStatus& status);
 
   ShardedCatalog* catalog_;
-  std::mutex run_mutex_;  ///< Held for a whole MigrateTenant run.
-  mutable std::mutex status_mutex_;
-  MigrationStatus status_;
-  /// Set at wiring time, before migrations run.
-  obs::Watchdog::Handle* watchdog_ = nullptr;
-};
-
-/// \brief One proposed tenant move.
-struct RebalanceMove {
-  ClientId client = 0;
-  size_t from_shard = 0;
-  size_t to_shard = 0;
-  /// The tenant's modeled load (see RebalancePlannerConfig weights).
-  double load = 0.0;
+  obs::Watchdog::Handle* const watchdog_;
+  mutable std::mutex mutex_;
+  MigrationRun run_;
 };
 
 /// \brief A plan plus the load model it was derived from.

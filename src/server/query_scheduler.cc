@@ -111,9 +111,11 @@ QueryScheduler::QueryScheduler(const ShardedCatalog* catalog, ThreadPool* pool,
                                obs::CostLedger* ledger,
                                obs::AsyncLogger* slow_log,
                                double slow_query_threshold_ms,
-                               obs::FlightRecorder* recorder)
+                               obs::FlightRecorder* recorder,
+                               const ContinuousAggregateRegistry* aggregates)
     : catalog_(catalog),
       pool_(pool),
+      aggregates_(aggregates),
       config_(config),
       tracer_(tracer),
       ledger_(ledger),

@@ -281,13 +281,19 @@ class QueryScheduler {
   /// records also land in its bounded ring, so the post-mortem bundle
   /// carries the most recent offenders even when the async log's sink is
   /// long gone.
+  /// \param aggregates optional continuous-aggregate registry (may be
+  /// null), consulted at the top of every execution: a query whose
+  /// (tenant, session, channel, range) exactly matches a maintained
+  /// aggregate completes from the registered result with ZERO block I/O —
+  /// EXPLAIN shows an aggregate_hit plan and ANALYZE reconciles trivially.
   QueryScheduler(const ShardedCatalog* catalog, ThreadPool* pool,
                  SchedulerConfig config = {}, obs::Tracer* tracer = nullptr,
                  obs::MetricsRegistry* metrics = nullptr,
                  obs::CostLedger* ledger = nullptr,
                  obs::AsyncLogger* slow_log = nullptr,
                  double slow_query_threshold_ms = 0.0,
-                 obs::FlightRecorder* recorder = nullptr);
+                 obs::FlightRecorder* recorder = nullptr,
+                 const ContinuousAggregateRegistry* aggregates = nullptr);
 
   /// Waits for every admitted query to finish and every posted pool task
   /// to return (the pool must still be running or already drained).
@@ -295,16 +301,6 @@ class QueryScheduler {
 
   QueryScheduler(const QueryScheduler&) = delete;
   QueryScheduler& operator=(const QueryScheduler&) = delete;
-
-  /// \brief Wires the continuous-aggregate registry (may be null to
-  /// disable). Consulted at the top of every execution: a query whose
-  /// (tenant, session, channel, range) exactly matches a maintained
-  /// aggregate completes from the registered result with ZERO block I/O —
-  /// EXPLAIN shows an aggregate_hit plan and ANALYZE reconciles trivially.
-  /// Set before traffic.
-  void SetAggregateRegistry(ContinuousAggregateRegistry* registry) {
-    aggregates_ = registry;
-  }
 
   /// \brief Admits a query. Returns the ticket, ResourceExhausted when the
   /// lane is full, FailedPrecondition when the executor is shutting down.
@@ -351,7 +347,7 @@ class QueryScheduler {
 
   const ShardedCatalog* catalog_;
   ThreadPool* pool_;
-  ContinuousAggregateRegistry* aggregates_ = nullptr;
+  const ContinuousAggregateRegistry* aggregates_;
   SchedulerConfig config_;
   obs::Tracer* tracer_;
   obs::CostLedger* ledger_;

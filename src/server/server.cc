@@ -34,199 +34,119 @@ std::string TenantUsageJson(ClientId client, const obs::TenantUsage& usage) {
   return out;
 }
 
-/// Maps a typed-API failure onto the admin plane: the status message as a
-/// JSON error body, NotFound as 404 and everything else as 503 (the admin
-/// plane has no write paths, so failures are "not here" or "not now").
-obs::AdminResponse AdminError(const Status& status) {
-  obs::AdminResponse response;
-  response.status = status.code() == StatusCode::kNotFound ? 404 : 503;
-  response.body =
-      "{\"error\":\"" + obs::JsonEscape(status.message()) + "\"}\n";
-  return response;
+/// The recorder's config. An unset bundle path defaults next to the
+/// durable store (the natural "where the post-mortem lives" place); on the
+/// in-memory backend it stays empty and the recorder renders bundles
+/// without persisting them.
+obs::FlightRecorderConfig RecorderConfig(const ServerConfig& config) {
+  obs::FlightRecorderConfig recorder = config.obs.flight_recorder;
+  if (recorder.bundle_path.empty() && !config.system.durability.path.empty()) {
+    recorder.bundle_path = config.system.durability.path + "/flightrecord.json";
+  }
+  return recorder;
 }
 
 }  // namespace
 
 AimsServer::AimsServer(ServerConfig config)
-    : config_(config),
-      // Registry and tracer are always constructed (the accessors promise a
-      // valid reference); the enable flags only decide whether the services
-      // get a pointer, so disabling observability leaves the services'
-      // null-checks as the entire instrumentation cost. The tracer feeds
-      // the stage histograms with metrics on and retains traces only with
-      // tracing on.
+    : config_(std::move(config)),
+      // The registry and tracer are always constructed (the accessors
+      // promise a valid reference); the enable flags only decide whether
+      // the services get a pointer, so disabling observability leaves the
+      // services' null-checks as the entire instrumentation cost.
       metrics_(std::make_unique<obs::MetricsRegistry>()),
+      recorder_(std::make_unique<obs::FlightRecorder>(
+          RecorderConfig(config_), [this] { return CollectFlightContext(); })),
+      // With tracing off the ring retains nothing, so nothing is evicted.
       tracer_(std::make_unique<obs::Tracer>(
-          config.obs.enable_tracing ? config.obs.trace_capacity : 0,
-          config.obs.enable_metrics ? metrics_.get() : nullptr)),
+          config_.obs.enable_tracing ? config_.obs.trace_capacity : 0,
+          service_metrics(),
+          [recorder = recorder_.get()](obs::Trace&& trace) {
+            recorder->RecordEvictedTrace(std::move(trace));
+          })),
       cost_ledger_(std::make_unique<obs::CostLedger>()),
       // Slow-query logging needs both a threshold and a destination; with
       // either missing, the scheduler still counts slow queries but the
       // logger is never built.
-      slow_log_stream_([&]() -> std::unique_ptr<std::ofstream> {
-        if (config.obs.slow_query_threshold_ms <= 0.0 ||
-            config.obs.slow_query_log_path.empty()) {
-          return nullptr;
-        }
-        return std::make_unique<std::ofstream>(
-            config.obs.slow_query_log_path, std::ios::out | std::ios::trunc);
-      }()),
+      slow_log_stream_(config_.obs.slow_query_threshold_ms > 0.0 &&
+                               !config_.obs.slow_query_log_path.empty()
+                           ? std::make_unique<std::ofstream>(
+                                 config_.obs.slow_query_log_path,
+                                 std::ios::out | std::ios::trunc)
+                           : nullptr),
       slow_log_(slow_log_stream_ != nullptr
                     ? std::make_unique<obs::AsyncLogger>(
-                          slow_log_stream_.get(), config.obs.slow_query_log)
+                          slow_log_stream_.get(), config_.obs.slow_query_log)
                     : nullptr),
-      // The black box. An unset bundle path defaults next to the durable
-      // store (the natural "where the post-mortem lives" place); on the
-      // in-memory backend it stays empty and the recorder renders bundles
-      // without persisting them.
-      recorder_([&]() -> std::unique_ptr<obs::FlightRecorder> {
-        if (!config.obs.enable_flight_recorder) return nullptr;
-        obs::FlightRecorderConfig fr = config.obs.flight_recorder;
-        if (fr.bundle_path.empty() && !config.system.durability.path.empty()) {
-          fr.bundle_path =
-              config.system.durability.path + "/flightrecord.json";
-        }
-        return std::make_unique<obs::FlightRecorder>(fr);
-      }()),
+      history_(config_.obs.enable_metrics_history
+                   ? std::make_unique<obs::MetricsTimeSeries>(
+                         config_.obs.history)
+                   : nullptr),
+      watchdog_(std::make_unique<obs::Watchdog>(
+          obs::WatchdogConfig{},
+          config_.obs.enable_metrics
+              ? metrics_->GetCounter("watchdog.stalls_total")
+              : nullptr,
+          [recorder = recorder_.get()](const obs::Watchdog::ThreadStatus& s) {
+            (void)recorder->Dump("watchdog stall: " + s.name);
+          })),
+      // The aggregate registry is built on the catalog, so the catalog's
+      // commit hook reaches it through the server; no ingest runs before
+      // construction ends or after Shutdown.
       catalog_(std::make_unique<ShardedCatalog>(
-          config.num_shards, config.system,
-          config.obs.enable_metrics ? metrics_.get() : nullptr)),
-      migrator_(std::make_unique<DataMigrator>(catalog_.get())),
-      pool_(std::make_unique<ThreadPool>(config.num_threads)),
+          config_.num_shards, config_.system, service_metrics(),
+          [this](GlobalSessionId session, ClientId client,
+                 const std::vector<core::StandingRangeUpdate>& updates) {
+            aggregates_->OnIngestCommit(session, client, updates);
+          },
+          watchdog_.get())),
+      aggregates_(std::make_unique<ContinuousAggregateRegistry>(
+          catalog_.get(), service_metrics())),
+      migrator_(std::make_unique<DataMigrator>(catalog_.get(), watchdog_.get())),
+      pool_(std::make_unique<ThreadPool>(config_.num_threads, watchdog_.get())),
       ingest_(std::make_unique<IngestService>(
-          catalog_.get(), config.admission,
-          config.obs.enable_metrics ? metrics_.get() : nullptr,
-          span_tracer(),
-          config.obs.enable_cost_ledger ? cost_ledger_.get() : nullptr)),
+          catalog_.get(), config_.admission, service_metrics(), span_tracer(),
+          cost_ledger_.get())),
       scheduler_(std::make_unique<QueryScheduler>(
-          catalog_.get(), pool_.get(), config.scheduler, span_tracer(),
-          config.obs.enable_metrics ? metrics_.get() : nullptr,
-          config.obs.enable_cost_ledger ? cost_ledger_.get() : nullptr,
-          slow_log_.get(), config.obs.slow_query_threshold_ms,
-          recorder_.get())),
-      recognition_(std::make_unique<RecognitionService>(
-          config.recognizer,
-          config.obs.enable_metrics ? metrics_.get() : nullptr)) {
-  // Continuous aggregates: registry over the catalog, fed by the catalog's
-  // ingest-commit hook, consulted by the scheduler before planning.
-  aggregates_ = std::make_unique<ContinuousAggregateRegistry>(
-      catalog_.get(), config.obs.enable_metrics ? metrics_.get() : nullptr);
-  catalog_->SetIngestCommitHook(
-      [this](GlobalSessionId session, ClientId client,
-             const std::vector<core::StandingRangeUpdate>& updates) {
-        aggregates_->OnIngestCommit(session, client, updates);
-      });
-  scheduler_->SetAggregateRegistry(aggregates_.get());
-
-  // Metrics history: the store and the scraper feeding it. The reporter
-  // judges the configured objectives over the store.
-  if (config.obs.enable_metrics_history) {
-    history_ = std::make_unique<obs::MetricsTimeSeries>(config.obs.history);
-    scraper_ =
-        std::make_unique<obs::MetricsScraper>(metrics_.get(), history_.get());
+          catalog_.get(), pool_.get(), config_.scheduler, span_tracer(),
+          service_metrics(), cost_ledger_.get(), slow_log_.get(),
+          config_.obs.slow_query_threshold_ms, recorder_.get(),
+          aggregates_.get())),
+      recognition_(std::make_unique<RecognitionService>(config_.recognizer,
+                                                        service_metrics())),
+      reporter_(std::make_unique<obs::StatsReporter>(
+          metrics_.get(), config_.obs.reporter, config_.obs.slos,
+          history_.get(), watchdog_.get(),
+          [recorder = recorder_.get()](const obs::HealthSnapshot& snapshot) {
+            recorder->RecordHealth(snapshot);
+          })),
+      scraper_(history_ != nullptr
+                   ? std::make_unique<obs::MetricsScraper>(
+                         metrics_.get(), history_.get(),
+                         obs::MetricsScraperConfig{}, watchdog_.get())
+                   : nullptr),
+      sweeper_(std::make_unique<RetentionSweeper>(
+          catalog_.get(), config_.retention, service_metrics(),
+          recorder_.get(), watchdog_.get())) {
+  if (!recorder_->previous_bundle_path().empty()) {
+    // Recovery-on-open: point at the previous incarnation's evidence
+    // instead of silently clobbering it.
+    std::fprintf(stderr,
+                 "aims: previous flight-record bundle preserved at %s\n",
+                 recorder_->previous_bundle_path().c_str());
   }
-  reporter_ = std::make_unique<obs::StatsReporter>(
-      metrics_.get(), config.obs.reporter, config.obs.slos, history_.get());
-
-  // Watchdog: always constructed (supervised sections register
-  // unconditionally and tests drive CheckNow); the checker thread only
-  // runs when a cadence was configured.
-  watchdog_ = std::make_unique<obs::Watchdog>(
-      obs::WatchdogConfig{},
-      config.obs.enable_metrics ? metrics_->GetCounter("watchdog.stalls_total")
-                                : nullptr);
-  pool_->SetWatchdog(watchdog_->Register("thread_pool"));
-  reporter_->SetWatchdogHandle(watchdog_->Register("stats_reporter"));
-  catalog_->SetWalWatchdog(watchdog_->Register("wal_sync"));
-  migrator_->SetWatchdog(watchdog_->Register("migrator"));
-  if (scraper_ != nullptr) {
-    scraper_->SetWatchdogHandle(watchdog_->Register("metrics_scraper"));
-  }
-
-  // Retention sweeper: built after the watchdog so it can register its
-  // heartbeat; its thread starts below only when a cadence was configured.
-  sweeper_ = std::make_unique<RetentionSweeper>(
-      catalog_.get(), config.retention,
-      config.obs.enable_metrics ? metrics_.get() : nullptr, recorder_.get(),
-      watchdog_.get());
-
-  if (recorder_ != nullptr) {
-    // Every rendered bundle carries point-in-time WAL/cache/shard/watchdog
-    // context next to the retained history.
-    recorder_->SetContextProvider([this] {
-      obs::FlightContext context;
-      if (catalog_->durable()) {
-        context.has_wal = true;
-        context.wal = catalog_->TotalWalStats();
-      }
-      context.has_cache = true;
-      context.cache = catalog_->TotalCacheStats();
-      context.shards = catalog_->ShardStats();
-      context.watchdog = watchdog_->Status();
-      if (history_ != nullptr && !config_.obs.slos.empty()) {
-        context.slo = reporter_->Latest().slo;
-        // Embed each burning series' recent window (capped so a bundle
-        // stays bounded): the post-mortem sees the trajectory that
-        // tripped the objective, not just the final burn rate.
-        constexpr size_t kMaxEmbeddedSamples = 512;
-        const int64_t now_ms =
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                std::chrono::system_clock::now().time_since_epoch())
-                .count();
-        for (const obs::SloStatus& s : context.slo) {
-          if (!s.burning) continue;
-          obs::SloHistoryEntry entry;
-          entry.objective = s.name;
-          entry.series = s.series;
-          entry.samples = history_->Query(
-              s.series, now_ms - static_cast<int64_t>(s.slow_window_ms),
-              now_ms);
-          if (entry.samples.size() > kMaxEmbeddedSamples) {
-            entry.samples.erase(entry.samples.begin(),
-                                entry.samples.end() - kMaxEmbeddedSamples);
-          }
-          context.slo_history.push_back(std::move(entry));
-        }
-      }
-      return context;
-    });
-    // Feeds: the tracer's evictions (none while tracing is off: the ring
-    // then retains nothing), the reporter's health snapshots (and the
-    // objective breaches they mark), the watchdog's stall episodes (the
-    // latter also trigger a dump).
-    tracer_->SetEvictionSink(
-        [recorder = recorder_.get()](obs::Trace&& trace) {
-          recorder->RecordEvictedTrace(std::move(trace));
-        });
-    reporter_->SetSnapshotHook(
-        [recorder = recorder_.get()](const obs::HealthSnapshot& snapshot) {
-          recorder->RecordHealth(snapshot);
-        });
-    watchdog_->SetStallCallback(
-        [recorder = recorder_.get()](const obs::Watchdog::ThreadStatus& s) {
-          (void)recorder->Dump("watchdog stall: " + s.name);
-        });
-    if (!recorder_->previous_bundle_path().empty()) {
-      // Recovery-on-open: point at the previous incarnation's evidence
-      // instead of silently clobbering it.
-      std::fprintf(stderr,
-                   "aims: previous flight-record bundle preserved at %s\n",
-                   recorder_->previous_bundle_path().c_str());
-    }
-    recorder_->Start();
-  }
-
   // Each loop starts only when its cadence is positive.
-  watchdog_->Start(config.obs.watchdog_interval_ms);
+  recorder_->Start();
+  watchdog_->Start(config_.obs.watchdog_interval_ms);
   sweeper_->Start();
-  reporter_->Start(config.obs.reporter_interval_ms);
+  reporter_->Start(config_.obs.reporter_interval_ms);
   if (scraper_ != nullptr) {
-    scraper_->Start(config.obs.history_scrape_interval_ms);
+    scraper_->Start(config_.obs.history_scrape_interval_ms);
   }
 
-  if (config.obs.admin_port >= 0) {
-    obs::AdminHttpConfig admin_config = config.obs.admin;
-    admin_config.port = config.obs.admin_port;
+  if (config_.obs.admin_port >= 0) {
+    obs::AdminHttpConfig admin_config = config_.obs.admin;
+    admin_config.port = config_.obs.admin_port;
     admin_ = std::make_unique<obs::AdminHttpServer>(admin_config);
     WireAdminRoutes();
     // A failed bind (port in use) degrades to "no admin plane", recorded
@@ -234,6 +154,42 @@ AimsServer::AimsServer(ServerConfig config)
     admin_status_ = admin_->Start();
     if (!admin_status_.ok()) admin_.reset();
   }
+}
+
+obs::FlightContext AimsServer::CollectFlightContext() {
+  obs::FlightContext context;
+  if (catalog_->durable()) {
+    context.has_wal = true;
+    context.wal = catalog_->TotalWalStats();
+  }
+  context.has_cache = true;
+  context.cache = catalog_->TotalCacheStats();
+  context.shards = catalog_->ShardStats();
+  context.watchdog = watchdog_->Status();
+  if (history_ == nullptr || config_.obs.slos.empty()) return context;
+  context.slo = reporter_->Latest().slo;
+  // Embed each burning series' recent window (capped so a bundle stays
+  // bounded): the post-mortem sees the trajectory that tripped the
+  // objective, not just the final burn rate.
+  constexpr size_t kMaxEmbeddedSamples = 512;
+  const int64_t now_ms =
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::system_clock::now().time_since_epoch())
+          .count();
+  for (const obs::SloStatus& s : context.slo) {
+    if (!s.burning) continue;
+    obs::SloHistoryEntry entry;
+    entry.objective = s.name;
+    entry.series = s.series;
+    entry.samples = history_->Query(
+        s.series, now_ms - static_cast<int64_t>(s.slow_window_ms), now_ms);
+    if (entry.samples.size() > kMaxEmbeddedSamples) {
+      entry.samples.erase(entry.samples.begin(),
+                          entry.samples.end() - kMaxEmbeddedSamples);
+    }
+    context.slo_history.push_back(std::move(entry));
+  }
+  return context;
 }
 
 AimsServer::~AimsServer() { Shutdown(); }
@@ -332,11 +288,8 @@ Result<StreamSamplesResponse> AimsServer::StreamSamples(
     trace->BeginSpan(obs::Stage::kStreamSamples);
   }
   obs::Trace* trace_ptr = trace.has_value() ? &*trace : nullptr;
-  obs::TenantLedger* tenant =
-      config_.obs.enable_cost_ledger
-          ? cost_ledger_->ForTenant(request.client)
-          : nullptr;
-  if (tenant != nullptr) tenant->CountStreamBatch();
+  obs::TenantLedger* tenant = cost_ledger_->ForTenant(request.client);
+  tenant->CountStreamBatch();
   obs::ScopedCpuCharge cpu_charge(tenant);
   auto events =
       recognition_->PushFrames(request.client, request.frames, trace_ptr);
@@ -361,11 +314,6 @@ Result<GetHealthResponse> AimsServer::GetHealth(
 
 Result<GetTenantUsageResponse> AimsServer::GetTenantUsage(
     const GetTenantUsageRequest& request) {
-  if (!config_.obs.enable_cost_ledger) {
-    return Status::FailedPrecondition(
-        "GetTenantUsage: cost ledger disabled "
-        "(ObsConfig::enable_cost_ledger)");
-  }
   GetTenantUsageResponse response;
   if (request.client.has_value()) {
     std::optional<obs::TenantUsage> usage =
@@ -441,54 +389,21 @@ Result<TriggerRebalanceResponse> AimsServer::TriggerRebalance(
     move.to_shard = *request.target_shard;
     if (move.from_shard != move.to_shard) response.plan.moves.push_back(move);
   } else {
-    if (!config_.obs.enable_cost_ledger) {
-      return Status::FailedPrecondition(
-          "TriggerRebalance: planner mode needs the cost ledger "
-          "(ObsConfig::enable_cost_ledger)");
-    }
     RebalancePlanner planner;
     response.plan = planner.Plan(cost_ledger_->Snapshot(), catalog_->router(),
                                  catalog_->num_shards());
   }
   if (request.dry_run || response.plan.moves.empty()) return response;
 
-  {
-    std::lock_guard<std::mutex> lock(rebalance_mutex_);
-    if (rebalance_.running) {
-      return Status::AlreadyExists(
-          "TriggerRebalance: a rebalance is already running");
-    }
-    if (shut_down_) {
-      return Status::FailedPrecondition("TriggerRebalance: server shut down");
-    }
-    rebalance_ = RebalanceRun{};
-    rebalance_.running = true;
-    rebalance_.moves = response.plan.moves;
-  }
-  // Execute asynchronously: the moves run sequentially on the executor
-  // (one migration at a time by design) while this call returns
-  // immediately. Shutdown drains the pool, so the run always finishes or
-  // fails before teardown.
-  std::vector<RebalanceMove> moves = response.plan.moves;
-  bool submitted = pool_->Submit([this, moves]() {
-    for (const RebalanceMove& move : moves) {
-      Status status = migrator_->MigrateTenant(move.client, move.to_shard);
-      std::lock_guard<std::mutex> lock(rebalance_mutex_);
-      if (!status.ok()) {
-        rebalance_.error = status.message();
-        rebalance_.running = false;
-        return;
-      }
-      ++rebalance_.completed;
-    }
-    std::lock_guard<std::mutex> lock(rebalance_mutex_);
-    rebalance_.running = false;
-  });
-  if (!submitted) {
-    std::lock_guard<std::mutex> lock(rebalance_mutex_);
-    rebalance_.running = false;
-    return Status::FailedPrecondition(
+  // The moves run in order on the executor (one migration at a time by
+  // design) while this call returns. Shutdown drains the pool, so a run
+  // it accepted always finishes or fails before teardown.
+  AIMS_RETURN_NOT_OK(migrator_->Claim(response.plan.moves));
+  if (!pool_->Submit([this] { (void)migrator_->RunClaimed(); })) {
+    const Status refused = Status::FailedPrecondition(
         "TriggerRebalance: executor rejected the rebalance task");
+    migrator_->Abandon(refused.message());
+    return refused;
   }
   response.started = true;
   return response;
@@ -497,26 +412,19 @@ Result<TriggerRebalanceResponse> AimsServer::TriggerRebalance(
 Result<RebalanceStatusResponse> AimsServer::RebalanceStatus(
     const RebalanceStatusRequest& request) {
   (void)request;
+  const MigrationRun run = migrator_->run();
   RebalanceStatusResponse response;
-  {
-    std::lock_guard<std::mutex> lock(rebalance_mutex_);
-    response.running = rebalance_.running;
-    response.moves = rebalance_.moves;
-    response.completed_moves = rebalance_.completed;
-    response.error = rebalance_.error;
-  }
-  response.migration = migrator_->status();
+  response.running = run.running;
+  response.moves = run.moves;
+  response.completed_moves = run.completed;
+  response.migration = run.migration;
+  response.error = run.error;
   response.router_epoch = catalog_->router().epoch();
   return response;
 }
 
 Result<DumpFlightRecordResponse> AimsServer::DumpFlightRecord(
     const DumpFlightRecordRequest& request) {
-  if (recorder_ == nullptr) {
-    return Status::FailedPrecondition(
-        "DumpFlightRecord: flight recorder disabled "
-        "(ObsConfig::enable_flight_recorder)");
-  }
   DumpFlightRecordResponse response;
   if (request.write_file && !recorder_->bundle_path().empty()) {
     AIMS_ASSIGN_OR_RETURN(response.path, recorder_->Dump(request.reason));
@@ -623,8 +531,8 @@ void AimsServer::WireAdminRoutes() {
     }
     response.body = obs::PrometheusExport(
         *metrics_, config_.obs.enable_tracing ? tracer_.get() : nullptr,
-        config_.obs.enable_cost_ledger ? cost_ledger_.get() : nullptr, &cache,
-        wal.has_value() ? &*wal : nullptr, &shards, &slo);
+        cost_ledger_.get(), &cache, wal.has_value() ? &*wal : nullptr,
+        &shards, &slo);
     return response;
   });
 
@@ -669,14 +577,19 @@ void AimsServer::WireAdminRoutes() {
     return response;
   });
 
-  // /tenants and /tenants/<id>: the GetTenantUsage surface as JSON
-  // (404 for an uncharged tenant, 503 while the ledger is disabled).
+  // /tenants and /tenants/<id>: the GetTenantUsage surface as JSON (404
+  // for an uncharged tenant).
   auto tenants = [this](std::optional<ClientId> client) {
     GetTenantUsageRequest request;
     request.client = client;
     Result<GetTenantUsageResponse> result = GetTenantUsage(request);
-    if (!result.ok()) return AdminError(result.status());
     obs::AdminResponse response;
+    if (!result.ok()) {
+      response.status = 404;
+      response.body = "{\"error\":\"" +
+                      obs::JsonEscape(result.status().message()) + "\"}\n";
+      return response;
+    }
     std::string body = "{\"tenants\":[";
     bool first = true;
     for (const TenantUsageEntry& entry : result->tenants) {
@@ -822,42 +735,35 @@ void AimsServer::WireAdminRoutes() {
   // this is the only way to read it while the process lives).
   admin_->Route("/debug/flightrecord", [this](const obs::AdminRequest&) {
     obs::AdminResponse response;
-    if (recorder_ == nullptr) {
-      response.status = 404;
-      response.body = "{\"error\":\"flight recorder disabled\"}\n";
-      return response;
-    }
     response.body = recorder_->RenderBundle("http request");
     return response;
   });
 }
 
 void AimsServer::Shutdown() {
-  if (shut_down_) return;
-  shut_down_ = true;
-  // Order matters: admitted ingests (on their callers) and queries (on the
-  // pool) must finish before the workers are joined. Services and catalog
-  // are destroyed after the pool, so in-flight tasks never dangle.
-  // The admin listener goes first (its handlers read everything below),
-  // then the watchdog (so winding-down components are never judged
-  // stalled), then the reporter so its thread never reads the registry
-  // while the rest of the teardown is in flight.
-  if (admin_ != nullptr) admin_->Stop();
-  // The sweeper stops while the watchdog is still alive (it disarms its
-  // heartbeat handle), and before the catalog teardown its sweeps lock.
-  if (sweeper_ != nullptr) sweeper_->Stop();
-  if (watchdog_ != nullptr) watchdog_->Stop();
-  if (scraper_ != nullptr) scraper_->Stop();
-  reporter_->Stop();
-  ingest_->Shutdown();
-  scheduler_->Drain();
-  // All queries have published by now, so stopping the logger (join +
-  // final flush) makes every slow-query record durable before teardown.
-  if (slow_log_ != nullptr) slow_log_->Stop();
-  // The recorder's shutdown bundle captures post-drain state; it stops
-  // before the pool so the final persist sees the workers' last beats.
-  if (recorder_ != nullptr) recorder_->Stop();
-  pool_->Shutdown();
+  std::call_once(shutdown_once_, [this] {
+    // The loops stop first, the admin listener (whose handlers read
+    // everything below) before them: the recorder's persist loop renders
+    // the watchdog's status and the watchdog's checker dumps the recorder,
+    // so no destruction order alone could stop both. The watchdog stops
+    // before the rest winds down, so winding-down parts are never judged
+    // stalled.
+    if (admin_ != nullptr) admin_->Stop();
+    sweeper_->Stop();
+    watchdog_->Stop();
+    if (scraper_ != nullptr) scraper_->Stop();
+    reporter_->Stop();
+    // Then admitted ingests (on their callers) and queries (on the pool)
+    // finish, and stopping the logger (join + final flush) makes every
+    // slow-query record durable.
+    ingest_->Shutdown();
+    scheduler_->Drain();
+    if (slow_log_ != nullptr) slow_log_->Stop();
+    // The recorder's shutdown bundle captures the drained state, and the
+    // pool stops last: a rebalance it accepted runs to its end.
+    recorder_->Stop();
+    pool_->Shutdown();
+  });
 }
 
 }  // namespace aims::server

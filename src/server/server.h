@@ -73,12 +73,6 @@ struct ObsConfig {
   /// > 0 starts the periodic reporter thread on this cadence; 0 leaves
   /// health evaluation on-demand only.
   double reporter_interval_ms = 0.0;
-  /// Charge per-tenant resource usage (CPU-ns, block I/O, queue
-  /// occupancy) on every ingest/query/stream path; exposed through
-  /// GetTenantUsage and the aims_tenant_* Prometheus family. Off, the
-  /// services run with a null ledger and GetTenantUsage fails with
-  /// FailedPrecondition.
-  bool enable_cost_ledger = true;
   /// > 0 makes the scheduler emit a slow-query record (plan + actuals,
   /// JSON-lines) for every query whose end-to-end latency reaches this
   /// threshold. 0 disables slow-query logging.
@@ -98,16 +92,14 @@ struct ObsConfig {
   /// Listener tuning (handler pool width, pending cap, socket timeouts).
   /// The port field inside is overridden by admin_port.
   obs::AdminHttpConfig admin;
-  /// Black-box flight recorder: retains recent health snapshots, evicted
-  /// traces, and slow-query records; dumps one post-mortem bundle on
-  /// Saturated transitions, watchdog stalls, and explicit requests. Off,
-  /// no recorder exists and DumpFlightRecord fails FailedPrecondition.
-  bool enable_flight_recorder = true;
-  /// Ring capacities / bundle placement / persist cadence. An empty
-  /// bundle_path defaults to "<durability.path>/flightrecord.json" on the
-  /// durable backend (in-memory rendering only otherwise); set
-  /// persist_interval_ms > 0 to keep the on-disk bundle at most one
-  /// interval stale — what makes it survive SIGKILL.
+  /// The black-box flight recorder (recent health snapshots, evicted
+  /// traces and slow-query records; one post-mortem bundle per Saturated
+  /// transition, watchdog stall or explicit request): ring capacities,
+  /// bundle placement, persist cadence. An empty bundle_path defaults to
+  /// "<durability.path>/flightrecord.json" on the durable backend
+  /// (in-memory rendering only otherwise); set persist_interval_ms > 0 to
+  /// keep the on-disk bundle at most one interval stale — what makes it
+  /// survive SIGKILL.
   obs::FlightRecorderConfig flight_recorder;
   /// > 0 starts the watchdog checker thread on this cadence. 0 (default)
   /// leaves stall checking on demand (Watchdog::CheckNow) — the
@@ -121,8 +113,8 @@ struct ObsConfig {
   /// GET /api/v1/query_range. Off, neither exists (FailedPrecondition /
   /// 404) and no scraper runs.
   bool enable_metrics_history = true;
-  /// History store sizing/retention (chunk length, age and per-stripe byte
-  /// budgets, lock striping) — see obs/timeseries.h.
+  /// History store sizing/retention (chunk length, age and byte budgets)
+  /// — see obs/timeseries.h.
   obs::MetricsTimeSeriesConfig history;
   /// > 0 starts the scraper thread sampling the registry into the history
   /// store on this cadence (with its own watchdog heartbeat). 0 (default)
@@ -218,9 +210,8 @@ class AimsServer {
   Result<GetHealthResponse> GetHealth(const GetHealthRequest& request);
 
   /// \brief Reports per-tenant attributed resource usage. Needs no open
-  /// session (usage outlives sessions). FailedPrecondition when the cost
-  /// ledger is disabled; NotFound when a specific client was requested and
-  /// the ledger has never charged it.
+  /// session (usage outlives sessions). NotFound when a specific client was
+  /// requested and the ledger has never charged it.
   Result<GetTenantUsageResponse> GetTenantUsage(
       const GetTenantUsageRequest& request);
 
@@ -244,7 +235,7 @@ class AimsServer {
   /// migration runs asynchronously on the server's executor while the
   /// affected tenants stay fully serveable. See TriggerRebalanceRequest
   /// for the two modes. AlreadyExists while a rebalance is running;
-  /// FailedPrecondition for planner mode without a cost ledger.
+  /// FailedPrecondition once Shutdown has stopped the executor.
   Result<TriggerRebalanceResponse> TriggerRebalance(
       const TriggerRebalanceRequest& request);
 
@@ -254,8 +245,7 @@ class AimsServer {
 
   /// \brief Renders (and, unless the request says otherwise, writes) the
   /// flight recorder's post-mortem bundle on demand — the typed-API
-  /// trigger next to the HTTP and automatic ones. FailedPrecondition when
-  /// the recorder is disabled.
+  /// trigger next to the HTTP and automatic ones.
   Result<DumpFlightRecordResponse> DumpFlightRecord(
       const DumpFlightRecordRequest& request);
 
@@ -303,14 +293,11 @@ class AimsServer {
   obs::Tracer& tracer() { return *tracer_; }
   obs::StatsReporter& reporter() { return *reporter_; }
   ThreadPool& pool() { return *pool_; }
-  /// Always constructed (like the registry and tracer); services only see
-  /// it when ObsConfig::enable_cost_ledger is set.
   obs::CostLedger& cost_ledger() { return *cost_ledger_; }
   /// The async slow-query logger, or null when slow-query logging is not
   /// configured (threshold 0 or empty path).
   obs::AsyncLogger* slow_query_log() { return slow_log_.get(); }
-  /// The black-box recorder, or null when disabled.
-  obs::FlightRecorder* flight_recorder() { return recorder_.get(); }
+  obs::FlightRecorder& flight_recorder() { return *recorder_; }
   /// The metrics-history store, or null when disabled.
   obs::MetricsTimeSeries* metrics_history() { return history_.get(); }
   /// The registry->history scraper, or null when metrics history is
@@ -331,8 +318,10 @@ class AimsServer {
   const Status& admin_status() const { return admin_status_; }
   const ServerConfig& config() const { return config_; }
 
-  /// \brief Waits for admitted ingests and drains queries, then stops the
-  /// executor. Later ingests fail with FailedPrecondition. Idempotent.
+  /// \brief Stops the background loops, waits for admitted ingests and
+  /// drains queries, then stops the executor. Later ingests fail with
+  /// FailedPrecondition. Idempotent and safe from several threads at once:
+  /// every call returns once the shutdown is complete.
   void Shutdown();
 
  private:
@@ -344,6 +333,15 @@ class AimsServer {
   /// when admin_port >= 0; all routes are read paths over the members).
   void WireAdminRoutes();
 
+  /// The flight recorder's context provider: point-in-time WAL, cache,
+  /// shard and watchdog stats, and the burning objectives' recent history.
+  obs::FlightContext CollectFlightContext();
+
+  /// The registry the services record into: null while metrics are off.
+  obs::MetricsRegistry* service_metrics() const {
+    return config_.obs.enable_metrics ? metrics_.get() : nullptr;
+  }
+
   /// The tracer the services record spans into: present whenever metrics
   /// (the stage histograms) or tracing (the retained traces) is on.
   obs::Tracer* span_tracer() const {
@@ -354,23 +352,15 @@ class AimsServer {
 
   ServerConfig config_;
   std::unique_ptr<obs::MetricsRegistry> metrics_;
+  std::unique_ptr<obs::FlightRecorder> recorder_;
   std::unique_ptr<obs::Tracer> tracer_;
   std::unique_ptr<obs::CostLedger> cost_ledger_;
-  // Stream before logger before scheduler: the scheduler's destructor may
-  // still publish records, and the logger flushes into the stream.
   std::unique_ptr<std::ofstream> slow_log_stream_;
   std::unique_ptr<obs::AsyncLogger> slow_log_;
   std::unique_ptr<obs::MetricsTimeSeries> history_;
-  // The black box outlives (is declared before) every component that
-  // feeds it — scheduler, tracer sink, reporter hook, watchdog callback.
-  // Shutdown stops its persist thread before those wind down.
-  std::unique_ptr<obs::FlightRecorder> recorder_;
-  // Before the catalog: the catalog's ingest-commit hook targets the
-  // registry, so the registry must outlive it.
-  std::unique_ptr<ContinuousAggregateRegistry> aggregates_;
+  std::unique_ptr<obs::Watchdog> watchdog_;
   std::unique_ptr<ShardedCatalog> catalog_;
-  // Declared before the pool: rebalance tasks run on the pool and touch
-  // the migrator, and the pool joins its workers before either dies.
+  std::unique_ptr<ContinuousAggregateRegistry> aggregates_;
   std::unique_ptr<DataMigrator> migrator_;
   std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<IngestService> ingest_;
@@ -378,33 +368,14 @@ class AimsServer {
   std::unique_ptr<RecognitionService> recognition_;
   std::unique_ptr<obs::StatsReporter> reporter_;
   std::unique_ptr<obs::MetricsScraper> scraper_;
-  // Retention sweeper: declared before the watchdog (whose handle it
-  // beats) — safe because Shutdown() stops it while the watchdog is still
-  // alive, and a stopped sweeper's destructor never touches its handle.
   std::unique_ptr<RetentionSweeper> sweeper_;
-  // The watchdog owns every heartbeat handle; Shutdown() silences all
-  // beaters (pool joined, reporter stopped, drains done) before members
-  // are destroyed, so its position only needs to follow what its STALL
-  // CALLBACK reads (the recorder). Admin listener last: its handlers read
-  // everything above, so it is destroyed (and stopped) first.
-  std::unique_ptr<obs::Watchdog> watchdog_;
   std::unique_ptr<obs::AdminHttpServer> admin_;
   Status admin_status_;
 
   mutable std::mutex sessions_mutex_;
   std::unordered_map<ClientId, SessionState> sessions_;
 
-  /// Asynchronous-rebalance bookkeeping (guarded by rebalance_mutex_).
-  struct RebalanceRun {
-    bool running = false;
-    std::vector<RebalanceMove> moves;
-    size_t completed = 0;
-    std::string error;
-  };
-  mutable std::mutex rebalance_mutex_;
-  RebalanceRun rebalance_;
-
-  bool shut_down_ = false;
+  std::once_flag shutdown_once_;
 };
 
 }  // namespace aims::server

@@ -113,8 +113,12 @@ class ShardedCatalog::IngestGate {
 };
 
 ShardedCatalog::ShardedCatalog(size_t num_shards, core::AimsConfig config,
-                               obs::MetricsRegistry* metrics)
-    : config_(config), router_(std::make_unique<ShardRouter>(num_shards)) {
+                               obs::MetricsRegistry* metrics,
+                               IngestCommitHook ingest_hook,
+                               obs::Watchdog* watchdog)
+    : config_(config),
+      router_(std::make_unique<ShardRouter>(num_shards)),
+      ingest_hook_(std::move(ingest_hook)) {
   AIMS_CHECK(num_shards >= 1);
   std::vector<double> lock_bounds =
       obs::MetricsRegistry::DefaultLatencyBoundsMs();
@@ -136,6 +140,11 @@ ShardedCatalog::ShardedCatalog(size_t num_shards, core::AimsConfig config,
     // The shards have recovered their own stores; now recover the route
     // table that makes their sessions addressable.
     journal_status_ = OpenAndReplayJournal(config_.durability.path);
+  }
+  if (watchdog != nullptr) {
+    obs::Watchdog::Handle* wal_sync = watchdog->Register("wal_sync");
+    for (const auto& shard : shards_) shard->system.SetWalWatchdog(wal_sync);
+    if (journal_ != nullptr) journal_->SetWatchdog(wal_sync);
   }
   if (metrics != nullptr) {
     ingest_count_ = metrics->GetCounter("catalog.ingest.count");
@@ -385,10 +394,8 @@ Result<core::RangeStatistics> ShardedCatalog::QueryRange(
       route, [&](const core::AimsSystem& sys, core::SessionId local) {
         return sys.QueryRange(local, channel, first_frame, last_frame);
       });
-  // Note: under concurrency RangeStatistics::blocks_read is a device-level
-  // delta and may include reads issued by overlapping queries on the same
-  // shard — treat both it and the blocks-read counter as approximate;
-  // total_blocks_read() reads the exact device counters.
+  // RangeStatistics::blocks_read counts this query's own cold block
+  // fetches, so overlapping queries on the shard never inflate it.
   if (result.ok()) CountQuery(route, result->blocks_read);
   return result;
 }
@@ -550,14 +557,6 @@ Result<storage::tslife::SweepStats> ShardedCatalog::SweepRetention(
   }
   PublishWalLag();
   return stats;
-}
-
-void ShardedCatalog::SetWalWatchdog(obs::Watchdog::Handle* handle) {
-  for (const auto& shard : shards_) {
-    std::unique_lock<std::shared_mutex> lock(shard->mutex);
-    shard->system.SetWalWatchdog(handle);
-  }
-  if (journal_ != nullptr) journal_->SetWatchdog(handle);
 }
 
 obs::WalStats ShardedCatalog::TotalWalStats() const {

@@ -18,6 +18,7 @@
 #include "obs/shard_stats.h"
 #include "obs/tracer.h"
 #include "obs/wal_stats.h"
+#include "obs/watchdog.h"
 #include "server/shard_router.h"
 #include "storage/wal.h"
 
@@ -101,12 +102,29 @@ struct ClearCacheResponse {
 /// through the consistent-hash router and the opaque route table.
 class ShardedCatalog {
  public:
+  /// \brief Runs after every acknowledged Ingest (route registered, no
+  /// shard lock held) with the standing-query results the core maintained
+  /// for the new session; the continuous-aggregate registry's feed. Not
+  /// fired for migration copies.
+  using IngestCommitHook =
+      std::function<void(GlobalSessionId, ClientId,
+                         const std::vector<core::StandingRangeUpdate>&)>;
+
   /// \param num_shards shard count (at least 1); every shard gets its own
   /// block device and catalog built from \p config.
   /// \param metrics optional registry for operation counters and the
   /// WAL-lag and shard-lock gauges (may be null).
+  /// \param ingest_hook optional; see IngestCommitHook.
+  /// \param watchdog optional supervisor (must outlive the catalog): the
+  /// catalog registers "wal_sync", one heartbeat shared by every shard
+  /// WAL's group-commit sync and the routing journal's. Concurrent sync
+  /// leaders each open a scope, so the handle stays armed while ANY fsync
+  /// is in flight and a wedged device shows up as a stall. Never armed on
+  /// the in-memory backend.
   explicit ShardedCatalog(size_t num_shards, core::AimsConfig config = {},
-                          obs::MetricsRegistry* metrics = nullptr);
+                          obs::MetricsRegistry* metrics = nullptr,
+                          IngestCommitHook ingest_hook = {},
+                          obs::Watchdog* watchdog = nullptr);
   ~ShardedCatalog();
 
   size_t num_shards() const { return shards_.size(); }
@@ -167,18 +185,7 @@ class ShardedCatalog {
                                  obs::Trace* trace = nullptr,
                                  IngestIoStats* io_stats = nullptr);
 
-  // ---- Continuous aggregates (server push-down / commit hook) -----------
-
-  /// \brief Runs after every acknowledged Ingest (route registered, no
-  /// shard lock held) with the standing-query results the core maintained
-  /// for the new session. The continuous-aggregate registry wires itself
-  /// here. Set before traffic; not fired for migration copies.
-  using IngestCommitHook =
-      std::function<void(GlobalSessionId, ClientId,
-                         const std::vector<core::StandingRangeUpdate>&)>;
-  void SetIngestCommitHook(IngestCommitHook hook) {
-    ingest_hook_ = std::move(hook);
-  }
+  // ---- Continuous aggregates (server push-down) --------------------------
 
   /// \brief Replaces every shard's standing-query set (one exclusive lock
   /// per shard, taken in shard order) — the registry's push-down.
@@ -277,14 +284,6 @@ class ShardedCatalog {
   /// `aims_shard_*` Prometheus family, and refreshes the
   /// "catalog.shard_lock_p99_us" gauge the StatsReporter watches.
   std::vector<obs::ShardStatsEntry> ShardStats() const;
-
-  /// \brief Arms every shard WAL's (and the routing journal's) group-
-  /// commit sync sections on one shared heartbeat slot: concurrent sync
-  /// leaders each open a scope, so the handle stays armed while ANY fsync
-  /// is in flight and a wedged device shows up as a watchdog stall. No-op
-  /// on the in-memory backend. Wire before traffic; the handle must
-  /// outlive the catalog.
-  void SetWalWatchdog(obs::Watchdog::Handle* handle);
 
   // ---- Typed admin surface ----------------------------------------------
 
@@ -455,8 +454,7 @@ class ShardedCatalog {
   std::unique_ptr<storage::durable::WriteAheadLog> journal_;
   Status journal_status_;
 
-  /// Continuous-aggregate commit hook (set before traffic; may be empty).
-  IngestCommitHook ingest_hook_;
+  const IngestCommitHook ingest_hook_;
 
   obs::Counter* ingest_count_ = nullptr;
   obs::Counter* query_count_ = nullptr;

@@ -5,7 +5,10 @@
 
 namespace aims::server {
 
-ThreadPool::ThreadPool(size_t num_threads) {
+ThreadPool::ThreadPool(size_t num_threads, obs::Watchdog* watchdog)
+    : watchdog_(watchdog != nullptr ? watchdog->Register("thread_pool")
+                                    : nullptr) {
+  if (watchdog_ != nullptr) watchdog_->Arm();
   size_t n = std::max<size_t>(num_threads, 1);
   workers_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
@@ -41,16 +44,7 @@ void ThreadPool::Shutdown() {
     if (worker.joinable()) worker.join();
   }
   // A joined pool is idle, not stalled: hand the arm back.
-  obs::Watchdog::Handle* handle =
-      watchdog_.exchange(nullptr, std::memory_order_acq_rel);
-  if (handle != nullptr) handle->Disarm();
-}
-
-void ThreadPool::SetWatchdog(obs::Watchdog::Handle* handle) {
-  if (handle != nullptr) handle->Arm();
-  obs::Watchdog::Handle* previous =
-      watchdog_.exchange(handle, std::memory_order_acq_rel);
-  if (previous != nullptr) previous->Disarm();
+  if (watchdog_ != nullptr) watchdog_->Disarm();
 }
 
 size_t ThreadPool::queued() const {

@@ -26,8 +26,13 @@ namespace aims::server {
 /// know what a task represents and can account a drop meaningfully.
 class ThreadPool {
  public:
-  /// Spawns \p num_threads workers (at least 1).
-  explicit ThreadPool(size_t num_threads);
+  /// Spawns \p num_threads workers (at least 1). With a \p watchdog (which
+  /// must outlive the pool), the pool registers "thread_pool", one
+  /// heartbeat for the whole pool, armed until Shutdown: every worker beats
+  /// it when it wakes and around each task, so one wedged task does not
+  /// trip the deadline while its siblings still make progress; only a pool
+  /// with NO worker beating reads as a stall.
+  explicit ThreadPool(size_t num_threads, obs::Watchdog* watchdog = nullptr);
 
   /// Drains outstanding tasks and joins the workers.
   ~ThreadPool();
@@ -58,21 +63,13 @@ class ThreadPool {
     return idle > 0 && idle >= queued_.load(std::memory_order_relaxed);
   }
 
-  /// \brief Shared heartbeat slot for the whole pool: arms it, and every
-  /// worker beats it when it wakes and around each task. One wedged task
-  /// does not trip the deadline while its siblings still make progress —
-  /// only a pool with NO worker beating (all stuck or deadlocked) reads
-  /// as a stall. The handle must outlive the pool; null detaches.
-  void SetWatchdog(obs::Watchdog::Handle* handle);
-
  private:
   void WorkerLoop();
   void BeatWatchdog() {
-    obs::Watchdog::Handle* handle =
-        watchdog_.load(std::memory_order_acquire);
-    if (handle != nullptr) handle->Beat();
+    if (watchdog_ != nullptr) watchdog_->Beat();
   }
 
+  obs::Watchdog::Handle* const watchdog_;
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   std::deque<std::function<void()>> queue_;
@@ -82,7 +79,6 @@ class ThreadPool {
   std::atomic<size_t> idle_{0};
   std::atomic<size_t> queued_{0};
   bool shutting_down_ = false;
-  std::atomic<obs::Watchdog::Handle*> watchdog_{nullptr};
 };
 
 }  // namespace aims::server

@@ -10,14 +10,21 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <future>
+#include <iterator>
+#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -418,21 +425,12 @@ TEST(AdminEndpointsTest, MetricsHealthzShardsTenantsTracesAndFlightRecord) {
 TEST(AdminEndpointsTest, DisabledSubsystemsDegradeCleanly) {
   server::ServerConfig config = AdminServerConfig();
   config.obs.enable_tracing = false;
-  config.obs.enable_cost_ledger = false;
-  config.obs.enable_flight_recorder = false;
   server::AimsServer server(config);
   ASSERT_TRUE(server.admin_status().ok());
   const int port = server.admin_http()->port();
 
   EXPECT_EQ(Get(port, "/metrics").status, 200);
   EXPECT_EQ(Get(port, "/traces").status, 404);
-  EXPECT_EQ(Get(port, "/debug/flightrecord").status, 404);
-  EXPECT_EQ(Get(port, "/tenants").status, 503) << "ledger disabled";
-  EXPECT_EQ(server.flight_recorder(), nullptr);
-
-  // The typed twin fails the same way.
-  EXPECT_EQ(server.DumpFlightRecord({}).status().code(),
-            StatusCode::kFailedPrecondition);
 }
 
 TEST(AdminEndpointsTest, QueryRangeServesPrometheusMatrixOverHistory) {
@@ -782,6 +780,213 @@ INSTANTIATE_TEST_SUITE_P(Backends, SpanStageMetricsTest, ::testing::Bool(),
                          [](const ::testing::TestParamInfo<bool>& info) {
                            return info.param ? "Durable" : "InMemory";
                          });
+
+// ---- Teardown with every background loop running ------------------------
+
+/// Recording \p i of the teardown test: 2 channels, 64 frames, values
+/// that differ per recording.
+streams::Recording TeardownRecording(size_t i) {
+  streams::Recording rec;
+  rec.sample_rate_hz = 100.0;
+  for (size_t f = 0; f < 64; ++f) {
+    streams::Frame frame;
+    frame.timestamp = static_cast<double>(f) / 100.0;
+    const double x = static_cast<double>(f);
+    frame.values = {std::sin(0.1 * x + static_cast<double>(i)),
+                    (1.0 + static_cast<double>(i)) * std::cos(0.07 * x)};
+    rec.Append(std::move(frame));
+  }
+  return rec;
+}
+
+TEST(ServerTeardownTest, ShutdownUnderLoadWithEveryLoopRunning) {
+  // A hang anywhere fails the run instead of stalling it.
+  std::promise<void> finished;
+  std::thread deadline([done = finished.get_future()] {
+    if (done.wait_for(std::chrono::seconds(120)) !=
+        std::future_status::ready) {
+      std::fprintf(stderr, "ServerTeardownTest: a round hung\n");
+      std::abort();
+    }
+  });
+
+  for (int round = 0; round < 10; ++round) {
+    const std::string dir = ::testing::TempDir() + "/aims_teardown_" +
+                            std::to_string(::getpid()) + "_" +
+                            std::to_string(round);
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    server::ServerConfig config = AdminServerConfig();
+    config.system.durability.path = dir;
+    config.obs.reporter_interval_ms = 1.0;
+    config.obs.history_scrape_interval_ms = 1.0;
+    config.obs.watchdog_interval_ms = 1.0;
+    config.retention.interval_ms = 1.0;
+    config.obs.flight_recorder.persist_interval_ms = 1.0;
+    config.obs.slow_query_threshold_ms = 1e-6;
+    config.obs.slow_query_log_path = dir + "/slow.jsonl";
+    // Every ingest counts as bad, so the objective burns and each bundle
+    // embeds its series.
+    obs::SloObjective slo;
+    slo.name = "ingest-burn";
+    slo.kind = obs::SloKind::kErrorRatio;
+    slo.objective = 0.9;
+    slo.series = "catalog.ingest.count";
+    slo.total_series = "catalog.ingest.count";
+    slo.fast_window_ms = 5.0;
+    slo.slow_window_ms = 20.0;
+    slo.burn_threshold = 1.0;
+    config.obs.slos = {slo};
+
+    std::mutex acked_mutex;
+    std::map<std::string, size_t> acked;  // name -> recording index
+    {
+      server::AimsServer server(config);
+      ASSERT_TRUE(server.admin_status().ok());
+      const int port = server.admin_http()->port();
+      for (double scale : {1.0, -1.0}) {
+        linalg::Matrix segment(8, 2);
+        for (size_t r = 0; r < 8; ++r) {
+          const double x = static_cast<double>(r);
+          segment.SetRow(r, {scale * x, x * x});
+        }
+        ASSERT_TRUE(server
+                        .AddVocabularyEntry(scale > 0 ? "rise" : "fall",
+                                            std::move(segment))
+                        .ok());
+      }
+      ASSERT_TRUE(server.OpenSession({1}).ok());
+      ASSERT_TRUE(server.OpenSession({2}).ok());
+      ASSERT_TRUE(server.OpenSession({3, /*enable_recognition=*/true}).ok());
+      auto seeded = server.IngestRecording({2, "q0", TeardownRecording(0)});
+      ASSERT_TRUE(seeded.ok()) << seeded.status().ToString();
+      acked["q0"] = 0;
+
+      std::atomic<bool> shut{false};
+      // Calls each client has completed; Shutdown waits for one of each.
+      std::array<std::atomic<int>, 4> done{};
+      std::vector<std::thread> clients;
+      clients.emplace_back([&] {  // ingests until Shutdown refuses them
+        for (size_t i = 1;; ++i) {
+          const std::string name = "r" + std::to_string(i);
+          auto ingested =
+              server.IngestRecording({1, name, TeardownRecording(i)});
+          if (!ingested.ok()) {
+            EXPECT_EQ(ingested.status().code(),
+                      StatusCode::kFailedPrecondition)
+                << ingested.status().ToString();
+            return;
+          }
+          std::lock_guard<std::mutex> lock(acked_mutex);
+          acked[name] = i;
+          ++done[0];
+        }
+      });
+      clients.emplace_back([&] {  // queries until the executor refuses them
+        server::QueryRequest query;
+        query.session = seeded->session;
+        query.channel = 1;
+        query.first_frame = 3;
+        query.last_frame = 60;
+        while (true) {
+          auto submitted = server.SubmitQuery({2, query});
+          if (!submitted.ok()) {
+            EXPECT_EQ(submitted.status().code(),
+                      StatusCode::kFailedPrecondition)
+                << submitted.status().ToString();
+            return;
+          }
+          (void)submitted->ticket->Wait();
+          ++done[1];
+        }
+      });
+      clients.emplace_back([&] {  // streams frames until Shutdown returns
+        for (size_t batch = 0; !shut.load(); ++batch) {
+          server::StreamSamplesRequest request;
+          request.client = 3;
+          for (size_t f = 0; f < 16; ++f) {
+            const double x = static_cast<double>(batch * 16 + f);
+            streams::Frame frame;
+            frame.timestamp = x / 100.0;
+            frame.values = {20.0 * std::sin(0.2 * x), std::cos(0.1 * x)};
+            request.frames.push_back(std::move(frame));
+          }
+          auto streamed = server.StreamSamples(std::move(request));
+          EXPECT_TRUE(streamed.ok()) << streamed.status().ToString();
+          ++done[2];
+        }
+      });
+      clients.emplace_back([&] {  // reads the admin plane while it lasts
+        // 503 is also the listener's canned answer to a connection it
+        // cannot admit; -1 is a connection it closed or refused.
+        while (!shut.load()) {
+          const int health = Get(port, "/healthz").status;
+          EXPECT_TRUE(health == 200 || health == 503 || health == -1)
+              << health;
+          const int record = Get(port, "/debug/flightrecord").status;
+          EXPECT_TRUE(record == 200 || record == 503 || record == -1)
+              << record;
+          ++done[3];
+        }
+      });
+
+      while (std::any_of(done.begin(), done.end(),
+                         [](const std::atomic<int>& n) { return n < 2; })) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      server.Shutdown();
+      shut = true;
+      for (std::thread& client : clients) client.join();
+    }
+
+    // The recorder's last bundle is the shutdown's.
+    std::ifstream bundle(dir + "/flightrecord.json");
+    const std::string json((std::istreambuf_iterator<char>(bundle)),
+                           std::istreambuf_iterator<char>());
+    EXPECT_NE(json.find("\"reason\":\"shutdown\""), std::string::npos)
+        << "round " << round;
+
+    // A fresh server on the directory holds every acknowledged ingest,
+    // bit for bit.
+    server::ServerConfig reopen;
+    reopen.num_shards = config.num_shards;
+    reopen.num_threads = 1;
+    reopen.system.durability.path = dir;
+    server::AimsServer reopened(reopen);
+    std::map<std::string, server::GlobalSessionId> stored;
+    for (const server::CatalogSessionEntry& entry :
+         reopened.catalog().ListSessions()) {
+      stored[entry.info.name] = entry.id;
+    }
+    for (const auto& [name, index] : acked) {
+      auto found = stored.find(name);
+      if (found == stored.end()) {
+        ADD_FAILURE() << "round " << round << ": acknowledged " << name
+                      << " lost";
+        continue;
+      }
+      const streams::Recording expect = TeardownRecording(index);
+      for (size_t c = 0; c < 2; ++c) {
+        auto samples = reopened.catalog().ReadRawSamples(found->second, c);
+        ASSERT_TRUE(samples.ok()) << samples.status().ToString();
+        ASSERT_EQ(samples->size(), expect.num_frames()) << name;
+        for (size_t f = 0; f < expect.num_frames(); ++f) {
+          EXPECT_EQ((*samples)[f].t_ms,
+                    std::llround(expect.frames[f].timestamp * 1e6));
+          EXPECT_EQ(std::memcmp(&(*samples)[f].value,
+                                &expect.frames[f].values[c], sizeof(double)),
+                    0)
+              << name << " channel " << c << " frame " << f;
+        }
+      }
+    }
+    reopened.Shutdown();
+    std::filesystem::remove_all(dir);
+  }
+
+  finished.set_value();
+  deadline.join();
+}
 
 }  // namespace
 }  // namespace aims

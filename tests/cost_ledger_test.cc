@@ -269,19 +269,5 @@ TEST(GetTenantUsageApiTest, SpecificClientAndErrorEnvelopes) {
   EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
 }
 
-TEST(GetTenantUsageApiTest, DisabledLedgerFailsPrecondition) {
-  ServerConfig config;
-  config.num_shards = 1;
-  config.num_threads = 1;
-  config.obs.enable_cost_ledger = false;
-  AimsServer server(config);
-  ASSERT_TRUE(server.OpenSession({1}).ok());
-  ASSERT_TRUE(server.IngestRecording({1, "rec", MakeRecording(32, 1)}).ok());
-
-  auto usage = server.GetTenantUsage({std::nullopt});
-  ASSERT_FALSE(usage.ok());
-  EXPECT_EQ(usage.status().code(), StatusCode::kFailedPrecondition);
-}
-
 }  // namespace
 }  // namespace aims

@@ -120,8 +120,7 @@ TEST(FlightRecorderTest, BundleRendersTheLastEvictedTracesOldestFirst) {
   FlightRecorderConfig config;
   config.trace_capacity = 3;
   FlightRecorder recorder(config);
-  Tracer tracer(2);
-  tracer.SetEvictionSink([&recorder](Trace&& trace) {
+  Tracer tracer(2, nullptr, [&recorder](Trace&& trace) {
     recorder.RecordEvictedTrace(std::move(trace));
   });
 
@@ -224,20 +223,23 @@ TEST(FlightRecorderTest, WatchdogStallDumpsBundleWithRecentHistory) {
   const std::string dir = TestDir("stall");
   FlightRecorderConfig config;
   config.bundle_path = dir + "/flightrecord.json";
-  FlightRecorder recorder(config);
+  // The recorder renders the watchdog's status and the watchdog dumps the
+  // recorder, so the provider reaches the watchdog built after it.
+  const Watchdog* watched = nullptr;
+  FlightRecorder recorder(config, [&] {
+    FlightContext context;
+    context.watchdog = watched->Status();
+    return context;
+  });
 
   MetricsRegistry registry;
   WatchdogConfig wd_config;
   wd_config.deadline_ms = 5.0;
-  Watchdog watchdog(wd_config, registry.GetCounter("watchdog.stalls_total"));
-  watchdog.SetStallCallback([&](const Watchdog::ThreadStatus& status) {
-    (void)recorder.Dump("watchdog stall: " + status.name);
-  });
-  recorder.SetContextProvider([&] {
-    FlightContext context;
-    context.watchdog = watchdog.Status();
-    return context;
-  });
+  Watchdog watchdog(wd_config, registry.GetCounter("watchdog.stalls_total"),
+                    [&](const Watchdog::ThreadStatus& status) {
+                      (void)recorder.Dump("watchdog stall: " + status.name);
+                    });
+  watched = &watchdog;
 
   // Recent history: six health snapshots, two evicted traces, two slow
   // queries — what the post-mortem needs to explain the stall.
@@ -310,7 +312,7 @@ TEST(FlightRecorderTest, ServerWatchdogThreadDumpsAStallWithoutCheckNow) {
   EXPECT_EQ(stalls->value(), 1u) << "one episode, counted once";
   EXPECT_NE(ReadFile(path).find("watchdog stall: wedged_loop"),
             std::string::npos);
-  EXPECT_GE(server.flight_recorder()->dumps(), 1u);
+  EXPECT_GE(server.flight_recorder().dumps(), 1u);
 
   wedged->Disarm();
   server.Shutdown();

@@ -356,6 +356,51 @@ TEST(ActivityWindowReferenceTest, ConstantChannelsScoreExactlyZero) {
   }
 }
 
+/// \p channels channels of Gaussian noise \p noise about 0; channel 0
+/// steps between 0 and \p level every 1,000 frames.
+FrameAt LevelStepFrames(size_t channels, double level, double noise,
+                        uint64_t seed) {
+  auto rng = std::make_shared<Rng>(seed);
+  return [rng, channels, level, noise](size_t i) {
+    std::vector<double> frame(channels);
+    for (size_t c = 0; c < channels; ++c) {
+      frame[c] = rng->Gaussian(0.0, noise);
+    }
+    if ((i / 1000) % 2 == 1) frame[0] += level;
+    return frame;
+  };
+}
+
+TEST(ActivityWindowReferenceTest, LevelStepsManyNoiseSigmasHigh) {
+  // Once a step of up to 10^9 noise sigmas leaves the window, the sums
+  // still carry the rounding of the step's terms until they are rebuilt.
+  for (double level : {1e3, 1e6}) {
+    for (double noise : {1.0, 1e-3}) {
+      for (size_t window : {12, 96}) {
+        CompareWithWindowedPass(
+            20000, LevelStepFrames(4, level, noise, 13), window, 1, false,
+            "level " + std::to_string(level) + " noise " +
+                std::to_string(noise) + " window " + std::to_string(window));
+      }
+    }
+  }
+}
+
+TEST(ActivityWindowReferenceTest, OnlyStepsThatOutweighTheNoiseRebuildEarly) {
+  // A step of 10^6 noise sigmas rebuilds early as it leaves the window;
+  // still channels (their sums take in only zeros) never do.
+  ActivityWindow stepped(96, 1);
+  const FrameAt step = LevelStepFrames(4, 1e6, 1e-3, 17);
+  for (size_t i = 0; i < 4000; ++i) stepped.Push(step(i));
+  EXPECT_GE(stepped.early_rebuilds(), 3u);
+
+  ActivityWindow still(96, 1);
+  for (size_t i = 0; i < 4000; ++i) {
+    still.Push({42.0, -1e6, 0.0, i % 2 == 0 ? 1.0 : -1.0});
+  }
+  EXPECT_EQ(still.early_rebuilds(), 0u);
+}
+
 TEST(ActivityWindowReferenceTest, AMillionFramesStayWithinTheBound) {
   // 31,250 rebuilds of a 32-frame window while the offset drifts from 10^3
   // to past 10^6: sums never re-anchored would cancel catastrophically.

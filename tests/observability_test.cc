@@ -530,10 +530,10 @@ TEST(TracerTest, SurfacesRetainedCountAndOldestTraceAge) {
 }
 
 TEST(TracerTest, EvictionSinkObservesEvictedTracesAndAccountingIsExact) {
-  Tracer tracer(4);
   std::vector<uint64_t> evicted_ids;
-  tracer.SetEvictionSink(
-      [&](const Trace& trace) { evicted_ids.push_back(trace.request_id()); });
+  Tracer tracer(4, nullptr, [&](const Trace& trace) {
+    evicted_ids.push_back(trace.request_id());
+  });
 
   for (uint64_t i = 1; i <= 10; ++i) {
     Trace trace(i);
@@ -554,9 +554,8 @@ TEST(TracerTest, EvictionSinkObservesEvictedTracesAndAccountingIsExact) {
 TEST(TracerTest, RetainsTracesAtTheirExactSize) {
   // A 64-frame stream batch grows its span vector one span at a time; the
   // ring keeps (and evicts) the spans without the room growth left.
-  Tracer tracer(1);
   size_t evicted_size = 0, evicted_capacity = 0;
-  tracer.SetEvictionSink([&](Trace&& trace) {
+  Tracer tracer(1, nullptr, [&](Trace&& trace) {
     evicted_size = trace.spans().size();
     evicted_capacity = trace.spans().capacity();
   });

@@ -597,6 +597,65 @@ TEST(ServerRebalanceTest, DryRunPlansWithoutExecuting) {
   server.Shutdown();
 }
 
+TEST(ServerRebalanceTest, ShutdownRacesTriggerRebalanceAndASecondShutdown) {
+  // One thread asks for a move and another shuts down while the main
+  // thread shuts down. Each Shutdown returns only once the shutdown is
+  // complete, and a rebalance either never started or ran to its end.
+  for (int round = 0; round < 20; ++round) {
+    ServerConfig config;
+    config.num_shards = 2;
+    config.num_threads = 1;
+    AimsServer server(config);
+    const ClientId client = 3;
+    ASSERT_TRUE(server.OpenSession({client}).ok());
+    ASSERT_TRUE(
+        server.IngestRecording({client, "rec", MakeRecording(32, 1, 1.0)})
+            .ok());
+    TriggerRebalanceRequest request;
+    request.client = client;
+    request.target_shard =
+        1 - server.catalog().router().ShardForClient(client);
+
+    std::atomic<bool> go{false};
+    auto wait_for_go = [&go] {
+      while (!go.load()) std::this_thread::yield();
+    };
+    Result<TriggerRebalanceResponse> triggered =
+        Status::Internal("TriggerRebalance did not run");
+    StatusCode late_ingest = StatusCode::kOk;
+    std::thread rebalancer([&] {
+      wait_for_go();
+      triggered = server.TriggerRebalance(request);
+    });
+    std::thread second([&] {
+      wait_for_go();
+      server.Shutdown();
+      late_ingest =
+          server.IngestRecording({client, "late", MakeRecording(32, 1, 2.0)})
+              .status()
+              .code();
+    });
+    go = true;
+    server.Shutdown();
+    rebalancer.join();
+    second.join();
+
+    EXPECT_EQ(late_ingest, StatusCode::kFailedPrecondition)
+        << "round " << round << ": the second Shutdown returned early";
+    const Result<RebalanceStatusResponse> status = server.RebalanceStatus({});
+    ASSERT_TRUE(status.ok());
+    EXPECT_FALSE(status->running) << "round " << round;
+    if (triggered.ok()) {
+      EXPECT_TRUE(triggered->started);
+      EXPECT_EQ(status->completed_moves, 1u) << "round " << round;
+      EXPECT_EQ(status->error, "");
+    } else {
+      EXPECT_EQ(triggered.status().code(), StatusCode::kFailedPrecondition)
+          << triggered.status().ToString();
+    }
+  }
+}
+
 TEST(ServerRebalanceTest, ShardStatsCountPlacementAndTraffic) {
   ServerConfig config;
   config.num_shards = 2;

@@ -217,18 +217,17 @@ TEST(ShardedCatalogTest, IngestsRaceQueriesAndStandingQueriesOnOneShard) {
       config.durability.sync_mode = storage::durable::WalSyncMode::kNone;
       config.durability.checkpoint_wal_bytes = 64 << 10;
     }
-    ShardedCatalog catalog(1, config);
-    ASSERT_TRUE(catalog.init_status().ok());
-
     std::mutex mutex;
     std::vector<std::pair<GlobalSessionId, double>> ingested;  // id, base
     std::vector<std::pair<GlobalSessionId, core::StandingRangeUpdate>> updates;
-    catalog.SetIngestCommitHook(
+    ShardedCatalog catalog(
+        1, config, nullptr,
         [&](GlobalSessionId id, ClientId,
             const std::vector<core::StandingRangeUpdate>& batch) {
           std::lock_guard<std::mutex> lock(mutex);
           for (const auto& update : batch) updates.emplace_back(id, update);
         });
+    ASSERT_TRUE(catalog.init_status().ok());
     catalog.SetStandingQueries(kQueries);
 
     std::atomic<bool> writers_done{false};
@@ -327,24 +326,30 @@ TEST(ShardedCatalogTest, IngestsRaceQueriesAndStandingQueriesOnOneShard) {
   }
 }
 
-/// Parks the first \p limit ingests that reach \p catalog's commit hook
-/// until Release(); later ingests pass straight through. The hook runs on
-/// the ingest's own thread, after its route is registered.
+/// Parks the first \p limit ingests that reach the commit hook of a
+/// catalog built with Hook() until Release(); later ingests pass straight
+/// through. The hook runs on the ingest's own thread, after its route is
+/// registered.
 class CommitHookGate {
  public:
-  CommitHookGate(ShardedCatalog* catalog, size_t limit) : limit_(limit) {
-    // The hook fires only for an ingest that maintains a standing query.
-    catalog->SetStandingQueries({{1, 0, 0, 15}});
-    catalog->SetIngestCommitHook(
-        [this](GlobalSessionId, ClientId,
-               const std::vector<core::StandingRangeUpdate>&) {
-          std::unique_lock<std::mutex> lock(mutex_);
-          if (held_ == limit_) return;
-          ++held_;
-          cv_.notify_all();
-          cv_.wait(lock, [&] { return released_; });
-        });
+  explicit CommitHookGate(size_t limit) : limit_(limit) {}
+
+  ShardedCatalog::IngestCommitHook Hook() {
+    return [this](GlobalSessionId, ClientId,
+                  const std::vector<core::StandingRangeUpdate>&) {
+      std::unique_lock<std::mutex> lock(mutex_);
+      if (held_ == limit_) return;
+      ++held_;
+      cv_.notify_all();
+      cv_.wait(lock, [&] { return released_; });
+    };
   }
+
+  /// The hook fires only for an ingest that maintains a standing query.
+  static void Arm(ShardedCatalog* catalog) {
+    catalog->SetStandingQueries({{1, 0, 0, 15}});
+  }
+
   CommitHookGate(const CommitHookGate&) = delete;
   CommitHookGate& operator=(const CommitHookGate&) = delete;
 
@@ -373,10 +378,11 @@ TEST(IngestServiceTest, BackpressureIsBoundedAndAccounted) {
   constexpr size_t kSubmissions = 50;
 
   obs::MetricsRegistry metrics;
-  ShardedCatalog catalog(1, {}, &metrics);
   // Stall the catalog: the first kCapacity ingests stay unfinished while
   // the client floods the gate.
-  CommitHookGate gate(&catalog, kCapacity);
+  CommitHookGate gate(kCapacity);
+  ShardedCatalog catalog(1, {}, &metrics, gate.Hook());
+  CommitHookGate::Arm(&catalog);
 
   IngestAdmissionPolicy policy;
   policy.queue_capacity = kCapacity;
@@ -419,8 +425,9 @@ TEST(IngestServiceTest, BackpressureIsBoundedAndAccounted) {
 
 TEST(IngestServiceTest, GlobalCapacityCapRejects) {
   obs::MetricsRegistry metrics;
-  ShardedCatalog catalog(1);
-  CommitHookGate gate(&catalog, 2);
+  CommitHookGate gate(2);
+  ShardedCatalog catalog(1, {}, nullptr, gate.Hook());
+  CommitHookGate::Arm(&catalog);
 
   IngestAdmissionPolicy policy;
   policy.queue_capacity = 8;
@@ -467,8 +474,9 @@ TEST(IngestServiceTest, PersistentFaultExhaustsAttemptsAndFails) {
 
 TEST(IngestServiceTest, ShutdownWaitsForAnInFlightIngest) {
   obs::MetricsRegistry metrics;
-  ShardedCatalog catalog(1, {}, &metrics);
-  CommitHookGate gate(&catalog, 1);
+  CommitHookGate gate(1);
+  ShardedCatalog catalog(1, {}, &metrics, gate.Hook());
+  CommitHookGate::Arm(&catalog);
   IngestAdmissionPolicy policy;
   // The held ingest fills client 0's cap, so a probe that beats Shutdown
   // is rejected, never parked.

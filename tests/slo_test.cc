@@ -124,15 +124,17 @@ TEST(SloEngineTest, BreachEdgesFireHookOnceAndCountTransitions) {
   MetricsTimeSeries store;
   MetricsRegistry registry;
   SloObjective slo = ErrorObjective();
-  StatsReporter reporter(&registry, {}, {slo}, &store);
   // The snapshot hook is the breach feed: each edge is marked in exactly
   // one snapshot.
   std::vector<std::string> hook_reasons;
-  reporter.SetSnapshotHook([&hook_reasons](const HealthSnapshot& snapshot) {
-    for (const SloStatus& status : snapshot.slo) {
-      if (status.breached) hook_reasons.push_back(status.reason);
-    }
-  });
+  StatsReporter reporter(&registry, {}, {slo}, &store, nullptr,
+                         [&hook_reasons](const HealthSnapshot& snapshot) {
+                           for (const SloStatus& status : snapshot.slo) {
+                             if (status.breached) {
+                               hook_reasons.push_back(status.reason);
+                             }
+                           }
+                         });
 
   // Quiet -> no hook, gauge 0.
   FillCounters(&store, 30, 0, 0, 0.0);

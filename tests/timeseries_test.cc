@@ -13,7 +13,7 @@
 /// \file timeseries_test.cc
 /// \brief The metrics-history contracts: the store rotates active chunks
 /// into sealed Gorilla blocks and applies both retention policies (age on
-/// a chunk's newest sample, size on the stripe's compressed budget);
+/// a chunk's newest sample, size on the store's compressed budget);
 /// out-of-order appends are dropped and counted, never encoded; queries
 /// stitch sealed chunks and the active chunk into one time-ordered answer
 /// under concurrent appends; the range-query engine evaluates step windows
@@ -24,13 +24,12 @@
 namespace aims::obs {
 namespace {
 
-// A store with one stripe makes retention arithmetic exact in tests.
+// Small chunks, and both retention policies off unless a test enables one.
 MetricsTimeSeriesConfig SmallConfig() {
   MetricsTimeSeriesConfig config;
   config.chunk_max_samples = 8;
   config.retention_ms = 0.0;       // policies enabled per test
-  config.max_bytes_per_stripe = 0;
-  config.stripes = 1;
+  config.max_bytes = 0;
   return config;
 }
 
@@ -132,7 +131,7 @@ TEST(MetricsTimeSeriesTest, SizeRetentionDropsTheOldestSealedChunkFirst) {
   MetricsTimeSeriesConfig config = SmallConfig();
   // A few sealed chunks at most — but comfortably more than one chunk of
   // incompressible values, so the newest chunk always fits the budget.
-  config.max_bytes_per_stripe = 256;
+  config.max_bytes = 256;
   MetricsTimeSeries store(config);
   // Random-ish values compress poorly, forcing the budget to bite.
   for (int i = 0; i < 200; ++i) {
@@ -158,10 +157,8 @@ TEST(MetricsTimeSeriesTest, SteadySeriesReportEightFoldCompression) {
       << "steady cadence must compress 8x, got " << stats.compression_ratio;
 }
 
-TEST(MetricsTimeSeriesTest, SeriesNamesAreSortedAcrossStripes) {
-  MetricsTimeSeriesConfig config;
-  config.stripes = 4;
-  MetricsTimeSeries store(config);
+TEST(MetricsTimeSeriesTest, SeriesNamesAreSorted) {
+  MetricsTimeSeries store;
   for (const char* name : {"zeta", "alpha", "mid.series", "beta"}) {
     store.Append(name, 1000, 1.0);
   }
@@ -178,7 +175,6 @@ TEST(MetricsTimeSeriesTest, ConcurrentAppendAndQueryKeepSamplesOrdered) {
   // store; every answer must be time-ordered and internally consistent.
   MetricsTimeSeriesConfig config;
   config.chunk_max_samples = 16;
-  config.stripes = 4;
   MetricsTimeSeries store(config);
   constexpr int kWriters = 4;
   constexpr int kSamples = 2000;
