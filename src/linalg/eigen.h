@@ -6,9 +6,11 @@
 #include "linalg/matrix.h"
 
 /// \file eigen.h
-/// \brief Symmetric eigendecomposition (cyclic Jacobi) and the SVD built on
-/// it. The recognition subsystem needs the spectra of 28x28 covariance
-/// matrices, for which Jacobi is simple, accurate, and fast.
+/// \brief Symmetric eigendecomposition (Householder tridiagonalization, then
+/// implicit-shift QL) and the SVD built on it. The recognition subsystem
+/// needs the spectrum of a 28x28 covariance at every evaluation, so the
+/// solve is the recognizer's main cost: about 9 n^3 flops, with every inner
+/// loop walking a contiguous row.
 
 namespace aims::linalg {
 
@@ -20,12 +22,17 @@ struct EigenDecomposition {
   Matrix vectors;
 };
 
-/// \brief Cyclic Jacobi eigendecomposition of symmetric \p a.
-/// Fails if \p a is not square (symmetry is assumed, the strictly lower
-/// triangle is ignored).
-Result<EigenDecomposition> SymmetricEigen(const Matrix& a,
-                                          int max_sweeps = 64,
-                                          double tol = 1e-12);
+/// \brief Eigendecomposition of symmetric \p a: EISPACK's tred2 and tql2
+/// (Golub & Van Loan, Matrix Computations, Sec. 8.3), each unreduced 2x2
+/// block closed in closed form as LAPACK's dsteqr does. \p a is
+/// symmetrized as (a + a^T) / 2 and scaled by a power of two that brings
+/// its largest entry into [0.5, 1), so any finite matrix decomposes without
+/// overflow or underflow, and 2^k a yields 2^k times a's eigenvalues with
+/// the same eigenvectors. InvalidArgument if \p a is not square or holds a
+/// NaN or infinite entry; OutOfRange if an eigenvalue's magnitude exceeds
+/// the largest double; Internal if QL does not converge within 30
+/// iterations per eigenvalue.
+Result<EigenDecomposition> SymmetricEigen(const Matrix& a);
 
 /// \brief Thin singular value decomposition A (m x n, m >= n or not):
 /// A = U diag(s) V^T with s sorted descending.

@@ -151,7 +151,9 @@ class StreamRecognizer {
   /// Pushes one frame; returns an event when a pattern was just isolated
   /// and recognized. InvalidArgument, with no state change, when the
   /// frame's channel count differs from the vocabulary's or a value is NaN
-  /// or infinite.
+  /// or infinite. A finite segment whose co-moments overflow to infinity
+  /// (amplitudes near 1e154) gets the eigen solve's InvalidArgument from
+  /// the evaluation, not an event.
   Result<std::optional<RecognitionEvent>> Push(const streams::Frame& frame);
 
   /// Closes any open segment (end of stream).

@@ -15,6 +15,7 @@ RecognitionService::RecognitionService(
     streams_opened_ = metrics->GetCounter("recognition.streams_opened");
     frames_ = metrics->GetCounter("recognition.frames");
     events_ = metrics->GetCounter("recognition.events");
+    evaluations_ = metrics->GetCounter("recognition.evaluations");
     open_streams_ = metrics->GetGauge("recognition.open_streams");
   }
 }
@@ -80,6 +81,8 @@ RecognitionService::PushFrames(ClientId client,
     }
   }
   std::vector<recognition::RecognitionEvent> events;
+  const size_t evaluations_before = stream->recognizer.evaluations();
+  Status status;
   for (const streams::Frame& frame : frames) {
     size_t update_span = 0;
     if (trace != nullptr) {
@@ -93,13 +96,24 @@ RecognitionService::PushFrames(ClientId client,
       }
     }
     if (frames_ != nullptr) frames_->Increment();
-    AIMS_RETURN_NOT_OK(result.status());
+    if (!result.ok()) {
+      status = result.status();
+      break;
+    }
     if (result->has_value()) {
       if (events_ != nullptr) events_->Increment();
       events.push_back(std::move(**result));
     }
   }
+  CountEvaluations(stream->recognizer.evaluations() - evaluations_before);
+  AIMS_RETURN_NOT_OK(status);
   return events;
+}
+
+void RecognitionService::CountEvaluations(size_t evaluations) {
+  if (evaluations_ != nullptr && evaluations > 0) {
+    evaluations_->Increment(evaluations);
+  }
 }
 
 Result<std::optional<recognition::RecognitionEvent>>
@@ -125,7 +139,9 @@ RecognitionService::CloseStream(ClientId client) {
       return Status::NotFound("RecognitionService: no open stream");
     }
     stream->closed = true;
+    const size_t evaluations_before = stream->recognizer.evaluations();
     result = stream->recognizer.Finish();
+    CountEvaluations(stream->recognizer.evaluations() - evaluations_before);
   }
   {
     std::unique_lock<std::shared_mutex> lock(streams_mutex_);

@@ -34,6 +34,8 @@ class RecognitionService {
   /// \param config recognizer tuning applied to every stream.
   /// \param metrics optional registry (may be null). Exposes:
   ///   recognition.streams_opened / frames / events (counters),
+  ///   recognition.evaluations (counter: similarity evaluations, each one
+  ///   eigen solve, the recognizer's main cost),
   ///   recognition.open_streams (gauge). A frame's latency is its
   ///   recognizer_update span (see PushFrames).
   explicit RecognitionService(recognition::StreamRecognizerConfig config = {},
@@ -71,6 +73,9 @@ class RecognitionService {
   size_t open_streams() const;
 
  private:
+  /// Advances recognition.evaluations (no-op without a registry).
+  void CountEvaluations(size_t evaluations);
+
   struct ClientStream {
     ClientStream(const recognition::Vocabulary* vocabulary,
                  const recognition::WeightedSvdSimilarity* measure,
@@ -96,6 +101,7 @@ class RecognitionService {
   obs::Counter* streams_opened_ = nullptr;
   obs::Counter* frames_ = nullptr;
   obs::Counter* events_ = nullptr;
+  obs::Counter* evaluations_ = nullptr;
   obs::Gauge* open_streams_ = nullptr;
 };
 

@@ -194,11 +194,18 @@ void ShardedCatalog::PublishShardHealth() {
   shard_lock_p99_gauge_->Set(static_cast<int64_t>(max_p99_ms * 1000.0 + 0.5));
 }
 
-GlobalSessionId ShardedCatalog::MintSessionId() {
-  uint64_t counter =
-      next_session_counter_.fetch_add(1, std::memory_order_relaxed);
-  uint64_t epoch = router_->epoch() & 0xffffull;
-  return (epoch << 48) | (counter & kCounterMask);
+Result<GlobalSessionId> ShardedCatalog::MintSessionId() {
+  uint64_t counter = next_session_counter_.load(std::memory_order_relaxed);
+  do {
+    // Past 48 bits the counter would wrap and reissue ids, 0 first.
+    if (counter > kCounterMask) {
+      return Status::ResourceExhausted(
+          "ShardedCatalog: every session id has been issued");
+    }
+  } while (!next_session_counter_.compare_exchange_weak(
+      counter, counter + 1, std::memory_order_relaxed));
+  const uint64_t epoch = router_->epoch() & 0xffffull;
+  return (epoch << 48) | counter;
 }
 
 void ShardedCatalog::RegisterRoute(GlobalSessionId id, ClientId client,
@@ -284,7 +291,7 @@ Result<GlobalSessionId> ShardedCatalog::Ingest(
   // The id is minted before staging so the shard's commit group carries
   // it: that one commit makes the session durable and routable again after
   // a crash, under this client and this id.
-  const GlobalSessionId id = MintSessionId();
+  AIMS_ASSIGN_OR_RETURN(const GlobalSessionId id, MintSessionId());
   // Seal, transform and encode before taking the lock: PrepareIngest
   // reads no state the exclusive sections mutate, so queries on the shard
   // never wait for this ingest's CPU work.
@@ -809,6 +816,12 @@ Status ShardedCatalog::OpenAndReplayJournal(const std::string& base_path) {
   AIMS_ASSIGN_OR_RETURN(durable::WriteAheadLog::Opened opened,
                         durable::WriteAheadLog::Open(path, wal_config));
 
+  // Which route holds each shard entry, keyed shard << 32 | local.
+  std::unordered_map<uint64_t, GlobalSessionId> holders;
+  auto entry_key = [](uint32_t shard, core::SessionId local) {
+    return (uint64_t{shard} << 32) | local;
+  };
+
   // Ingest routes: an owner-tagged shard entry is its session's home. The
   // owner committed in the session's own WAL group, so every committed
   // ingest is routed, under the client and id it was staged with.
@@ -822,8 +835,34 @@ Status ShardedCatalog::OpenAndReplayJournal(const std::string& base_path) {
         return Status::IoError("routing: two shard entries claim session " +
                                std::to_string(info.owner->global_id));
       }
+      holders[entry_key(route.shard, route.local)] = info.owner->global_id;
     }
   }
+
+  // Whether a journal record may route \p id to (shard, local): the entry
+  // exists, carries no other session's owner, and no other route holds it.
+  // A move's target must also describe the session \p from holds, since a
+  // migration copy is its source's stored bytes. A record that fails is
+  // damaged or stale and is skipped: replaying it would hand one session's
+  // entry to another id.
+  auto admissible = [&](GlobalSessionId id, uint32_t shard,
+                        core::SessionId local, const Route* from) {
+    if (shard >= shards_.size()) return false;  // shrunken shard count
+    Result<core::SessionInfo> target = shards_[shard]->system.GetSession(local);
+    if (!target.ok()) return false;
+    if (target->owner.has_value() && target->owner->global_id != id) {
+      return false;
+    }
+    auto holder = holders.find(entry_key(shard, local));
+    if (holder != holders.end() && holder->second != id) return false;
+    if (from == nullptr) return true;
+    Result<core::SessionInfo> source =
+        shards_[from->shard]->system.GetSession(from->local);
+    return source.ok() && source->name == target->name &&
+           source->num_channels == target->num_channels &&
+           source->num_frames == target->num_frames &&
+           source->sample_rate_hz == target->sample_rate_hz;
+  };
 
   // Replay. The journal is tiny relative to the shard WALs (fixed-width
   // migration records), so a full linear replay at open is cheap. A
@@ -840,18 +879,24 @@ Status ShardedCatalog::OpenAndReplayJournal(const std::string& base_path) {
         route.client = reader.U64();
         route.shard = reader.U32();
         route.local = reader.U32();
-        // A shard index past the topology is stale (shrunken shard count).
-        if (!reader.ok() || route.shard >= shards_.size()) continue;
+        if (!reader.ok() || routes_.count(id) != 0 ||
+            !admissible(id, route.shard, route.local, nullptr)) {
+          continue;
+        }
         routes_[id] = route;
+        holders[entry_key(route.shard, route.local)] = id;
         journal_routed.insert(id);
       } else if (type == kRouteMove) {
         const GlobalSessionId id = reader.U64();
         const uint32_t shard = reader.U32();
         const core::SessionId local = reader.U32();
         auto it = routes_.find(id);
-        if (!reader.ok() || shard >= shards_.size() || it == routes_.end()) {
+        if (!reader.ok() || it == routes_.end() ||
+            !admissible(id, shard, local, &it->second)) {
           continue;
         }
+        holders.erase(entry_key(it->second.shard, it->second.local));
+        holders[entry_key(shard, local)] = id;
         it->second.shard = shard;
         it->second.local = local;
       } else if (type == kMigrationCommit) {
@@ -863,22 +908,14 @@ Status ShardedCatalog::OpenAndReplayJournal(const std::string& base_path) {
     }
   }
 
+  // Minting resumes past every recovered id; past the last counter it
+  // refuses (MintSessionId) rather than wrap.
   uint64_t max_counter = 0;
   for (const auto& [id, route] : routes_) {
     (void)route;
     max_counter = std::max(max_counter, id & kCounterMask);
   }
   next_session_counter_.store(max_counter + 1, std::memory_order_relaxed);
-
-  // Validate every recovered route against what shard recovery actually
-  // restored; a route whose session is gone (deleted store, external
-  // tampering) is dropped rather than left dangling.
-  for (auto it = routes_.begin(); it != routes_.end();) {
-    const Route& route = it->second;
-    bool exists =
-        shards_[route.shard]->system.GetSession(route.local).ok();
-    it = exists ? std::next(it) : routes_.erase(it);
-  }
 
   // Restore each tenant's latest pin. Every SetPin bumps the epoch, which
   // only tags newly minted ids; the counter keeps them unique.

@@ -180,6 +180,7 @@ class ShardedCatalog {
   /// ingest survives a crash with its route intact. An ingest whose commit is
   /// durable but that was never acknowledged (killed after the commit, or
   /// failed in write-back) also recovers under \p client and its minted id.
+  /// ResourceExhausted once every 48-bit session id has been issued.
   Result<GlobalSessionId> Ingest(ClientId client, const std::string& name,
                                  const streams::Recording& recording,
                                  obs::Trace* trace = nullptr,
@@ -367,7 +368,9 @@ class ShardedCatalog {
   Result<Route> FindRoute(GlobalSessionId id) const;
 
   /// Mints the next opaque id: current router epoch (high 16) | counter.
-  GlobalSessionId MintSessionId();
+  /// ResourceExhausted once the 48-bit counter is spent: an id is never
+  /// issued twice.
+  Result<GlobalSessionId> MintSessionId();
 
   /// Runs \p fn under \p shard's shared lock with lock-wait timing and
   /// queue-depth accounting.
@@ -430,9 +433,11 @@ class ShardedCatalog {
   /// Rebuilds ingest routes from the shards' owner-tagged entries (two
   /// entries claiming one id are IoError), replays `<path>/routes.wal`'s
   /// route moves, pins, and the route adds of entries that predate owners,
-  /// drops routes whose session recovery did not restore, and rewrites the
-  /// journal as one compact snapshot transaction. Sets init error state on
-  /// failure.
+  /// and rewrites the journal as one compact snapshot transaction. A route
+  /// add or move is skipped when its entry is missing, carries another
+  /// session's owner or is held by another route, and a move also when its
+  /// target does not describe the session it moves. Sets init error state
+  /// on failure.
   Status OpenAndReplayJournal(const std::string& base_path);
 
   core::AimsConfig config_;

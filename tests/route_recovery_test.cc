@@ -610,6 +610,175 @@ TEST(RouteRecovery, TwoEntriesClaimingOneSessionIdAreRefused) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(RouteRecovery, ForgedRouteAddNeitherWrapsIdsNorTakesAnEntry) {
+  // One CRC-valid journal record routing the last 48-bit id to shard 0's
+  // first entry, which client 1's ingest owns. Replayed, it would push the
+  // mint counter past 48 bits, and a masked counter would mint 0 and then
+  // the ids of acknowledged sessions, taking over their routes. The record
+  // names an entry another session owns, so it is skipped.
+  const std::string dir = TestDir("forged_add");
+  std::vector<std::tuple<GlobalSessionId, ClientId, std::string>> acked;
+  {
+    ShardedCatalog catalog(2, DurableAt(dir));
+    ASSERT_TRUE(catalog.init_status().ok());
+    for (ClientId client = 1; client <= 3; ++client) {
+      const std::string name = "c" + std::to_string(client);
+      auto id = catalog.Ingest(client, name,
+                               MakeRecording(40, static_cast<double>(client)));
+      ASSERT_TRUE(id.ok()) << id.status().ToString();
+      acked.emplace_back(*id, client, name);
+    }
+    ASSERT_EQ(catalog.router().ShardForClient(1), 0u);
+  }
+  {
+    auto journal = WriteAheadLog::Open(dir + "/routes.wal");
+    ASSERT_TRUE(journal.ok());
+    WriteAheadLog& wal = *journal.ValueOrDie().wal;
+    const uint64_t txn = wal.BeginTxn().ValueOrDie();
+    ASSERT_TRUE(
+        wal.AppendCatalog(txn, RouteAdd((1ull << 48) - 1, 7, 0, 0)).ok());
+    ASSERT_TRUE(wal.Commit(txn).ok());
+  }
+  auto view = [](const ShardedCatalog& catalog) {
+    std::vector<std::tuple<GlobalSessionId, ClientId, std::string>> out;
+    for (const auto& entry : catalog.ListSessions()) {
+      out.emplace_back(entry.id, entry.client, entry.info.name);
+    }
+    return out;
+  };
+  {
+    ShardedCatalog catalog(2, DurableAt(dir));
+    ASSERT_TRUE(catalog.init_status().ok()) << catalog.init_status().ToString();
+    EXPECT_EQ(view(catalog), acked);
+    for (ClientId client = 4; client <= 6; ++client) {
+      const std::string name = "c" + std::to_string(client);
+      auto id = catalog.Ingest(client, name,
+                               MakeRecording(40, static_cast<double>(client)));
+      ASSERT_TRUE(id.ok()) << id.status().ToString();
+      EXPECT_EQ(*id & 0xffffffffffffull, client) << "minted " << *id;
+      acked.emplace_back(*id, client, name);
+    }
+    EXPECT_EQ(view(catalog), acked);
+  }
+  for (int reopen = 0; reopen < 2; ++reopen) {
+    ShardedCatalog catalog(2, DurableAt(dir));
+    ASSERT_TRUE(catalog.init_status().ok()) << catalog.init_status().ToString();
+    EXPECT_EQ(view(catalog), acked) << "reopen " << reopen;
+    for (const auto& [id, client, name] : acked) {
+      (void)name;
+      auto channel = catalog.ReadChannel(id, 0);
+      ASSERT_TRUE(channel.ok()) << channel.status().ToString();
+      const std::vector<double> want =
+          MakeRecording(40, static_cast<double>(client)).Channel(0);
+      ASSERT_EQ(channel->size(), want.size());
+      for (size_t f = 0; f < want.size(); ++f) {
+        EXPECT_NEAR((*channel)[f], want[f], 1e-9);
+      }
+    }
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(RouteRecovery, JournalRecordsCannotTakeAnotherSessionsEntry) {
+  // Tenant 1's session moved from its home entry on shard 0 to a copy on
+  // shard 1. Forged records then route fresh ids to both: the home entry
+  // still carries its owner, and the copy is held by the moved route. A
+  // third moves tenant 2's session onto the copy. All three are skipped.
+  const std::string dir = TestDir("entry_theft");
+  std::vector<std::tuple<GlobalSessionId, ClientId, std::string>> acked;
+  core::SessionId home = 0, copy = 0;
+  GlobalSessionId moved = 0, other = 0;
+  auto view = [](const ShardedCatalog& catalog) {
+    std::vector<std::tuple<GlobalSessionId, ClientId, std::string>> out;
+    for (const auto& entry : catalog.ListSessions()) {
+      out.emplace_back(entry.id, entry.client, entry.info.name);
+    }
+    return out;
+  };
+  {
+    ShardedCatalog catalog(2, DurableAt(dir));
+    ASSERT_TRUE(catalog.init_status().ok());
+    ASSERT_EQ(catalog.router().ShardForClient(1), 0u);
+    for (ClientId client = 1; client <= 3; ++client) {
+      const std::string name = "c" + std::to_string(client);
+      auto id = catalog.Ingest(client, name,
+                               MakeRecording(40, static_cast<double>(client)));
+      ASSERT_TRUE(id.ok()) << id.status().ToString();
+      acked.emplace_back(*id, client, name);
+    }
+    moved = std::get<0>(acked[0]);
+    other = std::get<0>(acked[1]);
+    home = catalog.ListSessions()[0].info.id;
+    server::DataMigrator migrator(&catalog);
+    ASSERT_TRUE(migrator.MigrateTenant(1, 1).ok());
+    ASSERT_EQ(catalog.ListSessions()[0].id, moved);
+    copy = catalog.ListSessions()[0].info.id;
+  }
+  {
+    auto journal = WriteAheadLog::Open(dir + "/routes.wal");
+    ASSERT_TRUE(journal.ok());
+    WriteAheadLog& wal = *journal.ValueOrDie().wal;
+    for (const std::vector<uint8_t>& record :
+         {RouteAdd((1ull << 48) | 100, 7, 0, home),
+          RouteAdd((1ull << 48) | 101, 8, 1, copy),
+          RouteMove(other, 1, copy)}) {
+      const uint64_t txn = wal.BeginTxn().ValueOrDie();
+      ASSERT_TRUE(wal.AppendCatalog(txn, record).ok());
+      ASSERT_TRUE(wal.Commit(txn).ok());
+    }
+  }
+  ShardedCatalog catalog(2, DurableAt(dir));
+  ASSERT_TRUE(catalog.init_status().ok()) << catalog.init_status().ToString();
+  EXPECT_EQ(view(catalog), acked);
+  for (const auto& [id, client, name] : acked) {
+    (void)name;
+    auto channel = catalog.ReadChannel(id, 1);
+    ASSERT_TRUE(channel.ok()) << channel.status().ToString();
+    const std::vector<double> want =
+        MakeRecording(40, static_cast<double>(client)).Channel(1);
+    ASSERT_EQ(channel->size(), want.size());
+    for (size_t f = 0; f < want.size(); ++f) {
+      EXPECT_NEAR((*channel)[f], want[f], 1e-9) << "session " << id;
+    }
+  }
+  // A new ingest mints past the acknowledged ids, not past the forged ones.
+  auto fresh = catalog.Ingest(4, "c4", MakeRecording(40, 4.0));
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  EXPECT_EQ(*fresh & 0xffffffffffffull, 4u);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(RouteRecovery, SpentIdCounterRefusesIngestsInsteadOfWrapping) {
+  // A store whose entries predate owners, routed by a RouteAdd that holds
+  // the last 48-bit counter: every id has been issued, so a new ingest is
+  // ResourceExhausted, never minted counter 0 again.
+  const std::string dir = TestDir("spent_counter");
+  const GlobalSessionId last = (1ull << 48) | 0xffffffffffffull;
+  {
+    core::AimsSystem shard0(DurableAt(dir + "/shard_0"));
+    ASSERT_TRUE(shard0.IngestRecording("old", MakeRecording(40, 2.0)).ok());
+    auto journal = WriteAheadLog::Open(dir + "/routes.wal");
+    ASSERT_TRUE(journal.ok());
+    WriteAheadLog& wal = *journal.ValueOrDie().wal;
+    const uint64_t txn = wal.BeginTxn().ValueOrDie();
+    ASSERT_TRUE(wal.AppendCatalog(txn, RouteAdd(last, 5, 0, 0)).ok());
+    ASSERT_TRUE(wal.Commit(txn).ok());
+  }
+  for (int reopen = 0; reopen < 2; ++reopen) {
+    ShardedCatalog catalog(1, DurableAt(dir));
+    ASSERT_TRUE(catalog.init_status().ok()) << catalog.init_status().ToString();
+    const auto sessions = catalog.ListSessions();
+    ASSERT_EQ(sessions.size(), 1u);
+    EXPECT_EQ(sessions[0].id, last);
+    EXPECT_EQ(sessions[0].client, 5u);
+    auto id = catalog.Ingest(5, "new", MakeRecording(40, 3.0));
+    ASSERT_FALSE(id.ok()) << "minted " << *id;
+    EXPECT_EQ(id.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(catalog.total_sessions(), 1u);
+  }
+  std::filesystem::remove_all(dir);
+}
+
 // ---- Stores whose entries carry no owner ---------------------------------
 
 /// Every route of a catalog as (id, client, name), plus two tenants' pins

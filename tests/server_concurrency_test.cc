@@ -1,5 +1,6 @@
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -585,6 +586,42 @@ TEST(RecognitionServiceTest, ConcurrentClientStreams) {
   EXPECT_EQ(service.open_streams(), 0u);
   EXPECT_EQ(service.PushFrames(0, {streams::Frame{}}).status().code(),
             StatusCode::kNotFound);
+}
+
+TEST(RecognitionServiceTest, EvaluationsCounterMatchesAStandaloneRecognizer) {
+  // Every evaluation is one eigen solve; /metrics counts them over pushes
+  // and the close, batch by batch, as a standalone recognizer does.
+  constexpr size_t kChannels = 6;
+  const std::vector<streams::Frame> frames =
+      MotionFrames(400, 150, kChannels, 0.5);
+  obs::MetricsRegistry metrics;
+  RecognitionService service({}, &metrics);
+  recognition::Vocabulary vocabulary;
+  for (int variant = 0; variant < 2; ++variant) {
+    const std::string label = variant == 0 ? "wave" : "twist";
+    ASSERT_TRUE(
+        service.AddVocabularyEntry(label, MotionTemplate(kChannels, variant))
+            .ok());
+    vocabulary.Add(label, MotionTemplate(kChannels, variant));
+  }
+  ASSERT_TRUE(service.OpenStream(3).ok());
+  for (size_t at = 0; at < frames.size(); at += 64) {
+    const std::vector<streams::Frame> batch(
+        frames.begin() + static_cast<ptrdiff_t>(at),
+        frames.begin() + static_cast<ptrdiff_t>(std::min(at + 64, frames.size())));
+    ASSERT_TRUE(service.PushFrames(3, batch).ok());
+  }
+  ASSERT_TRUE(service.CloseStream(3).ok());
+
+  recognition::WeightedSvdSimilarity measure(/*rank=*/0);
+  recognition::StreamRecognizer standalone(&vocabulary, &measure, {});
+  for (const streams::Frame& frame : frames) {
+    ASSERT_TRUE(standalone.Push(frame).ok());
+  }
+  ASSERT_TRUE(standalone.Finish().ok());
+  ASSERT_GT(standalone.evaluations(), 0u);
+  EXPECT_EQ(metrics.GetCounter("recognition.evaluations")->value(),
+            standalone.evaluations());
 }
 
 TEST(AimsServerTest, MalformedTemplatesRejected) {
